@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .fields import (ConformalError, SquareClass, UnsupportedFieldError,
                      field_from_token)
+from .quadform import InvalidInputError
 from importlib import import_module
 
 cla = import_module(__package__ + ".classify")
@@ -37,17 +39,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _field(token: str):
-    try:
-        if token == cla.QUADRATICALLY_CLOSED:
-            return token
-        return field_from_token(token)
-    except (UnsupportedFieldError, ValueError) as exc:
-        raise UnsupportedFieldError(str(exc))
+    if token == cla.QUADRATICALLY_CLOSED:
+        return token
+    return field_from_token(token)
 
 
 def _load_geometry(path: str, eps: float = 1e-9):
     data = sys.stdin.read() if path == "-" else open(path).read()
-    return ser.geometry_from_json(json.loads(data), eps)
+    return ser.geometry_from_json(ser.json_loads(data), eps)
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
+
+
+def _finite_floats(text: str) -> list:
+    return [_finite_float(part) for part in text.split(",")]
 
 
 def _emit(rows, header, out_format):
@@ -94,14 +108,21 @@ def cmd_classify_table(args) -> int:
 
 
 def cmd_classify_partners(args) -> int:
-    spec = json.loads(args.cls)
-    field = _field(spec["field"])
-    if field == cla.QUADRATICALLY_CLOSED:
-        raise UnsupportedFieldError("no partner structure for this field")
+    spec = ser.json_loads(args.cls)
     sym = {"0": SquareClass.ZERO, "1": SquareClass.UNIT,
            "e": SquareClass.NON_RESIDUE, "-1": SquareClass.NON_RESIDUE}
-    match = [c for c in cla.enumerate_classes(field, int(spec.get("dim", 2)))
-             if c.qp is sym[str(spec["qP"])] and c.ql is sym[str(spec["qL"])]
+    try:
+        token, dim = spec["field"], int(spec.get("dim", 2))
+        qp, ql = sym[str(spec["qP"])], sym[str(spec["qL"])]
+    except (KeyError, TypeError, ValueError):
+        raise InvalidInputError(
+            '--class wants {"field": token, "dim": d, "qP": s, "qL": s} '
+            'with s one of 0, 1, e, -1') from None
+    field = _field(token)
+    if field == cla.QUADRATICALLY_CLOSED:
+        raise UnsupportedFieldError("no partner structure for this field")
+    match = [c for c in cla.enumerate_classes(field, dim)
+             if c.qp is qp and c.ql is ql
              and (spec.get("form") is None
                   or list(c.form_invariant) == spec["form"])]
     if not match:
@@ -184,14 +205,11 @@ def _model_kind(name: str):
 def cmd_examples_lift(args) -> int:
     kind = _model_kind(args.model)
     if args.point:
-        coords = [float(x) for x in args.point.split(",")]
-        obj = mod.lift_point(kind, coords, n=args.n)
+        obj = mod.lift_point(kind, args.point, n=args.n)
     elif args.cycle:
-        coords = [float(x) for x in args.cycle.split(",")]
-        obj = mod.lift_cycle(kind, coords, args.radius, n=args.n)
+        obj = mod.lift_cycle(kind, args.cycle, args.radius, n=args.n)
     elif args.line:
-        coords = [float(x) for x in args.line.split(",")]
-        obj = mod.lift_line(kind, coords, offset=args.offset, n=args.n)
+        obj = mod.lift_line(kind, args.line, offset=args.offset, n=args.n)
     else:
         raise ConformalError("give one of --point, --cycle or --line")
     g = mod.model_geometry(kind, args.n)
@@ -304,19 +322,19 @@ def build_parser() -> _Parser:
     ex_sub = p_ex.add_subparsers(dest="command", required=True)
     p = leaf(ex_sub, "lift")
     p.add_argument("--model", required=True)
-    p.add_argument("--point")
-    p.add_argument("--cycle")
-    p.add_argument("--line")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--offset", type=float, default=0.0)
+    p.add_argument("--point", type=_finite_floats)
+    p.add_argument("--cycle", type=_finite_floats)
+    p.add_argument("--line", type=_finite_floats)
+    p.add_argument("--radius", type=_finite_float, default=1.0)
+    p.add_argument("--offset", type=_finite_float, default=0.0)
     p.add_argument("--n", type=int, default=2)
     p.set_defaults(func=cmd_examples_lift)
     p = leaf(ex_sub, "separation")
     p.add_argument("--model", required=True)
-    p.add_argument("--d", type=float, default=1.0)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--r1", type=float, default=0.45)
-    p.add_argument("--r2", type=float, default=0.35)
+    p.add_argument("--d", type=_finite_float, default=1.0)
+    p.add_argument("--theta", type=_finite_float)
+    p.add_argument("--r1", type=_finite_float, default=0.45)
+    p.add_argument("--r2", type=_finite_float, default=0.35)
     p.set_defaults(func=cmd_examples_separation)
 
     p_ver = sub.add_parser("verify", parents=[common],
@@ -341,7 +359,7 @@ def main(argv=None) -> int:
     except ConformalError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return PRECONDITION_EXIT
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION_EXIT
 

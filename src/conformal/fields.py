@@ -68,7 +68,7 @@ class Scalar:
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError(
                     f"mixed fields: {self.field} and {other.field}")
             return other
@@ -139,7 +139,7 @@ class Scalar:
             other = self.field.scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             return False
         return self.field._eq(self.value, other.value)
 
@@ -224,7 +224,8 @@ class Field:
 
     # derived ----------------------------------------------------------
     def __eq__(self, other):
-        return isinstance(other, Field) and self.token() == other.token()
+        return self is other or (isinstance(other, Field)
+                                 and self.token() == other.token())
 
     def __hash__(self):
         return hash(self.token())
@@ -554,7 +555,8 @@ def field_from_token(token: str, eps: float = 1e-9) -> Field:
         return CharTwo(2)
     if token == "f4":
         return CharTwo(4)
-    if token.startswith("fp:"):
+    if isinstance(token, str) and token.startswith("fp:") \
+            and token[3:].isdigit():
         return PrimeField(int(token[3:]))
     raise UnsupportedFieldError(f"unknown field token {token!r}")
 

@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 from .fields import ConformalError, Field, Scalar, UnsupportedFieldError
 from . import linalg
 from .linalg import Vector, vec_add, vec_scale, vec_sub
-from .quadform import QuadraticForm, bilinear_radical, witt_index
+from .quadform import (InvalidInputError, QuadraticForm,
+                       bilinear_radical, witt_index)
 from enum import Enum
 
 
@@ -65,6 +66,13 @@ class ProjPoint:
             raise ValueError("projective points need a nonzero vector")
         inv = lead.inverse()
         self.coords = tuple(inv * c for c in coords)
+
+    @classmethod
+    def from_canonical(cls, coords: Vector) -> "ProjPoint":
+        """Wrap coordinates whose first nonzero entry is already 1."""
+        pt = cls.__new__(cls)
+        pt.coords = coords
+        return pt
 
     @property
     def field(self) -> Field:
@@ -146,9 +154,12 @@ def dual_geometry(g: Geometry) -> Geometry:
 
 
 def _as_vector(g: Geometry, c) -> Vector:
-    if isinstance(c, ProjPoint):
-        return c.coords
-    return tuple(g.field.scalar(x) for x in c)
+    v = c.coords if isinstance(c, ProjPoint) else \
+        tuple(g.field.scalar(x) for x in c)
+    if len(v) != g.form.dim:
+        raise InvalidInputError(
+            f"a cycle has {g.form.dim} coordinates, not {len(v)}")
+    return v
 
 
 def _require_hypercycle(g: Geometry, c) -> Vector:
@@ -269,10 +280,15 @@ def lie_quadric_points(g: Geometry, max_q: int = MAX_ENUM_Q):
     """All projective points with Q = 0, canonically normalized, sorted."""
     _check_enum(g, max_q)
     if g._quadric is None:
-        pts = [ProjPoint(v) for v in linalg.projective_points(g.field, g.form.dim)
-               if g.form(v).is_zero()]
-        pts.sort(key=ProjPoint.sort_key)
-        g._quadric = tuple(pts)
+        # raw tuples from projective_points already lead with 1, and a
+        # finite field's raw values sort like its scalars
+        field, form = g.field, g.form
+        hits = sorted(x for x in linalg.projective_points(field, form.dim,
+                                                          raw=True)
+                      if field._is_zero(form.eval_raw(x)))
+        wrap = {s.value: s for s in field.elements()}
+        g._quadric = tuple(ProjPoint.from_canonical(tuple(wrap[a] for a in x))
+                           for x in hits)
     return g._quadric
 
 
@@ -300,8 +316,7 @@ class Pointspace:
 
 def pointspace(g: Geometry) -> Pointspace:
     """The orthogonal complement of P carrying Q^P, with L's coordinates."""
-    rows = (tuple(g.form.b_full(g.p_rep, linalg.unit_vector(g.field, g.form.dim, i))
-                  for i in range(g.form.dim)),)
+    rows = (g.form.gram_row(g.p_rep),)
     basis = linalg.kernel_basis(rows, g.field, g.form.dim)
     restricted = g.form.restrict(basis)
     l_coords = linalg.coordinates(g.l_rep, basis, g.field)
@@ -403,8 +418,7 @@ def _is_actual(g: Geometry, span: Sequence[Vector]) -> Optional[bool]:
     if not g.field.is_finite or g.field.order > MAX_ENUM_Q:
         return None
     n = g.form.dim
-    rows = tuple(tuple(g.form.b_full(s, linalg.unit_vector(g.field, n, i))
-                       for i in range(n)) for s in span)
+    rows = tuple(g.form.gram_row(s) for s in span)
     perp = linalg.kernel_basis(rows, g.field, n)
     vectors = [g.p_rep]
     for combo in linalg.projective_points(g.field, len(perp)):
@@ -444,8 +458,7 @@ def intersect_hyperplanes(g: Geometry, *hyperplanes) -> Subcycle:
     if not linalg.independent(vecs, g.field):
         raise RankError("hyperplanes must be independent (and not P)")
     n = g.form.dim
-    rows = tuple(tuple(g.form.b_full(s, linalg.unit_vector(g.field, n, i))
-                       for i in range(n)) for s in vecs)
+    rows = tuple(g.form.gram_row(s) for s in vecs)
     span = linalg.kernel_basis(rows, g.field, n)
     return _subcycle_from_span(g, span)
 
@@ -469,9 +482,8 @@ def hyperplane_through(g: Geometry, *points) -> Optional[ProjPoint]:
             if linalg.rank([vecs[i], vecs[j], g.l_rep], g.field) <= 2:
                 raise RoleError("an antipodal pair admits no unique hyperplane")
     n = g.form.dim
-    rows = [tuple(g.form.b_full(v, linalg.unit_vector(g.field, n, i))
-                  for i in range(n)) for v in vecs + [g.l_rep]]
-    sol = linalg.kernel_basis(tuple(rows), g.field, n)
+    rows = tuple(g.form.gram_row(v) for v in vecs + [g.l_rep])
+    sol = linalg.kernel_basis(rows, g.field, n)
     if not sol:
         return None
     isotropic = []

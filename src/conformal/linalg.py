@@ -186,11 +186,16 @@ def all_vectors(field: Field, n: int) -> Iterator[Vector]:
         yield tuple(combo)
 
 
-def projective_points(field: Field, n: int) -> Iterator[Vector]:
-    """Canonical representatives (first nonzero coordinate 1) of P(K^n)."""
+def projective_points(field: Field, n: int,
+                      raw: bool = False) -> Iterator[Vector]:
+    """Canonical representatives (first nonzero coordinate 1) of P(K^n);
+    with ``raw`` the tuples hold raw field values instead of Scalars."""
     elems = list(field.elements())
     one = field.one()
     zero = field.zero()
+    if raw:
+        elems = [e.value for e in elems]
+        one, zero = one.value, zero.value
     for lead in range(n):
         prefix = (zero,) * lead + (one,)
         for tail in product(elems, repeat=n - lead - 1):

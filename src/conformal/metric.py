@@ -20,7 +20,7 @@ from .fields import (ConformalError, Scalar, SquareClass,
                      sqrt_if_square, square_class)
 from . import linalg
 from .linalg import vec_add, vec_scale, vec_sub
-from .geometry import Geometry, ProjPoint, non_degenerate_geometry
+from .geometry import Geometry, ProjPoint, _as_vector, non_degenerate_geometry
 from .quadform import QuadraticForm, det_class
 
 
@@ -146,8 +146,7 @@ def line_space(g: Geometry, l) -> LineSpace:
         raise UnsupportedFieldError("line spaces are built for char != 2")
     if g.n != 2:
         raise UnsupportedFieldError("line spaces are 3-dimensional only for n=2")
-    lv = l.coords if isinstance(l, ProjPoint) else \
-        tuple(g.field.scalar(x) for x in l)
+    lv = _as_vector(g, l)
     if not g.form(lv).is_zero():
         raise DegenerateLineError("l must lie on the Lie quadric")
     if not g.form.b_full(g.l_rep, lv).is_zero():
@@ -155,8 +154,7 @@ def line_space(g: Geometry, l) -> LineSpace:
     if g.form.b_full(g.p_rep, lv).is_zero():
         raise DegenerateLineError("ideal hyperplane: its line is quasi-ideal")
     n = g.form.dim
-    rows = tuple(tuple(g.form.b_full(w, linalg.unit_vector(g.field, n, i))
-                       for i in range(n)) for w in (g.p_rep, lv))
+    rows = (g.form.gram_row(g.p_rep), g.form.gram_row(lv))
     basis = linalg.kernel_basis(rows, g.field, n)
     assert len(basis) == 3
     form = g.form.restrict(basis)
@@ -203,9 +201,7 @@ class Chart:
 
 
 def _orth_complement_in_line(form: QuadraticForm, vec):
-    rows = (tuple(form.b_full(vec, linalg.unit_vector(form.field, 3, i))
-                  for i in range(3)),)
-    return linalg.kernel_basis(rows, form.field, 3)
+    return linalg.kernel_basis((form.gram_row(vec),), form.field, 3)
 
 
 def build_chart(space: LineSpace) -> Chart:
@@ -284,9 +280,9 @@ def _build_additive_chart(space: LineSpace) -> Chart:
     else:
         u = u0
         norm_token = ("additive-unscaled", qu.value)
-    v0 = next(linalg.unit_vector(field, 3, i) for i in range(3)
-              if not form.b_full(lc, linalg.unit_vector(field, 3, i)).is_zero())
-    v0 = vec_scale(form.b_full(lc, v0).inverse(), v0)
+    row = form.gram_row(lc)
+    i = next(i for i in range(3) if not row[i].is_zero())
+    v0 = vec_scale(row[i].inverse(), linalg.unit_vector(field, 3, i))
     v1 = vec_sub(v0, vec_scale(form.b_full(u, v0) / form.b_full(u, u), u))
     v = vec_sub(v1, vec_scale(form(v1), lc))
     assert form(v).is_zero() and form.b_full(lc, v) == field.one()
@@ -368,8 +364,7 @@ def identity_motion(chart: Chart) -> MotionElement:
 
 
 def _point_chart_coords(chart: Chart, g: Geometry, p):
-    pv = p.coords if isinstance(p, ProjPoint) else \
-        tuple(g.field.scalar(x) for x in p)
+    pv = _as_vector(g, p)
     if not g.form(pv).is_zero():
         raise NotOnLineError("points of a line lie on the Lie quadric")
     lc = chart.space.from_ambient(pv)
@@ -418,12 +413,9 @@ def _translation_in_chart(chart: Chart, g: Geometry, p1, p2) -> MotionElement:
         a = (x2 * x1 - eps * y2 * y1) / norm1
         b = (y2 * x1 - x2 * y1) / norm1
         out = motion_from_normal_form(chart, (a, b))
-    moved = linalg.mat_vec(out.matrix, chart.space.from_ambient(
-        p1.coords if isinstance(p1, ProjPoint) else
-        tuple(g.field.scalar(x) for x in p1)))
-    target = chart.space.from_ambient(
-        p2.coords if isinstance(p2, ProjPoint) else
-        tuple(g.field.scalar(x) for x in p2))
+    moved = linalg.mat_vec(out.matrix,
+                           chart.space.from_ambient(_as_vector(g, p1)))
+    target = chart.space.from_ambient(_as_vector(g, p2))
     assert ProjPoint(moved) == ProjPoint(target), "translation mismatch (internal)"
     return out
 

@@ -18,9 +18,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .fields import (CharTwo, ConformalError, Field, PrimeField, Rational,
-                     Scalar, SquareClass, UnsupportedFieldError,
-                     sqrt_if_square, square_class)
+from .fields import (CharTwo, ConformalError, Field, FieldMismatchError,
+                     PrimeField, Rational, Scalar, SquareClass,
+                     UnsupportedFieldError, sqrt_if_square, square_class)
 from . import linalg
 from .linalg import Vector, vec_add, vec_scale, vec_sub
 
@@ -40,7 +40,7 @@ class WitnessSearchError(ConformalError):
 class QuadraticForm:
     """Q(v) = sum_{i<=j} c_ij v_i v_j with an upper-triangular table."""
 
-    __slots__ = ("field", "dim", "_items", "_coeffs", "_bil")
+    __slots__ = ("field", "dim", "_items", "_coeffs", "_bil", "_terms", "_p")
 
     def __init__(self, field: Field, dim: int, coeffs):
         if dim < 1:
@@ -58,6 +58,8 @@ class QuadraticForm:
         self._items = tuple(sorted(table.items()))
         self._coeffs = table
         self._bil = None
+        self._terms = tuple((i, j, c.value) for (i, j), c in self._items)
+        self._p = field.p if isinstance(field, PrimeField) else 0
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -80,21 +82,46 @@ class QuadraticForm:
         return self._items
 
     # -- evaluation -----------------------------------------------------
+    # Q and B run on raw field values: the coordinates are unwrapped once
+    # per call and the result is wrapped in one Scalar.  Over F_p the
+    # terms are summed as Python ints with a single reduction; the other
+    # fields use their raw ops in the order of plain Scalar arithmetic
+    # over the table, so float results are bit-identical to it.
     def __call__(self, v: Vector) -> Scalar:
-        total = self.field.zero()
-        for (i, j), c in self._items:
-            total = total + c * v[i] * v[j]
+        return Scalar(self.eval_raw(_raw_values(self.field, v)), self.field)
+
+    def eval_raw(self, x):
+        """Q on a sequence of raw field values (no field checks)."""
+        if self._p:
+            return sum([c * x[i] * x[j] for i, j, c in self._terms]) % self._p
+        add, mul = self.field._add, self.field._mul
+        total = self.field.zero().value
+        for i, j, c in self._terms:
+            total = add(total, mul(mul(c, x[i]), x[j]))
         return total
 
     def b_full(self, u: Vector, v: Vector) -> Scalar:
         """B(u,v) = Q(u+v) - Q(u) - Q(v); works in every characteristic."""
-        total = self.field.zero()
-        for (i, j), c in self._items:
+        field = self.field
+        x = _raw_values(field, u)
+        y = _raw_values(field, v)
+        if self._p:
+            # on the diagonal c (x_i y_i + x_i y_i) is the 2c x_i y_i term
+            return Scalar(sum([c * (x[i] * y[j] + x[j] * y[i])
+                               for i, j, c in self._terms]) % self._p, field)
+        add, mul = field._add, field._mul
+        total = field.zero().value
+        for i, j, c in self._terms:
             if i == j:
-                total = total + (c + c) * u[i] * v[i]
+                total = add(total, mul(mul(add(c, c), x[i]), y[i]))
             else:
-                total = total + c * (u[i] * v[j] + u[j] * v[i])
-        return total
+                total = add(total, mul(c, add(mul(x[i], y[j]),
+                                              mul(x[j], y[i]))))
+        return Scalar(total, field)
+
+    def gram_row(self, x: Vector) -> Vector:
+        """(B(x, e_0), ..., B(x, e_{n-1})) from the cached Gram matrix."""
+        return linalg.mat_vec(self.bilinear_matrix(), x)
 
     def b_half(self, u: Vector, v: Vector) -> Scalar:
         """The 1/2-scaled bilinear form; satisfies B(v,v) = Q(v)."""
@@ -164,6 +191,22 @@ class QuadraticForm:
             mono = f"x{i}^2" if i == j else f"x{i}*x{j}"
             terms.append(f"{c!r}*{mono}")
         return " + ".join(terms) if terms else "0"
+
+
+def _raw_values(field: Field, v: Vector) -> list:
+    """The raw values of v's coordinates; ints are coerced into the field."""
+    out = []
+    for x in v:
+        if isinstance(x, Scalar):
+            if x.field is not field and x.field != field:
+                raise FieldMismatchError(
+                    f"mixed fields: {field} and {x.field}")
+            out.append(x.value)
+        elif isinstance(x, int):
+            out.append(field.scalar(x).value)
+        else:
+            raise TypeError(f"not a coordinate over {field}: {x!r}")
+    return out
 
 
 class BilinearForm:
@@ -690,10 +733,11 @@ def reflection_matrix(q: QuadraticForm, w: Vector):
         raise InvalidInputError("reflections need an anisotropic mirror")
     field = q.field
     n = q.dim
+    bw = q.gram_row(w)
     images = []
     for i in range(n):
         e = linalg.unit_vector(field, n, i)
-        images.append(vec_sub(e, vec_scale(q.b_full(e, w) / qw, w)))
+        images.append(vec_sub(e, vec_scale(bw[i] / qw, w)))
     return _matrix_from_images(field, images)
 
 
@@ -706,11 +750,11 @@ def eichler_matrix(q: QuadraticForm, p0: Vector, u: Vector):
     field = q.field
     n = q.dim
     qu = q(u)
+    bp, bu = q.gram_row(p0), q.gram_row(u)
     images = []
     for i in range(n):
         e = linalg.unit_vector(field, n, i)
-        a = q.b_full(e, p0)
-        b = q.b_full(e, u)
+        a, b = bp[i], bu[i]
         img = vec_add(e, vec_scale(a, u))
         img = vec_sub(img, vec_scale(b + qu * a, p0))
         images.append(img)
@@ -722,11 +766,12 @@ def hyperbolic_scaling_matrix(q: QuadraticForm, p: Vector, w: Vector, mu: Scalar
     B(p,w)=1), identity on the orthogonal complement."""
     field = q.field
     one = field.one()
+    bw, bp = q.gram_row(w), q.gram_row(p)
     images = []
     for i in range(q.dim):
         e = linalg.unit_vector(field, q.dim, i)
-        img = vec_add(e, vec_scale((mu - one) * q.b_full(e, w), p))
-        img = vec_add(img, vec_scale((mu.inverse() - one) * q.b_full(e, p), w))
+        img = vec_add(e, vec_scale((mu - one) * bw[i], p))
+        img = vec_add(img, vec_scale((mu.inverse() - one) * bp[i], w))
         images.append(img)
     return _matrix_from_images(field, images)
 
@@ -914,8 +959,7 @@ class _Extender:
         rows = []
         rhs = []
         for s in current:
-            rows.append(tuple(q.b_full(s, linalg.unit_vector(field, self.n, i))
-                              for i in range(self.n)))
+            rows.append(q.gram_row(s))
             rhs.append(field.one() if s == r else field.zero())
         sol = linalg.solve(rows, tuple(rhs), field)
         if sol is None:

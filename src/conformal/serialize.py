@@ -4,7 +4,8 @@ Forms travel as ``{"dim": n, "coeffs": [[i, j, value], ...]}`` with the
 diagonal shorthand ``[a1, ..., an]`` accepted wherever a form is parsed;
 geometries as ``{"field": token, "form": ..., "P": [...], "L": [...]}``.
 Scalars are JSON numbers, fraction strings ("2/3"), or the F_4 names
-("t", "t+1").
+("t", "t+1").  Input of any other shape raises
+:class:`~conformal.quadform.InvalidInputError`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,15 @@ from fractions import Fraction
 from .fields import CharTwo, Field, Scalar, field_from_token
 from .geometry import Geometry
 from .metric import MotionElement
-from .quadform import QuadraticForm
+from .quadform import InvalidInputError, QuadraticForm
+
+
+def json_loads(text: str):
+    """``json.loads`` raising InvalidInputError on malformed text."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"malformed JSON: {exc}") from None
 
 
 def scalar_to_json(s: Scalar):
@@ -28,9 +37,15 @@ def scalar_to_json(s: Scalar):
 
 
 def scalar_from_json(field: Field, obj) -> Scalar:
-    if isinstance(obj, str):
-        return field.parse(obj)
-    return field.scalar(obj)
+    try:
+        if isinstance(obj, str):
+            return field.parse(obj)
+        if isinstance(obj, int) or (isinstance(obj, float)
+                                    and not field.is_finite):
+            return field.scalar(obj)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise InvalidInputError(f"not an element of {field}: {obj!r}")
 
 
 def form_to_json(q: QuadraticForm) -> dict:
@@ -43,14 +58,20 @@ def form_from_json(field: Field, obj) -> QuadraticForm:
     if isinstance(obj, list):  # diagonal shorthand
         return QuadraticForm.diagonal(
             field, [scalar_from_json(field, x) for x in obj])
-    coeffs = {(int(i), int(j)): scalar_from_json(field, v)
-              for i, j, v in obj["coeffs"]}
-    return QuadraticForm(field, int(obj["dim"]), coeffs)
+    if not (isinstance(obj, dict) and isinstance(obj.get("dim"), int)
+            and isinstance(obj.get("coeffs"), list)
+            and all(isinstance(t, list) and len(t) == 3
+                    and isinstance(t[0], int) and isinstance(t[1], int)
+                    for t in obj["coeffs"])):
+        raise InvalidInputError('a form is [a1, ..., an] or '
+                                '{"dim": n, "coeffs": [[i, j, c], ...]}')
+    coeffs = {(i, j): scalar_from_json(field, v) for i, j, v in obj["coeffs"]}
+    return QuadraticForm(field, obj["dim"], coeffs)
 
 
 def parse_form_text(field: Field, text: str) -> QuadraticForm:
     """A JSON form object or the diagonal shorthand `[a1,...,an]`."""
-    return form_from_json(field, json.loads(text))
+    return form_from_json(field, json_loads(text))
 
 
 def vector_to_json(v) -> list:
@@ -58,6 +79,8 @@ def vector_to_json(v) -> list:
 
 
 def vector_from_json(field: Field, obj):
+    if not isinstance(obj, list):
+        raise InvalidInputError(f"a vector is a JSON array, not {obj!r}")
     return tuple(scalar_from_json(field, x) for x in obj)
 
 
@@ -65,8 +88,9 @@ def parse_vector_text(field: Field, text: str):
     """Comma-separated or JSON-array coordinates."""
     text = text.strip()
     if text.startswith("["):
-        return vector_from_json(field, json.loads(text))
-    return tuple(field.parse(part.strip()) for part in text.split(","))
+        return vector_from_json(field, json_loads(text))
+    return tuple(scalar_from_json(field, part.strip())
+                 for part in text.split(","))
 
 
 def geometry_to_json(g: Geometry) -> dict:
@@ -77,6 +101,10 @@ def geometry_to_json(g: Geometry) -> dict:
 
 
 def geometry_from_json(obj, eps: float = 1e-9) -> Geometry:
+    keys = ("field", "form", "P", "L")
+    if not isinstance(obj, dict) or any(k not in obj for k in keys):
+        raise InvalidInputError(
+            "a geometry is a JSON object with keys " + ", ".join(keys))
     field = field_from_token(obj["field"], eps)
     form = form_from_json(field, obj["form"])
     return Geometry(form,

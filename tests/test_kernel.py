@@ -1,0 +1,185 @@
+"""Differential tests of the raw-value Q/B kernel.
+
+``QuadraticForm.__call__`` and ``b_full`` evaluate on raw field values,
+and ``lie_quadric_points`` enumerates raw tuples.  The references below
+are the plain ``Scalar``-arithmetic loops those methods replaced; every
+answer must agree with them, bit for bit over ApproxReal.
+"""
+
+import struct
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conformal import linalg
+from conformal.fields import (ApproxReal, CharTwo, FieldMismatchError,
+                              PrimeField, Rational, Scalar)
+from conformal.geometry import Geometry, ProjPoint, lie_quadric_points
+from conformal.quadform import QuadraticForm, bilinear_radical
+
+FIELDS = [Rational(), PrimeField(3), PrimeField(5), PrimeField(7),
+          PrimeField(11), PrimeField(13), CharTwo(2), CharTwo(4),
+          ApproxReal()]
+
+
+def ref_q(q, v):
+    total = q.field.zero()
+    for (i, j), c in q.coeff_items():
+        total = total + c * v[i] * v[j]
+    return total
+
+
+def ref_b(q, u, v):
+    total = q.field.zero()
+    for (i, j), c in q.coeff_items():
+        if i == j:
+            total = total + (c + c) * u[i] * v[i]
+        else:
+            total = total + c * (u[i] * v[j] + u[j] * v[i])
+    return total
+
+
+def elements(field):
+    if isinstance(field, Rational):
+        return st.builds(lambda n, d: field.scalar(Fraction(n, d)),
+                         st.integers(-20, 20), st.integers(1, 9))
+    if isinstance(field, ApproxReal):
+        return st.builds(field.scalar,
+                         st.floats(-1e6, 1e6, allow_nan=False)
+                         | st.sampled_from([0.0, -0.0, 1e-300, 0.1, 3.0]))
+    return st.sampled_from(list(field.elements()))
+
+
+@st.composite
+def forms(draw, field, dims=st.integers(1, 6)):
+    dim = draw(dims)
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=len(pairs)))
+    return QuadraticForm(field, dim,
+                         {ij: draw(elements(field)) for ij in chosen})
+
+
+@st.composite
+def form_and_vectors(draw):
+    field = draw(st.sampled_from(FIELDS))
+    q = draw(forms(field))
+    vec = st.tuples(*[elements(field)] * q.dim)
+    return q, draw(vec), draw(vec)
+
+
+def same(a: Scalar, b: Scalar) -> bool:
+    if a.field is not b.field:
+        return False
+    if isinstance(a.value, float):
+        return struct.pack("<d", a.value) == struct.pack("<d", b.value)
+    return type(a.value) is type(b.value) and a.value == b.value
+
+
+@settings(max_examples=400, deadline=None)
+@given(form_and_vectors())
+def test_kernel_matches_scalar_loops(case):
+    q, u, v = case
+    assert same(q(u), ref_q(q, u))
+    assert same(q.b_full(u, v), ref_b(q, u, v))
+    assert same(q.b_full(v, u), ref_b(q, v, u))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.token())
+def test_kernel_mixed_fields_raise(field):
+    other = PrimeField(17)
+    q = QuadraticForm(field, 3, {(0, 0): 1, (0, 1): 1, (2, 2): 1})
+    good = (field.one(), field.zero(), field.one())
+    for bad in ((field.one(), other.one(), field.one()),
+                (other.zero(), field.zero(), field.zero())):
+        with pytest.raises(FieldMismatchError):
+            q(bad)
+        with pytest.raises(FieldMismatchError):
+            q.b_full(good, bad)
+        with pytest.raises(FieldMismatchError):
+            q.b_full(bad, good)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernel_coerces_int_coordinates(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    q = data.draw(forms(field))
+    ints = st.tuples(*[st.integers(-30, 30)] * q.dim)
+    u, v = data.draw(ints), data.draw(ints)
+    su = tuple(field.scalar(x) for x in u)
+    sv = tuple(field.scalar(x) for x in v)
+    assert same(q(u), ref_q(q, su))
+    assert same(q.b_full(u, sv), ref_b(q, su, sv))
+    assert same(q.b_full(su, v), ref_b(q, su, sv))
+
+
+def test_kernel_accepts_equal_field_instances():
+    q = QuadraticForm(PrimeField(5), 2, {(0, 1): 1})
+    twin = PrimeField(5)  # equal by token, a different object
+    v = (twin.scalar(2), twin.scalar(3))
+    assert q(v) == PrimeField(5).scalar(1)
+    assert q.b_full(v, v) == PrimeField(5).scalar(2)
+
+
+def test_gram_row_is_b_against_unit_vectors():
+    for field in FIELDS[:8]:
+        q = QuadraticForm(field, 4, {(0, 0): 2, (0, 3): 1, (1, 2): 3,
+                                     (3, 3): 1})
+        x = tuple(field.scalar(k) for k in (1, 2, 0, 3))
+        assert q.gram_row(x) == tuple(
+            ref_b(q, x, linalg.unit_vector(field, 4, i)) for i in range(4))
+
+
+@st.composite
+def nondegenerate_forms(draw, field):
+    """A diagonal form (odd p) or a sum of planes a x^2 + xy + b y^2
+    (characteristic 2), in coordinates moved by a random permuted unit
+    triangular matrix, so the form stays non-degenerate."""
+    nonzero = st.sampled_from(list(field.elements())[1:])
+    if field.char == 2:
+        dim = draw(st.sampled_from([4, 6]))
+        coeffs = {}
+        for k in range(0, dim, 2):
+            coeffs[(k, k + 1)] = field.one()
+            coeffs[(k, k)] = draw(elements(field))
+            coeffs[(k + 1, k + 1)] = draw(elements(field))
+        base = QuadraticForm(field, dim, coeffs)
+    else:
+        dim = draw(st.sampled_from([4, 5]))
+        base = QuadraticForm.diagonal(field, [draw(nonzero)
+                                              for _ in range(dim)])
+    columns = [tuple(field.one() if r == c else
+                     draw(elements(field)) if r < c else field.zero()
+                     for r in range(dim)) for c in range(dim)]
+    return base.restrict(draw(st.permutations(columns)))
+
+
+@st.composite
+def small_geometries(draw):
+    field = draw(st.sampled_from([CharTwo(2), PrimeField(3), CharTwo(4),
+                                  PrimeField(5)]))
+    q = draw(nondegenerate_forms(field))
+    assert not bilinear_radical(q)
+    vec = st.tuples(*[elements(field)] * q.dim)
+    p_rep = draw(vec.filter(lambda v: not linalg.is_zero_vector(v)))
+    perp = linalg.kernel_basis((q.gram_row(p_rep),), field, q.dim)
+    coeffs = draw(st.tuples(*[elements(field)] * len(perp)).filter(
+        lambda cs: any(not c.is_zero() for c in cs)))
+    l_rep = linalg.zero_vector(field, q.dim)
+    for c, b in zip(coeffs, perp):
+        l_rep = linalg.vec_add(l_rep, linalg.vec_scale(c, b))
+    return Geometry(q, p_rep, l_rep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_geometries())
+def test_lie_quadric_points_matches_scalar_filter(g):
+    expected = sorted((ProjPoint(v)
+                       for v in linalg.projective_points(g.field, g.form.dim)
+                       if ref_q(g.form, v).is_zero()),
+                      key=ProjPoint.sort_key)
+    got = lie_quadric_points(g)
+    assert got == tuple(expected)
+    assert all(c.field is g.field for pt in got for c in pt.coords)

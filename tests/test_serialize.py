@@ -1,8 +1,11 @@
 """JSON round-trips and the command-line surface."""
 
 import json
+import os
 import subprocess
 import sys
+
+import pytest
 
 from conformal import serialize as ser
 from conformal.classify import enumerate_classes, representative_geometry
@@ -112,3 +115,82 @@ def test_cli_verify_single_suite():
     r = _cli("verify", "--suite", "separations")
     assert r.returncode == 0
     assert r.stdout.startswith("[pass] separations")
+
+
+def _geometry_file(tmp_path, name, edit):
+    blob = ser.geometry_to_json(representative_geometry(
+        next(c for c in enumerate_classes(F3, 2) if c.name == "elliptic")))
+    text = edit(blob)
+    path = tmp_path / name
+    path.write_text(text if isinstance(text, str) else json.dumps(text))
+    return str(path)
+
+
+def _without_l(blob):
+    del blob["L"]
+    return blob
+
+
+def _scalar_p(blob):
+    blob["P"] = 5
+    return blob
+
+
+def _bad_coefficient(blob):
+    blob["form"]["coeffs"][0][2] = "x"
+    return blob
+
+
+def _assert_clean_exit(r, code, prefix):
+    assert r.returncode == code, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.splitlines()[-1].startswith(prefix)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda blob: json.dumps(blob)[:-3],  # truncated: malformed JSON
+    _without_l, _scalar_p, _bad_coefficient,
+], ids=["malformed-json", "no-L", "scalar-P", "bad-coefficient"])
+def test_cli_bad_geometry_file_is_a_precondition(tmp_path, edit):
+    path = _geometry_file(tmp_path, "g.json", edit)
+    for command in ("describe", "points"):
+        r = _cli("geom", command, "--geom", path)
+        _assert_clean_exit(r, 2, "precondition violated: ")
+        assert len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("spec", ['{"field": "fp:5",', '[1, 2]',
+                                  '{"field": "fp:5", "qP": "x", "qL": "1"}'])
+def test_cli_bad_class_spec_is_a_precondition(spec):
+    r = _cli("classify", "partners", "--class", spec)
+    _assert_clean_exit(r, 2, "precondition violated: ")
+    assert len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("separation", "--model", "elliptic", "--d", "nan"),
+    ("separation", "--model", "hyperbolic", "--d", "inf"),
+    ("separation", "--model", "parabolic", "--theta=-nan"),
+    ("lift", "--model", "elliptic", "--point", "1,nan,0"),
+])
+def test_cli_non_finite_floats_are_usage_errors(argv):
+    r = _cli("examples", *argv)
+    _assert_clean_exit(r, 64, "error: argument ")
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("geom", "incident", "--c1", "1,0", "--c2", "0,0,1,1,0"),
+    ("geom", "incident", "--c1", "0,0,1,1,0,7", "--c2", "0,0,1,1,0"),
+    ("metric", "distance", "--line", "1,0,0,0,1", "--p1", "0,1",
+     "--p2", "0,1,2,4,0"),
+    ("metric", "distance", "--line", "1,0,0,0,1,0", "--p1", "0,1,0,1,0",
+     "--p2", "0,1,2,4,0"),
+], ids=["short-cycle", "long-cycle", "short-point", "long-line"])
+def test_cli_wrong_length_vector_is_a_precondition(argv):
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "golden")
+    name = "fp5_elliptic.json" if argv[0] == "geom" else "fp11_unit.json"
+    r = _cli(*argv[:2], "--geom", os.path.join(golden, name), *argv[2:])
+    _assert_clean_exit(r, 2, "precondition violated: ")
+    assert "coordinates" in r.stderr
