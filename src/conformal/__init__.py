@@ -20,9 +20,9 @@ from .quadform import (BilinearForm, Diagonalization, GenOrthoBasis,
 from .geometry import (Geometry, Pointspace, ProjPoint, Role, Subcycle,
                        antipodal, cayley_klein_points, dual_geometry,
                        hyperplane_through, incident, intersect_hyperplanes,
-                       inversive_separation, lie_quadric_points, new_geometry,
-                       non_degenerate_geometry, non_empty, poincare_model,
-                       points_of, pointspace, project_cycle, project_cycle_raw,
+                       inversive_separation, lie_quadric_points,
+                       non_degenerate_geometry, non_empty, points_of,
+                       pointspace, project_cycle, project_cycle_raw,
                        quasi_ideal, relative_power, role, span_subcycle)
 from .metric import (LineGroupClass, MotionElement, compose, gamma_class,
                      invert, line_space, same_distance, stabilizer_group,

@@ -145,10 +145,6 @@ class Geometry:
                 f"P={self.p_rep}, L={self.l_rep})")
 
 
-def new_geometry(form: QuadraticForm, p_rep, l_rep) -> Geometry:
-    return Geometry(form, p_rep, l_rep)
-
-
 def dual_geometry(g: Geometry) -> Geometry:
     return g.dual()
 
@@ -322,11 +318,6 @@ def pointspace(g: Geometry) -> Pointspace:
     l_coords = linalg.coordinates(g.l_rep, basis, g.field)
     assert l_coords is not None  # L is orthogonal to P
     return Pointspace(tuple(basis), restricted, tuple(l_coords))
-
-
-def poincare_model(g: Geometry) -> Pointspace:
-    """The inversive model: the pointspace with its quadric."""
-    return pointspace(g)
 
 
 def project_cycle_raw(g: Geometry, c) -> Vector:

@@ -168,6 +168,9 @@ def lift_point(kind: ModelKind, coords, n: int = 2,
     elif kind in (ModelKind.PARABOLIC, ModelKind.MINKOWSKI2):
         lift = coords + (-_bar_norm(kind, n, coords), 1.0, 0.0)
     elif kind is ModelKind.LAGUERRE_GALILEI:
+        if len(coords) != 2:
+            raise ModelError(f"{kind.value} points need 2 coordinates; "
+                             f"got {len(coords)}")
         x, y = coords
         lift = (x, y, 1.0, -x * x, 0.0)
     else:

@@ -3,10 +3,14 @@
 Each suite checks one family of structural facts by independent
 enumeration or sampling and returns a :class:`Report`.  The orbit-atlas
 suite, which certifies that the class invariants cut the orthogonal
-(P, L) pairs into single isometry orbits, runs on a plain modular-integer
-fast path: every pair is reduced to its class representative by an
-explicit chain of reflections and Eichler maps, so the certificate is a
-desk-checkable isometry, not a counting argument.
+(P, L) pairs into single isometry orbits, runs on plain ints mod p: every
+pair is reduced to its class representative by an explicit chain of
+reflections and Eichler maps, so the certificate is a desk-checkable
+isometry, not a counting argument.  A pair's certificate is its own
+mirrors sending P to its class representative (checked once per P),
+followed by the reduction of the exact vector those mirrors send L to;
+that reduction is computed once per vector and shared by every pair that
+reaches it, and a failed one counts against each of those pairs.
 """
 
 from __future__ import annotations
@@ -224,28 +228,19 @@ class _IntOrbitContext:
     by explicit isometries, in plain ints mod p for a diagonal form."""
 
     def __init__(self, p: int, diag):
+        field = PrimeField(p)
         self.p = p
         self.diag = [d % p for d in diag]
         self.n = len(diag)
+        self.q = QuadraticForm.diagonal(field, diag).eval_raw
         self.inv = [0] + [pow(x, p - 2, p) for x in range(1, p)]
         self.sqrt = {}
         for r in range((p + 1) // 2):
             self.sqrt.setdefault((r * r) % p, r)
         sq = set(self.sqrt)
         self.qcls = [0 if x == 0 else (1 if x in sq else 2) for x in range(p)]
-        self.points = self._projective_points()
+        self.points = list(linalg.projective_points(field, self.n, raw=True))
         self.iso = [v for v in self.points if self.q(v) == 0]
-
-    def _projective_points(self):
-        p, n = self.p, self.n
-        pts = []
-        for lead in range(n):
-            for tail in itertools.product(range(p), repeat=n - lead - 1):
-                pts.append((0,) * lead + (1,) + tail)
-        return pts
-
-    def q(self, v):
-        return sum(d * x * x for d, x in zip(self.diag, v)) % self.p
 
     def b(self, u, v):
         return (2 * sum(d * x * y
@@ -260,6 +255,12 @@ class _IntOrbitContext:
         c = (self.b(x, w) * qw_inv) % self.p
         p = self.p
         return tuple((a - c * b) % p for a, b in zip(x, w))
+
+    def transport(self, moves, x):
+        """x through each mirror (w, 1/Q(w)) of moves in turn."""
+        for w, qw_inv in moves:
+            x = self.reflect(w, qw_inv, x)
+        return x
 
     def sub(self, u, v):
         p = self.p
@@ -316,77 +317,93 @@ class _IntOrbitContext:
 
 def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
     ctx = _IntOrbitContext(p, diag)
+    q, qcls, n = ctx.q, ctx.qcls, ctx.n
     # canonical P per norm class, canonical L per (P-class, L-class)
     p0 = {}
     for v in ctx.points:
-        c = ctx.qcls[ctx.q(v)]
+        c = qcls[q(v)]
         if c not in p0:
             p0[c] = v
             if len(p0) == 3:
                 break
-    perp_basis = {}
     l0 = {}
     iso_in_perp = {}
     for cp, pv in p0.items():
         members = [w for w in ctx.points if ctx.b(pv, w) == 0
                    and not ctx.collinear(pv, w)]
         for w in members:
-            key = (cp, ctx.qcls[ctx.q(w)])
+            key = (cp, qcls[q(w)])
             l0.setdefault(key, w)
-        iso_in_perp[cp] = [w for w in members if ctx.q(w) == 0]
+        iso_in_perp[cp] = [w for w in members if q(w) == 0]
     buckets = {}
+    # (cp, cl, transported L) -> whether _reduce_l reduced that exact
+    # vector to l0[(cp, cl)]; many pairs share one transported vector
+    reduced = {}
     failures = 0
+
+    def fail(message):
+        nonlocal failures
+        failures += 1
+        if failures == 1:
+            _fail(rep, f"p={p} diag={diag} {message}")
+
     for pv in ctx.points:
-        cp = ctx.qcls[ctx.q(pv)]
+        cp = qcls[q(pv)]
         target_p = p0[cp]
         # phase 1: moves sending the vector pv to a multiple of target_p
         if ctx.collinear(pv, target_p):
             moves = []
         elif cp != 0:
-            a = ctx.norm_match(pv, ctx.q(target_p))
+            a = ctx.norm_match(pv, q(target_p))
             moves = ctx.anisotropic_moves(a, target_p)
         else:
             moves = ctx.isotropic_moves(pv, target_p, ctx.iso)
             assert moves is not None
+        if not ctx.collinear(target_p, ctx.transport(moves, pv)):
+            fail(f"P={pv} not normalised")
+            continue
         # enumerate L in pv's perp: kernel of B(pv, .)
         rows = []
-        for i in range(ctx.n):
-            e = tuple(1 if j == i else 0 for j in range(ctx.n))
+        for i in range(n):
+            e = tuple(1 if j == i else 0 for j in range(n))
             rows.append(ctx.b(pv, e))
         # basis of the kernel via explicit pivot elimination
         lead = next(i for i, x in enumerate(rows) if x) if any(rows) else None
         kernel = []
-        for i in range(ctx.n):
+        for i in range(n):
             if i == lead:
                 continue
-            e = [1 if j == i else 0 for j in range(ctx.n)]
+            e = [1 if j == i else 0 for j in range(n)]
             if lead is not None and rows[i]:
-                e[lead] = (-rows[i] * ctx.inv[rows[lead]]) % ctx.p
+                e[lead] = (-rows[i] * ctx.inv[rows[lead]]) % p
             kernel.append(tuple(e))
-        for combo_lead in range(len(kernel)):
-            for tail in itertools.product(range(ctx.p),
-                                          repeat=len(kernel) - combo_lead - 1):
-                lv = kernel[combo_lead]
-                for t, kv in zip(tail, kernel[combo_lead + 1:]):
-                    if t:
-                        lv = tuple((a + t * b) % ctx.p
-                                   for a, b in zip(lv, kv))
-                if ctx.collinear(pv, lv):
-                    continue
-                cl = ctx.qcls[ctx.q(lv)]
-                key = (cp, cl)
-                buckets[key] = buckets.get(key, 0) + 1
-                target_l = l0[key]
-                # transport L through the P-normalizing moves
-                cur = lv
-                for w, qwi in moves:
-                    cur = ctx.reflect(w, qwi, cur)
-                if not _reduce_l(ctx, cp, p0[cp], cur, target_l,
-                                 iso_in_perp[cp]):
-                    failures += 1
-                    if failures == 1:
-                        _fail(rep, f"p={p} diag={diag} pair "
-                                   f"P={pv} L={lv} not reduced")
+        # the moves are linear, so each kernel vector is transported once
+        # and every L and its image come from the same coefficients:
+        # a basis entry is the kernel vector followed by its image
+        basis = [kv + ctx.transport(moves, kv) for kv in kernel]
+        combos = []
+        for combo_lead in range(len(basis)):
+            # leading coefficient 1, then every tail in lexicographic order
+            level = [basis[combo_lead]]
+            for kv in basis[combo_lead + 1:]:
+                level = [tuple((a + t * b) % p for a, b in zip(both, kv))
+                         for both in level for t in range(p)]
+            combos += level
+        for both in combos:
+            lv, cur = both[:n], both[n:]
+            # an anisotropic pv is outside its own perp (p is odd)
+            if cp == 0 and ctx.collinear(pv, lv):
+                continue
+            cl = qcls[q(lv)]
+            key = (cp, cl)
+            buckets[key] = buckets.get(key, 0) + 1
+            proof = (cp, cl, cur)
+            ok = reduced.get(proof)
+            if ok is None:
+                ok = reduced[proof] = _reduce_l(
+                    ctx, cp, target_p, cur, l0[key], iso_in_perp[cp])
+            if not ok:
+                fail(f"pair P={pv} L={lv} not reduced")
     if failures:
         return None
     return buckets

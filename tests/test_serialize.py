@@ -194,3 +194,11 @@ def test_cli_wrong_length_vector_is_a_precondition(argv):
     r = _cli(*argv[:2], "--geom", os.path.join(golden, name), *argv[2:])
     _assert_clean_exit(r, 2, "precondition violated: ")
     assert "coordinates" in r.stderr
+
+
+@pytest.mark.parametrize("point", ["1,0,0", "1"])
+def test_cli_laguerre_point_needs_two_coordinates(point):
+    r = _cli("examples", "lift", "--model", "laguerre", "--point", point)
+    _assert_clean_exit(r, 2, "precondition violated: ")
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stdout == ""
