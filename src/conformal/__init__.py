@@ -10,16 +10,15 @@ from .fields import (ApproxReal, CharTwo, ConformalError, Field,
                      FieldMismatchError, PrimeField, Rational, Scalar,
                      SquareClass, UnsupportedFieldError, canonical_nonresidue,
                      field_from_token, sqrt_if_square, square_class)
-from .quadform import (BilinearForm, Diagonalization, GenOrthoBasis,
-                       QuadraticForm, arf_invariant, assoc_bilinear,
-                       bilinear_radical, diagonalize, det_class,
-                       extend_isometry, generalized_orthogonal_basis,
-                       half_bilinear, is_nondegenerate_form, isometric,
-                       represents, signature, witt_index,
+from .quadform import (Diagonalization, GenOrthoBasis, QuadraticForm,
+                       arf_invariant, bilinear_radical, diagonalize,
+                       det_class, extend_isometry,
+                       generalized_orthogonal_basis, is_nondegenerate_form,
+                       isometric, represents, signature, witt_index,
                        witt_index_bruteforce)
 from .geometry import (Geometry, Pointspace, ProjPoint, Role, Subcycle,
-                       antipodal, cayley_klein_points, dual_geometry,
-                       hyperplane_through, incident, intersect_hyperplanes,
+                       antipodal, cayley_klein_points, hyperplane_through,
+                       incident, intersect_hyperplanes,
                        inversive_separation, lie_quadric_points,
                        non_degenerate_geometry, non_empty, points_of,
                        pointspace, project_cycle, project_cycle_raw,

@@ -19,10 +19,11 @@ from .fields import (CharTwo, Field, PrimeField, Rational, Scalar,
                      SquareClass, UnsupportedFieldError, canonical_nonresidue,
                      sqrt_if_square, square_class)
 from . import linalg
-from .linalg import vec_add, vec_scale
-from .quadform import (QuadraticForm, arf_invariant, bilinear_radical,
-                       det_class, diagonalize, extend_isometry, isometric,
-                       signature, InvalidInputError)
+from .linalg import vec_scale
+from .quadform import (QuadraticForm, _complement_of_radical, arf_invariant,
+                       bilinear_radical, det_class, diagonalize,
+                       extend_isometry, isometric, signature,
+                       InvalidInputError)
 from .geometry import Geometry, pointspace
 
 QUADRATICALLY_CLOSED = "qclosed"
@@ -286,17 +287,7 @@ def _pointspace_token(g: Geometry, lam: Scalar):
     l_coords = ps.l_coords
     ql_cls = square_class(form(l_coords))
     l_in_rad = bool(rad) and linalg.in_span(l_coords, rad, g.field)
-    if rad:
-        comp = []
-        span = list(rad)
-        for i in range(form.dim):
-            e = linalg.unit_vector(g.field, form.dim, i)
-            if not linalg.in_span(e, span, g.field):
-                span.append(e)
-                comp.append(e)
-        core = form.restrict(comp)
-    else:
-        core = form
+    core = form.restrict(_complement_of_radical(form, rad)) if rad else form
     if isinstance(g.field, Rational):
         inv = ("sig",) + signature(core)
     else:
@@ -401,14 +392,13 @@ def _canonical_diag_basis(form: QuadraticForm):
                 w_co = co
                 break
         assert w_co is not None  # every value is a sum of two squares
-        w = vec_add(vec_scale(w_co[0], pair[0]), vec_scale(w_co[1], pair[1]))
+        w = linalg.combine(w_co, pair)
         rows = (tuple(sub.b_full(w_co, u) for u in
                       (linalg.unit_vector(field, 2, 0),
                        linalg.unit_vector(field, 2, 1))),)
         kern = linalg.kernel_basis(rows, field, 2)
         assert len(kern) == 1
-        w2 = vec_add(vec_scale(kern[0][0], pair[0]),
-                     vec_scale(kern[0][1], pair[1]))
+        w2 = linalg.combine(kern[0], pair)
         s = sqrt_if_square(form(w2))
         assert s is not None  # Q(w2) ~ det [e,e] ~ 1
         w2 = vec_scale(s.inverse(), w2)

@@ -261,8 +261,6 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out", choices=("text", "json", "tsv"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--max-q", type=int, dest="max_q",
-                        default=argparse.SUPPRESS)
     return common
 
 
@@ -271,7 +269,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="conformal", parents=[common],
                      description="universal conformal geometries: "
                                  "construction, classification, measurement")
-    parser.set_defaults(seed=0, out="text", max_q=7)
+    parser.set_defaults(seed=0, out="text")
     sub = parser.add_subparsers(dest="group", required=True)
 
     def leaf(group_sub, name):
@@ -299,6 +297,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_geom_describe)
     p = leaf(geom_sub, "points")
     p.add_argument("--geom", required=True)
+    p.add_argument("--max-q", type=int, dest="max_q", default=geo.MAX_ENUM_Q)
     p.set_defaults(func=cmd_geom_points)
     p = leaf(geom_sub, "incident")
     p.add_argument("--geom", required=True)

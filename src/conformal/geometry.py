@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .fields import ConformalError, Field, Scalar, UnsupportedFieldError
 from . import linalg
-from .linalg import Vector, vec_add, vec_scale, vec_sub
+from .linalg import Vector, vec_scale, vec_sub
 from .quadform import (InvalidInputError, QuadraticForm,
                        bilinear_radical, witt_index)
 from enum import Enum
@@ -143,10 +143,6 @@ class Geometry:
     def __repr__(self):
         return (f"Geometry(n={self.n}, Q={self.form!r}, "
                 f"P={self.p_rep}, L={self.l_rep})")
-
-
-def dual_geometry(g: Geometry) -> Geometry:
-    return g.dual()
 
 
 def _as_vector(g: Geometry, c) -> Vector:
@@ -301,10 +297,7 @@ class Pointspace:
 
     def to_ambient(self, coords) -> Vector:
         field = self.form.field
-        out = linalg.zero_vector(field, len(self.basis[0]))
-        for c, b in zip(coords, self.basis):
-            out = vec_add(out, vec_scale(field.scalar(c), b))
-        return out
+        return linalg.combine([field.scalar(c) for c in coords], self.basis)
 
     def from_ambient(self, v) -> Optional[Vector]:
         return linalg.coordinates(v, self.basis, self.form.field)
@@ -408,17 +401,18 @@ def _is_actual(g: Geometry, span: Sequence[Vector]) -> Optional[bool]:
     orthogonal complement?  Searchable over finite fields only."""
     if not g.field.is_finite or g.field.order > MAX_ENUM_Q:
         return None
-    n = g.form.dim
     rows = tuple(g.form.gram_row(s) for s in span)
-    perp = linalg.kernel_basis(rows, g.field, n)
-    vectors = [g.p_rep]
-    for combo in linalg.projective_points(g.field, len(perp)):
-        v = linalg.zero_vector(g.field, n)
-        for c, b in zip(combo, perp):
-            v = vec_add(v, vec_scale(c, b))
-        if g.form(v).is_zero():
-            vectors.append(v)
+    perp = linalg.kernel_basis(rows, g.field, g.form.dim)
+    vectors = [g.p_rep] + _isotropic_in_span(g, perp)
     return linalg.rank(vectors, g.field) == len(perp)
+
+
+def _isotropic_in_span(g: Geometry, basis: Sequence[Vector]) -> list:
+    """The vectors with Q = 0 of span(basis), one per projective point
+    (finite fields)."""
+    combos = linalg.projective_points(g.field, len(basis))
+    return [v for v in (linalg.combine(c, basis) for c in combos)
+            if g.form(v).is_zero()]
 
 
 def span_subcycle(g: Geometry, *points) -> Subcycle:
@@ -472,25 +466,17 @@ def hyperplane_through(g: Geometry, *points) -> Optional[ProjPoint]:
         for j in range(i + 1, len(vecs)):
             if linalg.rank([vecs[i], vecs[j], g.l_rep], g.field) <= 2:
                 raise RoleError("an antipodal pair admits no unique hyperplane")
-    n = g.form.dim
     rows = tuple(g.form.gram_row(v) for v in vecs + [g.l_rep])
-    sol = linalg.kernel_basis(rows, g.field, n)
+    sol = linalg.kernel_basis(rows, g.field, g.form.dim)
     if not sol:
         return None
-    isotropic = []
     if len(sol) == 1:
-        if g.form(sol[0]).is_zero():
-            isotropic.append(sol[0])
+        isotropic = [sol[0]] if g.form(sol[0]).is_zero() else []
     else:
         if not g.field.is_finite:
             raise EnumerationUnsupportedError(
                 "cannot search an isotropic solution over an infinite field")
-        for combo in linalg.projective_points(g.field, len(sol)):
-            v = linalg.zero_vector(g.field, n)
-            for c, b in zip(combo, sol):
-                v = vec_add(v, vec_scale(c, b))
-            if g.form(v).is_zero():
-                isotropic.append(v)
+        isotropic = _isotropic_in_span(g, sol)
     # [P] solves the constraints whenever it is isotropic, but it has no
     # image in V/P and is incident to every point: not a hyperplane.
     isotropic = [v for v in isotropic

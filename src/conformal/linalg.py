@@ -45,6 +45,14 @@ def is_zero_vector(v: Vector) -> bool:
     return all(a.is_zero() for a in v)
 
 
+def combine(coeffs: Sequence[Scalar], vectors: Sequence[Vector]) -> Vector:
+    """sum c_i v_i over non-empty ``vectors``, added in order from zero."""
+    out = zero_vector(vectors[0][0].field, len(vectors[0]))
+    for c, v in zip(coeffs, vectors):
+        out = vec_add(out, vec_scale(c, v))
+    return out
+
+
 def identity_matrix(field: Field, n: int) -> Matrix:
     return tuple(unit_vector(field, n, i) for i in range(n))
 
@@ -171,6 +179,20 @@ def in_span(v: Vector, basis: Sequence[Vector], field: Field) -> bool:
     if not basis:
         return is_zero_vector(v)
     return rank(list(basis) + [v], field) == rank(basis, field)
+
+
+def complement_indices(vectors: Sequence[Vector], field: Field,
+                       n: int) -> list:
+    """The indices i, in order, whose unit vectors extend span(vectors)
+    to K^n."""
+    span = list(vectors)
+    out = []
+    for i in range(n):
+        e = unit_vector(field, n, i)
+        if not in_span(e, span, field):
+            span.append(e)
+            out.append(i)
+    return out
 
 
 def coordinates(v: Vector, basis: Sequence[Vector], field: Field) -> Optional[Vector]:

@@ -121,10 +121,7 @@ class LineSpace:
 
     def to_ambient(self, coords):
         field = self.form.field
-        out = linalg.zero_vector(field, len(self.basis[0]))
-        for c, b in zip(coords, self.basis):
-            out = vec_add(out, vec_scale(field.scalar(c), b))
-        return out
+        return linalg.combine([field.scalar(c) for c in coords], self.basis)
 
     def from_ambient(self, v):
         return linalg.coordinates(v, self.basis, self.form.field)
@@ -524,7 +521,7 @@ def _normal_form_of_matrix(chart: Chart, m):
     return (mc[1][1], mc[2][1])
 
 
-def find_nonideal_line(g: Geometry, max_q: int = MAX_METRIC_Q) -> ProjPoint:
+def find_nonideal_line(g: Geometry) -> ProjPoint:
     """First hyperplanecycle with B(P, l) != 0, in canonical order."""
     if not g.field.is_finite:
         raise UnsupportedFieldError("line search needs a finite field")
@@ -539,7 +536,7 @@ def find_nonideal_line(g: Geometry, max_q: int = MAX_METRIC_Q) -> ProjPoint:
     raise DegenerateLineError("the geometry has no non-ideal hyperplane")
 
 
-def line_points(g: Geometry, l, max_q: int = MAX_METRIC_Q):
+def line_points(g: Geometry, l):
     """Non-ideal points of the line of l: isotropic directions of the
     line space that pair non-trivially with L."""
     space = line_space(g, l)

@@ -209,48 +209,6 @@ def _raw_values(field: Field, v: Vector) -> list:
     return out
 
 
-class BilinearForm:
-    """A symmetric bilinear form given by its Gram matrix."""
-
-    __slots__ = ("field", "dim", "matrix")
-
-    def __init__(self, field: Field, matrix):
-        self.field = field
-        self.matrix = tuple(tuple(field.scalar(x) for x in row)
-                            for row in matrix)
-        self.dim = len(self.matrix)
-
-    def __call__(self, u: Vector, v: Vector) -> Scalar:
-        total = self.field.zero()
-        for i, row in enumerate(self.matrix):
-            if u[i].is_zero():
-                continue
-            for j, m in enumerate(row):
-                total = total + u[i] * m * v[j]
-        return total
-
-    def __eq__(self, other):
-        return (isinstance(other, BilinearForm)
-                and self.field == other.field and self.matrix == other.matrix)
-
-    def __repr__(self):
-        return f"BilinearForm({self.matrix!r})"
-
-
-def assoc_bilinear(q: QuadraticForm) -> BilinearForm:
-    """B(u,v) = Q(u+v) - Q(u) - Q(v): B_ii = 2 c_ii, B_ij = c_ij."""
-    return BilinearForm(q.field, q.bilinear_matrix())
-
-
-def half_bilinear(q: QuadraticForm) -> BilinearForm:
-    """assoc_bilinear scaled by 1/2, so B(v,v) = Q(v); char != 2 only."""
-    if q.field.char == 2:
-        raise UnsupportedFieldError("no half bilinear form in characteristic 2")
-    half = q.field.one() / q.field.scalar(2)
-    return BilinearForm(q.field,
-                        [[half * x for x in row] for row in q.bilinear_matrix()])
-
-
 def bilinear_radical(q: QuadraticForm):
     """Basis of {v : B(v,u) = 0 for all u} (kernel of the Gram matrix)."""
     return linalg.kernel_basis(q.bilinear_matrix(), q.field, q.dim)
@@ -400,13 +358,7 @@ def _subspace_orthogonal_to(q: QuadraticForm, space: Sequence[Vector],
         return tuple(space)
     rows = tuple(tuple(q.b_full(a, w) for w in space) for a in against)
     kern = linalg.kernel_basis(rows, q.field, len(space))
-    out = []
-    for combo in kern:
-        v = linalg.zero_vector(q.field, q.dim)
-        for c, w in zip(combo, space):
-            v = vec_add(v, vec_scale(c, w))
-        out.append(v)
-    return tuple(out)
+    return tuple(linalg.combine(combo, space) for combo in kern)
 
 
 def generalized_orthogonal_basis(q: QuadraticForm,
@@ -513,15 +465,8 @@ def witt_index(q: QuadraticForm) -> int:
 
 def _complement_of_radical(q: QuadraticForm, rad):
     """A direct complement of the radical, as ambient vectors."""
-    field = q.field
-    basis = list(rad)
-    comp = []
-    for i in range(q.dim):
-        e = linalg.unit_vector(field, q.dim, i)
-        if not linalg.in_span(e, basis, field):
-            basis.append(e)
-            comp.append(e)
-    return comp
+    return [linalg.unit_vector(q.field, q.dim, i)
+            for i in linalg.complement_indices(rad, q.field, q.dim)]
 
 
 def subspaces(field: Field, n: int, k: int):
@@ -543,17 +488,6 @@ def subspaces(field: Field, n: int, k: int):
             yield tuple(tuple(r) for r in rows)
 
 
-def _subspace_vectors(field: Field, basis):
-    """All vectors of the span of ``basis`` over a finite field."""
-    vecs = []
-    for combo in linalg.all_vectors(field, len(basis)):
-        v = linalg.zero_vector(field, len(basis[0]))
-        for c, b in zip(combo, basis):
-            v = vec_add(v, vec_scale(c, b))
-        vecs.append(v)
-    return vecs
-
-
 def _is_hyperbolic_space(q: QuadraticForm, basis) -> bool:
     """Search a basis of pairwise-orthogonal symplectic couples."""
     if not basis:
@@ -562,8 +496,9 @@ def _is_hyperbolic_space(q: QuadraticForm, basis) -> bool:
         return False
     field = q.field
     one = field.one()
-    vectors = [v for v in _subspace_vectors(field, basis)
-               if not linalg.is_zero_vector(v)]
+    span = (linalg.combine(c, basis)
+            for c in linalg.all_vectors(field, len(basis)))
+    vectors = [v for v in span if not linalg.is_zero_vector(v)]
     for u in vectors:
         if not q(u).is_zero():
             continue
@@ -662,10 +597,7 @@ def represents(q: QuadraticForm, lam) -> Optional[Vector]:
     entries = diag.entries
 
     def witness(coeffs) -> Vector:
-        v = linalg.zero_vector(field, q.dim)
-        for c, b in zip(coeffs, diag.basis):
-            v = vec_add(v, vec_scale(field.scalar(c), b))
-        return v
+        return linalg.combine([field.scalar(c) for c in coeffs], diag.basis)
 
     if lam.is_zero():
         for i, a in enumerate(entries):
@@ -925,24 +857,10 @@ class _Extender:
         rad = linalg.kernel_basis(gram, field, len(u_vecs))
         if not rad:
             return list(u_vecs), list(v_vecs)
-
-        def combine(vectors, combo):
-            out = linalg.zero_vector(field, self.n)
-            for c, w in zip(combo, vectors):
-                out = vec_add(out, vec_scale(c, w))
-            return out
-
-        rad_u = [combine(u_vecs, c) for c in rad]
-        rad_v = [combine(v_vecs, c) for c in rad]
+        rad_u = [linalg.combine(c, u_vecs) for c in rad]
+        rad_v = [linalg.combine(c, v_vecs) for c in rad]
         # complement of the radical inside the given span
-        comp_idx = []
-        span_so_far = list(rad)
-        k = len(u_vecs)
-        for i in range(k):
-            e = linalg.unit_vector(field, k, i)
-            if not linalg.in_span(e, span_so_far, field):
-                span_so_far.append(e)
-                comp_idx.append(i)
+        comp_idx = linalg.complement_indices(rad, field, len(u_vecs))
         u_list = rad_u + [u_vecs[i] for i in comp_idx]
         v_list = rad_v + [v_vecs[i] for i in comp_idx]
         for j in range(len(rad_u)):
@@ -971,17 +889,9 @@ class _Extender:
     def _adapted_pieces(self, u_vecs, v_vecs):
         """Recombine the pair lists into mutually orthogonal pieces via the
         generalized-orthogonal construction on the restricted form."""
-        field = self.field
         sub = self.q.restrict(u_vecs)
         gob = generalized_orthogonal_basis(sub)
-
-        def combine(vectors, combo):
-            out = linalg.zero_vector(field, self.n)
-            for c, w in zip(combo, vectors):
-                out = vec_add(out, vec_scale(c, w))
-            return out
-
-        pairs = [(combine(u_vecs, combo), combine(v_vecs, combo))
+        pairs = [(linalg.combine(combo, u_vecs), linalg.combine(combo, v_vecs))
                  for combo in gob.vectors]
         second = {j: i for i, j in gob.couples}
         first = {i: j for i, j in gob.couples}

@@ -11,7 +11,7 @@ from conformal.geometry import (EnumerationUnsupportedError, Geometry,
                                 IdealDenominatorError, InvalidGeometryError,
                                 NoCanonicalProjectionError, NotAHypercycleError,
                                 ProjPoint, RankError, Role, RoleError,
-                                antipodal, cayley_klein_points, dual_geometry,
+                                antipodal, cayley_klein_points,
                                 has_point_search, hyperplane_through, incident,
                                 intersect_hyperplanes, inversive_separation,
                                 lie_quadric_points, non_degenerate_geometry,
@@ -316,8 +316,8 @@ def test_cayley_klein_classes():
 
 def test_duality():
     g = _geometry(F3, STD, (0, 0, 0, 0, 1), (0, 0, 0, 1, 0))
-    d = dual_geometry(g)
-    dd = dual_geometry(d)
+    d = g.dual()
+    dd = d.dual()
     assert dd.p_rep == g.p_rep and dd.l_rep == g.l_rep
     for c in lie_quadric_points(g):
         r1 = role(g, c)
@@ -330,7 +330,7 @@ def test_duality():
     from conformal.models import ModelKind, exact_model_geometry
     from conformal.classify import classify
     hyp = exact_model_geometry(ModelKind.HYPERBOLIC)
-    assert classify(dual_geometry(hyp)).name == "dual hyperbolic"
+    assert classify(hyp.dual()).name == "dual hyperbolic"
 
 
 def test_nondegeneracy_matches_incident_pair_definition():

@@ -1,7 +1,10 @@
 """Exact linear algebra over the scalar fields."""
 
+from fractions import Fraction
+
 from conformal import linalg
-from conformal.fields import CharTwo, PrimeField, Rational
+from conformal.fields import ApproxReal, CharTwo, PrimeField, Rational
+from conformal.quadform import QuadraticForm, bilinear_radical
 
 
 def test_rref_and_kernel_f5():
@@ -64,3 +67,39 @@ def test_coordinates_and_span():
     assert rebuilt == v
     assert linalg.in_span(v, basis, f5)
     assert not linalg.in_span(linalg.vector(f5, [1, 0, 0]), basis, f5)
+
+
+def test_combine_over_f3_and_q():
+    f3 = PrimeField(3)
+    vecs = [linalg.vector(f3, [1, 0, 2]), linalg.vector(f3, [0, 1, 1])]
+    assert linalg.combine(linalg.vector(f3, [1, 2]), vecs) == \
+        linalg.vector(f3, [1, 2, 1])  # (1, 0, 2) + (0, 2, 2)
+    assert linalg.combine(linalg.vector(f3, [0, 0]), vecs) == \
+        linalg.zero_vector(f3, 3)
+    qq = Rational()
+    vecs = [linalg.vector(qq, [2, 0, 1]), linalg.vector(qq, [1, 1, 0])]
+    assert linalg.combine(linalg.vector(qq, [Fraction(1, 2), -3]), vecs) == \
+        linalg.vector(qq, [-2, -3, Fraction(1, 2)])
+
+
+def test_combine_adds_in_order():
+    # float addition is not associative: (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    field = ApproxReal()
+    vecs = [linalg.vector(field, [x]) for x in (0.1, 0.2, 0.3)]
+    out = linalg.combine(linalg.vector(field, [1, 1, 1]), vecs)
+    assert out[0].value == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+
+
+def test_complement_indices():
+    f3 = PrimeField(3)
+    assert linalg.complement_indices([], f3, 3) == [0, 1, 2]
+    # e0 + e1 is spanned: e0 extends it, e1 is then dependent
+    assert linalg.complement_indices([linalg.vector(f3, [1, 1, 0])],
+                                     f3, 3) == [0, 2]
+    # the radical of y^2 + z^2 is <e0>, so its complement starts at e1
+    rad = bilinear_radical(QuadraticForm.diagonal(f3, [0, 1, 1]))
+    assert rad == (linalg.vector(f3, [1, 0, 0]),)
+    assert linalg.complement_indices(rad, f3, 3) == [1, 2]
+    qq = Rational()
+    span = [linalg.vector(qq, [1, 0, 0, 0]), linalg.vector(qq, [0, 1, -1, 0])]
+    assert linalg.complement_indices(span, qq, 4) == [1, 3]

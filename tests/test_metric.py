@@ -9,7 +9,7 @@ import pytest
 from conformal import linalg
 from conformal.fields import PrimeField, Rational, SquareClass
 from conformal.classify import enumerate_classes, representative_geometry
-from conformal.geometry import ProjPoint, dual_geometry
+from conformal.geometry import ProjPoint
 from conformal.metric import (DegenerateLineError, IdealPointError,
                               IncompatibleChartsError, LineGroupClass,
                               NotOnLineError, build_chart, compose,
@@ -37,7 +37,7 @@ def test_gamma_class_real():
     assert gamma_class(parabolic) is LineGroupClass.ADDITIVE       # R^+
     assert gamma_class(hyperbolic) is LineGroupClass.SPLIT_TORUS   # SO(1,1)
     # rotations via the dual: elliptic angles are also SO(2)
-    assert gamma_class(dual_geometry(elliptic)) is \
+    assert gamma_class(elliptic.dual()) is \
         LineGroupClass.NON_SPLIT_TORUS
     # scaling the form must not change the answer
     from conformal.geometry import Geometry

@@ -12,10 +12,9 @@ from conformal.fields import (CharTwo, PrimeField, Rational,
                               UnsupportedFieldError, canonical_nonresidue,
                               square_class)
 from conformal.quadform import (DegenerateFormError, QuadraticForm,
-                                arf_invariant, assoc_bilinear,
-                                bilinear_radical, det_class, diagonalize,
-                                extend_isometry, generalized_orthogonal_basis,
-                                half_bilinear, is_isometry,
+                                arf_invariant, bilinear_radical, det_class,
+                                diagonalize, extend_isometry,
+                                generalized_orthogonal_basis, is_isometry,
                                 is_nondegenerate_form, isometric,
                                 reflection_matrix, represents, signature,
                                 witt_index, witt_index_bruteforce)
@@ -29,14 +28,13 @@ F2, F4 = CharTwo(2), CharTwo(4)
 
 def test_assoc_bilinear_one_dim():
     q = QuadraticForm.diagonal(F5, [1])
-    b = assoc_bilinear(q)
-    assert b.matrix[0][0] == F5.scalar(2)  # B(v,v) = 2Q(v)
+    assert q.bilinear_matrix()[0][0] == F5.scalar(2)  # B(v,v) = 2Q(v)
 
 
 def test_assoc_bilinear_product():
     q = QuadraticForm(QQ, 2, {(0, 1): 1})  # xy
-    b = assoc_bilinear(q)
-    assert [[x.value for x in row] for row in b.matrix] == [[0, 1], [1, 0]]
+    assert [[x.value for x in row] for row in q.bilinear_matrix()] == \
+        [[0, 1], [1, 0]]
 
 
 def test_char2_degenerate_vector():
@@ -53,17 +51,18 @@ def test_char2_degenerate_vector():
 
 def test_half_bilinear():
     q = QuadraticForm.diagonal(QQ, [1, -1])
-    b = half_bilinear(q)
-    assert b((QQ.one(), QQ.zero()), (QQ.one(), QQ.zero())) == QQ.one()
+    e1 = (QQ.one(), QQ.zero())
+    assert q.b_half(e1, e1) == QQ.one()
     q2 = QuadraticForm(QQ, 4, {(0, 0): 1, (1, 1): 1, (2, 3): -1})
     e3, e4 = linalg.unit_vector(QQ, 4, 2), linalg.unit_vector(QQ, 4, 3)
-    assert half_bilinear(q2)(e3, e4).value == Fraction(-1, 2)
+    assert q2.b_half(e3, e4).value == Fraction(-1, 2)
     q3 = QuadraticForm.diagonal(QQ, [1, 1, -1])
     u = linalg.vector(QQ, [1, 1, 1])
     v = linalg.vector(QQ, [1, 0, 0])
     assert q3.b_half(u, v) == QQ.one()
+    e = linalg.unit_vector(F2, 2, 0)
     with pytest.raises(UnsupportedFieldError):
-        half_bilinear(QuadraticForm.symplectic(F2, 1))
+        QuadraticForm.symplectic(F2, 1).b_half(e, e)
 
 
 @pytest.mark.parametrize("field", [QQ, F3, F5, F7, F2, F4],

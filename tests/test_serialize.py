@@ -202,3 +202,11 @@ def test_cli_laguerre_point_needs_two_coordinates(point):
     _assert_clean_exit(r, 2, "precondition violated: ")
     assert len(r.stderr.splitlines()) == 1
     assert r.stdout == ""
+
+
+def test_cli_max_q_is_a_geom_points_option():
+    r = _cli("classify", "atlas", "--field", "fp:5", "--dim", "2",
+             "--max-q", "3")
+    _assert_clean_exit(r, 64, "error: unrecognized arguments: --max-q 3")
+    assert sum(line.startswith("error:") for line in r.stderr.splitlines()) == 1
+    assert r.stdout == ""

@@ -1,4 +1,5 @@
-"""The orbit-atlas suite: pinned output and mutations of its certificate.
+"""Verify suites: the orbit atlas's pinned output and mutations of its
+certificate, and library errors that must not be taken for rejected input.
 
 Each pair (P, L) is certified by its own P-normalising mirrors followed
 by the reduction of its exact transported L, which is computed once per
@@ -8,7 +9,9 @@ break one step of that certificate and check that the suite fails.
 
 import re
 
-from conformal import verify
+import pytest
+
+from conformal import quadform, verify
 from conformal.fields import PrimeField
 
 F3 = PrimeField(3)
@@ -80,3 +83,13 @@ def test_wrong_p_mirror_fails_the_p_step(monkeypatch):
     assert not rep.passed
     assert re.match(r"^p=3 diag=\[1, 1, 1, -1, -1\] P=\((\d, ){4}\d\) "
                     r"not normalised$", rep.counterexample), rep.counterexample
+
+
+def test_gen_ortho_basis_does_not_swallow_library_errors(monkeypatch):
+    def broken(q, vectors):
+        raise TypeError("a library bug")
+
+    monkeypatch.setattr(quadform, "_couples_of", broken)
+    monkeypatch.setattr(verify, "_couples_of", broken, raising=False)
+    with pytest.raises(TypeError, match="a library bug"):
+        verify.run_suite("gen-ortho-basis")
