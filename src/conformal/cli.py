@@ -33,7 +33,6 @@ UNSUPPORTED_EXIT = 3
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(USAGE_EXIT)
 
@@ -208,10 +207,8 @@ def cmd_examples_lift(args) -> int:
         obj = mod.lift_point(kind, args.point, n=args.n)
     elif args.cycle:
         obj = mod.lift_cycle(kind, args.cycle, args.radius, n=args.n)
-    elif args.line:
-        obj = mod.lift_line(kind, args.line, offset=args.offset, n=args.n)
     else:
-        raise ConformalError("give one of --point, --cycle or --line")
+        obj = mod.lift_line(kind, args.line, offset=args.offset, n=args.n)
     g = mod.model_geometry(kind, args.n)
     print(json.dumps({
         "model": kind.value,
@@ -242,8 +239,6 @@ def cmd_verify(args) -> int:
     if args.field:
         options["field"] = _field(args.field)
     names = sorted(ver.SUITES) if args.all else [args.suite]
-    if not args.all and args.suite is None:
-        raise ConformalError("give --suite NAME or --all")
     failures = 0
     for name in names:
         report = ver.run_suite(name, **options)
@@ -321,9 +316,10 @@ def build_parser() -> _Parser:
     ex_sub = p_ex.add_subparsers(dest="command", required=True)
     p = leaf(ex_sub, "lift")
     p.add_argument("--model", required=True)
-    p.add_argument("--point", type=_finite_floats)
-    p.add_argument("--cycle", type=_finite_floats)
-    p.add_argument("--line", type=_finite_floats)
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--point", type=_finite_floats)
+    what.add_argument("--cycle", type=_finite_floats)
+    what.add_argument("--line", type=_finite_floats)
     p.add_argument("--radius", type=_finite_float, default=1.0)
     p.add_argument("--offset", type=_finite_float, default=0.0)
     p.add_argument("--n", type=int, default=2)
@@ -338,8 +334,9 @@ def build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", parents=[common],
                             help="brute-force verification suites")
-    p_ver.add_argument("--suite", choices=sorted(ver.SUITES))
-    p_ver.add_argument("--all", action="store_true")
+    which = p_ver.add_mutually_exclusive_group(required=True)
+    which.add_argument("--suite", choices=sorted(ver.SUITES))
+    which.add_argument("--all", action="store_true")
     p_ver.add_argument("--field")
     p_ver.add_argument("--verbose", action="store_true")
     p_ver.set_defaults(func=cmd_verify)

@@ -158,7 +158,7 @@ class Scalar:
         return self.field.one() / self
 
     def sort_key(self):
-        return self.field._sort_key(self.value)
+        return self.value
 
     def __repr__(self):
         return self.field.format_value(self.value)
@@ -214,13 +214,10 @@ class Field:
         raise NotImplementedError
 
     def _eq(self, a, b) -> bool:
-        raise NotImplementedError
+        return a == b
 
     def _is_zero(self, a) -> bool:
-        raise NotImplementedError
-
-    def _sort_key(self, a):
-        raise NotImplementedError
+        return a == 0
 
     # derived ----------------------------------------------------------
     def __eq__(self, other):
@@ -266,15 +263,6 @@ class Rational(Field):
 
     def _inv(self, a):
         return 1 / a
-
-    def _eq(self, a, b):
-        return a == b
-
-    def _is_zero(self, a):
-        return a == 0
-
-    def _sort_key(self, a):
-        return a
 
 
 class PrimeField(Field):
@@ -323,15 +311,6 @@ class PrimeField(Field):
 
     def _inv(self, a):
         return pow(a, self.p - 2, self.p)
-
-    def _eq(self, a, b):
-        return a == b
-
-    def _is_zero(self, a):
-        return a == 0
-
-    def _sort_key(self, a):
-        return a
 
 
 # F_4 multiplication: values encode a*t + b as 2a + b, t^2 = t + 1.
@@ -407,15 +386,6 @@ class CharTwo(Field):
             return a
         return _GF4_INV[a]
 
-    def _eq(self, a, b):
-        return a == b
-
-    def _is_zero(self, a):
-        return a == 0
-
-    def _sort_key(self, a):
-        return a
-
 
 class ApproxReal(Field):
     """Double precision with a single absolute comparison tolerance.
@@ -463,9 +433,6 @@ class ApproxReal(Field):
 
     def _is_zero(self, a):
         return abs(a) < self.eps
-
-    def _sort_key(self, a):
-        return a
 
 
 def square_class(x: Scalar) -> SquareClass:

@@ -69,10 +69,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                  for row in a)
 
 
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
-
-
 def rref(rows: Sequence[Vector], field: Field):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     m = [list(r) for r in rows]

@@ -305,9 +305,6 @@ class MotionElement:
     def group_class(self) -> LineGroupClass:
         return self.chart.kind
 
-    def nf_values(self):
-        return tuple(x.value for x in self.normal_form)
-
     def is_identity(self) -> bool:
         field = self.chart.space.form.field
         if self.chart.kind is LineGroupClass.ADDITIVE:
@@ -349,15 +346,6 @@ def _chart_matrix(chart: Chart, nf):
 def motion_from_normal_form(chart: Chart, nf) -> MotionElement:
     nf = tuple(chart.space.form.field.scalar(x) for x in nf)
     return MotionElement(chart, nf, _chart_matrix(chart, nf))
-
-
-def identity_motion(chart: Chart) -> MotionElement:
-    field = chart.space.form.field
-    if chart.kind is LineGroupClass.ADDITIVE:
-        return motion_from_normal_form(chart, (field.zero(),))
-    if chart.kind is LineGroupClass.SPLIT_TORUS:
-        return motion_from_normal_form(chart, (field.one(),))
-    return motion_from_normal_form(chart, (field.one(), field.zero()))
 
 
 def _point_chart_coords(chart: Chart, g: Geometry, p):

@@ -103,21 +103,35 @@ class QuadraticForm:
     def b_full(self, u: Vector, v: Vector) -> Scalar:
         """B(u,v) = Q(u+v) - Q(u) - Q(v); works in every characteristic."""
         field = self.field
-        x = _raw_values(field, u)
-        y = _raw_values(field, v)
+        return Scalar(self.b_raw(_raw_values(field, u), _raw_values(field, v)),
+                      field)
+
+    def b_raw(self, x, y):
+        """B on two sequences of raw field values (no field checks)."""
         if self._p:
             # on the diagonal c (x_i y_i + x_i y_i) is the 2c x_i y_i term
-            return Scalar(sum([c * (x[i] * y[j] + x[j] * y[i])
-                               for i, j, c in self._terms]) % self._p, field)
-        add, mul = field._add, field._mul
-        total = field.zero().value
+            return sum([c * (x[i] * y[j] + x[j] * y[i])
+                        for i, j, c in self._terms]) % self._p
+        add, mul = self.field._add, self.field._mul
+        total = self.field.zero().value
         for i, j, c in self._terms:
             if i == j:
                 total = add(total, mul(mul(add(c, c), x[i]), y[i]))
             else:
                 total = add(total, mul(c, add(mul(x[i], y[j]),
                                               mul(x[j], y[i]))))
-        return Scalar(total, field)
+        return total
+
+    def reflect_raw(self, w, x) -> tuple:
+        """The reflection x - (B(x,w)/Q(w)) w on raw values; needs Q(w) != 0."""
+        if self._p:
+            p = self._p
+            c = self.b_raw(x, w) * pow(self.eval_raw(w), p - 2, p) % p
+            return tuple((a - c * b) % p for a, b in zip(x, w))
+        field = self.field
+        sub, mul = field._sub, field._mul
+        c = mul(self.b_raw(x, w), field._inv(self.eval_raw(w)))
+        return tuple(sub(a, mul(c, b)) for a, b in zip(x, w))
 
     def gram_row(self, x: Vector) -> Vector:
         """(B(x, e_0), ..., B(x, e_{n-1})) from the cached Gram matrix."""
@@ -673,6 +687,33 @@ def reflection_matrix(q: QuadraticForm, w: Vector):
     return _matrix_from_images(field, images)
 
 
+def mirrors(q: QuadraticForm, a, b, pool=(), fixed=()):
+    """Mirrors w_1, ..., w_k (raw tuples) whose reflections, applied in
+    turn, send the raw vector a to b; None when the pool has no r.
+
+    Q(a) = Q(b) != 0: [a - b] if Q(a - b) != 0, else [a + b, b].  Isotropic,
+    non-collinear a and b: [a - b] if B(a, b) != 0, else [a - r, r - b] for
+    the first r of ``pool`` pairing with both a and b and orthogonal to
+    every vector of ``fixed``.  Odd characteristic only: the two-mirror
+    anisotropic case needs Q(a + b) = 4Q(a) != 0.
+    """
+    if a == b:
+        return []
+    sub = q.field._sub
+    d = tuple(map(sub, a, b))
+    if q.eval_raw(a):
+        if q.eval_raw(d):
+            return [d]
+        return [tuple(map(q.field._add, a, b)), b]
+    if q.b_raw(a, b):
+        return [d]
+    for r in pool:
+        if q.b_raw(a, r) and q.b_raw(b, r) and \
+                not any(q.b_raw(r, f) for f in fixed):
+            return [tuple(map(sub, a, r)), tuple(map(sub, r, b))]
+    return None
+
+
 def eichler_matrix(q: QuadraticForm, p0: Vector, u: Vector):
     """x -> x + B(x,p0)u - (B(x,u) + Q(u)B(x,p0))p0 for isotropic p0 and
     u orthogonal to p0; an isometry fixing p0 and everything orthogonal
@@ -746,61 +787,49 @@ class _Extender:
         self._iso = None
 
     def _iso_list(self):
+        """Raw representatives of the isotropic projective points."""
         if self._iso is None:
-            self._iso = [v for v in linalg.projective_points(self.field, self.n)
-                         if self.q(v).is_zero()]
+            self._iso = [v for v in linalg.projective_points(
+                self.field, self.n, raw=True) if not self.q.eval_raw(v)]
         return self._iso
 
     # -- elementary moves -------------------------------------------------
-    def _move_anisotropic(self, a: Vector, b: Vector):
-        """Isometry with g(a) = b; Q(a) = Q(b) != 0, b orthogonal to the
-        processed targets and B(a,f) = B(b,f) for each of them."""
-        q = self.q
-        if a == b:
-            return None
-        d = vec_sub(a, b)
-        if not q(d).is_zero():
-            return reflection_matrix(q, d)
-        s = vec_add(a, b)  # Q(s) = 4Q(a) - Q(d) != 0 here
-        return linalg.mat_mul(reflection_matrix(q, b), reflection_matrix(q, s))
-
-    def _move_isotropic(self, p: Vector, t: Vector, fixed):
-        """Isometry with g(p) = t (both isotropic, nonzero), fixing every
-        vector of ``fixed``; assumes B(p,f) = B(t,f) = 0 for f in fixed."""
+    def _move(self, a: Vector, b: Vector, fixed):
+        """Isometry with g(a) = b fixing every vector of ``fixed`` (raw
+        tuples); Q(a) = Q(b), and a and b are orthogonal to ``fixed``."""
         q = self.q
         field = self.field
-        if p == t:
+        if a == b:
             return None
-        if not q.b_full(p, t).is_zero():
-            return reflection_matrix(q, vec_sub(p, t))
-        co = linalg.coordinates(t, [p], field)
-        if co is not None:  # t = lam p: scale the hyperbolic plane of t
-            lam = co[0]
-            w = self._partner(t, fixed)
-            g = hyperbolic_scaling_matrix(q, t, w, lam)
-            assert linalg.mat_vec(g, p) == t
-            return g
-        for r in self._iso_list():
-            if q.b_full(p, r).is_zero() or q.b_full(t, r).is_zero():
-                continue
-            if any(not q.b_full(r, f).is_zero() for f in fixed):
-                continue
-            g = linalg.mat_mul(reflection_matrix(q, vec_sub(r, t)),
-                               reflection_matrix(q, vec_sub(p, r)))
-            assert linalg.mat_vec(g, p) == t
-            return g
-        raise InvalidInputError("no isotropic path found (internal)")
+        pool = ()
+        if q(a).is_zero():
+            co = linalg.coordinates(b, [a], field)
+            if co is not None:  # b = lam a: scale the hyperbolic plane of b
+                g = hyperbolic_scaling_matrix(q, b, self._partner(b, fixed),
+                                              co[0])
+                assert linalg.mat_vec(g, a) == b
+                return g
+            pool = self._iso_list()
+        ws = mirrors(q, _raw_values(field, a), _raw_values(field, b),
+                     pool, fixed)
+        if ws is None:
+            raise InvalidInputError("no isotropic path found (internal)")
+        g = reflection_matrix(q, linalg.vector(field, ws[0]))
+        for w in ws[1:]:
+            g = linalg.mat_mul(reflection_matrix(q, linalg.vector(field, w)), g)
+        assert linalg.mat_vec(g, a) == b
+        return g
 
     def _partner(self, p: Vector, fixed):
-        """Isotropic w with B(p,w) = 1, orthogonal to ``fixed``."""
+        """Isotropic w with B(p,w) = 1, orthogonal to ``fixed`` (raw)."""
         q = self.q
+        x = _raw_values(self.field, p)
         for r in self._iso_list():
-            b = q.b_full(p, r)
-            if b.is_zero():
+            b = q.b_raw(x, r)
+            if not b or any(q.b_raw(r, f) for f in fixed):
                 continue
-            if any(not q.b_full(r, f).is_zero() for f in fixed):
-                continue
-            return vec_scale(b.inverse(), r)
+            return vec_scale(Scalar(b, self.field).inverse(),
+                             linalg.vector(self.field, r))
         raise InvalidInputError("no hyperbolic partner found (internal)")
 
     # -- the extension proper ----------------------------------------------
@@ -828,13 +857,13 @@ class _Extender:
         for piece in pieces:
             if piece[0] == "aniso":
                 _, u, v = piece
-                h = self._move_anisotropic(linalg.mat_vec(g, u), v)
+                h = self._move(linalg.mat_vec(g, u), v, fixed)
                 if h is not None:
                     g = linalg.mat_mul(h, g)
-                fixed.append(v)
+                fixed.append(_raw_values(field, v))
             else:
                 _, (u1, v1), (u2, v2) = piece
-                h = self._move_isotropic(linalg.mat_vec(g, u1), v1, fixed)
+                h = self._move(linalg.mat_vec(g, u1), v1, fixed)
                 if h is not None:
                     g = linalg.mat_mul(h, g)
                 cur2 = linalg.mat_vec(g, u2)
@@ -843,7 +872,7 @@ class _Extender:
                     # v1 and all earlier (orthogonal) pieces.
                     h = eichler_matrix(q, v1, vec_sub(v2, cur2))
                     g = linalg.mat_mul(h, g)
-                fixed.extend([v1, v2])
+                fixed += [_raw_values(field, v1), _raw_values(field, v2)]
         for u, v in zip(u_orig, v_orig):
             assert linalg.mat_vec(g, u) == v, "extension failed (internal)"
         assert is_isometry(q, g), "extension is not an isometry (internal)"

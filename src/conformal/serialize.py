@@ -69,11 +69,6 @@ def form_from_json(field: Field, obj) -> QuadraticForm:
     return QuadraticForm(field, obj["dim"], coeffs)
 
 
-def parse_form_text(field: Field, text: str) -> QuadraticForm:
-    """A JSON form object or the diagonal shorthand `[a1,...,an]`."""
-    return form_from_json(field, json_loads(text))
-
-
 def vector_to_json(v) -> list:
     return [scalar_to_json(x) for x in v]
 

@@ -3,10 +3,14 @@
 Each suite checks one family of structural facts by independent
 enumeration or sampling and returns a :class:`Report`.  The orbit-atlas
 suite, which certifies that the class invariants cut the orthogonal
-(P, L) pairs into single isometry orbits, runs on plain ints mod p: every
+(P, L) pairs into single isometry orbits, runs on raw ints mod p: every
 pair is reduced to its class representative by an explicit chain of
 reflections and Eichler maps, so the certificate is a desk-checkable
-isometry, not a counting argument.  A pair's certificate is its own
+isometry, not a counting argument.  Its form arithmetic (``eval_raw``,
+``b_raw``, ``reflect_raw``) and its mirror search (``quadform.mirrors``)
+are the ones ``extend_isometry`` builds its matrices from; only the
+norm-class tables, the collinearity test, the perp basis and the
+Eichler shear are its own.  A pair's certificate is its own
 mirrors sending P to its class representative (checked once per P),
 followed by the reduction of the exact vector those mirrors send L to;
 that reduction is computed once per vector and shared by every pair that
@@ -27,7 +31,8 @@ from .linalg import vec_add, vec_scale
 from .quadform import (InvalidInputError, QuadraticForm, _couples_of,
                        arf_invariant, bilinear_radical,
                        generalized_orthogonal_basis, is_nondegenerate_form,
-                       IsometrySampler, witt_index, witt_index_bruteforce)
+                       IsometrySampler, mirrors, witt_index,
+                       witt_index_bruteforce)
 from importlib import import_module
 
 from . import geometry as geo
@@ -225,58 +230,28 @@ def suite_witt_oracle(**_) -> Report:
 
 class _IntOrbitContext:
     """Reduction of orthogonal (P, L) pairs to canonical representatives
-    by explicit isometries, in plain ints mod p for a diagonal form."""
+    by explicit isometries, on raw ints mod p for a diagonal form."""
 
     def __init__(self, p: int, diag):
         field = PrimeField(p)
         self.p = p
         self.diag = [d % p for d in diag]
-        self.n = len(diag)
-        self.q = QuadraticForm.diagonal(field, diag).eval_raw
+        self.form = QuadraticForm.diagonal(field, diag)
         self.inv = [0] + [pow(x, p - 2, p) for x in range(1, p)]
         self.sqrt = {}
         for r in range((p + 1) // 2):
             self.sqrt.setdefault((r * r) % p, r)
         sq = set(self.sqrt)
         self.qcls = [0 if x == 0 else (1 if x in sq else 2) for x in range(p)]
-        self.points = list(linalg.projective_points(field, self.n, raw=True))
-        self.iso = [v for v in self.points if self.q(v) == 0]
-
-    def b(self, u, v):
-        return (2 * sum(d * x * y
-                        for d, x, y in zip(self.diag, u, v))) % self.p
-
-    def scale(self, c, v):
-        p = self.p
-        return tuple((c * x) % p for x in v)
-
-    def reflect(self, w, qw_inv, x):
-        """x - (B(x,w)/Q(w)) w."""
-        c = (self.b(x, w) * qw_inv) % self.p
-        p = self.p
-        return tuple((a - c * b) % p for a, b in zip(x, w))
-
-    def transport(self, moves, x):
-        """x through each mirror (w, 1/Q(w)) of moves in turn."""
-        for w, qw_inv in moves:
-            x = self.reflect(w, qw_inv, x)
-        return x
-
-    def sub(self, u, v):
-        p = self.p
-        return tuple((a - b) % p for a, b in zip(u, v))
-
-    def add(self, u, v):
-        p = self.p
-        return tuple((a + b) % p for a, b in zip(u, v))
+        self.points = list(linalg.projective_points(field, len(diag), raw=True))
+        self.iso = [v for v in self.points if self.form.eval_raw(v) == 0]
 
     def norm_match(self, v, target_q):
         """A scalar multiple of v with the exact norm target_q."""
-        qv = self.q(v)
-        s2 = (target_q * self.inv[qv]) % self.p
-        s = self.sqrt.get(s2)
+        p = self.p
+        s = self.sqrt.get((target_q * self.inv[self.form.eval_raw(v)]) % p)
         assert s is not None, "norm classes disagree (internal)"
-        return self.scale(s, v)
+        return tuple((s * x) % p for x in v)
 
     def collinear(self, u, v):
         lead = next(i for i, x in enumerate(u) if x)
@@ -285,39 +260,35 @@ class _IntOrbitContext:
         c = (v[lead] * self.inv[u[lead]]) % self.p
         return all((c * a) % self.p == b for a, b in zip(u, v))
 
-    def anisotropic_moves(self, a, b):
-        """Mirrors taking a to b exactly; Q(a) = Q(b) != 0."""
-        if a == b:
-            return []
-        d = self.sub(a, b)
-        qd = self.q(d)
-        if qd:
-            return [(d, self.inv[qd])]
-        s = self.add(a, b)
-        return [(s, self.inv[self.q(s)]), (b, self.inv[self.q(b)])]
+    def perp(self, v):
+        """A basis of v's perp, the kernel of B(v, .), by explicit pivot
+        elimination."""
+        n = self.form.dim
+        units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        rows = [self.form.b_raw(v, e) for e in units]
+        lead = next((i for i, x in enumerate(rows) if x), None)
+        kernel = []
+        for i in range(n):
+            if i == lead:
+                continue
+            e = list(units[i])
+            if lead is not None and rows[i]:
+                e[lead] = (-rows[i] * self.inv[rows[lead]]) % self.p
+            kernel.append(tuple(e))
+        return kernel
 
-    def isotropic_moves(self, a, b, aux_pool, perp_of=None):
-        """Mirrors taking isotropic a to isotropic b (not collinear);
-        auxiliaries are drawn from aux_pool and must pair with both (and
-        stay orthogonal to perp_of if given)."""
-        bab = self.b(a, b)
-        if bab:
-            d = self.sub(a, b)
-            return [(d, self.inv[self.q(d)])]
-        for r in aux_pool:
-            if self.b(a, r) == 0 or self.b(b, r) == 0:
-                continue
-            if perp_of is not None and self.b(r, perp_of) != 0:
-                continue
-            d1 = self.sub(a, r)
-            d2 = self.sub(r, b)
-            return [(d1, self.inv[self.q(d1)]), (d2, self.inv[self.q(d2)])]
-        return None
+
+def _transport(form, moves, x):
+    """x through the reflection in each mirror of moves in turn."""
+    for w in moves:
+        x = form.reflect_raw(w, x)
+    return x
 
 
 def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
     ctx = _IntOrbitContext(p, diag)
-    q, qcls, n = ctx.q, ctx.qcls, ctx.n
+    form, qcls, n = ctx.form, ctx.qcls, ctx.form.dim
+    q, b = form.eval_raw, form.b_raw
     # canonical P per norm class, canonical L per (P-class, L-class)
     p0 = {}
     for v in ctx.points:
@@ -329,7 +300,7 @@ def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
     l0 = {}
     iso_in_perp = {}
     for cp, pv in p0.items():
-        members = [w for w in ctx.points if ctx.b(pv, w) == 0
+        members = [w for w in ctx.points if b(pv, w) == 0
                    and not ctx.collinear(pv, w)]
         for w in members:
             key = (cp, qcls[q(w)])
@@ -350,37 +321,22 @@ def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
     for pv in ctx.points:
         cp = qcls[q(pv)]
         target_p = p0[cp]
-        # phase 1: moves sending the vector pv to a multiple of target_p
+        # phase 1: mirrors sending the vector pv to a multiple of target_p
         if ctx.collinear(pv, target_p):
             moves = []
         elif cp != 0:
-            a = ctx.norm_match(pv, q(target_p))
-            moves = ctx.anisotropic_moves(a, target_p)
+            moves = mirrors(form, ctx.norm_match(pv, q(target_p)), target_p)
         else:
-            moves = ctx.isotropic_moves(pv, target_p, ctx.iso)
+            moves = mirrors(form, pv, target_p, ctx.iso)
             assert moves is not None
-        if not ctx.collinear(target_p, ctx.transport(moves, pv)):
+        if not ctx.collinear(target_p, _transport(form, moves, pv)):
             fail(f"P={pv} not normalised")
             continue
-        # enumerate L in pv's perp: kernel of B(pv, .)
-        rows = []
-        for i in range(n):
-            e = tuple(1 if j == i else 0 for j in range(n))
-            rows.append(ctx.b(pv, e))
-        # basis of the kernel via explicit pivot elimination
-        lead = next(i for i, x in enumerate(rows) if x) if any(rows) else None
-        kernel = []
-        for i in range(n):
-            if i == lead:
-                continue
-            e = [1 if j == i else 0 for j in range(n)]
-            if lead is not None and rows[i]:
-                e[lead] = (-rows[i] * ctx.inv[rows[lead]]) % p
-            kernel.append(tuple(e))
-        # the moves are linear, so each kernel vector is transported once
-        # and every L and its image come from the same coefficients:
-        # a basis entry is the kernel vector followed by its image
-        basis = [kv + ctx.transport(moves, kv) for kv in kernel]
+        # the moves are linear, so each kernel vector of pv's perp is
+        # transported once and every L and its image come from the same
+        # coefficients: a basis entry is the kernel vector followed by its
+        # image
+        basis = [kv + _transport(form, moves, kv) for kv in ctx.perp(pv)]
         combos = []
         for combo_lead in range(len(basis)):
             # leading coefficient 1, then every tail in lexicographic order
@@ -414,56 +370,42 @@ def _reduce_l(ctx: _IntOrbitContext, cp, p0v, cur, target, iso_pool) -> bool:
     fixing the projective point of p0v."""
     if ctx.collinear(cur, target):
         return True
-    ct = ctx.qcls[ctx.q(cur)]
-    if ct != 0:
-        a = ctx.norm_match(cur, ctx.q(target))
-        for w, qwi in ctx.anisotropic_moves(a, target):
-            # mirrors are orthogonal to p0v automatically: both a and
-            # target are, and so are their sums and differences
-            if ctx.b(w, p0v) != 0:
-                return False
-            a = ctx.reflect(w, qwi, a)
-        return a == target
-    moves = ctx.isotropic_moves(cur, target, iso_pool, perp_of=p0v)
+    form, p = ctx.form, ctx.p
+    anisotropic = form.eval_raw(cur) != 0
+    if anisotropic:
+        # mirrors are orthogonal to p0v automatically: both cur and
+        # target are, and so are their sums and differences
+        cur = ctx.norm_match(cur, form.eval_raw(target))
+        moves = mirrors(form, cur, target)
+    else:
+        moves = mirrors(form, cur, target, iso_pool, (p0v,))
     if moves is not None:
-        for w, qwi in moves:
-            if ctx.b(w, p0v) != 0:
+        for w in moves:
+            if form.b_raw(w, p0v) != 0:
                 return False
-            cur = ctx.reflect(w, qwi, cur)
-        return ctx.collinear(cur, target)
+            cur = form.reflect_raw(w, cur)
+        return cur == target if anisotropic else ctx.collinear(cur, target)
     if cp != 0:
         return False
     # isotropic P, quotient-collinear isotropic L: an Eichler map
     # x -> x - B(x,u) p0 fixes p0 and shears the radical component.
-    for s in range(1, ctx.p):
-        scaled = ctx.scale(s, cur)
-        diff = ctx.sub(scaled, target)
-        if all(x == 0 for x in diff) or ctx.collinear(diff, p0v):
-            if all(x == 0 for x in diff):
-                return True
-            # find u orthogonal to p0 with B(scaled, u) = delta
+    for s in range(1, p):
+        scaled = tuple((s * x) % p for x in cur)
+        diff = tuple((a - t) % p for a, t in zip(scaled, target))
+        if not any(diff):
+            return True
+        if ctx.collinear(diff, p0v):
+            # any u in p0's perp with B(scaled, u) = delta will do; one
+            # exists iff some kernel basis vector pairs with scaled
             lead = next(i for i, x in enumerate(p0v) if x)
-            delta = (diff[lead] * ctx.inv[p0v[lead]]) % ctx.p
-            for i in range(ctx.n):
-                e = tuple(1 if j == i else 0 for j in range(ctx.n))
-                if ctx.b(p0v, e) != 0:
-                    continue
-                beta = ctx.b(scaled, e)
+            delta = (diff[lead] * ctx.inv[p0v[lead]]) % p
+            for k in ctx.perp(p0v):
+                beta = form.b_raw(scaled, k)
                 if beta == 0:
                     continue
-                u = ctx.scale((delta * ctx.inv[beta]) % ctx.p, e)
-                moved = ctx.sub(scaled, ctx.scale(ctx.b(scaled, u), p0v))
-                return moved == target
-            # fall back to combinations of two basis vectors
-            for i, j in itertools.combinations(range(ctx.n), 2):
-                e = tuple(1 if k in (i, j) else 0 for k in range(ctx.n))
-                if ctx.b(p0v, e) != 0:
-                    continue
-                beta = ctx.b(scaled, e)
-                if beta == 0:
-                    continue
-                u = ctx.scale((delta * ctx.inv[beta]) % ctx.p, e)
-                moved = ctx.sub(scaled, ctx.scale(ctx.b(scaled, u), p0v))
+                u = tuple((delta * ctx.inv[beta] * x) % p for x in k)
+                c = form.b_raw(scaled, u)
+                moved = tuple((a - c * t) % p for a, t in zip(scaled, p0v))
                 return moved == target
             return False
     return False
@@ -989,6 +931,3 @@ def run_suite(name: str, **options) -> Report:
                        f"{sorted(SUITES)}")
     return SUITES[name](**options)
 
-
-def run_all(**options) -> List[Report]:
-    return [SUITES[name](**options) for name in SUITES]

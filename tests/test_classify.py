@@ -1,5 +1,6 @@
 """Classification: invariants, atlases, tables, cycle equivalence."""
 
+import hashlib
 import itertools
 import random
 
@@ -190,6 +191,41 @@ def test_pointspace_isometry_certificates():
     assert linalg.in_span(image, [ps2.l_coords], F3)
     g3 = representative_geometry(classes[(SquareClass.UNIT, SquareClass.ZERO)])
     assert pointspace_isometry(g1, g3) is None
+
+
+def _witt_extension_lines():
+    """Every pointspace_isometry certificate between anisotropic-P plane
+    classes over F_3 and F_5, then 20 seeded IsometrySampler draws."""
+    text = lambda m: ";".join(",".join(str(x.value) for x in row) for row in m)
+    lines = []
+    for fp in (F3, F5):
+        reps = [representative_geometry(c) for c in enumerate_classes(fp, 2)
+                if c.qp is not SquareClass.ZERO]
+        for g1, g2 in itertools.product(reps, repeat=2):
+            cert = pointspace_isometry(g1, g2)
+            lines.append("-" if cert is None
+                         else f"{cert[0].value}:{text(cert[1])}")
+    for fp, qp, ql in ((F3, SquareClass.ZERO, SquareClass.UNIT),
+                       (F5, SquareClass.UNIT, SquareClass.ZERO)):
+        cls = next(c for c in enumerate_classes(fp, 2)
+                   if (c.qp, c.ql) == (qp, ql))
+        g = representative_geometry(cls)
+        sampler = IsometrySampler(g.form, [g.p_rep, g.l_rep])
+        rng = random.Random(fp.p)
+        lines += [text(sampler.sample(rng)) for _ in range(10)]
+    return lines
+
+
+def test_witt_extensions_are_pinned():
+    """The reflections, hyperbolic scalings and Eichler maps behind the
+    certificates and the sampler build the same matrices, byte for byte,
+    as when these outputs were recorded."""
+    lines = _witt_extension_lines()
+    assert len(lines) == 2 * 36 + 20
+    assert sum(line != "-" for line in lines[:72]) == 20
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "0e6414f00b9e661678bf9a329c6b78362fac04516a0de063a8d59c0548f98207")
 
 
 def test_orbit_completeness_class_labels():

@@ -1,22 +1,26 @@
 """Differential tests of the raw-value Q/B kernel.
 
 ``QuadraticForm.__call__`` and ``b_full`` evaluate on raw field values,
-and ``lie_quadric_points`` enumerates raw tuples.  The references below
-are the plain ``Scalar``-arithmetic loops those methods replaced; every
-answer must agree with them, bit for bit over ApproxReal.
+``lie_quadric_points`` enumerates raw tuples, and ``reflect_raw`` and
+``mirrors`` build the isometries of Witt's theorem on raw tuples.  The
+references below are the plain ``Scalar``-arithmetic loops and matrices
+those methods replaced; every answer must agree with them, bit for bit
+over ApproxReal.
 """
 
+import itertools
 import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conformal import linalg
 from conformal.fields import (ApproxReal, CharTwo, FieldMismatchError,
                               PrimeField, Rational, Scalar)
 from conformal.geometry import Geometry, ProjPoint, lie_quadric_points
-from conformal.quadform import QuadraticForm, bilinear_radical
+from conformal.quadform import (QuadraticForm, bilinear_radical, mirrors,
+                                reflection_matrix)
 
 FIELDS = [Rational(), PrimeField(3), PrimeField(5), PrimeField(7),
           PrimeField(11), PrimeField(13), CharTwo(2), CharTwo(4),
@@ -183,3 +187,68 @@ def test_lie_quadric_points_matches_scalar_filter(g):
     got = lie_quadric_points(g)
     assert got == tuple(expected)
     assert all(c.field is g.field for pt in got for c in pt.coords)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reflect_raw_matches_reflection_matrix(data):
+    field = data.draw(st.sampled_from(FIELDS[:4] + FIELDS[6:8]))
+    q = data.draw(forms(field))
+    vec = st.tuples(*[elements(field)] * q.dim)
+    w, x = data.draw(vec), data.draw(vec)
+    assume(not q(w).is_zero())
+    got = q.reflect_raw([c.value for c in w], [c.value for c in x])
+    want = linalg.mat_vec(reflection_matrix(q, w), x)
+    assert all(same(Scalar(a, field), b) for a, b in zip(got, want))
+
+
+def _apply_mirrors(q, ws, x):
+    for w in ws:
+        x = q.reflect_raw(w, x)
+    return x
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_mirrors_send_a_to_b(data):
+    """Both cases of ``mirrors`` on non-diagonal forms over F_3/5/7: the
+    reflections, in turn, send a to b, and the answer is None exactly when
+    a scan of the pool finds no admissible auxiliary vector."""
+    field = data.draw(st.sampled_from([PrimeField(3), PrimeField(5),
+                                       PrimeField(7)]))
+    q = data.draw(nondegenerate_forms(field))
+    points = list(linalg.projective_points(field, q.dim, raw=True))
+    anisotropic = [v for v in points if q.eval_raw(v)]
+    iso = [v for v in points if not q.eval_raw(v)]
+    if data.draw(st.booleans()):
+        a = data.draw(st.sampled_from(anisotropic))
+        same_norm = [v for v in itertools.product(range(field.p),
+                                                  repeat=q.dim)
+                     if q.eval_raw(v) == q.eval_raw(a)]
+        b = data.draw(st.sampled_from(same_norm))
+        ws = mirrors(q, a, b)
+        assert ws is not None and len(ws) <= 2
+        assert _apply_mirrors(q, ws, a) == b
+        return
+    a = data.draw(st.sampled_from(iso))
+    lam = data.draw(st.integers(1, field.p - 1))
+    pairing = data.draw(st.booleans())
+    others = [tuple(lam * x % field.p for x in v) for v in iso
+              if v != a and bool(q.b_raw(a, v)) == pairing]
+    assume(others)
+    b = data.draw(st.sampled_from(others))
+    size = data.draw(st.integers(0, q.dim - 1))
+    fixed = data.draw(st.lists(st.sampled_from(points), min_size=size,
+                               max_size=size))
+    ws = mirrors(q, a, b, iso, fixed)
+    admissible = [r for r in iso if q.b_raw(a, r) and q.b_raw(b, r)
+                  and not any(q.b_raw(r, f) for f in fixed)]
+    assert (ws is None) == (not q.b_raw(a, b) and not admissible)
+    if ws is None:
+        return
+    if not q.b_raw(a, b):
+        r = admissible[0]  # the first admissible r, in pool order
+        assert ws == [tuple((x - y) % field.p for x, y in zip(a, r)),
+                      tuple((x - y) % field.p for x, y in zip(r, b))]
+    assert len(ws) == (1 if q.b_raw(a, b) else 2)
+    assert _apply_mirrors(q, ws, a) == b

@@ -208,5 +208,19 @@ def test_cli_max_q_is_a_geom_points_option():
     r = _cli("classify", "atlas", "--field", "fp:5", "--dim", "2",
              "--max-q", "3")
     _assert_clean_exit(r, 64, "error: unrecognized arguments: --max-q 3")
-    assert sum(line.startswith("error:") for line in r.stderr.splitlines()) == 1
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify",),
+    ("verify", "--all", "--suite", "polarization"),
+    ("examples", "lift", "--model", "elliptic"),
+    ("examples", "lift", "--model", "elliptic", "--point", "1,0,0",
+     "--cycle", "1,0,0"),
+], ids=["verify-none", "verify-both", "lift-none", "lift-two"])
+def test_cli_needs_exactly_one_target_option(argv):
+    r = _cli(*argv)
+    _assert_clean_exit(r, 64, "error: ")
+    assert len(r.stderr.splitlines()) == 1
     assert r.stdout == ""

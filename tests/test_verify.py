@@ -70,13 +70,15 @@ def test_failed_reduction_is_not_hidden_by_the_cache(monkeypatch):
 
 
 def test_wrong_p_mirror_fails_the_p_step(monkeypatch):
-    ctx_type = verify._IntOrbitContext
+    mirrors = verify.mirrors
 
-    def mirror_through_target(ctx, a, b):
-        # reflects b to -b instead of sending a to b
-        return [] if a == b else [(b, ctx.inv[ctx.q(b)])]
+    def mirror_through_target(q, a, b, pool=(), fixed=()):
+        if q.eval_raw(a) == 0:
+            return mirrors(q, a, b, pool, fixed)
+        # anisotropic: reflects b to -b instead of sending a to b
+        return [b]
 
-    monkeypatch.setattr(ctx_type, "anisotropic_moves", mirror_through_target)
+    monkeypatch.setattr(verify, "mirrors", mirror_through_target)
     # every L reduction succeeds, so only the P step can catch the mirror
     monkeypatch.setattr(verify, "_reduce_l", lambda *args: True)
     rep = verify.run_suite("orbit-atlas", field=F3)
