@@ -319,27 +319,21 @@ def cycle_equivalence_partners(cls: GeometryClass):
     if cls.geom_dim != 2:
         raise UnsupportedFieldError("partners are computed for the plane atlas")
     if cls.field_token == "rational":
-        if cls.qp is not SquareClass.UNIT:
-            return ()
-        if cls.ql is SquareClass.ZERO:
-            return (cls,)
-        partner = GeometryClass(cls.field_token, cls.geom_dim,
-                                cls.form_invariant, cls.qp, _flip(cls.ql),
-                                _CK_NAMES.get((cls.qp, _flip(cls.ql))),
-                                cls.field)
-        return (partner,)
-    if cls.field_token.startswith("fp:"):
-        if cls.qp is SquareClass.ZERO:
-            return ()
-        if cls.ql is SquareClass.ZERO:
-            return (cls,)
-        partner = GeometryClass(cls.field_token, cls.geom_dim,
-                                cls.form_invariant, cls.qp, _flip(cls.ql),
-                                _CK_NAMES.get((cls.qp, _flip(cls.ql))),
-                                cls.field)
-        return (partner,)
-    raise UnsupportedFieldError(
-        "partners are stated for the reals and odd finite fields")
+        paired = cls.qp is SquareClass.UNIT
+    elif cls.field_token.startswith("fp:"):
+        paired = cls.qp is not SquareClass.ZERO
+    else:
+        raise UnsupportedFieldError(
+            "partners are stated for the reals and odd finite fields")
+    if not paired:
+        return ()
+    if cls.ql is SquareClass.ZERO:
+        return (cls,)
+    partner = GeometryClass(cls.field_token, cls.geom_dim,
+                            cls.form_invariant, cls.qp, _flip(cls.ql),
+                            _CK_NAMES.get((cls.qp, _flip(cls.ql))),
+                            cls.field)
+    return (partner,)
 
 
 def second_model(g: Geometry) -> Geometry:
@@ -393,10 +387,7 @@ def _canonical_diag_basis(form: QuadraticForm):
                 break
         assert w_co is not None  # every value is a sum of two squares
         w = linalg.combine(w_co, pair)
-        rows = (tuple(sub.b_full(w_co, u) for u in
-                      (linalg.unit_vector(field, 2, 0),
-                       linalg.unit_vector(field, 2, 1))),)
-        kern = linalg.kernel_basis(rows, field, 2)
+        kern = sub.perp([w_co])
         assert len(kern) == 1
         w2 = linalg.combine(kern[0], pair)
         s = sqrt_if_square(form(w2))

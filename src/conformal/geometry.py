@@ -220,11 +220,11 @@ def non_empty(g: Geometry) -> bool:
     raise UnsupportedFieldError(f"emptiness over {field}")
 
 
-def has_point_search(g: Geometry, max_q: int = MAX_ENUM_Q) -> bool:
+def has_point_search(g: Geometry) -> bool:
     """Direct search for a point: an isotropic projective direction in
     P^perp other than [P] itself (the oracle for `non_empty`)."""
     p_proj = ProjPoint(g.p_rep) if g.form(g.p_rep).is_zero() else None
-    for pt in lie_quadric_points(g, max_q=max_q):
+    for pt in lie_quadric_points(g):
         if not g.form.b_full(g.p_rep, pt.coords).is_zero():
             continue
         if p_proj is not None and pt == p_proj:
@@ -305,8 +305,7 @@ class Pointspace:
 
 def pointspace(g: Geometry) -> Pointspace:
     """The orthogonal complement of P carrying Q^P, with L's coordinates."""
-    rows = (g.form.gram_row(g.p_rep),)
-    basis = linalg.kernel_basis(rows, g.field, g.form.dim)
+    basis = g.form.perp([g.p_rep])
     restricted = g.form.restrict(basis)
     l_coords = linalg.coordinates(g.l_rep, basis, g.field)
     assert l_coords is not None  # L is orthogonal to P
@@ -330,11 +329,11 @@ def project_cycle(g: Geometry, c) -> ProjPoint:
     return ProjPoint(project_cycle_raw(g, c))
 
 
-def points_of(g: Geometry, c, max_q: int = MAX_ENUM_Q):
+def points_of(g: Geometry, c):
     """[[Q]] intersected with P^perp and c^perp: the points of a cycle."""
     v = _require_hypercycle(g, c)
     out = []
-    for pt in lie_quadric_points(g, max_q=max_q):
+    for pt in lie_quadric_points(g):
         w = pt.coords
         if g.form.b_full(g.p_rep, w).is_zero() and \
            g.form.b_full(v, w).is_zero():
@@ -342,12 +341,11 @@ def points_of(g: Geometry, c, max_q: int = MAX_ENUM_Q):
     return tuple(out)
 
 
-def pointspace_points_of(g: Geometry, ps: Pointspace, c_proj,
-                         max_q: int = MAX_ENUM_Q):
+def pointspace_points_of(g: Geometry, ps: Pointspace, c_proj):
     """Points of a projected cycle computed inside the pointspace, mapped
     back to ambient projective points (the other side of the projection
     identity)."""
-    _check_enum(g, max_q)
+    _check_enum(g, MAX_ENUM_Q)
     coords = c_proj if not isinstance(c_proj, ProjPoint) else \
         ps.from_ambient(c_proj.coords)
     if coords is None:
@@ -401,8 +399,7 @@ def _is_actual(g: Geometry, span: Sequence[Vector]) -> Optional[bool]:
     orthogonal complement?  Searchable over finite fields only."""
     if not g.field.is_finite or g.field.order > MAX_ENUM_Q:
         return None
-    rows = tuple(g.form.gram_row(s) for s in span)
-    perp = linalg.kernel_basis(rows, g.field, g.form.dim)
+    perp = g.form.perp(span)
     vectors = [g.p_rep] + _isotropic_in_span(g, perp)
     return linalg.rank(vectors, g.field) == len(perp)
 
@@ -442,9 +439,7 @@ def intersect_hyperplanes(g: Geometry, *hyperplanes) -> Subcycle:
         vecs.append(v)
     if not linalg.independent(vecs, g.field):
         raise RankError("hyperplanes must be independent (and not P)")
-    n = g.form.dim
-    rows = tuple(g.form.gram_row(s) for s in vecs)
-    span = linalg.kernel_basis(rows, g.field, n)
+    span = g.form.perp(vecs)
     return _subcycle_from_span(g, span)
 
 
@@ -466,8 +461,7 @@ def hyperplane_through(g: Geometry, *points) -> Optional[ProjPoint]:
         for j in range(i + 1, len(vecs)):
             if linalg.rank([vecs[i], vecs[j], g.l_rep], g.field) <= 2:
                 raise RoleError("an antipodal pair admits no unique hyperplane")
-    rows = tuple(g.form.gram_row(v) for v in vecs + [g.l_rep])
-    sol = linalg.kernel_basis(rows, g.field, g.form.dim)
+    sol = g.form.perp(vecs + [g.l_rep])
     if not sol:
         return None
     if len(sol) == 1:
@@ -504,11 +498,11 @@ def quasi_ideal(g: Geometry, s: Subcycle) -> bool:
     return bool(bilinear_radical(restricted))
 
 
-def cayley_klein_points(g: Geometry, max_q: int = MAX_ENUM_Q):
+def cayley_klein_points(g: Geometry):
     """Points grouped into antipodal classes (the projective model
     P^perp/L); classes and members are canonically sorted."""
     groups = {}
-    for pt in lie_quadric_points(g, max_q=max_q):
+    for pt in lie_quadric_points(g):
         if not g.form.b_full(g.p_rep, pt.coords).is_zero():
             continue
         red, _ = linalg.rref((pt.coords, g.l_rep), g.field)

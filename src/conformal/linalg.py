@@ -11,10 +11,27 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .fields import Field, Scalar
+from .fields import Field, FieldMismatchError, Scalar
 
 Vector = tuple
 Matrix = tuple
+
+
+def raw_values(field: Field, v: Vector) -> list:
+    """The raw values of v's coordinates; ints are coerced into the field,
+    and a Scalar of another field raises FieldMismatchError."""
+    out = []
+    for x in v:
+        if isinstance(x, Scalar):
+            if x.field is not field and x.field != field:
+                raise FieldMismatchError(
+                    f"mixed fields: {field} and {x.field}")
+            out.append(x.value)
+        elif isinstance(x, int):
+            out.append(field.scalar(x).value)
+        else:
+            raise TypeError(f"not a coordinate over {field}: {x!r}")
+    return out
 
 
 def vector(field: Field, entries) -> Vector:
@@ -70,32 +87,37 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def rref(rows: Sequence[Vector], field: Field):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [list(r) for r in rows]
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Eliminates on the raw values of ``field`` with its own ops, in the
+    order of plain Scalar arithmetic, and wraps only the result.  A row
+    entry of another field raises FieldMismatchError."""
+    m = [raw_values(field, r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
+    mul, sub, is_zero = field._mul, field._sub, field._is_zero
     pivots = []
     r = 0
     for c in range(ncols):
         pivot = None
         for i in range(r, nrows):
-            if not m[i][c].is_zero():
+            if not is_zero(m[i][c]):
                 pivot = i
                 break
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [inv * x for x in m[r]]
+        inv = field._inv(m[r][c])
+        m[r] = [mul(inv, x) for x in m[r]]
         for i in range(nrows):
-            if i != r and not m[i][c].is_zero():
+            if i != r and not is_zero(m[i][c]):
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [sub(x, mul(f, y)) for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return tuple(tuple(row) for row in m), pivots
+    return tuple(tuple(Scalar(x, field) for x in row) for row in m), pivots
 
 
 def rank(rows: Sequence[Vector], field: Field) -> int:

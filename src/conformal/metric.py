@@ -150,9 +150,7 @@ def line_space(g: Geometry, l) -> LineSpace:
         raise DegenerateLineError("l must be a hyperplane (orthogonal to L)")
     if g.form.b_full(g.p_rep, lv).is_zero():
         raise DegenerateLineError("ideal hyperplane: its line is quasi-ideal")
-    n = g.form.dim
-    rows = (g.form.gram_row(g.p_rep), g.form.gram_row(lv))
-    basis = linalg.kernel_basis(rows, g.field, n)
+    basis = g.form.perp([g.p_rep, lv])
     assert len(basis) == 3
     form = g.form.restrict(basis)
     l_coords = linalg.coordinates(g.l_rep, basis, g.field)
@@ -197,10 +195,6 @@ class Chart:
         return linalg.mat_vec(self.from_line, tuple(line_coords))
 
 
-def _orth_complement_in_line(form: QuadraticForm, vec):
-    return linalg.kernel_basis((form.gram_row(vec),), form.field, 3)
-
-
 def build_chart(space: LineSpace) -> Chart:
     """Classify the line and construct its canonical chart."""
     form = space.form
@@ -209,7 +203,7 @@ def build_chart(space: LineSpace) -> Chart:
     ql = form(lc)
     if _sign_class(ql) is SquareClass.ZERO:
         return _build_additive_chart(space)
-    comp = _orth_complement_in_line(form, lc)
+    comp = form.perp([lc])
     assert len(comp) == 2
     c1, c2 = comp
     a = form(c1)
@@ -262,7 +256,7 @@ def _build_additive_chart(space: LineSpace) -> Chart:
     form = space.form
     field = space.form.field
     lc = space.l_coords
-    perp = _orth_complement_in_line(form, lc)
+    perp = form.perp([lc])
     u0 = next(w for w in perp
               if not linalg.in_span(w, [lc], field))
     qu = form(u0)
@@ -446,31 +440,29 @@ def same_distance(g1: MotionElement, g2: MotionElement) -> bool:
     return g1.normal_form == invert(g2).normal_form
 
 
-def stabilizer_matrices(g: Geometry, l, max_q: int = MAX_METRIC_Q):
+def stabilizer_matrices(g: Geometry, l):
     """All isometries of the line space fixing the vector L (det +-1)."""
     if not g.field.is_finite:
         raise UnsupportedFieldError("stabilizer enumeration needs a finite field")
-    if g.field.order > max_q:
+    if g.field.order > MAX_METRIC_Q:
         raise UnsupportedFieldError(
-            f"field size {g.field.order} exceeds the cap {max_q}")
+            f"field size {g.field.order} exceeds the cap {MAX_METRIC_Q}")
     space = line_space(g, l)
     chart = build_chart(space)
     form = space.form
     field = form.field
     lc = space.l_coords
     b1, b2 = chart.basis[1], chart.basis[2]
-    cands1 = [y for y in linalg.all_vectors(field, 3)
-              if form(y) == form(b1)
-              and form.b_full(lc, y) == form.b_full(lc, b1)]
+    vectors = list(linalg.all_vectors(field, 3))
+    q1, q2 = form(b1), form(b2)
+    l1, l2 = form.b_full(lc, b1), form.b_full(lc, b2)
+    cross = form.b_full(b1, b2)
+    cands1 = [y for y in vectors if form(y) == q1 and form.b_full(lc, y) == l1]
+    cands2 = [z for z in vectors if form(z) == q2 and form.b_full(lc, z) == l2]
     out = []
     for y in cands1:
-        target_cross = form.b_full(b1, b2)
-        for z in linalg.all_vectors(field, 3):
-            if form(z) != form(b2):
-                continue
-            if form.b_full(lc, z) != form.b_full(lc, b2):
-                continue
-            if form.b_full(y, z) != target_cross:
+        for z in cands2:
+            if form.b_full(y, z) != cross:
                 continue
             # images of the chart basis determine the map
             images_chart = (lc, y, z)
@@ -482,10 +474,10 @@ def stabilizer_matrices(g: Geometry, l, max_q: int = MAX_METRIC_Q):
     return space, chart, out
 
 
-def stabilizer_group(g: Geometry, l, max_q: int = MAX_METRIC_Q):
+def stabilizer_group(g: Geometry, l):
     """The determinant-1 stabilizer as MotionElements, sorted by normal
     form; its cardinality is the gamma_class order."""
-    space, chart, mats = stabilizer_matrices(g, l, max_q=max_q)
+    space, chart, mats = stabilizer_matrices(g, l)
     field = space.form.field
     one = field.one()
     out = []

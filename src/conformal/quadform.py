@@ -18,11 +18,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .fields import (CharTwo, ConformalError, Field, FieldMismatchError,
-                     PrimeField, Rational, Scalar, SquareClass,
-                     UnsupportedFieldError, sqrt_if_square, square_class)
+from .fields import (CharTwo, ConformalError, Field, PrimeField, Rational,
+                     Scalar, SquareClass, UnsupportedFieldError,
+                     sqrt_if_square, square_class)
 from . import linalg
-from .linalg import Vector, vec_add, vec_scale, vec_sub
+from .linalg import Vector, raw_values, vec_add, vec_scale, vec_sub
 
 
 class DegenerateFormError(ConformalError):
@@ -40,7 +40,8 @@ class WitnessSearchError(ConformalError):
 class QuadraticForm:
     """Q(v) = sum_{i<=j} c_ij v_i v_j with an upper-triangular table."""
 
-    __slots__ = ("field", "dim", "_items", "_coeffs", "_bil", "_terms", "_p")
+    __slots__ = ("field", "dim", "_items", "_coeffs", "_gram", "_bil",
+                 "_terms", "_p")
 
     def __init__(self, field: Field, dim: int, coeffs):
         if dim < 1:
@@ -57,6 +58,7 @@ class QuadraticForm:
                 table[(i, j)] = s
         self._items = tuple(sorted(table.items()))
         self._coeffs = table
+        self._gram = None
         self._bil = None
         self._terms = tuple((i, j, c.value) for (i, j), c in self._items)
         self._p = field.p if isinstance(field, PrimeField) else 0
@@ -88,7 +90,7 @@ class QuadraticForm:
     # fields use their raw ops in the order of plain Scalar arithmetic
     # over the table, so float results are bit-identical to it.
     def __call__(self, v: Vector) -> Scalar:
-        return Scalar(self.eval_raw(_raw_values(self.field, v)), self.field)
+        return Scalar(self.eval_raw(raw_values(self.field, v)), self.field)
 
     def eval_raw(self, x):
         """Q on a sequence of raw field values (no field checks)."""
@@ -103,7 +105,7 @@ class QuadraticForm:
     def b_full(self, u: Vector, v: Vector) -> Scalar:
         """B(u,v) = Q(u+v) - Q(u) - Q(v); works in every characteristic."""
         field = self.field
-        return Scalar(self.b_raw(_raw_values(field, u), _raw_values(field, v)),
+        return Scalar(self.b_raw(raw_values(field, u), raw_values(field, v)),
                       field)
 
     def b_raw(self, x, y):
@@ -134,8 +136,23 @@ class QuadraticForm:
         return tuple(sub(a, mul(c, b)) for a, b in zip(x, w))
 
     def gram_row(self, x: Vector) -> Vector:
-        """(B(x, e_0), ..., B(x, e_{n-1})) from the cached Gram matrix."""
-        return linalg.mat_vec(self.bilinear_matrix(), x)
+        """(B(x, e_0), ..., B(x, e_{n-1})): the cached raw Gram matrix
+        times x, summed like ``linalg.mat_vec``."""
+        field = self.field
+        xs = raw_values(field, x)
+        add, mul = field._add, field._mul
+        out = []
+        for row in self._raw_gram():
+            total = field.zero().value
+            for a, b in zip(row, xs):
+                total = add(total, mul(a, b))
+            out.append(Scalar(total, field))
+        return tuple(out)
+
+    def perp(self, vectors: Sequence[Vector]):
+        """A basis of {x : B(v, x) = 0 for every v in vectors}."""
+        return linalg.kernel_basis(tuple(self.gram_row(v) for v in vectors),
+                                   self.field, self.dim)
 
     def b_half(self, u: Vector, v: Vector) -> Scalar:
         """The 1/2-scaled bilinear form; satisfies B(v,v) = Q(v)."""
@@ -146,19 +163,27 @@ class QuadraticForm:
         return half * self.b_full(u, v)
 
     # -- derived data ----------------------------------------------------
+    def _raw_gram(self):
+        """Gram matrix of b_full on raw values (cached)."""
+        if self._gram is None:
+            n = self.dim
+            add = self.field._add
+            rows = [[self.field.zero().value] * n for _ in range(n)]
+            for i, j, c in self._terms:
+                if i == j:
+                    rows[i][i] = add(add(rows[i][i], c), c)
+                else:
+                    rows[i][j] = add(rows[i][j], c)
+                    rows[j][i] = add(rows[j][i], c)
+            self._gram = tuple(tuple(r) for r in rows)
+        return self._gram
+
     def bilinear_matrix(self):
         """Gram matrix of b_full (rows of Scalars, cached)."""
         if self._bil is None:
-            n = self.dim
-            zero = self.field.zero()
-            rows = [[zero] * n for _ in range(n)]
-            for (i, j), c in self._items:
-                if i == j:
-                    rows[i][i] = rows[i][i] + c + c
-                else:
-                    rows[i][j] = rows[i][j] + c
-                    rows[j][i] = rows[j][i] + c
-            self._bil = tuple(tuple(r) for r in rows)
+            field = self.field
+            self._bil = tuple(tuple(Scalar(x, field) for x in row)
+                              for row in self._raw_gram())
         return self._bil
 
     def restrict(self, basis: Sequence[Vector]) -> "QuadraticForm":
@@ -205,22 +230,6 @@ class QuadraticForm:
             mono = f"x{i}^2" if i == j else f"x{i}*x{j}"
             terms.append(f"{c!r}*{mono}")
         return " + ".join(terms) if terms else "0"
-
-
-def _raw_values(field: Field, v: Vector) -> list:
-    """The raw values of v's coordinates; ints are coerced into the field."""
-    out = []
-    for x in v:
-        if isinstance(x, Scalar):
-            if x.field is not field and x.field != field:
-                raise FieldMismatchError(
-                    f"mixed fields: {field} and {x.field}")
-            out.append(x.value)
-        elif isinstance(x, int):
-            out.append(field.scalar(x).value)
-        else:
-            raise TypeError(f"not a coordinate over {field}: {x!r}")
-    return out
 
 
 def bilinear_radical(q: QuadraticForm):
@@ -667,11 +676,6 @@ def represents(q: QuadraticForm, lam) -> Optional[Vector]:
 # Isometry construction: reflections, Eichler maps, Witt extension.
 # ---------------------------------------------------------------------------
 
-def _matrix_from_images(field: Field, images):
-    """Matrix M with M e_i = images[i] under mat_vec."""
-    return tuple(zip(*images))
-
-
 def reflection_matrix(q: QuadraticForm, w: Vector):
     """The reflection x -> x - (B(x,w)/Q(w)) w; needs Q(w) != 0."""
     qw = q(w)
@@ -684,7 +688,7 @@ def reflection_matrix(q: QuadraticForm, w: Vector):
     for i in range(n):
         e = linalg.unit_vector(field, n, i)
         images.append(vec_sub(e, vec_scale(bw[i] / qw, w)))
-    return _matrix_from_images(field, images)
+    return tuple(zip(*images))
 
 
 def mirrors(q: QuadraticForm, a, b, pool=(), fixed=()):
@@ -731,7 +735,7 @@ def eichler_matrix(q: QuadraticForm, p0: Vector, u: Vector):
         img = vec_add(e, vec_scale(a, u))
         img = vec_sub(img, vec_scale(b + qu * a, p0))
         images.append(img)
-    return _matrix_from_images(field, images)
+    return tuple(zip(*images))
 
 
 def hyperbolic_scaling_matrix(q: QuadraticForm, p: Vector, w: Vector, mu: Scalar):
@@ -746,7 +750,7 @@ def hyperbolic_scaling_matrix(q: QuadraticForm, p: Vector, w: Vector, mu: Scalar
         img = vec_add(e, vec_scale((mu - one) * bw[i], p))
         img = vec_add(img, vec_scale((mu.inverse() - one) * bp[i], w))
         images.append(img)
-    return _matrix_from_images(field, images)
+    return tuple(zip(*images))
 
 
 def is_isometry(q: QuadraticForm, m) -> bool:
@@ -810,7 +814,7 @@ class _Extender:
                 assert linalg.mat_vec(g, a) == b
                 return g
             pool = self._iso_list()
-        ws = mirrors(q, _raw_values(field, a), _raw_values(field, b),
+        ws = mirrors(q, raw_values(field, a), raw_values(field, b),
                      pool, fixed)
         if ws is None:
             raise InvalidInputError("no isotropic path found (internal)")
@@ -823,7 +827,7 @@ class _Extender:
     def _partner(self, p: Vector, fixed):
         """Isotropic w with B(p,w) = 1, orthogonal to ``fixed`` (raw)."""
         q = self.q
-        x = _raw_values(self.field, p)
+        x = raw_values(self.field, p)
         for r in self._iso_list():
             b = q.b_raw(x, r)
             if not b or any(q.b_raw(r, f) for f in fixed):
@@ -860,7 +864,7 @@ class _Extender:
                 h = self._move(linalg.mat_vec(g, u), v, fixed)
                 if h is not None:
                     g = linalg.mat_mul(h, g)
-                fixed.append(_raw_values(field, v))
+                fixed.append(raw_values(field, v))
             else:
                 _, (u1, v1), (u2, v2) = piece
                 h = self._move(linalg.mat_vec(g, u1), v1, fixed)
@@ -872,7 +876,7 @@ class _Extender:
                     # v1 and all earlier (orthogonal) pieces.
                     h = eichler_matrix(q, v1, vec_sub(v2, cur2))
                     g = linalg.mat_mul(h, g)
-                fixed += [_raw_values(field, v1), _raw_values(field, v2)]
+                fixed += [raw_values(field, v1), raw_values(field, v2)]
         for u, v in zip(u_orig, v_orig):
             assert linalg.mat_vec(g, u) == v, "extension failed (internal)"
         assert is_isometry(q, g), "extension is not an isometry (internal)"

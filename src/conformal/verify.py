@@ -2,19 +2,19 @@
 
 Each suite checks one family of structural facts by independent
 enumeration or sampling and returns a :class:`Report`.  The orbit-atlas
-suite, which certifies that the class invariants cut the orthogonal
-(P, L) pairs into single isometry orbits, runs on raw ints mod p: every
-pair is reduced to its class representative by an explicit chain of
-reflections and Eichler maps, so the certificate is a desk-checkable
-isometry, not a counting argument.  Its form arithmetic (``eval_raw``,
-``b_raw``, ``reflect_raw``) and its mirror search (``quadform.mirrors``)
-are the ones ``extend_isometry`` builds its matrices from; only the
-norm-class tables, the collinearity test, the perp basis and the
-Eichler shear are its own.  A pair's certificate is its own
+suite certifies that the class invariants cut the orthogonal (P, L)
+pairs into single isometry orbits.  Every pair is reduced to its class
+representative by an explicit chain of reflections, so the certificate
+is a desk-checkable isometry, not a counting argument.  The atlas keeps
+no field tables, elimination or moves of its own.  It runs on raw
+values mod p with the library's form methods (``eval_raw``, ``b_raw``,
+``reflect_raw``, ``perp``), its mirror search (``quadform.mirrors``,
+which ``extend_isometry`` also builds its matrices from) and the square
+classes and roots of ``fields``.  A pair's certificate is its own
 mirrors sending P to its class representative (checked once per P),
 followed by the reduction of the exact vector those mirrors send L to;
-that reduction is computed once per vector and shared by every pair that
-reaches it, and a failed one counts against each of those pairs.
+that reduction is computed once per vector and shared by every pair
+that reaches it, and a failed one counts against each of those pairs.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional
 
-from .fields import (CharTwo, PrimeField, Rational, SquareClass,
-                     canonical_nonresidue)
+from .fields import (CharTwo, PrimeField, Rational, Scalar, SquareClass,
+                     canonical_nonresidue, sqrt_if_square, square_class)
 from . import linalg
 from .linalg import vec_add, vec_scale
 from .quadform import (InvalidInputError, QuadraticForm, _couples_of,
@@ -225,57 +225,22 @@ def suite_witt_oracle(**_) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# orbit-atlas (modular-integer fast path)
+# orbit-atlas
 # ---------------------------------------------------------------------------
 
-class _IntOrbitContext:
-    """Reduction of orthogonal (P, L) pairs to canonical representatives
-    by explicit isometries, on raw ints mod p for a diagonal form."""
+def _on_line(u, t, p):
+    """Is the raw vector u a nonzero multiple of the normalised point t?"""
+    c = u[t.index(1)]
+    return c != 0 and all(c * a % p == b for a, b in zip(t, u))
 
-    def __init__(self, p: int, diag):
-        field = PrimeField(p)
-        self.p = p
-        self.diag = [d % p for d in diag]
-        self.form = QuadraticForm.diagonal(field, diag)
-        self.inv = [0] + [pow(x, p - 2, p) for x in range(1, p)]
-        self.sqrt = {}
-        for r in range((p + 1) // 2):
-            self.sqrt.setdefault((r * r) % p, r)
-        sq = set(self.sqrt)
-        self.qcls = [0 if x == 0 else (1 if x in sq else 2) for x in range(p)]
-        self.points = list(linalg.projective_points(field, len(diag), raw=True))
-        self.iso = [v for v in self.points if self.form.eval_raw(v) == 0]
 
-    def norm_match(self, v, target_q):
-        """A scalar multiple of v with the exact norm target_q."""
-        p = self.p
-        s = self.sqrt.get((target_q * self.inv[self.form.eval_raw(v)]) % p)
-        assert s is not None, "norm classes disagree (internal)"
-        return tuple((s * x) % p for x in v)
-
-    def collinear(self, u, v):
-        lead = next(i for i, x in enumerate(u) if x)
-        if v[lead] == 0:
-            return False
-        c = (v[lead] * self.inv[u[lead]]) % self.p
-        return all((c * a) % self.p == b for a, b in zip(u, v))
-
-    def perp(self, v):
-        """A basis of v's perp, the kernel of B(v, .), by explicit pivot
-        elimination."""
-        n = self.form.dim
-        units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        rows = [self.form.b_raw(v, e) for e in units]
-        lead = next((i for i, x in enumerate(rows) if x), None)
-        kernel = []
-        for i in range(n):
-            if i == lead:
-                continue
-            e = list(units[i])
-            if lead is not None and rows[i]:
-                e[lead] = (-rows[i] * self.inv[rows[lead]]) % self.p
-            kernel.append(tuple(e))
-        return kernel
+def _norm_match(form, v, target_q):
+    """A scalar multiple of the raw vector v with the exact norm target_q."""
+    field = form.field
+    s = sqrt_if_square(Scalar(
+        field._mul(target_q, field._inv(form.eval_raw(v))), field))
+    assert s is not None, "norm classes disagree (internal)"
+    return tuple(field._mul(s.value, x) for x in v)
 
 
 def _transport(form, moves, x):
@@ -286,12 +251,16 @@ def _transport(form, moves, x):
 
 
 def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
-    ctx = _IntOrbitContext(p, diag)
-    form, qcls, n = ctx.form, ctx.qcls, ctx.form.dim
+    field = PrimeField(p)
+    form = QuadraticForm.diagonal(field, diag)
+    n = form.dim
     q, b = form.eval_raw, form.b_raw
+    qcls = [square_class(x).value for x in field.elements()]
+    points = list(linalg.projective_points(field, n, raw=True))
+    iso = [v for v in points if q(v) == 0]
     # canonical P per norm class, canonical L per (P-class, L-class)
     p0 = {}
-    for v in ctx.points:
+    for v in points:
         c = qcls[q(v)]
         if c not in p0:
             p0[c] = v
@@ -300,8 +269,7 @@ def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
     l0 = {}
     iso_in_perp = {}
     for cp, pv in p0.items():
-        members = [w for w in ctx.points if b(pv, w) == 0
-                   and not ctx.collinear(pv, w)]
+        members = [w for w in points if b(pv, w) == 0 and w != pv]
         for w in members:
             key = (cp, qcls[q(w)])
             l0.setdefault(key, w)
@@ -318,25 +286,28 @@ def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
         if failures == 1:
             _fail(rep, f"p={p} diag={diag} {message}")
 
-    for pv in ctx.points:
+    for pv in points:
         cp = qcls[q(pv)]
         target_p = p0[cp]
         # phase 1: mirrors sending the vector pv to a multiple of target_p
-        if ctx.collinear(pv, target_p):
+        if pv == target_p:
             moves = []
         elif cp != 0:
-            moves = mirrors(form, ctx.norm_match(pv, q(target_p)), target_p)
+            moves = mirrors(form, _norm_match(form, pv, q(target_p)),
+                            target_p)
         else:
-            moves = mirrors(form, pv, target_p, ctx.iso)
+            moves = mirrors(form, pv, target_p, iso)
             assert moves is not None
-        if not ctx.collinear(target_p, _transport(form, moves, pv)):
+        if not _on_line(_transport(form, moves, pv), target_p, p):
             fail(f"P={pv} not normalised")
             continue
         # the moves are linear, so each kernel vector of pv's perp is
         # transported once and every L and its image come from the same
         # coefficients: a basis entry is the kernel vector followed by its
         # image
-        basis = [kv + _transport(form, moves, kv) for kv in ctx.perp(pv)]
+        kernel = [tuple(x.value for x in kv)
+                  for kv in form.perp([linalg.vector(field, pv)])]
+        basis = [kv + _transport(form, moves, kv) for kv in kernel]
         combos = []
         for combo_lead in range(len(basis)):
             # leading coefficient 1, then every tail in lexicographic order
@@ -348,7 +319,7 @@ def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
         for both in combos:
             lv, cur = both[:n], both[n:]
             # an anisotropic pv is outside its own perp (p is odd)
-            if cp == 0 and ctx.collinear(pv, lv):
+            if cp == 0 and _on_line(lv, pv, p):
                 continue
             cl = qcls[q(lv)]
             key = (cp, cl)
@@ -357,7 +328,7 @@ def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
             ok = reduced.get(proof)
             if ok is None:
                 ok = reduced[proof] = _reduce_l(
-                    ctx, cp, target_p, cur, l0[key], iso_in_perp[cp])
+                    form, target_p, cur, l0[key], iso_in_perp[cp])
             if not ok:
                 fail(f"pair P={pv} L={lv} not reduced")
     if failures:
@@ -365,50 +336,33 @@ def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
     return buckets
 
 
-def _reduce_l(ctx: _IntOrbitContext, cp, p0v, cur, target, iso_pool) -> bool:
-    """Reduce cur (orthogonal to p0v) to a multiple of target by moves
-    fixing the projective point of p0v."""
-    if ctx.collinear(cur, target):
+def _reduce_l(form, p0v, cur, target, iso_pool) -> bool:
+    """Reduce cur (orthogonal to p0v) to a multiple of target by mirrors
+    orthogonal to p0v, so the moves fix the projective point of p0v.
+
+    ``quadform.mirrors`` builds the moves, and a search that finds none
+    fails the pair.  None fails on the atlas's dimension-5 forms: p0v's
+    perp, taken modulo p0v when p0v is isotropic, is non-degenerate, and
+    its quadric holds an isotropic r that pairs with both cur and target.
+    """
+    p = form.field.p
+    if _on_line(cur, target, p):
         return True
-    form, p = ctx.form, ctx.p
     anisotropic = form.eval_raw(cur) != 0
     if anisotropic:
         # mirrors are orthogonal to p0v automatically: both cur and
         # target are, and so are their sums and differences
-        cur = ctx.norm_match(cur, form.eval_raw(target))
+        cur = _norm_match(form, cur, form.eval_raw(target))
         moves = mirrors(form, cur, target)
     else:
         moves = mirrors(form, cur, target, iso_pool, (p0v,))
-    if moves is not None:
-        for w in moves:
-            if form.b_raw(w, p0v) != 0:
-                return False
-            cur = form.reflect_raw(w, cur)
-        return cur == target if anisotropic else ctx.collinear(cur, target)
-    if cp != 0:
+    if moves is None:
         return False
-    # isotropic P, quotient-collinear isotropic L: an Eichler map
-    # x -> x - B(x,u) p0 fixes p0 and shears the radical component.
-    for s in range(1, p):
-        scaled = tuple((s * x) % p for x in cur)
-        diff = tuple((a - t) % p for a, t in zip(scaled, target))
-        if not any(diff):
-            return True
-        if ctx.collinear(diff, p0v):
-            # any u in p0's perp with B(scaled, u) = delta will do; one
-            # exists iff some kernel basis vector pairs with scaled
-            lead = next(i for i, x in enumerate(p0v) if x)
-            delta = (diff[lead] * ctx.inv[p0v[lead]]) % p
-            for k in ctx.perp(p0v):
-                beta = form.b_raw(scaled, k)
-                if beta == 0:
-                    continue
-                u = tuple((delta * ctx.inv[beta] * x) % p for x in k)
-                c = form.b_raw(scaled, u)
-                moved = tuple((a - c * t) % p for a, t in zip(scaled, p0v))
-                return moved == target
+    for w in moves:
+        if form.b_raw(w, p0v) != 0:
             return False
-    return False
+        cur = form.reflect_raw(w, cur)
+    return cur == target if anisotropic else _on_line(cur, target, p)
 
 
 def suite_orbit_atlas(field=None, **_) -> Report:

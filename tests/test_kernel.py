@@ -1,11 +1,12 @@
 """Differential tests of the raw-value Q/B kernel.
 
-``QuadraticForm.__call__`` and ``b_full`` evaluate on raw field values,
-``lie_quadric_points`` enumerates raw tuples, and ``reflect_raw`` and
-``mirrors`` build the isometries of Witt's theorem on raw tuples.  The
-references below are the plain ``Scalar``-arithmetic loops and matrices
-those methods replaced; every answer must agree with them, bit for bit
-over ApproxReal.
+``QuadraticForm.__call__``, ``b_full`` and ``gram_row`` evaluate on raw
+field values, ``linalg.rref`` eliminates on them, ``lie_quadric_points``
+enumerates raw tuples, and ``reflect_raw`` and ``mirrors`` build the
+isometries of Witt's theorem on raw tuples.  The references below are
+the plain ``Scalar``-arithmetic loops and matrices those methods
+replaced; every answer must agree with them, bit for bit over
+ApproxReal.
 """
 
 import itertools
@@ -103,6 +104,8 @@ def test_kernel_mixed_fields_raise(field):
             q.b_full(good, bad)
         with pytest.raises(FieldMismatchError):
             q.b_full(bad, good)
+        with pytest.raises(FieldMismatchError):
+            q.gram_row(bad)
 
 
 @settings(max_examples=200, deadline=None)
@@ -252,3 +255,127 @@ def test_mirrors_send_a_to_b(data):
                       tuple((x - y) % field.p for x, y in zip(r, b))]
     assert len(ws) == (1 if q.b_raw(a, b) else 2)
     assert _apply_mirrors(q, ws, a) == b
+
+
+def ref_gram(q):
+    """The Gram matrix of b_full built with Scalar arithmetic."""
+    n = q.dim
+    zero = q.field.zero()
+    rows = [[zero] * n for _ in range(n)]
+    for (i, j), c in q.coeff_items():
+        if i == j:
+            rows[i][i] = rows[i][i] + c + c
+        else:
+            rows[i][j] = rows[i][j] + c
+            rows[j][i] = rows[j][i] + c
+    return tuple(tuple(r) for r in rows)
+
+
+def ref_rref(rows, field):
+    """Gauss-Jordan elimination on Scalars (the reference for the raw
+    ``linalg.rref``)."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, nrows):
+            if not m[i][c].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [inv * x for x in m[r]]
+        for i in range(nrows):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in m), pivots
+
+
+RAW_FIELDS = FIELDS[:4] + FIELDS[6:]  # Q, F_3/5/7, F_2, F_4, ApproxReal
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_gram_row_matches_gram_matrix(data):
+    field = data.draw(st.sampled_from(RAW_FIELDS))
+    q = data.draw(forms(field))
+    x = data.draw(st.tuples(*[elements(field)] * q.dim))
+    gram = q.bilinear_matrix()
+    want = ref_gram(q)
+    assert all(same(a, b) for row, ref in zip(gram, want)
+               for a, b in zip(row, ref))
+    got = q.gram_row(x)
+    assert len(got) == q.dim
+    assert all(same(a, b) for a, b in zip(got, linalg.mat_vec(gram, x)))
+
+
+def test_gram_row_adds_in_mat_vec_order():
+    # 1 + 1e16 - 1e16 is 0.0 added left to right and 1.0 right to left
+    field = ApproxReal()
+    q = QuadraticForm(field, 3, {(0, 0): 0.5, (0, 1): 1.0, (0, 2): 1.0})
+    x = tuple(field.scalar(v) for v in (1.0, 1e16, -1e16))
+    got = q.gram_row(x)
+    assert all(same(a, b) for a, b in
+               zip(got, linalg.mat_vec(ref_gram(q), x)))
+    assert got[0].value == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rref_matches_scalar_elimination(data):
+    field = data.draw(st.sampled_from(RAW_FIELDS))
+    ncols = data.draw(st.integers(1, 6))
+    nrows = data.draw(st.integers(1, 5))
+    # a small pool makes dependent rows and zero columns likely
+    pool = data.draw(st.lists(elements(field), min_size=1, max_size=4))
+    entry = st.sampled_from(pool + [field.zero()]) | elements(field)
+    rows = data.draw(st.lists(st.tuples(*[entry] * ncols),
+                              min_size=nrows, max_size=nrows))
+    red, pivots = linalg.rref(rows, field)
+    want, want_pivots = ref_rref(rows, field)
+    assert pivots == want_pivots
+    assert len(red) == len(want)
+    for row, ref in zip(red, want):
+        assert all(same(a, b) for a, b in zip(row, ref))
+
+
+def test_rref_rejects_rows_of_another_field():
+    f3, f5 = PrimeField(3), PrimeField(5)
+    rows = (linalg.vector(f5, (1, 3, 4)), linalg.vector(f5, (2, 1, 0)))
+    with pytest.raises(FieldMismatchError):
+        linalg.rank(rows, f3)
+    mixed = (linalg.vector(f5, (1, 3, 4)), linalg.vector(f3, (2, 1, 0)))
+    with pytest.raises(FieldMismatchError):
+        linalg.rank(mixed, f5)
+    with pytest.raises(FieldMismatchError):
+        linalg.kernel_basis(mixed, f3, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_perp_is_the_orthogonal_space(data):
+    field = data.draw(st.sampled_from([PrimeField(3), PrimeField(5),
+                                       CharTwo(2), CharTwo(4)]))
+    q = data.draw(forms(field, dims=st.integers(1, 4)))
+    vectors = data.draw(st.lists(st.tuples(*[elements(field)] * q.dim),
+                                 max_size=3))
+    basis = q.perp(vectors)
+    space = list(linalg.all_vectors(field, q.dim))
+    orthogonal = {x for x in space
+                  if all(q.b_full(v, x).is_zero() for v in vectors)}
+    span = {linalg.combine(c, basis)
+            for c in linalg.all_vectors(field, len(basis))} if basis \
+        else {linalg.zero_vector(field, q.dim)}
+    assert span == orthogonal
+    # q^k distinct combinations: the basis is independent
+    assert len(span) == field.order ** len(basis)

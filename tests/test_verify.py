@@ -7,6 +7,7 @@ vector and shared by every pair that reaches it.  The mutations below
 break one step of that certificate and check that the suite fails.
 """
 
+import ast
 import re
 
 import pytest
@@ -38,9 +39,9 @@ def test_each_transported_vector_is_reduced_once(monkeypatch):
     calls = []
     reduce_l = verify._reduce_l
 
-    def recording(ctx, cp, p0v, cur, target, iso_pool):
-        calls.append((ctx.diag[0], cp, cur, target))
-        return reduce_l(ctx, cp, p0v, cur, target, iso_pool)
+    def recording(form, p0v, cur, target, iso_pool):
+        calls.append((form, p0v, cur, target))
+        return reduce_l(form, p0v, cur, target, iso_pool)
 
     monkeypatch.setattr(verify, "_reduce_l", recording)
     rep = verify.run_suite("orbit-atlas", field=F3)
@@ -56,10 +57,10 @@ def test_failed_reduction_is_not_hidden_by_the_cache(monkeypatch):
     bad = (0, 1, 1, 0, 0)
     reduce_l = verify._reduce_l
 
-    def failing(ctx, cp, p0v, cur, target, iso_pool):
+    def failing(form, p0v, cur, target, iso_pool):
         if cur == bad:
             return False
-        return reduce_l(ctx, cp, p0v, cur, target, iso_pool)
+        return reduce_l(form, p0v, cur, target, iso_pool)
 
     monkeypatch.setattr(verify, "_reduce_l", failing)
     rep = verify.run_suite("orbit-atlas", field=F3)
@@ -95,3 +96,22 @@ def test_gen_ortho_basis_does_not_swallow_library_errors(monkeypatch):
     monkeypatch.setattr(verify, "_couples_of", broken, raising=False)
     with pytest.raises(TypeError, match="a library bug"):
         verify.run_suite("gen-ortho-basis")
+
+
+def test_failed_mirror_search_fails_its_pair(monkeypatch):
+    # the isotropic L reductions are the only mirror searches that fix P
+    mirrors = verify.mirrors
+
+    def no_isotropic_path(q, a, b, pool=(), fixed=()):
+        if fixed:
+            return None
+        return mirrors(q, a, b, pool, fixed)
+
+    monkeypatch.setattr(verify, "mirrors", no_isotropic_path)
+    rep = verify.run_suite("orbit-atlas", field=F3)
+    assert not rep.passed
+    found = re.match(r"^p=3 diag=\[1, 1, 1, -1, -1\] pair P=(\(.*?\)) "
+                     r"L=(\(.*?\)) not reduced$", rep.counterexample)
+    assert found, rep.counterexample
+    form = quadform.QuadraticForm.diagonal(F3, [1, 1, 1, -1, -1])
+    assert form.eval_raw(ast.literal_eval(found.group(2))) == 0
