@@ -16,7 +16,7 @@ from .quadform import (Diagonalization, GenOrthoBasis, QuadraticForm,
                        generalized_orthogonal_basis, is_nondegenerate_form,
                        isometric, represents, signature, witt_index,
                        witt_index_bruteforce)
-from .geometry import (Geometry, Pointspace, ProjPoint, Role, Subcycle,
+from .geometry import (Geometry, ProjPoint, Role, Subcycle, Subspace,
                        antipodal, cayley_klein_points, hyperplane_through,
                        incident, intersect_hyperplanes,
                        inversive_separation, lie_quadric_points,

@@ -52,6 +52,12 @@ def _pair_key(pair):
     return tuple(_CLS_ORDER[c] for c in pair)
 
 
+def _canonical_pair(qp: SquareClass, ql: SquareClass) -> tuple:
+    """The smaller of (Q(P), Q(L)) and its image under rescaling by a
+    non-square."""
+    return min((qp, ql), (_flip(qp), _flip(ql)), key=_pair_key)
+
+
 @dataclass(frozen=True)
 class GeometryClass:
     """Isomorphism class of a geometry.
@@ -94,7 +100,7 @@ def classify(g: Geometry) -> GeometryClass:
             k, l = l, k
             qp, ql = _flip(qp), _flip(ql)
         if k == l:
-            qp, ql = min((qp, ql), (_flip(qp), _flip(ql)), key=_pair_key)
+            qp, ql = _canonical_pair(qp, ql)
         name = _CK_NAMES.get((qp, ql)) if d == 2 and (k, l) == (3, 2) else None
         return GeometryClass("rational", d, ("sig", k, l), qp, ql, name, field)
     if isinstance(field, PrimeField):
@@ -106,7 +112,7 @@ def classify(g: Geometry) -> GeometryClass:
                 det = SquareClass.UNIT
             inv = ("det", det.name)
         else:
-            qp, ql = min((qp, ql), (_flip(qp), _flip(ql)), key=_pair_key)
+            qp, ql = _canonical_pair(qp, ql)
             inv = ("det", det.name)
         name = _CK_NAMES.get((qp, ql)) if d == 2 else None
         return GeometryClass(field.token(), d, inv, qp, ql, name, field)
@@ -145,8 +151,7 @@ def enumerate_classes(field, geom_dim: int):
                     if k == l:
                         if (qp, ql) == (SquareClass.ZERO, SquareClass.ZERO):
                             continue  # identified away in the stated count
-                        if (qp, ql) != min((qp, ql), (_flip(qp), _flip(ql)),
-                                           key=_pair_key):
+                        if (qp, ql) != _canonical_pair(qp, ql):
                             continue
                     name = _CK_NAMES.get((qp, ql)) \
                         if d == 2 and (k, l) == (3, 2) else None
@@ -169,8 +174,7 @@ def enumerate_classes(field, geom_dim: int):
             for det in det_opts:
                 for qp in classes:
                     for ql in classes:
-                        if (qp, ql) != min((qp, ql), (_flip(qp), _flip(ql)),
-                                           key=_pair_key):
+                        if (qp, ql) != _canonical_pair(qp, ql):
                             continue
                         out.append(GeometryClass(field.token(), d,
                                                  ("det", det), qp, ql, None,

@@ -285,12 +285,14 @@ def lie_quadric_points(g: Geometry, max_q: int = MAX_ENUM_Q):
 
 
 @dataclass(frozen=True)
-class Pointspace:
-    """P^perp with its restricted form and the image of L.
+class Subspace:
+    """An orthogonal complement inside a geometry, with its restricted
+    form and the image of L (the pointspace P^perp, a line space).
 
-    ``basis`` spans P^perp in ambient coordinates, ``form`` is Q
+    ``basis`` spans the subspace in ambient coordinates, ``form`` is Q
     restricted to that basis, and ``l_coords`` places L in it.
     """
+    geometry: Geometry
     basis: tuple
     form: QuadraticForm
     l_coords: tuple
@@ -302,14 +304,26 @@ class Pointspace:
     def from_ambient(self, v) -> Optional[Vector]:
         return linalg.coordinates(v, self.basis, self.form.field)
 
+    def isotropic(self):
+        """The projective points with Q = 0, in the subspace's own
+        coordinates and in ``projective_points`` order (finite fields)."""
+        form = self.form
+        return [v for v in linalg.projective_points(form.field, form.dim)
+                if form(v).is_zero()]
 
-def pointspace(g: Geometry) -> Pointspace:
-    """The orthogonal complement of P carrying Q^P, with L's coordinates."""
-    basis = g.form.perp([g.p_rep])
-    restricted = g.form.restrict(basis)
+
+def perp_space(g: Geometry, vectors: Sequence[Vector]) -> Subspace:
+    """The orthogonal complement of ``vectors``, which must all be
+    orthogonal to L, carrying the restricted form and L's coordinates."""
+    basis = g.form.perp(vectors)
     l_coords = linalg.coordinates(g.l_rep, basis, g.field)
-    assert l_coords is not None  # L is orthogonal to P
-    return Pointspace(tuple(basis), restricted, tuple(l_coords))
+    assert l_coords is not None  # L is orthogonal to every vector
+    return Subspace(g, tuple(basis), g.form.restrict(basis), tuple(l_coords))
+
+
+def pointspace(g: Geometry) -> Subspace:
+    """The orthogonal complement of P carrying Q^P, with L's coordinates."""
+    return perp_space(g, [g.p_rep])
 
 
 def project_cycle_raw(g: Geometry, c) -> Vector:
@@ -341,36 +355,35 @@ def points_of(g: Geometry, c):
     return tuple(out)
 
 
-def pointspace_points_of(g: Geometry, ps: Pointspace, c_proj):
+def pointspace_points_of(ps: Subspace, c_proj):
     """Points of a projected cycle computed inside the pointspace, mapped
     back to ambient projective points (the other side of the projection
     identity)."""
-    _check_enum(g, MAX_ENUM_Q)
+    _check_enum(ps.geometry, MAX_ENUM_Q)
     coords = c_proj if not isinstance(c_proj, ProjPoint) else \
         ps.from_ambient(c_proj.coords)
     if coords is None:
         raise RoleError("cycle does not lie in the pointspace")
-    out = []
-    for v in linalg.projective_points(g.field, ps.form.dim):
-        if not ps.form(v).is_zero():
-            continue
-        if not ps.form.b_full(coords, v).is_zero():
-            continue
-        out.append(ProjPoint(ps.to_ambient(v)))
-    return tuple(sorted(out, key=ProjPoint.sort_key))
+    return tuple(sorted((ProjPoint(ps.to_ambient(v)) for v in ps.isotropic()
+                         if ps.form.b_full(coords, v).is_zero()),
+                        key=ProjPoint.sort_key))
 
 
 def is_point(g: Geometry, c) -> bool:
     return role(g, c) in (Role.POINT, Role.IDEAL)
 
 
+def _require_point(g: Geometry, p) -> Vector:
+    v = _as_vector(g, p)
+    if not g.form(v).is_zero() or not g.form.b_full(g.p_rep, v).is_zero():
+        raise RoleError(f"{v} is not a point of the geometry")
+    return v
+
+
 def antipodal(g: Geometry, p, q) -> bool:
     """Two points collinear with L (they lie on the same hyperplanes)."""
-    vp = _as_vector(g, p)
-    vq = _as_vector(g, q)
-    for v in (vp, vq):
-        if not g.form(v).is_zero() or not g.form.b_full(g.p_rep, v).is_zero():
-            raise RoleError("antipodality is defined for points of the geometry")
+    vp = _require_point(g, p)
+    vq = _require_point(g, q)
     return linalg.rank([vp, vq, g.l_rep], g.field) <= 2
 
 
@@ -414,12 +427,7 @@ def _isotropic_in_span(g: Geometry, basis: Sequence[Vector]) -> list:
 
 def span_subcycle(g: Geometry, *points) -> Subcycle:
     """The virtual subcycle spanned by k independent points (dim k-2)."""
-    vecs = []
-    for p in points:
-        v = _as_vector(g, p)
-        if not g.form(v).is_zero() or not g.form.b_full(g.p_rep, v).is_zero():
-            raise RoleError("subcycles are spanned by points of the geometry")
-        vecs.append(v)
+    vecs = [_require_point(g, p) for p in points]
     if not linalg.independent(vecs, g.field):
         raise RankError("points must be independent")
     return _subcycle_from_span(g, vecs)
@@ -451,12 +459,7 @@ def hyperplane_through(g: Geometry, *points) -> Optional[ProjPoint]:
     or None when the line does not lift; raises if the isotropic
     solutions span more than one unoriented hyperplane.
     """
-    vecs = []
-    for p in points:
-        v = _as_vector(g, p)
-        if not g.form(v).is_zero() or not g.form.b_full(g.p_rep, v).is_zero():
-            raise RoleError("inputs must be points of the geometry")
-        vecs.append(v)
+    vecs = [_require_point(g, p) for p in points]
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
             if linalg.rank([vecs[i], vecs[j], g.l_rep], g.field) <= 2:
@@ -478,17 +481,10 @@ def hyperplane_through(g: Geometry, *points) -> Optional[ProjPoint]:
     if not isotropic:
         return None
     # all solutions must project to a single unoriented hyperplane
-    if len({_mod_p_key(g, v) for v in isotropic}) > 1:
+    if len({linalg.span_key((v, g.p_rep), g.field) for v in isotropic}) > 1:
         raise RoleError("multiple distinct hyperplanes satisfy the constraints")
     pts = sorted((ProjPoint(v) for v in isotropic), key=ProjPoint.sort_key)
     return pts[0]
-
-
-def _mod_p_key(g: Geometry, v: Vector):
-    """Canonical key for the image of v in V/P (projectively)."""
-    red, _ = linalg.rref((v, g.p_rep), g.field)
-    rows = tuple(r for r in red if not linalg.is_zero_vector(r))
-    return ("modP",) + rows
 
 
 def quasi_ideal(g: Geometry, s: Subcycle) -> bool:
@@ -505,8 +501,7 @@ def cayley_klein_points(g: Geometry):
     for pt in lie_quadric_points(g):
         if not g.form.b_full(g.p_rep, pt.coords).is_zero():
             continue
-        red, _ = linalg.rref((pt.coords, g.l_rep), g.field)
-        key = tuple(r for r in red if not linalg.is_zero_vector(r))
+        key = linalg.span_key((pt.coords, g.l_rep), g.field)
         groups.setdefault(key, []).append(pt)
     classes = [tuple(sorted(v, key=ProjPoint.sort_key)) for v in groups.values()]
     classes.sort(key=lambda cls: cls[0].sort_key())

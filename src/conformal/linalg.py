@@ -143,6 +143,13 @@ def kernel_basis(rows: Sequence[Vector], field: Field, ncols: int):
     return tuple(basis)
 
 
+def span_key(vectors: Sequence[Vector], field: Field) -> tuple:
+    """Equal for two lists of vectors exactly when they span the same
+    space: the non-zero rows of the RREF, as tuples of raw values."""
+    red, pivots = rref(vectors, field)
+    return tuple(tuple(x.value for x in row) for row in red[:len(pivots)])
+
+
 def solve(rows: Sequence[Vector], rhs: Vector, field: Field) -> Optional[Vector]:
     """One solution x of M x = rhs, or None."""
     ncols = len(rows[0]) if rows else len(rhs)
@@ -163,30 +170,6 @@ def inverse(m: Matrix, field: Field) -> Optional[Matrix]:
     if pivots[:n] != list(range(n)):
         return None
     return tuple(tuple(red[i][n:]) for i in range(n))
-
-
-def det(m: Matrix, field: Field) -> Scalar:
-    n = len(m)
-    a = [list(row) for row in m]
-    result = field.one()
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if not a[r][c].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            return field.zero()
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            result = -result
-        result = result * a[c][c]
-        inv = a[c][c].inverse()
-        for r in range(c + 1, n):
-            if not a[r][c].is_zero():
-                f = a[r][c] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return result
 
 
 def independent(vectors: Sequence[Vector], field: Field) -> bool:

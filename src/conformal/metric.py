@@ -20,8 +20,9 @@ from .fields import (ConformalError, Scalar, SquareClass,
                      sqrt_if_square, square_class)
 from . import linalg
 from .linalg import vec_add, vec_scale, vec_sub
-from .geometry import Geometry, ProjPoint, _as_vector, non_degenerate_geometry
-from .quadform import QuadraticForm, det_class
+from .geometry import (Geometry, ProjPoint, Subspace, _as_vector,
+                       non_degenerate_geometry, perp_space)
+from .quadform import det_class
 
 
 class DegenerateLineError(ConformalError):
@@ -109,36 +110,9 @@ def gamma_class(g: Geometry) -> LineGroupClass:
             else LineGroupClass.NON_SPLIT_TORUS)
 
 
-class LineSpace:
-    """The 3-dimensional span <P,l>^perp with its restricted form."""
-
-    def __init__(self, geometry: Geometry, basis, form: QuadraticForm,
-                 l_coords):
-        self.geometry = geometry
-        self.basis = tuple(basis)
-        self.form = form
-        self.l_coords = tuple(l_coords)
-
-    def to_ambient(self, coords):
-        field = self.form.field
-        return linalg.combine([field.scalar(c) for c in coords], self.basis)
-
-    def from_ambient(self, v):
-        return linalg.coordinates(v, self.basis, self.form.field)
-
-    def line_key(self):
-        g = self.geometry
-        red, _ = linalg.rref(self.basis, g.field)
-        return (g.field.token(),
-                tuple((ij, c.value) for ij, c in g.form.coeff_items()),
-                tuple(x.value for x in g.p_rep),
-                tuple(x.value for x in g.l_rep),
-                tuple(tuple(x.value for x in row) for row in red))
-
-
-def line_space(g: Geometry, l) -> LineSpace:
-    """Basis of <P,l>^perp, the restricted (non-degenerate) form, and
-    the coordinates of L; l must be a non-ideal hyperplane."""
+def line_space(g: Geometry, l) -> Subspace:
+    """The 3-dimensional <P,l>^perp with its restricted (non-degenerate)
+    form and the coordinates of L; l must be a non-ideal hyperplane."""
     if g.field.char == 2:
         raise UnsupportedFieldError("line spaces are built for char != 2")
     if g.n != 2:
@@ -150,12 +124,14 @@ def line_space(g: Geometry, l) -> LineSpace:
         raise DegenerateLineError("l must be a hyperplane (orthogonal to L)")
     if g.form.b_full(g.p_rep, lv).is_zero():
         raise DegenerateLineError("ideal hyperplane: its line is quasi-ideal")
-    basis = g.form.perp([g.p_rep, lv])
-    assert len(basis) == 3
-    form = g.form.restrict(basis)
-    l_coords = linalg.coordinates(g.l_rep, basis, g.field)
-    assert l_coords is not None
-    return LineSpace(g, basis, form, l_coords)
+    return perp_space(g, [g.p_rep, lv])
+
+
+def _geometry_key(g: Geometry) -> tuple:
+    return (g.field.token(),
+            tuple((ij, c.value) for ij, c in g.form.coeff_items()),
+            tuple(x.value for x in g.p_rep),
+            tuple(x.value for x in g.l_rep))
 
 
 class Chart:
@@ -168,7 +144,7 @@ class Chart:
     u of canonical norm and the isotropic partner v of L.
     """
 
-    def __init__(self, kind: LineGroupClass, space: LineSpace, basis,
+    def __init__(self, kind: LineGroupClass, space: Subspace, basis,
                  norm_token):
         self.kind = kind
         self.space = space
@@ -181,21 +157,18 @@ class Chart:
         self.norm_token = norm_token
 
     def metric_key(self):
-        g = self.space.geometry
-        return (self.kind.value, g.field.token(),
-                tuple((ij, c.value) for ij, c in g.form.coeff_items()),
-                tuple(x.value for x in g.p_rep),
-                tuple(x.value for x in g.l_rep),
-                self.norm_token)
+        return ((self.kind.value,) + _geometry_key(self.space.geometry)
+                + (self.norm_token,))
 
     def line_key(self):
-        return self.space.line_key()
+        g = self.space.geometry
+        return _geometry_key(g) + (linalg.span_key(self.space.basis, g.field),)
 
     def chart_coords(self, line_coords):
         return linalg.mat_vec(self.from_line, tuple(line_coords))
 
 
-def build_chart(space: LineSpace) -> Chart:
+def build_chart(space: Subspace) -> Chart:
     """Classify the line and construct its canonical chart."""
     form = space.form
     field = form.field
@@ -252,7 +225,7 @@ def build_chart(space: LineSpace) -> Chart:
                  ("non-split", eps.value))
 
 
-def _build_additive_chart(space: LineSpace) -> Chart:
+def _build_additive_chart(space: Subspace) -> Chart:
     form = space.form
     field = space.form.field
     lc = space.l_coords
@@ -453,24 +426,30 @@ def stabilizer_matrices(g: Geometry, l):
     field = form.field
     lc = space.l_coords
     b1, b2 = chart.basis[1], chart.basis[2]
-    vectors = list(linalg.all_vectors(field, 3))
-    q1, q2 = form(b1), form(b2)
-    l1, l2 = form.b_full(lc, b1), form.b_full(lc, b2)
+    lc_raw = linalg.raw_values(field, lc)
+
+    def norms(v):  # (Q(v), B(L, v)) on raw values
+        x = linalg.raw_values(field, v)
+        return form.eval_raw(x), form.b_raw(lc_raw, x)
+
+    want1, want2 = norms(b1), norms(b2)
     cross = form.b_full(b1, b2)
-    cands1 = [y for y in vectors if form(y) == q1 and form.b_full(lc, y) == l1]
-    cands2 = [z for z in vectors if form(z) == q2 and form.b_full(lc, z) == l2]
+    cands1, cands2 = [], []
+    for v in linalg.all_vectors(field, 3):
+        got = norms(v)
+        if got == want1:
+            cands1.append(v)
+        if got == want2:
+            cands2.append(v)
     out = []
     for y in cands1:
         for z in cands2:
             if form.b_full(y, z) != cross:
                 continue
-            # images of the chart basis determine the map
-            images_chart = (lc, y, z)
-            m_cols = tuple(zip(*images_chart))  # chart coords -> line coords
-            m = linalg.mat_mul(m_cols, chart.from_line)
-            if linalg.det(m, field).is_zero():
-                continue
-            out.append(m)
+            # images of the chart basis determine the map; (lc, y, z) has
+            # the chart basis's Gram matrix, so m is invertible
+            m_cols = tuple(zip(lc, y, z))  # chart coords -> line coords
+            out.append(linalg.mat_mul(m_cols, chart.from_line))
     return space, chart, out
 
 
@@ -478,21 +457,21 @@ def stabilizer_group(g: Geometry, l):
     """The determinant-1 stabilizer as MotionElements, sorted by normal
     form; its cardinality is the gamma_class order."""
     space, chart, mats = stabilizer_matrices(g, l)
-    field = space.form.field
-    one = field.one()
+    one = space.form.field.one()
     out = []
     for m in mats:
-        if linalg.det(m, field) != one:
+        mc = linalg.mat_mul(linalg.mat_mul(chart.from_line, m), chart.to_line)
+        # mc fixes e_0 (L), so det m is the minor of its last two rows
+        if mc[1][1] * mc[2][2] - mc[1][2] * mc[2][1] != one:
             continue
-        out.append(MotionElement(chart, _normal_form_of_matrix(chart, m), m))
+        out.append(MotionElement(chart, _normal_form_of_matrix(chart, mc), m))
     out.sort(key=lambda el: tuple(x.sort_key() for x in el.normal_form))
     return tuple(out)
 
 
-def _normal_form_of_matrix(chart: Chart, m):
-    """Read the normal form off a line-space stabilizer matrix."""
+def _normal_form_of_matrix(chart: Chart, mc):
+    """Read the normal form off a stabilizer matrix in chart coordinates."""
     field = chart.space.form.field
-    mc = linalg.mat_mul(linalg.mat_mul(chart.from_line, m), chart.to_line)
     if chart.kind is LineGroupClass.ADDITIVE:
         assert mc[1][1] == field.one()
         return (mc[0][1],)
@@ -520,15 +499,9 @@ def line_points(g: Geometry, l):
     """Non-ideal points of the line of l: isotropic directions of the
     line space that pair non-trivially with L."""
     space = line_space(g, l)
-    field = g.field
-    if not field.is_finite:
+    if not g.field.is_finite:
         raise UnsupportedFieldError("point enumeration needs a finite field")
-    pts = []
-    for coords in linalg.projective_points(field, 3):
-        if not space.form(coords).is_zero():
-            continue
-        if space.form.b_full(space.l_coords, coords).is_zero():
-            continue
-        pts.append(ProjPoint(space.to_ambient(coords)))
-    pts.sort(key=ProjPoint.sort_key)
+    pts = sorted((ProjPoint(space.to_ambient(v)) for v in space.isotropic()
+                  if not space.form.b_full(space.l_coords, v).is_zero()),
+                 key=ProjPoint.sort_key)
     return space, tuple(pts)

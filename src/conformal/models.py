@@ -32,6 +32,7 @@ from enum import Enum
 
 from .fields import ApproxReal, ConformalError, Rational
 from .geometry import Geometry, inversive_separation, relative_power
+from .linalg import unit_vector
 from .quadform import QuadraticForm
 
 
@@ -74,10 +75,12 @@ def _build(field, kind: ModelKind, n: int):
         raise ModelError("models need n >= 1")
     if kind is ModelKind.ELLIPTIC:
         form = QuadraticForm.diagonal(field, [1] * (n + 1) + [-1, -1])
-        return form, _unit(field, n + 3, n + 2), _unit(field, n + 3, n + 1)
+        return (form, unit_vector(field, n + 3, n + 2),
+                unit_vector(field, n + 3, n + 1))
     if kind is ModelKind.HYPERBOLIC:
         form = QuadraticForm.diagonal(field, [1] * n + [-1, 1, -1])
-        return form, _unit(field, n + 3, n + 2), _unit(field, n + 3, n + 1)
+        return (form, unit_vector(field, n + 3, n + 2),
+                unit_vector(field, n + 3, n + 1))
     if kind is ModelKind.PARABOLIC:
         coeffs = {(i, i): one for i in range(n)}
         coeffs[(n, n + 1)] = one
@@ -85,28 +88,24 @@ def _build(field, kind: ModelKind, n: int):
         form = QuadraticForm(field, n + 3, coeffs)
         l_rep = tuple(field.scalar(2) if i == n else field.zero()
                       for i in range(n + 3))
-        return form, _unit(field, n + 3, n + 2), l_rep
+        return form, unit_vector(field, n + 3, n + 2), l_rep
     if kind is ModelKind.MINKOWSKI2:
         coeffs = {(0, 0): one, (1, 1): -one, (2, 3): one, (4, 4): -one}
         form = QuadraticForm(field, 5, coeffs)
         l_rep = (field.zero(), field.zero(), field.scalar(2),
                  field.zero(), field.zero())
-        return form, _unit(field, 5, 4), l_rep
+        return form, unit_vector(field, 5, 4), l_rep
     if kind is ModelKind.DE_SITTER:
         form = QuadraticForm.diagonal(field, [1, 1, -1, -1, 1])
-        return form, _unit(field, 5, 4), _unit(field, 5, 3)
+        return form, unit_vector(field, 5, 4), unit_vector(field, 5, 3)
     if kind is ModelKind.ANTI_DE_SITTER:
         form = QuadraticForm.diagonal(field, [1, -1, -1, 1, 1])
-        return form, _unit(field, 5, 4), _unit(field, 5, 3)
+        return form, unit_vector(field, 5, 4), unit_vector(field, 5, 3)
     if kind is ModelKind.LAGUERRE_GALILEI:
         coeffs = {(0, 0): one, (2, 3): one, (1, 4): -one}
         form = QuadraticForm(field, 5, coeffs)
-        return form, _unit(field, 5, 1), _unit(field, 5, 3)
+        return form, unit_vector(field, 5, 1), unit_vector(field, 5, 3)
     raise ModelError(f"unknown model {kind}")
-
-
-def _unit(field, n, i):
-    return tuple(field.one() if j == i else field.zero() for j in range(n))
 
 
 def model_geometry(kind: ModelKind, n: int = 2,

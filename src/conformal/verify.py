@@ -402,8 +402,7 @@ def _virtual_lines(g: Geometry):
     for v in linalg.projective_points(g.field, g.form.dim):
         if not g.form.b_full(g.l_rep, v).is_zero():
             continue
-        red, _ = linalg.rref((v, g.p_rep), g.field)
-        key = tuple(r for r in red if not linalg.is_zero_vector(r))
+        key = linalg.span_key((v, g.p_rep), g.field)
         if len(key) < 2 or key in seen:  # skip [P] itself and duplicates
             continue
         seen.add(key)
@@ -467,9 +466,8 @@ def suite_incidence_theorems(**_) -> Report:
                     continue  # [P] itself: no image among unoriented lines
                 if g.form.b_full(l.coords, a.coords).is_zero() and \
                    g.form.b_full(l.coords, b.coords).is_zero():
-                    red, _ = linalg.rref((l.coords, g.p_rep), g.field)
-                    through.add(tuple(r for r in red
-                                      if not linalg.is_zero_vector(r)))
+                    through.add(linalg.span_key((l.coords, g.p_rep),
+                                                g.field))
             if len(through) > 1:
                 return _fail(rep, f"{cls.label()}: {len(through)} lines "
                                   f"through {a} and {b}")
@@ -505,7 +503,7 @@ def suite_projection_identity(**_) -> Report:
         for c in cycles:
             direct = geo.points_of(g, c)
             proj_raw = geo.project_cycle_raw(g, c.coords)
-            via_ps = geo.pointspace_points_of(g, ps, ps.from_ambient(proj_raw))
+            via_ps = geo.pointspace_points_of(ps, ps.from_ambient(proj_raw))
             if tuple(sorted(direct, key=ProjPoint.sort_key)) != via_ps:
                 return _fail(rep, f"{cls.label()} c={c}: projection identity")
         checked = 0

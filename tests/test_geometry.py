@@ -11,7 +11,7 @@ from conformal.geometry import (EnumerationUnsupportedError, Geometry,
                                 IdealDenominatorError, InvalidGeometryError,
                                 NoCanonicalProjectionError, NotAHypercycleError,
                                 ProjPoint, RankError, Role, RoleError,
-                                antipodal, cayley_klein_points,
+                                Subspace, antipodal, cayley_klein_points,
                                 has_point_search, hyperplane_through, incident,
                                 intersect_hyperplanes, inversive_separation,
                                 lie_quadric_points, non_degenerate_geometry,
@@ -203,8 +203,31 @@ def test_projection_identity_exhaustive_f5():
     for c in lie_quadric_points(g):
         direct = tuple(sorted(points_of(g, c), key=ProjPoint.sort_key))
         raw = project_cycle_raw(g, c.coords)
-        via = pointspace_points_of(g, ps, ps.from_ambient(raw))
+        via = pointspace_points_of(ps, ps.from_ambient(raw))
         assert direct == via
+
+
+def test_perp_space():
+    """pointspace and line_space are the perp_space Subspaces of P and of
+    (P, l), and isotropic() lists the isotropic points found by a brute-
+    force scan through the ambient form (F_3, F_5)."""
+    from conformal.metric import find_nonideal_line, line_space
+    for field in (F3, F5):
+        for cls in enumerate_classes(field, 2):
+            g = representative_geometry(cls)
+            l = find_nonideal_line(g)
+            for space, vectors in ((pointspace(g), [g.p_rep]),
+                                   (line_space(g, l), [g.p_rep, l.coords])):
+                assert isinstance(space, Subspace) and space.geometry is g
+                assert space.basis == g.form.perp(vectors)
+                assert space.to_ambient(space.l_coords) == g.l_rep
+                dim = len(space.basis)
+                brute = {v for v in linalg.all_vectors(field, dim)
+                         if not linalg.is_zero_vector(v)
+                         and next(x for x in v if not x.is_zero()).value == 1
+                         and g.form(space.to_ambient(v)).is_zero()}
+                iso = space.isotropic()
+                assert len(iso) == len(brute) and set(iso) == brute
 
 
 def test_points_of_self_incidence():

@@ -1,5 +1,6 @@
 """Line translation groups, charts, oriented distance."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -9,7 +10,8 @@ import pytest
 from conformal import linalg
 from conformal.fields import PrimeField, Rational, SquareClass
 from conformal.classify import enumerate_classes, representative_geometry
-from conformal.geometry import ProjPoint
+from conformal.geometry import (ProjPoint, RoleError, antipodal,
+                                cayley_klein_points, hyperplane_through)
 from conformal.metric import (DegenerateLineError, IdealPointError,
                               IncompatibleChartsError, LineGroupClass,
                               NotOnLineError, build_chart, compose,
@@ -292,3 +294,52 @@ def test_distances_of_different_geometries_incomparable():
                              *line_points(g2, find_nonideal_line(g2))[1][:2])
     with pytest.raises(IncompatibleChartsError):
         same_distance(t1, t2)
+
+
+def _subspace_lines():
+    """The antipodal classes, hyperplane_through on every non-antipodal
+    point pair, the line points and the stabilizers (the group's normal
+    forms and matrices, then every full-stabilizer matrix) of each F_5
+    and F_7 plane class."""
+    text = lambda v: ",".join(str(x.value) for x in v)
+    mat = lambda m: ";".join(text(row) for row in m)
+    lines = []
+    for fp in (F5, F7):
+        for cls in enumerate_classes(fp, 2):
+            g = representative_geometry(cls)
+            classes = cayley_klein_points(g)
+            lines.append("|".join(";".join(text(pt.coords) for pt in c)
+                                  for c in classes))
+            points = [pt for c in classes for pt in c]
+            for a, b in itertools.combinations(points, 2):
+                if antipodal(g, a, b):
+                    continue
+                try:
+                    h = hyperplane_through(g, a, b)
+                except RoleError:
+                    lines.append("many")
+                else:
+                    lines.append("-" if h is None else text(h.coords))
+            try:
+                l = find_nonideal_line(g)
+            except DegenerateLineError:
+                lines.append("no line")
+                continue
+            lines.append(";".join(text(pt.coords)
+                                  for pt in line_points(g, l)[1]))
+            lines += [f"{text(el.normal_form)}:{mat(el.matrix)}"
+                      for el in stabilizer_group(g, l)]
+            lines += [mat(m) for m in stabilizer_matrices(g, l)[2]]
+    return lines
+
+
+def test_subspace_outputs_are_pinned():
+    """Point classes, hyperplanes through point pairs, line points and
+    stabilizers come out the same, byte for byte, as when these outputs
+    were recorded."""
+    lines = _subspace_lines()
+    assert len(lines) == 18558
+    assert lines.count("-") == 5918
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "2189b57fe7a547ff6e9846357fbe657a195426886a276afaccfeaab777c68515")
