@@ -113,7 +113,7 @@ def cmd_classify_partners(args) -> int:
     try:
         token, dim = spec["field"], int(spec.get("dim", 2))
         qp, ql = sym[str(spec["qP"])], sym[str(spec["qL"])]
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise InvalidInputError(
             '--class wants {"field": token, "dim": d, "qP": s, "qL": s} '
             'with s one of 0, 1, e, -1') from None
@@ -354,6 +354,10 @@ def main(argv=None) -> int:
         return UNSUPPORTED_EXIT
     except ConformalError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
+        return PRECONDITION_EXIT
+    except OverflowError as exc:  # a finite float too large for the model
+        print(f"precondition violated: value out of range ({exc})",
+              file=sys.stderr)
         return PRECONDITION_EXIT
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

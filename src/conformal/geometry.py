@@ -125,6 +125,7 @@ class Geometry:
         self.p_rep = p_rep
         self.l_rep = l_rep
         self._quadric = None
+        self._points = None
 
     @property
     def n(self) -> int:
@@ -222,15 +223,10 @@ def non_empty(g: Geometry) -> bool:
 
 def has_point_search(g: Geometry) -> bool:
     """Direct search for a point: an isotropic projective direction in
-    P^perp other than [P] itself (the oracle for `non_empty`)."""
+    P^perp other than [P] itself (the oracle for `non_empty`).  Stops at
+    the first hit, without building the cache of `_points_in_p_perp`."""
     p_proj = ProjPoint(g.p_rep) if g.form(g.p_rep).is_zero() else None
-    for pt in lie_quadric_points(g):
-        if not g.form.b_full(g.p_rep, pt.coords).is_zero():
-            continue
-        if p_proj is not None and pt == p_proj:
-            continue
-        return True
-    return False
+    return any(pt != p_proj for _, pt in _scan_p_perp(g))
 
 
 def relative_power(g: Geometry, c1, c2) -> Scalar:
@@ -282,6 +278,24 @@ def lie_quadric_points(g: Geometry, max_q: int = MAX_ENUM_Q):
         g._quadric = tuple(ProjPoint.from_canonical(tuple(wrap[a] for a in x))
                            for x in hits)
     return g._quadric
+
+
+def _scan_p_perp(g: Geometry):
+    """Yield (raw tuple, ProjPoint) for each quadric point with
+    B(P, x) = 0, in `lie_quadric_points` order."""
+    b, p = g.form.b_raw, linalg.raw_values(g.field, g.p_rep)
+    for pt in lie_quadric_points(g):
+        x = tuple(c.value for c in pt.coords)
+        if not b(p, x):
+            yield x, pt
+
+
+def _points_in_p_perp(g: Geometry) -> tuple:
+    """The quadric points in P^perp as (raw tuple, ProjPoint) pairs,
+    built on first use and kept on the geometry."""
+    if g._points is None:
+        g._points = tuple(_scan_p_perp(g))
+    return g._points
 
 
 @dataclass(frozen=True)
@@ -346,13 +360,8 @@ def project_cycle(g: Geometry, c) -> ProjPoint:
 def points_of(g: Geometry, c):
     """[[Q]] intersected with P^perp and c^perp: the points of a cycle."""
     v = _require_hypercycle(g, c)
-    out = []
-    for pt in lie_quadric_points(g):
-        w = pt.coords
-        if g.form.b_full(g.p_rep, w).is_zero() and \
-           g.form.b_full(v, w).is_zero():
-            out.append(pt)
-    return tuple(out)
+    b, y = g.form.b_raw, linalg.raw_values(g.field, v)
+    return tuple(pt for x, pt in _points_in_p_perp(g) if not b(y, x))
 
 
 def pointspace_points_of(ps: Subspace, c_proj):
@@ -420,9 +429,20 @@ def _is_actual(g: Geometry, span: Sequence[Vector]) -> Optional[bool]:
 def _isotropic_in_span(g: Geometry, basis: Sequence[Vector]) -> list:
     """The vectors with Q = 0 of span(basis), one per projective point
     (finite fields)."""
-    combos = linalg.projective_points(g.field, len(basis))
-    return [v for v in (linalg.combine(c, basis) for c in combos)
-            if g.form(v).is_zero()]
+    field, form = g.field, g.form
+    add, mul = field._add, field._mul
+    rows = [linalg.raw_values(field, v) for v in basis]
+    zero = field.zero().value
+    out = []
+    # sum c_i v_i added in order from zero, as ``linalg.combine`` adds,
+    # so the vectors equal its Scalar sums
+    for combo in linalg.projective_points(field, len(basis), raw=True):
+        x = [zero] * form.dim
+        for c, row in zip(combo, rows):
+            x = [add(s, mul(c, a)) for s, a in zip(x, row)]
+        if field._is_zero(form.eval_raw(x)):
+            out.append(linalg.vector(field, x))
+    return out
 
 
 def span_subcycle(g: Geometry, *points) -> Subcycle:
@@ -475,13 +495,14 @@ def hyperplane_through(g: Geometry, *points) -> Optional[ProjPoint]:
                 "cannot search an isotropic solution over an infinite field")
         isotropic = _isotropic_in_span(g, sol)
     # [P] solves the constraints whenever it is isotropic, but it has no
-    # image in V/P and is incident to every point: not a hyperplane.
-    isotropic = [v for v in isotropic
-                 if linalg.rank([v, g.p_rep], g.field) == 2]
+    # image in V/P and is incident to every point: not a hyperplane.  A
+    # solution is admissible exactly when it spans a plane with P.
+    keys = [linalg.span_key((v, g.p_rep), g.field) for v in isotropic]
+    isotropic = [v for v, key in zip(isotropic, keys) if len(key) == 2]
     if not isotropic:
         return None
     # all solutions must project to a single unoriented hyperplane
-    if len({linalg.span_key((v, g.p_rep), g.field) for v in isotropic}) > 1:
+    if len({key for key in keys if len(key) == 2}) > 1:
         raise RoleError("multiple distinct hyperplanes satisfy the constraints")
     pts = sorted((ProjPoint(v) for v in isotropic), key=ProjPoint.sort_key)
     return pts[0]
@@ -498,9 +519,7 @@ def cayley_klein_points(g: Geometry):
     """Points grouped into antipodal classes (the projective model
     P^perp/L); classes and members are canonically sorted."""
     groups = {}
-    for pt in lie_quadric_points(g):
-        if not g.form.b_full(g.p_rep, pt.coords).is_zero():
-            continue
+    for _, pt in _points_in_p_perp(g):
         key = linalg.span_key((pt.coords, g.l_rep), g.field)
         groups.setdefault(key, []).append(pt)
     classes = [tuple(sorted(v, key=ProjPoint.sort_key)) for v in groups.values()]

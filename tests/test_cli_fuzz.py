@@ -1,0 +1,187 @@
+"""In-process fuzzing of the command line.
+
+``cli.main`` is called with argv drawn from the real subcommands, mixing
+well-formed values with malformed ones: truncated or non-object geometry
+JSON, bad field tokens, wrong-length vectors, nan/inf and non-numbers.
+Whatever the input, the run must end with a documented exit code and a
+message on stderr, never with a traceback.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from unittest import mock
+
+from hypothesis import example, given, settings, strategies as st
+
+from conformal import cli
+
+EXIT_CODES = {0, 2, 3, 64}
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+GEOMETRIES = ["fp5_elliptic", "f4_d3", "fp11_unit", "fp11_zero"]
+
+FIELDS = ["rational", "fp:3", "fp:5", "fp:7", "f2", "f4", "approx"]
+BAD_FIELDS = ["qclosed", "fp:4", "fp:", "fp:-3", "f8", "", "real", 5, None,
+              ["fp:5"]]
+MODELS = ["elliptic", "hyperbolic", "parabolic", "minkowski", "de-sitter",
+          "anti-de-sitter", "laguerre", "spherical", ""]
+# suites that finish well under a second at their default field
+FAST_SUITES = ["cycle-equivalence", "projection-identity", "separations"]
+
+# drawn values lean towards the edges: huge, non-finite and non-numbers
+number_text = st.sampled_from(["0", "1", "-1", "2", "0.5", "3.25", "1000",
+                               "-1000", "1e300", "nan", "inf", "-inf",
+                               "1e309", "x", "", "1/0", "2/3", "t", "t+1"])
+json_scalar = st.sampled_from([0, 1, -1, 2, 3, 10**30, 0.5, 1e300,
+                               float("nan"), float("inf"), float("-inf"),
+                               "t", "t+1", "2/3", "1/0", "-1", "e", "x",
+                               True, None])
+
+
+def _vector_text():
+    return (st.lists(number_text, min_size=1, max_size=7).map(",".join)
+            | st.lists(json_scalar, max_size=7).map(json.dumps)
+            | st.sampled_from(["[1, 0", "[[1]]", "{}", "[]"]))
+
+
+@st.composite
+def _geometry_text(draw):
+    """A golden geometry, perhaps with one part replaced, or a random
+    object, then perhaps truncated or swapped for a non-object."""
+    if draw(st.booleans()):
+        with open(os.path.join(GOLDEN, draw(st.sampled_from(GEOMETRIES))
+                               + ".json")) as fh:
+            obj = json.load(fh)
+    else:
+        dim = draw(st.integers(3, 6))
+        obj = {"field": draw(st.sampled_from(FIELDS)),
+               "form": draw(st.lists(st.integers(-2, 2), min_size=dim,
+                                     max_size=dim)),
+               "P": draw(st.lists(st.integers(-2, 2), min_size=dim,
+                                  max_size=dim)),
+               "L": draw(st.lists(st.integers(-2, 2), min_size=dim,
+                                  max_size=dim))}
+    mutation = draw(st.sampled_from(["none", "key", "value", "drop"]))
+    if mutation == "key":
+        obj[draw(st.sampled_from(["field", "form", "P", "L"]))] = draw(
+            st.sampled_from(BAD_FIELDS) | json_scalar
+            | st.lists(json_scalar, max_size=7)
+            | st.fixed_dictionaries({"dim": json_scalar,
+                                     "coeffs": st.lists(st.lists(
+                                         json_scalar, max_size=4),
+                                         max_size=3)}))
+    elif mutation == "value":
+        vec = draw(st.sampled_from(["P", "L"]))
+        if isinstance(obj[vec], list) and obj[vec]:
+            i = draw(st.integers(0, len(obj[vec]) - 1))
+            obj[vec][i] = draw(json_scalar)
+    elif mutation == "drop":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    text = json.dumps(obj)
+    shape = draw(st.sampled_from(["object", "truncated", "other"]))
+    if shape == "truncated":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if shape == "other":
+        return json.dumps(draw(json_scalar | st.lists(json_scalar)))
+    return text
+
+
+def _geom_argv(draw):
+    command = draw(st.sampled_from(["describe", "points", "incident"]))
+    argv = ["geom", command, "--geom", "-"]
+    if command == "points":
+        argv += ["--max-q", draw(st.sampled_from(["7", "4", "0", "-1",
+                                                  "x", "13"]))]
+    elif command == "incident":
+        argv += ["--c1", draw(_vector_text()), "--c2", draw(_vector_text())]
+    return argv
+
+
+def _classify_argv(draw):
+    command = draw(st.sampled_from(["atlas", "table", "partners"]))
+    token = draw(st.sampled_from(FIELDS + BAD_FIELDS[:7]))
+    if command == "partners":
+        spec = {"field": token,
+                "dim": draw(json_scalar | st.sampled_from([2, 3, "2", 2.5])),
+                "qP": draw(st.sampled_from(["0", "1", "e", "-1", "2"])),
+                "qL": draw(st.sampled_from(["0", "1", "e", "-1", 1]))}
+        text = json.dumps(draw(st.just(spec) | json_scalar
+                               | st.lists(json_scalar)))
+        if draw(st.booleans()):
+            text = text[:draw(st.integers(0, len(text)))]
+        return ["classify", "partners", "--class", text]
+    argv = ["classify", command, "--field", token]
+    if command == "atlas":
+        argv += ["--dim", draw(st.sampled_from(["1", "2", "3", "0", "-1",
+                                                "x", "2.5"]))]
+    return argv
+
+
+def _examples_argv(draw):
+    model = draw(st.sampled_from(MODELS))
+    if draw(st.booleans()):
+        argv = ["examples", "lift", "--model", model,
+                "--" + draw(st.sampled_from(["point", "cycle", "line"])),
+                draw(_vector_text())]
+        for opt in ("--radius", "--offset", "--n"):
+            if draw(st.booleans()):
+                argv += [opt, draw(number_text)]
+        return argv
+    argv = ["examples", "separation", "--model", model]
+    for opt in ("--d", "--theta", "--r1", "--r2"):
+        if draw(st.booleans()):
+            argv += [opt, draw(number_text)]
+    return argv
+
+
+def _verify_argv(draw):
+    argv = ["verify", "--suite",
+            draw(st.sampled_from(FAST_SUITES + ["no-such-suite", ""]))]
+    if draw(st.booleans()):
+        argv += ["--field", draw(st.sampled_from(BAD_FIELDS[:7]))]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(st.sampled_from(["0", "7", "-1", "x"]))]
+    return argv
+
+
+@st.composite
+def invocations(draw):
+    """(argv, stdin text) for one run of the command line."""
+    group = draw(st.sampled_from(["geom", "classify", "examples",
+                                  "verify"]))
+    build = {"geom": _geom_argv, "classify": _classify_argv,
+             "examples": _examples_argv, "verify": _verify_argv}[group]
+    argv = build(draw)
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--out", "--bogus", "extra"])))
+    stdin = draw(_geometry_text()) if group == "geom" else ""
+    return argv, stdin
+
+
+def _run(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(invocations())
+# both once ended in an OverflowError traceback
+@example((["examples", "separation", "--model", "hyperbolic", "--d", "1000"],
+          ""))
+@example((["classify", "partners", "--class",
+           '{"field": "fp:5", "dim": Infinity, "qP": "1", "qL": "1"}'], ""))
+def test_cli_ends_with_an_exit_code_not_a_traceback(case):
+    argv, stdin = case
+    code, _, err = _run(argv, stdin)
+    assert code in EXIT_CODES, (code, err)
+    assert "Traceback" not in err
+    if code != 0:
+        assert err.endswith("\n") and err.count("\n") == 1, err

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conformal import linalg
-from conformal.fields import PrimeField, Rational, SquareClass
+from conformal.fields import CharTwo, PrimeField, Rational, SquareClass
 from conformal.geometry import (EnumerationUnsupportedError, Geometry,
                                 IdealDenominatorError, InvalidGeometryError,
                                 NoCanonicalProjectionError, NotAHypercycleError,
@@ -335,6 +335,34 @@ def test_cayley_klein_classes():
              if c.qp is SquareClass.NON_RESIDUE and c.ql is SquareClass.ZERO))
     sizes2 = {len(c) for c in cayley_klein_points(g2)}
     assert sizes2 <= {1, 2}
+
+
+def _point_queries(g, order):
+    """points_of on every quadric cycle, cayley_klein_points and
+    has_point_search, run in the given order."""
+    calls = {
+        "points_of": lambda: tuple(points_of(g, c)
+                                   for c in lie_quadric_points(g)),
+        "cayley_klein_points": lambda: cayley_klein_points(g),
+        "has_point_search": lambda: has_point_search(g),
+    }
+    return {name: calls[name]() for name in order}
+
+
+@pytest.mark.parametrize("field,d", [(F3, 2), (F5, 2), (CharTwo(4), 3)],
+                         ids=["fp:3", "fp:5", "f4"])
+def test_point_queries_repeat_identically(field, d):
+    """The cached points in P^perp give the same answers cold and warm,
+    whichever query builds the cache."""
+    names = ["points_of", "cayley_klein_points", "has_point_search"]
+    for cls in enumerate_classes(field, d):
+        first = representative_geometry(cls)
+        forward = _point_queries(first, names)
+        second = representative_geometry(cls)
+        backward = _point_queries(second, names[::-1])
+        assert forward == backward
+        assert _point_queries(first, names) == forward
+        assert _point_queries(second, names) == forward
 
 
 def test_duality():

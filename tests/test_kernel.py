@@ -2,11 +2,12 @@
 
 ``QuadraticForm.__call__``, ``b_full`` and ``gram_row`` evaluate on raw
 field values, ``linalg.rref`` eliminates on them, ``lie_quadric_points``
-enumerates raw tuples, and ``reflect_raw`` and ``mirrors`` build the
-isometries of Witt's theorem on raw tuples.  The references below are
-the plain ``Scalar``-arithmetic loops and matrices those methods
-replaced; every answer must agree with them, bit for bit over
-ApproxReal.
+enumerates raw tuples, ``reflect_raw`` and ``mirrors`` build the
+isometries of Witt's theorem on raw tuples, and ``points_of``,
+``cayley_klein_points``, ``has_point_search`` and ``_isotropic_in_span``
+filter raw tuples.  The references below are the plain
+``Scalar``-arithmetic loops and matrices those functions replaced; every
+answer must agree with them, bit for bit over ApproxReal.
 """
 
 import itertools
@@ -19,7 +20,10 @@ from hypothesis import assume, given, settings, strategies as st
 from conformal import linalg
 from conformal.fields import (ApproxReal, CharTwo, FieldMismatchError,
                               PrimeField, Rational, Scalar)
-from conformal.geometry import Geometry, ProjPoint, lie_quadric_points
+from conformal.geometry import (Geometry, NotAHypercycleError, ProjPoint,
+                                _isotropic_in_span, cayley_klein_points,
+                                has_point_search, lie_quadric_points,
+                                points_of)
 from conformal.quadform import (QuadraticForm, bilinear_radical, mirrors,
                                 reflection_matrix)
 
@@ -190,6 +194,75 @@ def test_lie_quadric_points_matches_scalar_filter(g):
     got = lie_quadric_points(g)
     assert got == tuple(expected)
     assert all(c.field is g.field for pt in got for c in pt.coords)
+
+
+def ref_points_of(g, c):
+    """The Scalar loop ``points_of`` replaced, with B as ``ref_b``."""
+    return tuple(pt for pt in lie_quadric_points(g)
+                 if ref_b(g.form, g.p_rep, pt.coords).is_zero()
+                 and ref_b(g.form, c, pt.coords).is_zero())
+
+
+def ref_cayley_klein_points(g):
+    groups = {}
+    for pt in lie_quadric_points(g):
+        if not ref_b(g.form, g.p_rep, pt.coords).is_zero():
+            continue
+        key = linalg.span_key((pt.coords, g.l_rep), g.field)
+        groups.setdefault(key, []).append(pt)
+    classes = [tuple(sorted(v, key=ProjPoint.sort_key))
+               for v in groups.values()]
+    classes.sort(key=lambda cls: cls[0].sort_key())
+    return tuple(classes)
+
+
+def ref_has_point_search(g):
+    p_proj = ProjPoint(g.p_rep) if ref_q(g.form, g.p_rep).is_zero() else None
+    for pt in lie_quadric_points(g):
+        if not ref_b(g.form, g.p_rep, pt.coords).is_zero():
+            continue
+        if p_proj is not None and pt == p_proj:
+            continue
+        return True
+    return False
+
+
+def ref_isotropic_in_span(g, basis):
+    combos = linalg.projective_points(g.field, len(basis))
+    return [v for v in (linalg.combine(c, basis) for c in combos)
+            if ref_q(g.form, v).is_zero()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_geometries(), st.data())
+def test_point_filters_match_scalar_loops(g, data):
+    field = g.field
+    assert has_point_search(g) == ref_has_point_search(g)
+    assert g._points is None  # the search stops early, caching nothing
+    quadric = lie_quadric_points(g)
+    for _ in range(3):
+        pt = data.draw(st.sampled_from(quadric))
+        lam = data.draw(st.sampled_from(list(field.elements())[1:]))
+        cv = linalg.vec_scale(lam, pt.coords)
+        c = data.draw(st.sampled_from([pt, cv]))
+        assert points_of(g, c) == ref_points_of(g, cv)
+    assert cayley_klein_points(g) == ref_cayley_klein_points(g)
+    off = data.draw(st.tuples(*[elements(field)] * g.form.dim))
+    if not ref_q(g.form, off).is_zero():
+        with pytest.raises(NotAHypercycleError):
+            points_of(g, off)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_geometries(), st.data())
+def test_isotropic_in_span_matches_scalar_loop(g, data):
+    vec = st.tuples(*[elements(g.field)] * g.form.dim)
+    basis = data.draw(st.lists(vec, min_size=1, max_size=3))
+    got = _isotropic_in_span(g, basis)
+    want = ref_isotropic_in_span(g, basis)
+    assert len(got) == len(want)
+    for v, w in zip(got, want):
+        assert all(same(a, b) for a, b in zip(v, w))
 
 
 @settings(max_examples=300, deadline=None)
