@@ -239,16 +239,22 @@ def cmd_verify(args) -> int:
     if args.field:
         options["field"] = _field(args.field)
     names = sorted(ver.SUITES) if args.all else [args.suite]
-    failures = 0
+    reports = []
     for name in names:
         report = ver.run_suite(name, **options)
+        reports.append(report)
+        if args.out == "json":
+            continue
         print(report.line())
         if args.verbose:
             for detail in report.details:
                 print(f"    {detail}")
-        if not report.passed:
-            failures += 1
-    return 0 if failures == 0 else PRECONDITION_EXIT
+    if args.out == "json":
+        print(json.dumps([{"suite": r.suite, "passed": r.passed,
+                           "details": r.details,
+                           "counterexample": r.counterexample}
+                          for r in reports], indent=2, sort_keys=True))
+    return 0 if all(r.passed for r in reports) else PRECONDITION_EXIT
 
 
 def _common_options() -> argparse.ArgumentParser:
@@ -261,7 +267,10 @@ def _common_options() -> argparse.ArgumentParser:
 
 def build_parser() -> _Parser:
     common = _common_options()
-    parser = _Parser(prog="conformal", parents=[common],
+    # a parser of its own: set_defaults rewrites the defaults of the
+    # option objects a parent shares, and the leaves must keep SUPPRESS
+    # so that an option given before the command survives
+    parser = _Parser(prog="conformal", parents=[_common_options()],
                      description="universal conformal geometries: "
                                  "construction, classification, measurement")
     parser.set_defaults(seed=0, out="text")

@@ -124,6 +124,8 @@ class Geometry:
         self.field = field
         self.p_rep = p_rep
         self.l_rep = l_rep
+        self._p_raw = tuple(x.value for x in p_rep)
+        self._l_raw = tuple(x.value for x in l_rep)
         self._quadric = None
         self._points = None
 
@@ -155,18 +157,21 @@ def _as_vector(g: Geometry, c) -> Vector:
     return v
 
 
-def _require_hypercycle(g: Geometry, c) -> Vector:
+def _require_hypercycle(g: Geometry, c) -> list:
+    """The raw values of a cycle on the quadric."""
     v = _as_vector(g, c)
-    if not g.form(v).is_zero():
+    x = linalg.raw_values(g.field, v)
+    if not g.field._is_zero(g.form.eval_raw(x)):
         raise NotAHypercycleError(f"Q({v}) != 0: not on the Lie quadric")
-    return v
+    return x
 
 
 def role(g: Geometry, c) -> Role:
     """Point iff orthogonal to P, hyperplane iff orthogonal to L."""
-    v = _require_hypercycle(g, c)
-    is_point = g.form.b_full(g.p_rep, v).is_zero()
-    is_plane = g.form.b_full(g.l_rep, v).is_zero()
+    x = _require_hypercycle(g, c)
+    b, is_zero = g.form.b_raw, g.field._is_zero
+    is_point = is_zero(b(g._p_raw, x))
+    is_plane = is_zero(b(g._l_raw, x))
     if is_point and is_plane:
         return Role.IDEAL
     if is_point:
@@ -178,9 +183,9 @@ def role(g: Geometry, c) -> Role:
 
 def incident(g: Geometry, c1, c2) -> bool:
     """Oriented tangency: B(c1,c2) = 0 (representative independent)."""
-    v1 = _require_hypercycle(g, c1)
-    v2 = _require_hypercycle(g, c2)
-    return g.form.b_full(v1, v2).is_zero()
+    x1 = _require_hypercycle(g, c1)
+    x2 = _require_hypercycle(g, c2)
+    return g.field._is_zero(g.form.b_raw(x1, x2))
 
 
 def non_degenerate_geometry(g: Geometry) -> bool:
@@ -283,7 +288,7 @@ def lie_quadric_points(g: Geometry, max_q: int = MAX_ENUM_Q):
 def _scan_p_perp(g: Geometry):
     """Yield (raw tuple, ProjPoint) for each quadric point with
     B(P, x) = 0, in `lie_quadric_points` order."""
-    b, p = g.form.b_raw, linalg.raw_values(g.field, g.p_rep)
+    b, p = g.form.b_raw, g._p_raw
     for pt in lie_quadric_points(g):
         x = tuple(c.value for c in pt.coords)
         if not b(p, x):
@@ -359,8 +364,7 @@ def project_cycle(g: Geometry, c) -> ProjPoint:
 
 def points_of(g: Geometry, c):
     """[[Q]] intersected with P^perp and c^perp: the points of a cycle."""
-    v = _require_hypercycle(g, c)
-    b, y = g.form.b_raw, linalg.raw_values(g.field, v)
+    b, y = g.form.b_raw, _require_hypercycle(g, c)
     return tuple(pt for x, pt in _points_in_p_perp(g) if not b(y, x))
 
 
@@ -518,9 +522,17 @@ def quasi_ideal(g: Geometry, s: Subcycle) -> bool:
 def cayley_klein_points(g: Geometry):
     """Points grouped into antipodal classes (the projective model
     P^perp/L); classes and members are canonically sorted."""
+    field = g.field
+    sub, mul, inv, is_zero = field._sub, field._mul, field._inv, field._is_zero
+    i = next(k for k, a in enumerate(g._l_raw) if not is_zero(a))
+    l = [mul(inv(g._l_raw[i]), a) for a in g._l_raw]  # l_i = 1
     groups = {}
-    for _, pt in _points_in_p_perp(g):
-        key = linalg.span_key((pt.coords, g.l_rep), g.field)
+    for x, pt in _points_in_p_perp(g):
+        # span(x, L) has one direction with coordinate i zero; scaled to
+        # lead with 1 it names the class (the empty key when x is [L])
+        y = [sub(a, mul(x[i], b)) for a, b in zip(x, l)]
+        lead = next((a for a in y if not is_zero(a)), None)
+        key = () if lead is None else tuple(mul(inv(lead), a) for a in y)
         groups.setdefault(key, []).append(pt)
     classes = [tuple(sorted(v, key=ProjPoint.sort_key)) for v in groups.values()]
     classes.sort(key=lambda cls: cls[0].sort_key())

@@ -493,9 +493,10 @@ def _complement_of_radical(q: QuadraticForm, rad):
 
 
 def subspaces(field: Field, n: int, k: int):
-    """All k-dimensional subspaces of K^n (finite K), as RREF bases."""
-    elems = list(field.elements())
-    zero, one = field.zero(), field.one()
+    """All k-dimensional subspaces of K^n (finite K), as RREF bases whose
+    rows are tuples of raw field values."""
+    elems = [e.value for e in field.elements()]
+    zero, one = field.zero().value, field.one().value
     for pivots in itertools.combinations(range(n), k):
         free_positions = []
         for r, p in enumerate(pivots):
@@ -512,28 +513,42 @@ def subspaces(field: Field, n: int, k: int):
 
 
 def _is_hyperbolic_space(q: QuadraticForm, basis) -> bool:
-    """Search a basis of pairwise-orthogonal symplectic couples."""
+    """Search a basis of pairwise-orthogonal symplectic couples for the
+    span of ``basis``, independent rows of raw values."""
     if not basis:
         return True
     if len(basis) % 2 == 1:
         return False
     field = q.field
-    one = field.one()
-    span = (linalg.combine(c, basis)
-            for c in linalg.all_vectors(field, len(basis)))
-    vectors = [v for v in span if not linalg.is_zero_vector(v)]
-    for u in vectors:
-        if not q(u).is_zero():
+    add, mul, is_zero = field._add, field._mul, field._is_zero
+    elems = [e.value for e in field.elements()]
+    one = field.one().value
+    # the span in ``all_vectors`` order, built one row at a time: each
+    # vector sum c_i b_i is added in order from zero, as
+    # ``linalg.combine`` adds it, from the row's precomputed multiples
+    span = [(field.zero().value,) * q.dim]
+    for row in basis:
+        multiples = [tuple(mul(c, a) for a in row) for c in elems]
+        span = [tuple(map(add, x, m)) for x in span for m in multiples]
+    # span[0] is the zero vector, the only one as the rows are independent
+    isotropic = [x for x in span[1:] if is_zero(q.eval_raw(x))]
+    if not isotropic:
+        return False
+    u = isotropic[0]  # an isotropic u extends iff the space is hyperbolic
+    for v in isotropic:
+        if q.b_raw(u, v) != one:
             continue
-        for v in vectors:
-            if q.b_full(u, v) != one or not q(v).is_zero():
-                continue
-            sub = _subspace_orthogonal_to(q, basis, [u, v])
-            if len(sub) != len(basis) - 2:
-                continue
-            if _is_hyperbolic_space(q, sub):
-                return True
-        return False  # an isotropic u extends iff the space is hyperbolic
+        # the complement of <u, v> in the span: coefficients c with
+        # B(u, sum c_i b_i) = B(v, sum c_i b_i) = 0
+        rows = [[q.b_raw(a, w) for w in basis] for a in (u, v)]
+        sub = []
+        for coeffs in linalg.kernel_basis(rows, field, len(basis)):
+            x = span[0]
+            for c, row in zip(coeffs, basis):
+                x = tuple(add(s, mul(c.value, a)) for s, a in zip(x, row))
+            sub.append(x)
+        if len(sub) == len(basis) - 2 and _is_hyperbolic_space(q, sub):
+            return True
     return False
 
 

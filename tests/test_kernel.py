@@ -3,14 +3,18 @@
 ``QuadraticForm.__call__``, ``b_full`` and ``gram_row`` evaluate on raw
 field values, ``linalg.rref`` eliminates on them, ``lie_quadric_points``
 enumerates raw tuples, ``reflect_raw`` and ``mirrors`` build the
-isometries of Witt's theorem on raw tuples, and ``points_of``,
-``cayley_klein_points``, ``has_point_search`` and ``_isotropic_in_span``
-filter raw tuples.  The references below are the plain
-``Scalar``-arithmetic loops and matrices those functions replaced; every
-answer must agree with them, bit for bit over ApproxReal.
+isometries of Witt's theorem on raw tuples, ``points_of``,
+``cayley_klein_points``, ``has_point_search``, ``role`` and
+``_isotropic_in_span`` filter raw tuples, and ``subspaces`` and
+``_is_hyperbolic_space`` run the Witt oracle on them.  The references
+below are the plain ``Scalar``-arithmetic loops and matrices those
+functions replaced; every answer must agree with them, bit for bit over
+ApproxReal.
 """
 
 import itertools
+import random
+import re
 import struct
 from fractions import Fraction
 
@@ -21,11 +25,12 @@ from conformal import linalg
 from conformal.fields import (ApproxReal, CharTwo, FieldMismatchError,
                               PrimeField, Rational, Scalar)
 from conformal.geometry import (Geometry, NotAHypercycleError, ProjPoint,
-                                _isotropic_in_span, cayley_klein_points,
+                                Role, _isotropic_in_span, cayley_klein_points,
                                 has_point_search, lie_quadric_points,
-                                points_of)
-from conformal.quadform import (QuadraticForm, bilinear_radical, mirrors,
-                                reflection_matrix)
+                                points_of, role)
+from conformal.quadform import (QuadraticForm, _is_hyperbolic_space,
+                                bilinear_radical, mirrors, reflection_matrix,
+                                subspaces, witt_index_bruteforce)
 
 FIELDS = [Rational(), PrimeField(3), PrimeField(5), PrimeField(7),
           PrimeField(11), PrimeField(13), CharTwo(2), CharTwo(4),
@@ -253,6 +258,32 @@ def test_point_filters_match_scalar_loops(g, data):
             points_of(g, off)
 
 
+def ref_role(g, c):
+    is_point = ref_b(g.form, g.p_rep, c).is_zero()
+    is_plane = ref_b(g.form, g.l_rep, c).is_zero()
+    if is_point and is_plane:
+        return Role.IDEAL
+    if is_point:
+        return Role.POINT
+    return Role.HYPERPLANE if is_plane else Role.GENERIC_CYCLE
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_geometries(), st.data())
+def test_role_matches_scalar_loop(g, data):
+    for pt in lie_quadric_points(g):
+        assert role(g, pt) == ref_role(g, pt.coords)
+    lam = data.draw(st.sampled_from(list(g.field.elements())[1:]))
+    pt = data.draw(st.sampled_from(lie_quadric_points(g)))
+    assert role(g, linalg.vec_scale(lam, pt.coords)) == role(g, pt)
+    off = data.draw(st.tuples(*[elements(g.field)] * g.form.dim))
+    if not ref_q(g.form, off).is_zero():
+        with pytest.raises(NotAHypercycleError,
+                           match=re.escape(f"Q({off}) != 0: not on the "
+                                           "Lie quadric")):
+            role(g, off)
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_geometries(), st.data())
 def test_isotropic_in_span_matches_scalar_loop(g, data):
@@ -452,3 +483,119 @@ def test_perp_is_the_orthogonal_space(data):
     assert span == orthogonal
     # q^k distinct combinations: the basis is independent
     assert len(span) == field.order ** len(basis)
+
+
+# -- the Witt oracle ------------------------------------------------------------
+# ``subspaces``, ``_is_hyperbolic_space`` and ``witt_index_bruteforce`` as
+# they were on Scalars, with Q and B as ``ref_q``/``ref_b``.
+
+def ref_subspaces(field, n, k):
+    elems = list(field.elements())
+    zero, one = field.zero(), field.one()
+    for pivots in itertools.combinations(range(n), k):
+        free_positions = []
+        for r, p in enumerate(pivots):
+            for c in range(p + 1, n):
+                if c not in pivots:
+                    free_positions.append((r, c))
+        for values in itertools.product(elems, repeat=len(free_positions)):
+            rows = [[zero] * n for _ in range(k)]
+            for r, p in enumerate(pivots):
+                rows[r][p] = one
+            for (r, c), v in zip(free_positions, values):
+                rows[r][c] = v
+            yield tuple(tuple(r) for r in rows)
+
+
+def ref_is_hyperbolic_space(q, basis):
+    if not basis:
+        return True
+    if len(basis) % 2 == 1:
+        return False
+    field = q.field
+    one = field.one()
+    span = (linalg.combine(c, basis)
+            for c in linalg.all_vectors(field, len(basis)))
+    vectors = [v for v in span if not linalg.is_zero_vector(v)]
+    for u in vectors:
+        if not ref_q(q, u).is_zero():
+            continue
+        for v in vectors:
+            if ref_b(q, u, v) != one or not ref_q(q, v).is_zero():
+                continue
+            rows = tuple(tuple(ref_b(q, a, w) for w in basis) for a in (u, v))
+            kern = linalg.kernel_basis(rows, field, len(basis))
+            sub = tuple(linalg.combine(c, basis) for c in kern)
+            if len(sub) != len(basis) - 2:
+                continue
+            if ref_is_hyperbolic_space(q, sub):
+                return True
+        return False
+    return False
+
+
+def ref_witt_index_bruteforce(q):
+    for m in range(q.dim // 2, 0, -1):
+        for basis in ref_subspaces(q.field, q.dim, 2 * m):
+            if ref_is_hyperbolic_space(q, basis):
+                return m
+    return 0
+
+
+WITT_FIELDS = [CharTwo(2), PrimeField(3), CharTwo(4), PrimeField(5)]
+
+
+def _random_form(rng, field, dim):
+    """Random upper-triangular coefficients: degenerate and non-diagonal
+    forms come up as often as diagonal ones."""
+    elems = list(field.elements())
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    chosen = rng.sample(pairs, rng.randint(0, len(pairs)))
+    return QuadraticForm(field, dim, {ij: rng.choice(elems) for ij in chosen})
+
+
+@pytest.mark.parametrize("field", WITT_FIELDS, ids=lambda f: f.token())
+def test_witt_oracle_matches_scalar_reference(field):
+    rng = random.Random(f"witt-oracle {field.token()}")
+    wrap = {e.value: e for e in field.elements()}
+    seen_degenerate = seen_cross = False
+    indices = set()
+    for dim in (1, 2, 3, 4):
+        for _ in range(24 if dim < 4 else 12):
+            q = _random_form(rng, field, dim)
+            seen_degenerate |= bool(bilinear_radical(q))
+            seen_cross |= any(i != j for (i, j), _ in q.coeff_items())
+            m = witt_index_bruteforce(q)
+            assert m == ref_witt_index_bruteforce(q), q
+            indices.add(m)
+            # and on single spans, hyperbolic or not
+            k = 2 * rng.randint(1, dim // 2) if dim > 1 else 1
+            bases = list(subspaces(field, dim, k))
+            for basis in rng.sample(bases, min(4, len(bases))):
+                ref = tuple(tuple(wrap[a] for a in row) for row in basis)
+                assert (_is_hyperbolic_space(q, basis)
+                        == ref_is_hyperbolic_space(q, ref)), (q, basis)
+    assert seen_degenerate and seen_cross and indices == {0, 1, 2}
+
+
+def _gaussian_binomial(q, n, k):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("field", WITT_FIELDS, ids=lambda f: f.token())
+def test_subspaces_are_each_k_space_once(field):
+    for n in (1, 2, 3, 4):
+        for k in range(n + 1):
+            got = list(subspaces(field, n, k))
+            ref = [tuple(tuple(a.value for a in row) for row in basis)
+                   for basis in ref_subspaces(field, n, k)]
+            assert got == ref
+            keys = {linalg.span_key(basis, field) if basis else ()
+                    for basis in got}
+            assert len(keys) == len(got) == _gaussian_binomial(
+                field.order, n, k)
+            assert all(len(key) == k for key in keys)

@@ -215,8 +215,8 @@ def test_witt_examples():
 
 def test_witt_closed_form_vs_bruteforce_sample():
     # dims 2..4 exhaustive over square-class patterns; the full dim-5
-    # sweep lives in the witt-oracle verification suite
-    for field in (F3, F5):
+    # sweep over F_3/F_5 lives in the witt-oracle verification suite
+    for field in (F3, F5, F7):
         e = canonical_nonresidue(field)
         for dim in (2, 3, 4):
             for pattern in itertools.product((field.one(), e), repeat=dim):

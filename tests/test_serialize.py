@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from conformal import cli, verify
 from conformal import serialize as ser
 from conformal.classify import enumerate_classes, representative_geometry
 from conformal.fields import CharTwo, PrimeField, Rational
@@ -115,6 +116,36 @@ def test_cli_verify_single_suite():
     r = _cli("verify", "--suite", "separations")
     assert r.returncode == 0
     assert r.stdout.startswith("[pass] separations")
+
+
+def test_cli_verify_json(capsys):
+    assert cli.main(["verify", "--suite", "separations", "--verbose"]) == 0
+    text = capsys.readouterr().out
+    assert cli.main(["verify", "--suite", "separations", "--out", "json"]) == 0
+    out = capsys.readouterr().out
+    records = json.loads(out)
+    assert [sorted(r) for r in records] == [
+        ["counterexample", "details", "passed", "suite"]]
+    rec = records[0]
+    assert rec["suite"] == "separations" and rec["passed"] is True
+    assert rec["counterexample"] is None
+    assert ["    " + d for d in rec["details"]] == text.splitlines()[1:]
+    assert out == json.dumps(records, indent=2, sort_keys=True) + "\n"
+    # an option given before the command counts too
+    assert cli.main(["--out", "json", "verify", "--suite", "separations"]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_cli_verify_json_failing_report(capsys, monkeypatch):
+    def failing(**_):
+        return verify.Report("separations", False, ["checked 1"], "x != y")
+
+    monkeypatch.setitem(verify.SUITES, "separations", failing)
+    assert cli.main(["verify", "--suite", "separations",
+                     "--out", "json"]) == cli.PRECONDITION_EXIT
+    assert json.loads(capsys.readouterr().out) == [
+        {"suite": "separations", "passed": False, "details": ["checked 1"],
+         "counterexample": "x != y"}]
 
 
 def _geometry_file(tmp_path, name, edit):
