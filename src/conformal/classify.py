@@ -235,9 +235,6 @@ def canonical_form(field: Field, geom_dim: int, form_invariant) -> QuadraticForm
 
 
 def _candidate_vectors(field: Field, dim: int):
-    if field.is_finite:
-        yield from linalg.projective_points(field, dim)
-        return
     for coords in itertools.product((0, 1, -1), repeat=dim):
         if any(coords):
             yield tuple(field.scalar(c) for c in coords)
@@ -251,6 +248,8 @@ def representative_geometry(cls: GeometryClass) -> Geometry:
             "no concrete representatives over a symbolic field")
     field = cls.field
     form = canonical_form(field, cls.geom_dim, cls.form_invariant)
+    if field.is_finite:
+        return _finite_representative(cls, form)
     p_rep = None
     for v in _candidate_vectors(field, form.dim):
         if square_class(form(v)) is cls.qp:
@@ -263,6 +262,28 @@ def representative_geometry(cls: GeometryClass) -> Geometry:
         if not form.b_full(p_rep, v).is_zero():
             continue
         if not linalg.independent([p_rep, v], field):
+            continue
+        g = Geometry(form, p_rep, v)
+        got = classify(g)
+        if (got.qp, got.ql) == (cls.qp, cls.ql):
+            return g
+    raise InvalidInputError(f"no representative pair found for {cls}")
+
+
+def _finite_representative(cls: GeometryClass, form: QuadraticForm):
+    """representative_geometry over F_q: the same search over the
+    projective points in order, on raw values, with the cheap tests
+    first; only a candidate that passes them becomes a Geometry."""
+    field = form.field
+    sq = {e.value: square_class(e) for e in field.elements()}
+    q, b = form.eval_raw, form.b_raw
+    p_rep = next((v for v in linalg.projective_points(field, form.dim,
+                                                        raw=True)
+                  if sq[q(v)] is cls.qp), None)
+    assert p_rep is not None, "no representative for Q(P)"
+    for v in linalg.projective_points(field, form.dim, raw=True):
+        # both are normalised, so v is independent of p_rep unless equal
+        if b(p_rep, v) or sq[q(v)] is not cls.ql or v == p_rep:
             continue
         g = Geometry(form, p_rep, v)
         got = classify(g)

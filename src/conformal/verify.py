@@ -3,18 +3,19 @@
 Each suite checks one family of structural facts by independent
 enumeration or sampling and returns a :class:`Report`.  The orbit-atlas
 suite certifies that the class invariants cut the orthogonal (P, L)
-pairs into single isometry orbits.  Every pair is reduced to its class
-representative by an explicit chain of reflections, so the certificate
-is a desk-checkable isometry, not a counting argument.  The atlas keeps
+pairs into single isometry orbits, by explicit chains of reflections: a
+desk-checkable isometry, not a counting argument.  The atlas keeps
 no field tables, elimination or moves of its own.  It runs on raw
 values mod p with the library's form methods (``eval_raw``, ``b_raw``,
-``reflect_raw``, ``perp``), its mirror search (``quadform.mirrors``,
-which ``extend_isometry`` also builds its matrices from) and the square
-classes and roots of ``fields``.  A pair's certificate is its own
-mirrors sending P to its class representative (checked once per P),
-followed by the reduction of the exact vector those mirrors send L to;
-that reduction is computed once per vector and shared by every pair
-that reaches it, and a failed one counts against each of those pairs.
+``reflect_raw``), its mirror search (``quadform.mirrors``, which
+``extend_isometry`` also builds its matrices from) and the square
+classes and roots of ``fields``.  The certificate factors through P.
+Each P's own mirrors M are checked to send it onto the target t of its
+norm class.  Each projective L in t^perp is reduced once, by mirrors
+fixing t, to the target of its class.  M is an isometry, so it maps
+P^perp onto t^perp and keeps Q; a pair (P, L) is then M^-1 of the pair
+(t, ML), and a class holds |{P of its Q(P) class}| times
+|{L in t^perp of its Q(L) class}| pairs.
 """
 
 from __future__ import annotations
@@ -251,45 +252,36 @@ def _transport(form, moves, x):
 
 
 def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
+    """{(class of Q(P), class of Q(L)): number of orthogonal pairs} for
+    one form over F_p, each class certified one orbit; None, with the
+    first failure recorded in rep, when a step fails.
+
+    Every P gets its own mirrors M, checked to send P onto the target t
+    of its norm class.  Every mirror is an isometry (``reflect_raw`` with
+    Q(w) = 0 is the identity), so M maps P^perp onto t^perp and keeps Q:
+    the pairs (P, L) of a class are M^-1 of the pairs (t, L') of that
+    class.  So each projective L in t^perp (L != t) is reduced once per
+    target, and the bucket of (cp, cl) is |{P of class cp}| times
+    |{L in t^perp of class cl}|.
+    """
     field = PrimeField(p)
     form = QuadraticForm.diagonal(field, diag)
-    n = form.dim
     q, b = form.eval_raw, form.b_raw
     qcls = [square_class(x).value for x in field.elements()]
-    points = list(linalg.projective_points(field, n, raw=True))
+    points = list(linalg.projective_points(field, form.dim, raw=True))
     iso = [v for v in points if q(v) == 0]
-    # canonical P per norm class, canonical L per (P-class, L-class)
+    # the target of each norm class of P: its first projective point
     p0 = {}
     for v in points:
-        c = qcls[q(v)]
-        if c not in p0:
-            p0[c] = v
-            if len(p0) == 3:
-                break
-    l0 = {}
-    iso_in_perp = {}
-    for cp, pv in p0.items():
-        members = [w for w in points if b(pv, w) == 0 and w != pv]
-        for w in members:
-            key = (cp, qcls[q(w)])
-            l0.setdefault(key, w)
-        iso_in_perp[cp] = [w for w in members if q(w) == 0]
-    buckets = {}
-    # (cp, cl, transported L) -> whether _reduce_l reduced that exact
-    # vector to l0[(cp, cl)]; many pairs share one transported vector
-    reduced = {}
-    failures = 0
-
-    def fail(message):
-        nonlocal failures
-        failures += 1
-        if failures == 1:
-            _fail(rep, f"p={p} diag={diag} {message}")
-
+        p0.setdefault(qcls[q(v)], v)
+        if len(p0) == 3:
+            break
+    # step 1: the mirrors of each P send it onto its class target
+    p_count = dict.fromkeys(p0, 0)
     for pv in points:
         cp = qcls[q(pv)]
         target_p = p0[cp]
-        # phase 1: mirrors sending the vector pv to a multiple of target_p
+        p_count[cp] += 1
         if pv == target_p:
             moves = []
         elif cp != 0:
@@ -299,40 +291,24 @@ def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
             moves = mirrors(form, pv, target_p, iso)
             assert moves is not None
         if not _on_line(_transport(form, moves, pv), target_p, p):
-            fail(f"P={pv} not normalised")
-            continue
-        # the moves are linear, so each kernel vector of pv's perp is
-        # transported once and every L and its image come from the same
-        # coefficients: a basis entry is the kernel vector followed by its
-        # image
-        kernel = [tuple(x.value for x in kv)
-                  for kv in form.perp([linalg.vector(field, pv)])]
-        basis = [kv + _transport(form, moves, kv) for kv in kernel]
-        combos = []
-        for combo_lead in range(len(basis)):
-            # leading coefficient 1, then every tail in lexicographic order
-            level = [basis[combo_lead]]
-            for kv in basis[combo_lead + 1:]:
-                level = [tuple((a + t * b) % p for a, b in zip(both, kv))
-                         for both in level for t in range(p)]
-            combos += level
-        for both in combos:
-            lv, cur = both[:n], both[n:]
-            # an anisotropic pv is outside its own perp (p is odd)
-            if cp == 0 and _on_line(lv, pv, p):
-                continue
+            _fail(rep, f"p={p} diag={diag} P={pv} not normalised")
+            return None
+    # step 2: each L orthogonal to a target is reduced to the target of
+    # its norm class (the first such L) by mirrors fixing that target
+    buckets = {}
+    for cp, t in p0.items():
+        members = [w for w in points if b(t, w) == 0 and w != t]
+        l0 = {}
+        for w in members:
+            l0.setdefault(qcls[q(w)], w)
+        pool = [w for w in members if q(w) == 0]
+        for lv in members:
             cl = qcls[q(lv)]
-            key = (cp, cl)
-            buckets[key] = buckets.get(key, 0) + 1
-            proof = (cp, cl, cur)
-            ok = reduced.get(proof)
-            if ok is None:
-                ok = reduced[proof] = _reduce_l(
-                    form, target_p, cur, l0[key], iso_in_perp[cp])
-            if not ok:
-                fail(f"pair P={pv} L={lv} not reduced")
-    if failures:
-        return None
+            if not _reduce_l(form, t, lv, l0[cl], pool):
+                _fail(rep, f"p={p} diag={diag} pair P={t} L={lv} "
+                           f"not reduced")
+                return None
+            buckets[cp, cl] = buckets.get((cp, cl), 0) + p_count[cp]
     return buckets
 
 
@@ -340,10 +316,14 @@ def _reduce_l(form, p0v, cur, target, iso_pool) -> bool:
     """Reduce cur (orthogonal to p0v) to a multiple of target by mirrors
     orthogonal to p0v, so the moves fix the projective point of p0v.
 
+    The atlas calls it once for each projective point of a class
+    target's perp, never per (P, L) pair: P's own mirrors carry every
+    pair (P, L) to a pair (target, L') with L' in that perp.
     ``quadform.mirrors`` builds the moves, and a search that finds none
-    fails the pair.  None fails on the atlas's dimension-5 forms: p0v's
-    perp, taken modulo p0v when p0v is isotropic, is non-degenerate, and
-    its quadric holds an isotropic r that pairs with both cur and target.
+    fails the reduction.  None fails on the atlas's dimension-5 forms:
+    p0v's perp, taken modulo p0v when p0v is isotropic, is
+    non-degenerate, and its quadric holds an isotropic r that pairs with
+    both cur and target.
     """
     p = form.field.p
     if _on_line(cur, target, p):
@@ -366,12 +346,15 @@ def _reduce_l(form, p0v, cur, target, iso_pool) -> bool:
 
 
 def suite_orbit_atlas(field=None, **_) -> Report:
-    """Exhaustive (P, L) orbit certification over F_3 and F_5 for the
-    standard form and its non-residue multiple: exactly 9 classes, each
-    one a single orbit."""
+    """Exhaustive (P, L) orbit certification over F_3 and F_5 (or the
+    given F_p, p <= ``geometry.MAX_ENUM_Q``) for the standard form and its
+    non-residue multiple: exactly 9 classes, each one a single orbit."""
     rep = Report("orbit-atlas", True)
     primes = [3, 5]
     if isinstance(field, PrimeField):
+        if field.p > geo.MAX_ENUM_Q:
+            raise geo.EnumerationUnsupportedError(
+                f"field size {field.p} exceeds the cap {geo.MAX_ENUM_Q}")
         primes = [field.p]
     for p in primes:
         e = canonical_nonresidue(PrimeField(p)).value

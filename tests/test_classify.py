@@ -9,9 +9,9 @@ import pytest
 from conformal import linalg
 from conformal.fields import (PrimeField, Rational, SquareClass,
                               UnsupportedFieldError, CharTwo,
-                              canonical_nonresidue)
-from conformal.classify import (QUADRATICALLY_CLOSED, ck_table,
-                                classify, cycle_equivalence_partners,
+                              canonical_nonresidue, square_class)
+from conformal.classify import (QUADRATICALLY_CLOSED, canonical_form,
+                                ck_table, classify, cycle_equivalence_partners,
                                 cycle_equivalent, enumerate_classes,
                                 pointspace_isometry, representative_geometry,
                                 second_model)
@@ -102,6 +102,38 @@ def test_representatives_classify_back():
             for cls in enumerate_classes(field, d):
                 g = representative_geometry(cls)
                 assert classify(g) == cls, cls.label()
+
+
+def ref_representative(cls):
+    """representative_geometry's finite-field search on Scalars: wrapped
+    Q, square_class and b_full for every candidate, in the order of the
+    projective points."""
+    field = cls.field
+    form = canonical_form(field, cls.geom_dim, cls.form_invariant)
+    points = list(linalg.projective_points(field, form.dim))
+    p_rep = next(v for v in points if square_class(form(v)) is cls.qp)
+    for v in points:
+        if square_class(form(v)) is not cls.ql:
+            continue
+        if not form.b_full(p_rep, v).is_zero():
+            continue
+        if not linalg.independent([p_rep, v], field):
+            continue
+        got = classify(Geometry(form, p_rep, v))
+        if (got.qp, got.ql) == (cls.qp, cls.ql):
+            return p_rep, v
+    raise AssertionError(f"no representative pair for {cls}")
+
+
+@pytest.mark.parametrize("field,dims", [
+    (F3, (1, 2, 3)), (F5, (1, 2, 3)), (F7, (1, 2, 3)),
+    (CharTwo(2), (3,)), (CharTwo(4), (3,)), (PrimeField(11), (2,)),
+], ids=["fp:3", "fp:5", "fp:7", "f2", "f4", "fp:11"])
+def test_raw_representatives_match_scalar_search(field, dims):
+    for d in dims:
+        for cls in enumerate_classes(field, d):
+            g = representative_geometry(cls)
+            assert (g.p_rep, g.l_rep) == ref_representative(cls), cls
 
 
 def test_char2_atlas_representatives():

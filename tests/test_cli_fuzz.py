@@ -27,8 +27,11 @@ BAD_FIELDS = ["qclosed", "fp:4", "fp:", "fp:-3", "f8", "", "real", 5, None,
               ["fp:5"]]
 MODELS = ["elliptic", "hyperbolic", "parabolic", "minkowski", "de-sitter",
           "anti-de-sitter", "laguerre", "spherical", ""]
-# suites that finish well under a second at their default field
-FAST_SUITES = ["cycle-equivalence", "projection-identity", "separations"]
+# suites that finish well under a second at their default field, and
+# fields for them: fp:11 is over the orbit atlas's enumeration cap
+FAST_SUITES = ["cycle-equivalence", "orbit-atlas", "projection-identity",
+               "separations"]
+SUITE_FIELDS = ["fp:3", "fp:5", "fp:11"]
 
 # drawn values lean towards the edges: huge, non-finite and non-numbers
 number_text = st.sampled_from(["0", "1", "-1", "2", "0.5", "3.25", "1000",
@@ -140,7 +143,8 @@ def _verify_argv(draw):
     argv = ["verify", "--suite",
             draw(st.sampled_from(FAST_SUITES + ["no-such-suite", ""]))]
     if draw(st.booleans()):
-        argv += ["--field", draw(st.sampled_from(BAD_FIELDS[:7]))]
+        argv += ["--field", draw(st.sampled_from(SUITE_FIELDS
+                                                 + BAD_FIELDS[:7]))]
     if draw(st.booleans()):
         argv += ["--seed", draw(st.sampled_from(["0", "7", "-1", "x"]))]
     return argv

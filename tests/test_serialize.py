@@ -118,6 +118,12 @@ def test_cli_verify_single_suite():
     assert r.stdout.startswith("[pass] separations")
 
 
+def test_cli_verify_orbit_atlas_over_the_cap():
+    r = _cli("verify", "--suite", "orbit-atlas", "--field", "fp:11")
+    _assert_clean_exit(r, 3, "unsupported: field size 11 exceeds the cap 7")
+    assert r.stdout == "" and r.stderr.count("\n") == 1
+
+
 def test_cli_verify_json(capsys):
     assert cli.main(["verify", "--suite", "separations", "--verbose"]) == 0
     text = capsys.readouterr().out

@@ -1,10 +1,16 @@
-"""Verify suites: the orbit atlas's pinned output and mutations of its
-certificate, and library errors that must not be taken for rejected input.
+"""Verify suites: the orbit atlas's pinned output, its per-pair oracle
+and mutations of its certificate, and library errors that must not be
+taken for rejected input.
 
-Each pair (P, L) is certified by its own P-normalising mirrors followed
-by the reduction of its exact transported L, which is computed once per
-vector and shared by every pair that reaches it.  The mutations below
-break one step of that certificate and check that the suite fails.
+The atlas certifies through P: each P's own mirrors are checked to send
+it onto its class target t, and each projective L in t^perp is reduced
+once to its class target.  Mirrors are isometries, so they carry P^perp
+onto t^perp with Q kept, and a class holds |P of its class| times
+|L in t^perp of its class| pairs.  ``per_pair_buckets`` below is the
+direct loop over every orthogonal pair, each pair reduced through its
+own transported L; it is the oracle those products are checked against.
+The mutations break one step of the certificate and check that the
+suite fails.
 """
 
 import ast
@@ -12,10 +18,83 @@ import re
 
 import pytest
 
-from conformal import quadform, verify
-from conformal.fields import PrimeField
+from conformal import linalg, quadform, verify
+from conformal.fields import PrimeField, canonical_nonresidue, square_class
 
 F3 = PrimeField(3)
+
+
+def per_pair_buckets(p, diag):
+    """{(class of Q(P), class of Q(L)): pairs} by a loop over every
+    orthogonal pair (P, L), each certified on its own: P's mirrors send
+    it onto its class target, and the exact vector they send L to is
+    reduced to the target of its class.  None when a step fails."""
+    field = PrimeField(p)
+    form = quadform.QuadraticForm.diagonal(field, diag)
+    n = form.dim
+    q, b = form.eval_raw, form.b_raw
+    qcls = [square_class(x).value for x in field.elements()]
+    points = list(linalg.projective_points(field, n, raw=True))
+    iso = [v for v in points if q(v) == 0]
+    p0 = {}
+    for v in points:
+        p0.setdefault(qcls[q(v)], v)
+    l0, iso_in_perp = {}, {}
+    for cp, pv in p0.items():
+        members = [w for w in points if b(pv, w) == 0 and w != pv]
+        for w in members:
+            l0.setdefault((cp, qcls[q(w)]), w)
+        iso_in_perp[cp] = [w for w in members if q(w) == 0]
+    buckets, reduced = {}, {}
+    for pv in points:
+        cp = qcls[q(pv)]
+        target_p = p0[cp]
+        if pv == target_p:
+            moves = []
+        elif cp != 0:
+            moves = quadform.mirrors(
+                form, verify._norm_match(form, pv, q(target_p)), target_p)
+        else:
+            moves = quadform.mirrors(form, pv, target_p, iso)
+        if not verify._on_line(verify._transport(form, moves, pv),
+                               target_p, p):
+            return None
+        # every L in P's perp, with its image under P's mirrors
+        kernel = [tuple(x.value for x in kv)
+                  for kv in form.perp([linalg.vector(field, pv)])]
+        basis = [kv + verify._transport(form, moves, kv) for kv in kernel]
+        combos = []
+        for lead in range(len(basis)):
+            level = [basis[lead]]
+            for kv in basis[lead + 1:]:
+                level = [tuple((a + t * c) % p for a, c in zip(both, kv))
+                         for both in level for t in range(p)]
+            combos += level
+        for both in combos:
+            lv, cur = both[:n], both[n:]
+            if cp == 0 and verify._on_line(lv, pv, p):
+                continue
+            key = (cp, qcls[q(lv)])
+            buckets[key] = buckets.get(key, 0) + 1
+            proof = key + (cur,)
+            if proof not in reduced:
+                reduced[proof] = verify._reduce_l(
+                    form, target_p, cur, l0[key], iso_in_perp[cp])
+            if not reduced[proof]:
+                return None
+    return buckets
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_factored_buckets_match_the_per_pair_loop(p):
+    e = canonical_nonresidue(PrimeField(p)).value
+    for diag in ([1, 1, 1, -1, -1], [e, e, e, -e, -e]):
+        rep = verify.Report("orbit-atlas", True)
+        buckets = verify._orbit_atlas_for_form(p, diag, rep)
+        assert rep.passed, rep.counterexample
+        oracle = per_pair_buckets(p, diag)
+        assert oracle is not None
+        assert buckets == oracle
 
 
 def test_orbit_atlas_details_are_pinned():
@@ -32,6 +111,20 @@ def test_orbit_atlas_details_are_pinned():
         "p=5 diag=[2, 2, 2, -2, -2]: 121680 pairs in 9 single-orbit classes "
         "(sizes [4680, 7800, 7800, 11700, 11700, 19500, 19500, 19500, "
         "19500])",
+    ]
+
+
+def test_orbit_atlas_f7_details_are_pinned():
+    # the sizes are the per-pair loop's, from one run over F_7
+    rep = verify.run_suite("orbit-atlas", field=PrimeField(7))
+    assert rep.passed, rep.counterexample
+    sizes = ("(sizes [22400, 58800, 58800, 78400, 78400, 205800, 205800, "
+             "205800, 205800])")
+    assert rep.details == [
+        f"p=7 diag=[1, 1, 1, -1, -1]: 1120000 pairs in 9 single-orbit "
+        f"classes {sizes}",
+        f"p=7 diag=[3, 3, 3, -3, -3]: 1120000 pairs in 9 single-orbit "
+        f"classes {sizes}",
     ]
 
 
@@ -67,6 +160,26 @@ def test_failed_reduction_is_not_hidden_by_the_cache(monkeypatch):
     assert not rep.passed
     assert rep.counterexample == ("p=3 diag=[1, 1, 1, -1, -1] pair "
                                   "P=(1, 0, 0, 0, 0) L=(0, 1, 1, 0, 0) "
+                                  "not reduced")
+
+
+def test_wrong_l_target_fails_the_l_step(monkeypatch):
+    # P's class target t = (1, 0, 0, 0, 0) is anisotropic; its isotropic
+    # L class gets a target outside t^perp, which no move fixing t reaches
+    t, wrong = (1, 0, 0, 0, 0), (1, 0, 0, 1, 0)
+    reduce_l = verify._reduce_l
+
+    def wrong_target(form, p0v, cur, target, iso_pool):
+        if p0v == t and form.eval_raw(target) == 0:
+            target = wrong
+        return reduce_l(form, p0v, cur, target, iso_pool)
+
+    monkeypatch.setattr(verify, "_reduce_l", wrong_target)
+    rep = verify.run_suite("orbit-atlas", field=F3)
+    assert not rep.passed
+    # the class's first L is its own target, so it fails first
+    assert rep.counterexample == ("p=3 diag=[1, 1, 1, -1, -1] pair "
+                                  "P=(1, 0, 0, 0, 0) L=(0, 1, 0, 0, 1) "
                                   "not reduced")
 
 
