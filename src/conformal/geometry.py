@@ -273,13 +273,10 @@ def lie_quadric_points(g: Geometry, max_q: int = MAX_ENUM_Q):
     """All projective points with Q = 0, canonically normalized, sorted."""
     _check_enum(g, max_q)
     if g._quadric is None:
-        # raw tuples from projective_points already lead with 1, and a
-        # finite field's raw values sort like its scalars
-        field, form = g.field, g.form
-        hits = sorted(x for x in linalg.projective_points(field, form.dim,
-                                                          raw=True)
-                      if field._is_zero(form.eval_raw(x)))
-        wrap = {s.value: s for s in field.elements()}
+        # the raw tuples already lead with 1, and a finite field's raw
+        # values sort like its scalars
+        hits = sorted(g.form.isotropic_points())
+        wrap = {s.value: s for s in g.field.elements()}
         g._quadric = tuple(ProjPoint.from_canonical(tuple(wrap[a] for a in x))
                            for x in hits)
     return g._quadric
@@ -322,13 +319,6 @@ class Subspace:
 
     def from_ambient(self, v) -> Optional[Vector]:
         return linalg.coordinates(v, self.basis, self.form.field)
-
-    def isotropic(self):
-        """The projective points with Q = 0, in the subspace's own
-        coordinates and in ``projective_points`` order (finite fields)."""
-        form = self.form
-        return [v for v in linalg.projective_points(form.field, form.dim)
-                if form(v).is_zero()]
 
 
 def perp_space(g: Geometry, vectors: Sequence[Vector]) -> Subspace:
@@ -377,8 +367,11 @@ def pointspace_points_of(ps: Subspace, c_proj):
         ps.from_ambient(c_proj.coords)
     if coords is None:
         raise RoleError("cycle does not lie in the pointspace")
-    return tuple(sorted((ProjPoint(ps.to_ambient(v)) for v in ps.isotropic()
-                         if ps.form.b_full(coords, v).is_zero()),
+    form = ps.form
+    b, y = form.b_raw, linalg.raw_values(form.field, coords)
+    return tuple(sorted((ProjPoint(ps.to_ambient(x))
+                         for x in form.isotropic_points()
+                         if form.field._is_zero(b(y, x))),
                         key=ProjPoint.sort_key))
 
 
@@ -432,21 +425,9 @@ def _is_actual(g: Geometry, span: Sequence[Vector]) -> Optional[bool]:
 
 def _isotropic_in_span(g: Geometry, basis: Sequence[Vector]) -> list:
     """The vectors with Q = 0 of span(basis), one per projective point
-    (finite fields)."""
-    field, form = g.field, g.form
-    add, mul = field._add, field._mul
-    rows = [linalg.raw_values(field, v) for v in basis]
-    zero = field.zero().value
-    out = []
-    # sum c_i v_i added in order from zero, as ``linalg.combine`` adds,
-    # so the vectors equal its Scalar sums
-    for combo in linalg.projective_points(field, len(basis), raw=True):
-        x = [zero] * form.dim
-        for c, row in zip(combo, rows):
-            x = [add(s, mul(c, a)) for s, a in zip(x, row)]
-        if field._is_zero(form.eval_raw(x)):
-            out.append(linalg.vector(field, x))
-    return out
+    (finite fields): Q(sum c_i v_i) is the restricted form at c."""
+    return [linalg.combine(linalg.vector(g.field, c), basis)
+            for c in g.form.restrict(basis).isotropic_points()]
 
 
 def span_subcycle(g: Geometry, *points) -> Subcycle:

@@ -11,6 +11,7 @@ class of Q(L).
 
 from __future__ import annotations
 
+import itertools
 import math
 from enum import Enum
 from typing import Optional
@@ -427,28 +428,30 @@ def stabilizer_matrices(g: Geometry, l):
     lc = space.l_coords
     b1, b2 = chart.basis[1], chart.basis[2]
     lc_raw = linalg.raw_values(field, lc)
+    x1, x2 = linalg.raw_values(field, b1), linalg.raw_values(field, b2)
 
-    def norms(v):  # (Q(v), B(L, v)) on raw values
-        x = linalg.raw_values(field, v)
+    def norms(x):  # (Q(x), B(L, x)) on raw values
         return form.eval_raw(x), form.b_raw(lc_raw, x)
 
-    want1, want2 = norms(b1), norms(b2)
-    cross = form.b_full(b1, b2)
+    want1, want2 = norms(x1), norms(x2)
+    cross = form.b_raw(x1, x2)
     cands1, cands2 = [], []
-    for v in linalg.all_vectors(field, 3):
-        got = norms(v)
+    # raw tuples in ``all_vectors`` order
+    for x in itertools.product([s.value for s in field.elements()], repeat=3):
+        got = norms(x)
         if got == want1:
-            cands1.append(v)
+            cands1.append(x)
         if got == want2:
-            cands2.append(v)
+            cands2.append(x)
     out = []
     for y in cands1:
         for z in cands2:
-            if form.b_full(y, z) != cross:
+            if form.b_raw(y, z) != cross:
                 continue
             # images of the chart basis determine the map; (lc, y, z) has
             # the chart basis's Gram matrix, so m is invertible
-            m_cols = tuple(zip(lc, y, z))  # chart coords -> line coords
+            m_cols = tuple(zip(lc, linalg.vector(field, y),
+                               linalg.vector(field, z)))  # chart -> line coords
             out.append(linalg.mat_mul(m_cols, chart.from_line))
     return space, chart, out
 
@@ -484,14 +487,10 @@ def find_nonideal_line(g: Geometry) -> ProjPoint:
     """First hyperplanecycle with B(P, l) != 0, in canonical order."""
     if not g.field.is_finite:
         raise UnsupportedFieldError("line search needs a finite field")
-    for v in linalg.projective_points(g.field, g.form.dim):
-        if not g.form(v).is_zero():
-            continue
-        if not g.form.b_full(g.l_rep, v).is_zero():
-            continue
-        if g.form.b_full(g.p_rep, v).is_zero():
-            continue
-        return ProjPoint(v)
+    b, is_zero = g.form.b_raw, g.field._is_zero
+    for x in g.form.isotropic_points():
+        if is_zero(b(g._l_raw, x)) and not is_zero(b(g._p_raw, x)):
+            return ProjPoint.from_canonical(linalg.vector(g.field, x))
     raise DegenerateLineError("the geometry has no non-ideal hyperplane")
 
 
@@ -501,7 +500,10 @@ def line_points(g: Geometry, l):
     space = line_space(g, l)
     if not g.field.is_finite:
         raise UnsupportedFieldError("point enumeration needs a finite field")
-    pts = sorted((ProjPoint(space.to_ambient(v)) for v in space.isotropic()
-                  if not space.form.b_full(space.l_coords, v).is_zero()),
+    form = space.form
+    b, y = form.b_raw, linalg.raw_values(form.field, space.l_coords)
+    pts = sorted((ProjPoint(space.to_ambient(x))
+                  for x in form.isotropic_points()
+                  if not form.field._is_zero(b(y, x))),
                  key=ProjPoint.sort_key)
     return space, tuple(pts)

@@ -154,6 +154,14 @@ class QuadraticForm:
         return linalg.kernel_basis(tuple(self.gram_row(v) for v in vectors),
                                    self.field, self.dim)
 
+    def isotropic_points(self):
+        """Yield the raw tuples of the projective points with Q = 0, in
+        ``linalg.projective_points`` order (finite fields)."""
+        is_zero, q = self.field._is_zero, self.eval_raw
+        for x in linalg.projective_points(self.field, self.dim, raw=True):
+            if is_zero(q(x)):
+                yield x
+
     def b_half(self, u: Vector, v: Vector) -> Scalar:
         """The 1/2-scaled bilinear form; satisfies B(v,v) = Q(v)."""
         if self.field.char == 2:
@@ -808,8 +816,7 @@ class _Extender:
     def _iso_list(self):
         """Raw representatives of the isotropic projective points."""
         if self._iso is None:
-            self._iso = [v for v in linalg.projective_points(
-                self.field, self.n, raw=True) if not self.q.eval_raw(v)]
+            self._iso = list(self.q.isotropic_points())
         return self._iso
 
     # -- elementary moves -------------------------------------------------
@@ -976,14 +983,17 @@ class IsometrySampler:
         self.q = q
         self.field = q.field
         self.fixed = [tuple(q.field.scalar(x) for x in v) for v in fixed]
+        fixed_raw = [raw_values(q.field, v) for v in self.fixed]
+        elems = [s.value for s in q.field.elements()]
         self.buckets = {}
-        for v in linalg.all_vectors(q.field, q.dim):
-            if linalg.is_zero_vector(v):
+        # raw tuples in ``all_vectors`` order; extend() wraps the draws
+        for x in itertools.product(elems, repeat=q.dim):
+            if not any(x):
                 continue
             # vectors inside span(fixed) stay in the buckets; extend()
             # rejects dependent choices and sample() retries
-            key = (q(v).value,) + tuple(q.b_full(f, v).value for f in self.fixed)
-            self.buckets.setdefault(key, []).append(v)
+            key = (q.eval_raw(x),) + tuple(q.b_raw(f, x) for f in fixed_raw)
+            self.buckets.setdefault(key, []).append(x)
         self._keys = sorted(self.buckets)
         self._ext = _Extender(q)
 

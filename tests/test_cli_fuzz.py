@@ -3,6 +3,9 @@
 ``cli.main`` is called with argv drawn from the real subcommands, mixing
 well-formed values with malformed ones: truncated or non-object geometry
 JSON, bad field tokens, wrong-length vectors, nan/inf and non-numbers.
+``geom`` and ``metric`` read such a geometry from stdin; ``metric`` also
+runs on the intact golden files, and ``metric distance`` mixes the golden
+runs' vectors with malformed ones.
 Whatever the input, the run must end with a documented exit code and a
 message on stderr, never with a traceback.
 """
@@ -20,7 +23,13 @@ from conformal import cli
 
 EXIT_CODES = {0, 2, 3, 64}
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-GEOMETRIES = ["fp5_elliptic", "f4_d3", "fp11_unit", "fp11_zero"]
+GEOMETRIES = ["fp5_elliptic", "f4_d3", "fp11_unit", "fp11_zero",
+              "fp11_non_residue"]
+# the golden ``metric distance`` runs: geometry, then --line, --p1, --p2
+DISTANCE_CASES = [("fp11_unit", "1,0,0,0,1", "0,1,0,1,0", "0,1,2,4,0"),
+                  ("fp11_zero", "1,0,0,1,0", "0,0,1,0,1", "0,1,0,0,10"),
+                  ("fp11_non_residue", "1,0,0,1,0", "0,0,1,0,1",
+                   "0,1,0,0,1")]
 
 FIELDS = ["rational", "fp:3", "fp:5", "fp:7", "f2", "f4", "approx"]
 BAD_FIELDS = ["qclosed", "fp:4", "fp:", "fp:-3", "f8", "", "real", 5, None,
@@ -102,6 +111,22 @@ def _geom_argv(draw):
     return argv
 
 
+def _metric_argv(draw):
+    """An intact golden geometry file, or the fuzzed geometry on stdin;
+    distance vectors are the golden run's or malformed ones."""
+    command = draw(st.sampled_from(["gamma", "distance"]))
+    if command == "gamma":
+        name, vectors = draw(st.sampled_from(GEOMETRIES)), ()
+    else:
+        name, *vectors = draw(st.sampled_from(DISTANCE_CASES))
+    geom = (os.path.join(GOLDEN, name + ".json") if draw(st.booleans())
+            else "-")
+    argv = ["metric", command, "--geom", geom]
+    for opt, text in zip(("--line", "--p1", "--p2"), vectors):
+        argv += [opt, text if draw(st.booleans()) else draw(_vector_text())]
+    return argv
+
+
 def _classify_argv(draw):
     command = draw(st.sampled_from(["atlas", "table", "partners"]))
     token = draw(st.sampled_from(FIELDS + BAD_FIELDS[:7]))
@@ -153,14 +178,15 @@ def _verify_argv(draw):
 @st.composite
 def invocations(draw):
     """(argv, stdin text) for one run of the command line."""
-    group = draw(st.sampled_from(["geom", "classify", "examples",
+    group = draw(st.sampled_from(["geom", "metric", "classify", "examples",
                                   "verify"]))
-    build = {"geom": _geom_argv, "classify": _classify_argv,
-             "examples": _examples_argv, "verify": _verify_argv}[group]
+    build = {"geom": _geom_argv, "metric": _metric_argv,
+             "classify": _classify_argv, "examples": _examples_argv,
+             "verify": _verify_argv}[group]
     argv = build(draw)
     if draw(st.integers(0, 9)) == 0:
         argv.append(draw(st.sampled_from(["--out", "--bogus", "extra"])))
-    stdin = draw(_geometry_text()) if group == "geom" else ""
+    stdin = draw(_geometry_text()) if group in ("geom", "metric") else ""
     return argv, stdin
 
 

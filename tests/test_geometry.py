@@ -209,8 +209,8 @@ def test_projection_identity_exhaustive_f5():
 
 def test_perp_space():
     """pointspace and line_space are the perp_space Subspaces of P and of
-    (P, l), and isotropic() lists the isotropic points found by a brute-
-    force scan through the ambient form (F_3, F_5)."""
+    (P, l), and their forms' isotropic_points() are the isotropic points
+    found by a brute-force scan through the ambient form (F_3, F_5)."""
     from conformal.metric import find_nonideal_line, line_space
     for field in (F3, F5):
         for cls in enumerate_classes(field, 2):
@@ -222,11 +222,12 @@ def test_perp_space():
                 assert space.basis == g.form.perp(vectors)
                 assert space.to_ambient(space.l_coords) == g.l_rep
                 dim = len(space.basis)
-                brute = {v for v in linalg.all_vectors(field, dim)
+                brute = {tuple(x.value for x in v)
+                         for v in linalg.all_vectors(field, dim)
                          if not linalg.is_zero_vector(v)
                          and next(x for x in v if not x.is_zero()).value == 1
                          and g.form(space.to_ambient(v)).is_zero()}
-                iso = space.isotropic()
+                iso = list(space.form.isotropic_points())
                 assert len(iso) == len(brute) and set(iso) == brute
 
 

@@ -1,12 +1,14 @@
 """Differential tests of the raw-value Q/B kernel.
 
 ``QuadraticForm.__call__``, ``b_full`` and ``gram_row`` evaluate on raw
-field values, ``linalg.rref`` eliminates on them, ``lie_quadric_points``
-enumerates raw tuples, ``reflect_raw`` and ``mirrors`` build the
-isometries of Witt's theorem on raw tuples, ``points_of``,
-``cayley_klein_points``, ``has_point_search``, ``role`` and
-``_isotropic_in_span`` filter raw tuples, and ``subspaces`` and
-``_is_hyperbolic_space`` run the Witt oracle on them.  The references
+field values, ``linalg.rref`` eliminates on them,
+``QuadraticForm.isotropic_points`` yields the raw tuples of the quadric
+in ``projective_points`` order (``lie_quadric_points`` sorts them and
+``_isotropic_in_span`` runs it on the restricted form), ``reflect_raw``
+and ``mirrors`` build the isometries of Witt's theorem on raw tuples,
+``points_of``, ``cayley_klein_points``, ``has_point_search`` and ``role``
+filter raw tuples, and ``subspaces`` and ``_is_hyperbolic_space`` run
+the Witt oracle on them.  The references
 below are the plain ``Scalar``-arithmetic loops and matrices those
 functions replaced; every answer must agree with them, bit for bit over
 ApproxReal.
@@ -192,10 +194,12 @@ def small_geometries(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_geometries())
 def test_lie_quadric_points_matches_scalar_filter(g):
-    expected = sorted((ProjPoint(v)
-                       for v in linalg.projective_points(g.field, g.form.dim)
-                       if ref_q(g.form, v).is_zero()),
-                      key=ProjPoint.sort_key)
+    scan = [v for v in linalg.projective_points(g.field, g.form.dim)
+            if ref_q(g.form, v).is_zero()]
+    # unsorted: find_nonideal_line takes the first hit of this order
+    assert list(g.form.isotropic_points()) == [
+        tuple(c.value for c in v) for v in scan]
+    expected = sorted((ProjPoint(v) for v in scan), key=ProjPoint.sort_key)
     got = lie_quadric_points(g)
     assert got == tuple(expected)
     assert all(c.field is g.field for pt in got for c in pt.coords)
