@@ -273,23 +273,55 @@ def representative_geometry(cls: GeometryClass) -> Geometry:
 def _finite_representative(cls: GeometryClass, form: QuadraticForm):
     """representative_geometry over F_q: the same search over the
     projective points in order, on raw values, with the cheap tests
-    first; only a candidate that passes them becomes a Geometry."""
+    first and L taken from the points of P^perp alone; only a candidate
+    that passes them becomes a Geometry."""
     field = form.field
     sq = {e.value: square_class(e) for e in field.elements()}
-    q, b = form.eval_raw, form.b_raw
+    q = form.eval_raw
     p_rep = next((v for v in linalg.projective_points(field, form.dim,
                                                         raw=True)
                   if sq[q(v)] is cls.qp), None)
     assert p_rep is not None, "no representative for Q(P)"
-    for v in linalg.projective_points(field, form.dim, raw=True):
+    for v in _perp_points(form, p_rep):
         # both are normalised, so v is independent of p_rep unless equal
-        if b(p_rep, v) or sq[q(v)] is not cls.ql or v == p_rep:
+        if sq[q(v)] is not cls.ql or v == p_rep:
             continue
         g = Geometry(form, p_rep, v)
         got = classify(g)
         if (got.qp, got.ql) == (cls.qp, cls.ql):
             return g
     raise InvalidInputError(f"no representative pair found for {cls}")
+
+
+def _perp_points(form: QuadraticForm, p):
+    """The raw projective points x with B(p, x) = 0, in
+    ``linalg.projective_points`` order, without visiting the others.
+
+    With r = B(p, .) and m its last nonzero index, a point with lead k
+    is in p^perp for every k > m and never for k = m; for k < m the
+    equation fixes x_m from the coordinates before it, so the other
+    coordinates run in product order and x_m is solved for."""
+    field = form.field
+    add, mul, neg = field._add, field._mul, field._neg
+    r = [s.value for s in form.gram_row([Scalar(a, field) for a in p])]
+    m = max(k for k, a in enumerate(r) if not field._is_zero(a))
+    minus_inv = neg(field._inv(r[m]))
+    one, zero = field.one().value, field.zero().value
+    elems = [e.value for e in field.elements()]
+    n = form.dim
+    for lead in range(n):
+        prefix = (zero,) * lead + (one,)
+        if lead > m:
+            for tail in itertools.product(elems, repeat=n - lead - 1):
+                yield prefix + tail
+        elif lead < m:
+            for mid in itertools.product(elems, repeat=m - lead - 1):
+                total = r[lead]
+                for a, b in zip(r[lead + 1:m], mid):
+                    total = add(total, mul(a, b))
+                x_m = (mul(minus_inv, total),)
+                for tail in itertools.product(elems, repeat=n - m - 1):
+                    yield prefix + mid + x_m + tail
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +337,11 @@ def _scaling_options(field: Field):
 
 
 def _pointspace_token(g: Geometry, lam: Scalar):
-    """Isomorphism invariants of (P^perp, lam Q^P, L)."""
+    """Isomorphism invariants of (P^perp, lam Q^P, L), computed once per
+    (geometry, lam) and kept on the geometry."""
+    token = g._tokens.get(lam.value)
+    if token is not None:
+        return token
     ps = pointspace(g)
     form = ps.form.scaled(lam)
     rad = bilinear_radical(form)
@@ -317,7 +353,8 @@ def _pointspace_token(g: Geometry, lam: Scalar):
         inv = ("sig",) + signature(core)
     else:
         inv = ("det", core.dim, det_class(core).name)
-    return (len(rad), inv, ql_cls.name, l_in_rad)
+    token = g._tokens[lam.value] = (len(rad), inv, ql_cls.name, l_in_rad)
+    return token
 
 
 def cycle_equivalent(g1: Geometry, g2: Geometry) -> bool:

@@ -128,6 +128,7 @@ class Geometry:
         self._l_raw = tuple(x.value for x in l_rep)
         self._quadric = None
         self._points = None
+        self._tokens = {}  # classify._pointspace_token by the raw lambda
 
     @property
     def n(self) -> int:

@@ -15,7 +15,9 @@ forms are derived from Q:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .fields import (CharTwo, ConformalError, Field, PrimeField, Rational,
@@ -41,7 +43,7 @@ class QuadraticForm:
     """Q(v) = sum_{i<=j} c_ij v_i v_j with an upper-triangular table."""
 
     __slots__ = ("field", "dim", "_items", "_coeffs", "_gram", "_bil",
-                 "_terms", "_p")
+                 "_terms", "_p", "_den", "_int_terms")
 
     def __init__(self, field: Field, dim: int, coeffs):
         if dim < 1:
@@ -62,6 +64,12 @@ class QuadraticForm:
         self._bil = None
         self._terms = tuple((i, j, c.value) for (i, j), c in self._items)
         self._p = field.p if isinstance(field, PrimeField) else 0
+        # over Q the table is _int_terms / _den, on integers
+        self._den = 0
+        if isinstance(field, Rational):
+            self._den = math.lcm(*(c.denominator for _, _, c in self._terms))
+            self._int_terms = tuple((i, j, int(c * self._den))
+                                    for i, j, c in self._terms)
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -86,9 +94,12 @@ class QuadraticForm:
     # -- evaluation -----------------------------------------------------
     # Q and B run on raw field values: the coordinates are unwrapped once
     # per call and the result is wrapped in one Scalar.  Over F_p the
-    # terms are summed as Python ints with a single reduction; the other
-    # fields use their raw ops in the order of plain Scalar arithmetic
-    # over the table, so float results are bit-identical to it.
+    # terms are summed as Python ints with a single reduction; over Q the
+    # table and the input are brought to integer numerators, summed as
+    # Python ints and divided once (a Fraction is canonical, so the value
+    # is the one plain Fraction arithmetic gives); the other fields use
+    # their raw ops in the order of plain Scalar arithmetic over the
+    # table, so float results are bit-identical to it.
     def __call__(self, v: Vector) -> Scalar:
         return Scalar(self.eval_raw(raw_values(self.field, v)), self.field)
 
@@ -96,6 +107,11 @@ class QuadraticForm:
         """Q on a sequence of raw field values (no field checks)."""
         if self._p:
             return sum([c * x[i] * x[j] for i, j, c in self._terms]) % self._p
+        if self._den:
+            xs, lx = _numerators(x)
+            return Fraction(sum([c * xs[i] * xs[j]
+                                 for i, j, c in self._int_terms]),
+                            self._den * lx * lx)
         add, mul = self.field._add, self.field._mul
         total = self.field.zero().value
         for i, j, c in self._terms:
@@ -114,6 +130,11 @@ class QuadraticForm:
             # on the diagonal c (x_i y_i + x_i y_i) is the 2c x_i y_i term
             return sum([c * (x[i] * y[j] + x[j] * y[i])
                         for i, j, c in self._terms]) % self._p
+        if self._den:
+            (xs, lx), (ys, ly) = _numerators(x), _numerators(y)
+            return Fraction(sum([c * (xs[i] * ys[j] + xs[j] * ys[i])
+                                 for i, j, c in self._int_terms]),
+                            self._den * lx * ly)
         add, mul = self.field._add, self.field._mul
         total = self.field.zero().value
         for i, j, c in self._terms:
@@ -137,9 +158,18 @@ class QuadraticForm:
 
     def gram_row(self, x: Vector) -> Vector:
         """(B(x, e_0), ..., B(x, e_{n-1})): the cached raw Gram matrix
-        times x, summed like ``linalg.mat_vec``."""
+        times x, summed like ``linalg.mat_vec`` (over Q: on integers,
+        term by term from the table)."""
         field = self.field
         xs = raw_values(field, x)
+        if self._den:
+            xs, lx = _numerators(xs)
+            sums = [0] * self.dim
+            for i, j, c in self._int_terms:
+                sums[i] += c * xs[j]
+                sums[j] += c * xs[i]
+            den = self._den * lx
+            return tuple(Scalar(Fraction(t, den), field) for t in sums)
         add, mul = field._add, field._mul
         out = []
         for row in self._raw_gram():
@@ -238,6 +268,14 @@ class QuadraticForm:
             mono = f"x{i}^2" if i == j else f"x{i}*x{j}"
             terms.append(f"{c!r}*{mono}")
         return " + ".join(terms) if terms else "0"
+
+
+def _numerators(x):
+    """(integers xs, l >= 1) with x_i = xs[i] / l, for rationals or ints."""
+    lx = math.lcm(*[v.denominator for v in x])
+    if lx == 1:
+        return [v.numerator for v in x], 1
+    return [v.numerator * (lx // v.denominator) for v in x], lx
 
 
 def bilinear_radical(q: QuadraticForm):

@@ -10,11 +10,11 @@ from conformal import linalg
 from conformal.fields import (PrimeField, Rational, SquareClass,
                               UnsupportedFieldError, CharTwo,
                               canonical_nonresidue, square_class)
-from conformal.classify import (QUADRATICALLY_CLOSED, canonical_form,
-                                ck_table, classify, cycle_equivalence_partners,
-                                cycle_equivalent, enumerate_classes,
-                                pointspace_isometry, representative_geometry,
-                                second_model)
+from conformal.classify import (QUADRATICALLY_CLOSED, _perp_points,
+                                canonical_form, ck_table, classify,
+                                cycle_equivalence_partners, cycle_equivalent,
+                                enumerate_classes, pointspace_isometry,
+                                representative_geometry, second_model)
 from conformal.geometry import Geometry, pointspace
 from conformal.quadform import IsometrySampler, QuadraticForm
 
@@ -126,14 +126,32 @@ def ref_representative(cls):
 
 
 @pytest.mark.parametrize("field,dims", [
-    (F3, (1, 2, 3)), (F5, (1, 2, 3)), (F7, (1, 2, 3)),
+    (F3, (1, 2, 3)), (F5, (1, 2, 3, 4)), (F7, (1, 2, 3)),
     (CharTwo(2), (3,)), (CharTwo(4), (3,)), (PrimeField(11), (2,)),
-], ids=["fp:3", "fp:5", "fp:7", "f2", "f4", "fp:11"])
+    (PrimeField(13), (2,)),
+], ids=["fp:3", "fp:5", "fp:7", "f2", "f4", "fp:11", "fp:13"])
 def test_raw_representatives_match_scalar_search(field, dims):
+    # the search walks P^perp alone; the reference scans every point
     for d in dims:
         for cls in enumerate_classes(field, d):
             g = representative_geometry(cls)
             assert (g.p_rep, g.l_rep) == ref_representative(cls), cls
+
+
+@pytest.mark.parametrize("field", [F3, F5, CharTwo(2), CharTwo(4)],
+                         ids=lambda f: f.token())
+def test_perp_points_is_the_filtered_scan_in_order(field):
+    """_perp_points yields exactly the projective points of p^perp, in
+    projective_points order, for every p (all last-nonzero indices of
+    B(p, .)) on a non-diagonal form."""
+    coeffs = {(0, 1): 1, (1, 1): 1, (2, 3): 1, (0, 0): 1}
+    form = QuadraticForm(field, 4, coeffs)
+    points = list(linalg.projective_points(field, 4, raw=True))
+    for p in points:
+        if not any(form.b_raw(p, x) for x in points):
+            continue  # p in the radical: B(p, .) = 0
+        want = [x for x in points if not form.b_raw(p, x)]
+        assert list(_perp_points(form, p)) == want, p
 
 
 def test_char2_atlas_representatives():
@@ -171,6 +189,29 @@ def test_cycle_equivalence_is_equivalence_relation():
                 for k in range(len(reps)):
                     if rel[(i, j)] and rel[(j, k)]:
                         assert rel[(i, k)]
+
+
+def _fresh(g):
+    """g rebuilt on a new form: no pointspace token cached yet."""
+    form = QuadraticForm(g.field, g.form.dim, dict(g.form.coeff_items()))
+    return Geometry(form, g.p_rep, g.l_rep)
+
+
+def test_cycle_equivalent_memo_keeps_every_answer():
+    """The pointspace tokens cached on a geometry never change an answer:
+    every ordered pair of an atlas relates the same while the tokens are
+    being cached, once they all are, and on fresh geometries."""
+    atlases = [(QQ, d) for d in (1, 2, 3, 4)] + [(F3, 2), (F5, 2)]
+    for field, d in atlases:
+        reps = [representative_geometry(c)
+                for c in enumerate_classes(field, d)]
+        pairs = list(itertools.product(reps, repeat=2))
+        first = [cycle_equivalent(g1, g2) for g1, g2 in pairs]
+        assert all(len(g._tokens) == 2 for g in reps)
+        again = [cycle_equivalent(g1, g2) for g1, g2 in pairs]
+        fresh = [cycle_equivalent(_fresh(g1), _fresh(g2)) for g1, g2 in pairs]
+        assert first == again == fresh, (field, d)
+        assert any(first) and not all(first)
 
 
 def test_partners_real():

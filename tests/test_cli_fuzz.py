@@ -215,3 +215,37 @@ def test_cli_ends_with_an_exit_code_not_a_traceback(case):
     assert "Traceback" not in err
     if code != 0:
         assert err.endswith("\n") and err.count("\n") == 1, err
+
+
+NOT_ORTHOGONAL = json.dumps({"field": "fp:5", "form": [1, 1, 1, 1, 1],
+                             "P": [1, 0, 0, 0, 0], "L": [1, 1, 0, 0, 0]})
+# one process, one parser: successes, an option before the command, a
+# usage error, a violated precondition and an unsupported field, mixed
+PARSER_REUSE_RUNS = [
+    (["--out", "json", "classify", "table", "--field", "rational"], "", 0),
+    (["classify", "atlas", "--field", "fp:5"], "", 64),
+    (["geom", "describe", "--geom", "-"], NOT_ORTHOGONAL, 2),
+    (["classify", "atlas", "--field", "rational", "--dim", "2"], "", 0),
+    (["classify", "table", "--field", "f4"], "", 3),
+    (["--seed", "3", "classify", "partners", "--class",
+      '{"field": "rational", "dim": 2, "qP": "1", "qL": "-1"}'], "", 0),
+    (["examples", "separation", "--model", "elliptic", "--d=0.5"], "", 0),
+    (["classify", "table", "--field", "rational"], "", 0),
+]
+
+
+def test_main_reuses_one_parser_with_fresh_answers():
+    """main() builds its parser once per process; every run of a mixed
+    sequence prints what it prints on a freshly built parser."""
+    assert cli._parser() is cli._parser()
+    reused = [_run(argv, stdin) for argv, stdin, _ in PARSER_REUSE_RUNS]
+    with mock.patch.object(cli, "_parser", cli.build_parser):
+        fresh = [_run(argv, stdin) for argv, stdin, _ in PARSER_REUSE_RUNS]
+    assert reused == fresh
+    assert [r[0] for r in reused] == [c for _, _, c in PARSER_REUSE_RUNS]
+    for code, out, err in reused:
+        assert (err == "") == (code == 0)
+        assert err.count("\n") <= 1 and (code == 0) == (out != "")
+    # the option given before the command does not outlive its run
+    assert reused[0][1] != reused[-1][1]
+    assert json.loads(reused[0][1])["headers"] == ["-1", "0", "1"]

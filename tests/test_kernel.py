@@ -8,7 +8,11 @@ in ``projective_points`` order (``lie_quadric_points`` sorts them and
 and ``mirrors`` build the isometries of Witt's theorem on raw tuples,
 ``points_of``, ``cayley_klein_points``, ``has_point_search`` and ``role``
 filter raw tuples, and ``subspaces`` and ``_is_hyperbolic_space`` run
-the Witt oracle on them.  The references
+the Witt oracle on them.  Over Q, ``eval_raw``, ``b_raw`` and
+``gram_row`` run on integer numerators (the table and the input scaled
+by the lcm of their denominators) and build one Fraction per result;
+they are checked on denominators up to 10^6, plain-int raw values and
+tables over different denominators.  The references
 below are the plain ``Scalar``-arithmetic loops and matrices those
 functions replaced; every answer must agree with them, bit for bit over
 ApproxReal.
@@ -56,10 +60,17 @@ def ref_b(q, u, v):
     return total
 
 
+def rationals():
+    """Raw rationals: mostly small, some with denominators up to 10^6,
+    and plain ints (a raw value may be either)."""
+    return (st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+            | st.fractions(max_denominator=10**6)
+            | st.integers(-10**6, 10**6))
+
+
 def elements(field):
     if isinstance(field, Rational):
-        return st.builds(lambda n, d: field.scalar(Fraction(n, d)),
-                         st.integers(-20, 20), st.integers(1, 9))
+        return st.builds(field.scalar, rationals())
     if isinstance(field, ApproxReal):
         return st.builds(field.scalar,
                          st.floats(-1e6, 1e6, allow_nan=False)
@@ -436,6 +447,41 @@ def test_gram_row_adds_in_mat_vec_order():
     assert all(same(a, b) for a, b in
                zip(got, linalg.mat_vec(ref_gram(q), x)))
     assert got[0].value == 0.0
+
+
+QQ = FIELDS[0]
+# coefficients over different denominators, so the table's lcm is not
+# any one of them
+MIXED_DENOMINATORS = [
+    QuadraticForm(QQ, 3, {(0, 0): Fraction(1, 3), (0, 1): Fraction(5, 7),
+                          (1, 2): Fraction(-2, 9), (2, 2): 4}),
+    QuadraticForm(QQ, 4, {(0, 0): Fraction(1, 999983),
+                          (1, 3): Fraction(-7, 10**6),
+                          (2, 2): Fraction(3, 2), (3, 3): -1}),
+    QuadraticForm(QQ, 2, {(0, 1): Fraction(1, 6), (1, 1): Fraction(-4, 15)}),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rational_kernel_matches_fraction_arithmetic(data):
+    """Over Q, eval_raw, b_raw, gram_row and reflect_raw sum integer
+    numerators and divide once; each result must be the Fraction that
+    Scalar arithmetic gives, never an int (repr and JSON print it)."""
+    q = data.draw(forms(QQ) | st.sampled_from(MIXED_DENOMINATORS))
+    raw = st.lists(rationals(), min_size=q.dim, max_size=q.dim)
+    x, y = data.draw(raw), data.draw(raw)
+    sx, sy = tuple(map(QQ.scalar, x)), tuple(map(QQ.scalar, y))
+    got = [Scalar(q.eval_raw(x), QQ), Scalar(q.b_raw(x, y), QQ)]
+    want = [ref_q(q, sx), ref_b(q, sx, sy)]
+    got += q.gram_row(sx)
+    want += linalg.mat_vec(ref_gram(q), sx)
+    if not ref_q(q, sx).is_zero():
+        got += [Scalar(a, QQ) for a in q.reflect_raw(x, y)]
+        want += linalg.mat_vec(reflection_matrix(q, sx), sy)
+    assert len(got) == len(want)
+    assert all(type(a.value) is Fraction for a in got)
+    assert all(same(a, b) for a, b in zip(got, want))
 
 
 @settings(max_examples=300, deadline=None)
