@@ -234,94 +234,48 @@ def canonical_form(field: Field, geom_dim: int, form_invariant) -> QuadraticForm
     raise UnsupportedFieldError(f"canonical forms over {field}")
 
 
-def _candidate_vectors(field: Field, dim: int):
-    for coords in itertools.product((0, 1, -1), repeat=dim):
-        if any(coords):
-            yield tuple(field.scalar(c) for c in coords)
+def _candidates(field: Field, dim: int):
+    """The raw candidate vectors of the representative search: the
+    projective points over F_q, the nonzero vectors of {0, 1, -1}^dim
+    over Q (lazily: a search stops long before the last)."""
+    if field.is_finite:
+        return linalg.projective_points(field, dim, raw=True)
+    return (v for v in itertools.product((0, 1, -1), repeat=dim) if any(v))
 
 
 def representative_geometry(cls: GeometryClass) -> Geometry:
-    """A concrete geometry in the class: canonical form, P and L found
-    by a deterministic lexicographic search."""
+    """A concrete geometry in the class: the canonical form, P the first
+    candidate of norm class Q(P), L the first candidate of P^perp of norm
+    class Q(L) other than +-P (over F_q a walk of P^perp alone).
+
+    Every such pair has the class's form invariant and norm classes, so
+    ``classify`` answers the same for all of them: it runs once, on the
+    pair found, and a class it does not return has no representative."""
     if cls.field is None:
         raise UnsupportedFieldError(
             "no concrete representatives over a symbolic field")
     field = cls.field
     form = canonical_form(field, cls.geom_dim, cls.form_invariant)
-    if field.is_finite:
-        return _finite_representative(cls, form)
-    p_rep = None
-    for v in _candidate_vectors(field, form.dim):
-        if square_class(form(v)) is cls.qp:
-            p_rep = v
-            break
-    assert p_rep is not None, "no representative for Q(P)"
-    for v in _candidate_vectors(field, form.dim):
-        if square_class(form(v)) is not cls.ql:
-            continue
-        if not form.b_full(p_rep, v).is_zero():
-            continue
-        if not linalg.independent([p_rep, v], field):
-            continue
-        g = Geometry(form, p_rep, v)
-        got = classify(g)
-        if (got.qp, got.ql) == (cls.qp, cls.ql):
-            return g
-    raise InvalidInputError(f"no representative pair found for {cls}")
-
-
-def _finite_representative(cls: GeometryClass, form: QuadraticForm):
-    """representative_geometry over F_q: the same search over the
-    projective points in order, on raw values, with the cheap tests
-    first and L taken from the points of P^perp alone; only a candidate
-    that passes them becomes a Geometry."""
-    field = form.field
-    sq = {e.value: square_class(e) for e in field.elements()}
     q = form.eval_raw
-    p_rep = next((v for v in linalg.projective_points(field, form.dim,
-                                                        raw=True)
-                  if sq[q(v)] is cls.qp), None)
+    sq = lambda v: square_class(Scalar(q(v), field))
+    p_rep = next((v for v in _candidates(field, form.dim)
+                  if sq(v) is cls.qp), None)
     assert p_rep is not None, "no representative for Q(P)"
-    for v in _perp_points(form, p_rep):
-        # both are normalised, so v is independent of p_rep unless equal
-        if sq[q(v)] is not cls.ql or v == p_rep:
-            continue
-        g = Geometry(form, p_rep, v)
+    if field.is_finite:
+        perp = form.perp_points(p_rep)
+    else:
+        perp = (v for v in _candidates(field, form.dim)
+                if field._is_zero(form.b_raw(p_rep, v)))
+    # +-P are the only candidates dependent on P
+    minus_p = tuple(field._neg(a) for a in p_rep)
+    l_rep = next((v for v in perp
+                  if sq(v) is cls.ql and v != p_rep and v != minus_p), None)
+    if l_rep is not None:
+        g = Geometry(form, p_rep, l_rep)
         got = classify(g)
         if (got.qp, got.ql) == (cls.qp, cls.ql):
             return g
     raise InvalidInputError(f"no representative pair found for {cls}")
-
-
-def _perp_points(form: QuadraticForm, p):
-    """The raw projective points x with B(p, x) = 0, in
-    ``linalg.projective_points`` order, without visiting the others.
-
-    With r = B(p, .) and m its last nonzero index, a point with lead k
-    is in p^perp for every k > m and never for k = m; for k < m the
-    equation fixes x_m from the coordinates before it, so the other
-    coordinates run in product order and x_m is solved for."""
-    field = form.field
-    add, mul, neg = field._add, field._mul, field._neg
-    r = [s.value for s in form.gram_row([Scalar(a, field) for a in p])]
-    m = max(k for k, a in enumerate(r) if not field._is_zero(a))
-    minus_inv = neg(field._inv(r[m]))
-    one, zero = field.one().value, field.zero().value
-    elems = [e.value for e in field.elements()]
-    n = form.dim
-    for lead in range(n):
-        prefix = (zero,) * lead + (one,)
-        if lead > m:
-            for tail in itertools.product(elems, repeat=n - lead - 1):
-                yield prefix + tail
-        elif lead < m:
-            for mid in itertools.product(elems, repeat=m - lead - 1):
-                total = r[lead]
-                for a, b in zip(r[lead + 1:m], mid):
-                    total = add(total, mul(a, b))
-                x_m = (mul(minus_inv, total),)
-                for tail in itertools.product(elems, repeat=n - m - 1):
-                    yield prefix + mid + x_m + tail
 
 
 # ---------------------------------------------------------------------------

@@ -484,12 +484,13 @@ def _normal_form_of_matrix(chart: Chart, mc):
 
 
 def find_nonideal_line(g: Geometry) -> ProjPoint:
-    """First hyperplanecycle with B(P, l) != 0, in canonical order."""
+    """First hyperplanecycle with B(P, l) != 0, in canonical order: a
+    walk of the points of L^perp alone."""
     if not g.field.is_finite:
         raise UnsupportedFieldError("line search needs a finite field")
-    b, is_zero = g.form.b_raw, g.field._is_zero
-    for x in g.form.isotropic_points():
-        if is_zero(b(g._l_raw, x)) and not is_zero(b(g._p_raw, x)):
+    q, b, is_zero = g.form.eval_raw, g.form.b_raw, g.field._is_zero
+    for x in g.form.perp_points(g._l_raw):
+        if is_zero(q(x)) and not is_zero(b(g._p_raw, x)):
             return ProjPoint.from_canonical(linalg.vector(g.field, x))
     raise DegenerateLineError("the geometry has no non-ideal hyperplane")
 

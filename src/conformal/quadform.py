@@ -192,6 +192,41 @@ class QuadraticForm:
             if is_zero(q(x)):
                 yield x
 
+    def perp_points(self, p):
+        """Yield the raw tuples of the projective points x with
+        B(p, x) = 0, in ``linalg.projective_points`` order, without
+        visiting the others (finite fields; p holds raw values).
+
+        With r = B(p, .) and m its last nonzero index, a point with lead k
+        is in p^perp for every k > m and never for k = m; for k < m the
+        equation fixes x_m from the coordinates before it, so the other
+        coordinates run in product order and x_m is solved for.  A p in
+        the radical (r = 0) is orthogonal to every point."""
+        field = self.field
+        add, mul, is_zero = field._add, field._mul, field._is_zero
+        r = [s.value for s in self.gram_row([Scalar(a, field) for a in p])]
+        m = max((k for k, a in enumerate(r) if not is_zero(a)), default=-1)
+        if m < 0:
+            yield from linalg.projective_points(field, self.dim, raw=True)
+            return
+        minus_inv = field._neg(field._inv(r[m]))
+        one, zero = field.one().value, field.zero().value
+        elems = [e.value for e in field.elements()]
+        n, product = self.dim, itertools.product
+        for lead in range(n):
+            prefix = (zero,) * lead + (one,)
+            if lead > m:
+                for tail in product(elems, repeat=n - lead - 1):
+                    yield prefix + tail
+            elif lead < m:
+                for mid in product(elems, repeat=m - lead - 1):
+                    total = r[lead]
+                    for a, b in zip(r[lead + 1:m], mid):
+                        total = add(total, mul(a, b))
+                    x_m = (mul(minus_inv, total),)
+                    for tail in product(elems, repeat=n - m - 1):
+                        yield prefix + mid + x_m + tail
+
     def b_half(self, u: Vector, v: Vector) -> Scalar:
         """The 1/2-scaled bilinear form; satisfies B(v,v) = Q(v)."""
         if self.field.char == 2:

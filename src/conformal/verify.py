@@ -68,6 +68,17 @@ def _fail(report: Report, message: str) -> Report:
     return report
 
 
+def _primes(field, default, cap):
+    """The primes a suite that takes a field runs over: its defaults, or
+    the requested F_p alone, which must be within the suite's cap."""
+    if not isinstance(field, PrimeField):
+        return default
+    if field.p > cap:
+        raise geo.EnumerationUnsupportedError(
+            f"field size {field.p} exceeds the cap {cap}")
+    return (field.p,)
+
+
 # ---------------------------------------------------------------------------
 # polarization
 # ---------------------------------------------------------------------------
@@ -266,7 +277,7 @@ def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
     """
     field = PrimeField(p)
     form = QuadraticForm.diagonal(field, diag)
-    q, b = form.eval_raw, form.b_raw
+    q = form.eval_raw
     qcls = [square_class(x).value for x in field.elements()]
     points = list(linalg.projective_points(field, form.dim, raw=True))
     iso = [v for v in points if q(v) == 0]
@@ -297,7 +308,7 @@ def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
     # its norm class (the first such L) by mirrors fixing that target
     buckets = {}
     for cp, t in p0.items():
-        members = [w for w in points if b(t, w) == 0 and w != t]
+        members = [w for w in form.perp_points(t) if w != t]
         l0 = {}
         for w in members:
             l0.setdefault(qcls[q(w)], w)
@@ -350,13 +361,7 @@ def suite_orbit_atlas(field=None, **_) -> Report:
     given F_p, p <= ``geometry.MAX_ENUM_Q``) for the standard form and its
     non-residue multiple: exactly 9 classes, each one a single orbit."""
     rep = Report("orbit-atlas", True)
-    primes = [3, 5]
-    if isinstance(field, PrimeField):
-        if field.p > geo.MAX_ENUM_Q:
-            raise geo.EnumerationUnsupportedError(
-                f"field size {field.p} exceeds the cap {geo.MAX_ENUM_Q}")
-        primes = [field.p]
-    for p in primes:
+    for p in _primes(field, (3, 5), geo.MAX_ENUM_Q):
         e = canonical_nonresidue(PrimeField(p)).value
         for diag in ([1, 1, 1, -1, -1],
                      [e, e, e, -e, -e]):
@@ -382,9 +387,8 @@ def _virtual_lines(g: Geometry):
     B(L, x) = 0, represented in P^perp where possible."""
     out = []
     seen = set()
-    for v in linalg.projective_points(g.field, g.form.dim):
-        if not g.form.b_full(g.l_rep, v).is_zero():
-            continue
+    for x in g.form.perp_points(g._l_raw):
+        v = linalg.vector(g.field, x)
         key = linalg.span_key((v, g.p_rep), g.field)
         if len(key) < 2 or key in seen:  # skip [P] itself and duplicates
             continue
@@ -512,11 +516,10 @@ def suite_projection_identity(**_) -> Report:
 
 def suite_gamma_orders(field=None, **_) -> Report:
     """|Gamma| = q+1 / q / q-1 for Q(L) in class e / 0 / 1, and the full
-    stabilizer has exactly twice as many elements; p in {3,5,7,11}."""
+    stabilizer has exactly twice as many elements; p in {3,5,7,11} (or
+    the given F_p, p <= ``metric.MAX_METRIC_Q``)."""
     rep = Report("gamma-orders", True)
-    primes = (3, 5, 7, 11) if not isinstance(field, PrimeField) \
-        else (field.p,)
-    for p in primes:
+    for p in _primes(field, (3, 5, 7, 11), met.MAX_METRIC_Q):
         fp = PrimeField(p)
         for ql, expected in ((SquareClass.NON_RESIDUE, p + 1),
                              (SquareClass.ZERO, p),
@@ -549,12 +552,12 @@ def suite_gamma_orders(field=None, **_) -> Report:
 
 def suite_distance_additivity(seed: int = 0, field=None, **_) -> Report:
     """100 random collinear triples and 100 random (P,L)-fixing
-    isometries per field in {F_3, F_5, F_7}: composition and
-    same_distance invariance hold with zero failures."""
+    isometries per field in {F_3, F_5, F_7} (or the given F_p,
+    p <= ``metric.MAX_METRIC_Q``): composition and same_distance
+    invariance hold with zero failures."""
     rep = Report("distance-additivity", True)
     rng = random.Random(seed)
-    primes = (3, 5, 7) if not isinstance(field, PrimeField) else (field.p,)
-    for p in primes:
+    for p in _primes(field, (3, 5, 7), met.MAX_METRIC_Q):
         fp = PrimeField(p)
         atlas = [c for c in cla.enumerate_classes(fp, 2)]
         geoms = []

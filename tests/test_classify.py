@@ -10,13 +10,14 @@ from conformal import linalg
 from conformal.fields import (PrimeField, Rational, SquareClass,
                               UnsupportedFieldError, CharTwo,
                               canonical_nonresidue, square_class)
-from conformal.classify import (QUADRATICALLY_CLOSED, _perp_points,
+from conformal.classify import (QUADRATICALLY_CLOSED, GeometryClass,
                                 canonical_form, ck_table, classify,
                                 cycle_equivalence_partners, cycle_equivalent,
                                 enumerate_classes, pointspace_isometry,
                                 representative_geometry, second_model)
 from conformal.geometry import Geometry, pointspace
-from conformal.quadform import IsometrySampler, QuadraticForm
+from conformal.quadform import (InvalidInputError, IsometrySampler,
+                                QuadraticForm)
 
 QQ = Rational()
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
@@ -104,15 +105,26 @@ def test_representatives_classify_back():
                 assert classify(g) == cls, cls.label()
 
 
+def ref_candidates(field, dim):
+    """The candidate vectors of the Scalar search: the projective points
+    over F_q, the nonzero vectors of {0, 1, -1}^dim over Q."""
+    if field.is_finite:
+        yield from linalg.projective_points(field, dim)
+        return
+    for coords in itertools.product((0, 1, -1), repeat=dim):
+        if any(coords):
+            yield tuple(field.scalar(c) for c in coords)
+
+
 def ref_representative(cls):
-    """representative_geometry's finite-field search on Scalars: wrapped
-    Q, square_class and b_full for every candidate, in the order of the
-    projective points."""
+    """representative_geometry's search on Scalars: wrapped Q,
+    square_class, b_full and an independence test for every candidate,
+    and ``classify`` on each pair that passes them."""
     field = cls.field
     form = canonical_form(field, cls.geom_dim, cls.form_invariant)
-    points = list(linalg.projective_points(field, form.dim))
-    p_rep = next(v for v in points if square_class(form(v)) is cls.qp)
-    for v in points:
+    p_rep = next(v for v in ref_candidates(field, form.dim)
+                 if square_class(form(v)) is cls.qp)
+    for v in ref_candidates(field, form.dim):
         if square_class(form(v)) is not cls.ql:
             continue
         if not form.b_full(p_rep, v).is_zero():
@@ -122,36 +134,39 @@ def ref_representative(cls):
         got = classify(Geometry(form, p_rep, v))
         if (got.qp, got.ql) == (cls.qp, cls.ql):
             return p_rep, v
-    raise AssertionError(f"no representative pair for {cls}")
+    raise InvalidInputError(f"no representative pair for {cls}")
 
 
 @pytest.mark.parametrize("field,dims", [
+    (QQ, (1, 2, 3, 4, 5, 6)),
     (F3, (1, 2, 3)), (F5, (1, 2, 3, 4)), (F7, (1, 2, 3)),
     (CharTwo(2), (3,)), (CharTwo(4), (3,)), (PrimeField(11), (2,)),
     (PrimeField(13), (2,)),
-], ids=["fp:3", "fp:5", "fp:7", "f2", "f4", "fp:11", "fp:13"])
+], ids=["rational", "fp:3", "fp:5", "fp:7", "f2", "f4", "fp:11", "fp:13"])
 def test_raw_representatives_match_scalar_search(field, dims):
-    # the search walks P^perp alone; the reference scans every point
+    """The raw search (P^perp alone over F_q, one ``classify`` call) picks
+    the pair of the Scalar search, which scans every candidate and
+    classifies each pair that passes its tests."""
     for d in dims:
         for cls in enumerate_classes(field, d):
             g = representative_geometry(cls)
             assert (g.p_rep, g.l_rep) == ref_representative(cls), cls
 
 
-@pytest.mark.parametrize("field", [F3, F5, CharTwo(2), CharTwo(4)],
-                         ids=lambda f: f.token())
-def test_perp_points_is_the_filtered_scan_in_order(field):
-    """_perp_points yields exactly the projective points of p^perp, in
-    projective_points order, for every p (all last-nonzero indices of
-    B(p, .)) on a non-diagonal form."""
-    coeffs = {(0, 1): 1, (1, 1): 1, (2, 3): 1, (0, 0): 1}
-    form = QuadraticForm(field, 4, coeffs)
-    points = list(linalg.projective_points(field, 4, raw=True))
-    for p in points:
-        if not any(form.b_raw(p, x) for x in points):
-            continue  # p in the radical: B(p, .) = 0
-        want = [x for x in points if not form.b_raw(p, x)]
-        assert list(_perp_points(form, p)) == want, p
+@pytest.mark.parametrize("field,d,form_invariant,qp,ql", [
+    (QQ, 1, ("sig", 2, 2), SquareClass.NON_RESIDUE, SquareClass.NON_RESIDUE),
+    (F5, 3, ("det", "UNIT"), SquareClass.NON_RESIDUE, SquareClass.ZERO),
+], ids=["rational", "fp:5"])
+def test_non_canonical_class_has_no_representative(field, d, form_invariant,
+                                                   qp, ql):
+    """A hand-built class whose norm pair ``classify`` rescales away has
+    no representative, in the raw search as in the Scalar one."""
+    cls = GeometryClass(field.token(), d, form_invariant, qp, ql, None, field)
+    assert cls not in enumerate_classes(field, d)
+    with pytest.raises(InvalidInputError):
+        representative_geometry(cls)
+    with pytest.raises(InvalidInputError):
+        ref_representative(cls)
 
 
 def test_char2_atlas_representatives():

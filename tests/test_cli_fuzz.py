@@ -14,9 +14,11 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conformal import cli
@@ -249,3 +251,15 @@ def test_main_reuses_one_parser_with_fresh_answers():
     # the option given before the command does not outlive its run
     assert reused[0][1] != reused[-1][1]
     assert json.loads(reused[0][1])["headers"] == ["-1", "0", "1"]
+
+
+@pytest.mark.parametrize("field", ["fp:17", "fp:101"])
+@pytest.mark.parametrize("suite", ["orbit-atlas", "gamma-orders",
+                                   "distance-additivity"])
+def test_verify_field_past_the_suite_cap_is_unsupported(suite, field):
+    """A field-taking suite refuses an F_p past its cap before any work:
+    exit 3, one stderr line, nothing on stdout."""
+    code, out, err = _run(["verify", "--suite", suite, "--field", field], "")
+    assert code == 3 and out == ""
+    assert re.fullmatch(r"unsupported: field size \d+ exceeds the cap \d+\n",
+                        err), err

@@ -10,7 +10,7 @@ import pytest
 from conformal import linalg
 from conformal.fields import PrimeField, Rational, SquareClass
 from conformal.classify import enumerate_classes, representative_geometry
-from conformal.geometry import (ProjPoint, RoleError, antipodal,
+from conformal.geometry import (Geometry, ProjPoint, RoleError, antipodal,
                                 cayley_klein_points, hyperplane_through)
 from conformal.metric import (DegenerateLineError, IdealPointError,
                               IncompatibleChartsError, LineGroupClass,
@@ -158,6 +158,37 @@ def test_free_transitivity_all_classes():
                 for el in group}
             assert len(images) == order  # trivial stabilizers
             assert lifted == {p.sort_key() for p in pts}  # transitive
+
+
+def ref_nonideal_line(g):
+    """find_nonideal_line's scan of the whole quadric: the first point of
+    ``isotropic_points()`` with B(L, x) = 0 and B(P, x) != 0, or None."""
+    b, is_zero = g.form.b_raw, g.field._is_zero
+    for x in g.form.isotropic_points():
+        if is_zero(b(g._l_raw, x)) and not is_zero(b(g._p_raw, x)):
+            return ProjPoint.from_canonical(linalg.vector(g.field, x))
+    return None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_find_nonideal_line_matches_quadric_scan(p):
+    """The walk of L^perp finds the quadric scan's line on every plane
+    class, and raises DegenerateLineError exactly where the scan finds
+    none: no representative does, and L = P isotropic always does."""
+    geoms = [representative_geometry(c)
+             for c in enumerate_classes(PrimeField(p), 2)]
+    iso = next(g for g in geoms if g.qp().is_zero())
+    geoms.append(Geometry(iso.form, iso.p_rep, iso.p_rep))
+    found = []
+    for g in geoms:
+        want = ref_nonideal_line(g)
+        if want is None:
+            with pytest.raises(DegenerateLineError):
+                find_nonideal_line(g)
+        else:
+            assert find_nonideal_line(g) == want, g
+        found.append(want is not None)
+    assert found == [True] * 9 + [False]
 
 
 def test_ideal_point_rejected():

@@ -403,3 +403,17 @@ def test_nondegeneracy_matches_radical_enumeration():
                         witness = True
                         break
             assert is_nondegenerate_form(q) == (not witness)
+
+
+@pytest.mark.parametrize("field", [F3, F5, F2, F4], ids=lambda f: f.token())
+def test_perp_points_is_the_filtered_scan_in_order(field):
+    """perp_points yields exactly the projective points of p^perp, in
+    projective_points order, for every p (all last-nonzero indices of
+    B(p, .), and over F_3 the radical, whose perp is every point) on a
+    non-diagonal form."""
+    coeffs = {(0, 1): 1, (1, 1): 1, (2, 3): 1, (0, 0): 1}
+    form = QuadraticForm(field, 4, coeffs)
+    points = list(linalg.projective_points(field, 4, raw=True))
+    for p in points:
+        want = [x for x in points if not form.b_raw(p, x)]
+        assert list(form.perp_points(p)) == want, p
