@@ -14,6 +14,7 @@ forms are derived from Q:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -186,11 +187,46 @@ class QuadraticForm:
 
     def isotropic_points(self):
         """Yield the raw tuples of the projective points with Q = 0, in
-        ``linalg.projective_points`` order (finite fields)."""
-        is_zero, q = self.field._is_zero, self.eval_raw
-        for x in linalg.projective_points(self.field, self.dim, raw=True):
-            if is_zero(q(x)):
-                yield x
+        ``linalg.projective_points`` order (finite fields).
+
+        For a prefix x' = (x_0, ..., x_{n-2}), Q(x', t) = a + b t + c t^2
+        in the last coordinate t, with a = Q(x', 0), b = sum c_{i,n-1} x_i
+        and c = c_{n-1,n-1}.  The roots are read off ``_root_table``
+        when c != 0; otherwise t = -a/b, or every t when a = b = 0.  t is
+        the fastest coordinate of ``projective_points``, so the roots in
+        elements order give its order.  The point (0, ..., 0, 1) is on
+        the quadric exactly when c = 0."""
+        field, p, last = self.field, self._p, self.dim - 1
+        add, mul, is_zero = field._add, field._mul, field._is_zero
+        zero, one = field.zero().value, field.one().value
+        elems = [e.value for e in field.elements()]
+        head = [t for t in self._terms if t[1] < last]
+        lin = [(i, c) for i, j, c in self._terms if i < j == last]
+        c = self.coeff(last, last).value
+        roots = _root_table(field, c) if not is_zero(c) else None
+        for lead in range(last):
+            prefix = (zero,) * lead + (one,)
+            for mid in itertools.product(elems, repeat=last - lead - 1):
+                x = prefix + mid
+                if p:
+                    a = sum([k * x[i] * x[j] for i, j, k in head]) % p
+                    b = sum([k * x[i] for i, k in lin]) % p
+                else:
+                    a = b = zero
+                    for i, j, k in head:
+                        a = add(a, mul(mul(k, x[i]), x[j]))
+                    for i, k in lin:
+                        b = add(b, mul(k, x[i]))
+                if roots is not None:
+                    for t in roots.get((b, a), ()):
+                        yield x + (t,)
+                elif not is_zero(b):
+                    yield x + (mul(field._neg(a), field._inv(b)),)
+                elif is_zero(a):
+                    for t in elems:
+                        yield x + (t,)
+        if roots is None:
+            yield (zero,) * last + (one,)
 
     def perp_points(self, p):
         """Yield the raw tuples of the projective points x with
@@ -311,6 +347,22 @@ def _numerators(x):
     if lx == 1:
         return [v.numerator for v in x], 1
     return [v.numerator * (lx // v.denominator) for v in x], lx
+
+
+@functools.cache
+def _root_table(field: Field, c) -> dict:
+    """{(b, a): the roots of c t^2 + b t + a, in elements order} on raw
+    values of a finite field, for c != 0; (b, a) is absent when there is
+    no root.  Built once per (field, c) from every pair of roots (r1, r2)
+    as (-c (r1 + r2), c r1 r2), so it serves every characteristic."""
+    add, mul = field._add, field._mul
+    elems = [e.value for e in field.elements()]
+    table = {}
+    for k, r1 in enumerate(elems):
+        for r2 in elems[k:]:
+            key = (field._neg(mul(c, add(r1, r2))), mul(mul(c, r1), r2))
+            table[key] = (r1,) if r1 == r2 else (r1, r2)
+    return table
 
 
 def bilinear_radical(q: QuadraticForm):

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional
 
 from .fields import (CharTwo, PrimeField, Rational, Scalar, SquareClass,
-                     canonical_nonresidue, sqrt_if_square, square_class)
+                     UnsupportedFieldError, canonical_nonresidue,
+                     sqrt_if_square, square_class)
 from . import linalg
 from .linalg import vec_add, vec_scale
 from .quadform import (InvalidInputError, QuadraticForm, _couples_of,
@@ -70,9 +71,12 @@ def _fail(report: Report, message: str) -> Report:
 
 def _primes(field, default, cap):
     """The primes a suite that takes a field runs over: its defaults, or
-    the requested F_p alone, which must be within the suite's cap."""
-    if not isinstance(field, PrimeField):
+    the requested field alone, which must be an odd F_p within the
+    suite's cap."""
+    if field is None:
         return default
+    if not isinstance(field, PrimeField):
+        raise UnsupportedFieldError(f"{field} is not an odd prime field")
     if field.p > cap:
         raise geo.EnumerationUnsupportedError(
             f"field size {field.p} exceeds the cap {cap}")

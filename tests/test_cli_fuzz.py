@@ -253,13 +253,25 @@ def test_main_reuses_one_parser_with_fresh_answers():
     assert json.loads(reused[0][1])["headers"] == ["-1", "0", "1"]
 
 
-@pytest.mark.parametrize("field", ["fp:17", "fp:101"])
+@pytest.mark.parametrize("field", ["fp:17", "fp:101", "rational", "f2", "f4",
+                                   "approx"])
 @pytest.mark.parametrize("suite", ["orbit-atlas", "gamma-orders",
                                    "distance-additivity"])
 def test_verify_field_past_the_suite_cap_is_unsupported(suite, field):
-    """A field-taking suite refuses an F_p past its cap before any work:
-    exit 3, one stderr line, nothing on stdout."""
+    """A field-taking suite refuses an F_p past its cap, and a field that
+    is not an odd F_p instead of running its default primes, before any
+    work: exit 3, one stderr line, nothing on stdout."""
     code, out, err = _run(["verify", "--suite", suite, "--field", field], "")
     assert code == 3 and out == ""
-    assert re.fullmatch(r"unsupported: field size \d+ exceeds the cap \d+\n",
-                        err), err
+    reason = (r"field size \d+ exceeds the cap \d+" if field.startswith("fp:")
+              else f"{field} is not an odd prime field")
+    assert re.fullmatch(f"unsupported: {reason}\n", err), err
+
+
+def test_verify_all_with_a_field_that_is_not_an_odd_prime_is_unsupported():
+    """``--all`` reaches a field-taking suite and stops there with exit 3;
+    the suites before it have printed their lines."""
+    code, out, err = _run(["verify", "--all", "--field", "rational"], "")
+    assert code == 3
+    assert err == "unsupported: rational is not an odd prime field\n", err
+    assert out == "[pass] char2-lemmas\n[pass] cycle-equivalence\n"

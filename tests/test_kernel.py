@@ -3,7 +3,8 @@
 ``QuadraticForm.__call__``, ``b_full`` and ``gram_row`` evaluate on raw
 field values, ``linalg.rref`` eliminates on them,
 ``QuadraticForm.isotropic_points`` yields the raw tuples of the quadric
-in ``projective_points`` order (``lie_quadric_points`` sorts them and
+in ``projective_points`` order, solving for the last coordinate from a
+cached root table (``lie_quadric_points`` sorts them and
 ``_isotropic_in_span`` runs it on the restricted form), ``reflect_raw``
 and ``mirrors`` build the isometries of Witt's theorem on raw tuples,
 ``points_of``, ``cayley_klein_points``, ``has_point_search`` and ``role``
@@ -12,13 +13,18 @@ the Witt oracle on them.  Over Q, ``eval_raw``, ``b_raw`` and
 ``gram_row`` run on integer numerators (the table and the input scaled
 by the lcm of their denominators) and build one Fraction per result;
 they are checked on denominators up to 10^6, plain-int raw values and
-tables over different denominators.  The references
+tables over different denominators.  ``isotropic_points`` is also
+checked against the projective-point scan it replaced on arbitrary
+tables, degenerate ones included, over F_3..F_13, F_2 and F_4, its root
+table against brute-force roots, and its point counts against the
+closed form of the quadric.  The references
 below are the plain ``Scalar``-arithmetic loops and matrices those
 functions replaced; every answer must agree with them, bit for bit over
 ApproxReal.
 """
 
 import itertools
+import math
 import random
 import re
 import struct
@@ -35,8 +41,9 @@ from conformal.geometry import (Geometry, NotAHypercycleError, ProjPoint,
                                 has_point_search, lie_quadric_points,
                                 points_of, role)
 from conformal.quadform import (QuadraticForm, _is_hyperbolic_space,
-                                bilinear_radical, mirrors, reflection_matrix,
-                                subspaces, witt_index_bruteforce)
+                                _root_table, bilinear_radical, mirrors,
+                                reflection_matrix, subspaces,
+                                witt_index_bruteforce)
 
 FIELDS = [Rational(), PrimeField(3), PrimeField(5), PrimeField(7),
           PrimeField(11), PrimeField(13), CharTwo(2), CharTwo(4),
@@ -214,6 +221,97 @@ def test_lie_quadric_points_matches_scalar_filter(g):
     got = lie_quadric_points(g)
     assert got == tuple(expected)
     assert all(c.field is g.field for pt in got for c in pt.coords)
+
+
+FINITE = [PrimeField(3), PrimeField(5), PrimeField(7), PrimeField(11),
+          PrimeField(13), CharTwo(2), CharTwo(4)]
+
+
+def ref_isotropic_points(form):
+    """The scan ``isotropic_points`` replaced: Q on every projective
+    point."""
+    is_zero, q = form.field._is_zero, form.eval_raw
+    for x in linalg.projective_points(form.field, form.dim, raw=True):
+        if is_zero(q(x)):
+            yield x
+
+
+@st.composite
+def last_coordinate_forms(draw):
+    """Any table over a finite field in dims 1 to 6 (to 5 over F_11 and
+    F_13, where one dim 6 scan takes about a second), degenerate ones
+    included, with the last coordinate's square term dropped (c = 0) or
+    e_{n-1} put in the radical (no cross term with n-1; in odd
+    characteristic no square term either) in one case in three each."""
+    field = draw(st.sampled_from(FINITE))
+    q = draw(forms(field, dims=st.integers(1, 6 if field.order < 11 else 5)))
+    last = q.dim - 1
+    shape = draw(st.sampled_from(["any", "c = 0", "radical"]))
+    items = q.coeff_items()
+    if shape == "c = 0":
+        items = [(ij, c) for ij, c in items if ij != (last, last)]
+    elif shape == "radical":
+        items = [((i, j), c) for (i, j), c in items
+                 if j != last or (i == j and field.char == 2)]
+    return QuadraticForm(field, q.dim, items)
+
+
+@settings(max_examples=150, deadline=None)
+@given(last_coordinate_forms())
+def test_isotropic_points_matches_the_scan(form):
+    """Solving for the last coordinate yields the scan's tuples in the
+    scan's order, on every table."""
+    assert list(form.isotropic_points()) == list(ref_isotropic_points(form))
+
+
+@pytest.mark.parametrize("field", FINITE, ids=str)
+def test_root_table_holds_every_root(field):
+    """For every c != 0, the table holds the roots of c t^2 + b t + a in
+    elements order under (b, a), and nothing for a quadratic without a
+    root; it is built once per (field, c)."""
+    elems = list(field.elements())
+    for c in elems[1:]:
+        table = _root_table(field, c.value)
+        for b, a in itertools.product(elems, repeat=2):
+            roots = tuple(t.value for t in elems
+                          if (c * t * t + b * t + a).is_zero())
+            assert table.get((b.value, a.value), ()) == roots
+        assert _root_table(field, c.value) is table
+
+
+def _is_square(x, p):
+    return pow(x, (p - 1) // 2, p) == 1
+
+
+def closed_form_count(q, n, det):
+    """Points of the non-degenerate quadric in PG(n-1, q), q odd: a
+    parabolic one for odd n; for n = 2m, hyperbolic (eps = +1) exactly
+    when (-1)^m det is a square."""
+    if n % 2:
+        return (q ** (n - 1) - 1) // (q - 1)
+    m = n // 2
+    eps = 1 if _is_square((-1) ** m * det % q, q) else -1
+    return (q ** (m - 1) + eps) * (q ** m - eps) // (q - 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_isotropic_count_matches_the_closed_form(p):
+    """Count twice: the enumeration against the closed form, for both
+    det classes of the diagonal forms in dims 3 to 6."""
+    field = PrimeField(p)
+    e = next(x for x in range(2, p) if not _is_square(x, p))
+    for n in range(3, 7):
+        for diag in ([1] * n, [1] * (n - 1) + [e]):
+            form = QuadraticForm.diagonal(field, diag)
+            det = math.prod(diag) % p
+            assert len(list(form.isotropic_points())) == \
+                closed_form_count(p, n, det), (p, diag)
+
+
+def test_isotropic_count_matches_the_closed_form_f11_dim7():
+    form = QuadraticForm.diagonal(PrimeField(11), [1, 2, 1, 1, 1, 1, 1])
+    assert len(list(form.isotropic_points())) == \
+        closed_form_count(11, 7, 2) == 177_156
 
 
 def ref_points_of(g, c):
