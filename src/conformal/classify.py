@@ -239,7 +239,7 @@ def _candidates(field: Field, dim: int):
     projective points over F_q, the nonzero vectors of {0, 1, -1}^dim
     over Q (lazily: a search stops long before the last)."""
     if field.is_finite:
-        return linalg.projective_points(field, dim, raw=True)
+        return linalg.projective_points(field, dim)
     return (v for v in itertools.product((0, 1, -1), repeat=dim) if any(v))
 
 
@@ -396,11 +396,9 @@ def _canonical_diag_basis(form: QuadraticForm):
         j = entries.index(e, i + 1)
         pair = (basis[i], basis[j])
         sub = form.restrict(pair)
-        w_co = None
-        for co in linalg.all_vectors(field, 2):
-            if sub(co) == field.one():
-                w_co = co
-                break
+        w_co = next((linalg.vector(field, co)
+                     for co in linalg.all_vectors(field, 2)
+                     if sub.eval_raw(co) == field.one().value), None)
         assert w_co is not None  # every value is a sum of two squares
         w = linalg.combine(w_co, pair)
         kern = sub.perp([w_co])

@@ -240,6 +240,7 @@ def cmd_verify(args) -> int:
     if args.field:
         options["field"] = _field(args.field)
     names = sorted(ver.SUITES) if args.all else [args.suite]
+    ver.check_field(names, options.get("field"))
     reports = []
     for name in names:
         report = ver.run_suite(name, **options)

@@ -229,10 +229,9 @@ def non_empty(g: Geometry) -> bool:
 
 def has_point_search(g: Geometry) -> bool:
     """Direct search for a point: an isotropic projective direction in
-    P^perp other than [P] itself (the oracle for `non_empty`).  Stops at
-    the first hit, without building the cache of `_points_in_p_perp`."""
+    P^perp other than [P] itself (the oracle for `non_empty`)."""
     p_proj = ProjPoint(g.p_rep) if g.form(g.p_rep).is_zero() else None
-    return any(pt != p_proj for _, pt in _scan_p_perp(g))
+    return any(pt != p_proj for _, pt in _points_in_p_perp(g))
 
 
 def relative_power(g: Geometry, c1, c2) -> Scalar:
@@ -283,21 +282,15 @@ def lie_quadric_points(g: Geometry, max_q: int = MAX_ENUM_Q):
     return g._quadric
 
 
-def _scan_p_perp(g: Geometry):
-    """Yield (raw tuple, ProjPoint) for each quadric point with
-    B(P, x) = 0, in `lie_quadric_points` order."""
-    b, p = g.form.b_raw, g._p_raw
-    for pt in lie_quadric_points(g):
-        x = tuple(c.value for c in pt.coords)
-        if not b(p, x):
-            yield x, pt
-
-
 def _points_in_p_perp(g: Geometry) -> tuple:
-    """The quadric points in P^perp as (raw tuple, ProjPoint) pairs,
-    built on first use and kept on the geometry."""
+    """The quadric points in P^perp as (raw tuple, ProjPoint) pairs, in
+    `lie_quadric_points` order, built on first use and kept on the
+    geometry."""
     if g._points is None:
-        g._points = tuple(_scan_p_perp(g))
+        b, p = g.form.b_raw, g._p_raw
+        pairs = ((tuple(c.value for c in pt.coords), pt)
+                 for pt in lie_quadric_points(g))
+        g._points = tuple((x, pt) for x, pt in pairs if not b(p, x))
     return g._points
 
 

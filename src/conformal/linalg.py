@@ -3,7 +3,9 @@
 Vectors are tuples of :class:`~conformal.fields.Scalar`, matrices are
 tuples of row tuples.  Everything works by fraction-free-enough Gaussian
 elimination with the field's own zero test, so the same code serves the
-rationals, F_p, F_2/F_4 and (tolerance-aware) floats.
+rationals, F_p, F_2/F_4 and (tolerance-aware) floats.  The two walks
+of a finite space, ``all_vectors`` and ``projective_points``, yield
+tuples of raw field values instead.
 """
 
 from __future__ import annotations
@@ -202,23 +204,18 @@ def coordinates(v: Vector, basis: Sequence[Vector], field: Field) -> Optional[Ve
     return solve(cols, v, field)
 
 
-def all_vectors(field: Field, n: int) -> Iterator[Vector]:
-    """Every vector of K^n over a finite field, in sorted order."""
-    elems = list(field.elements())
-    for combo in product(elems, repeat=n):
-        yield tuple(combo)
+def all_vectors(field: Field, n: int) -> Iterator[tuple]:
+    """Every vector of K^n over a finite field, as a tuple of raw values,
+    in sorted order."""
+    return product([e.value for e in field.elements()], repeat=n)
 
 
-def projective_points(field: Field, n: int,
-                      raw: bool = False) -> Iterator[Vector]:
-    """Canonical representatives (first nonzero coordinate 1) of P(K^n);
-    with ``raw`` the tuples hold raw field values instead of Scalars."""
-    elems = list(field.elements())
-    one = field.one()
-    zero = field.zero()
-    if raw:
-        elems = [e.value for e in elems]
-        one, zero = one.value, zero.value
+def projective_points(field: Field, n: int) -> Iterator[tuple]:
+    """Canonical representatives (first nonzero coordinate 1) of P(K^n)
+    over a finite field, as tuples of raw values, lead by lead and in
+    sorted order within a lead."""
+    elems = [e.value for e in field.elements()]
+    one, zero = field.one().value, field.zero().value
     for lead in range(n):
         prefix = (zero,) * lead + (one,)
         for tail in product(elems, repeat=n - lead - 1):

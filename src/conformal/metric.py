@@ -11,7 +11,6 @@ class of Q(L).
 
 from __future__ import annotations
 
-import itertools
 import math
 from enum import Enum
 from typing import Optional
@@ -436,8 +435,7 @@ def stabilizer_matrices(g: Geometry, l):
     want1, want2 = norms(x1), norms(x2)
     cross = form.b_raw(x1, x2)
     cands1, cands2 = [], []
-    # raw tuples in ``all_vectors`` order
-    for x in itertools.product([s.value for s in field.elements()], repeat=3):
+    for x in linalg.all_vectors(field, 3):
         got = norms(x)
         if got == want1:
             cands1.append(x)

@@ -189,79 +189,77 @@ class QuadraticForm:
         """Yield the raw tuples of the projective points with Q = 0, in
         ``linalg.projective_points`` order (finite fields).
 
-        For a prefix x' = (x_0, ..., x_{n-2}), Q(x', t) = a + b t + c t^2
-        in the last coordinate t, with a = Q(x', 0), b = sum c_{i,n-1} x_i
-        and c = c_{n-1,n-1}.  The roots are read off ``_root_table``
-        when c != 0; otherwise t = -a/b, or every t when a = b = 0.  t is
-        the fastest coordinate of ``projective_points``, so the roots in
-        elements order give its order.  The point (0, ..., 0, 1) is on
-        the quadric exactly when c = 0."""
+        For each projective point x' = (x_0, ..., x_{n-2}) of K^(n-1),
+        Q(x', t) = a + b t + c t^2 in the last coordinate t, with
+        a = Q(x', 0), b = sum c_{i,n-1} x_i and c = c_{n-1,n-1}.  The
+        roots are read off ``_root_table`` when c != 0; otherwise
+        t = -a/b, or every t when a = b = 0.  t is the fastest coordinate
+        of ``projective_points``, so the roots in elements order give its
+        order.  The point (0, ..., 0, 1) is on the quadric exactly when
+        c = 0."""
         field, p, last = self.field, self._p, self.dim - 1
         add, mul, is_zero = field._add, field._mul, field._is_zero
-        zero, one = field.zero().value, field.one().value
-        elems = [e.value for e in field.elements()]
+        zero = field.zero().value
         head = [t for t in self._terms if t[1] < last]
         lin = [(i, c) for i, j, c in self._terms if i < j == last]
         c = self.coeff(last, last).value
         roots = _root_table(field, c) if not is_zero(c) else None
-        for lead in range(last):
-            prefix = (zero,) * lead + (one,)
-            for mid in itertools.product(elems, repeat=last - lead - 1):
-                x = prefix + mid
-                if p:
-                    a = sum([k * x[i] * x[j] for i, j, k in head]) % p
-                    b = sum([k * x[i] for i, k in lin]) % p
-                else:
-                    a = b = zero
-                    for i, j, k in head:
-                        a = add(a, mul(mul(k, x[i]), x[j]))
-                    for i, k in lin:
-                        b = add(b, mul(k, x[i]))
-                if roots is not None:
-                    for t in roots.get((b, a), ()):
-                        yield x + (t,)
-                elif not is_zero(b):
-                    yield x + (mul(field._neg(a), field._inv(b)),)
-                elif is_zero(a):
-                    for t in elems:
-                        yield x + (t,)
+        for x in linalg.projective_points(field, last):
+            if p:
+                a = sum([k * x[i] * x[j] for i, j, k in head]) % p
+                b = sum([k * x[i] for i, k in lin]) % p
+            else:
+                a = b = zero
+                for i, j, k in head:
+                    a = add(a, mul(mul(k, x[i]), x[j]))
+                for i, k in lin:
+                    b = add(b, mul(k, x[i]))
+            if roots is not None:
+                for t in roots.get((b, a), ()):
+                    yield x + (t,)
+            elif not is_zero(b):
+                yield x + (mul(field._neg(a), field._inv(b)),)
+            elif is_zero(a):
+                for (t,) in linalg.all_vectors(field, 1):
+                    yield x + (t,)
         if roots is None:
-            yield (zero,) * last + (one,)
+            yield (zero,) * last + (field.one().value,)
 
     def perp_points(self, p):
         """Yield the raw tuples of the projective points x with
         B(p, x) = 0, in ``linalg.projective_points`` order, without
         visiting the others (finite fields; p holds raw values).
 
-        With r = B(p, .) and m its last nonzero index, a point with lead k
-        is in p^perp for every k > m and never for k = m; for k < m the
-        equation fixes x_m from the coordinates before it, so the other
-        coordinates run in product order and x_m is solved for.  A p in
-        the radical (r = 0) is orthogonal to every point."""
+        With r = B(p, .) and m its last nonzero index, a point with lead
+        k < m has x_m fixed by the head (x_0, ..., x_{m-1}) and any tail;
+        lead m never occurs; every point with lead k > m is in p^perp.
+        A p in the radical (r = 0, m = -1) is orthogonal to every point.
+        The walks are lazy, as callers take first hits: the first head
+        walks the tails and keeps them for the others."""
         field = self.field
         add, mul, is_zero = field._add, field._mul, field._is_zero
         r = [s.value for s in self.gram_row([Scalar(a, field) for a in p])]
         m = max((k for k, a in enumerate(r) if not is_zero(a)), default=-1)
-        if m < 0:
-            yield from linalg.projective_points(field, self.dim, raw=True)
-            return
-        minus_inv = field._neg(field._inv(r[m]))
-        one, zero = field.one().value, field.zero().value
-        elems = [e.value for e in field.elements()]
-        n, product = self.dim, itertools.product
-        for lead in range(n):
-            prefix = (zero,) * lead + (one,)
-            if lead > m:
-                for tail in product(elems, repeat=n - lead - 1):
-                    yield prefix + tail
-            elif lead < m:
-                for mid in product(elems, repeat=m - lead - 1):
-                    total = r[lead]
-                    for a, b in zip(r[lead + 1:m], mid):
-                        total = add(total, mul(a, b))
-                    x_m = (mul(minus_inv, total),)
-                    for tail in product(elems, repeat=n - m - 1):
-                        yield prefix + mid + x_m + tail
+        n = self.dim
+        if m >= 0:
+            minus_inv = field._neg(field._inv(r[m]))
+            tails = None
+            for head in linalg.projective_points(field, m):
+                total = field.zero().value
+                for a, b in zip(r, head):
+                    total = add(total, mul(a, b))
+                x = head + (mul(minus_inv, total),)
+                if tails is None:
+                    tails = []
+                    for tail in linalg.all_vectors(field, n - m - 1):
+                        tails.append(tail)
+                        yield x + tail
+                else:
+                    for tail in tails:
+                        yield x + tail
+        zeros = (field.zero().value,) * (m + 1)
+        for tail in linalg.projective_points(field, n - m - 1):
+            yield zeros + tail
 
     def b_half(self, u: Vector, v: Vector) -> Scalar:
         """The 1/2-scaled bilinear form; satisfies B(v,v) = Q(v)."""
@@ -628,7 +626,6 @@ def _complement_of_radical(q: QuadraticForm, rad):
 def subspaces(field: Field, n: int, k: int):
     """All k-dimensional subspaces of K^n (finite K), as RREF bases whose
     rows are tuples of raw field values."""
-    elems = [e.value for e in field.elements()]
     zero, one = field.zero().value, field.one().value
     for pivots in itertools.combinations(range(n), k):
         free_positions = []
@@ -636,7 +633,7 @@ def subspaces(field: Field, n: int, k: int):
             for c in range(p + 1, n):
                 if c not in pivots:
                     free_positions.append((r, c))
-        for values in itertools.product(elems, repeat=len(free_positions)):
+        for values in linalg.all_vectors(field, len(free_positions)):
             rows = [[zero] * n for _ in range(k)]
             for r, p in enumerate(pivots):
                 rows[r][p] = one
@@ -756,12 +753,9 @@ def represents(q: QuadraticForm, lam) -> Optional[Vector]:
     field = q.field
     lam = field.scalar(lam)
     if field.is_finite:
-        for v in linalg.all_vectors(field, q.dim):
-            if linalg.is_zero_vector(v):
-                continue
-            if q(v) == lam:
-                return v
-        return None
+        return next((linalg.vector(field, x)
+                     for x in linalg.all_vectors(field, q.dim)
+                     if any(x) and q.eval_raw(x) == lam.value), None)
     if not isinstance(field, Rational):
         raise UnsupportedFieldError(f"represents over {field}")
     diag = diagonalize(q)
@@ -1109,10 +1103,9 @@ class IsometrySampler:
         self.field = q.field
         self.fixed = [tuple(q.field.scalar(x) for x in v) for v in fixed]
         fixed_raw = [raw_values(q.field, v) for v in self.fixed]
-        elems = [s.value for s in q.field.elements()]
         self.buckets = {}
-        # raw tuples in ``all_vectors`` order; extend() wraps the draws
-        for x in itertools.product(elems, repeat=q.dim):
+        # raw tuples; extend() wraps the draws
+        for x in linalg.all_vectors(q.field, q.dim):
             if not any(x):
                 continue
             # vectors inside span(fixed) stay in the buckets; extend()

@@ -69,10 +69,17 @@ def _fail(report: Report, message: str) -> Report:
     return report
 
 
-def _primes(field, default, cap):
+# the suites that take a field: their default primes and their cap
+FIELD_SUITES = {"orbit-atlas": ((3, 5), geo.MAX_ENUM_Q),
+                "gamma-orders": ((3, 5, 7, 11), met.MAX_METRIC_Q),
+                "distance-additivity": ((3, 5, 7), met.MAX_METRIC_Q)}
+
+
+def _primes(suite, field):
     """The primes a suite that takes a field runs over: its defaults, or
     the requested field alone, which must be an odd F_p within the
     suite's cap."""
+    default, cap = FIELD_SUITES[suite]
     if field is None:
         return default
     if not isinstance(field, PrimeField):
@@ -81,6 +88,14 @@ def _primes(field, default, cap):
         raise geo.EnumerationUnsupportedError(
             f"field size {field.p} exceeds the cap {cap}")
     return (field.p,)
+
+
+def check_field(names, field) -> None:
+    """Refuse ``field`` before any of the named suites runs: raise what
+    the first of them that takes a field would raise."""
+    for name in names:
+        if name in FIELD_SUITES:
+            _primes(name, field)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +204,8 @@ def suite_gen_ortho_basis(**_) -> Report:
         if bilinear_radical(form):
             continue
         field = form.field
-        vectors = [v for v in linalg.all_vectors(field, form.dim)
-                   if not linalg.is_zero_vector(v)]
+        vectors = [linalg.vector(field, x)
+                   for x in linalg.all_vectors(field, form.dim) if any(x)]
         candidates = [()] + [(v,) for v in vectors]
         if len(vectors) <= 90:  # all pairs for the desk-scale spaces
             candidates += [(u, v)
@@ -283,8 +298,8 @@ def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
     form = QuadraticForm.diagonal(field, diag)
     q = form.eval_raw
     qcls = [square_class(x).value for x in field.elements()]
-    points = list(linalg.projective_points(field, form.dim, raw=True))
-    iso = [v for v in points if q(v) == 0]
+    points = list(linalg.projective_points(field, form.dim))
+    iso = list(form.isotropic_points())
     # the target of each norm class of P: its first projective point
     p0 = {}
     for v in points:
@@ -365,7 +380,7 @@ def suite_orbit_atlas(field=None, **_) -> Report:
     given F_p, p <= ``geometry.MAX_ENUM_Q``) for the standard form and its
     non-residue multiple: exactly 9 classes, each one a single orbit."""
     rep = Report("orbit-atlas", True)
-    for p in _primes(field, (3, 5), geo.MAX_ENUM_Q):
+    for p in _primes("orbit-atlas", field):
         e = canonical_nonresidue(PrimeField(p)).value
         for diag in ([1, 1, 1, -1, -1],
                      [e, e, e, -e, -e]):
@@ -410,8 +425,7 @@ def suite_incidence_theorems(**_) -> Report:
     for cls in cla.enumerate_classes(f3, 2):
         g = cla.representative_geometry(cls)
         quadric = geo.lie_quadric_points(g)
-        points = [pt for pt in quadric
-                  if g.form.b_full(g.p_rep, pt.coords).is_zero()]
+        points = [pt for _, pt in geo._points_in_p_perp(g)]
         lines = _virtual_lines(g)
         pair_count = 0
         quasi_ideal_meets = 0
@@ -523,7 +537,7 @@ def suite_gamma_orders(field=None, **_) -> Report:
     stabilizer has exactly twice as many elements; p in {3,5,7,11} (or
     the given F_p, p <= ``metric.MAX_METRIC_Q``)."""
     rep = Report("gamma-orders", True)
-    for p in _primes(field, (3, 5, 7, 11), met.MAX_METRIC_Q):
+    for p in _primes("gamma-orders", field):
         fp = PrimeField(p)
         for ql, expected in ((SquareClass.NON_RESIDUE, p + 1),
                              (SquareClass.ZERO, p),
@@ -561,7 +575,7 @@ def suite_distance_additivity(seed: int = 0, field=None, **_) -> Report:
     invariance hold with zero failures."""
     rep = Report("distance-additivity", True)
     rng = random.Random(seed)
-    for p in _primes(field, (3, 5, 7), met.MAX_METRIC_Q):
+    for p in _primes("distance-additivity", field):
         fp = PrimeField(p)
         atlas = [c for c in cla.enumerate_classes(fp, 2)]
         geoms = []
@@ -789,11 +803,8 @@ def _random_model_object(kind, rng):
 
 def _all_forms(field, dim):
     slots = [(i, j) for i in range(dim) for j in range(i, dim)]
-    elems = list(field.elements())
-    for values in itertools.product(elems, repeat=len(slots)):
-        yield QuadraticForm(field, dim,
-                            {ij: v for ij, v in zip(slots, values)
-                             if not v.is_zero()})
+    for values in linalg.all_vectors(field, len(slots)):
+        yield QuadraticForm(field, dim, zip(slots, values))
 
 
 def suite_char2_lemmas(seed: int = 0, **_) -> Report:
@@ -831,8 +842,8 @@ def suite_char2_lemmas(seed: int = 0, **_) -> Report:
             for form in _all_forms(field, dim):
                 if bilinear_radical(form):
                     continue
-                zeros = sum(1 for v in linalg.all_vectors(field, dim)
-                            if form(v).is_zero())
+                zeros = sum(1 for x in linalg.all_vectors(field, dim)
+                            if form.eval_raw(x) == 0)
                 arf = arf_invariant(form).value
                 groups.setdefault(zeros, set()).add(arf)
             if len(groups) != 2 or any(len(v) != 1 for v in groups.values()):

@@ -109,7 +109,8 @@ def ref_candidates(field, dim):
     """The candidate vectors of the Scalar search: the projective points
     over F_q, the nonzero vectors of {0, 1, -1}^dim over Q."""
     if field.is_finite:
-        yield from linalg.projective_points(field, dim)
+        for x in linalg.projective_points(field, dim):
+            yield linalg.vector(field, x)
         return
     for coords in itertools.product((0, 1, -1), repeat=dim):
         if any(coords):
@@ -273,7 +274,8 @@ def test_pointspace_isometry_certificates():
     lam, h = cert
     ps1, ps2 = pointspace(g1), pointspace(g2)
     # h carries lam * Q1^P to Q2^P and maps L1 onto the line of L2
-    for v in itertools.islice(linalg.all_vectors(F3, 4), 1, 30):
+    for x in itertools.islice(linalg.all_vectors(F3, 4), 1, 30):
+        v = linalg.vector(F3, x)
         assert ps2.form(linalg.mat_vec(h, v)) == lam * ps1.form(v)
     image = linalg.mat_vec(h, ps1.l_coords)
     assert linalg.in_span(image, [ps2.l_coords], F3)
@@ -323,7 +325,7 @@ def test_orbit_completeness_class_labels():
     atlas = {(c.qp, c.ql): c for c in enumerate_classes(F3, 2)}
     from conformal.fields import square_class
     seen = set()
-    pts = list(linalg.projective_points(F3, 5))
+    pts = [linalg.vector(F3, x) for x in linalg.projective_points(F3, 5)]
     rng = random.Random(9)
     for _ in range(300):
         p = rng.choice(pts)

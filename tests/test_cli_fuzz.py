@@ -43,6 +43,12 @@ MODELS = ["elliptic", "hyperbolic", "parabolic", "minkowski", "de-sitter",
 FAST_SUITES = ["cycle-equivalence", "orbit-atlas", "projection-identity",
                "separations"]
 SUITE_FIELDS = ["fp:3", "fp:5", "fp:11"]
+# fields some suite of ``verify --all`` refuses: not an odd F_p, or past
+# a suite's cap (fp:11 past the orbit atlas's, fp:17 past every one).
+# An accepted field, or ``--field ""`` (no field), would run every suite
+# for about 12 s, so the fuzz draws ``--all`` with these alone.
+REFUSED_FIELDS = ["rational", "f2", "f4", "approx", "qclosed", "fp:4", "f8",
+                  "fp:11", "fp:17"]
 
 # drawn values lean towards the edges: huge, non-finite and non-numbers
 number_text = st.sampled_from(["0", "1", "-1", "2", "0.5", "3.25", "1000",
@@ -167,11 +173,15 @@ def _examples_argv(draw):
 
 
 def _verify_argv(draw):
-    argv = ["verify", "--suite",
-            draw(st.sampled_from(FAST_SUITES + ["no-such-suite", ""]))]
-    if draw(st.booleans()):
-        argv += ["--field", draw(st.sampled_from(SUITE_FIELDS
-                                                 + BAD_FIELDS[:7]))]
+    if draw(st.integers(0, 3)) == 0:
+        argv = ["verify", "--all", "--field",
+                draw(st.sampled_from(REFUSED_FIELDS))]
+    else:
+        argv = ["verify", "--suite",
+                draw(st.sampled_from(FAST_SUITES + ["no-such-suite", ""]))]
+        if draw(st.booleans()):
+            argv += ["--field", draw(st.sampled_from(SUITE_FIELDS
+                                                     + BAD_FIELDS[:7]))]
     if draw(st.booleans()):
         argv += ["--seed", draw(st.sampled_from(["0", "7", "-1", "x"]))]
     return argv
@@ -212,11 +222,13 @@ def _run(argv, stdin):
            '{"field": "fp:5", "dim": Infinity, "qP": "1", "qL": "1"}'], ""))
 def test_cli_ends_with_an_exit_code_not_a_traceback(case):
     argv, stdin = case
-    code, _, err = _run(argv, stdin)
+    code, out, err = _run(argv, stdin)
     assert code in EXIT_CODES, (code, err)
     assert "Traceback" not in err
     if code != 0:
         assert err.endswith("\n") and err.count("\n") == 1, err
+    if argv[:2] == ["verify", "--all"] and code != 64:
+        assert (code, out) == (3, ""), err  # refused before any suite
 
 
 NOT_ORTHOGONAL = json.dumps({"field": "fp:5", "form": [1, 1, 1, 1, 1],
@@ -269,9 +281,14 @@ def test_verify_field_past_the_suite_cap_is_unsupported(suite, field):
 
 
 def test_verify_all_with_a_field_that_is_not_an_odd_prime_is_unsupported():
-    """``--all`` reaches a field-taking suite and stops there with exit 3;
-    the suites before it have printed their lines."""
-    code, out, err = _run(["verify", "--all", "--field", "rational"], "")
-    assert code == 3
-    assert err == "unsupported: rational is not an odd prime field\n", err
-    assert out == "[pass] char2-lemmas\n[pass] cycle-equivalence\n"
+    """``--all`` refuses a field that a field-taking suite refuses, or an
+    F_p past one suite's cap, before any suite runs: exit 3, one stderr
+    line and nothing on stdout."""
+    reasons = {"rational": "rational is not an odd prime field",
+               "fp:11": "field size 11 exceeds the cap 7"}
+    for field in REFUSED_FIELDS:
+        code, out, err = _run(["verify", "--all", "--field", field], "")
+        assert (code, out) == (3, "")
+        assert err.startswith("unsupported: ") and err.count("\n") == 1, err
+        if field in reasons:
+            assert err == f"unsupported: {reasons[field]}\n", err

@@ -95,15 +95,15 @@ def test_quadric_point_counts():
     g = _geometry(F3, STD, (0, 0, 0, 0, 1), (0, 0, 0, 1, 0))
     pts = lie_quadric_points(g)
     # oracle: direct vector enumeration
-    brute = sum(1 for v in linalg.all_vectors(F3, 5)
-                if g.form(v).is_zero() and not linalg.is_zero_vector(v))
+    brute = sum(1 for x in linalg.all_vectors(F3, 5)
+                if g.form(linalg.vector(F3, x)).is_zero() and any(x))
     assert len(pts) == brute // 2 == 40
     assert pts == tuple(sorted(pts, key=ProjPoint.sort_key))
     xy5 = Geometry(QuadraticForm(F5, 4, {(0, 1): 1, (2, 3): 1}),
                    (0, 0, 1, 1), (1, 1, 0, 0))
     two_planes = QuadraticForm(F5, 2, {(0, 1): 1})
-    iso = [v for v in linalg.projective_points(F5, 2)
-           if two_planes(v).is_zero()]
+    iso = [x for x in linalg.projective_points(F5, 2)
+           if two_planes(linalg.vector(F5, x)).is_zero()]
     assert len(iso) == 2  # the two coordinate axes
 
 
@@ -144,7 +144,8 @@ def test_non_empty_cross_check_finite():
     forms = [QuadraticForm.diagonal(F3, e)
              for e in (STD, [1, 1, -1, -1], [1, 1, -1, -2], [1, 1, 1, -1])]
     for form in forms:
-        pts = list(linalg.projective_points(F3, form.dim))
+        pts = [linalg.vector(F3, x)
+               for x in linalg.projective_points(F3, form.dim)]
         for p in pts:
             for l in pts:
                 if not form.b_full(p, l).is_zero():
@@ -222,11 +223,10 @@ def test_perp_space():
                 assert space.basis == g.form.perp(vectors)
                 assert space.to_ambient(space.l_coords) == g.l_rep
                 dim = len(space.basis)
-                brute = {tuple(x.value for x in v)
-                         for v in linalg.all_vectors(field, dim)
-                         if not linalg.is_zero_vector(v)
-                         and next(x for x in v if not x.is_zero()).value == 1
-                         and g.form(space.to_ambient(v)).is_zero()}
+                brute = {x for x in linalg.all_vectors(field, dim)
+                         if any(x) and next(a for a in x if a) == 1
+                         and g.form(space.to_ambient(
+                             linalg.vector(field, x))).is_zero()}
                 iso = list(space.form.isotropic_points())
                 assert len(iso) == len(brute) and set(iso) == brute
 
@@ -390,7 +390,7 @@ def test_nondegeneracy_matches_incident_pair_definition():
     non-ideal hyperplane (sampled over (P, L) pairs of F_3 forms)."""
     for entries in (STD, [1, 1, 1, 1, -1]):
         form = QuadraticForm.diagonal(F3, entries)
-        pts = list(linalg.projective_points(F3, 5))
+        pts = [linalg.vector(F3, x) for x in linalg.projective_points(F3, 5)]
         quadric = [v for v in pts if form(v).is_zero()]
         pairs = ((p, l) for p in pts for l in pts
                  if form.b_full(p, l).is_zero()

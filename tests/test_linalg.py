@@ -3,9 +3,35 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from conformal import linalg
 from conformal.fields import ApproxReal, CharTwo, PrimeField, Rational
 from conformal.quadform import QuadraticForm, bilinear_radical
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), CharTwo(4)],
+                         ids=lambda f: f.token())
+def test_walks_yield_raw_tuples_in_order(field):
+    """all_vectors yields K^n as tuples of raw values in sorted order;
+    projective_points yields the points with lead coordinate 1, lead by
+    lead, sorted within a lead."""
+    raw = [x.value for x in field.elements()]
+    one = field.one().value
+
+    def lead(x):
+        return next(i for i, a in enumerate(x) if a != field.zero().value)
+
+    for n in range(5):
+        vectors = list(linalg.all_vectors(field, n))
+        assert vectors == sorted(set(vectors))
+        assert len(vectors) == field.order ** n
+        assert all(type(x) is tuple and set(x) <= set(raw) for x in vectors)
+        points = list(linalg.projective_points(field, n))
+        assert points == sorted((x for x in vectors
+                                 if any(x) and x[lead(x)] == one),
+                                key=lambda x: (lead(x), x))
+        assert len(points) == (field.order ** n - 1) // (field.order - 1)
 
 
 def test_rref_and_kernel_f5():
@@ -51,8 +77,7 @@ def test_projective_points_count():
     assert len(pts) == (3 ** 5 - 1) // 2  # 121
     assert len(set(pts)) == len(pts)
     for p in pts:
-        lead = next(x for x in p if not x.is_zero())
-        assert lead == f3.one()
+        assert next(x for x in p if x) == 1
 
 
 def test_coordinates_and_span():
@@ -106,7 +131,7 @@ def test_complement_indices():
 
 def _span(vectors, field):
     """Every linear combination of ``vectors`` (a finite field)."""
-    return frozenset(linalg.combine(c, vectors)
+    return frozenset(linalg.combine(linalg.vector(field, c), vectors)
                      for c in linalg.all_vectors(field, len(vectors)))
 
 
@@ -116,7 +141,8 @@ def test_span_key():
     included, against the brute-force span."""
     for field in (PrimeField(3), CharTwo(4)):
         spans_of = {}
-        for pair in itertools.product(linalg.all_vectors(field, 3), repeat=2):
+        space = [linalg.vector(field, x) for x in linalg.all_vectors(field, 3)]
+        for pair in itertools.product(space, repeat=2):
             spans_of.setdefault(linalg.span_key(pair, field),
                                 set()).add(_span(pair, field))
         assert all(len(spans) == 1 for spans in spans_of.values())

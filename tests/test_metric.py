@@ -197,7 +197,8 @@ def test_ideal_point_rejected():
     space, pts = line_points(g, l)
     # find the ideal point of the line: isotropic, orthogonal to L
     ideal = None
-    for coords in linalg.projective_points(F3, 3):
+    for x in linalg.projective_points(F3, 3):
+        coords = linalg.vector(F3, x)
         if space.form(coords).is_zero() and \
            space.form.b_full(space.l_coords, coords).is_zero():
             ideal = ProjPoint(space.to_ambient(coords))

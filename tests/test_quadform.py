@@ -41,8 +41,8 @@ def test_char2_degenerate_vector():
     # x^2 + yz over F_2: (1,0,0) pairs to zero with everything
     q = QuadraticForm(F2, 3, {(0, 0): 1, (1, 2): 1})
     e0 = linalg.unit_vector(F2, 3, 0)
-    for v in linalg.all_vectors(F2, 3):
-        assert q.b_full(e0, v).is_zero()
+    for x in linalg.all_vectors(F2, 3):
+        assert q.b_full(e0, linalg.vector(F2, x)).is_zero()
     rad = bilinear_radical(q)
     assert len(rad) == 1 and linalg.in_span(e0, rad, F2)
     # yet the form is non-degenerate: Q is 1 on the radical vector
@@ -208,7 +208,8 @@ def test_witt_examples():
     assert witt_index(QuadraticForm.diagonal(F7, [1, -e.value])) == 0
     # [1,-e] has no nontrivial isotropic vector: oracle by enumeration
     q = QuadraticForm.diagonal(F7, [1, -e.value])
-    zeros = [v for v in linalg.all_vectors(F7, 2)
+    vectors = [linalg.vector(F7, x) for x in linalg.all_vectors(F7, 2)]
+    zeros = [v for v in vectors
              if q(v).is_zero() and not linalg.is_zero_vector(v)]
     assert zeros == []
 
@@ -259,10 +260,9 @@ def test_arf_examples():
     assert arf_invariant(xy).is_zero()
     assert arf_invariant(plane) == F2.one()
     # zero-count oracle: xy has 2 nonzero zeros, x^2+xy+y^2 has none
-    assert sum(1 for v in linalg.all_vectors(F2, 2)
-               if xy(v).is_zero()) == 3
-    assert sum(1 for v in linalg.all_vectors(F2, 2)
-               if plane(v).is_zero()) == 1
+    plane_vectors = [linalg.vector(F2, x) for x in linalg.all_vectors(F2, 2)]
+    assert sum(1 for v in plane_vectors if xy(v).is_zero()) == 3
+    assert sum(1 for v in plane_vectors if plane(v).is_zero()) == 1
     four = xy.direct_sum(plane)
     assert not arf_invariant(four).is_zero()
     assert arf_invariant(plane.direct_sum(plane)).is_zero()  # e + e = 0
@@ -300,6 +300,41 @@ def test_represents_no_witness():
     assert represents(QuadraticForm.diagonal(QQ, [1]), -1) is None
 
 
+def ref_represents(q, lam):
+    """The Scalar scan ``represents`` ran over a finite field: the first
+    nonzero vector of K^n, in sorted order, with Q(v) = lam."""
+    field = q.field
+    for v in itertools.product(list(field.elements()), repeat=q.dim):
+        if not linalg.is_zero_vector(v) and q(v) == lam:
+            return v
+    return None
+
+
+@pytest.mark.parametrize("field", [F3, F5, F2, F4], ids=lambda f: f.token())
+def test_represents_is_the_first_witness_of_the_scalar_scan(field):
+    """Every value, 0 included, on the zero form, an anisotropic plane and
+    random tables of dims 1-4 (degenerate ones included): the same
+    witness as the Scalar scan, or None where it finds none."""
+    rng = random.Random(field.order)
+    elems = [x.value for x in field.elements()]
+    plane = ({(0, 0): 1, (0, 1): 1, (1, 1): 1} if field.char == 2
+             else {(0, 0): 1, (1, 1): -canonical_nonresidue(field).value})
+    forms = [QuadraticForm(field, 3, {}), QuadraticForm(field, 2, plane)]
+    for dim in (1, 2, 3, 4):
+        for _ in range(3):
+            forms.append(QuadraticForm(field, dim, {
+                (i, j): rng.choice(elems)
+                for i in range(dim) for j in range(i, dim)
+                if rng.random() < 0.6}))
+    missing = 0
+    for q in forms:
+        for lam in field.elements():
+            want = ref_represents(q, lam)
+            assert represents(q, lam) == want, (q, lam)
+            missing += want is None
+    assert missing  # values with no witness are covered too
+
+
 def test_represents_rational_witnesses():
     q = QuadraticForm.diagonal(QQ, [1, 1, -1])
     for lam in (5, -3, 0, Fraction(7, 2)):
@@ -328,7 +363,8 @@ def test_extend_basis_swap():
 
 def test_extend_isotropic_orbit():
     q = QuadraticForm.diagonal(F3, [1, 1, 1, -1, -1])
-    iso = [v for v in linalg.projective_points(F3, 5) if q(v).is_zero()]
+    points = [linalg.vector(F3, x) for x in linalg.projective_points(F3, 5)]
+    iso = [v for v in points if q(v).is_zero()]
     rng = random.Random(3)
     for _ in range(40):
         a, b = rng.choice(iso), rng.choice(iso)
@@ -341,11 +377,10 @@ def test_norm_orbits_under_reflections():
     """Nonzero vectors of a fixed norm form a single orbit of the group
     generated by reflections (F_3, the 5-dimensional standard form)."""
     q = QuadraticForm.diagonal(F3, [1, 1, 1, -1, -1])
-    vectors = [v for v in linalg.all_vectors(F3, 5)
-               if not linalg.is_zero_vector(v)]
-    mirrors = [reflection_matrix(q, w)
-               for w in linalg.projective_points(F3, 5)
-               if not q(w).is_zero()]
+    vectors = [linalg.vector(F3, x) for x in linalg.all_vectors(F3, 5)
+               if any(x)]
+    points = [linalg.vector(F3, x) for x in linalg.projective_points(F3, 5)]
+    mirrors = [reflection_matrix(q, w) for w in points if not q(w).is_zero()]
     by_norm = {}
     for v in vectors:
         by_norm.setdefault(q(v).value, []).append(v)
@@ -394,6 +429,7 @@ def test_nondegeneracy_matches_radical_enumeration():
             witness = False
             if rad:
                 for combo in linalg.all_vectors(field, len(rad)):
+                    combo = linalg.vector(field, combo)
                     v = linalg.zero_vector(field, dim)
                     for c, b in zip(combo, rad):
                         v = linalg.vec_add(v, linalg.vec_scale(c, b))
@@ -413,7 +449,7 @@ def test_perp_points_is_the_filtered_scan_in_order(field):
     non-diagonal form."""
     coeffs = {(0, 1): 1, (1, 1): 1, (2, 3): 1, (0, 0): 1}
     form = QuadraticForm(field, 4, coeffs)
-    points = list(linalg.projective_points(field, 4, raw=True))
+    points = list(linalg.projective_points(field, 4))
     for p in points:
         want = [x for x in points if not form.b_raw(p, x)]
         assert list(form.perp_points(p)) == want, p

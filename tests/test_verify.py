@@ -34,7 +34,7 @@ def per_pair_buckets(p, diag):
     n = form.dim
     q, b = form.eval_raw, form.b_raw
     qcls = [square_class(x).value for x in field.elements()]
-    points = list(linalg.projective_points(field, n, raw=True))
+    points = list(linalg.projective_points(field, n))
     iso = [v for v in points if q(v) == 0]
     p0 = {}
     for v in points:
