@@ -180,12 +180,17 @@ class Field:
     def one(self) -> Scalar:
         return self.scalar(1)
 
-    def elements(self) -> Iterator[Scalar]:
+    @property
+    def raw_elements(self) -> range:
+        """The raw values of a finite field's elements, in order."""
         raise UnsupportedFieldError(f"{self} is not finite")
+
+    def elements(self) -> Iterator[Scalar]:
+        return (Scalar(v, self) for v in self.raw_elements)
 
     @property
     def order(self) -> int:
-        raise UnsupportedFieldError(f"{self} is not finite")
+        return len(self.raw_elements)
 
     def token(self) -> str:
         """Stable string identifying the field (used on the CLI and in JSON)."""
@@ -284,12 +289,8 @@ class PrimeField(Field):
         return Scalar(x % self.p, self)
 
     @property
-    def order(self) -> int:
-        return self.p
-
-    def elements(self) -> Iterator[Scalar]:
-        for v in range(self.p):
-            yield Scalar(v, self)
+    def raw_elements(self) -> range:
+        return range(self.p)
 
     def token(self) -> str:
         return f"fp:{self.p}"
@@ -346,12 +347,8 @@ class CharTwo(Field):
         return Scalar(x, self)
 
     @property
-    def order(self) -> int:
-        return self.q
-
-    def elements(self) -> Iterator[Scalar]:
-        for v in range(self.q):
-            yield Scalar(v, self)
+    def raw_elements(self) -> range:
+        return range(self.q)
 
     def token(self) -> str:
         return f"f{self.q}"

@@ -274,9 +274,9 @@ def lie_quadric_points(g: Geometry, max_q: int = MAX_ENUM_Q):
     _check_enum(g, max_q)
     if g._quadric is None:
         # the raw tuples already lead with 1, and a finite field's raw
-        # values sort like its scalars
+        # values sort like its scalars; raw value v is element v
         hits = sorted(g.form.isotropic_points())
-        wrap = {s.value: s for s in g.field.elements()}
+        wrap = list(g.field.elements())
         g._quadric = tuple(ProjPoint.from_canonical(tuple(wrap[a] for a in x))
                            for x in hits)
     return g._quadric

@@ -207,14 +207,14 @@ def coordinates(v: Vector, basis: Sequence[Vector], field: Field) -> Optional[Ve
 def all_vectors(field: Field, n: int) -> Iterator[tuple]:
     """Every vector of K^n over a finite field, as a tuple of raw values,
     in sorted order."""
-    return product([e.value for e in field.elements()], repeat=n)
+    return product(field.raw_elements, repeat=n)
 
 
 def projective_points(field: Field, n: int) -> Iterator[tuple]:
     """Canonical representatives (first nonzero coordinate 1) of P(K^n)
     over a finite field, as tuples of raw values, lead by lead and in
     sorted order within a lead."""
-    elems = [e.value for e in field.elements()]
+    elems = field.raw_elements
     one, zero = field.one().value, field.zero().value
     for lead in range(n):
         prefix = (zero,) * lead + (one,)

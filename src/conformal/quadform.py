@@ -354,7 +354,7 @@ def _root_table(field: Field, c) -> dict:
     no root.  Built once per (field, c) from every pair of roots (r1, r2)
     as (-c (r1 + r2), c r1 r2), so it serves every characteristic."""
     add, mul = field._add, field._mul
-    elems = [e.value for e in field.elements()]
+    elems = field.raw_elements
     table = {}
     for k, r1 in enumerate(elems):
         for r2 in elems[k:]:
@@ -651,7 +651,7 @@ def _is_hyperbolic_space(q: QuadraticForm, basis) -> bool:
         return False
     field = q.field
     add, mul, is_zero = field._add, field._mul, field._is_zero
-    elems = [e.value for e in field.elements()]
+    elems = field.raw_elements
     one = field.one().value
     # the span in ``all_vectors`` order, built one row at a time: each
     # vector sum c_i b_i is added in order from zero, as
@@ -815,7 +815,7 @@ def represents(q: QuadraticForm, lam) -> Optional[Vector]:
 
 
 # ---------------------------------------------------------------------------
-# Isometry construction: reflections, Eichler maps, Witt extension.
+# Isometry construction: reflections and Witt extension by reflections.
 # ---------------------------------------------------------------------------
 
 def reflection_matrix(q: QuadraticForm, w: Vector):
@@ -860,41 +860,6 @@ def mirrors(q: QuadraticForm, a, b, pool=(), fixed=()):
     return None
 
 
-def eichler_matrix(q: QuadraticForm, p0: Vector, u: Vector):
-    """x -> x + B(x,p0)u - (B(x,u) + Q(u)B(x,p0))p0 for isotropic p0 and
-    u orthogonal to p0; an isometry fixing p0 and everything orthogonal
-    to both p0 and u."""
-    if not q(p0).is_zero() or not q.b_full(p0, u).is_zero():
-        raise InvalidInputError("Eichler map needs Q(p0)=0 and u orthogonal to p0")
-    field = q.field
-    n = q.dim
-    qu = q(u)
-    bp, bu = q.gram_row(p0), q.gram_row(u)
-    images = []
-    for i in range(n):
-        e = linalg.unit_vector(field, n, i)
-        a, b = bp[i], bu[i]
-        img = vec_add(e, vec_scale(a, u))
-        img = vec_sub(img, vec_scale(b + qu * a, p0))
-        images.append(img)
-    return tuple(zip(*images))
-
-
-def hyperbolic_scaling_matrix(q: QuadraticForm, p: Vector, w: Vector, mu: Scalar):
-    """p -> mu p, w -> mu^-1 w on a hyperbolic pair (Q(p)=Q(w)=0,
-    B(p,w)=1), identity on the orthogonal complement."""
-    field = q.field
-    one = field.one()
-    bw, bp = q.gram_row(w), q.gram_row(p)
-    images = []
-    for i in range(q.dim):
-        e = linalg.unit_vector(field, q.dim, i)
-        img = vec_add(e, vec_scale((mu - one) * bw[i], p))
-        img = vec_add(img, vec_scale((mu.inverse() - one) * bp[i], w))
-        images.append(img)
-    return tuple(zip(*images))
-
-
 def is_isometry(q: QuadraticForm, m) -> bool:
     n = q.dim
     basis = [linalg.mat_vec(m, linalg.unit_vector(q.field, n, i))
@@ -909,15 +874,21 @@ def is_isometry(q: QuadraticForm, m) -> bool:
     return True
 
 
+def _vectors_of(q: QuadraticForm, vecs):
+    """The vectors as tuples of scalars; each must have length q.dim."""
+    if any(len(v) != q.dim for v in vecs):
+        raise InvalidInputError(f"vectors must have length {q.dim}")
+    return [tuple(q.field.scalar(x) for x in v) for v in vecs]
+
+
 class _Extender:
     """Witt extension over a finite field of odd characteristic.
 
-    The pair list is recombined into mutually orthogonal pieces
-    (anisotropic vectors and symplectic couples); each piece is then
-    matched by explicit isometries: reflections for anisotropic vectors
-    and for isotropic vectors that pair non-trivially, a hyperbolic
-    scaling for collinear isotropic vectors, and an Eichler map for the
-    second member of a couple.
+    The radical of the pairing on span(u) is completed hyperbolically,
+    which makes the span non-degenerate.  An orthogonal basis of it then
+    consists of anisotropic vectors, and ``mirrors`` moves each one onto
+    its target: both are orthogonal to every image already placed, so
+    the mirrors fix those images.
     """
 
     def __init__(self, q: QuadraticForm):
@@ -929,62 +900,17 @@ class _Extender:
                                       "non-degenerate ambient form")
         self.q = q
         self.field = q.field
-        self.n = q.dim
-        self._iso = None
 
-    def _iso_list(self):
-        """Raw representatives of the isotropic projective points."""
-        if self._iso is None:
-            self._iso = list(self.q.isotropic_points())
-        return self._iso
-
-    # -- elementary moves -------------------------------------------------
-    def _move(self, a: Vector, b: Vector, fixed):
-        """Isometry with g(a) = b fixing every vector of ``fixed`` (raw
-        tuples); Q(a) = Q(b), and a and b are orthogonal to ``fixed``."""
-        q = self.q
-        field = self.field
-        if a == b:
-            return None
-        pool = ()
-        if q(a).is_zero():
-            co = linalg.coordinates(b, [a], field)
-            if co is not None:  # b = lam a: scale the hyperbolic plane of b
-                g = hyperbolic_scaling_matrix(q, b, self._partner(b, fixed),
-                                              co[0])
-                assert linalg.mat_vec(g, a) == b
-                return g
-            pool = self._iso_list()
-        ws = mirrors(q, raw_values(field, a), raw_values(field, b),
-                     pool, fixed)
-        if ws is None:
-            raise InvalidInputError("no isotropic path found (internal)")
-        g = reflection_matrix(q, linalg.vector(field, ws[0]))
-        for w in ws[1:]:
-            g = linalg.mat_mul(reflection_matrix(q, linalg.vector(field, w)), g)
-        assert linalg.mat_vec(g, a) == b
-        return g
-
-    def _partner(self, p: Vector, fixed):
-        """Isotropic w with B(p,w) = 1, orthogonal to ``fixed`` (raw)."""
-        q = self.q
-        x = raw_values(self.field, p)
-        for r in self._iso_list():
-            b = q.b_raw(x, r)
-            if not b or any(q.b_raw(r, f) for f in fixed):
-                continue
-            return vec_scale(Scalar(b, self.field).inverse(),
-                             linalg.vector(self.field, r))
-        raise InvalidInputError("no hyperbolic partner found (internal)")
-
-    # -- the extension proper ----------------------------------------------
     def extend(self, u_vecs, v_vecs):
         q = self.q
         field = self.field
-        u_vecs = [tuple(field.scalar(x) for x in v) for v in u_vecs]
-        v_vecs = [tuple(field.scalar(x) for x in v) for v in v_vecs]
         if len(u_vecs) != len(v_vecs):
             raise InvalidInputError("subspace bases differ in length")
+        u_vecs = _vectors_of(q, u_vecs)
+        v_vecs = _vectors_of(q, v_vecs)
+        g = linalg.identity_matrix(field, q.dim)
+        if not u_vecs:
+            return g
         if not linalg.independent(u_vecs, field) or \
            not linalg.independent(v_vecs, field):
             raise InvalidInputError("subspace bases must be independent")
@@ -994,31 +920,14 @@ class _Extender:
             for j in range(i + 1, len(u_vecs)):
                 if q.b_full(u_vecs[i], u_vecs[j]) != q.b_full(v_vecs[i], v_vecs[j]):
                     raise InvalidInputError("the given map is not an isometry")
-        u_orig, v_orig = list(u_vecs), list(v_vecs)
-        u_vecs, v_vecs = self._complete_radical(u_vecs, v_vecs)
-        pieces = self._adapted_pieces(u_vecs, v_vecs)
-        g = linalg.identity_matrix(field, self.n)
-        fixed = []
-        for piece in pieces:
-            if piece[0] == "aniso":
-                _, u, v = piece
-                h = self._move(linalg.mat_vec(g, u), v, fixed)
-                if h is not None:
-                    g = linalg.mat_mul(h, g)
-                fixed.append(raw_values(field, v))
-            else:
-                _, (u1, v1), (u2, v2) = piece
-                h = self._move(linalg.mat_vec(g, u1), v1, fixed)
-                if h is not None:
-                    g = linalg.mat_mul(h, g)
-                cur2 = linalg.mat_vec(g, u2)
-                if cur2 != v2:
-                    # Eichler map based at v1 sends cur2 to v2 and fixes
-                    # v1 and all earlier (orthogonal) pieces.
-                    h = eichler_matrix(q, v1, vec_sub(v2, cur2))
-                    g = linalg.mat_mul(h, g)
-                fixed += [raw_values(field, v1), raw_values(field, v2)]
-        for u, v in zip(u_orig, v_orig):
+        u_list, v_list = self._complete_radical(u_vecs, v_vecs)
+        for co in diagonalize(q.restrict(u_list)).basis:
+            a = linalg.mat_vec(g, linalg.combine(co, u_list))
+            b = linalg.combine(co, v_list)
+            for w in mirrors(q, raw_values(field, a), raw_values(field, b)):
+                g = linalg.mat_mul(
+                    reflection_matrix(q, linalg.vector(field, w)), g)
+        for u, v in zip(u_vecs, v_vecs):
             assert linalg.mat_vec(g, u) == v, "extension failed (internal)"
         assert is_isometry(q, g), "extension is not an isometry (internal)"
         return g
@@ -1038,13 +947,13 @@ class _Extender:
         u_list = rad_u + [u_vecs[i] for i in comp_idx]
         v_list = rad_v + [v_vecs[i] for i in comp_idx]
         for j in range(len(rad_u)):
-            pu = self._radical_partner(rad_u[j], u_list)
-            pv = self._radical_partner(rad_v[j], v_list)
+            pu = self._radical_mate(rad_u[j], u_list)
+            pv = self._radical_mate(rad_v[j], v_list)
             u_list.append(pu)
             v_list.append(pv)
         return u_list, v_list
 
-    def _radical_partner(self, r: Vector, current):
+    def _radical_mate(self, r: Vector, current):
         """Isotropic w with B(r,w) = 1, orthogonal to the rest of ``current``."""
         q = self.q
         field = self.field
@@ -1060,32 +969,13 @@ class _Extender:
         assert q(w).is_zero() and q.b_full(r, w) == field.one()
         return w
 
-    def _adapted_pieces(self, u_vecs, v_vecs):
-        """Recombine the pair lists into mutually orthogonal pieces via the
-        generalized-orthogonal construction on the restricted form."""
-        sub = self.q.restrict(u_vecs)
-        gob = generalized_orthogonal_basis(sub)
-        pairs = [(linalg.combine(combo, u_vecs), linalg.combine(combo, v_vecs))
-                 for combo in gob.vectors]
-        second = {j: i for i, j in gob.couples}
-        first = {i: j for i, j in gob.couples}
-        pieces = []
-        for idx in range(len(pairs)):
-            if idx in second:
-                continue
-            if idx in first:
-                pieces.append(("couple", pairs[idx], pairs[first[idx]]))
-            else:
-                pieces.append(("aniso",) + pairs[idx])
-        return pieces
-
 
 def extend_isometry(q: QuadraticForm, u_basis, v_basis):
     """Extend the isometry u_basis[i] -> v_basis[i] to the whole space.
 
-    Returns a matrix g with g u_i = v_i preserving Q, built from
-    reflections, hyperbolic scalings and Eichler maps, after a
-    hyperbolic completion of any radical of the restricted pairing.
+    Returns a matrix g with g u_i = v_i preserving Q, a product of
+    reflections built after a hyperbolic completion of any radical of
+    the restricted pairing; the identity for empty bases.
     """
     return _Extender(q).extend(u_basis, v_basis)
 
@@ -1101,7 +991,7 @@ class IsometrySampler:
     def __init__(self, q: QuadraticForm, fixed):
         self.q = q
         self.field = q.field
-        self.fixed = [tuple(q.field.scalar(x) for x in v) for v in fixed]
+        self.fixed = _vectors_of(q, fixed)
         fixed_raw = [raw_values(q.field, v) for v in self.fixed]
         self.buckets = {}
         # raw tuples; extend() wraps the draws

@@ -17,7 +17,7 @@ from conformal.classify import (QUADRATICALLY_CLOSED, GeometryClass,
                                 representative_geometry, second_model)
 from conformal.geometry import Geometry, pointspace
 from conformal.quadform import (InvalidInputError, IsometrySampler,
-                                QuadraticForm)
+                                QuadraticForm, is_isometry)
 
 QQ = Rational()
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
@@ -283,18 +283,16 @@ def test_pointspace_isometry_certificates():
     assert pointspace_isometry(g1, g3) is None
 
 
-def _witt_extension_lines():
+def _witt_extensions():
     """Every pointspace_isometry certificate between anisotropic-P plane
-    classes over F_3 and F_5, then 20 seeded IsometrySampler draws."""
-    text = lambda m: ";".join(",".join(str(x.value) for x in row) for row in m)
-    lines = []
+    classes over F_3 and F_5 as (g1, g2, cert), then, for two classes,
+    (g, 10 seeded IsometrySampler draws, the rng's next draw)."""
+    certs, samples = [], []
     for fp in (F3, F5):
         reps = [representative_geometry(c) for c in enumerate_classes(fp, 2)
                 if c.qp is not SquareClass.ZERO]
         for g1, g2 in itertools.product(reps, repeat=2):
-            cert = pointspace_isometry(g1, g2)
-            lines.append("-" if cert is None
-                         else f"{cert[0].value}:{text(cert[1])}")
+            certs.append((g1, g2, pointspace_isometry(g1, g2)))
     for fp, qp, ql in ((F3, SquareClass.ZERO, SquareClass.UNIT),
                        (F5, SquareClass.UNIT, SquareClass.ZERO)):
         cls = next(c for c in enumerate_classes(fp, 2)
@@ -302,20 +300,47 @@ def _witt_extension_lines():
         g = representative_geometry(cls)
         sampler = IsometrySampler(g.form, [g.p_rep, g.l_rep])
         rng = random.Random(fp.p)
-        lines += [text(sampler.sample(rng)) for _ in range(10)]
-    return lines
+        draws = [sampler.sample(rng) for _ in range(10)]
+        samples.append((g, draws, rng.randrange(1 << 30)))
+    return certs, samples
 
 
 def test_witt_extensions_are_pinned():
-    """The reflections, hyperbolic scalings and Eichler maps behind the
-    certificates and the sampler build the same matrices, byte for byte,
-    as when these outputs were recorded."""
-    lines = _witt_extension_lines()
+    """The reflections behind the certificates and the sampler build the
+    same matrices, byte for byte, as when these outputs were recorded.
+    Each certificate and each draw is checked, and the sampler consumes
+    the rng draws it consumed before Witt extension ran on reflections
+    alone."""
+    text = lambda m: ";".join(",".join(str(x.value) for x in row) for row in m)
+    certs, samples = _witt_extensions()
+    lines = []
+    for g1, g2, cert in certs:
+        if cert is None:
+            lines.append("-")
+            continue
+        lam, h = cert
+        lines.append(f"{lam.value}:{text(h)}")
+        # h carries lam * Q1^P to Q2^P and maps L1 onto the line of L2
+        ps1, ps2 = pointspace(g1), pointspace(g2)
+        for x in linalg.all_vectors(g1.field, ps1.form.dim):
+            v = linalg.vector(g1.field, x)
+            assert ps2.form(linalg.mat_vec(h, v)) == lam * ps1.form(v)
+        image = linalg.mat_vec(h, ps1.l_coords)
+        assert linalg.in_span(image, [ps2.l_coords], g1.field)
+    for g, draws, _ in samples:
+        for m in draws:
+            assert is_isometry(g.form, m)
+            assert linalg.mat_vec(m, g.p_rep) == g.p_rep
+            assert linalg.mat_vec(m, g.l_rep) == g.l_rep
+        lines += [text(m) for m in draws]
+    assert [nxt for _, _, nxt in samples] == [342308754, 342747439]
     assert len(lines) == 2 * 36 + 20
-    assert sum(line != "-" for line in lines[:72]) == 20
+    assert [k for k, line in enumerate(lines[:72]) if line != "-"] == [
+        0, 7, 8, 13, 14, 21, 28, 29, 34, 35, 36, 43, 44, 49, 50, 57, 64, 65,
+        70, 71]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (
-        "0e6414f00b9e661678bf9a329c6b78362fac04516a0de063a8d59c0548f98207")
+        "dc976f38fb0889e8f016753898385b9e102c8c09630a1e91a5e92d0f057f4c5f")
 
 
 def test_orbit_completeness_class_labels():

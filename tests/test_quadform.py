@@ -11,7 +11,8 @@ from conformal import linalg
 from conformal.fields import (CharTwo, PrimeField, Rational,
                               UnsupportedFieldError, canonical_nonresidue,
                               square_class)
-from conformal.quadform import (DegenerateFormError, QuadraticForm,
+from conformal.quadform import (DegenerateFormError, InvalidInputError,
+                                IsometrySampler, QuadraticForm,
                                 arf_invariant, bilinear_radical, det_class,
                                 diagonalize, extend_isometry,
                                 generalized_orthogonal_basis, is_isometry,
@@ -371,6 +372,77 @@ def test_extend_isotropic_orbit():
         g = extend_isometry(q, [a], [b])
         assert linalg.mat_vec(g, a) == b
         assert is_isometry(q, g)
+
+
+def _random_extension_case(rng):
+    """(q, u, v): a non-diagonal non-degenerate form over F_3/5/7 in dim
+    2-6, independent u drawn mostly as isotropic vectors orthogonal to
+    the earlier ones (so the pairing on span(u) has a radical), and
+    v = M u for a product M of random reflections."""
+    field = rng.choice((F3, F5, F7))
+    n = rng.randint(2, 6)
+    while True:
+        q = QuadraticForm(field, n, {(i, j): rng.randrange(field.p)
+                                     for i in range(n) for j in range(i, n)})
+        if any(i != j for (i, j), _ in q.coeff_items()) \
+                and not bilinear_radical(q):
+            break
+    rand = lambda basis: linalg.combine(
+        [field.scalar(rng.randrange(field.p)) for _ in basis], basis)
+    whole = linalg.identity_matrix(field, n)
+    u = []
+    for _ in range(rng.randint(1, n)):
+        for _ in range(50):
+            if rng.random() < 0.9:
+                x = rand(q.perp(u) if u else whole)
+                if not q(x).is_zero():
+                    continue
+            else:
+                x = rand(whole)
+            if linalg.independent(u + [x], field):
+                u.append(x)
+                break
+    m = whole
+    for _ in range(rng.randint(1, 4)):
+        w = rand(whole)
+        if not q(w).is_zero():
+            m = linalg.mat_mul(reflection_matrix(q, w), m)
+    return q, u, [linalg.mat_vec(m, x) for x in u]
+
+
+def test_extend_isometry_random_pairing_radicals():
+    """Witt extension sends u to v and preserves Q on random cases whose
+    pairing on span(u) has radicals of dimension 0 to 3."""
+    rng = random.Random(19)
+    radical_dims = set()
+    for _ in range(400):
+        q, u, v = _random_extension_case(rng)
+        gram = [[q.b_full(a, b) for b in u] for a in u]
+        radical_dims.add(len(linalg.kernel_basis(gram, q.field, len(u))))
+        g = extend_isometry(q, u, v)
+        assert [linalg.mat_vec(g, x) for x in u] == v
+        assert is_isometry(q, g)
+    assert {0, 1, 2, 3} <= radical_dims
+
+
+def test_extend_isometry_empty_bases_give_identity():
+    q = QuadraticForm.diagonal(F5, [1, 2, 1, 1])
+    assert extend_isometry(q, [], []) == linalg.identity_matrix(F5, 4)
+
+
+@pytest.mark.parametrize("u, v", [([(1, 0)], [(0, 1)]),
+                                  ([(1, 0, 0, 0, 0)], [(0, 1, 0, 0, 0)]),
+                                  ([(1, 0, 0, 0)], [(0, 1, 0)])])
+def test_extend_isometry_rejects_wrong_lengths(u, v):
+    q = QuadraticForm.diagonal(F3, [1, 1, -1, -1])
+    with pytest.raises(InvalidInputError, match="length 4"):
+        extend_isometry(q, u, v)
+
+
+def test_isometry_sampler_rejects_wrong_lengths():
+    q = QuadraticForm.diagonal(F3, [1, 1, -1, -1])
+    with pytest.raises(InvalidInputError, match="length 4"):
+        IsometrySampler(q, [(1, 0)])
 
 
 def test_norm_orbits_under_reflections():
