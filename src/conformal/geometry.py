@@ -129,6 +129,7 @@ class Geometry:
         self._quadric = None
         self._points = None
         self._tokens = {}  # classify._pointspace_token by the raw lambda
+        self._charts = {}  # metric charts by the normalised raw line
 
     @property
     def n(self) -> int:

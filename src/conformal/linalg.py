@@ -95,6 +95,14 @@ def rref(rows: Sequence[Vector], field: Field):
     order of plain Scalar arithmetic, and wraps only the result.  A row
     entry of another field raises FieldMismatchError."""
     m = [raw_values(field, r) for r in rows]
+    pivots = _reduce(m, field)
+    return tuple(tuple(Scalar(x, field) for x in row) for row in m), pivots
+
+
+def _reduce(m: list, field: Field, log: Optional[list] = None) -> list:
+    """Bring the raw rows m to reduced row echelon form in place and
+    return the pivot columns.  With ``log``, append each pivot step as
+    (row, swapped row, pivot inverse, [(eliminated row, factor), ...])."""
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     mul, sub, is_zero = field._mul, field._sub, field._is_zero
@@ -111,15 +119,20 @@ def rref(rows: Sequence[Vector], field: Field):
         m[r], m[pivot] = m[pivot], m[r]
         inv = field._inv(m[r][c])
         m[r] = [mul(inv, x) for x in m[r]]
+        steps = None if log is None else []
         for i in range(nrows):
             if i != r and not is_zero(m[i][c]):
                 f = m[i][c]
                 m[i] = [sub(x, mul(f, y)) for x, y in zip(m[i], m[r])]
+                if steps is not None:
+                    steps.append((i, f))
+        if steps is not None:
+            log.append((r, pivot, inv, steps))
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return tuple(tuple(Scalar(x, field) for x in row) for row in m), pivots
+    return pivots
 
 
 def rank(rows: Sequence[Vector], field: Field) -> int:
@@ -202,6 +215,36 @@ def coordinates(v: Vector, basis: Sequence[Vector], field: Field) -> Optional[Ve
     """Coefficients x with sum x_i basis_i = v, or None if v is outside."""
     cols = tuple(zip(*basis))  # matrix whose columns are the basis vectors
     return solve(cols, v, field)
+
+
+def coordinate_map(basis: Sequence[Vector], field: Field):
+    """``coordinates(., basis)`` on raw values: a function from the raw
+    values of a vector to the raw values of its coordinates, or None.
+
+    The basis is reduced once; each call replays on the vector the row
+    operations ``coordinates`` applies to its right-hand side, so every
+    value is the one ``coordinates`` gives, bit for bit over ApproxReal.
+    """
+    m = [list(col) for col in zip(*(raw_values(field, b) for b in basis))]
+    log = []
+    pivots = _reduce(m, field, log)
+    mul, sub, is_zero = field._mul, field._sub, field._is_zero
+    zero, rank = field.zero().value, len(pivots)
+
+    def coords(x) -> Optional[list]:
+        a = list(x)
+        for r, pivot, inv, steps in log:
+            a[r], a[pivot] = a[pivot], a[r]
+            y = a[r] = mul(inv, a[r])
+            for i, f in steps:
+                a[i] = sub(a[i], mul(f, y))
+        if not all(is_zero(t) for t in a[rank:]):
+            return None
+        out = [zero] * len(basis)
+        for t, c in zip(a, pivots):
+            out[c] = t
+        return out
+    return coords
 
 
 def all_vectors(field: Field, n: int) -> Iterator[tuple]:

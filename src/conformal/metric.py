@@ -15,7 +15,7 @@ import math
 from enum import Enum
 from typing import Optional
 
-from .fields import (ConformalError, Scalar, SquareClass,
+from .fields import (ConformalError, PrimeField, Scalar, SquareClass,
                      UnsupportedFieldError, canonical_nonresidue,
                      sqrt_if_square, square_class)
 from . import linalg
@@ -110,13 +110,17 @@ def gamma_class(g: Geometry) -> LineGroupClass:
             else LineGroupClass.NON_SPLIT_TORUS)
 
 
-def line_space(g: Geometry, l) -> Subspace:
-    """The 3-dimensional <P,l>^perp with its restricted (non-degenerate)
-    form and the coordinates of L; l must be a non-ideal hyperplane."""
+def _require_plane(g: Geometry):
     if g.field.char == 2:
         raise UnsupportedFieldError("line spaces are built for char != 2")
     if g.n != 2:
         raise UnsupportedFieldError("line spaces are 3-dimensional only for n=2")
+
+
+def line_space(g: Geometry, l) -> Subspace:
+    """The 3-dimensional <P,l>^perp with its restricted (non-degenerate)
+    form and the coordinates of L; l must be a non-ideal hyperplane."""
+    _require_plane(g)
     lv = _as_vector(g, l)
     if not g.form(lv).is_zero():
         raise DegenerateLineError("l must lie on the Lie quadric")
@@ -142,6 +146,12 @@ class Chart:
     smallest first, pairing 1); for the non-split torus an orthogonal
     pair with Q(b2) = -eps Q(b1); for the additive group an anisotropic
     u of canonical norm and the isotropic partner v of L.
+
+    The queries run on raw values: ``_to_line`` and ``_from_line`` copy
+    the two matrices, ``_zero`` is the field's zero and ``_p`` its prime
+    (0 unless F_p), and ``_coords`` maps an ambient vector to its line
+    coordinates (None off the line space) as ``space.from_ambient``
+    does.
     """
 
     def __init__(self, kind: LineGroupClass, space: Subspace, basis,
@@ -149,12 +159,23 @@ class Chart:
         self.kind = kind
         self.space = space
         self.basis = tuple(basis)
+        field = space.form.field
         cols = tuple(zip(*self.basis))
         self.to_line = tuple(cols)  # matrix: chart coords -> line coords
-        inv = linalg.inverse(self.to_line, space.form.field)
+        inv = linalg.inverse(self.to_line, field)
         assert inv is not None
         self.from_line = inv
         self.norm_token = norm_token
+        self._to_line, self._from_line = _raw(self.to_line), _raw(inv)
+        self._coords = linalg.coordinate_map(space.basis, field)
+        self._zero = field.zero().value
+        self._p = field.p if isinstance(field, PrimeField) else 0
+        if kind is LineGroupClass.ADDITIVE:
+            # tau = 2 Q(u) (beta1 - beta2); the matrix divides by 2Q(u), 4Q(u)
+            qu = space.form(self.basis[1])
+            self._two_qu = (field.scalar(2) * qu).value
+            self._inv_two_qu = field._inv(self._two_qu)
+            self._inv_four_qu = field._inv((field.scalar(4) * qu).value)
 
     def metric_key(self):
         return ((self.kind.value,) + _geometry_key(self.space.geometry)
@@ -163,9 +184,6 @@ class Chart:
     def line_key(self):
         g = self.space.geometry
         return _geometry_key(g) + (linalg.span_key(self.space.basis, g.field),)
-
-    def chart_coords(self, line_coords):
-        return linalg.mat_vec(self.from_line, tuple(line_coords))
 
 
 def build_chart(space: Subspace) -> Chart:
@@ -286,120 +304,194 @@ class MotionElement:
                 f"normal_form={self.normal_form})")
 
 
-def _chart_matrix(chart: Chart, nf):
-    """Line-space matrix of the normal-form element."""
+def _mat_vec(chart: Chart, m, v) -> tuple:
+    """m v on raw values, each entry summed in order from zero as
+    ``linalg.mat_vec`` does (over F_p as Python ints, reduced once)."""
+    p = chart._p
+    if p:
+        return tuple(sum([x * y for x, y in zip(row, v)]) % p for row in m)
     field = chart.space.form.field
-    zero, one = field.zero(), field.one()
+    add, mul = field._add, field._mul
+    out = []
+    for row in m:
+        total = chart._zero
+        for x, y in zip(row, v):
+            total = add(total, mul(x, y))
+        out.append(total)
+    return tuple(out)
+
+
+def _mat_mul(chart: Chart, a, b) -> tuple:
+    """a b on raw values, in the order of ``linalg.mat_mul``."""
+    return tuple(zip(*(_mat_vec(chart, a, col) for col in zip(*b))))
+
+
+def _line_matrix(chart: Chart, nf):
+    """Line-space matrix of the raw normal form nf: the chart's matrix
+    of the element conjugated by the chart, in the order of Scalar
+    arithmetic."""
+    field = chart.space.form.field
+    zero, one = field.zero().value, field.one().value
+    mul, neg = field._mul, field._neg
     if chart.kind is LineGroupClass.ADDITIVE:
         tau = nf[0]
-        qu = chart.space.form(chart.basis[1])
-        m = ((one, tau, -(tau * tau) / (field.scalar(4) * qu)),
-             (zero, one, -tau / (field.scalar(2) * qu)),
+        m = ((one, tau, mul(neg(mul(tau, tau)), chart._inv_four_qu)),
+             (zero, one, mul(neg(tau), chart._inv_two_qu)),
              (zero, zero, one))
     elif chart.kind is LineGroupClass.SPLIT_TORUS:
         mu = nf[0]
         m = ((one, zero, zero),
              (zero, mu, zero),
-             (zero, zero, mu.inverse()))
+             (zero, zero, field._inv(mu)))
     else:
         a, b = nf
-        eps = field.scalar(chart.norm_token[1])
         m = ((one, zero, zero),
-             (zero, a, eps * b),
+             (zero, a, mul(chart.norm_token[1], b)),
              (zero, b, a))
-    return linalg.mat_mul(linalg.mat_mul(chart.to_line, m), chart.from_line)
+    return _mat_mul(chart, _mat_mul(chart, chart._to_line, m),
+                    chart._from_line)
+
+
+def _scalars(field, m) -> tuple:
+    return tuple(tuple(Scalar(x, field) for x in row) for row in m)
+
+
+def _raw(m) -> tuple:
+    return tuple(tuple(x.value for x in row) for row in m)
+
+
+def _motion(chart: Chart, nf, matrix=None) -> MotionElement:
+    """Wrap the raw normal form nf and its matrix in Scalars."""
+    field = chart.space.form.field
+    if matrix is None:
+        matrix = _line_matrix(chart, nf)
+    return MotionElement(chart, tuple(Scalar(x, field) for x in nf),
+                         _scalars(field, matrix))
 
 
 def motion_from_normal_form(chart: Chart, nf) -> MotionElement:
-    nf = tuple(chart.space.form.field.scalar(x) for x in nf)
-    return MotionElement(chart, nf, _chart_matrix(chart, nf))
+    field = chart.space.form.field
+    nf = tuple(field.scalar(x).value for x in nf)
+    if chart.kind is LineGroupClass.SPLIT_TORUS and field._is_zero(nf[0]):
+        raise ZeroDivisionError("division by field zero")  # mu^-1
+    return _motion(chart, nf)
 
 
-def _point_chart_coords(chart: Chart, g: Geometry, p):
-    pv = _as_vector(g, p)
-    if not g.form(pv).is_zero():
+def _line_chart(g: Geometry, l) -> Chart:
+    """The chart of l's line, kept on g under l's normalised raw tuple.
+    A miss runs ``build_chart(line_space(g, l))``, so an l that is
+    rejected raises on every call and is never stored."""
+    _require_plane(g)
+    field = g.field
+    x = linalg.raw_values(field, _as_vector(g, l))
+    lead = next((c for c in x if not field._is_zero(c)), None)
+    if lead is not None:
+        inv = field._inv(lead)
+        x = [field._mul(inv, c) for c in x]
+    key = tuple(x)
+    chart = g._charts.get(key)
+    if chart is None:
+        chart = g._charts[key] = build_chart(line_space(g, l))
+    return chart
+
+
+def _point_coords(chart: Chart, g: Geometry, p):
+    """(line coordinates, chart coordinates) of the point p on raw
+    values, the chart coordinates scaled so that the coordinate that
+    pairs with L is 1."""
+    field = chart.space.form.field
+    is_zero, mul = field._is_zero, field._mul
+    x = linalg.raw_values(field, _as_vector(g, p))
+    if not is_zero(g.form.eval_raw(x)):
         raise NotOnLineError("points of a line lie on the Lie quadric")
-    lc = chart.space.from_ambient(pv)
+    lc = chart._coords(x)
     if lc is None:
         raise NotOnLineError("the point is not on the given line")
-    cc = chart.chart_coords(lc)
+    cc = _mat_vec(chart, chart._from_line, lc)
     # Non-ideality (B(L, p) != 0) shows up in the L-coefficient for the
     # torus charts (Q(L) != 0) and in the v-coefficient for the additive
     # chart (v is the isotropic partner of L).
     lead = cc[2] if chart.kind is LineGroupClass.ADDITIVE else cc[0]
-    if lead.is_zero():
+    if is_zero(lead):
         raise IdealPointError("the point is ideal on this line")
-    inv = lead.inverse()
-    return tuple(inv * x for x in cc)
+    inv = field._inv(lead)
+    return lc, tuple(mul(inv, c) for c in cc)
+
+
+def _same_point(field, x, y) -> bool:
+    """x and y are one projective point (``ProjPoint`` equality)."""
+    def normed(v):
+        inv = field._inv(next(c for c in v if not field._is_zero(c)))
+        return [field._mul(inv, c) for c in v]
+    return all(field._eq(a, b) for a, b in zip(normed(x), normed(y)))
 
 
 def translation_between(g: Geometry, l, p1, p2) -> MotionElement:
     """The unique gamma in Gamma with gamma p1 = p2 (projectively)."""
-    space = line_space(g, l)
-    chart = build_chart(space)
-    return _translation_in_chart(chart, g, p1, p2)
-
-
-def _translation_in_chart(chart: Chart, g: Geometry, p1, p2) -> MotionElement:
+    chart = _line_chart(g, l)
     field = chart.space.form.field
-    c1 = _point_chart_coords(chart, g, p1)
-    c2 = _point_chart_coords(chart, g, p2)
+    mul, sub, is_zero = field._mul, field._sub, field._is_zero
+    lc1, c1 = _point_coords(chart, g, p1)
+    lc2, c2 = _point_coords(chart, g, p2)
     if chart.kind is LineGroupClass.ADDITIVE:
         # points (alpha, beta, 1) with alpha = -beta^2 Q(u); action
         # beta -> beta - tau/(2Q(u))
-        qu = chart.space.form(chart.basis[1])
-        tau = field.scalar(2) * qu * (c1[1] - c2[1])
-        out = motion_from_normal_form(chart, (tau,))
+        nf = (mul(chart._two_qu, sub(c1[1], c2[1])),)
     elif chart.kind is LineGroupClass.SPLIT_TORUS:
-        if c1[1].is_zero() or c2[1].is_zero():
+        if is_zero(c1[1]) or is_zero(c2[1]):
             raise IdealPointError("split-line point has a vanishing coordinate")
-        out = motion_from_normal_form(chart, (c2[1] / c1[1],))
+        nf = (mul(c2[1], field._inv(c1[1])),)
     else:
-        eps = field.scalar(chart.norm_token[1])
+        eps = chart.norm_token[1]
         x1, y1 = c1[1], c1[2]
         x2, y2 = c2[1], c2[2]
-        norm1 = x1 * x1 - eps * y1 * y1
-        if norm1.is_zero():
+        norm1 = sub(mul(x1, x1), mul(mul(eps, y1), y1))
+        if is_zero(norm1):
             raise IdealPointError("non-split point with vanishing norm")
         # (x2 + y2 s)(x1 - y1 s) / N(x1 + y1 s) in K[s], s^2 = eps
-        a = (x2 * x1 - eps * y2 * y1) / norm1
-        b = (y2 * x1 - x2 * y1) / norm1
-        out = motion_from_normal_form(chart, (a, b))
-    moved = linalg.mat_vec(out.matrix,
-                           chart.space.from_ambient(_as_vector(g, p1)))
-    target = chart.space.from_ambient(_as_vector(g, p2))
-    assert ProjPoint(moved) == ProjPoint(target), "translation mismatch (internal)"
-    return out
+        inv = field._inv(norm1)
+        nf = (mul(sub(mul(x2, x1), mul(mul(eps, y2), y1)), inv),
+              mul(sub(mul(y2, x1), mul(x2, y1)), inv))
+    matrix = _line_matrix(chart, nf)
+    moved = _mat_vec(chart, matrix, lc1)
+    assert _same_point(field, moved, lc2), "translation mismatch (internal)"
+    return _motion(chart, nf, matrix)
 
 
 def compose(g1: MotionElement, g2: MotionElement) -> MotionElement:
     """The group operation (g1 after g2) in normal form."""
-    if g1.chart.kind is not g2.chart.kind or \
-       g1.chart.line_key() != g2.chart.line_key():
+    if g1.chart is not g2.chart and (
+            g1.chart.kind is not g2.chart.kind or
+            g1.chart.line_key() != g2.chart.line_key()):
         raise IncompatibleChartsError("compose needs one line and one chart")
     chart = g1.chart
     field = chart.space.form.field
+    add, mul = field._add, field._mul
+    n1 = [x.value for x in g1.normal_form]
+    n2 = [x.value for x in g2.normal_form]
     if chart.kind is LineGroupClass.ADDITIVE:
-        nf = (g1.normal_form[0] + g2.normal_form[0],)
+        nf = (add(n1[0], n2[0]),)
     elif chart.kind is LineGroupClass.SPLIT_TORUS:
-        nf = (g1.normal_form[0] * g2.normal_form[0],)
+        nf = (mul(n1[0], n2[0]),)
     else:
-        eps = field.scalar(chart.norm_token[1])
-        a1, b1 = g1.normal_form
-        a2, b2 = g2.normal_form
-        nf = (a1 * a2 + eps * b1 * b2, a1 * b2 + b1 * a2)
-    return motion_from_normal_form(chart, nf)
+        eps = chart.norm_token[1]
+        (a1, b1), (a2, b2) = n1, n2
+        nf = (add(mul(a1, a2), mul(mul(eps, b1), b2)),
+              add(mul(a1, b2), mul(b1, a2)))
+    return _motion(chart, nf)
 
 
 def invert(m: MotionElement) -> MotionElement:
     chart = m.chart
+    field = chart.space.form.field
+    nf = [x.value for x in m.normal_form]
     if chart.kind is LineGroupClass.ADDITIVE:
-        nf = (-m.normal_form[0],)
+        nf = (field._neg(nf[0]),)
     elif chart.kind is LineGroupClass.SPLIT_TORUS:
-        nf = (m.normal_form[0].inverse(),)
+        nf = (field._inv(nf[0]),)
     else:
-        nf = (m.normal_form[0], -m.normal_form[1])
-    return motion_from_normal_form(chart, nf)
+        nf = (nf[0], field._neg(nf[1]))
+    return _motion(chart, nf)
 
 
 def same_distance(g1: MotionElement, g2: MotionElement) -> bool:
@@ -420,14 +512,12 @@ def stabilizer_matrices(g: Geometry, l):
     if g.field.order > MAX_METRIC_Q:
         raise UnsupportedFieldError(
             f"field size {g.field.order} exceeds the cap {MAX_METRIC_Q}")
-    space = line_space(g, l)
-    chart = build_chart(space)
+    chart = _line_chart(g, l)
+    space = chart.space
     form = space.form
     field = form.field
-    lc = space.l_coords
-    b1, b2 = chart.basis[1], chart.basis[2]
-    lc_raw = linalg.raw_values(field, lc)
-    x1, x2 = linalg.raw_values(field, b1), linalg.raw_values(field, b2)
+    lc_raw = linalg.raw_values(field, space.l_coords)
+    x1, x2 = (linalg.raw_values(field, b) for b in chart.basis[1:])
 
     def norms(x):  # (Q(x), B(L, x)) on raw values
         return form.eval_raw(x), form.b_raw(lc_raw, x)
@@ -448,9 +538,9 @@ def stabilizer_matrices(g: Geometry, l):
                 continue
             # images of the chart basis determine the map; (lc, y, z) has
             # the chart basis's Gram matrix, so m is invertible
-            m_cols = tuple(zip(lc, linalg.vector(field, y),
-                               linalg.vector(field, z)))  # chart -> line coords
-            out.append(linalg.mat_mul(m_cols, chart.from_line))
+            m_cols = tuple(zip(lc_raw, y, z))  # chart -> line coords
+            out.append(_scalars(field, _mat_mul(chart, m_cols,
+                                                chart._from_line)))
     return space, chart, out
 
 
@@ -458,23 +548,28 @@ def stabilizer_group(g: Geometry, l):
     """The determinant-1 stabilizer as MotionElements, sorted by normal
     form; its cardinality is the gamma_class order."""
     space, chart, mats = stabilizer_matrices(g, l)
-    one = space.form.field.one()
+    field = space.form.field
+    mul, sub, one = field._mul, field._sub, field.one().value
     out = []
     for m in mats:
-        mc = linalg.mat_mul(linalg.mat_mul(chart.from_line, m), chart.to_line)
+        mc = _mat_mul(chart, _mat_mul(chart, chart._from_line, _raw(m)),
+                      chart._to_line)
         # mc fixes e_0 (L), so det m is the minor of its last two rows
-        if mc[1][1] * mc[2][2] - mc[1][2] * mc[2][1] != one:
+        if not field._eq(sub(mul(mc[1][1], mc[2][2]),
+                             mul(mc[1][2], mc[2][1])), one):
             continue
-        out.append(MotionElement(chart, _normal_form_of_matrix(chart, mc), m))
+        nf = _normal_form_of_matrix(chart, mc)
+        out.append(MotionElement(chart, tuple(Scalar(x, field) for x in nf),
+                                 m))
     out.sort(key=lambda el: tuple(x.sort_key() for x in el.normal_form))
     return tuple(out)
 
 
 def _normal_form_of_matrix(chart: Chart, mc):
-    """Read the normal form off a stabilizer matrix in chart coordinates."""
-    field = chart.space.form.field
+    """Read the raw normal form off a raw stabilizer matrix in chart
+    coordinates."""
     if chart.kind is LineGroupClass.ADDITIVE:
-        assert mc[1][1] == field.one()
+        assert mc[1][1] == chart.space.form.field.one().value
         return (mc[0][1],)
     if chart.kind is LineGroupClass.SPLIT_TORUS:
         return (mc[1][1],)

@@ -449,11 +449,17 @@ def diagonalize(q: QuadraticForm) -> Diagonalization:
 
 
 def signature(q: QuadraticForm):
-    """(positives, negatives, zeros) of a diagonalization; rationals only."""
+    """(positives, negatives, zeros) of a diagonalization; rationals only.
+    A diagonal table is its own diagonalization (Sylvester's law of
+    inertia makes the counts the same for every one)."""
     if not isinstance(q.field, Rational):
         raise UnsupportedFieldError("signatures are a real-field notion")
+    if all(i == j for (i, j), _ in q.coeff_items()):
+        entries = [q.coeff(i, i) for i in range(q.dim)]
+    else:
+        entries = diagonalize(q).entries
     pos = neg = zero = 0
-    for a in diagonalize(q).entries:
+    for a in entries:
         cls = square_class(a)
         if cls is SquareClass.ZERO:
             zero += 1

@@ -8,8 +8,11 @@ cached root table (``lie_quadric_points`` sorts them and
 ``_isotropic_in_span`` runs it on the restricted form), ``reflect_raw``
 and ``mirrors`` build the isometries of Witt's theorem on raw tuples,
 ``points_of``, ``cayley_klein_points``, ``has_point_search`` and ``role``
-filter raw tuples, and ``subspaces`` and ``_is_hyperbolic_space`` run
-the Witt oracle on them.  Over Q, ``eval_raw``, ``b_raw`` and
+filter raw tuples, ``subspaces`` and ``_is_hyperbolic_space`` run
+the Witt oracle on them, ``linalg.coordinate_map`` replays the solve of
+``linalg.coordinates``, and ``metric.translation_between``,
+``motion_from_normal_form``, ``compose`` and ``invert`` run on raw
+values against a chart kept on the geometry.  Over Q, ``eval_raw``, ``b_raw`` and
 ``gram_row`` run on integer numerators (the table and the input scaled
 by the lcm of their denominators) and build one Fraction per result;
 they are checked on denominators up to 10^6, plain-int raw values and
@@ -35,11 +38,20 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conformal import linalg
 from conformal.fields import (ApproxReal, CharTwo, FieldMismatchError,
-                              PrimeField, Rational, Scalar)
+                              PrimeField, Rational, Scalar, SquareClass)
 from conformal.geometry import (Geometry, NotAHypercycleError, ProjPoint,
                                 Role, _isotropic_in_span, cayley_klein_points,
                                 has_point_search, lie_quadric_points,
                                 points_of, role)
+from conformal.classify import enumerate_classes, representative_geometry
+from conformal.metric import (DegenerateLineError, ExactChartUnavailableError,
+                              IdealPointError, LineGroupClass,
+                              NotOnLineError, build_chart, compose,
+                              find_nonideal_line, invert, line_points,
+                              line_space, motion_from_normal_form,
+                              translation_between)
+from conformal.models import (ModelKind, exact_model_geometry, lift_line,
+                              lift_point, model_geometry)
 from conformal.quadform import (QuadraticForm, _is_hyperbolic_space,
                                 _root_table, bilinear_radical, mirrors,
                                 reflection_matrix, subspaces,
@@ -602,6 +614,33 @@ def test_rref_matches_scalar_elimination(data):
         assert all(same(a, b) for a, b in zip(row, ref))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_coordinate_map_matches_coordinates(data):
+    """``coordinate_map`` gives the coordinates ``coordinates`` solves
+    for, bit for bit over ApproxReal, and None for the same vectors, on
+    bases with dependent vectors too."""
+    field = data.draw(st.sampled_from(RAW_FIELDS))
+    n = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, n))
+    pool = data.draw(st.lists(elements(field), min_size=1, max_size=3))
+    entry = st.sampled_from(pool + [field.zero()]) | elements(field)
+    vec = st.tuples(*[entry] * n)
+    basis = data.draw(st.lists(vec, min_size=k, max_size=k))
+    coeffs = data.draw(st.lists(st.tuples(*[entry] * k), max_size=4))
+    vectors = [linalg.combine(c, basis) for c in coeffs]
+    vectors += data.draw(st.lists(vec, max_size=3))
+    coords = linalg.coordinate_map(basis, field)
+    for v in vectors:
+        want = linalg.coordinates(v, basis, field)
+        got = coords(linalg.raw_values(field, v))
+        if want is None:
+            assert got is None
+        else:
+            assert len(got) == len(want)
+            assert all(same(Scalar(a, field), b) for a, b in zip(got, want))
+
+
 def test_rref_rejects_rows_of_another_field():
     f3, f5 = PrimeField(3), PrimeField(5)
     rows = (linalg.vector(f5, (1, 3, 4)), linalg.vector(f5, (2, 1, 0)))
@@ -770,3 +809,273 @@ def test_subspaces_are_each_k_space_once(field):
             assert len(keys) == len(got) == _gaussian_binomial(
                 field.order, n, k)
             assert all(len(key) == k for key in keys)
+
+
+# ---------------------------------------------------------------------------
+# metric: translation_between, compose and invert on raw values
+# ---------------------------------------------------------------------------
+
+def ref_chart_matrix(chart, nf):
+    """The line-space matrix of a normal form, on Scalars."""
+    field = chart.space.form.field
+    zero, one = field.zero(), field.one()
+    if chart.kind is LineGroupClass.ADDITIVE:
+        tau = nf[0]
+        qu = chart.space.form(chart.basis[1])
+        m = ((one, tau, -(tau * tau) / (field.scalar(4) * qu)),
+             (zero, one, -tau / (field.scalar(2) * qu)),
+             (zero, zero, one))
+    elif chart.kind is LineGroupClass.SPLIT_TORUS:
+        mu = nf[0]
+        m = ((one, zero, zero),
+             (zero, mu, zero),
+             (zero, zero, mu.inverse()))
+    else:
+        a, b = nf
+        eps = field.scalar(chart.norm_token[1])
+        m = ((one, zero, zero),
+             (zero, a, eps * b),
+             (zero, b, a))
+    return linalg.mat_mul(linalg.mat_mul(chart.to_line, m), chart.from_line)
+
+
+def ref_point_chart_coords(chart, g, p):
+    """Chart coordinates of p through the line space's Scalar solve."""
+    pv = p.coords if isinstance(p, ProjPoint) else \
+        tuple(g.field.scalar(x) for x in p)
+    if not g.form(pv).is_zero():
+        raise NotOnLineError("points of a line lie on the Lie quadric")
+    lc = chart.space.from_ambient(pv)
+    if lc is None:
+        raise NotOnLineError("the point is not on the given line")
+    cc = linalg.mat_vec(chart.from_line, lc)
+    lead = cc[2] if chart.kind is LineGroupClass.ADDITIVE else cc[0]
+    if lead.is_zero():
+        raise IdealPointError("the point is ideal on this line")
+    inv = lead.inverse()
+    return tuple(inv * x for x in cc)
+
+
+def ref_translation(g, l, p1, p2):
+    """(chart, normal form, matrix) of the translation from p1 to p2,
+    with a chart built for the call and every step on Scalars."""
+    chart = build_chart(line_space(g, l))
+    field = chart.space.form.field
+    c1 = ref_point_chart_coords(chart, g, p1)
+    c2 = ref_point_chart_coords(chart, g, p2)
+    if chart.kind is LineGroupClass.ADDITIVE:
+        qu = chart.space.form(chart.basis[1])
+        nf = (field.scalar(2) * qu * (c1[1] - c2[1]),)
+    elif chart.kind is LineGroupClass.SPLIT_TORUS:
+        if c1[1].is_zero() or c2[1].is_zero():
+            raise IdealPointError("split-line point has a vanishing coordinate")
+        nf = (c2[1] / c1[1],)
+    else:
+        eps = field.scalar(chart.norm_token[1])
+        x1, y1 = c1[1], c1[2]
+        x2, y2 = c2[1], c2[2]
+        norm1 = x1 * x1 - eps * y1 * y1
+        if norm1.is_zero():
+            raise IdealPointError("non-split point with vanishing norm")
+        nf = ((x2 * x1 - eps * y2 * y1) / norm1,
+              (y2 * x1 - x2 * y1) / norm1)
+    return chart, nf, ref_chart_matrix(chart, nf)
+
+
+def ref_compose(chart, nf1, nf2):
+    if chart.kind is LineGroupClass.ADDITIVE:
+        return (nf1[0] + nf2[0],)
+    if chart.kind is LineGroupClass.SPLIT_TORUS:
+        return (nf1[0] * nf2[0],)
+    eps = chart.space.form.field.scalar(chart.norm_token[1])
+    (a1, b1), (a2, b2) = nf1, nf2
+    return (a1 * a2 + eps * b1 * b2, a1 * b2 + b1 * a2)
+
+
+def ref_invert(chart, nf):
+    if chart.kind is LineGroupClass.ADDITIVE:
+        return (-nf[0],)
+    if chart.kind is LineGroupClass.SPLIT_TORUS:
+        return (nf[0].inverse(),)
+    return (nf[0], -nf[1])
+
+
+def same_motion(got, nf, matrix) -> bool:
+    return (len(got.normal_form) == len(nf)
+            and all(map(same, got.normal_form, nf))
+            and all(same(a, b) for r, s in zip(got.matrix, matrix)
+                    for a, b in zip(r, s)))
+
+
+def check_translations(g, l, pts):
+    """Every ordered pair of pts: translation_between, compose and
+    invert against the Scalar references."""
+    for p1, p2 in itertools.product(pts, repeat=2):
+        chart, nf, matrix = ref_translation(g, l, p1, p2)
+        got = translation_between(g, l, p1, p2)
+        assert same_motion(got, nf, matrix), (g, l, p1, p2)
+        assert same_motion(motion_from_normal_form(got.chart, nf), nf, matrix)
+        _, back, _ = ref_translation(g, l, p2, p1)
+        inv_nf = ref_invert(chart, nf)
+        assert same_motion(invert(got), inv_nf,
+                           ref_chart_matrix(chart, inv_nf))
+        sum_nf = ref_compose(chart, nf, back)
+        assert same_motion(compose(got, translation_between(g, l, p2, p1)),
+                           sum_nf, ref_chart_matrix(chart, sum_nf))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_translation_matches_scalar_path(p):
+    """On every plane class of F_p with a non-ideal line, the raw
+    translation, its inverse and its composites equal the Scalar path's
+    normal forms and matrices over the first 8 points of the line."""
+    tested = 0
+    for cls in enumerate_classes(PrimeField(p), 2):
+        g = representative_geometry(cls)
+        try:
+            l = find_nonideal_line(g)
+        except DegenerateLineError:
+            continue
+        check_translations(g, l, line_points(g, l)[1][:8])
+        tested += 1
+    assert tested == 9  # every plane class has a non-ideal line
+
+
+def _model_lines():
+    """(geometry, line, points) on the float hyperbolic and elliptic
+    models: each line with points at a spread of parameters."""
+    hyp, ell = ModelKind.HYPERBOLIC, ModelKind.ELLIPTIC
+    ts = (-1.3, -0.2, 0.0, 0.45, 1.7)
+    out = []
+    for normal, u in (((0.0, 1.0, 0.0), (1.0, 0.0, 0.0)),
+                      ((0.6, 0.8, 0.0), (-0.8, 0.6, 0.0))):
+        pts = [lift_point(hyp, tuple(math.sinh(t) * a + math.cosh(t) * b
+                                     for a, b in zip(u, (0.0, 0.0, 1.0)))).lift
+               for t in ts]
+        out.append((model_geometry(hyp), lift_line(hyp, normal).lift, pts))
+    for normal, u, w in (((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+                         ((0.6, 0.0, 0.8), (0.0, 1.0, 0.0), (0.8, 0.0, -0.6))):
+        pts = [lift_point(ell, tuple(math.cos(t) * a + math.sin(t) * b
+                                     for a, b in zip(u, w))).lift
+               for t in ts]
+        out.append((model_geometry(ell), lift_line(ell, normal).lift, pts))
+    return out
+
+
+def test_translation_matches_scalar_path_on_float_models():
+    """Bit for bit on the ApproxReal hyperbolic (split) and elliptic
+    (non-split) model lines."""
+    for g, l, pts in _model_lines():
+        check_translations(g, l, pts)
+
+
+def _rational_lines(g, count=3):
+    """The first ``count`` hyperplanes l of g with small integer
+    coordinates on which the Scalar path builds an exact chart, each
+    with the non-ideal points Q(w) x0 - B(x0, w) w of its line space,
+    for the first isotropic x0 and small integer w."""
+    F = g.field
+    small = range(-2, 3)
+    out = []
+    for v in itertools.product(small, repeat=g.form.dim):
+        l = linalg.vector(F, v)
+        if linalg.is_zero_vector(l) or not g.form(l).is_zero() or \
+                not g.form.b_full(g.l_rep, l).is_zero() or \
+                g.form.b_full(g.p_rep, l).is_zero():
+            continue
+        try:
+            space = line_space(g, l)
+            build_chart(space)
+        except ExactChartUnavailableError:
+            continue
+        vecs = [space.to_ambient(c) for c in itertools.product(small, repeat=3)
+                if any(c)]
+        x0 = next((x for x in vecs if g.form(x).is_zero()), None)
+        if x0 is None:
+            continue
+        pts = {ProjPoint(linalg.vec_sub(linalg.vec_scale(g.form(w), x0),
+                                        linalg.vec_scale(
+                                            g.form.b_full(x0, w), w)))
+               for w in vecs if not g.form(w).is_zero()}
+        pts = sorted((pt for pt in pts if not g.form.b_full(
+            g.l_rep, pt.coords).is_zero()), key=ProjPoint.sort_key)
+        out.append((l, pts[:6]))
+        if len(out) == count:
+            break
+    return out
+
+
+@pytest.mark.parametrize("kind", ["hyperbolic", "elliptic", "parabolic"])
+def test_translation_matches_scalar_path_over_q(kind):
+    """Over Q, on lines whose exact chart exists."""
+    g = exact_model_geometry(ModelKind(kind))
+    lines = _rational_lines(g)
+    assert lines
+    for l, pts in lines:
+        assert len(pts) >= 3
+        check_translations(g, l, pts)
+
+
+class _AnyQ:
+    """The form of a geometry with its Q check switched off, so a query
+    reaches the checks behind it on a vector off the quadric."""
+
+    def __init__(self, form):
+        self._form = form
+
+    def eval_raw(self, x):
+        return self._form.field.zero().value
+
+    def __getattr__(self, name):
+        return getattr(self._form, name)
+
+
+@pytest.mark.parametrize("ql", ["ZERO", "UNIT", "NON_RESIDUE"])
+def test_translation_errors_on_raw_values(ql):
+    """Each rejection of the Scalar path is raised by the raw path too:
+    Q(p) != 0 and a point off the line, an ideal point, and (past a
+    disabled Q check) a vanishing split coordinate or non-split norm."""
+    field = PrimeField(7)
+    cls = next(c for c in enumerate_classes(field, 2)
+               if c.qp is SquareClass.UNIT and c.ql is SquareClass[ql])
+    g = representative_geometry(cls)
+    g = Geometry(g.form, g.p_rep, g.l_rep)
+    l = find_nonideal_line(g)
+    space, pts = line_points(g, l)
+    a = pts[0]
+    off_quadric = linalg.vec_add(a.coords, g.p_rep)
+    assert not g.form(off_quadric).is_zero()
+    other = next(pt for pt in lie_quadric_points(g)
+                 if g.form.b_full(g.p_rep, pt.coords).is_zero()
+                 and not g.form.b_full(l.coords, pt.coords).is_zero())
+    chart = build_chart(line_space(g, l))
+    lc = linalg.raw_values(field, space.l_coords)
+    ideal = [ProjPoint(space.to_ambient(linalg.vector(field, x)))
+             for x in space.form.isotropic_points()
+             if space.form.b_raw(lc, x) == 0]
+    # a non-split line has no ideal point
+    assert (not ideal) == (chart.kind is LineGroupClass.NON_SPLIT_TORUS)
+    for bad, error in ([(off_quadric, NotOnLineError),
+                        (other, NotOnLineError)]
+                       + [(pt, IdealPointError) for pt in ideal]):
+        for args in ((a, bad), (bad, a)):
+            with pytest.raises(error):
+                ref_translation(g, l, *args)
+            with pytest.raises(error):
+                translation_between(g, l, *args)
+    # off the quadric, chart coordinates (1, 0, 1) have a zero split
+    # coordinate and L = (1, 0, 0) a zero non-split norm (the norm of the
+    # first point is the one divided by)
+    if chart.kind is LineGroupClass.ADDITIVE:
+        return
+    split = chart.kind is LineGroupClass.SPLIT_TORUS
+    if split:
+        with pytest.raises(ZeroDivisionError):
+            motion_from_normal_form(chart, (0,))
+    c = (1, 0, 1) if split else (1, 0, 0)
+    v = space.to_ambient(linalg.mat_vec(chart.to_line,
+                                        linalg.vector(field, c)))
+    g.form = _AnyQ(g.form)
+    for args in ([(v, a), (a, v)] if split else [(v, a)]):
+        with pytest.raises(IdealPointError):
+            translation_between(g, l, *args)

@@ -213,6 +213,92 @@ def test_ideal_point_rejected():
                                  find_nonideal_line(other))[1])))
 
 
+def _fresh(field, qp, ql):
+    """A representative geometry of its own, with no chart kept yet."""
+    g = _rep(field, qp, ql)
+    return Geometry(g.form, g.p_rep, g.l_rep)
+
+
+def test_one_chart_per_line(monkeypatch):
+    """Queries and the stabilizer search on one line build its chart
+    once."""
+    import conformal.metric as met
+    built = []
+    build = met.build_chart
+    monkeypatch.setattr(met, "build_chart",
+                        lambda space: built.append(space) or build(space))
+    for ql in (SquareClass.UNIT, SquareClass.ZERO, SquareClass.NON_RESIDUE):
+        g = _fresh(F7, SquareClass.UNIT, ql)
+        l = find_nonideal_line(g)
+        _, pts = line_points(g, l)
+        motions = [translation_between(g, l, p1, p2)
+                   for p1, p2 in itertools.product(pts[:5], repeat=2)]
+        stabilizer_group(g, l)
+        assert len(built) == 1 and len(g._charts) == 1
+        assert all(m.chart is motions[0].chart for m in motions)
+        built.clear()
+
+
+def test_scaled_line_gives_the_same_motion():
+    for ql in (SquareClass.UNIT, SquareClass.ZERO, SquareClass.NON_RESIDUE):
+        g = _fresh(F7, SquareClass.UNIT, ql)
+        l = find_nonideal_line(g)
+        _, pts = line_points(g, l)
+        t = translation_between(g, l, pts[0], pts[1])
+        for c in (2, 6):
+            scaled = linalg.vec_scale(F7.scalar(c), l.coords)
+            for h in (g, _fresh(F7, SquareClass.UNIT, ql)):
+                s = translation_between(h, scaled, pts[0], pts[1])
+                assert s.normal_form == t.normal_form
+                assert s.matrix == t.matrix
+        assert len(g._charts) == 1
+
+
+def test_rejected_line_raises_every_time_and_is_not_kept():
+    """An ideal, an off-quadric and a non-hyperplane l are refused on
+    every call, and no chart is kept for them."""
+    from conformal.geometry import lie_quadric_points
+    g = _fresh(F5, SquareClass.UNIT, SquareClass.UNIT)
+    _, pts = line_points(g, find_nonideal_line(g))
+    b = g.form.b_full
+    ideal = next(x.coords for x in lie_quadric_points(g)
+                 if b(g.l_rep, x.coords).is_zero()
+                 and b(g.p_rep, x.coords).is_zero())
+    off_quadric = linalg.vec_add(ideal, g.p_rep)
+    assert not g.form(off_quadric).is_zero()
+    not_plane = next(x.coords for x in lie_quadric_points(g)
+                     if not b(g.l_rep, x.coords).is_zero())
+    for bad in (ideal, off_quadric, not_plane):
+        for _ in range(2):
+            with pytest.raises(DegenerateLineError):
+                translation_between(g, bad, pts[0], pts[1])
+            with pytest.raises(DegenerateLineError):
+                stabilizer_matrices(g, bad)
+    assert g._charts == {}
+
+
+def test_point_errors_on_a_kept_chart():
+    g = _fresh(F3, SquareClass.UNIT, SquareClass.ZERO)
+    l = find_nonideal_line(g)
+    space, pts = line_points(g, l)
+    translation_between(g, l, pts[0], pts[1])
+    assert len(g._charts) == 1
+    lc = linalg.raw_values(F3, space.l_coords)
+    ideal = next(ProjPoint(space.to_ambient(linalg.vector(F3, x)))
+                 for x in space.form.isotropic_points()
+                 if space.form.b_raw(lc, x) == 0)
+    other = _rep(F3, SquareClass.UNIT, SquareClass.UNIT)
+    elsewhere = line_points(other, find_nonideal_line(other))[1][0]
+    for bad, error in ((ideal, IdealPointError),
+                       (elsewhere, NotOnLineError),
+                       (linalg.vec_add(pts[0].coords, g.p_rep),
+                        NotOnLineError)):
+        for args in ((pts[0], bad), (bad, pts[0])):
+            with pytest.raises(error):
+                translation_between(g, l, *args)
+    assert len(g._charts) == 1
+
+
 def test_compose_requires_one_line():
     g = _rep(F5, SquareClass.UNIT, SquareClass.UNIT)
     lines = []

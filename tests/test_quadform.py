@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conformal import linalg
-from conformal.fields import (CharTwo, PrimeField, Rational,
+from conformal.fields import (CharTwo, PrimeField, Rational, SquareClass,
                               UnsupportedFieldError, canonical_nonresidue,
                               square_class)
 from conformal.quadform import (DegenerateFormError, InvalidInputError,
@@ -132,6 +132,29 @@ def test_diagonalize_conformal_unification_forms():
         assert _transport_is_diagonal(q, diag)
         k, l, z = signature(q)
         assert (k, l, z) == (3, 1, 0)
+
+
+@st.composite
+def rational_tables(draw):
+    """A rational table in dims 1 to 6: diagonal in one case in two,
+    zero entries (so degenerate forms) frequent."""
+    dim = draw(st.integers(1, 6))
+    value = st.sampled_from([0, 0, 1, -1, 2, -3]) | st.fractions(
+        min_value=-5, max_value=5, max_denominator=7)
+    diagonal = draw(st.booleans())
+    coeffs = {(i, j): draw(value) for i in range(dim) for j in range(i, dim)
+              if i == j or not diagonal}
+    return QuadraticForm(QQ, dim, coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_tables())
+def test_signature_counts_a_diagonalization(q):
+    """Read off a diagonal table or counted on ``diagonalize``, the
+    signature is the same."""
+    classes = [square_class(a) for a in diagonalize(q).entries]
+    zero, unit = classes.count(SquareClass.ZERO), classes.count(SquareClass.UNIT)
+    assert signature(q) == (unit, len(classes) - unit - zero, zero)
 
 
 def test_diagonalize_identity_basis_for_diagonal_input():
