@@ -20,7 +20,7 @@ from .fields import (CharTwo, Field, PrimeField, Rational, Scalar,
                      sqrt_if_square, square_class)
 from . import linalg
 from .linalg import vec_scale
-from .quadform import (QuadraticForm, _complement_of_radical, arf_invariant,
+from .quadform import (QuadraticForm, _off_radical, arf_invariant,
                        bilinear_radical, det_class, diagonalize,
                        extend_isometry, isometric, signature,
                        InvalidInputError)
@@ -291,24 +291,31 @@ def _scaling_options(field: Field):
 
 
 def _pointspace_token(g: Geometry, lam: Scalar):
-    """Isomorphism invariants of (P^perp, lam Q^P, L), computed once per
-    (geometry, lam) and kept on the geometry."""
-    token = g._tokens.get(lam.value)
-    if token is not None:
-        return token
-    ps = pointspace(g)
-    form = ps.form.scaled(lam)
-    rad = bilinear_radical(form)
-    l_coords = ps.l_coords
-    ql_cls = square_class(form(l_coords))
-    l_in_rad = bool(rad) and linalg.in_span(l_coords, rad, g.field)
-    core = form.restrict(_complement_of_radical(form, rad)) if rad else form
-    if isinstance(g.field, Rational):
-        inv = ("sig",) + signature(core)
-    else:
-        inv = ("det", core.dim, det_class(core).name)
-    token = g._tokens[lam.value] = (len(rad), inv, ql_cls.name, l_in_rad)
-    return token
+    """Isomorphism invariants of (P^perp, lam Q^P, L), computed for every
+    lam of ``_scaling_options`` on the first call and kept on the
+    geometry.
+
+    Only the invariant of the core (lam Q^P off its radical) and the
+    class of lam Q^P(L) = lam Q(L) depend on lam != 0; L's coordinates
+    lie in the radical exactly when L is orthogonal to all of P^perp."""
+    if not g._tokens:
+        field, form = g.field, g.form
+        basis = form.perp_raw([g._p_raw])
+        q_p = form.restrict_raw(basis)
+        rad = bilinear_radical(q_p)
+        core = _off_radical(q_p, rad) if rad else q_p
+        l_in_rad = bool(rad) and all(
+            field._is_zero(form.b_raw(g._l_raw, b)) for b in basis)
+        ql = Scalar(form.eval_raw(g._l_raw), field)
+        for mu in _scaling_options(field):
+            scaled = core.scaled(mu)
+            if isinstance(field, Rational):
+                inv = ("sig",) + signature(scaled)
+            else:
+                inv = ("det", scaled.dim, det_class(scaled).name)
+            g._tokens[mu.value] = (len(rad), inv, square_class(mu * ql).name,
+                                   l_in_rad)
+    return g._tokens[lam.value]
 
 
 def cycle_equivalent(g1: Geometry, g2: Geometry) -> bool:

@@ -202,7 +202,7 @@ class Field:
     def parse(self, text: str) -> Scalar:
         raise NotImplementedError
 
-    # raw-value hooks -------------------------------------------------
+    # raw-value hooks (``_inv`` raises ZeroDivisionError on zero) ------
     def _add(self, a, b):
         raise NotImplementedError
 
@@ -311,6 +311,8 @@ class PrimeField(Field):
         return (-a) % self.p
 
     def _inv(self, a):
+        if not a:
+            raise ZeroDivisionError("division by field zero")
         return pow(a, self.p - 2, self.p)
 
 
@@ -379,9 +381,9 @@ class CharTwo(Field):
         return a
 
     def _inv(self, a):
-        if self.q == 2:
-            return a
-        return _GF4_INV[a]
+        if not a:
+            raise ZeroDivisionError("division by field zero")
+        return a if self.q == 2 else _GF4_INV[a]
 
 
 class ApproxReal(Field):

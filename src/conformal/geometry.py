@@ -318,11 +318,17 @@ class Subspace:
 
 def perp_space(g: Geometry, vectors: Sequence[Vector]) -> Subspace:
     """The orthogonal complement of ``vectors``, which must all be
-    orthogonal to L, carrying the restricted form and L's coordinates."""
-    basis = g.form.perp(vectors)
-    l_coords = linalg.coordinates(g.l_rep, basis, g.field)
+    orthogonal to L, carrying the restricted form and L's coordinates
+    (solved by ``linalg.coordinates``' elimination, so bit for bit over
+    ApproxReal).  Runs on raw values and wraps only the result."""
+    field = g.field
+    basis = g.form.perp_raw([linalg.raw_values(field, v) for v in vectors])
+    l_coords = linalg.solve_raw(tuple(zip(*basis)), g._l_raw, field)
     assert l_coords is not None  # L is orthogonal to every vector
-    return Subspace(g, tuple(basis), g.form.restrict(basis), tuple(l_coords))
+    return Subspace(g, tuple(tuple(Scalar(x, field) for x in b)
+                             for b in basis),
+                    g.form.restrict_raw(basis),
+                    tuple(Scalar(x, field) for x in l_coords))
 
 
 def pointspace(g: Geometry) -> Subspace:

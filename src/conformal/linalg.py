@@ -1,19 +1,25 @@
 """Small exact linear algebra over the package's scalar fields.
 
 Vectors are tuples of :class:`~conformal.fields.Scalar`, matrices are
-tuples of row tuples.  Everything works by fraction-free-enough Gaussian
-elimination with the field's own zero test, so the same code serves the
-rationals, F_p, F_2/F_4 and (tolerance-aware) floats.  The two walks
-of a finite space, ``all_vectors`` and ``projective_points``, yield
-tuples of raw field values instead.
+tuples of row tuples.  One Gauss-Jordan elimination, ``_reduce``, works
+on raw field values and serves every function here; the public ones
+unwrap their input once and wrap only what they return.  Over Q it
+eliminates on integers (each row scaled by the lcm of its denominators)
+and builds one Fraction per entry of the result; the other fields use
+their own ops and zero test, so the same loop serves F_p, F_2/F_4 and
+(tolerance-aware) floats.  ``kernel_raw`` and ``solve_raw`` take and
+return raw rows, as do the two walks of a finite space, ``all_vectors``
+and ``projective_points``.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .fields import Field, FieldMismatchError, Scalar
+from .fields import Field, FieldMismatchError, Rational, Scalar
 
 Vector = tuple
 Matrix = tuple
@@ -91,9 +97,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def rref(rows: Sequence[Vector], field: Field):
     """Reduced row echelon form; returns (rows, pivot column indices).
 
-    Eliminates on the raw values of ``field`` with its own ops, in the
-    order of plain Scalar arithmetic, and wraps only the result.  A row
-    entry of another field raises FieldMismatchError."""
+    Eliminates on the raw values of ``field`` and wraps only the result.
+    A row entry of another field raises FieldMismatchError."""
     m = [raw_values(field, r) for r in rows]
     pivots = _reduce(m, field)
     return tuple(tuple(Scalar(x, field) for x in row) for row in m), pivots
@@ -102,7 +107,10 @@ def rref(rows: Sequence[Vector], field: Field):
 def _reduce(m: list, field: Field, log: Optional[list] = None) -> list:
     """Bring the raw rows m to reduced row echelon form in place and
     return the pivot columns.  With ``log``, append each pivot step as
-    (row, swapped row, pivot inverse, [(eliminated row, factor), ...])."""
+    (row, swapped row, pivot inverse, [(eliminated row, factor), ...]);
+    a logged reduction always runs on the field's ops."""
+    if log is None and isinstance(field, Rational):
+        return _reduce_rational(m)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     mul, sub, is_zero = field._mul, field._sub, field._is_zero
@@ -135,47 +143,118 @@ def _reduce(m: list, field: Field, log: Optional[list] = None) -> list:
     return pivots
 
 
+_ZERO = Fraction(0)
+
+
+def _primitive(row: list) -> list:
+    """The integer row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _reduce_rational(m: list) -> list:
+    """``_reduce`` over Q (rows of Fractions or ints) on integers.
+
+    Each row is scaled by the lcm of its denominators, and a pivot a
+    clears the entry f of another row as row <- (a/g) row - (f/g) pivot
+    row, g = gcd(a, f), with the row's gcd divided out after.  Each
+    pivot row is divided by its pivot at the end, one Fraction per
+    entry; the RREF is unique, so the rows and pivots are the ones
+    Fraction elimination gives."""
+    rows = []
+    for row in m:
+        den = math.lcm(*[x.denominator for x in row])
+        rows.append(_primitive([x.numerator * (den // x.denominator)
+                                for x in row]))
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        a = top[c]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                g = math.gcd(a, f)
+                x, y = a // g, f // g
+                rows[i] = _primitive([x * s - y * t
+                                      for s, t in zip(rows[i], top)])
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for k in range(nrows):
+        if k < r:
+            a = rows[k][pivots[k]]
+            m[k] = [Fraction(x, a) if x else _ZERO for x in rows[k]]
+        else:
+            m[k] = [_ZERO] * ncols
+    return pivots
+
+
+def _raw_rows(rows: Sequence[Vector], field: Field) -> list:
+    return [raw_values(field, r) for r in rows]
+
+
 def rank(rows: Sequence[Vector], field: Field) -> int:
-    if not rows:
-        return 0
-    _, pivots = rref(rows, field)
-    return len(pivots)
+    return len(_reduce(_raw_rows(rows, field), field))
+
+
+def kernel_raw(rows: Sequence, field: Field, ncols: int) -> list:
+    """Basis of {x : M x = 0} for the matrix with the given rows of raw
+    values, as raw tuples: one vector per non-pivot column c, with 1 at
+    c and 0 at the other non-pivot columns."""
+    m = list(rows)
+    pivots = _reduce(m, field)
+    zero, one, neg = field.zero().value, field.one().value, field._neg
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for row, pc in zip(m, pivots):
+            v[pc] = neg(row[fc])
+        basis.append(tuple(v))
+    return basis
 
 
 def kernel_basis(rows: Sequence[Vector], field: Field, ncols: int):
     """Basis of {v : M v = 0} for the matrix with the given rows."""
-    if not rows:
-        return tuple(unit_vector(field, ncols, i) for i in range(ncols))
-    red, pivots = rref(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [field.zero()] * ncols
-        v[fc] = field.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
-    return tuple(basis)
+    return tuple(tuple(Scalar(x, field) for x in v)
+                 for v in kernel_raw(_raw_rows(rows, field), field, ncols))
 
 
 def span_key(vectors: Sequence[Vector], field: Field) -> tuple:
     """Equal for two lists of vectors exactly when they span the same
     space: the non-zero rows of the RREF, as tuples of raw values."""
-    red, pivots = rref(vectors, field)
-    return tuple(tuple(x.value for x in row) for row in red[:len(pivots)])
+    m = _raw_rows(vectors, field)
+    pivots = _reduce(m, field)
+    return tuple(tuple(row) for row in m[:len(pivots)])
+
+
+def solve_raw(rows: Sequence, rhs: Sequence, field: Field) -> Optional[list]:
+    """One solution x of M x = rhs on raw values, or None."""
+    ncols = len(rows[0]) if rows else len(rhs)
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivots = _reduce(aug, field)
+    if ncols in pivots:
+        return None
+    x = [field.zero().value] * ncols
+    for row, pc in zip(aug, pivots):
+        x[pc] = row[ncols]
+    return x
 
 
 def solve(rows: Sequence[Vector], rhs: Vector, field: Field) -> Optional[Vector]:
     """One solution x of M x = rhs, or None."""
-    ncols = len(rows[0]) if rows else len(rhs)
-    aug = [tuple(row) + (b,) for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug, field)
-    if ncols in pivots:
-        return None
-    x = [field.zero()] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return tuple(x)
+    x = solve_raw(_raw_rows(rows, field), raw_values(field, rhs), field)
+    return None if x is None else tuple(Scalar(a, field) for a in x)
 
 
 def inverse(m: Matrix, field: Field) -> Optional[Matrix]:
@@ -192,23 +271,23 @@ def independent(vectors: Sequence[Vector], field: Field) -> bool:
 
 
 def in_span(v: Vector, basis: Sequence[Vector], field: Field) -> bool:
-    if not basis:
-        return is_zero_vector(v)
-    return rank(list(basis) + [v], field) == rank(basis, field)
+    m = _raw_rows(basis, field)
+    return len(_reduce(m + [raw_values(field, v)], field)) == \
+        len(_reduce(m, field))
 
 
 def complement_indices(vectors: Sequence[Vector], field: Field,
                        n: int) -> list:
     """The indices i, in order, whose unit vectors extend span(vectors)
-    to K^n."""
-    span = list(vectors)
-    out = []
-    for i in range(n):
-        e = unit_vector(field, n, i)
-        if not in_span(e, span, field):
-            span.append(e)
-            out.append(i)
-    return out
+    to K^n, each e_i taken when it is outside the span of the vectors
+    and the e_j before it.
+
+    That holds exactly when some functional vanishing on the vectors
+    and on e_0, ..., e_{i-1} is non-zero at e_i, so the indices are the
+    pivot columns of the RREF of a basis of those functionals: the
+    kernel of the matrix with rows ``vectors``."""
+    kern = kernel_raw(_raw_rows(vectors, field), field, n)
+    return _reduce(kern, field)
 
 
 def coordinates(v: Vector, basis: Sequence[Vector], field: Field) -> Optional[Vector]:

@@ -373,7 +373,8 @@ def motion_from_normal_form(chart: Chart, nf) -> MotionElement:
     field = chart.space.form.field
     nf = tuple(field.scalar(x).value for x in nf)
     if chart.kind is LineGroupClass.SPLIT_TORUS and field._is_zero(nf[0]):
-        raise ZeroDivisionError("division by field zero")  # mu^-1
+        # mu^-1; _inv raises on an exact zero, this on a float one too
+        raise ZeroDivisionError("division by field zero")
     return _motion(chart, nf)
 
 

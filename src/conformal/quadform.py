@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -44,7 +45,7 @@ class QuadraticForm:
     """Q(v) = sum_{i<=j} c_ij v_i v_j with an upper-triangular table."""
 
     __slots__ = ("field", "dim", "_items", "_coeffs", "_gram", "_bil",
-                 "_terms", "_p", "_den", "_int_terms")
+                 "_rad", "_terms", "_p", "_den", "_int_terms")
 
     def __init__(self, field: Field, dim: int, coeffs):
         if dim < 1:
@@ -63,6 +64,7 @@ class QuadraticForm:
         self._coeffs = table
         self._gram = None
         self._bil = None
+        self._rad = None
         self._terms = tuple((i, j, c.value) for (i, j), c in self._items)
         self._p = field.p if isinstance(field, PrimeField) else 0
         # over Q the table is _int_terms / _den, on integers
@@ -147,10 +149,14 @@ class QuadraticForm:
         return total
 
     def reflect_raw(self, w, x) -> tuple:
-        """The reflection x - (B(x,w)/Q(w)) w on raw values; needs Q(w) != 0."""
+        """The reflection x - (B(x,w)/Q(w)) w on raw values; Q(w) = 0
+        raises ZeroDivisionError."""
         if self._p:
             p = self._p
-            c = self.b_raw(x, w) * pow(self.eval_raw(w), p - 2, p) % p
+            qw = self.eval_raw(w)
+            if not qw:
+                raise ZeroDivisionError("division by field zero")
+            c = self.b_raw(x, w) * pow(qw, p - 2, p) % p
             return tuple((a - c * b) % p for a, b in zip(x, w))
         field = self.field
         sub, mul = field._sub, field._mul
@@ -158,32 +164,47 @@ class QuadraticForm:
         return tuple(sub(a, mul(c, b)) for a, b in zip(x, w))
 
     def gram_row(self, x: Vector) -> Vector:
-        """(B(x, e_0), ..., B(x, e_{n-1})): the cached raw Gram matrix
-        times x, summed like ``linalg.mat_vec`` (over Q: on integers,
-        term by term from the table)."""
+        """(B(x, e_0), ..., B(x, e_{n-1})) as Scalars."""
         field = self.field
-        xs = raw_values(field, x)
+        return tuple(Scalar(t, field)
+                     for t in self.gram_row_raw(raw_values(field, x)))
+
+    def gram_row_raw(self, x) -> list:
+        """``gram_row`` on raw values: the cached raw Gram matrix times x,
+        summed like ``linalg.mat_vec`` (over Q: on integers, term by term
+        from the table)."""
         if self._den:
-            xs, lx = _numerators(xs)
-            sums = [0] * self.dim
-            for i, j, c in self._int_terms:
-                sums[i] += c * xs[j]
-                sums[j] += c * xs[i]
+            xs, lx = _numerators(x)
             den = self._den * lx
-            return tuple(Scalar(Fraction(t, den), field) for t in sums)
+            return [Fraction(t, den) for t in self._int_gram_row(xs)]
+        field = self.field
         add, mul = field._add, field._mul
         out = []
         for row in self._raw_gram():
             total = field.zero().value
-            for a, b in zip(row, xs):
+            for a, b in zip(row, x):
                 total = add(total, mul(a, b))
-            out.append(Scalar(total, field))
-        return tuple(out)
+            out.append(total)
+        return out
+
+    def _int_gram_row(self, xs) -> list:
+        """Over Q, _den times the Gram matrix times the integers xs."""
+        sums = [0] * self.dim
+        for i, j, c in self._int_terms:
+            sums[i] += c * xs[j]
+            sums[j] += c * xs[i]
+        return sums
 
     def perp(self, vectors: Sequence[Vector]):
         """A basis of {x : B(v, x) = 0 for every v in vectors}."""
-        return linalg.kernel_basis(tuple(self.gram_row(v) for v in vectors),
-                                   self.field, self.dim)
+        field = self.field
+        return tuple(tuple(Scalar(t, field) for t in x) for x in
+                     self.perp_raw([raw_values(field, v) for v in vectors]))
+
+    def perp_raw(self, vectors) -> list:
+        """``perp`` on raw values: raw vectors in, raw tuples out."""
+        return linalg.kernel_raw([self.gram_row_raw(x) for x in vectors],
+                                 self.field, self.dim)
 
     def isotropic_points(self):
         """Yield the raw tuples of the projective points with Q = 0, in
@@ -238,7 +259,7 @@ class QuadraticForm:
         walks the tails and keeps them for the others."""
         field = self.field
         add, mul, is_zero = field._add, field._mul, field._is_zero
-        r = [s.value for s in self.gram_row([Scalar(a, field) for a in p])]
+        r = self.gram_row_raw(p)
         m = max((k for k, a in enumerate(r) if not is_zero(a)), default=-1)
         n = self.dim
         if m >= 0:
@@ -295,16 +316,38 @@ class QuadraticForm:
 
     def restrict(self, basis: Sequence[Vector]) -> "QuadraticForm":
         """The form in the coordinates of the given (ambient) basis."""
+        return self.restrict_raw([raw_values(self.field, b) for b in basis])
+
+    def restrict_raw(self, basis) -> "QuadraticForm":
+        """``restrict`` for a basis of raw vectors.  Over Q each vector
+        is brought to integer numerators once and B(b_i, b_j) is the dot
+        product of b_i's integer Gram row with b_j (Q(b_i) is half of
+        B(b_i, b_i)); the other fields take ``eval_raw`` and ``b_raw``."""
         coeffs = {}
-        for i, bi in enumerate(basis):
-            q = self(bi)
-            if not q.is_zero():
+        k = len(basis)
+        if self._den:
+            nums = [_numerators(b) for b in basis]
+            for i, (xs, li) in enumerate(nums):
+                row = self._int_gram_row(xs)
+                t = sum(map(operator.mul, row, xs))
+                if t:
+                    coeffs[(i, i)] = Fraction(t, 2 * self._den * li * li)
+                for j in range(i + 1, k):
+                    ys, lj = nums[j]
+                    t = sum(map(operator.mul, row, ys))
+                    if t:
+                        coeffs[(i, j)] = Fraction(t, self._den * li * lj)
+            return QuadraticForm(self.field, k, coeffs)
+        is_zero = self.field._is_zero
+        for i, x in enumerate(basis):
+            q = self.eval_raw(x)
+            if not is_zero(q):
                 coeffs[(i, i)] = q
-            for j in range(i + 1, len(basis)):
-                b = self.b_full(bi, basis[j])
-                if not b.is_zero():
+            for j in range(i + 1, k):
+                b = self.b_raw(x, basis[j])
+                if not is_zero(b):
                     coeffs[(i, j)] = b
-        return QuadraticForm(self.field, len(basis), coeffs)
+        return QuadraticForm(self.field, k, coeffs)
 
     def scaled(self, c) -> "QuadraticForm":
         c = self.field.scalar(c)
@@ -364,8 +407,13 @@ def _root_table(field: Field, c) -> dict:
 
 
 def bilinear_radical(q: QuadraticForm):
-    """Basis of {v : B(v,u) = 0 for all u} (kernel of the Gram matrix)."""
-    return linalg.kernel_basis(q.bilinear_matrix(), q.field, q.dim)
+    """Basis of {v : B(v,u) = 0 for all u} (kernel of the Gram matrix),
+    computed once per form on raw values and kept on it."""
+    if q._rad is None:
+        field = q.field
+        q._rad = tuple(tuple(Scalar(x, field) for x in v) for v in
+                       linalg.kernel_raw(q._raw_gram(), field, q.dim))
+    return q._rad
 
 
 def is_nondegenerate_form(q: QuadraticForm) -> bool:
@@ -616,17 +664,21 @@ def witt_index(q: QuadraticForm) -> int:
     if isinstance(field, CharTwo):
         rad = bilinear_radical(q)
         if rad:
-            comp = _complement_of_radical(q, rad)
-            return witt_index(q.restrict(comp))
+            return witt_index(_off_radical(q, rad))
         n = q.dim
         return n // 2 if arf_invariant(q).is_zero() else n // 2 - 1
     raise UnsupportedFieldError(f"witt index over {field}")
 
 
-def _complement_of_radical(q: QuadraticForm, rad):
-    """A direct complement of the radical, as ambient vectors."""
-    return [linalg.unit_vector(q.field, q.dim, i)
-            for i in linalg.complement_indices(rad, q.field, q.dim)]
+def _off_radical(q: QuadraticForm, rad) -> QuadraticForm:
+    """Q restricted to the unit vectors e_i, i in
+    ``linalg.complement_indices(rad)``, which complement the radical:
+    the table of Q on those coordinates."""
+    keep = linalg.complement_indices(rad, q.field, q.dim)
+    at = {i: k for k, i in enumerate(keep)}
+    return QuadraticForm(q.field, len(keep),
+                         {(at[i], at[j]): c for (i, j), c in q.coeff_items()
+                          if i in at and j in at})
 
 
 def subspaces(field: Field, n: int, k: int):
@@ -678,10 +730,10 @@ def _is_hyperbolic_space(q: QuadraticForm, basis) -> bool:
         # B(u, sum c_i b_i) = B(v, sum c_i b_i) = 0
         rows = [[q.b_raw(a, w) for w in basis] for a in (u, v)]
         sub = []
-        for coeffs in linalg.kernel_basis(rows, field, len(basis)):
+        for coeffs in linalg.kernel_raw(rows, field, len(basis)):
             x = span[0]
             for c, row in zip(coeffs, basis):
-                x = tuple(add(s, mul(c.value, a)) for s, a in zip(x, row))
+                x = tuple(add(s, mul(c, a)) for s, a in zip(x, row))
             sub.append(x)
         if len(sub) == len(basis) - 2 and _is_hyperbolic_space(q, sub):
             return True

@@ -149,3 +149,17 @@ def test_field_tokens_round_trip():
         field_from_token("fp:4")
     with pytest.raises(UnsupportedFieldError):
         field_from_token("fp:2")  # characteristic 2 goes through f2/f4
+
+
+@pytest.mark.parametrize("field", FIELDS + [ApproxReal()],
+                         ids=lambda f: f.token())
+def test_raw_inverse_of_zero_raises(field):
+    """Every field's raw inverse refuses zero, as Scalar division does,
+    and inverts every other element."""
+    with pytest.raises(ZeroDivisionError):
+        field._inv(field.zero().value)
+    values = field.raw_elements if field.is_finite else \
+        [field.scalar(x).value for x in (1, -2, 3, 0.5)]
+    for a in values:
+        if not field._is_zero(a):
+            assert field._eq(field._mul(field._inv(a), a), field.one().value)

@@ -12,7 +12,12 @@ filter raw tuples, ``subspaces`` and ``_is_hyperbolic_space`` run
 the Witt oracle on them, ``linalg.coordinate_map`` replays the solve of
 ``linalg.coordinates``, and ``metric.translation_between``,
 ``motion_from_normal_form``, ``compose`` and ``invert`` run on raw
-values against a chart kept on the geometry.  Over Q, ``eval_raw``, ``b_raw`` and
+values against a chart kept on the geometry.  ``kernel_basis`` wraps
+``kernel_raw`` once, ``complement_indices`` reads the pivots of a kernel
+basis (checked against the greedy loop it replaced) and the
+cycle-equivalence tokens of every class representative are pinned.
+Over Q, ``linalg.rref`` eliminates on integers, ``restrict`` works on
+integer Gram rows, and ``eval_raw``, ``b_raw`` and
 ``gram_row`` run on integer numerators (the table and the input scaled
 by the lcm of their denominators) and build one Fraction per result;
 they are checked on denominators up to 10^6, plain-int raw values and
@@ -26,6 +31,7 @@ functions replaced; every answer must agree with them, bit for bit over
 ApproxReal.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -38,12 +44,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conformal import linalg
 from conformal.fields import (ApproxReal, CharTwo, FieldMismatchError,
-                              PrimeField, Rational, Scalar, SquareClass)
+                              PrimeField, Rational, Scalar, SquareClass,
+                              square_class)
 from conformal.geometry import (Geometry, NotAHypercycleError, ProjPoint,
                                 Role, _isotropic_in_span, cayley_klein_points,
                                 has_point_search, lie_quadric_points,
-                                points_of, role)
-from conformal.classify import enumerate_classes, representative_geometry
+                                points_of, pointspace, role)
+from conformal.classify import (_pointspace_token, _scaling_options,
+                                enumerate_classes, representative_geometry)
 from conformal.metric import (DegenerateLineError, ExactChartUnavailableError,
                               IdealPointError, LineGroupClass,
                               NotOnLineError, build_chart, compose,
@@ -53,9 +61,9 @@ from conformal.metric import (DegenerateLineError, ExactChartUnavailableError,
 from conformal.models import (ModelKind, exact_model_geometry, lift_line,
                               lift_point, model_geometry)
 from conformal.quadform import (QuadraticForm, _is_hyperbolic_space,
-                                _root_table, bilinear_radical, mirrors,
-                                reflection_matrix, subspaces,
-                                witt_index_bruteforce)
+                                _root_table, bilinear_radical, det_class,
+                                mirrors, reflection_matrix, signature,
+                                subspaces, witt_index_bruteforce)
 
 FIELDS = [Rational(), PrimeField(3), PrimeField(5), PrimeField(7),
           PrimeField(11), PrimeField(13), CharTwo(2), CharTwo(4),
@@ -433,6 +441,16 @@ def test_reflect_raw_matches_reflection_matrix(data):
     got = q.reflect_raw([c.value for c in w], [c.value for c in x])
     want = linalg.mat_vec(reflection_matrix(q, w), x)
     assert all(same(Scalar(a, field), b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.token())
+def test_reflect_raw_refuses_an_isotropic_mirror(field):
+    """Q(w) = 0 raises ZeroDivisionError on every field, as the Scalar
+    division in ``reflection_matrix`` does."""
+    q = QuadraticForm(field, 2, {(0, 1): 1})
+    zero, one = field.zero().value, field.one().value
+    with pytest.raises(ZeroDivisionError):
+        q.reflect_raw((one, zero), (one, one))
 
 
 def _apply_mirrors(q, ws, x):
@@ -1079,3 +1097,274 @@ def test_translation_errors_on_raw_values(ql):
     for args in ([(v, a), (a, v)] if split else [(v, a)]):
         with pytest.raises(IdealPointError):
             translation_between(g, l, *args)
+
+
+# -- row reduction on integers, the complement, raw restrict, tokens ---------
+# Over Q ``linalg._reduce`` eliminates on integers and
+# ``QuadraticForm.restrict`` on integer Gram rows; ``complement_indices``
+# reads the pivots of a kernel basis.  The references are the loops they
+# replaced: Gauss-Jordan on Scalars (``ref_rref``), the greedy complement
+# and the per-pair restrict.
+
+def ref_rank(rows, field):
+    return len(ref_rref(rows, field)[1]) if rows else 0
+
+
+def ref_kernel(rows, field, ncols):
+    """The kernel basis read off ``ref_rref``: one vector per non-pivot
+    column."""
+    if not rows:
+        return tuple(linalg.unit_vector(field, ncols, i) for i in range(ncols))
+    red, pivots = ref_rref(rows, field)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero()] * ncols
+        v[fc] = field.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def ref_complement_indices(vectors, field, n):
+    """Add e_i, in order, when it is outside the span so far."""
+    span = list(vectors)
+    out = []
+    for i in range(n):
+        e = linalg.unit_vector(field, n, i)
+        if ref_rank(span + [e], field) > ref_rank(span, field):
+            span.append(e)
+            out.append(i)
+    return out
+
+
+def ref_restrict(q, basis):
+    """Q and B of every basis vector and pair, on Scalars."""
+    coeffs = {}
+    for i, bi in enumerate(basis):
+        v = q(bi)
+        if not v.is_zero():
+            coeffs[(i, i)] = v
+        for j in range(i + 1, len(basis)):
+            b = q.b_full(bi, basis[j])
+            if not b.is_zero():
+                coeffs[(i, j)] = b
+    return QuadraticForm(q.field, len(basis), coeffs)
+
+
+def big_rationals():
+    """Numerators up to 10^30 over denominators up to 10^12."""
+    return st.builds(Fraction, st.integers(-10**30, 10**30),
+                     st.integers(1, 10**12))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rows over Q with zero rows, zero columns and rows that combine
+    earlier ones; entries small, large or plain ints; no rows at all
+    too (0 x n)."""
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(0, 5))
+    entry = st.builds(QQ.scalar, rationals() | big_rationals())
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["free", "zero", "combination"]))
+        if kind == "zero" or (kind == "combination" and not rows):
+            rows.append(linalg.zero_vector(QQ, ncols))
+        elif kind == "combination":
+            coeffs = draw(st.lists(entry, min_size=len(rows),
+                                   max_size=len(rows)))
+            rows.append(linalg.combine(coeffs, rows))
+        else:
+            rows.append(draw(st.tuples(*[entry] * ncols)))
+    zero_col = draw(st.integers(-1, ncols - 1))
+    if zero_col >= 0:
+        rows = [r[:zero_col] + (QQ.zero(),) + r[zero_col + 1:] for r in rows]
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_integer_reduction_matches_fraction_elimination(case):
+    """Over Q the integer elimination gives the rows and pivots of
+    Gauss-Jordan on Fractions, every entry a Fraction, and the functions
+    built on it agree with that elimination."""
+    rows, ncols = case
+    red, pivots = linalg.rref(rows, QQ)
+    want, want_pivots = ref_rref(rows, QQ)
+    assert pivots == want_pivots
+    assert len(red) == len(want) == len(rows)
+    for row, ref in zip(red, want):
+        assert all(same(a, b) for a, b in zip(row, ref))
+    assert linalg.rank(rows, QQ) == len(want_pivots)
+    assert linalg.span_key(rows, QQ) == tuple(
+        tuple(x.value for x in row) for row in want[:len(want_pivots)])
+    kern = linalg.kernel_basis(rows, QQ, ncols)
+    want_kern = ref_kernel(rows, QQ, ncols)
+    assert len(kern) == len(want_kern) == ncols - len(want_pivots)
+    for v, ref in zip(kern, want_kern):
+        assert all(same(a, b) for a, b in zip(v, ref))
+        assert all(linalg.mat_vec([r], v)[0].is_zero() for r in rows)
+    if rows:
+        rhs = linalg.mat_vec(rows, linalg.vector(QQ, range(1, ncols + 1)))
+        x = linalg.solve(rows, rhs, QQ)
+        assert x is not None and linalg.mat_vec(rows, x) == rhs
+
+
+def test_integer_reduction_of_no_rows_and_zero_rows():
+    assert linalg.rref([], QQ) == ((), [])
+    assert linalg.rank([], QQ) == 0
+    assert linalg.kernel_basis([], QQ, 2) == (
+        linalg.vector(QQ, [1, 0]), linalg.vector(QQ, [0, 1]))
+    zero = linalg.zero_vector(QQ, 3)
+    red, pivots = linalg.rref([zero, zero], QQ)
+    assert pivots == [] and red == (zero, zero)
+    assert all(type(x.value) is Fraction for row in red for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kernel_basis_matches_scalar_elimination(data):
+    """``kernel_basis`` (``kernel_raw`` wrapped once) against the kernel
+    of the Scalar elimination, over Q, F_3/5/7, F_2, F_4 and ApproxReal,
+    bit for bit on floats, no rows included."""
+    field = data.draw(st.sampled_from(RAW_FIELDS))
+    ncols = data.draw(st.integers(1, 6))
+    pool = data.draw(st.lists(elements(field), min_size=1, max_size=3))
+    entry = st.sampled_from(pool + [field.zero()]) | elements(field)
+    rows = data.draw(st.lists(st.tuples(*[entry] * ncols), max_size=5))
+    got, want = linalg.kernel_basis(rows, field, ncols), \
+        ref_kernel(rows, field, ncols)
+    assert len(got) == len(want)
+    for v, ref in zip(got, want):
+        assert all(same(a, b) for a, b in zip(v, ref))
+
+
+def _complement_case(data, field):
+    n = data.draw(st.integers(1, 6))
+    if isinstance(field, ApproxReal):
+        # small integers are exact in floats, so no rank hangs on the
+        # tolerance
+        entry = st.builds(field.scalar, st.integers(-3, 3))
+    else:
+        pool = data.draw(st.lists(elements(field), min_size=1, max_size=3))
+        entry = st.sampled_from(pool + [field.zero()]) | elements(field)
+    vectors = data.draw(st.lists(st.tuples(*[entry] * n), max_size=n + 1))
+    if vectors and data.draw(st.booleans()):
+        coeffs = data.draw(st.tuples(*[entry] * len(vectors)))
+        vectors.append(linalg.combine(coeffs, vectors))
+    return vectors, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_complement_indices_matches_greedy_loop(data):
+    """The pivots of the kernel of the vectors are the indices the
+    greedy loop takes, over Q, F_3/5/7, F_2, F_4 and ApproxReal, on
+    dependent, zero and spanning sets."""
+    field = data.draw(st.sampled_from(RAW_FIELDS))
+    vectors, n = _complement_case(data, field)
+    assert linalg.complement_indices(vectors, field, n) == \
+        ref_complement_indices(vectors, field, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_restrict_matches_pair_loop(data):
+    """``restrict`` equals Q and b_full taken per basis vector and pair,
+    bit for bit over ApproxReal, on dependent and zero bases too."""
+    field = data.draw(st.sampled_from(RAW_FIELDS))
+    if field is QQ and data.draw(st.booleans()):
+        q = data.draw(st.sampled_from(MIXED_DENOMINATORS))
+    else:
+        q = data.draw(forms(field))
+    vec = st.tuples(*[elements(field)] * q.dim)
+    basis = data.draw(st.lists(vec, min_size=1, max_size=q.dim + 1))
+    if data.draw(st.booleans()):
+        basis.append(linalg.vec_add(basis[0], basis[-1]))
+    got, want = q.restrict(basis), ref_restrict(q, basis)
+    assert got.dim == want.dim
+    assert [ij for ij, _ in got.coeff_items()] == \
+        [ij for ij, _ in want.coeff_items()]
+    assert all(same(a, b) for (_, a), (_, b)
+               in zip(got.coeff_items(), want.coeff_items()))
+
+
+def ref_pointspace_token(g, lam):
+    """The token on Scalars: Q restricted to P^perp and scaled, its
+    radical, L's coordinates tested against the radical's span, and the
+    form on the greedy complement of the radical."""
+    field = g.field
+    ps = pointspace(g)
+    form = ps.form.scaled(lam)
+    rad = ref_kernel(ref_gram(form), field, form.dim)
+    l_in_rad = bool(rad) and \
+        ref_rank(list(rad) + [ps.l_coords], field) == ref_rank(rad, field)
+    core = form
+    if rad:
+        core = ref_restrict(form, [
+            linalg.unit_vector(field, form.dim, i)
+            for i in ref_complement_indices(rad, field, form.dim)])
+    if isinstance(field, Rational):
+        inv = ("sig",) + signature(core)
+    else:
+        inv = ("det", core.dim, det_class(core).name)
+    return (len(rad), inv, square_class(form(ps.l_coords)).name, l_in_rad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pointspace_token_matches_scalar_path(data):
+    """The token of a geometry over F_3/F_5 with arbitrary P and L,
+    including L = P isotropic (L's coordinates then lie in the radical of
+    P^perp), is the one the Scalar path computes, for both scalings."""
+    g = data.draw(small_geometries().filter(lambda g: g.field.char != 2))
+    if data.draw(st.booleans()) and g.qp().is_zero():
+        g = Geometry(g.form, g.p_rep, g.p_rep)
+    for lam in _scaling_options(g.field):
+        assert _pointspace_token(g, lam) == ref_pointspace_token(g, lam)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5)],
+                         ids=str)
+def test_pointspace_token_with_l_in_the_radical(field):
+    """L = P isotropic: L's coordinates span the radical of P^perp."""
+    form = QuadraticForm(field, 5, {(0, 1): 1, (2, 2): 1, (3, 3): 1,
+                                    (4, 4): -1})
+    p = linalg.vector(field, [1, 0, 0, 0, 0])
+    g = Geometry(form, p, p)
+    for lam in _scaling_options(field):
+        token = _pointspace_token(g, lam)
+        assert token == ref_pointspace_token(g, lam)
+        assert token[0] == 1 and token[3] is True
+
+
+def _token_digest(field, dims):
+    digest = hashlib.sha256()
+    for d in dims:
+        for k, cls in enumerate(enumerate_classes(field, d)):
+            g = representative_geometry(cls)
+            for m, lam in enumerate(_scaling_options(field)):
+                digest.update(repr((d, k, m, _pointspace_token(g, lam)))
+                              .encode())
+    return digest.hexdigest()
+
+
+# recorded with the Fraction elimination, the greedy complement and the
+# per-pair restrict
+TOKEN_DIGESTS = [
+    (QQ, range(1, 7),
+     "aba12f72a980861d7d03f6116ea88fdcdc4830c0299f0b44ee9cfd21126ee291"),
+    (PrimeField(3), range(1, 5),
+     "488edbc1b625638915ef929aa12f3a1d4b3d9a1f30e4368cac2cce6a31e251f6"),
+    (PrimeField(5), range(1, 5),
+     "7761b8e177723470f202d07e29c053375f1f6c725e37c13dff21eee4026265e7"),
+]
+
+
+@pytest.mark.parametrize("field,dims,digest", TOKEN_DIGESTS,
+                         ids=["rational", "fp:3", "fp:5"])
+def test_pointspace_tokens_are_pinned(field, dims, digest):
+    """The cycle-equivalence token of every class representative, for
+    both scalings, is the one the Scalar path computed."""
+    assert _token_digest(field, dims) == digest

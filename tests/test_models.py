@@ -182,3 +182,20 @@ def test_power_depends_on_fixed_representative():
                       tuple(x * 2 for x in g.l_rep))
     doubled = inversive_separation(scaled, o1.lift, o2.lift).value
     assert abs(base - 4.0 * doubled) < 1e-9
+
+
+def test_lifts_share_the_field_of_the_model_geometry():
+    """A model geometry and the objects lifted into it share one field
+    object per tolerance, so their field checks pass on identity; another
+    tolerance gets a field of its own that still works."""
+    g = model_geometry(ModelKind.ELLIPTIC)
+    lifts = [lift_point(ModelKind.ELLIPTIC, (0.6, 0.8, 0.0)),
+             lift_line(ModelKind.ELLIPTIC, normal=(0.0, 0.0, 1.0)),
+             lift_cycle(ModelKind.ELLIPTIC, (0.0, 0.0, 1.0), 0.5)]
+    assert all(x.field is g.field for obj in lifts for x in obj.lift)
+    assert model_geometry(ModelKind.HYPERBOLIC).field is g.field
+    coarse = model_geometry(ModelKind.ELLIPTIC, eps=1e-6)
+    assert coarse.field is not g.field and coarse.field.eps == 1e-6
+    pt = lift_point(ModelKind.ELLIPTIC, (0.6, 0.8, 0.0), eps=1e-6)
+    assert pt.lift[0].field is coarse.field
+    assert role(coarse, pt.lift) is Role.POINT
