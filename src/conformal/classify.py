@@ -11,7 +11,9 @@ multiplication by the non-residue over F_q in even vector dimension.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -211,7 +213,11 @@ def ck_table(field):
 # Canonical representatives
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def canonical_form(field: Field, geom_dim: int, form_invariant) -> QuadraticForm:
+    """The form of a class, one object per (field, geom_dim,
+    form_invariant): the radical and Gram matrix kept on it serve every
+    class that shares it."""
     dim = geom_dim + 3
     if isinstance(field, Rational):
         _, k, l = form_invariant
@@ -264,8 +270,11 @@ def representative_geometry(cls: GeometryClass) -> Geometry:
     if field.is_finite:
         perp = form.perp_points(p_rep)
     else:
+        # B(P, .) times the table's denominator, on the integers the
+        # candidates are, taken once
+        row = form._int_gram_row(p_rep)
         perp = (v for v in _candidates(field, form.dim)
-                if field._is_zero(form.b_raw(p_rep, v)))
+                if not sum(map(operator.mul, row, v)))
     # +-P are the only candidates dependent on P
     minus_p = tuple(field._neg(a) for a in p_rep)
     l_rep = next((v for v in perp

@@ -516,6 +516,7 @@ def cayley_klein_points(g: Geometry):
         lead = next((a for a in y if not is_zero(a)), None)
         key = () if lead is None else tuple(mul(inv(lead), a) for a in y)
         groups.setdefault(key, []).append(pt)
-    classes = [tuple(sorted(v, key=ProjPoint.sort_key)) for v in groups.values()]
-    classes.sort(key=lambda cls: cls[0].sort_key())
-    return tuple(classes)
+    # the points come in raw order, which is sort_key order (see
+    # lie_quadric_points): each class is sorted, and the classes open in
+    # the order of their first members
+    return tuple(tuple(v) for v in groups.values())

@@ -292,7 +292,9 @@ def complement_indices(vectors: Sequence[Vector], field: Field,
 
 def coordinates(v: Vector, basis: Sequence[Vector], field: Field) -> Optional[Vector]:
     """Coefficients x with sum x_i basis_i = v, or None if v is outside."""
-    cols = tuple(zip(*basis))  # matrix whose columns are the basis vectors
+    # the matrix whose columns are the basis vectors, one row per
+    # coordinate of v (rows with no entries when the basis is empty)
+    cols = tuple(zip(*basis)) or ((),) * len(v)
     return solve(cols, v, field)
 
 

@@ -171,17 +171,22 @@ class QuadraticForm:
 
     def gram_row_raw(self, x) -> list:
         """``gram_row`` on raw values: the cached raw Gram matrix times x,
-        summed like ``linalg.mat_vec`` (over Q: on integers, term by term
-        from the table)."""
+        summed like ``linalg.mat_vec`` (over F_p: as Python ints reduced
+        once; over Q: on integers, term by term from the table)."""
+        if self._p:
+            p = self._p
+            return [sum(map(operator.mul, row, x)) % p
+                    for row in self._raw_gram()]
         if self._den:
             xs, lx = _numerators(x)
             den = self._den * lx
             return [Fraction(t, den) for t in self._int_gram_row(xs)]
         field = self.field
         add, mul = field._add, field._mul
+        zero = field.zero().value
         out = []
         for row in self._raw_gram():
-            total = field.zero().value
+            total = zero
             for a, b in zip(row, x):
                 total = add(total, mul(a, b))
             out.append(total)
@@ -702,40 +707,28 @@ def subspaces(field: Field, n: int, k: int):
 
 def _is_hyperbolic_space(q: QuadraticForm, basis) -> bool:
     """Search a basis of pairwise-orthogonal symplectic couples for the
-    span of ``basis``, independent rows of raw values."""
+    span of ``basis``, independent rows of raw values.
+
+    The search runs in the coordinates of the basis: r is Q restricted
+    to it, its isotropic vectors are the multiples of the points of
+    ``r.isotropic_points()``, and the complement of a couple <u, v> is
+    ``r.perp_raw([u, v])``."""
     if not basis:
         return True
     if len(basis) % 2 == 1:
         return False
-    field = q.field
-    add, mul, is_zero = field._add, field._mul, field._is_zero
-    elems = field.raw_elements
-    one = field.one().value
-    # the span in ``all_vectors`` order, built one row at a time: each
-    # vector sum c_i b_i is added in order from zero, as
-    # ``linalg.combine`` adds it, from the row's precomputed multiples
-    span = [(field.zero().value,) * q.dim]
-    for row in basis:
-        multiples = [tuple(mul(c, a) for a in row) for c in elems]
-        span = [tuple(map(add, x, m)) for x in span for m in multiples]
-    # span[0] is the zero vector, the only one as the rows are independent
-    isotropic = [x for x in span[1:] if is_zero(q.eval_raw(x))]
-    if not isotropic:
+    r = q.restrict_raw(basis)
+    is_zero = r.field._is_zero
+    points = r.isotropic_points()
+    # an isotropic u extends iff the space is hyperbolic
+    u = next(points, None)
+    if u is None:
         return False
-    u = isotropic[0]  # an isotropic u extends iff the space is hyperbolic
-    for v in isotropic:
-        if q.b_raw(u, v) != one:
-            continue
-        # the complement of <u, v> in the span: coefficients c with
-        # B(u, sum c_i b_i) = B(v, sum c_i b_i) = 0
-        rows = [[q.b_raw(a, w) for w in basis] for a in (u, v)]
-        sub = []
-        for coeffs in linalg.kernel_raw(rows, field, len(basis)):
-            x = span[0]
-            for c, row in zip(coeffs, basis):
-                x = tuple(add(s, mul(c, a)) for s, a in zip(x, row))
-            sub.append(x)
-        if len(sub) == len(basis) - 2 and _is_hyperbolic_space(q, sub):
+    # every isotropic line with B(u, v) != 0 (not u's own: B(u, u) = 0):
+    # u and v / B(u, v) are a couple, whose complement is <u, v>^perp
+    for v in points:
+        if (not is_zero(r.b_raw(u, v))
+                and _is_hyperbolic_space(r, r.perp_raw([u, v]))):
             return True
     return False
 

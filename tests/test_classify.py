@@ -154,6 +154,28 @@ def test_raw_representatives_match_scalar_search(field, dims):
             assert (g.p_rep, g.l_rep) == ref_representative(cls), cls
 
 
+def test_classes_share_their_canonical_form():
+    """Classes with one form invariant get one form object, so its kept
+    radical serves them all; the representatives are pinned (a digest of
+    each class with its form, P and L)."""
+    lines = []
+    for field, dims in ((QQ, (1, 2, 3, 4)), (F3, (1, 2, 3)), (F5, (1, 2, 3))):
+        for d in dims:
+            forms = {}
+            for cls in enumerate_classes(field, d):
+                g = representative_geometry(cls)
+                form = forms.setdefault(cls.form_invariant, g.form)
+                assert g.form is form is canonical_form(
+                    field, d, cls.form_invariant)
+                lines.append(f"{cls.label()}|{g.form!r}|{g.p_rep!r}|"
+                             f"{g.l_rep!r}")
+            assert len(forms) < len(enumerate_classes(field, d))
+    assert len(lines) == 92
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "bfb7aa865531c9fd45fc5d2626e9d96ff2202f011cd961177eb333cec2909ade")
+
+
 @pytest.mark.parametrize("field,d,form_invariant,qp,ql", [
     (QQ, 1, ("sig", 2, 2), SquareClass.NON_RESIDUE, SquareClass.NON_RESIDUE),
     (F5, 3, ("det", "UNIT"), SquareClass.NON_RESIDUE, SquareClass.ZERO),

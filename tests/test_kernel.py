@@ -782,13 +782,16 @@ def _random_form(rng, field, dim):
     return QuadraticForm(field, dim, {ij: rng.choice(elems) for ij in chosen})
 
 
-@pytest.mark.parametrize("field", WITT_FIELDS, ids=lambda f: f.token())
+@pytest.mark.parametrize("field", WITT_FIELDS + [PrimeField(7)],
+                         ids=lambda f: f.token())
 def test_witt_oracle_matches_scalar_reference(field):
     rng = random.Random(f"witt-oracle {field.token()}")
     wrap = {e.value: e for e in field.elements()}
     seen_degenerate = seen_cross = False
     indices = set()
-    for dim in (1, 2, 3, 4):
+    # dim 4 over F_7 takes seconds in the Scalar reference
+    dims = (1, 2, 3, 4) if field.order <= 5 else (1, 2, 3)
+    for dim in dims:
         for _ in range(24 if dim < 4 else 12):
             q = _random_form(rng, field, dim)
             seen_degenerate |= bool(bilinear_radical(q))
@@ -803,7 +806,8 @@ def test_witt_oracle_matches_scalar_reference(field):
                 ref = tuple(tuple(wrap[a] for a in row) for row in basis)
                 assert (_is_hyperbolic_space(q, basis)
                         == ref_is_hyperbolic_space(q, ref)), (q, basis)
-    assert seen_degenerate and seen_cross and indices == {0, 1, 2}
+    assert seen_degenerate and seen_cross
+    assert indices == set(range(dims[-1] // 2 + 1))
 
 
 def _gaussian_binomial(q, n, k):

@@ -93,6 +93,20 @@ def test_coordinates_and_span():
     assert not linalg.in_span(linalg.vector(f5, [1, 0, 0]), basis, f5)
 
 
+@pytest.mark.parametrize("field", [Rational(), PrimeField(5)],
+                         ids=lambda f: f.token())
+def test_coordinates_in_the_empty_basis(field):
+    """Only the zero vector lies in the span of no vectors; its
+    coordinates are the empty tuple, as ``coordinate_map`` gives."""
+    coords = linalg.coordinate_map([], field)
+    zero, v = linalg.vector(field, [0, 0]), linalg.vector(field, [1, 2])
+    assert linalg.coordinates(zero, [], field) == ()
+    assert coords([0, 0]) == []
+    assert linalg.coordinates(v, [], field) is None
+    assert linalg.coordinates((1, 2), [], field) is None
+    assert coords(linalg.raw_values(field, v)) is None
+
+
 def test_combine_over_f3_and_q():
     f3 = PrimeField(3)
     vecs = [linalg.vector(f3, [1, 0, 2]), linalg.vector(f3, [0, 1, 1])]
