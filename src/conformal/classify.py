@@ -414,7 +414,7 @@ def _canonical_diag_basis(form: QuadraticForm):
         sub = form.restrict(pair)
         w_co = next((linalg.vector(field, co)
                      for co in linalg.all_vectors(field, 2)
-                     if sub.eval_raw(co) == field.one().value), None)
+                     if sub.eval_raw(co) == field.raw_one), None)
         assert w_co is not None  # every value is a sum of two squares
         w = linalg.combine(w_co, pair)
         kern = sub.perp([w_co])

@@ -170,15 +170,18 @@ class Field:
     char: int = 0
     is_exact: bool = True
     is_finite: bool = False
+    # the raw values of zero and one, for the raw-value kernels
+    raw_zero = 0
+    raw_one = 1
 
     def scalar(self, x) -> Scalar:
         raise NotImplementedError
 
     def zero(self) -> Scalar:
-        return self.scalar(0)
+        return Scalar(self.raw_zero, self)
 
     def one(self) -> Scalar:
-        return self.scalar(1)
+        return Scalar(self.raw_one, self)
 
     @property
     def raw_elements(self) -> range:
@@ -240,6 +243,8 @@ class Rational(Field):
     """The rationals, used as an exact stand-in for the reals."""
 
     char = 0
+    raw_zero = Fraction(0)
+    raw_one = Fraction(1)
 
     def scalar(self, x) -> Scalar:
         if isinstance(x, Scalar):
@@ -395,6 +400,8 @@ class ApproxReal(Field):
 
     char = 0
     is_exact = False
+    raw_zero = 0.0
+    raw_one = 1.0
 
     def __init__(self, eps: float = 1e-9):
         self.eps = eps

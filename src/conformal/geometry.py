@@ -11,6 +11,7 @@ is the vanishing of the (no-1/2) bilinear form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .fields import ConformalError, Field, Scalar, UnsupportedFieldError
@@ -131,6 +132,16 @@ class Geometry:
         self._tokens = {}  # classify._pointspace_token by the raw lambda
         self._charts = {}  # metric charts by the normalised raw line
 
+    # x -> B(P, x) and x -> B(L, x) on raw values, built on first use:
+    # model_geometry builds a geometry for every float-model query
+    @cached_property
+    def _pair_p(self):
+        return self.form.pairing_raw(self._p_raw)
+
+    @cached_property
+    def _pair_l(self):
+        return self.form.pairing_raw(self._l_raw)
+
     @property
     def n(self) -> int:
         """Dimension of the geometry (the form has dimension n+3)."""
@@ -171,9 +182,9 @@ def _require_hypercycle(g: Geometry, c) -> list:
 def role(g: Geometry, c) -> Role:
     """Point iff orthogonal to P, hyperplane iff orthogonal to L."""
     x = _require_hypercycle(g, c)
-    b, is_zero = g.form.b_raw, g.field._is_zero
-    is_point = is_zero(b(g._p_raw, x))
-    is_plane = is_zero(b(g._l_raw, x))
+    is_zero = g.field._is_zero
+    is_point = is_zero(g._pair_p(x))
+    is_plane = is_zero(g._pair_l(x))
     if is_point and is_plane:
         return Role.IDEAL
     if is_point:
@@ -288,10 +299,10 @@ def _points_in_p_perp(g: Geometry) -> tuple:
     `lie_quadric_points` order, built on first use and kept on the
     geometry."""
     if g._points is None:
-        b, p = g.form.b_raw, g._p_raw
-        pairs = ((tuple(c.value for c in pt.coords), pt)
+        bp = g._pair_p
+        pairs = ((tuple([c.value for c in pt.coords]), pt)
                  for pt in lie_quadric_points(g))
-        g._points = tuple((x, pt) for x, pt in pairs if not b(p, x))
+        g._points = tuple((x, pt) for x, pt in pairs if not bp(x))
     return g._points
 
 
@@ -355,8 +366,8 @@ def project_cycle(g: Geometry, c) -> ProjPoint:
 
 def points_of(g: Geometry, c):
     """[[Q]] intersected with P^perp and c^perp: the points of a cycle."""
-    b, y = g.form.b_raw, _require_hypercycle(g, c)
-    return tuple(pt for x, pt in _points_in_p_perp(g) if not b(y, x))
+    bc = g.form.pairing_raw(_require_hypercycle(g, c))
+    return tuple(pt for x, pt in _points_in_p_perp(g) if not bc(x))
 
 
 def pointspace_points_of(ps: Subspace, c_proj):
@@ -369,10 +380,10 @@ def pointspace_points_of(ps: Subspace, c_proj):
     if coords is None:
         raise RoleError("cycle does not lie in the pointspace")
     form = ps.form
-    b, y = form.b_raw, linalg.raw_values(form.field, coords)
+    bc = form.pairing_raw(linalg.raw_values(form.field, coords))
     return tuple(sorted((ProjPoint(ps.to_ambient(x))
                          for x in form.isotropic_points()
-                         if form.field._is_zero(b(y, x))),
+                         if form.field._is_zero(bc(x))),
                         key=ProjPoint.sort_key))
 
 
@@ -382,7 +393,8 @@ def is_point(g: Geometry, c) -> bool:
 
 def _require_point(g: Geometry, p) -> Vector:
     v = _as_vector(g, p)
-    if not g.form(v).is_zero() or not g.form.b_full(g.p_rep, v).is_zero():
+    x, is_zero = linalg.raw_values(g.field, v), g.field._is_zero
+    if not is_zero(g.form.eval_raw(x)) or not is_zero(g._pair_p(x)):
         raise RoleError(f"{v} is not a point of the geometry")
     return v
 
@@ -505,17 +517,15 @@ def cayley_klein_points(g: Geometry):
     """Points grouped into antipodal classes (the projective model
     P^perp/L); classes and members are canonically sorted."""
     field = g.field
-    sub, mul, inv, is_zero = field._sub, field._mul, field._inv, field._is_zero
-    i = next(k for k, a in enumerate(g._l_raw) if not is_zero(a))
-    l = [mul(inv(g._l_raw[i]), a) for a in g._l_raw]  # l_i = 1
+    sub, mul, is_zero = field._sub, field._mul, field._is_zero
+    l = linalg.normalize_raw(field, g._l_raw)
+    i = next(k for k, a in enumerate(l) if not is_zero(a))  # l_i = 1
     groups = {}
     for x, pt in _points_in_p_perp(g):
-        # span(x, L) has one direction with coordinate i zero; scaled to
-        # lead with 1 it names the class (the empty key when x is [L])
+        # span(x, L) has one direction with coordinate i zero; normalised
+        # it names the class (None when x is [L])
         y = [sub(a, mul(x[i], b)) for a, b in zip(x, l)]
-        lead = next((a for a in y if not is_zero(a)), None)
-        key = () if lead is None else tuple(mul(inv(lead), a) for a in y)
-        groups.setdefault(key, []).append(pt)
+        groups.setdefault(linalg.normalize_raw(field, y), []).append(pt)
     # the points come in raw order, which is sort_key order (see
     # lie_quadric_points): each class is sorted, and the classes open in
     # the order of their first members

@@ -42,6 +42,18 @@ def raw_values(field: Field, v: Vector) -> list:
     return out
 
 
+def normalize_raw(field: Field, x) -> Optional[tuple]:
+    """The raw vector x scaled so its first nonzero value is 1 (each
+    value multiplied by the lead's inverse, as ``ProjPoint`` does), or
+    None for the zero vector."""
+    is_zero = field._is_zero
+    lead = next((a for a in x if not is_zero(a)), None)
+    if lead is None:
+        return None
+    mul, inv = field._mul, field._inv(lead)
+    return tuple([mul(inv, a) for a in x])
+
+
 def vector(field: Field, entries) -> Vector:
     return tuple(field.scalar(e) for e in entries)
 
@@ -92,6 +104,16 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum((x * y for x, y in zip(row, col)),
                            start=row[0].field.zero()) for col in bt)
                  for row in a)
+
+
+def _dot(field: Field, row, x):
+    """sum row_i x_i on raw values, added in order from zero with the
+    field's ops (``mat_vec``'s order)."""
+    add, mul = field._add, field._mul
+    total = field.raw_zero
+    for a, b in zip(row, x):
+        total = add(total, mul(a, b))
+    return total
 
 
 def rref(rows: Sequence[Vector], field: Field):
@@ -211,7 +233,7 @@ def kernel_raw(rows: Sequence, field: Field, ncols: int) -> list:
     c and 0 at the other non-pivot columns."""
     m = list(rows)
     pivots = _reduce(m, field)
-    zero, one, neg = field.zero().value, field.one().value, field._neg
+    zero, one, neg = field.raw_zero, field.raw_one, field._neg
     basis = []
     for fc in range(ncols):
         if fc in pivots:
@@ -245,7 +267,7 @@ def solve_raw(rows: Sequence, rhs: Sequence, field: Field) -> Optional[list]:
     pivots = _reduce(aug, field)
     if ncols in pivots:
         return None
-    x = [field.zero().value] * ncols
+    x = [field.raw_zero] * ncols
     for row, pc in zip(aug, pivots):
         x[pc] = row[ncols]
     return x
@@ -310,7 +332,7 @@ def coordinate_map(basis: Sequence[Vector], field: Field):
     log = []
     pivots = _reduce(m, field, log)
     mul, sub, is_zero = field._mul, field._sub, field._is_zero
-    zero, rank = field.zero().value, len(pivots)
+    zero, rank = field.raw_zero, len(pivots)
 
     def coords(x) -> Optional[list]:
         a = list(x)
@@ -339,7 +361,7 @@ def projective_points(field: Field, n: int) -> Iterator[tuple]:
     over a finite field, as tuples of raw values, lead by lead and in
     sorted order within a lead."""
     elems = field.raw_elements
-    one, zero = field.one().value, field.zero().value
+    one, zero = field.raw_one, field.raw_zero
     for lead in range(n):
         prefix = (zero,) * lead + (one,)
         for tail in product(elems, repeat=n - lead - 1):

@@ -148,10 +148,9 @@ class Chart:
     u of canonical norm and the isotropic partner v of L.
 
     The queries run on raw values: ``_to_line`` and ``_from_line`` copy
-    the two matrices, ``_zero`` is the field's zero and ``_p`` its prime
-    (0 unless F_p), and ``_coords`` maps an ambient vector to its line
-    coordinates (None off the line space) as ``space.from_ambient``
-    does.
+    the two matrices, ``_p`` is the field's prime (0 unless F_p), and
+    ``_coords`` maps an ambient vector to its line coordinates (None off
+    the line space) as ``space.from_ambient`` does.
     """
 
     def __init__(self, kind: LineGroupClass, space: Subspace, basis,
@@ -168,7 +167,6 @@ class Chart:
         self.norm_token = norm_token
         self._to_line, self._from_line = _raw(self.to_line), _raw(inv)
         self._coords = linalg.coordinate_map(space.basis, field)
-        self._zero = field.zero().value
         self._p = field.p if isinstance(field, PrimeField) else 0
         if kind is LineGroupClass.ADDITIVE:
             # tau = 2 Q(u) (beta1 - beta2); the matrix divides by 2Q(u), 4Q(u)
@@ -311,14 +309,7 @@ def _mat_vec(chart: Chart, m, v) -> tuple:
     if p:
         return tuple(sum([x * y for x, y in zip(row, v)]) % p for row in m)
     field = chart.space.form.field
-    add, mul = field._add, field._mul
-    out = []
-    for row in m:
-        total = chart._zero
-        for x, y in zip(row, v):
-            total = add(total, mul(x, y))
-        out.append(total)
-    return tuple(out)
+    return tuple(linalg._dot(field, row, v) for row in m)
 
 
 def _mat_mul(chart: Chart, a, b) -> tuple:
@@ -331,7 +322,7 @@ def _line_matrix(chart: Chart, nf):
     of the element conjugated by the chart, in the order of Scalar
     arithmetic."""
     field = chart.space.form.field
-    zero, one = field.zero().value, field.one().value
+    zero, one = field.raw_zero, field.raw_one
     mul, neg = field._mul, field._neg
     if chart.kind is LineGroupClass.ADDITIVE:
         tau = nf[0]
@@ -383,13 +374,8 @@ def _line_chart(g: Geometry, l) -> Chart:
     A miss runs ``build_chart(line_space(g, l))``, so an l that is
     rejected raises on every call and is never stored."""
     _require_plane(g)
-    field = g.field
-    x = linalg.raw_values(field, _as_vector(g, l))
-    lead = next((c for c in x if not field._is_zero(c)), None)
-    if lead is not None:
-        inv = field._inv(lead)
-        x = [field._mul(inv, c) for c in x]
-    key = tuple(x)
+    key = linalg.normalize_raw(g.field,
+                               linalg.raw_values(g.field, _as_vector(g, l)))
     chart = g._charts.get(key)
     if chart is None:
         chart = g._charts[key] = build_chart(line_space(g, l))
@@ -421,10 +407,8 @@ def _point_coords(chart: Chart, g: Geometry, p):
 
 def _same_point(field, x, y) -> bool:
     """x and y are one projective point (``ProjPoint`` equality)."""
-    def normed(v):
-        inv = field._inv(next(c for c in v if not field._is_zero(c)))
-        return [field._mul(inv, c) for c in v]
-    return all(field._eq(a, b) for a, b in zip(normed(x), normed(y)))
+    return all(map(field._eq, linalg.normalize_raw(field, x),
+                   linalg.normalize_raw(field, y)))
 
 
 def translation_between(g: Geometry, l, p1, p2) -> MotionElement:
@@ -550,7 +534,7 @@ def stabilizer_group(g: Geometry, l):
     form; its cardinality is the gamma_class order."""
     space, chart, mats = stabilizer_matrices(g, l)
     field = space.form.field
-    mul, sub, one = field._mul, field._sub, field.one().value
+    mul, sub, one = field._mul, field._sub, field.raw_one
     out = []
     for m in mats:
         mc = _mat_mul(chart, _mat_mul(chart, chart._from_line, _raw(m)),
@@ -570,7 +554,7 @@ def _normal_form_of_matrix(chart: Chart, mc):
     """Read the raw normal form off a raw stabilizer matrix in chart
     coordinates."""
     if chart.kind is LineGroupClass.ADDITIVE:
-        assert mc[1][1] == chart.space.form.field.one().value
+        assert mc[1][1] == chart.space.form.field.raw_one
         return (mc[0][1],)
     if chart.kind is LineGroupClass.SPLIT_TORUS:
         return (mc[1][1],)
@@ -582,9 +566,9 @@ def find_nonideal_line(g: Geometry) -> ProjPoint:
     walk of the points of L^perp alone."""
     if not g.field.is_finite:
         raise UnsupportedFieldError("line search needs a finite field")
-    q, b, is_zero = g.form.eval_raw, g.form.b_raw, g.field._is_zero
+    q, bp, is_zero = g.form.eval_raw, g._pair_p, g.field._is_zero
     for x in g.form.perp_points(g._l_raw):
-        if is_zero(q(x)) and not is_zero(b(g._p_raw, x)):
+        if is_zero(q(x)) and not is_zero(bp(x)):
             return ProjPoint.from_canonical(linalg.vector(g.field, x))
     raise DegenerateLineError("the geometry has no non-ideal hyperplane")
 
@@ -596,9 +580,9 @@ def line_points(g: Geometry, l):
     if not g.field.is_finite:
         raise UnsupportedFieldError("point enumeration needs a finite field")
     form = space.form
-    b, y = form.b_raw, linalg.raw_values(form.field, space.l_coords)
+    bl = form.pairing_raw(linalg.raw_values(form.field, space.l_coords))
     pts = sorted((ProjPoint(space.to_ambient(x))
                   for x in form.isotropic_points()
-                  if not form.field._is_zero(b(y, x))),
+                  if not form.field._is_zero(bl(x))),
                  key=ProjPoint.sort_key)
     return space, tuple(pts)

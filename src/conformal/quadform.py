@@ -116,7 +116,7 @@ class QuadraticForm:
                                  for i, j, c in self._int_terms]),
                             self._den * lx * lx)
         add, mul = self.field._add, self.field._mul
-        total = self.field.zero().value
+        total = self.field.raw_zero
         for i, j, c in self._terms:
             total = add(total, mul(mul(c, x[i]), x[j]))
         return total
@@ -139,7 +139,7 @@ class QuadraticForm:
                                  for i, j, c in self._int_terms]),
                             self._den * lx * ly)
         add, mul = self.field._add, self.field._mul
-        total = self.field.zero().value
+        total = self.field.raw_zero
         for i, j, c in self._terms:
             if i == j:
                 total = add(total, mul(mul(add(c, c), x[i]), y[i]))
@@ -181,16 +181,38 @@ class QuadraticForm:
             xs, lx = _numerators(x)
             den = self._den * lx
             return [Fraction(t, den) for t in self._int_gram_row(xs)]
+        return [linalg._dot(self.field, row, x) for row in self._raw_gram()]
+
+    def pairing_raw(self, y):
+        """x -> B(y, x) on raw values, with y's Gram row taken once: the
+        kernel under the scans that pair one fixed vector with many.
+        Over F_p one int dot with ``gram_row_raw(y)``, reduced once; over
+        Q y's integer row dotted with x's numerators, divided once.  The
+        other fields take the row term by term from the table, as
+        ``_int_gram_row`` does (a geometry pairs P and L once per float
+        model query, so no dense Gram matrix is built for them), and add
+        its products from zero with their ops."""
+        if self._p:
+            p, row = self._p, self.gram_row_raw(y)
+            return lambda x: sum(map(operator.mul, row, x)) % p
+        if self._den:
+            ys, ly = _numerators(y)
+            row, den = self._int_gram_row(ys), self._den * ly
+
+            def pair(x):
+                xs, lx = _numerators(x)
+                return Fraction(sum(map(operator.mul, row, xs)), den * lx)
+            return pair
         field = self.field
         add, mul = field._add, field._mul
-        zero = field.zero().value
-        out = []
-        for row in self._raw_gram():
-            total = zero
-            for a, b in zip(row, x):
-                total = add(total, mul(a, b))
-            out.append(total)
-        return out
+        row = [field.raw_zero] * self.dim
+        for i, j, c in self._terms:
+            if i == j:
+                row[i] = add(row[i], mul(add(c, c), y[i]))
+            else:
+                row[i] = add(row[i], mul(c, y[j]))
+                row[j] = add(row[j], mul(c, y[i]))
+        return functools.partial(linalg._dot, field, row)
 
     def _int_gram_row(self, xs) -> list:
         """Over Q, _den times the Gram matrix times the integers xs."""
@@ -225,7 +247,7 @@ class QuadraticForm:
         c = 0."""
         field, p, last = self.field, self._p, self.dim - 1
         add, mul, is_zero = field._add, field._mul, field._is_zero
-        zero = field.zero().value
+        zero = field.raw_zero
         head = [t for t in self._terms if t[1] < last]
         lin = [(i, c) for i, j, c in self._terms if i < j == last]
         c = self.coeff(last, last).value
@@ -249,7 +271,7 @@ class QuadraticForm:
                 for (t,) in linalg.all_vectors(field, 1):
                     yield x + (t,)
         if roots is None:
-            yield (zero,) * last + (field.one().value,)
+            yield (zero,) * last + (field.raw_one,)
 
     def perp_points(self, p):
         """Yield the raw tuples of the projective points x with
@@ -263,7 +285,7 @@ class QuadraticForm:
         The walks are lazy, as callers take first hits: the first head
         walks the tails and keeps them for the others."""
         field = self.field
-        add, mul, is_zero = field._add, field._mul, field._is_zero
+        mul, is_zero = field._mul, field._is_zero
         r = self.gram_row_raw(p)
         m = max((k for k, a in enumerate(r) if not is_zero(a)), default=-1)
         n = self.dim
@@ -271,10 +293,7 @@ class QuadraticForm:
             minus_inv = field._neg(field._inv(r[m]))
             tails = None
             for head in linalg.projective_points(field, m):
-                total = field.zero().value
-                for a, b in zip(r, head):
-                    total = add(total, mul(a, b))
-                x = head + (mul(minus_inv, total),)
+                x = head + (mul(minus_inv, linalg._dot(field, r, head)),)
                 if tails is None:
                     tails = []
                     for tail in linalg.all_vectors(field, n - m - 1):
@@ -283,17 +302,20 @@ class QuadraticForm:
                 else:
                     for tail in tails:
                         yield x + tail
-        zeros = (field.zero().value,) * (m + 1)
+        zeros = (field.raw_zero,) * (m + 1)
         for tail in linalg.projective_points(field, n - m - 1):
             yield zeros + tail
 
     def b_half(self, u: Vector, v: Vector) -> Scalar:
         """The 1/2-scaled bilinear form; satisfies B(v,v) = Q(v)."""
-        if self.field.char == 2:
+        field = self.field
+        if field.char == 2:
             raise UnsupportedFieldError(
                 "the half bilinear form needs characteristic != 2")
-        half = self.field.one() / self.field.scalar(2)
-        return half * self.b_full(u, v)
+        mul = field._mul
+        half = mul(field.raw_one, field._inv(field.scalar(2).value))
+        return Scalar(mul(half, self.b_raw(raw_values(field, u),
+                                           raw_values(field, v))), field)
 
     # -- derived data ----------------------------------------------------
     def _raw_gram(self):
@@ -301,7 +323,7 @@ class QuadraticForm:
         if self._gram is None:
             n = self.dim
             add = self.field._add
-            rows = [[self.field.zero().value] * n for _ in range(n)]
+            rows = [[self.field.raw_zero] * n for _ in range(n)]
             for i, j, c in self._terms:
                 if i == j:
                     rows[i][i] = add(add(rows[i][i], c), c)
@@ -689,7 +711,7 @@ def _off_radical(q: QuadraticForm, rad) -> QuadraticForm:
 def subspaces(field: Field, n: int, k: int):
     """All k-dimensional subspaces of K^n (finite K), as RREF bases whose
     rows are tuples of raw field values."""
-    zero, one = field.zero().value, field.one().value
+    zero, one = field.raw_zero, field.raw_one
     for pivots in itertools.combinations(range(n), k):
         free_positions = []
         for r, p in enumerate(pivots):
@@ -1043,7 +1065,7 @@ class IsometrySampler:
         self.q = q
         self.field = q.field
         self.fixed = _vectors_of(q, fixed)
-        fixed_raw = [raw_values(q.field, v) for v in self.fixed]
+        pairs = [q.pairing_raw(raw_values(q.field, v)) for v in self.fixed]
         self.buckets = {}
         # raw tuples; extend() wraps the draws
         for x in linalg.all_vectors(q.field, q.dim):
@@ -1051,7 +1073,7 @@ class IsometrySampler:
                 continue
             # vectors inside span(fixed) stay in the buckets; extend()
             # rejects dependent choices and sample() retries
-            key = (q.eval_raw(x),) + tuple(q.b_raw(f, x) for f in fixed_raw)
+            key = (q.eval_raw(x),) + tuple([pair(x) for pair in pairs])
             self.buckets.setdefault(key, []).append(x)
         self._keys = sorted(self.buckets)
         self._ext = _Extender(q)

@@ -163,3 +163,15 @@ def test_raw_inverse_of_zero_raises(field):
     for a in values:
         if not field._is_zero(a):
             assert field._eq(field._mul(field._inv(a), a), field.one().value)
+
+
+@pytest.mark.parametrize("field", FIELDS + [ApproxReal()],
+                         ids=lambda f: f.token())
+def test_raw_zero_and_one_are_the_scalar_values(field):
+    """The raw constants have the value and the type of scalar(0) and
+    scalar(1): Fraction over Q, float over ApproxReal, int otherwise."""
+    for raw, n, scalar in ((field.raw_zero, 0, field.zero()),
+                           (field.raw_one, 1, field.one())):
+        value = field.scalar(n).value
+        assert type(raw) is type(value) and raw == value
+        assert type(scalar.value) is type(value) and scalar == field.scalar(n)

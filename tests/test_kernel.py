@@ -16,6 +16,12 @@ values against a chart kept on the geometry.  ``kernel_basis`` wraps
 ``kernel_raw`` once, ``complement_indices`` reads the pivots of a kernel
 basis (checked against the greedy loop it replaced) and the
 cycle-equivalence tokens of every class representative are pinned.
+``QuadraticForm.pairing_raw`` (x -> B(y, x) from y's Gram row, taken
+once) is checked against ``b_raw``; ``role`` runs on it and is checked
+on the rational atlas and the float model lifts, and the incidence
+outputs of the atlas-sweep class representatives are pinned.
+``linalg.normalize_raw`` is checked against ``ProjPoint`` and
+``b_half`` against the Scalar division it replaced.
 Over Q, ``linalg.rref`` eliminates on integers, ``restrict`` works on
 integer Gram rows, and ``eval_raw``, ``b_raw`` and
 ``gram_row`` run on integer numerators (the table and the input scaled
@@ -45,7 +51,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conformal import linalg
 from conformal.fields import (ApproxReal, CharTwo, FieldMismatchError,
                               PrimeField, Rational, Scalar, SquareClass,
-                              square_class)
+                              UnsupportedFieldError, square_class)
 from conformal.geometry import (Geometry, NotAHypercycleError, ProjPoint,
                                 Role, _isotropic_in_span, cayley_klein_points,
                                 has_point_search, lie_quadric_points,
@@ -58,8 +64,9 @@ from conformal.metric import (DegenerateLineError, ExactChartUnavailableError,
                               find_nonideal_line, invert, line_points,
                               line_space, motion_from_normal_form,
                               translation_between)
-from conformal.models import (ModelKind, exact_model_geometry, lift_line,
-                              lift_point, model_geometry)
+from conformal.models import (ModelKind, exact_model_geometry, lift_cycle,
+                              lift_hypercycle, lift_line, lift_parabola,
+                              lift_paracycle, lift_point, model_geometry)
 from conformal.quadform import (QuadraticForm, _is_hyperbolic_space,
                                 _root_table, bilinear_radical, det_class,
                                 mirrors, reflection_matrix, signature,
@@ -1372,3 +1379,182 @@ def test_pointspace_tokens_are_pinned(field, dims, digest):
     """The cycle-equivalence token of every class representative, for
     both scalings, is the one the Scalar path computed."""
     assert _token_digest(field, dims) == digest
+
+
+def _raw(v):
+    return tuple(c.value for c in v)
+
+
+@st.composite
+def pairing_cases(draw):
+    """A form (an arbitrary table, degenerate ones included, or over a
+    finite field a non-degenerate one), y and a few x as raw values;
+    over Q the raw values mix Fractions and plain ints."""
+    field = draw(st.sampled_from(FIELDS))
+    if field.is_finite and draw(st.booleans()):
+        q = draw(nondegenerate_forms(field))
+    else:
+        q = draw(forms(field))
+    values = rationals() if isinstance(field, Rational) else \
+        elements(field).map(lambda s: s.value)
+    vec = st.tuples(*[values] * q.dim)
+    return q, draw(vec), draw(st.lists(vec, min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairing_cases())
+def test_pairing_raw_matches_b_raw(case):
+    """pairing_raw(y)(x) is b_raw(y, x): the same value and type over the
+    exact fields, within 1e-12 of the terms' size over ApproxReal."""
+    q, y, xs = case
+    pair = q.pairing_raw(y)
+    for x in xs:
+        got, want = pair(x), q.b_raw(y, x)
+        if q.field.is_exact:
+            assert type(got) is type(want) and got == want
+        else:
+            size = sum(abs(c) * (abs(y[i] * x[j]) + abs(y[j] * x[i]))
+                       for i, j, c in q._terms)
+            assert abs(got - want) <= 1e-12 * (1 + size)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.token())
+def test_b_half_matches_the_scalar_division(field):
+    """b_half is half of b_full computed as the Scalar expression
+    (1 / 2) * b_full(u, v), bit for bit; characteristic 2 raises."""
+    q = QuadraticForm(field, 3, {(0, 0): 3, (0, 2): 5, (1, 1): -1,
+                                 (2, 2): 7})
+    rng = random.Random(field.token())
+    for _ in range(20):
+        u, v = ([field.scalar(rng.randint(-9, 9)) for _ in range(3)]
+                for _ in range(2))
+        if field.char == 2:
+            with pytest.raises(UnsupportedFieldError):
+                q.b_half(u, v)
+            continue
+        want = field.one() / field.scalar(2) * q.b_full(u, v)
+        assert same(q.b_half(u, v), want)
+
+
+def _rational_cycles(g):
+    """The quadric vectors of g with coordinates in {0, 1, -1}, lead 1,
+    P and L when they are isotropic, and every third vector scaled by
+    -3/7."""
+    field = g.field
+    cands = [x for x in itertools.product((0, 1, -1), repeat=g.form.dim)
+             if next((a for a in x if a), 0) == 1 and not g.form.eval_raw(x)]
+    cycles = [linalg.vector(field, x) for x in cands] + [
+        v for v in (g.p_rep, g.l_rep) if g.form(v).is_zero()]
+    return cycles + [linalg.vec_scale(field.scalar(Fraction(-3, 7)), v)
+                     for v in cycles[::3]]
+
+
+def test_role_matches_scalar_loop_on_the_rational_atlas():
+    """role against ref_role on cycles of every class representative of
+    the rational atlas d = 1..4; off-quadric vectors raise."""
+    seen = set()
+    for d in range(1, 5):
+        for cls in enumerate_classes(QQ, d):
+            g = representative_geometry(cls)
+            for c in _rational_cycles(g):
+                got = role(g, c)
+                assert got == ref_role(g, c)
+                seen.add(got)
+            off = linalg.unit_vector(QQ, g.form.dim, 0)
+            if not g.form(off).is_zero():
+                with pytest.raises(NotAHypercycleError):
+                    role(g, off)
+    assert seen == set(Role)
+
+
+def _model_lifts():
+    """Points, cycles and lines lifted into every float model."""
+    E, H, P, M, DS, ADS, LG = (ModelKind.ELLIPTIC, ModelKind.HYPERBOLIC,
+                               ModelKind.PARABOLIC, ModelKind.MINKOWSKI2,
+                               ModelKind.DE_SITTER, ModelKind.ANTI_DE_SITTER,
+                               ModelKind.LAGUERRE_GALILEI)
+    return [
+        lift_point(E, (0.6, 0.8, 0.0)), lift_cycle(E, (0.0, 0.6, 0.8), 0.3),
+        lift_line(E, (0.0, 0.0, 1.0)),
+        lift_line(E, (0.6, 0.0, 0.8), orientation=-1),
+        lift_point(H, (0.75, 0.0, 1.25)), lift_cycle(H, (0.0, 0.0, 1.0), 0.7),
+        lift_line(H, (1.0, 0.0, 0.0)), lift_paracycle((1.0, 0.0, 1.0), 0.7),
+        lift_hypercycle((0.0, 1.0, 0.0), 0.4),
+        lift_point(P, (2.0, 1.0)), lift_cycle(P, (1.0, -1.0), 1.5),
+        lift_line(P, (0.6, 0.8), offset=0.5),
+        lift_point(M, (1.0, 2.0)), lift_cycle(M, (0.5, 0.5), 1.0),
+        lift_line(M, (1.0, 0.0), offset=0.5),
+        lift_point(DS, (1.25, 0.0, 0.75)), lift_cycle(DS, (0.0, 0.0, 1.0), 0.5),
+        lift_line(DS, (0.0, 0.0, 1.0)),
+        lift_point(ADS, (0.0, 1.0, 0.0)), lift_cycle(ADS, (0.0, 0.0, 1.0), 0.5),
+        lift_line(ADS, (0.0, 1.0, 0.0)),
+        lift_point(LG, (2.0, 3.0)), lift_line(LG, slope=2.0, intercept=-1.0),
+        lift_parabola(1.0, 0.0, 0.0),
+    ]
+
+
+def test_role_matches_scalar_loop_on_model_lifts():
+    """role against ref_role on lifts into every float model."""
+    lifts = _model_lifts()
+    assert {obj.kind for obj in lifts} == set(ModelKind)
+    for obj in lifts:
+        g = model_geometry(obj.kind)
+        assert role(g, obj.lift) == ref_role(g, obj.lift), obj
+
+
+ATLAS_SWEEP_CASES = ((PrimeField(5), 4), (PrimeField(7), 3), (CharTwo(4), 3))
+
+
+def _atlas_sweep_geometries():
+    """The class representatives with Q(P) a nonzero square and unit
+    determinant (Arf 0 in characteristic 2): three over F_5 d = 4 and
+    F_7 d = 3, two over F_4 d = 3."""
+    for field, d in ATLAS_SWEEP_CASES:
+        for cls in enumerate_classes(field, d):
+            if cls.qp is SquareClass.UNIT and \
+                    cls.form_invariant in (("det", "UNIT"), ("arf", 0)):
+                yield representative_geometry(cls)
+
+
+# recorded with B evaluated by b_raw against P, L and each cycle
+INCIDENCE_DIGEST = \
+    "40d220f1a0f56e818974fb212f01628dd509832de2a499cbc710c5f116501207"
+
+
+def test_incidence_outputs_are_pinned():
+    """The role of every quadric point, points_of on a spread of cycles
+    and cayley_klein_points of the eight representatives are the ones
+    computed before the pairing kernel."""
+    digest = hashlib.sha256()
+    geoms = list(_atlas_sweep_geometries())
+    assert len(geoms) == 8
+    for k, g in enumerate(geoms):
+        quad = lie_quadric_points(g)
+        digest.update(repr((k, [role(g, pt).name for pt in quad])).encode())
+        for c in quad[::len(quad) // 12]:
+            digest.update(repr((k, _raw(c.coords),
+                                [_raw(pt.coords) for pt in points_of(g, c)]))
+                          .encode())
+        digest.update(repr((k, [[_raw(pt.coords) for pt in cls]
+                                for cls in cayley_klein_points(g)]))
+                      .encode())
+    assert digest.hexdigest() == INCIDENCE_DIGEST
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_normalize_raw_matches_proj_point(data):
+    """normalize_raw is ProjPoint's normalisation on raw values, bit for
+    bit over ApproxReal; the zero vector gives None."""
+    field = data.draw(st.sampled_from(FIELDS))
+    n = data.draw(st.integers(1, 6))
+    v = data.draw(st.tuples(*[elements(field)] * n))
+    got = linalg.normalize_raw(field, _raw(v))
+    if all(c.is_zero() for c in v):
+        assert got is None
+        with pytest.raises(ValueError):
+            ProjPoint(v)
+    else:
+        want = ProjPoint(v).coords
+        assert all(same(Scalar(a, field), b) for a, b in zip(got, want))
+        assert len(got) == len(want)
