@@ -10,6 +10,7 @@ is the vanishing of the (no-1/2) bilinear form.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -141,6 +142,19 @@ class Geometry:
     @cached_property
     def _pair_l(self):
         return self.form.pairing_raw(self._l_raw)
+
+    # x -> the antipodal class of the raw point x in P^perp/L: with L
+    # scaled so that its first nonzero value l_i is 1, x - x_i L is the
+    # one direction of span(x, L) with coordinate i zero; normalised, it
+    # names the class (None when x is [L])
+    @cached_property
+    def _class_key(self):
+        field, normalize = self.field, linalg.normalize_raw
+        sub, mul = field._sub, field._mul
+        l = normalize(field, self._l_raw)
+        i = next(k for k, a in enumerate(l) if not field._is_zero(a))
+        return lambda x: normalize(field, [sub(a, mul(x[i], b))
+                                           for a, b in zip(x, l)])
 
     @property
     def n(self) -> int:
@@ -399,11 +413,17 @@ def _require_point(g: Geometry, p) -> Vector:
     return v
 
 
+def _antipodal_pair(g: Geometry, vecs: Sequence[Vector]) -> bool:
+    """Do two of the points share a class key?  [L] (key None) is
+    antipodal to every point."""
+    keys = [g._class_key([c.value for c in v]) for v in vecs]
+    return any(k1 is None or k2 is None or all(map(g.field._eq, k1, k2))
+               for k1, k2 in itertools.combinations(keys, 2))
+
+
 def antipodal(g: Geometry, p, q) -> bool:
     """Two points collinear with L (they lie on the same hyperplanes)."""
-    vp = _require_point(g, p)
-    vq = _require_point(g, q)
-    return linalg.rank([vp, vq, g.l_rep], g.field) <= 2
+    return _antipodal_pair(g, [_require_point(g, p), _require_point(g, q)])
 
 
 @dataclass(frozen=True)
@@ -478,10 +498,8 @@ def hyperplane_through(g: Geometry, *points) -> Optional[ProjPoint]:
     solutions span more than one unoriented hyperplane.
     """
     vecs = [_require_point(g, p) for p in points]
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if linalg.rank([vecs[i], vecs[j], g.l_rep], g.field) <= 2:
-                raise RoleError("an antipodal pair admits no unique hyperplane")
+    if _antipodal_pair(g, vecs):
+        raise RoleError("an antipodal pair admits no unique hyperplane")
     sol = g.form.perp(vecs + [g.l_rep])
     if not sol:
         return None
@@ -516,16 +534,9 @@ def quasi_ideal(g: Geometry, s: Subcycle) -> bool:
 def cayley_klein_points(g: Geometry):
     """Points grouped into antipodal classes (the projective model
     P^perp/L); classes and members are canonically sorted."""
-    field = g.field
-    sub, mul, is_zero = field._sub, field._mul, field._is_zero
-    l = linalg.normalize_raw(field, g._l_raw)
-    i = next(k for k, a in enumerate(l) if not is_zero(a))  # l_i = 1
-    groups = {}
+    key, groups = g._class_key, {}
     for x, pt in _points_in_p_perp(g):
-        # span(x, L) has one direction with coordinate i zero; normalised
-        # it names the class (None when x is [L])
-        y = [sub(a, mul(x[i], b)) for a, b in zip(x, l)]
-        groups.setdefault(linalg.normalize_raw(field, y), []).append(pt)
+        groups.setdefault(key(x), []).append(pt)
     # the points come in raw order, which is sort_key order (see
     # lie_quadric_points): each class is sorted, and the classes open in
     # the order of their first members

@@ -586,14 +586,15 @@ def _couples_of(q: QuadraticForm, vectors: Sequence[Vector]):
     return couples
 
 
-def _subspace_orthogonal_to(q: QuadraticForm, space: Sequence[Vector],
-                            against: Sequence[Vector]):
-    """Basis of {w in span(space) : B(w, a) = 0 for all a in against}."""
+def _subspace_orthogonal_to(q: QuadraticForm, space: Sequence[tuple],
+                            against: Sequence[tuple]) -> list:
+    """Basis of {w in span(space) : B(w, a) = 0 for all a in against} on
+    raw tuples, each combination added in ``linalg.combine``'s order."""
     if not against:
-        return tuple(space)
-    rows = tuple(tuple(q.b_full(a, w) for w in space) for a in against)
-    kern = linalg.kernel_basis(rows, q.field, len(space))
-    return tuple(linalg.combine(combo, space) for combo in kern)
+        return list(space)
+    rows = [[q.b_raw(a, w) for w in space] for a in against]
+    return [tuple([linalg._dot(q.field, combo, col) for col in zip(*space)])
+            for combo in linalg.kernel_raw(rows, q.field, len(space))]
 
 
 def generalized_orthogonal_basis(q: QuadraticForm,
@@ -602,15 +603,14 @@ def generalized_orthogonal_basis(q: QuadraticForm,
 
     Follows the inductive construction: strip a non-symplectic vector,
     strip a symplectic couple, or complete a lone symplectic vector v by
-    some u orthogonal to the rest with B(u,v) = 1.
+    some u orthogonal to the rest with B(u,v) = 1, on raw tuples.
     """
     if bilinear_radical(q):
         raise DegenerateFormError(
             "generalized orthogonal bases need a form without degenerate vectors")
-    s = [tuple(q.field.scalar(x) for x in v) for v in s]
-    start_couples = _couples_of(q, s)
+    s = _vectors_of(q, s)
     field = q.field
-    one = field.one()
+    b, is_zero, mul, sub = q.b_raw, field._is_zero, field._mul, field._sub
 
     out_vectors = []
     out_couples = set()
@@ -627,7 +627,7 @@ def generalized_orthogonal_basis(q: QuadraticForm,
         if not todo:
             todo = [space[0]]
         nonsymp = next((k for k, v in enumerate(todo)
-                        if not q.b_full(v, v).is_zero()), None)
+                        if not is_zero(b(v, v))), None)
         if nonsymp is not None:
             v = todo[nonsymp]
             emit(v)
@@ -648,20 +648,24 @@ def generalized_orthogonal_basis(q: QuadraticForm,
         # Only pairwise-orthogonal lone symplectic vectors remain.
         v = todo[0]
         rest = todo[1:]
-        candidates = _subspace_orthogonal_to(q, space, rest) if rest else space
-        w = next((c for c in candidates if not q.b_full(v, c).is_zero()), None)
+        w = next((c for c in _subspace_orthogonal_to(q, space, rest)
+                  if not is_zero(b(v, c))), None)
         if w is None:
             raise InvalidInputError(
                 "no pairing partner found; not a generalized orthogonal set "
                 "of this form")
-        u = vec_scale(one / q.b_full(v, w), w)
-        u = vec_sub(u, vec_scale(q(u), v))  # Q(u - Q(u)v) = 0, pairing kept
+        inv = mul(field.raw_one, field._inv(b(v, w)))
+        u = [mul(inv, a) for a in w]
+        qu = q.eval_raw(u)  # Q(u - Q(u)v) = 0, pairing kept
+        u = tuple([sub(a, mul(qu, c)) for a, c in zip(u, v)])
         out_couples.add((emit(v), emit(u)))
         extend(_subspace_orthogonal_to(q, space, [v, u]), rest, set())
 
-    space = [linalg.unit_vector(field, q.dim, i) for i in range(q.dim)]
-    extend(space, list(s), start_couples)
-    basis = GenOrthoBasis(tuple(out_vectors), frozenset(out_couples))
+    n, zero, one = q.dim, field.raw_zero, field.raw_one
+    extend([(zero,) * i + (one,) + (zero,) * (n - 1 - i) for i in range(n)],
+           [tuple(x.value for x in v) for v in s], _couples_of(q, s))
+    basis = GenOrthoBasis(tuple(tuple(Scalar(x, field) for x in v)
+                                for v in out_vectors), frozenset(out_couples))
     assert len(basis.vectors) == q.dim
     return basis
 
@@ -792,9 +796,9 @@ def char2_arf_rep(field: CharTwo) -> Scalar:
 def arf_invariant(q: QuadraticForm) -> Scalar:
     """The Arf class, canonically 0 or the fixed representative e.
 
-    Splits the space into symplectic couples (u_i, v_i) and reduces
-    sum Q(u_i)Q(v_i) modulo the additive image of t^2 + t: {0} for F_2,
-    {0, 1} for F_4.
+    Sums Q(u_i)Q(v_i) over the couples of ``generalized_orthogonal_basis``
+    (any symplectic basis gives one class: Arf's theorem), modulo the
+    additive image of t^2 + t: {0} for F_2, {0, 1} for F_4.
     """
     field = q.field
     if field.char != 2:
@@ -804,14 +808,9 @@ def arf_invariant(q: QuadraticForm) -> Scalar:
     if bilinear_radical(q):
         raise DegenerateFormError(
             "the Arf invariant needs a non-degenerate bilinear form")
-    space = [linalg.unit_vector(field, q.dim, i) for i in range(q.dim)]
-    total = field.zero()
-    while space:
-        u = space[0]
-        w = next(c for c in space if not q.b_full(u, c).is_zero())
-        v = vec_scale(q.b_full(u, w).inverse(), w)
-        total = total + q(u) * q(v)
-        space = list(_subspace_orthogonal_to(q, space, [u, v]))
+    gob = generalized_orthogonal_basis(q)  # all symplectic: couples only
+    total = sum((q(gob.vectors[i]) * q(gob.vectors[j])
+                 for i, j in gob.couples), field.zero())
     image = {(t * t + t).value for t in field.elements()}
     return field.zero() if total.value in image else char2_arf_rep(field)
 
@@ -949,6 +948,7 @@ def is_isometry(q: QuadraticForm, m) -> bool:
 
 def _vectors_of(q: QuadraticForm, vecs):
     """The vectors as tuples of scalars; each must have length q.dim."""
+    vecs = list(vecs)
     if any(len(v) != q.dim for v in vecs):
         raise InvalidInputError(f"vectors must have length {q.dim}")
     return [tuple(q.field.scalar(x) for x in v) for v in vecs]

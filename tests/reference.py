@@ -1,0 +1,544 @@
+"""Reference oracles: the plain ``Scalar`` paths the library replaced.
+
+Each ``ref_*`` function is a loop or search as the library ran it
+before a kernel on raw values took its place; the differential tests
+check the library against them, bit for bit over ApproxReal.  Q and B
+are summed term by term from the coefficient table (``ref_q``,
+``ref_b``), elimination is Gauss-Jordan on Scalars (``ref_rref``), and
+the couple walk of ``generalized_orthogonal_basis``, the Arf
+invariant's own couple loop and the rank test of antipodal points are
+kept as they were.  This is a helper module, not a test module.
+"""
+
+import itertools
+
+from conformal import linalg
+from conformal.classify import canonical_form, classify
+from conformal.fields import Rational, square_class
+from conformal.geometry import (EnumerationUnsupportedError, Geometry,
+                                ProjPoint, Role, RoleError,
+                                _isotropic_in_span, _require_point,
+                                lie_quadric_points, pointspace)
+from conformal.metric import (IdealPointError, LineGroupClass,
+                              NotOnLineError, build_chart, line_space)
+from conformal.quadform import (DegenerateFormError, InvalidInputError,
+                                QuadraticForm, _couples_of,
+                                bilinear_radical, char2_arf_rep, det_class,
+                                signature)
+
+
+# -- Q and B ---------------------------------------------------------------
+
+def ref_q(q, v):
+    total = q.field.zero()
+    for (i, j), c in q.coeff_items():
+        total = total + c * v[i] * v[j]
+    return total
+
+
+def ref_b(q, u, v):
+    total = q.field.zero()
+    for (i, j), c in q.coeff_items():
+        if i == j:
+            total = total + (c + c) * u[i] * v[i]
+        else:
+            total = total + c * (u[i] * v[j] + u[j] * v[i])
+    return total
+
+
+def ref_gram(q):
+    """The Gram matrix of b_full built with Scalar arithmetic."""
+    n = q.dim
+    zero = q.field.zero()
+    rows = [[zero] * n for _ in range(n)]
+    for (i, j), c in q.coeff_items():
+        if i == j:
+            rows[i][i] = rows[i][i] + c + c
+        else:
+            rows[i][j] = rows[i][j] + c
+            rows[j][i] = rows[j][i] + c
+    return tuple(tuple(r) for r in rows)
+
+
+# -- row reduction, rank, kernel and restrict ------------------------------
+
+def ref_rref(rows, field):
+    """Gauss-Jordan elimination on Scalars (the reference for the raw
+    ``linalg.rref``)."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, nrows):
+            if not m[i][c].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [inv * x for x in m[r]]
+        for i in range(nrows):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in m), pivots
+
+
+def ref_rank(rows, field):
+    return len(ref_rref(rows, field)[1]) if rows else 0
+
+
+def ref_kernel(rows, field, ncols):
+    """The kernel basis read off ``ref_rref``: one vector per non-pivot
+    column."""
+    if not rows:
+        return tuple(linalg.unit_vector(field, ncols, i) for i in range(ncols))
+    red, pivots = ref_rref(rows, field)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero()] * ncols
+        v[fc] = field.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def ref_complement_indices(vectors, field, n):
+    """Add e_i, in order, when it is outside the span so far."""
+    span = list(vectors)
+    out = []
+    for i in range(n):
+        e = linalg.unit_vector(field, n, i)
+        if ref_rank(span + [e], field) > ref_rank(span, field):
+            span.append(e)
+            out.append(i)
+    return out
+
+
+def ref_restrict(q, basis):
+    """Q and B of every basis vector and pair, on Scalars."""
+    coeffs = {}
+    for i, bi in enumerate(basis):
+        v = q(bi)
+        if not v.is_zero():
+            coeffs[(i, i)] = v
+        for j in range(i + 1, len(basis)):
+            b = q.b_full(bi, basis[j])
+            if not b.is_zero():
+                coeffs[(i, j)] = b
+    return QuadraticForm(q.field, len(basis), coeffs)
+
+
+# -- the quadric and incidence ---------------------------------------------
+
+def ref_isotropic_points(form):
+    """The scan ``isotropic_points`` replaced: Q on every projective
+    point."""
+    is_zero, q = form.field._is_zero, form.eval_raw
+    for x in linalg.projective_points(form.field, form.dim):
+        if is_zero(q(x)):
+            yield x
+
+
+def ref_points_of(g, c):
+    """The Scalar loop ``points_of`` replaced, with B as ``ref_b``."""
+    return tuple(pt for pt in lie_quadric_points(g)
+                 if ref_b(g.form, g.p_rep, pt.coords).is_zero()
+                 and ref_b(g.form, c, pt.coords).is_zero())
+
+
+def ref_cayley_klein_points(g):
+    groups = {}
+    for pt in lie_quadric_points(g):
+        if not ref_b(g.form, g.p_rep, pt.coords).is_zero():
+            continue
+        key = linalg.span_key((pt.coords, g.l_rep), g.field)
+        groups.setdefault(key, []).append(pt)
+    classes = [tuple(sorted(v, key=ProjPoint.sort_key))
+               for v in groups.values()]
+    classes.sort(key=lambda cls: cls[0].sort_key())
+    return tuple(classes)
+
+
+def ref_has_point_search(g):
+    p_proj = ProjPoint(g.p_rep) if ref_q(g.form, g.p_rep).is_zero() else None
+    for pt in lie_quadric_points(g):
+        if not ref_b(g.form, g.p_rep, pt.coords).is_zero():
+            continue
+        if p_proj is not None and pt == p_proj:
+            continue
+        return True
+    return False
+
+
+def ref_isotropic_in_span(g, basis):
+    combos = linalg.projective_points(g.field, len(basis))
+    return [v for v in (linalg.combine(linalg.vector(g.field, c), basis)
+                        for c in combos)
+            if ref_q(g.form, v).is_zero()]
+
+
+def ref_role(g, c):
+    is_point = ref_b(g.form, g.p_rep, c).is_zero()
+    is_plane = ref_b(g.form, g.l_rep, c).is_zero()
+    if is_point and is_plane:
+        return Role.IDEAL
+    if is_point:
+        return Role.POINT
+    return Role.HYPERPLANE if is_plane else Role.GENERIC_CYCLE
+
+
+# -- the Witt oracle -------------------------------------------------------
+
+def ref_subspaces(field, n, k):
+    elems = list(field.elements())
+    zero, one = field.zero(), field.one()
+    for pivots in itertools.combinations(range(n), k):
+        free_positions = []
+        for r, p in enumerate(pivots):
+            for c in range(p + 1, n):
+                if c not in pivots:
+                    free_positions.append((r, c))
+        for values in itertools.product(elems, repeat=len(free_positions)):
+            rows = [[zero] * n for _ in range(k)]
+            for r, p in enumerate(pivots):
+                rows[r][p] = one
+            for (r, c), v in zip(free_positions, values):
+                rows[r][c] = v
+            yield tuple(tuple(r) for r in rows)
+
+
+def ref_is_hyperbolic_space(q, basis):
+    if not basis:
+        return True
+    if len(basis) % 2 == 1:
+        return False
+    field = q.field
+    one = field.one()
+    span = (linalg.combine(linalg.vector(field, c), basis)
+            for c in linalg.all_vectors(field, len(basis)))
+    vectors = [v for v in span if not linalg.is_zero_vector(v)]
+    for u in vectors:
+        if not ref_q(q, u).is_zero():
+            continue
+        for v in vectors:
+            if ref_b(q, u, v) != one or not ref_q(q, v).is_zero():
+                continue
+            rows = tuple(tuple(ref_b(q, a, w) for w in basis) for a in (u, v))
+            kern = linalg.kernel_basis(rows, field, len(basis))
+            sub = tuple(linalg.combine(c, basis) for c in kern)
+            if len(sub) != len(basis) - 2:
+                continue
+            if ref_is_hyperbolic_space(q, sub):
+                return True
+        return False
+    return False
+
+
+def ref_witt_index_bruteforce(q):
+    for m in range(q.dim // 2, 0, -1):
+        for basis in ref_subspaces(q.field, q.dim, 2 * m):
+            if ref_is_hyperbolic_space(q, basis):
+                return m
+    return 0
+
+
+# -- metric ----------------------------------------------------------------
+
+def ref_chart_matrix(chart, nf):
+    """The line-space matrix of a normal form, on Scalars."""
+    field = chart.space.form.field
+    zero, one = field.zero(), field.one()
+    if chart.kind is LineGroupClass.ADDITIVE:
+        tau = nf[0]
+        qu = chart.space.form(chart.basis[1])
+        m = ((one, tau, -(tau * tau) / (field.scalar(4) * qu)),
+             (zero, one, -tau / (field.scalar(2) * qu)),
+             (zero, zero, one))
+    elif chart.kind is LineGroupClass.SPLIT_TORUS:
+        mu = nf[0]
+        m = ((one, zero, zero),
+             (zero, mu, zero),
+             (zero, zero, mu.inverse()))
+    else:
+        a, b = nf
+        eps = field.scalar(chart.norm_token[1])
+        m = ((one, zero, zero),
+             (zero, a, eps * b),
+             (zero, b, a))
+    return linalg.mat_mul(linalg.mat_mul(chart.to_line, m), chart.from_line)
+
+
+def ref_point_chart_coords(chart, g, p):
+    """Chart coordinates of p through the line space's Scalar solve."""
+    pv = p.coords if isinstance(p, ProjPoint) else \
+        tuple(g.field.scalar(x) for x in p)
+    if not g.form(pv).is_zero():
+        raise NotOnLineError("points of a line lie on the Lie quadric")
+    lc = chart.space.from_ambient(pv)
+    if lc is None:
+        raise NotOnLineError("the point is not on the given line")
+    cc = linalg.mat_vec(chart.from_line, lc)
+    lead = cc[2] if chart.kind is LineGroupClass.ADDITIVE else cc[0]
+    if lead.is_zero():
+        raise IdealPointError("the point is ideal on this line")
+    inv = lead.inverse()
+    return tuple(inv * x for x in cc)
+
+
+def ref_translation(g, l, p1, p2):
+    """(chart, normal form, matrix) of the translation from p1 to p2,
+    with a chart built for the call and every step on Scalars."""
+    chart = build_chart(line_space(g, l))
+    field = chart.space.form.field
+    c1 = ref_point_chart_coords(chart, g, p1)
+    c2 = ref_point_chart_coords(chart, g, p2)
+    if chart.kind is LineGroupClass.ADDITIVE:
+        qu = chart.space.form(chart.basis[1])
+        nf = (field.scalar(2) * qu * (c1[1] - c2[1]),)
+    elif chart.kind is LineGroupClass.SPLIT_TORUS:
+        if c1[1].is_zero() or c2[1].is_zero():
+            raise IdealPointError("split-line point has a vanishing coordinate")
+        nf = (c2[1] / c1[1],)
+    else:
+        eps = field.scalar(chart.norm_token[1])
+        x1, y1 = c1[1], c1[2]
+        x2, y2 = c2[1], c2[2]
+        norm1 = x1 * x1 - eps * y1 * y1
+        if norm1.is_zero():
+            raise IdealPointError("non-split point with vanishing norm")
+        nf = ((x2 * x1 - eps * y2 * y1) / norm1,
+              (y2 * x1 - x2 * y1) / norm1)
+    return chart, nf, ref_chart_matrix(chart, nf)
+
+
+def ref_compose(chart, nf1, nf2):
+    if chart.kind is LineGroupClass.ADDITIVE:
+        return (nf1[0] + nf2[0],)
+    if chart.kind is LineGroupClass.SPLIT_TORUS:
+        return (nf1[0] * nf2[0],)
+    eps = chart.space.form.field.scalar(chart.norm_token[1])
+    (a1, b1), (a2, b2) = nf1, nf2
+    return (a1 * a2 + eps * b1 * b2, a1 * b2 + b1 * a2)
+
+
+def ref_invert(chart, nf):
+    if chart.kind is LineGroupClass.ADDITIVE:
+        return (-nf[0],)
+    if chart.kind is LineGroupClass.SPLIT_TORUS:
+        return (nf[0].inverse(),)
+    return (nf[0], -nf[1])
+
+
+def ref_nonideal_line(g):
+    """find_nonideal_line's scan of the whole quadric: the first point of
+    ``isotropic_points()`` with B(L, x) = 0 and B(P, x) != 0, or None."""
+    b, is_zero = g.form.b_raw, g.field._is_zero
+    for x in g.form.isotropic_points():
+        if is_zero(b(g._l_raw, x)) and not is_zero(b(g._p_raw, x)):
+            return ProjPoint.from_canonical(linalg.vector(g.field, x))
+    return None
+
+
+# -- classify --------------------------------------------------------------
+
+def ref_candidates(field, dim):
+    """The candidate vectors of the Scalar search: the projective points
+    over F_q, the nonzero vectors of {0, 1, -1}^dim over Q."""
+    if field.is_finite:
+        for x in linalg.projective_points(field, dim):
+            yield linalg.vector(field, x)
+        return
+    for coords in itertools.product((0, 1, -1), repeat=dim):
+        if any(coords):
+            yield tuple(field.scalar(c) for c in coords)
+
+
+def ref_representative(cls):
+    """representative_geometry's search on Scalars: wrapped Q,
+    square_class, b_full and an independence test for every candidate,
+    and ``classify`` on each pair that passes them."""
+    field = cls.field
+    form = canonical_form(field, cls.geom_dim, cls.form_invariant)
+    p_rep = next(v for v in ref_candidates(field, form.dim)
+                 if square_class(form(v)) is cls.qp)
+    for v in ref_candidates(field, form.dim):
+        if square_class(form(v)) is not cls.ql:
+            continue
+        if not form.b_full(p_rep, v).is_zero():
+            continue
+        if not linalg.independent([p_rep, v], field):
+            continue
+        got = classify(Geometry(form, p_rep, v))
+        if (got.qp, got.ql) == (cls.qp, cls.ql):
+            return p_rep, v
+    raise InvalidInputError(f"no representative pair for {cls}")
+
+
+def ref_pointspace_token(g, lam):
+    """The token on Scalars: Q restricted to P^perp and scaled, its
+    radical, L's coordinates tested against the radical's span, and the
+    form on the greedy complement of the radical."""
+    field = g.field
+    ps = pointspace(g)
+    form = ps.form.scaled(lam)
+    rad = ref_kernel(ref_gram(form), field, form.dim)
+    l_in_rad = bool(rad) and \
+        ref_rank(list(rad) + [ps.l_coords], field) == ref_rank(rad, field)
+    core = form
+    if rad:
+        core = ref_restrict(form, [
+            linalg.unit_vector(field, form.dim, i)
+            for i in ref_complement_indices(rad, field, form.dim)])
+    if isinstance(field, Rational):
+        inv = ("sig",) + signature(core)
+    else:
+        inv = ("det", core.dim, det_class(core).name)
+    return (len(rad), inv, square_class(form(ps.l_coords)).name, l_in_rad)
+
+
+# -- quadform --------------------------------------------------------------
+
+def ref_represents(q, lam):
+    """The Scalar scan ``represents`` ran over a finite field: the first
+    nonzero vector of K^n, in sorted order, with Q(v) = lam."""
+    field = q.field
+    for v in itertools.product(list(field.elements()), repeat=q.dim):
+        if not linalg.is_zero_vector(v) and q(v) == lam:
+            return v
+    return None
+
+
+# -- the couple walk, the Arf loop and antipodal points -----------------------
+
+def ref_subspace_orthogonal_to(q, space, against):
+    """Basis of {w in span(space) : B(w, a) = 0 for all a in against}."""
+    if not against:
+        return tuple(space)
+    rows = tuple(tuple(q.b_full(a, w) for w in space) for a in against)
+    kern = linalg.kernel_basis(rows, q.field, len(space))
+    return tuple(linalg.combine(combo, space) for combo in kern)
+
+
+def ref_generalized_orthogonal_basis(q, s=()):
+    """The couple walk on Scalar vectors: (vectors, couples)."""
+    if bilinear_radical(q):
+        raise DegenerateFormError(
+            "generalized orthogonal bases need a form without degenerate vectors")
+    s = [tuple(q.field.scalar(x) for x in v) for v in s]
+    start_couples = _couples_of(q, s)
+    field = q.field
+    one = field.one()
+
+    out_vectors = []
+    out_couples = set()
+
+    def emit(v) -> int:
+        out_vectors.append(v)
+        return len(out_vectors) - 1
+
+    def extend(space, todo, todo_couples):
+        if not space:
+            if todo:
+                raise InvalidInputError("set does not fit in the space")
+            return
+        if not todo:
+            todo = [space[0]]
+        nonsymp = next((k for k, v in enumerate(todo)
+                        if not q.b_full(v, v).is_zero()), None)
+        if nonsymp is not None:
+            v = todo[nonsymp]
+            emit(v)
+            rest = [w for k, w in enumerate(todo) if k != nonsymp]
+            rest_couples = {tuple(k - (k > nonsymp) for k in pair)
+                            for pair in todo_couples}
+            extend(ref_subspace_orthogonal_to(q, space, [v]), rest,
+                   rest_couples)
+            return
+        if todo_couples:
+            i, j = min(todo_couples)
+            u, v = todo[i], todo[j]
+            out_couples.add((emit(u), emit(v)))
+            rest = [w for k, w in enumerate(todo) if k not in (i, j)]
+            rest_couples = {tuple(k - (k > i) - (k > j) for k in pair)
+                            for pair in todo_couples - {(i, j)}}
+            extend(ref_subspace_orthogonal_to(q, space, [u, v]), rest,
+                   rest_couples)
+            return
+        v = todo[0]
+        rest = todo[1:]
+        candidates = (ref_subspace_orthogonal_to(q, space, rest) if rest
+                      else space)
+        w = next((c for c in candidates if not q.b_full(v, c).is_zero()),
+                 None)
+        if w is None:
+            raise InvalidInputError(
+                "no pairing partner found; not a generalized orthogonal set "
+                "of this form")
+        u = linalg.vec_scale(one / q.b_full(v, w), w)
+        u = linalg.vec_sub(u, linalg.vec_scale(q(u), v))
+        out_couples.add((emit(v), emit(u)))
+        extend(ref_subspace_orthogonal_to(q, space, [v, u]), rest, set())
+
+    space = [linalg.unit_vector(field, q.dim, i) for i in range(q.dim)]
+    extend(space, list(s), start_couples)
+    return tuple(out_vectors), frozenset(out_couples)
+
+
+def ref_arf_invariant(q):
+    """The Arf invariant's own couple loop: u the first vector left, its
+    mate B(u, w)^-1 w for the first w with B(u, w) != 0."""
+    field = q.field
+    space = [linalg.unit_vector(field, q.dim, i) for i in range(q.dim)]
+    total = field.zero()
+    while space:
+        u = space[0]
+        w = next(c for c in space if not q.b_full(u, c).is_zero())
+        v = linalg.vec_scale(q.b_full(u, w).inverse(), w)
+        total = total + q(u) * q(v)
+        space = list(ref_subspace_orthogonal_to(q, space, [u, v]))
+    image = {(t * t + t).value for t in field.elements()}
+    return field.zero() if total.value in image else char2_arf_rep(field)
+
+
+def ref_antipodal(g, p, q):
+    """Antipodal by rank: p, q and L span at most a plane."""
+    vp = _require_point(g, p)
+    vq = _require_point(g, q)
+    return linalg.rank([vp, vq, g.l_rep], g.field) <= 2
+
+
+def ref_hyperplane_through(g, *points):
+    """``hyperplane_through`` with one rank per pair of points."""
+    vecs = [_require_point(g, p) for p in points]
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            if linalg.rank([vecs[i], vecs[j], g.l_rep], g.field) <= 2:
+                raise RoleError("an antipodal pair admits no unique hyperplane")
+    sol = g.form.perp(vecs + [g.l_rep])
+    if not sol:
+        return None
+    if len(sol) == 1:
+        isotropic = [sol[0]] if g.form(sol[0]).is_zero() else []
+    else:
+        if not g.field.is_finite:
+            raise EnumerationUnsupportedError(
+                "cannot search an isotropic solution over an infinite field")
+        isotropic = _isotropic_in_span(g, sol)
+    keys = [linalg.span_key((v, g.p_rep), g.field) for v in isotropic]
+    isotropic = [v for v, key in zip(isotropic, keys) if len(key) == 2]
+    if not isotropic:
+        return None
+    if len({key for key in keys if len(key) == 2}) > 1:
+        raise RoleError("multiple distinct hyperplanes satisfy the constraints")
+    pts = sorted((ProjPoint(v) for v in isotropic), key=ProjPoint.sort_key)
+    return pts[0]

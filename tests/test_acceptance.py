@@ -18,14 +18,36 @@ them); tolerances are pinned here and nowhere else:
     explicit pointspace isometries, exact
 10. the quadratic-form property suite (polarization, generalized
     orthogonal bases, Witt oracle, characteristic-2 lemmas), exact
+
+The line and details of every verify report these tests run must equal
+the ones in ``golden/verify_reports.txt``, as ``conformal verify
+--verbose`` prints them.
 """
 
+import pathlib
 import time
 
 from conformal import verify
 from conformal.classify import QUADRATICALLY_CLOSED, ck_table, \
     enumerate_classes
 from conformal.fields import CharTwo, PrimeField, Rational
+
+
+def _golden_reports():
+    """The recorded report text by suite name."""
+    text = (pathlib.Path(__file__).parent / "golden" /
+            "verify_reports.txt").read_text()
+    blocks = ["[" + b for b in ("\n" + text).split("\n[")[1:]]
+    return {b.split("\n")[0].split("] ", 1)[1]: b.rstrip("\n")
+            for b in blocks}
+
+
+GOLDEN_REPORTS = _golden_reports()
+
+
+def _same_as_golden(report):
+    text = "\n".join([report.line()] + [f"    {d}" for d in report.details])
+    assert text == GOLDEN_REPORTS[report.suite], report.suite
 
 
 def _report(number, title, passed, extra=""):
@@ -45,6 +67,7 @@ def _suite(number, title, name, budget=None, **options):
     if budget is not None and elapsed >= budget:
         _report(number, title, False, f"over budget: {extra}")
     _report(number, title, report.passed, extra)
+    _same_as_golden(report)
 
 
 def test_criterion_1_classification_counts():
@@ -136,6 +159,8 @@ def test_criterion_10_quadform_property_suite():
         report = verify.run_suite(name, seed=20260810)
         if not report.passed:
             failures.append(f"{name}: {report.counterexample}")
+        else:
+            _same_as_golden(report)
     elapsed = time.time() - t0
     _report(10, "quadratic-form property suite (zero failures)",
             not failures, "; ".join(failures) or f"{elapsed:.1f}s")

@@ -18,6 +18,7 @@ from conformal.classify import (QUADRATICALLY_CLOSED, GeometryClass,
 from conformal.geometry import Geometry, pointspace
 from conformal.quadform import (InvalidInputError, IsometrySampler,
                                 QuadraticForm, is_isometry)
+from reference import ref_representative
 
 QQ = Rational()
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
@@ -103,39 +104,6 @@ def test_representatives_classify_back():
             for cls in enumerate_classes(field, d):
                 g = representative_geometry(cls)
                 assert classify(g) == cls, cls.label()
-
-
-def ref_candidates(field, dim):
-    """The candidate vectors of the Scalar search: the projective points
-    over F_q, the nonzero vectors of {0, 1, -1}^dim over Q."""
-    if field.is_finite:
-        for x in linalg.projective_points(field, dim):
-            yield linalg.vector(field, x)
-        return
-    for coords in itertools.product((0, 1, -1), repeat=dim):
-        if any(coords):
-            yield tuple(field.scalar(c) for c in coords)
-
-
-def ref_representative(cls):
-    """representative_geometry's search on Scalars: wrapped Q,
-    square_class, b_full and an independence test for every candidate,
-    and ``classify`` on each pair that passes them."""
-    field = cls.field
-    form = canonical_form(field, cls.geom_dim, cls.form_invariant)
-    p_rep = next(v for v in ref_candidates(field, form.dim)
-                 if square_class(form(v)) is cls.qp)
-    for v in ref_candidates(field, form.dim):
-        if square_class(form(v)) is not cls.ql:
-            continue
-        if not form.b_full(p_rep, v).is_zero():
-            continue
-        if not linalg.independent([p_rep, v], field):
-            continue
-        got = classify(Geometry(form, p_rep, v))
-        if (got.qp, got.ql) == (cls.qp, cls.ql):
-            return p_rep, v
-    raise InvalidInputError(f"no representative pair for {cls}")
 
 
 @pytest.mark.parametrize("field,dims", [

@@ -32,9 +32,9 @@ checked against the projective-point scan it replaced on arbitrary
 tables, degenerate ones included, over F_3..F_13, F_2 and F_4, its root
 table against brute-force roots, and its point counts against the
 closed form of the quadric.  The references
-below are the plain ``Scalar``-arithmetic loops and matrices those
-functions replaced; every answer must agree with them, bit for bit over
-ApproxReal.
+in ``reference.py`` are the plain ``Scalar``-arithmetic loops and
+matrices those functions replaced; every answer must agree with them,
+bit for bit over ApproxReal.
 """
 
 import hashlib
@@ -49,13 +49,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conformal import linalg
-from conformal.fields import (ApproxReal, CharTwo, FieldMismatchError,
-                              PrimeField, Rational, Scalar, SquareClass,
-                              UnsupportedFieldError, square_class)
-from conformal.geometry import (Geometry, NotAHypercycleError, ProjPoint,
-                                Role, _isotropic_in_span, cayley_klein_points,
-                                has_point_search, lie_quadric_points,
-                                points_of, pointspace, role)
+from conformal.fields import (ApproxReal, CharTwo, ConformalError,
+                              FieldMismatchError, PrimeField, Rational,
+                              Scalar, SquareClass, UnsupportedFieldError)
+from conformal.geometry import (EnumerationUnsupportedError, Geometry,
+                                NotAHypercycleError, ProjPoint, Role,
+                                RoleError, _isotropic_in_span, antipodal,
+                                cayley_klein_points, has_point_search,
+                                hyperplane_through, lie_quadric_points,
+                                points_of, role)
 from conformal.classify import (_pointspace_token, _scaling_options,
                                 enumerate_classes, representative_geometry)
 from conformal.metric import (DegenerateLineError, ExactChartUnavailableError,
@@ -67,31 +69,27 @@ from conformal.metric import (DegenerateLineError, ExactChartUnavailableError,
 from conformal.models import (ModelKind, exact_model_geometry, lift_cycle,
                               lift_hypercycle, lift_line, lift_parabola,
                               lift_paracycle, lift_point, model_geometry)
-from conformal.quadform import (QuadraticForm, _is_hyperbolic_space,
-                                _root_table, bilinear_radical, det_class,
-                                mirrors, reflection_matrix, signature,
-                                subspaces, witt_index_bruteforce)
+from conformal.quadform import (InvalidInputError, QuadraticForm,
+                                _couples_of, _is_hyperbolic_space,
+                                _root_table, arf_invariant, bilinear_radical,
+                                generalized_orthogonal_basis, mirrors,
+                                reflection_matrix, subspaces,
+                                witt_index_bruteforce)
+from reference import (ref_antipodal, ref_arf_invariant, ref_b,
+                       ref_cayley_klein_points, ref_chart_matrix,
+                       ref_complement_indices, ref_compose,
+                       ref_generalized_orthogonal_basis, ref_gram,
+                       ref_has_point_search, ref_hyperplane_through,
+                       ref_invert, ref_is_hyperbolic_space,
+                       ref_isotropic_in_span, ref_isotropic_points,
+                       ref_kernel, ref_points_of, ref_pointspace_token,
+                       ref_q, ref_restrict, ref_role, ref_rref,
+                       ref_subspaces, ref_translation,
+                       ref_witt_index_bruteforce)
 
 FIELDS = [Rational(), PrimeField(3), PrimeField(5), PrimeField(7),
           PrimeField(11), PrimeField(13), CharTwo(2), CharTwo(4),
           ApproxReal()]
-
-
-def ref_q(q, v):
-    total = q.field.zero()
-    for (i, j), c in q.coeff_items():
-        total = total + c * v[i] * v[j]
-    return total
-
-
-def ref_b(q, u, v):
-    total = q.field.zero()
-    for (i, j), c in q.coeff_items():
-        if i == j:
-            total = total + (c + c) * u[i] * v[i]
-        else:
-            total = total + c * (u[i] * v[j] + u[j] * v[i])
-    return total
 
 
 def rationals():
@@ -255,15 +253,6 @@ FINITE = [PrimeField(3), PrimeField(5), PrimeField(7), PrimeField(11),
           PrimeField(13), CharTwo(2), CharTwo(4)]
 
 
-def ref_isotropic_points(form):
-    """The scan ``isotropic_points`` replaced: Q on every projective
-    point."""
-    is_zero, q = form.field._is_zero, form.eval_raw
-    for x in linalg.projective_points(form.field, form.dim):
-        if is_zero(q(x)):
-            yield x
-
-
 @st.composite
 def last_coordinate_forms(draw):
     """Any table over a finite field in dims 1 to 6 (to 5 over F_11 and
@@ -342,44 +331,6 @@ def test_isotropic_count_matches_the_closed_form_f11_dim7():
         closed_form_count(11, 7, 2) == 177_156
 
 
-def ref_points_of(g, c):
-    """The Scalar loop ``points_of`` replaced, with B as ``ref_b``."""
-    return tuple(pt for pt in lie_quadric_points(g)
-                 if ref_b(g.form, g.p_rep, pt.coords).is_zero()
-                 and ref_b(g.form, c, pt.coords).is_zero())
-
-
-def ref_cayley_klein_points(g):
-    groups = {}
-    for pt in lie_quadric_points(g):
-        if not ref_b(g.form, g.p_rep, pt.coords).is_zero():
-            continue
-        key = linalg.span_key((pt.coords, g.l_rep), g.field)
-        groups.setdefault(key, []).append(pt)
-    classes = [tuple(sorted(v, key=ProjPoint.sort_key))
-               for v in groups.values()]
-    classes.sort(key=lambda cls: cls[0].sort_key())
-    return tuple(classes)
-
-
-def ref_has_point_search(g):
-    p_proj = ProjPoint(g.p_rep) if ref_q(g.form, g.p_rep).is_zero() else None
-    for pt in lie_quadric_points(g):
-        if not ref_b(g.form, g.p_rep, pt.coords).is_zero():
-            continue
-        if p_proj is not None and pt == p_proj:
-            continue
-        return True
-    return False
-
-
-def ref_isotropic_in_span(g, basis):
-    combos = linalg.projective_points(g.field, len(basis))
-    return [v for v in (linalg.combine(linalg.vector(g.field, c), basis)
-                        for c in combos)
-            if ref_q(g.form, v).is_zero()]
-
-
 @settings(max_examples=60, deadline=None)
 @given(small_geometries(), st.data())
 def test_point_filters_match_scalar_loops(g, data):
@@ -397,16 +348,6 @@ def test_point_filters_match_scalar_loops(g, data):
     if not ref_q(g.form, off).is_zero():
         with pytest.raises(NotAHypercycleError):
             points_of(g, off)
-
-
-def ref_role(g, c):
-    is_point = ref_b(g.form, g.p_rep, c).is_zero()
-    is_plane = ref_b(g.form, g.l_rep, c).is_zero()
-    if is_point and is_plane:
-        return Role.IDEAL
-    if is_point:
-        return Role.POINT
-    return Role.HYPERPLANE if is_plane else Role.GENERIC_CYCLE
 
 
 @settings(max_examples=40, deadline=None)
@@ -510,50 +451,6 @@ def test_mirrors_send_a_to_b(data):
                       tuple((x - y) % field.p for x, y in zip(r, b))]
     assert len(ws) == (1 if q.b_raw(a, b) else 2)
     assert _apply_mirrors(q, ws, a) == b
-
-
-def ref_gram(q):
-    """The Gram matrix of b_full built with Scalar arithmetic."""
-    n = q.dim
-    zero = q.field.zero()
-    rows = [[zero] * n for _ in range(n)]
-    for (i, j), c in q.coeff_items():
-        if i == j:
-            rows[i][i] = rows[i][i] + c + c
-        else:
-            rows[i][j] = rows[i][j] + c
-            rows[j][i] = rows[j][i] + c
-    return tuple(tuple(r) for r in rows)
-
-
-def ref_rref(rows, field):
-    """Gauss-Jordan elimination on Scalars (the reference for the raw
-    ``linalg.rref``)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if not m[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [inv * x for x in m[r]]
-        for i in range(nrows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in m), pivots
 
 
 RAW_FIELDS = FIELDS[:4] + FIELDS[6:]  # Q, F_3/5/7, F_2, F_4, ApproxReal
@@ -724,59 +621,6 @@ def test_perp_points_is_the_b_raw_filter_in_order(data):
 # ``subspaces``, ``_is_hyperbolic_space`` and ``witt_index_bruteforce`` as
 # they were on Scalars, with Q and B as ``ref_q``/``ref_b``.
 
-def ref_subspaces(field, n, k):
-    elems = list(field.elements())
-    zero, one = field.zero(), field.one()
-    for pivots in itertools.combinations(range(n), k):
-        free_positions = []
-        for r, p in enumerate(pivots):
-            for c in range(p + 1, n):
-                if c not in pivots:
-                    free_positions.append((r, c))
-        for values in itertools.product(elems, repeat=len(free_positions)):
-            rows = [[zero] * n for _ in range(k)]
-            for r, p in enumerate(pivots):
-                rows[r][p] = one
-            for (r, c), v in zip(free_positions, values):
-                rows[r][c] = v
-            yield tuple(tuple(r) for r in rows)
-
-
-def ref_is_hyperbolic_space(q, basis):
-    if not basis:
-        return True
-    if len(basis) % 2 == 1:
-        return False
-    field = q.field
-    one = field.one()
-    span = (linalg.combine(linalg.vector(field, c), basis)
-            for c in linalg.all_vectors(field, len(basis)))
-    vectors = [v for v in span if not linalg.is_zero_vector(v)]
-    for u in vectors:
-        if not ref_q(q, u).is_zero():
-            continue
-        for v in vectors:
-            if ref_b(q, u, v) != one or not ref_q(q, v).is_zero():
-                continue
-            rows = tuple(tuple(ref_b(q, a, w) for w in basis) for a in (u, v))
-            kern = linalg.kernel_basis(rows, field, len(basis))
-            sub = tuple(linalg.combine(c, basis) for c in kern)
-            if len(sub) != len(basis) - 2:
-                continue
-            if ref_is_hyperbolic_space(q, sub):
-                return True
-        return False
-    return False
-
-
-def ref_witt_index_bruteforce(q):
-    for m in range(q.dim // 2, 0, -1):
-        for basis in ref_subspaces(q.field, q.dim, 2 * m):
-            if ref_is_hyperbolic_space(q, basis):
-                return m
-    return 0
-
-
 WITT_FIELDS = [CharTwo(2), PrimeField(3), CharTwo(4), PrimeField(5)]
 
 
@@ -843,91 +687,6 @@ def test_subspaces_are_each_k_space_once(field):
 # ---------------------------------------------------------------------------
 # metric: translation_between, compose and invert on raw values
 # ---------------------------------------------------------------------------
-
-def ref_chart_matrix(chart, nf):
-    """The line-space matrix of a normal form, on Scalars."""
-    field = chart.space.form.field
-    zero, one = field.zero(), field.one()
-    if chart.kind is LineGroupClass.ADDITIVE:
-        tau = nf[0]
-        qu = chart.space.form(chart.basis[1])
-        m = ((one, tau, -(tau * tau) / (field.scalar(4) * qu)),
-             (zero, one, -tau / (field.scalar(2) * qu)),
-             (zero, zero, one))
-    elif chart.kind is LineGroupClass.SPLIT_TORUS:
-        mu = nf[0]
-        m = ((one, zero, zero),
-             (zero, mu, zero),
-             (zero, zero, mu.inverse()))
-    else:
-        a, b = nf
-        eps = field.scalar(chart.norm_token[1])
-        m = ((one, zero, zero),
-             (zero, a, eps * b),
-             (zero, b, a))
-    return linalg.mat_mul(linalg.mat_mul(chart.to_line, m), chart.from_line)
-
-
-def ref_point_chart_coords(chart, g, p):
-    """Chart coordinates of p through the line space's Scalar solve."""
-    pv = p.coords if isinstance(p, ProjPoint) else \
-        tuple(g.field.scalar(x) for x in p)
-    if not g.form(pv).is_zero():
-        raise NotOnLineError("points of a line lie on the Lie quadric")
-    lc = chart.space.from_ambient(pv)
-    if lc is None:
-        raise NotOnLineError("the point is not on the given line")
-    cc = linalg.mat_vec(chart.from_line, lc)
-    lead = cc[2] if chart.kind is LineGroupClass.ADDITIVE else cc[0]
-    if lead.is_zero():
-        raise IdealPointError("the point is ideal on this line")
-    inv = lead.inverse()
-    return tuple(inv * x for x in cc)
-
-
-def ref_translation(g, l, p1, p2):
-    """(chart, normal form, matrix) of the translation from p1 to p2,
-    with a chart built for the call and every step on Scalars."""
-    chart = build_chart(line_space(g, l))
-    field = chart.space.form.field
-    c1 = ref_point_chart_coords(chart, g, p1)
-    c2 = ref_point_chart_coords(chart, g, p2)
-    if chart.kind is LineGroupClass.ADDITIVE:
-        qu = chart.space.form(chart.basis[1])
-        nf = (field.scalar(2) * qu * (c1[1] - c2[1]),)
-    elif chart.kind is LineGroupClass.SPLIT_TORUS:
-        if c1[1].is_zero() or c2[1].is_zero():
-            raise IdealPointError("split-line point has a vanishing coordinate")
-        nf = (c2[1] / c1[1],)
-    else:
-        eps = field.scalar(chart.norm_token[1])
-        x1, y1 = c1[1], c1[2]
-        x2, y2 = c2[1], c2[2]
-        norm1 = x1 * x1 - eps * y1 * y1
-        if norm1.is_zero():
-            raise IdealPointError("non-split point with vanishing norm")
-        nf = ((x2 * x1 - eps * y2 * y1) / norm1,
-              (y2 * x1 - x2 * y1) / norm1)
-    return chart, nf, ref_chart_matrix(chart, nf)
-
-
-def ref_compose(chart, nf1, nf2):
-    if chart.kind is LineGroupClass.ADDITIVE:
-        return (nf1[0] + nf2[0],)
-    if chart.kind is LineGroupClass.SPLIT_TORUS:
-        return (nf1[0] * nf2[0],)
-    eps = chart.space.form.field.scalar(chart.norm_token[1])
-    (a1, b1), (a2, b2) = nf1, nf2
-    return (a1 * a2 + eps * b1 * b2, a1 * b2 + b1 * a2)
-
-
-def ref_invert(chart, nf):
-    if chart.kind is LineGroupClass.ADDITIVE:
-        return (-nf[0],)
-    if chart.kind is LineGroupClass.SPLIT_TORUS:
-        return (nf[0].inverse(),)
-    return (nf[0], -nf[1])
-
 
 def same_motion(got, nf, matrix) -> bool:
     return (len(got.normal_form) == len(nf)
@@ -1117,52 +876,6 @@ def test_translation_errors_on_raw_values(ql):
 # replaced: Gauss-Jordan on Scalars (``ref_rref``), the greedy complement
 # and the per-pair restrict.
 
-def ref_rank(rows, field):
-    return len(ref_rref(rows, field)[1]) if rows else 0
-
-
-def ref_kernel(rows, field, ncols):
-    """The kernel basis read off ``ref_rref``: one vector per non-pivot
-    column."""
-    if not rows:
-        return tuple(linalg.unit_vector(field, ncols, i) for i in range(ncols))
-    red, pivots = ref_rref(rows, field)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [field.zero()] * ncols
-        v[fc] = field.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
-def ref_complement_indices(vectors, field, n):
-    """Add e_i, in order, when it is outside the span so far."""
-    span = list(vectors)
-    out = []
-    for i in range(n):
-        e = linalg.unit_vector(field, n, i)
-        if ref_rank(span + [e], field) > ref_rank(span, field):
-            span.append(e)
-            out.append(i)
-    return out
-
-
-def ref_restrict(q, basis):
-    """Q and B of every basis vector and pair, on Scalars."""
-    coeffs = {}
-    for i, bi in enumerate(basis):
-        v = q(bi)
-        if not v.is_zero():
-            coeffs[(i, i)] = v
-        for j in range(i + 1, len(basis)):
-            b = q.b_full(bi, basis[j])
-            if not b.is_zero():
-                coeffs[(i, j)] = b
-    return QuadraticForm(q.field, len(basis), coeffs)
-
-
 def big_rationals():
     """Numerators up to 10^30 over denominators up to 10^12."""
     return st.builds(Fraction, st.integers(-10**30, 10**30),
@@ -1299,28 +1012,6 @@ def test_restrict_matches_pair_loop(data):
         [ij for ij, _ in want.coeff_items()]
     assert all(same(a, b) for (_, a), (_, b)
                in zip(got.coeff_items(), want.coeff_items()))
-
-
-def ref_pointspace_token(g, lam):
-    """The token on Scalars: Q restricted to P^perp and scaled, its
-    radical, L's coordinates tested against the radical's span, and the
-    form on the greedy complement of the radical."""
-    field = g.field
-    ps = pointspace(g)
-    form = ps.form.scaled(lam)
-    rad = ref_kernel(ref_gram(form), field, form.dim)
-    l_in_rad = bool(rad) and \
-        ref_rank(list(rad) + [ps.l_coords], field) == ref_rank(rad, field)
-    core = form
-    if rad:
-        core = ref_restrict(form, [
-            linalg.unit_vector(field, form.dim, i)
-            for i in ref_complement_indices(rad, field, form.dim)])
-    if isinstance(field, Rational):
-        inv = ("sig",) + signature(core)
-    else:
-        inv = ("det", core.dim, det_class(core).name)
-    return (len(rad), inv, square_class(form(ps.l_coords)).name, l_in_rad)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1558,3 +1249,240 @@ def test_normalize_raw_matches_proj_point(data):
         want = ProjPoint(v).coords
         assert all(same(Scalar(a, field), b) for a, b in zip(got, want))
         assert len(got) == len(want)
+
+
+# -- the couple walk on raw values, Arf from its couples, antipodal keys -----
+# ``generalized_orthogonal_basis`` splits its couples on raw tuples and
+# ``arf_invariant`` sums Q(u)Q(v) over the couples of that basis;
+# ``antipodal`` and ``hyperplane_through`` compare the class keys of
+# ``cayley_klein_points``.  The references are the couple walk on Scalar
+# vectors, the Arf invariant's own couple loop and one rank per pair.
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the ConformalError it raises."""
+    try:
+        return f(*args)
+    except ConformalError as exc:
+        return type(exc), str(exc)
+
+
+def _gob_cases():
+    """(form, set): every set the gen-ortho-basis suite extends (its forms
+    over F_3, F_2 and F_4), four forms over Q, one over F_5, and 400
+    seeded random tables over ApproxReal (about a third degenerate), half
+    of them with one random vector."""
+    f3 = PrimeField(3)
+    forms = [QuadraticForm.diagonal(f3, e)
+             for e in ([1, 1], [1, -1], [1, 2], [1, 1, 1], [1, 1, -1],
+                       [1, 2, -1], [1, 1, 1, -1], [1, 1, -1, -1],
+                       [1, 2, 1, 2])]
+    forms.append(QuadraticForm.symplectic(f3, 2))
+    for field in (CharTwo(2), CharTwo(4)):
+        plane = QuadraticForm(field, 2, {(0, 0): 1, (0, 1): 1, (1, 1): 1})
+        forms += [plane, QuadraticForm.symplectic(field, 1),
+                  QuadraticForm.symplectic(field, 2)]
+        coeffs = dict(QuadraticForm.symplectic(field, 1).coeff_items())
+        coeffs.update({(2, 2): field.one(), (2, 3): field.one(),
+                       (3, 3): field.one()})
+        forms.append(QuadraticForm(field, 4, coeffs))
+    for form in forms:
+        if bilinear_radical(form):
+            continue
+        field = form.field
+        vectors = [linalg.vector(field, x)
+                   for x in linalg.all_vectors(field, form.dim) if any(x)]
+        candidates = [()] + [(v,) for v in vectors]
+        if len(vectors) <= 90:
+            candidates += list(itertools.combinations(vectors, 2))
+        for s in candidates:
+            try:
+                _couples_of(form, list(s))
+            except InvalidInputError:
+                continue
+            yield form, s
+    yield QuadraticForm.diagonal(QQ, [1, 1, -1]), [(1, 0, 1)]
+    yield QuadraticForm.diagonal(QQ, [2, -3, 5, 7]), [(1, 1, 0, 0)]
+    yield QuadraticForm.symplectic(QQ, 2), [(1, 0, 1, 0), (0, 1, 0, 0)]
+    yield QuadraticForm(QQ, 3, {(0, 0): Fraction(1, 2), (0, 1): 3,
+                                (1, 2): Fraction(-1, 3), (2, 2): 5}), []
+    yield QuadraticForm.diagonal(PrimeField(5), [1, 1, 1, -1, -1, 2, 3]), []
+    rng = random.Random(20261019)
+    approx = ApproxReal()
+    for _ in range(400):
+        dim = rng.randint(2, 5)
+        pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+        chosen = rng.sample(pairs, rng.randint(1, len(pairs)))
+        q = QuadraticForm(approx, dim, {ij: rng.uniform(-3, 3)
+                                        for ij in chosen})
+        s = [] if rng.random() < 0.5 else \
+            [tuple(rng.uniform(-2, 2) for _ in range(dim))]
+        yield q, s
+
+
+# recorded with the couple walk on Scalar vectors (floats by repr, which
+# round-trips every bit)
+GOB_DIGEST = \
+    "2b3f1265b057ff1bd893985bb8d85c6b0e1583f9fcbf023cc76b026af88fa9f0"
+
+
+def test_generalized_orthogonal_basis_outputs_are_pinned():
+    """Every basis (raw values and couples) or error of the cases is the
+    one the couple walk on Scalar vectors built."""
+    digest = hashlib.sha256()
+    count = 0
+    for form, s in _gob_cases():
+        gob = _outcome(generalized_orthogonal_basis, form, s)
+        if isinstance(gob, tuple):
+            out = gob[0].__name__
+        else:
+            out = (tuple(_raw(v) for v in gob.vectors), sorted(gob.couples))
+        digest.update(repr(out).encode())
+        count += 1
+    assert count == 6607
+    assert digest.hexdigest() == GOB_DIGEST
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_generalized_orthogonal_basis_matches_the_scalar_walk(data):
+    """Arbitrary tables over Q, F_3/5/7, F_2, F_4 and ApproxReal, or
+    non-degenerate ones over the finite fields, with zero to two random
+    vectors: the same basis as the Scalar walk, bit for bit over
+    ApproxReal, or the same error."""
+    field = data.draw(st.sampled_from(RAW_FIELDS))
+    if field.is_finite and field.order < 7 and data.draw(st.booleans()):
+        q = data.draw(nondegenerate_forms(field))
+    else:
+        q = data.draw(forms(field, dims=st.integers(1, 5)))
+    s = data.draw(st.lists(st.tuples(*[elements(field)] * q.dim),
+                           max_size=2))
+    got = _outcome(generalized_orthogonal_basis, q, s)
+    want = _outcome(ref_generalized_orthogonal_basis, q, s)
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+        return
+    vectors, couples = want
+    assert got.couples == couples
+    assert len(got.vectors) == len(vectors)
+    for v, w in zip(got.vectors, vectors):
+        assert len(v) == len(w) and all(map(same, v, w))
+
+
+def _tables(field, dim, sample=None):
+    """The non-degenerate forms among every table of the dimension, or
+    among ``sample`` seeded random tables."""
+    elems = list(field.elements())
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    if sample is None:
+        values = itertools.product(elems, repeat=len(pairs))
+    else:
+        rng = random.Random(f"arf {field.token()} {dim}")
+        values = ([rng.choice(elems) for _ in pairs] for _ in range(sample))
+    for vals in values:
+        q = QuadraticForm(field, dim, dict(zip(pairs, vals)))
+        if not bilinear_radical(q):
+            yield q
+
+
+@pytest.mark.parametrize("field,dim,sample", [
+    (CharTwo(2), 2, None), (CharTwo(2), 4, None), (CharTwo(4), 2, None),
+    (CharTwo(2), 6, 400), (CharTwo(4), 4, 400)],
+    ids=["f2-d2", "f2-d4", "f4-d2", "f2-d6-sample", "f4-d4-sample"])
+def test_arf_invariant_matches_its_own_couple_loop(field, dim, sample):
+    """Arf from the couples of the basis equals the class of the loop it
+    replaced (whose mates differ by -Q(v)u), on every non-degenerate
+    table of F_2 dims 2 and 4 and F_4 dim 2 and on seeded samples of F_2
+    dim 6 and F_4 dim 4; both classes come up."""
+    classes = set()
+    for q in _tables(field, dim, sample):
+        got = arf_invariant(q)
+        assert same(got, ref_arf_invariant(q)), q
+        classes.add(got.value)
+    assert len(classes) == 2
+
+
+def _antipodal_cases(g, pts, rng):
+    """Pairs of points: each point with a random point, with a random
+    member of its antipodal class (``ref_cayley_klein_points``) and with
+    [L] when [L] is a point; the second point is sometimes scaled."""
+    classes = {pt: cls for cls in ref_cayley_klein_points(g) for pt in cls}
+    l_pt = ProjPoint(g.l_rep)
+    nonzero = list(g.field.elements())[1:]
+    for p in pts:
+        for q in (rng.choice(pts), rng.choice(classes[p]),
+                  l_pt if l_pt in classes else None):
+            if q is not None:
+                yield p, (linalg.vec_scale(rng.choice(nonzero), q.coords)
+                          if rng.random() < 0.5 else q)
+
+
+@pytest.mark.parametrize("field,d", [(PrimeField(3), 2), (PrimeField(3), 3),
+                                     (PrimeField(5), 2), (CharTwo(4), 3)],
+                         ids=["fp:3-d2", "fp:3-d3", "fp:5-d2", "f4-d3"])
+def test_antipodal_matches_the_rank_test(field, d):
+    """On every class representative, ``antipodal`` on the pairs of
+    ``_antipodal_cases`` and ``hyperplane_through`` on them and on
+    seeded triples agree with one rank per pair.  A Q(L) = 0 class,
+    where [L] is a point antipodal to every point, comes up."""
+    rng = random.Random(f"antipodal {field.token()} {d}")
+    seen, saw_l = set(), False
+    for cls in enumerate_classes(field, d):
+        g = representative_geometry(cls)
+        pts = [pt for pt in lie_quadric_points(g)
+               if ref_role(g, pt.coords) in (Role.POINT, Role.IDEAL)]
+        saw_l |= ProjPoint(g.l_rep) in pts
+        for p, q in _antipodal_cases(g, pts, rng):
+            want = ref_antipodal(g, p, q)
+            assert antipodal(g, p, q) == want, (cls, p, q)
+            seen.add(want)
+            assert _outcome(hyperplane_through, g, p, q) == \
+                _outcome(ref_hyperplane_through, g, p, q)
+        for _ in range(20):
+            three = rng.sample(pts, 3)
+            assert _outcome(hyperplane_through, g, *three) == \
+                _outcome(ref_hyperplane_through, g, *three)
+    assert saw_l and seen == {True, False}
+
+
+def _model_points(kind):
+    """Base coordinates of four points on one hyperplane of the elliptic
+    or hyperbolic model (a great circle, a geodesic), two seeded random
+    points, and the antipode -x of each."""
+    rng = random.Random(kind.value)
+    if kind is ModelKind.ELLIPTIC:
+        pts = [(math.cos(t), 0.6 * math.sin(t), 0.8 * math.sin(t))
+               for t in (0.3, 1.1, 2.0, 4.0)]
+    else:
+        pts = [(0.6 * math.sinh(t), 0.8 * math.sinh(t), math.cosh(t))
+               for t in (-1.0, 0.2, 0.7, 1.5)]
+    for _ in range(2):
+        a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
+        if kind is ModelKind.ELLIPTIC:
+            norm = math.sqrt(a * a + b * b + 1)
+            pts.append((a / norm, b / norm, 1 / norm))
+        else:
+            pts.append((a, b, math.sqrt(1 + a * a + b * b)))
+    return pts + [tuple(-c for c in x) for x in pts]
+
+
+@pytest.mark.parametrize("kind", [ModelKind.ELLIPTIC, ModelKind.HYPERBOLIC],
+                         ids=lambda k: k.value)
+def test_antipodal_matches_the_rank_test_on_a_float_model(kind):
+    """The float model: ``antipodal`` on every pair of ``_model_points``
+    and ``hyperplane_through`` on every triple agree with the rank test.
+    (Over an infinite field the hyperplane through points is never
+    searched, so the triples give None or an error.)"""
+    g = model_geometry(kind)
+    pts = [lift_point(kind, x).lift for x in _model_points(kind)]
+    seen = set()
+    for p, q in itertools.combinations(pts, 2):
+        want = ref_antipodal(g, p, q)
+        assert antipodal(g, p, q) == want
+        seen.add(want)
+    assert seen == {True, False}
+    outcomes = set()
+    for three in itertools.combinations(pts, 3):
+        want = _outcome(ref_hyperplane_through, g, *three)
+        assert _outcome(hyperplane_through, g, *three) == want
+        outcomes.add(want if want is None else want[0])
+    assert outcomes == {None, RoleError, EnumerationUnsupportedError}

@@ -19,6 +19,7 @@ from conformal.metric import (DegenerateLineError, IdealPointError,
                               line_points, line_space, same_distance,
                               stabilizer_group, stabilizer_matrices,
                               translation_between)
+from reference import ref_nonideal_line
 
 QQ = Rational()
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
@@ -158,16 +159,6 @@ def test_free_transitivity_all_classes():
                 for el in group}
             assert len(images) == order  # trivial stabilizers
             assert lifted == {p.sort_key() for p in pts}  # transitive
-
-
-def ref_nonideal_line(g):
-    """find_nonideal_line's scan of the whole quadric: the first point of
-    ``isotropic_points()`` with B(L, x) = 0 and B(P, x) != 0, or None."""
-    b, is_zero = g.form.b_raw, g.field._is_zero
-    for x in g.form.isotropic_points():
-        if is_zero(b(g._l_raw, x)) and not is_zero(b(g._p_raw, x)):
-            return ProjPoint.from_canonical(linalg.vector(g.field, x))
-    return None
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])

@@ -19,6 +19,7 @@ from conformal.quadform import (DegenerateFormError, InvalidInputError,
                                 is_nondegenerate_form, isometric,
                                 reflection_matrix, represents, signature,
                                 witt_index, witt_index_bruteforce)
+from reference import ref_represents
 
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
 QQ = Rational()
@@ -223,6 +224,20 @@ def test_gen_ortho_rejects_degenerate_form():
         generalized_orthogonal_basis(q)
 
 
+def test_gen_ortho_takes_the_set_as_any_iterable():
+    q = QuadraticForm.diagonal(F7, [1, -1, 1])
+    s = [linalg.vector(F7, [1, 1, 0])]
+    assert generalized_orthogonal_basis(q, iter(s)) == \
+        generalized_orthogonal_basis(q, s)
+
+
+@pytest.mark.parametrize("s", [[(1, 0)], [(1, 0, 0, 0)]], ids=["short", "long"])
+def test_gen_ortho_rejects_a_vector_of_the_wrong_length(s):
+    q = QuadraticForm.diagonal(F5, [1, 1, 1])
+    with pytest.raises(InvalidInputError, match="vectors must have length 3"):
+        generalized_orthogonal_basis(q, s)
+
+
 # -- Witt index ----------------------------------------------------------------
 
 def test_witt_examples():
@@ -322,16 +337,6 @@ def test_represents_no_witness():
     q = QuadraticForm.diagonal(F7, [1, -e.value])
     assert represents(q, 0) is None
     assert represents(QuadraticForm.diagonal(QQ, [1]), -1) is None
-
-
-def ref_represents(q, lam):
-    """The Scalar scan ``represents`` ran over a finite field: the first
-    nonzero vector of K^n, in sorted order, with Q(v) = lam."""
-    field = q.field
-    for v in itertools.product(list(field.elements()), repeat=q.dim):
-        if not linalg.is_zero_vector(v) and q(v) == lam:
-            return v
-    return None
 
 
 @pytest.mark.parametrize("field", [F3, F5, F2, F4], ids=lambda f: f.token())
