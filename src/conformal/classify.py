@@ -23,7 +23,7 @@ from .fields import (CharTwo, Field, PrimeField, Rational, Scalar,
 from . import linalg
 from .linalg import vec_scale
 from .quadform import (QuadraticForm, _off_radical, arf_invariant,
-                       bilinear_radical, det_class, diagonalize,
+                       bilinear_radical, char2_arf_rep, det_class, diagonalize,
                        extend_isometry, isometric, signature,
                        InvalidInputError)
 from .geometry import Geometry, pointspace
@@ -229,14 +229,11 @@ def canonical_form(field: Field, geom_dim: int, form_invariant) -> QuadraticForm
         entries.append(field.scalar(-1) if det == "UNIT" else -e)
         return QuadraticForm.diagonal(field, entries)
     if isinstance(field, CharTwo):
-        base = QuadraticForm.symplectic(field, dim // 2)
         if form_invariant[1] == 0:
-            return base
-        coeffs = dict(base.coeff_items())
-        from .quadform import char2_arf_rep
-        coeffs[(dim - 2, dim - 2)] = field.one()
-        coeffs[(dim - 1, dim - 1)] = char2_arf_rep(field)
-        return QuadraticForm(field, dim, coeffs)
+            return QuadraticForm.symplectic(field, dim // 2)
+        plane = QuadraticForm(field, 2, {(0, 0): 1, (0, 1): 1,
+                                         (1, 1): char2_arf_rep(field)})
+        return QuadraticForm.symplectic(field, dim // 2 - 1).direct_sum(plane)
     raise UnsupportedFieldError(f"canonical forms over {field}")
 
 
@@ -380,10 +377,7 @@ def second_model(g: Geometry) -> Geometry:
         raise InvalidInputError("the extension of an isotropic P is unique")
     ps = pointspace(g)
     e = _scaling_options(g.field)[1]
-    coeffs = {(0, 0): e * g.qp()}
-    for (i, j), c in ps.form.coeff_items():
-        coeffs[(i + 1, j + 1)] = c
-    form2 = QuadraticForm(g.field, g.form.dim, coeffs)
+    form2 = QuadraticForm.diagonal(g.field, [e * g.qp()]).direct_sum(ps.form)
     p2 = linalg.unit_vector(g.field, g.form.dim, 0)
     l2 = (g.field.zero(),) + tuple(ps.l_coords)
     return Geometry(form2, p2, l2)

@@ -133,7 +133,7 @@ def line_space(g: Geometry, l) -> Subspace:
 
 def _geometry_key(g: Geometry) -> tuple:
     return (g.field.token(),
-            tuple((ij, c.value) for ij, c in g.form.coeff_items()),
+            g.form._terms,
             tuple(x.value for x in g.p_rep),
             tuple(x.value for x in g.l_rep))
 

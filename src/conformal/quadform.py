@@ -44,28 +44,38 @@ class WitnessSearchError(ConformalError):
 class QuadraticForm:
     """Q(v) = sum_{i<=j} c_ij v_i v_j with an upper-triangular table."""
 
-    __slots__ = ("field", "dim", "_items", "_coeffs", "_gram", "_bil",
-                 "_rad", "_terms", "_p", "_den", "_int_terms")
+    __slots__ = ("field", "dim", "_gram", "_rad", "_terms", "_p", "_den",
+                 "_int_terms")
 
     def __init__(self, field: Field, dim: int, coeffs):
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
+        self._fill(field, dim, ((k, field.scalar(c).value) for k, c in items))
+
+    @classmethod
+    def _of(cls, field: Field, dim: int, pairs) -> "QuadraticForm":
+        """The form of ((i, j), c) pairs with raw values c; wraps nothing."""
+        q = cls.__new__(cls)
+        q._fill(field, dim, pairs)
+        return q
+
+    def _fill(self, field: Field, dim: int, pairs) -> None:
+        """The one table: (i, j, c) sorted by (i, j), zeros dropped."""
         if dim < 1:
             raise InvalidInputError("form dimension must be positive")
         self.field = field
         self.dim = dim
         table = {}
-        for (i, j), value in (coeffs.items() if isinstance(coeffs, dict)
-                              else coeffs):
-            if not 0 <= i <= j < dim:
+        for (i, j), c in pairs:
+            if not (type(i) is type(j) is int and 0 <= i <= j < dim):
                 raise InvalidInputError(f"bad coefficient index ({i},{j})")
-            s = field.scalar(value)
-            if not s.is_zero():
-                table[(i, j)] = s
-        self._items = tuple(sorted(table.items()))
-        self._coeffs = table
+            if (i, j) in table:
+                raise InvalidInputError(
+                    f"repeated coefficient index ({i},{j})")
+            table[i, j] = c
         self._gram = None
-        self._bil = None
         self._rad = None
-        self._terms = tuple((i, j, c.value) for (i, j), c in self._items)
+        self._terms = tuple((i, j, c) for (i, j), c in sorted(table.items())
+                            if not field._is_zero(c))
         self._p = field.p if isinstance(field, PrimeField) else 0
         # over Q the table is _int_terms / _den, on integers
         self._den = 0
@@ -78,21 +88,24 @@ class QuadraticForm:
     @classmethod
     def diagonal(cls, field: Field, entries) -> "QuadraticForm":
         """[a_1, ..., a_n]: the form sum a_i x_i^2."""
-        entries = [field.scalar(e) for e in entries]
-        return cls(field, len(entries),
-                   {(i, i): a for i, a in enumerate(entries)})
+        entries = [field.scalar(e).value for e in entries]
+        return cls._of(field, len(entries),
+                       [((i, i), a) for i, a in enumerate(entries)])
 
     @classmethod
     def symplectic(cls, field: Field, planes: int) -> "QuadraticForm":
         """sum x_{2i} x_{2i+1} on 2*planes coordinates."""
-        return cls(field, 2 * planes,
-                   {(2 * i, 2 * i + 1): field.one() for i in range(planes)})
+        return cls._of(field, 2 * planes,
+                       [((2 * i, 2 * i + 1), field.raw_one)
+                        for i in range(planes)])
 
     def coeff(self, i: int, j: int) -> Scalar:
-        return self._coeffs.get((i, j), self.field.zero())
+        return Scalar(next((c for a, b, c in self._terms if (a, b) == (i, j)),
+                           self.field.raw_zero), self.field)
 
     def coeff_items(self):
-        return self._items
+        field = self.field
+        return tuple(((i, j), Scalar(c, field)) for i, j, c in self._terms)
 
     # -- evaluation -----------------------------------------------------
     # Q and B run on raw field values: the coordinates are unwrapped once
@@ -250,7 +263,7 @@ class QuadraticForm:
         zero = field.raw_zero
         head = [t for t in self._terms if t[1] < last]
         lin = [(i, c) for i, j, c in self._terms if i < j == last]
-        c = self.coeff(last, last).value
+        c = next((k for i, j, k in self._terms if i == j == last), zero)
         roots = _root_table(field, c) if not is_zero(c) else None
         for x in linalg.projective_points(field, last):
             if p:
@@ -334,12 +347,10 @@ class QuadraticForm:
         return self._gram
 
     def bilinear_matrix(self):
-        """Gram matrix of b_full (rows of Scalars, cached)."""
-        if self._bil is None:
-            field = self.field
-            self._bil = tuple(tuple(Scalar(x, field) for x in row)
-                              for row in self._raw_gram())
-        return self._bil
+        """Gram matrix of b_full (rows of Scalars)."""
+        field = self.field
+        return tuple(tuple(Scalar(x, field) for x in row)
+                     for row in self._raw_gram())
 
     def restrict(self, basis: Sequence[Vector]) -> "QuadraticForm":
         """The form in the coordinates of the given (ambient) basis."""
@@ -356,54 +367,49 @@ class QuadraticForm:
             nums = [_numerators(b) for b in basis]
             for i, (xs, li) in enumerate(nums):
                 row = self._int_gram_row(xs)
-                t = sum(map(operator.mul, row, xs))
-                if t:
-                    coeffs[(i, i)] = Fraction(t, 2 * self._den * li * li)
+                coeffs[(i, i)] = Fraction(sum(map(operator.mul, row, xs)),
+                                          2 * self._den * li * li)
                 for j in range(i + 1, k):
                     ys, lj = nums[j]
-                    t = sum(map(operator.mul, row, ys))
-                    if t:
-                        coeffs[(i, j)] = Fraction(t, self._den * li * lj)
-            return QuadraticForm(self.field, k, coeffs)
-        is_zero = self.field._is_zero
+                    coeffs[(i, j)] = Fraction(sum(map(operator.mul, row, ys)),
+                                              self._den * li * lj)
+            return QuadraticForm._of(self.field, k, coeffs.items())
         for i, x in enumerate(basis):
-            q = self.eval_raw(x)
-            if not is_zero(q):
-                coeffs[(i, i)] = q
+            coeffs[(i, i)] = self.eval_raw(x)
             for j in range(i + 1, k):
-                b = self.b_raw(x, basis[j])
-                if not is_zero(b):
-                    coeffs[(i, j)] = b
-        return QuadraticForm(self.field, k, coeffs)
+                coeffs[(i, j)] = self.b_raw(x, basis[j])
+        return QuadraticForm._of(self.field, k, coeffs.items())
 
     def scaled(self, c) -> "QuadraticForm":
-        c = self.field.scalar(c)
-        return QuadraticForm(self.field, self.dim,
-                             {ij: c * v for ij, v in self._items})
+        c, mul = self.field.scalar(c).value, self.field._mul
+        return QuadraticForm._of(self.field, self.dim, [
+            ((i, j), mul(c, v)) for i, j, v in self._terms])
 
     def direct_sum(self, other: "QuadraticForm") -> "QuadraticForm":
         if other.field != self.field:
             raise InvalidInputError("direct sum over mismatched fields")
-        coeffs = dict(self._items)
-        for (i, j), c in other._items:
-            coeffs[(i + self.dim, j + self.dim)] = c
-        return QuadraticForm(self.field, self.dim + other.dim, coeffs)
+        n = self.dim
+        return QuadraticForm._of(
+            self.field, n + other.dim,
+            [((i, j), c) for i, j, c in self._terms]
+            + [((i + n, j + n), c) for i, j, c in other._terms])
 
+    # on Scalars: ApproxReal coefficients compare within tolerance
     def __eq__(self, other):
         return (isinstance(other, QuadraticForm)
                 and self.field == other.field
                 and self.dim == other.dim
-                and self._items == other._items)
+                and self.coeff_items() == other.coeff_items())
 
     def __hash__(self):
-        return hash((self.field.token(), self.dim, self._items))
+        return hash((self.field.token(), self.dim, self.coeff_items()))
 
     def __repr__(self):
-        if all(i == j for (i, j), _ in self._items):
+        if all(i == j for i, j, _ in self._terms):
             diag = [self.coeff(i, i) for i in range(self.dim)]
             return f"[{', '.join(map(repr, diag))}]"
         terms = []
-        for (i, j), c in self._items:
+        for (i, j), c in self.coeff_items():
             mono = f"x{i}^2" if i == j else f"x{i}*x{j}"
             terms.append(f"{c!r}*{mono}")
         return " + ".join(terms) if terms else "0"
@@ -529,7 +535,7 @@ def signature(q: QuadraticForm):
     inertia makes the counts the same for every one)."""
     if not isinstance(q.field, Rational):
         raise UnsupportedFieldError("signatures are a real-field notion")
-    if all(i == j for (i, j), _ in q.coeff_items()):
+    if all(i == j for i, j, _ in q._terms):
         entries = [q.coeff(i, i) for i in range(q.dim)]
     else:
         entries = diagonalize(q).entries
@@ -707,9 +713,9 @@ def _off_radical(q: QuadraticForm, rad) -> QuadraticForm:
     the table of Q on those coordinates."""
     keep = linalg.complement_indices(rad, q.field, q.dim)
     at = {i: k for k, i in enumerate(keep)}
-    return QuadraticForm(q.field, len(keep),
-                         {(at[i], at[j]): c for (i, j), c in q.coeff_items()
-                          if i in at and j in at})
+    return QuadraticForm._of(q.field, len(keep),
+                             [((at[i], at[j]), c) for i, j, c in q._terms
+                              if i in at and j in at])
 
 
 def subspaces(field: Field, n: int, k: int):

@@ -65,8 +65,8 @@ def form_from_json(field: Field, obj) -> QuadraticForm:
                     for t in obj["coeffs"])):
         raise InvalidInputError('a form is [a1, ..., an] or '
                                 '{"dim": n, "coeffs": [[i, j, c], ...]}')
-    coeffs = {(i, j): scalar_from_json(field, v) for i, j, v in obj["coeffs"]}
-    return QuadraticForm(field, obj["dim"], coeffs)
+    return QuadraticForm(field, obj["dim"], [
+        ((i, j), scalar_from_json(field, v)) for i, j, v in obj["coeffs"]])
 
 
 def vector_to_json(v) -> list:

@@ -180,10 +180,7 @@ def _check_gob(form, gob, s):
     return None
 
 
-def suite_gen_ortho_basis(**_) -> Report:
-    """Exhaustive extension checks for all valid sets of size <= 2 in
-    dimension <= 4 over F_3, plus the F_2/F_4 couple cases."""
-    rep = Report("gen-ortho-basis", True)
+def _gen_ortho_forms():
     f3 = PrimeField(3)
     forms = [QuadraticForm.diagonal(f3, e)
              for e in ([1, 1], [1, -1], [1, 2], [1, 1, 1], [1, 1, -1],
@@ -195,12 +192,16 @@ def suite_gen_ortho_basis(**_) -> Report:
         forms.append(plane)
         forms.append(QuadraticForm.symplectic(field, 1))
         forms.append(QuadraticForm.symplectic(field, 2))
-        coeffs = dict(QuadraticForm.symplectic(field, 1).coeff_items())
-        coeffs.update({(2, 2): field.one(), (2, 3): field.one(),
-                       (3, 3): field.one()})
-        forms.append(QuadraticForm(field, 4, coeffs))
+        forms.append(QuadraticForm.symplectic(field, 1).direct_sum(plane))
+    return forms
+
+
+def suite_gen_ortho_basis(**_) -> Report:
+    """Exhaustive extension checks for all valid sets of size <= 2 in
+    dimension <= 4 over F_3, plus the F_2/F_4 couple cases."""
+    rep = Report("gen-ortho-basis", True)
     total = 0
-    for form in forms:
+    for form in _gen_ortho_forms():
         if bilinear_radical(form):
             continue
         field = form.field
@@ -803,7 +804,15 @@ def _random_model_object(kind, rng):
 def _all_forms(field, dim):
     slots = [(i, j) for i in range(dim) for j in range(i, dim)]
     for values in linalg.all_vectors(field, len(slots)):
-        yield QuadraticForm(field, dim, zip(slots, values))
+        yield QuadraticForm._of(field, dim, zip(slots, values))
+
+
+def _sampled_forms(field, dim, count, rng):
+    slots = [(i, j) for i in range(dim) for j in range(i, dim)]
+    elems = field.raw_elements
+    for _ in range(count):
+        yield QuadraticForm._of(field, dim, [
+            (ij, elems[rng.randrange(len(elems))]) for ij in slots])
 
 
 def suite_char2_lemmas(seed: int = 0, **_) -> Report:
@@ -817,14 +826,8 @@ def suite_char2_lemmas(seed: int = 0, **_) -> Report:
                                 (CharTwo(4), range(1, 4), None),
                                 (CharTwo(4), range(4, 6), 800)):
         for dim in dims:
-            forms = _all_forms(field, dim)
-            if sample is not None:
-                slots = [(i, j) for i in range(dim) for j in range(i, dim)]
-                elems = list(field.elements())
-                forms = (QuadraticForm(
-                    field, dim,
-                    {ij: elems[rng.randrange(len(elems))] for ij in slots})
-                    for _ in range(sample))
+            forms = _all_forms(field, dim) if sample is None else \
+                _sampled_forms(field, dim, sample, rng)
             for form in forms:
                 if not is_nondegenerate_form(form):
                     continue

@@ -7,7 +7,9 @@ are summed term by term from the coefficient table (``ref_q``,
 ``ref_b``), elimination is Gauss-Jordan on Scalars (``ref_rref``), and
 the couple walk of ``generalized_orthogonal_basis``, the Arf
 invariant's own couple loop and the rank test of antipodal points are
-kept as they were.  This is a helper module, not a test module.
+kept as they were, as are the Scalar-table builds of ``scaled``,
+``direct_sum`` and ``_off_radical``.  This is a helper module, not a
+test module.
 """
 
 import itertools
@@ -136,6 +138,30 @@ def ref_restrict(q, basis):
             if not b.is_zero():
                 coeffs[(i, j)] = b
     return QuadraticForm(q.field, len(basis), coeffs)
+
+
+def ref_scaled(q, c):
+    """c Q, each coefficient multiplied as a Scalar."""
+    c = q.field.scalar(c)
+    return QuadraticForm(q.field, q.dim,
+                         {ij: c * v for ij, v in q.coeff_items()})
+
+
+def ref_direct_sum(q, other):
+    """The block table of Q + Q' on Scalars."""
+    coeffs = dict(q.coeff_items())
+    for (i, j), c in other.coeff_items():
+        coeffs[(i + q.dim, j + q.dim)] = c
+    return QuadraticForm(q.field, q.dim + other.dim, coeffs)
+
+
+def ref_off_radical(q, rad):
+    """Q's Scalar table on the coordinates that complement the radical."""
+    keep = linalg.complement_indices(rad, q.field, q.dim)
+    at = {i: k for k, i in enumerate(keep)}
+    return QuadraticForm(q.field, len(keep),
+                         {(at[i], at[j]): c for (i, j), c in q.coeff_items()
+                          if i in at and j in at})
 
 
 # -- the quadric and incidence ---------------------------------------------

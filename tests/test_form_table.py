@@ -1,0 +1,225 @@
+"""The coefficient table of ``QuadraticForm``.
+
+A form keeps one table, ``_terms``: raw values, sorted by slot, zeros
+dropped.  ``QuadraticForm(field, dim, coeffs)`` coerces each value once
+and ``QuadraticForm._of`` takes raw values as they are; both end in the
+same index check.  ``coeff``, ``coeff_items``, ``bilinear_matrix`` and
+``repr`` wrap on the way out.  The tests check that the two
+constructors build one form, that the builds on raw values
+(``restrict_raw``, ``scaled``, ``direct_sum``, ``_off_radical`` and the
+char2-lemmas tables) match the Scalar builds in ``reference.py`` and
+make no ``Scalar``, that the forms the classification and the verify
+suites build are the pinned ones, and that the methods the benchmark's
+tracer wraps by name still exist.
+"""
+
+import ast
+import hashlib
+import pathlib
+import random
+import struct
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conformal import verify
+from conformal.classify import (canonical_form, enumerate_classes,
+                                representative_geometry, second_model)
+from conformal.fields import (ApproxReal, CharTwo, PrimeField, Rational,
+                              Scalar, SquareClass)
+from conformal.quadform import (InvalidInputError, QuadraticForm,
+                                _off_radical, bilinear_radical)
+from reference import ref_direct_sum, ref_off_radical, ref_scaled
+
+QQ = Rational()
+F2, F4 = CharTwo(2), CharTwo(4)
+FIELDS = [QQ, PrimeField(3), PrimeField(5), PrimeField(7), F2, F4,
+          ApproxReal()]
+
+
+def elements(field):
+    if isinstance(field, Rational):
+        return st.builds(field.scalar, st.fractions(max_denominator=50))
+    if isinstance(field, ApproxReal):
+        # 0 or well clear of the tolerance, so a 1e-12 nudge keeps the slot
+        return st.builds(field.scalar, st.just(0.0) | st.floats(
+            -1e3, 1e3).filter(lambda x: abs(x) > 1e-6))
+    return st.sampled_from(list(field.elements()))
+
+
+@st.composite
+def scalar_tables(draw, field):
+    """(dim, {(i, j): Scalar}) over the field, zeros included."""
+    dim = draw(st.integers(1, 5))
+    slots = [(i, j) for i in range(dim) for j in range(i, dim)]
+    chosen = draw(st.lists(st.sampled_from(slots), unique=True))
+    return dim, {ij: draw(elements(field)) for ij in chosen}
+
+
+def same(a: Scalar, b: Scalar) -> bool:
+    if a.field is not b.field:
+        return False
+    if isinstance(a.value, float):
+        return struct.pack("<d", a.value) == struct.pack("<d", b.value)
+    return type(a.value) is type(b.value) and a.value == b.value
+
+
+def same_form(a: QuadraticForm, b: QuadraticForm) -> bool:
+    items_a, items_b = a.coeff_items(), b.coeff_items()
+    return (a.field is b.field and a.dim == b.dim
+            and [ij for ij, _ in items_a] == [ij for ij, _ in items_b]
+            and all(same(x, y) for (_, x), (_, y) in zip(items_a, items_b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_raw_and_scalar_builds_are_one_form(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    dim, scalars = data.draw(scalar_tables(field))
+    a = QuadraticForm(field, dim, scalars)
+    b = QuadraticForm._of(field, dim,
+                          [(ij, s.value) for ij, s in scalars.items()])
+    assert a == b and b == a
+    if field.is_exact:
+        assert hash(a) == hash(b)
+    assert repr(a) == repr(b)
+    assert same_form(a, b)
+    for i in range(dim):
+        for j in range(dim):
+            assert same(a.coeff(i, j), b.coeff(i, j))
+    assert all(same(x, y) for ra, rb in zip(a.bilinear_matrix(),
+                                            b.bilinear_matrix())
+               for x, y in zip(ra, rb))
+    x = [s.value for s in data.draw(st.tuples(*[elements(field)] * dim))]
+    assert same(Scalar(a.eval_raw(x), field), Scalar(b.eval_raw(x), field))
+    if not field.is_exact:
+        nudged = QuadraticForm._of(field, dim, [
+            (ij, s.value + 1e-12) for ij, s in scalars.items()])
+        assert nudged == a
+        for q in (a, b, nudged) if a.coeff_items() else ():
+            with pytest.raises(TypeError):
+                hash(q)
+
+
+@pytest.mark.parametrize("build", [QuadraticForm, QuadraticForm._of],
+                         ids=["scalar", "raw"])
+@pytest.mark.parametrize("dim,pairs", [
+    (0, []), (-1, []),
+    (2, [((0, 2), 1)]), (2, [((1, 0), 1)]), (2, [((-1, 0), 1)]),
+    (2, [((True, True), 1)]), (2, [((0, 0.0), 1)]),
+    (2, [((0, 0), 1), ((0, 0), 2)]), (2, [((1, 1), 0), ((1, 1), 0)]),
+], ids=["dim-0", "dim-neg", "out-of-range", "lower", "negative", "bool",
+        "float", "repeated", "repeated-zero"])
+def test_bad_tables_are_rejected_by_both_constructors(build, dim, pairs):
+    with pytest.raises(InvalidInputError):
+        build(PrimeField(5), dim, pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_raw_builds_match_the_scalar_builds(data):
+    """``scaled``, ``direct_sum`` and ``_off_radical`` against the
+    Scalar builds they replaced (``restrict`` is checked against
+    ``ref_restrict`` in test_kernel.py)."""
+    field = data.draw(st.sampled_from(FIELDS))
+    q = QuadraticForm(field, *data.draw(scalar_tables(field)))
+    other = QuadraticForm(field, *data.draw(scalar_tables(field)))
+    c = data.draw(elements(field) | st.integers(-3, 3))
+    assert same_form(q.scaled(c), ref_scaled(q, c))
+    assert same_form(q.direct_sum(other), ref_direct_sum(q, other))
+    rad = bilinear_radical(q) if field.is_exact else None
+    if rad is not None and len(rad) < q.dim:
+        assert same_form(_off_radical(q, rad), ref_off_radical(q, rad))
+
+
+def _scalars_built(fn) -> int:
+    count = 0
+    init = Scalar.__init__
+
+    def counting(self, value, field):
+        nonlocal count
+        count += 1
+        init(self, value, field)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Scalar, "__init__", counting)
+        fn()
+    return count
+
+
+def test_builds_on_raw_values_make_no_scalars():
+    f5 = PrimeField(5)
+    cases = [
+        (QuadraticForm(f5, 4, {(0, 0): 2, (0, 3): 1, (1, 2): 3, (3, 3): 4}),
+         [(1, 2, 0, 4), (0, 1, 1, 0), (3, 0, 0, 1)]),
+        (QuadraticForm(QQ, 3, {(0, 0): Fraction(1, 2), (0, 1): 3,
+                               (2, 2): Fraction(-5, 7)}),
+         [(Fraction(1, 3), 2, 0), (0, 1, Fraction(-1, 2))]),
+        (QuadraticForm(F4, 3, {(0, 0): 2, (0, 1): 1, (1, 2): 3}),
+         [(1, 2, 3), (0, 3, 1)]),
+    ]
+    for q, basis in cases:
+        assert _scalars_built(lambda: q.restrict_raw(basis)) == 0
+        assert _scalars_built(lambda: q.direct_sum(q)) == 0
+        assert _scalars_built(lambda: q.scaled(3)) <= 1
+    degenerate = QuadraticForm(F2, 3, {(0, 0): 1, (1, 2): 1})
+    rad = bilinear_radical(degenerate)
+    assert rad and _scalars_built(lambda: _off_radical(degenerate, rad)) == 0
+    assert _scalars_built(lambda: list(verify._all_forms(F4, 2))) == 0
+    assert _scalars_built(lambda: list(verify._all_forms(F2, 3))) == 0
+    assert _scalars_built(lambda: list(verify._sampled_forms(
+        F4, 4, 20, random.Random(0)))) == 0
+
+
+def test_traced_quadform_methods_exist():
+    """``bench/tracer.py`` wraps these by ``cls.__dict__[name]``; read
+    its table without importing it."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    tree = ast.parse(path.read_text())
+    table = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["CLASS_METHODS"])
+    names = table["quadform"]["QuadraticForm"]
+    assert names and all(name in QuadraticForm.__dict__ for name in names)
+
+
+def _pinned_forms():
+    """The canonical forms of the atlases, the second models of the F_3
+    and F_5 plane classes with Q(P) != 0, the gen-ortho-basis suite's
+    forms and the char2-lemmas tables (all of F_2 dim 3 and F_4 dim 2,
+    and the F_4 sample at seed 0)."""
+    for field, dims in ((QQ, range(1, 5)), (PrimeField(3), range(1, 5)),
+                        (PrimeField(5), range(1, 5)),
+                        (PrimeField(7), range(1, 5))):
+        for d in dims:
+            for inv in dict.fromkeys(c.form_invariant
+                                     for c in enumerate_classes(field, d)):
+                yield canonical_form(field, d, inv)
+    for field in (F2, F4):
+        for arf in (0, 1):
+            yield canonical_form(field, 3, ("arf", arf))
+    for p in (3, 5):
+        for cls in enumerate_classes(PrimeField(p), 2):
+            if cls.qp is not SquareClass.ZERO:
+                yield second_model(representative_geometry(cls)).form
+    yield from verify._gen_ortho_forms()
+    yield from verify._all_forms(F2, 3)
+    yield from verify._all_forms(F4, 2)
+    rng = random.Random(0)
+    for dim in (4, 5):
+        yield from verify._sampled_forms(F4, dim, 800, rng)
+
+
+# recorded with the three-table form (a dict and a tuple of Scalars
+# beside the raw terms), every coefficient coerced by field.scalar
+FORMS_DIGEST = \
+    "432cf9ffe27b57fd96102f699d218d6207f5e0084e5f3232bee3df357d35bd19"
+
+
+def test_built_forms_are_pinned():
+    digest = hashlib.sha256()
+    for q in _pinned_forms():
+        digest.update(repr((q.field.token(), q.dim, repr(q),
+                            [(ij, c.value) for ij, c in q.coeff_items()]))
+                      .encode())
+    assert digest.hexdigest() == FORMS_DIGEST

@@ -48,7 +48,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conformal import linalg
+from conformal import linalg, verify
 from conformal.fields import (ApproxReal, CharTwo, ConformalError,
                               FieldMismatchError, PrimeField, Rational,
                               Scalar, SquareClass, UnsupportedFieldError)
@@ -1271,21 +1271,7 @@ def _gob_cases():
     over F_3, F_2 and F_4), four forms over Q, one over F_5, and 400
     seeded random tables over ApproxReal (about a third degenerate), half
     of them with one random vector."""
-    f3 = PrimeField(3)
-    forms = [QuadraticForm.diagonal(f3, e)
-             for e in ([1, 1], [1, -1], [1, 2], [1, 1, 1], [1, 1, -1],
-                       [1, 2, -1], [1, 1, 1, -1], [1, 1, -1, -1],
-                       [1, 2, 1, 2])]
-    forms.append(QuadraticForm.symplectic(f3, 2))
-    for field in (CharTwo(2), CharTwo(4)):
-        plane = QuadraticForm(field, 2, {(0, 0): 1, (0, 1): 1, (1, 1): 1})
-        forms += [plane, QuadraticForm.symplectic(field, 1),
-                  QuadraticForm.symplectic(field, 2)]
-        coeffs = dict(QuadraticForm.symplectic(field, 1).coeff_items())
-        coeffs.update({(2, 2): field.one(), (2, 3): field.one(),
-                       (3, 3): field.one()})
-        forms.append(QuadraticForm(field, 4, coeffs))
-    for form in forms:
+    for form in verify._gen_ortho_forms():
         if bilinear_radical(form):
             continue
         field = form.field

@@ -178,6 +178,16 @@ def _bad_coefficient(blob):
     return blob
 
 
+def _repeated_coefficient(blob):
+    blob["form"]["coeffs"].append(list(blob["form"]["coeffs"][0]))
+    return blob
+
+
+def _boolean_slot(blob):
+    blob["form"]["coeffs"].append([True, True, 1])
+    return blob
+
+
 def _assert_clean_exit(r, code, prefix):
     assert r.returncode == code, r.stderr
     assert "Traceback" not in r.stderr
@@ -186,8 +196,10 @@ def _assert_clean_exit(r, code, prefix):
 
 @pytest.mark.parametrize("edit", [
     lambda blob: json.dumps(blob)[:-3],  # truncated: malformed JSON
-    _without_l, _scalar_p, _bad_coefficient,
-], ids=["malformed-json", "no-L", "scalar-P", "bad-coefficient"])
+    _without_l, _scalar_p, _bad_coefficient, _repeated_coefficient,
+    _boolean_slot,
+], ids=["malformed-json", "no-L", "scalar-P", "bad-coefficient",
+        "repeated-coefficient", "boolean-slot"])
 def test_cli_bad_geometry_file_is_a_precondition(tmp_path, edit):
     path = _geometry_file(tmp_path, "g.json", edit)
     for command in ("describe", "points"):
