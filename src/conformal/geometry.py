@@ -11,13 +11,14 @@ is the vanishing of the (no-1/2) bilinear form.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .fields import ConformalError, Field, Scalar, UnsupportedFieldError
 from . import linalg
-from .linalg import Vector, vec_scale, vec_sub
+from .linalg import Vector
 from .quadform import (InvalidInputError, QuadraticForm,
                        bilinear_radical, witt_index)
 from enum import Enum
@@ -175,21 +176,32 @@ class Geometry:
                 f"P={self.p_rep}, L={self.l_rep})")
 
 
-def _as_vector(g: Geometry, c) -> Vector:
-    v = c.coords if isinstance(c, ProjPoint) else \
-        tuple(g.field.scalar(x) for x in c)
-    if len(v) != g.form.dim:
+def _raw_cycle(g: Geometry, c) -> list:
+    """The raw values of a cycle, in one pass over a ``ProjPoint``'s
+    coords or a sequence: a Scalar of g's field gives its value, and
+    anything else is coerced by ``field.scalar`` (another field's
+    Scalar raises FieldMismatchError)."""
+    field, x = g.field, []
+    for a in (c.coords if isinstance(c, ProjPoint) else c):
+        x.append(a.value if type(a) is Scalar and a.field is field
+                 else field.scalar(a).value)
+    if len(x) != g.form.dim:
         raise InvalidInputError(
-            f"a cycle has {g.form.dim} coordinates, not {len(v)}")
-    return v
+            f"a cycle has {g.form.dim} coordinates, not {len(x)}")
+    return x
+
+
+def _as_vector(g: Geometry, c) -> Vector:
+    """A cycle as Scalars of g's field."""
+    return tuple(Scalar(a, g.field) for a in _raw_cycle(g, c))
 
 
 def _require_hypercycle(g: Geometry, c) -> list:
     """The raw values of a cycle on the quadric."""
-    v = _as_vector(g, c)
-    x = linalg.raw_values(g.field, v)
+    x = _raw_cycle(g, c)
     if not g.field._is_zero(g.form.eval_raw(x)):
-        raise NotAHypercycleError(f"Q({v}) != 0: not on the Lie quadric")
+        raise NotAHypercycleError(
+            f"Q({linalg.vector(g.field, x)}) != 0: not on the Lie quadric")
     return x
 
 
@@ -262,25 +274,34 @@ def has_point_search(g: Geometry) -> bool:
 
 def relative_power(g: Geometry, c1, c2) -> Scalar:
     """B_half(c1,c2) / (B_half(c1,P) B_half(c2,P)) with the fixed P."""
-    return _power_with(g, c1, c2, g.p_rep)
+    return _power_with(g, c1, c2, g._p_raw)
 
 
 def inversive_separation(g: Geometry, c1, c2) -> Scalar:
     """B_half(c1,c2) / (B_half(c1,L) B_half(c2,L)) with the fixed L."""
-    return _power_with(g, c1, c2, g.l_rep)
+    return _power_with(g, c1, c2, g._l_raw)
 
 
-def _power_with(g: Geometry, c1, c2, base: Vector) -> Scalar:
-    if g.field.char == 2:
+def _power_with(g: Geometry, c1, c2, base) -> Scalar:
+    """The power against the raw vector base, on raw values in the
+    operation order of ``b_half`` and Scalar division."""
+    field = g.field
+    if field.char == 2:
         raise UnsupportedFieldError("powers and separations need char != 2")
-    v1 = _as_vector(g, c1)
-    v2 = _as_vector(g, c2)
-    d1 = g.form.b_half(v1, base)
-    d2 = g.form.b_half(v2, base)
-    if d1.is_zero() or d2.is_zero():
+    x1 = _raw_cycle(g, c1)
+    x2 = _raw_cycle(g, c2)
+    one, mul, is_zero, b = field.raw_one, field._mul, field._is_zero, \
+        g.form.b_raw
+    half = mul(one, field._inv(field._add(one, one)))
+    d1 = mul(half, b(x1, base))
+    d2 = mul(half, b(x2, base))
+    if is_zero(d1) or is_zero(d2):
         raise IdealDenominatorError(
             "cycle pairs ideally with the reference vector")
-    return g.form.b_half(v1, v2) / (d1 * d2)
+    den = mul(d1, d2)
+    if is_zero(den):
+        raise ZeroDivisionError("division by field zero")
+    return Scalar(mul(mul(half, b(x1, x2)), field._inv(den)), field)
 
 
 def _check_enum(g: Geometry, max_q: int, max_dim: int = MAX_ENUM_DIM):
@@ -333,9 +354,34 @@ class Subspace:
     form: QuadraticForm
     l_coords: tuple
 
+    # raw coordinates x -> the raw ambient vector sum x_i b_i, each entry
+    # added in order from zero as ``linalg.combine`` does (over F_p one
+    # int sum reduced once)
+    @cached_property
+    def _to_ambient_raw(self):
+        field, p = self.form.field, self.form._p
+        cols = tuple(zip(*[[a.value for a in b] for b in self.basis]))
+        if p:
+            return lambda x: [sum(map(operator.mul, col, x)) % p
+                              for col in cols]
+        return lambda x: [linalg._dot(field, col, x) for col in cols]
+
+    # the isotropic points of ``form`` (finite fields), each as (raw
+    # coordinates, ambient ProjPoint), in the ambient points' canonical
+    # order: the one enumeration of the subspace quadric, on first use
+    @cached_property
+    def _quadric(self) -> tuple:
+        field, to_ambient = self.form.field, self._to_ambient_raw
+        hits = sorted((linalg.normalize_raw(field, to_ambient(x)), x)
+                      for x in self.form.isotropic_points())
+        wrap = list(field.elements())  # raw value v is element v
+        return tuple((x, ProjPoint.from_canonical(tuple(wrap[a] for a in y)))
+                     for y, x in hits)
+
     def to_ambient(self, coords) -> Vector:
         field = self.form.field
-        return linalg.combine([field.scalar(c) for c in coords], self.basis)
+        return tuple(Scalar(a, field) for a in self._to_ambient_raw(
+            [field.scalar(c).value for c in coords]))
 
     def from_ambient(self, v) -> Optional[Vector]:
         return linalg.coordinates(v, self.basis, self.form.field)
@@ -364,13 +410,15 @@ def pointspace(g: Geometry) -> Subspace:
 def project_cycle_raw(g: Geometry, c) -> Vector:
     """c - (B(P,c)/B(P,P)) P, unnormalized (the representative on which
     the projected-norm identity holds exactly)."""
-    bpp = g.form.b_full(g.p_rep, g.p_rep)
-    if bpp.is_zero():
+    field, p = g.field, g._p_raw
+    bpp = g.form.b_raw(p, p)
+    if field._is_zero(bpp):
         raise NoCanonicalProjectionError(
             "projection through P needs B(P,P) != 0")
-    v = _as_vector(g, c)
-    coef = g.form.b_full(g.p_rep, v) / bpp
-    return vec_sub(v, vec_scale(coef, g.p_rep))
+    x = _raw_cycle(g, c)
+    sub, mul = field._sub, field._mul
+    coef = mul(g.form.b_raw(p, x), field._inv(bpp))
+    return tuple(Scalar(sub(a, mul(coef, b)), field) for a, b in zip(x, p))
 
 
 def project_cycle(g: Geometry, c) -> ProjPoint:
@@ -394,29 +442,31 @@ def pointspace_points_of(ps: Subspace, c_proj):
     if coords is None:
         raise RoleError("cycle does not lie in the pointspace")
     form = ps.form
-    bc = form.pairing_raw(linalg.raw_values(form.field, coords))
-    return tuple(sorted((ProjPoint(ps.to_ambient(x))
-                         for x in form.isotropic_points()
-                         if form.field._is_zero(bc(x))),
-                        key=ProjPoint.sort_key))
+    x = linalg.raw_values(form.field, coords)
+    if len(x) != form.dim:
+        raise InvalidInputError(
+            f"a pointspace cycle has {form.dim} coordinates, not {len(x)}")
+    bc, is_zero = form.pairing_raw(x), form.field._is_zero
+    return tuple(pt for y, pt in ps._quadric if is_zero(bc(y)))
 
 
 def is_point(g: Geometry, c) -> bool:
     return role(g, c) in (Role.POINT, Role.IDEAL)
 
 
-def _require_point(g: Geometry, p) -> Vector:
-    v = _as_vector(g, p)
-    x, is_zero = linalg.raw_values(g.field, v), g.field._is_zero
+def _require_point(g: Geometry, p) -> list:
+    """The raw values of a point of the geometry."""
+    x, is_zero = _raw_cycle(g, p), g.field._is_zero
     if not is_zero(g.form.eval_raw(x)) or not is_zero(g._pair_p(x)):
-        raise RoleError(f"{v} is not a point of the geometry")
-    return v
+        raise RoleError(
+            f"{linalg.vector(g.field, x)} is not a point of the geometry")
+    return x
 
 
-def _antipodal_pair(g: Geometry, vecs: Sequence[Vector]) -> bool:
-    """Do two of the points share a class key?  [L] (key None) is
+def _antipodal_pair(g: Geometry, xs: Sequence[list]) -> bool:
+    """Do two of the raw points share a class key?  [L] (key None) is
     antipodal to every point."""
-    keys = [g._class_key([c.value for c in v]) for v in vecs]
+    keys = [g._class_key(x) for x in xs]
     return any(k1 is None or k2 is None or all(map(g.field._eq, k1, k2))
                for k1, k2 in itertools.combinations(keys, 2))
 
@@ -465,7 +515,7 @@ def _isotropic_in_span(g: Geometry, basis: Sequence[Vector]) -> list:
 
 def span_subcycle(g: Geometry, *points) -> Subcycle:
     """The virtual subcycle spanned by k independent points (dim k-2)."""
-    vecs = [_require_point(g, p) for p in points]
+    vecs = [linalg.vector(g.field, _require_point(g, p)) for p in points]
     if not linalg.independent(vecs, g.field):
         raise RankError("points must be independent")
     return _subcycle_from_span(g, vecs)
@@ -497,10 +547,11 @@ def hyperplane_through(g: Geometry, *points) -> Optional[ProjPoint]:
     or None when the line does not lift; raises if the isotropic
     solutions span more than one unoriented hyperplane.
     """
-    vecs = [_require_point(g, p) for p in points]
-    if _antipodal_pair(g, vecs):
+    xs = [_require_point(g, p) for p in points]
+    if _antipodal_pair(g, xs):
         raise RoleError("an antipodal pair admits no unique hyperplane")
-    sol = g.form.perp(vecs + [g.l_rep])
+    sol = tuple(tuple(Scalar(a, g.field) for a in x)
+                for x in g.form.perp_raw(xs + [g._l_raw]))
     if not sol:
         return None
     if len(sol) == 1:

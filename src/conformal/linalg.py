@@ -30,7 +30,9 @@ def raw_values(field: Field, v: Vector) -> list:
     and a Scalar of another field raises FieldMismatchError."""
     out = []
     for x in v:
-        if isinstance(x, Scalar):
+        if type(x) is Scalar and x.field is field:
+            out.append(x.value)
+        elif isinstance(x, Scalar):
             if x.field is not field and x.field != field:
                 raise FieldMismatchError(
                     f"mixed fields: {field} and {x.field}")

@@ -21,7 +21,7 @@ from .fields import (ConformalError, PrimeField, Scalar, SquareClass,
 from . import linalg
 from .linalg import vec_add, vec_scale, vec_sub
 from .geometry import (Geometry, ProjPoint, Subspace, _as_vector,
-                       non_degenerate_geometry, perp_space)
+                       _raw_cycle, non_degenerate_geometry, perp_space)
 from .quadform import det_class
 
 
@@ -374,8 +374,7 @@ def _line_chart(g: Geometry, l) -> Chart:
     A miss runs ``build_chart(line_space(g, l))``, so an l that is
     rejected raises on every call and is never stored."""
     _require_plane(g)
-    key = linalg.normalize_raw(g.field,
-                               linalg.raw_values(g.field, _as_vector(g, l)))
+    key = linalg.normalize_raw(g.field, _raw_cycle(g, l))
     chart = g._charts.get(key)
     if chart is None:
         chart = g._charts[key] = build_chart(line_space(g, l))
@@ -388,7 +387,7 @@ def _point_coords(chart: Chart, g: Geometry, p):
     pairs with L is 1."""
     field = chart.space.form.field
     is_zero, mul = field._is_zero, field._mul
-    x = linalg.raw_values(field, _as_vector(g, p))
+    x = _raw_cycle(g, p)
     if not is_zero(g.form.eval_raw(x)):
         raise NotOnLineError("points of a line lie on the Lie quadric")
     lc = chart._coords(x)
@@ -581,8 +580,5 @@ def line_points(g: Geometry, l):
         raise UnsupportedFieldError("point enumeration needs a finite field")
     form = space.form
     bl = form.pairing_raw(linalg.raw_values(form.field, space.l_coords))
-    pts = sorted((ProjPoint(space.to_ambient(x))
-                  for x in form.isotropic_points()
-                  if not form.field._is_zero(bl(x))),
-                 key=ProjPoint.sort_key)
-    return space, tuple(pts)
+    is_zero = form.field._is_zero
+    return space, tuple(pt for x, pt in space._quadric if not is_zero(bl(x)))

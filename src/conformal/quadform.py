@@ -60,8 +60,9 @@ class QuadraticForm:
 
     def _fill(self, field: Field, dim: int, pairs) -> None:
         """The one table: (i, j, c) sorted by (i, j), zeros dropped."""
-        if dim < 1:
-            raise InvalidInputError("form dimension must be positive")
+        if type(dim) is not int or dim < 1:
+            raise InvalidInputError(
+                "form dimension must be a positive integer")
         self.field = field
         self.dim = dim
         table = {}

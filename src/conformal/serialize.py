@@ -58,7 +58,7 @@ def form_from_json(field: Field, obj) -> QuadraticForm:
     if isinstance(obj, list):  # diagonal shorthand
         return QuadraticForm.diagonal(
             field, [scalar_from_json(field, x) for x in obj])
-    if not (isinstance(obj, dict) and isinstance(obj.get("dim"), int)
+    if not (isinstance(obj, dict) and type(obj.get("dim")) is int
             and isinstance(obj.get("coeffs"), list)
             and all(isinstance(t, list) and len(t) == 3
                     and isinstance(t[0], int) and isinstance(t[1], int)

@@ -8,18 +8,21 @@ are summed term by term from the coefficient table (``ref_q``,
 the couple walk of ``generalized_orthogonal_basis``, the Arf
 invariant's own couple loop and the rank test of antipodal points are
 kept as they were, as are the Scalar-table builds of ``scaled``,
-``direct_sum`` and ``_off_radical``.  This is a helper module, not a
-test module.
+``direct_sum`` and ``_off_radical`` and geometry's Scalar paths: the
+coercion of a cycle into Scalars, the point check, powers, the
+projection through P and the points of a projected cycle and of a
+line, each mapped with ``linalg.combine`` and sorted as ``ProjPoint``s.  This is a helper module, not a test module.
 """
 
 import itertools
 
 from conformal import linalg
 from conformal.classify import canonical_form, classify
-from conformal.fields import Rational, square_class
-from conformal.geometry import (EnumerationUnsupportedError, Geometry,
-                                ProjPoint, Role, RoleError,
-                                _isotropic_in_span, _require_point,
+from conformal.fields import Rational, UnsupportedFieldError, square_class
+from conformal.geometry import (MAX_ENUM_Q, EnumerationUnsupportedError,
+                                Geometry, IdealDenominatorError,
+                                NoCanonicalProjectionError, ProjPoint, Role,
+                                RoleError, _check_enum, _isotropic_in_span,
                                 lie_quadric_points, pointspace)
 from conformal.metric import (IdealPointError, LineGroupClass,
                               NotOnLineError, build_chart, line_space)
@@ -538,14 +541,14 @@ def ref_arf_invariant(q):
 
 def ref_antipodal(g, p, q):
     """Antipodal by rank: p, q and L span at most a plane."""
-    vp = _require_point(g, p)
-    vq = _require_point(g, q)
+    vp = ref_require_point(g, p)
+    vq = ref_require_point(g, q)
     return linalg.rank([vp, vq, g.l_rep], g.field) <= 2
 
 
 def ref_hyperplane_through(g, *points):
     """``hyperplane_through`` with one rank per pair of points."""
-    vecs = [_require_point(g, p) for p in points]
+    vecs = [ref_require_point(g, p) for p in points]
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
             if linalg.rank([vecs[i], vecs[j], g.l_rep], g.field) <= 2:
@@ -568,3 +571,85 @@ def ref_hyperplane_through(g, *points):
         raise RoleError("multiple distinct hyperplanes satisfy the constraints")
     pts = sorted((ProjPoint(v) for v in isotropic), key=ProjPoint.sort_key)
     return pts[0]
+
+
+# -- geometry's Scalar paths -----------------------------------------------
+
+def ref_as_vector(g, c):
+    """A cycle coerced into Scalars: a ProjPoint's coords as they are."""
+    v = c.coords if isinstance(c, ProjPoint) else \
+        tuple(g.field.scalar(x) for x in c)
+    if len(v) != g.form.dim:
+        raise InvalidInputError(
+            f"a cycle has {g.form.dim} coordinates, not {len(v)}")
+    return v
+
+
+def ref_require_point(g, p):
+    """The point check on the Scalar vector ``ref_as_vector`` coerces."""
+    v = ref_as_vector(g, p)
+    x, is_zero = linalg.raw_values(g.field, v), g.field._is_zero
+    if not is_zero(g.form.eval_raw(x)) or not is_zero(g._pair_p(x)):
+        raise RoleError(f"{v} is not a point of the geometry")
+    return v
+
+
+def ref_power_with(g, c1, c2, base):
+    """B_half(c1, c2) / (B_half(c1, base) B_half(c2, base)) on Scalars;
+    base is g.p_rep for ``relative_power``, g.l_rep for
+    ``inversive_separation``."""
+    if g.field.char == 2:
+        raise UnsupportedFieldError("powers and separations need char != 2")
+    v1 = ref_as_vector(g, c1)
+    v2 = ref_as_vector(g, c2)
+    d1 = g.form.b_half(v1, base)
+    d2 = g.form.b_half(v2, base)
+    if d1.is_zero() or d2.is_zero():
+        raise IdealDenominatorError(
+            "cycle pairs ideally with the reference vector")
+    return g.form.b_half(v1, v2) / (d1 * d2)
+
+
+def ref_project_cycle_raw(g, c):
+    """c - (B(P,c)/B(P,P)) P on Scalars."""
+    bpp = g.form.b_full(g.p_rep, g.p_rep)
+    if bpp.is_zero():
+        raise NoCanonicalProjectionError(
+            "projection through P needs B(P,P) != 0")
+    v = ref_as_vector(g, c)
+    coef = g.form.b_full(g.p_rep, v) / bpp
+    return linalg.vec_sub(v, linalg.vec_scale(coef, g.p_rep))
+
+
+def ref_to_ambient(space, coords):
+    field = space.form.field
+    return linalg.combine([field.scalar(c) for c in coords], space.basis)
+
+
+def ref_pointspace_points_of(ps, c_proj):
+    """The pointspace quadric enumerated for the call, each hit mapped
+    with ``linalg.combine``, normalised by ``ProjPoint`` and sorted."""
+    _check_enum(ps.geometry, MAX_ENUM_Q)
+    coords = c_proj if not isinstance(c_proj, ProjPoint) else \
+        ps.from_ambient(c_proj.coords)
+    if coords is None:
+        raise RoleError("cycle does not lie in the pointspace")
+    form = ps.form
+    bc = form.pairing_raw(linalg.raw_values(form.field, coords))
+    return tuple(sorted((ProjPoint(ref_to_ambient(ps, x))
+                         for x in form.isotropic_points()
+                         if form.field._is_zero(bc(x))),
+                        key=ProjPoint.sort_key))
+
+
+def ref_line_points(g, l):
+    """The line space's quadric enumerated for the call, as
+    ``ref_pointspace_points_of`` does, keeping the points off L^perp."""
+    space = line_space(g, l)
+    form = space.form
+    bl = form.pairing_raw(linalg.raw_values(form.field, space.l_coords))
+    pts = sorted((ProjPoint(ref_to_ambient(space, x))
+                  for x in form.isotropic_points()
+                  if not form.field._is_zero(bl(x))),
+                 key=ProjPoint.sort_key)
+    return space, tuple(pts)

@@ -105,12 +105,12 @@ def test_raw_and_scalar_builds_are_one_form(data):
 @pytest.mark.parametrize("build", [QuadraticForm, QuadraticForm._of],
                          ids=["scalar", "raw"])
 @pytest.mark.parametrize("dim,pairs", [
-    (0, []), (-1, []),
+    (0, []), (-1, []), (True, [((0, 0), 1)]), (2.0, [((0, 0), 1)]),
     (2, [((0, 2), 1)]), (2, [((1, 0), 1)]), (2, [((-1, 0), 1)]),
     (2, [((True, True), 1)]), (2, [((0, 0.0), 1)]),
     (2, [((0, 0), 1), ((0, 0), 2)]), (2, [((1, 1), 0), ((1, 1), 0)]),
-], ids=["dim-0", "dim-neg", "out-of-range", "lower", "negative", "bool",
-        "float", "repeated", "repeated-zero"])
+], ids=["dim-0", "dim-neg", "dim-bool", "dim-float", "out-of-range", "lower",
+        "negative", "bool", "float", "repeated", "repeated-zero"])
 def test_bad_tables_are_rejected_by_both_constructors(build, dim, pairs):
     with pytest.raises(InvalidInputError):
         build(PrimeField(5), dim, pairs)

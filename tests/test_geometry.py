@@ -19,7 +19,8 @@ from conformal.geometry import (EnumerationUnsupportedError, Geometry,
                                 points_of, project_cycle, project_cycle_raw,
                                 quasi_ideal, relative_power, role,
                                 span_subcycle)
-from conformal.quadform import QuadraticForm
+from conformal.fields import Scalar
+from conformal.quadform import InvalidInputError, QuadraticForm
 from conformal.classify import enumerate_classes, representative_geometry
 
 QQ = Rational()
@@ -206,6 +207,70 @@ def test_projection_identity_exhaustive_f5():
         raw = project_cycle_raw(g, c.coords)
         via = pointspace_points_of(ps, ps.from_ambient(raw))
         assert direct == via
+
+
+def test_pointspace_points_of_rejects_a_cycle_of_the_wrong_length():
+    g = _geometry(F3, STD, (0, 0, 0, 0, 1), (0, 0, 0, 1, 0))
+    ps = pointspace(g)
+    assert ps.form.dim == 4
+    for coords in ((1, 0), (1, 0, 0, 0, 0, 0, 0)):
+        with pytest.raises(InvalidInputError):
+            pointspace_points_of(ps, coords)
+
+
+def test_the_pointspace_quadric_is_enumerated_once(monkeypatch):
+    """The points of every projected cycle of an F_3 plane come from one
+    enumeration of the pointspace quadric, kept on the Subspace."""
+    g = _geometry(F3, STD, (0, 0, 0, 0, 1), (0, 0, 0, 1, 0))
+    cycles = lie_quadric_points(g)
+    ps = pointspace(g)
+    forms = []
+    enumerate_points = QuadraticForm.isotropic_points
+
+    def counting(self):
+        forms.append(self)
+        return enumerate_points(self)
+    monkeypatch.setattr(QuadraticForm, "isotropic_points", counting)
+    for c in cycles:
+        pointspace_points_of(ps, ps.from_ambient(project_cycle_raw(g, c)))
+    assert len(cycles) > 1
+    assert len(forms) == 1 and forms[0] is ps.form
+
+
+def _scalars_built(monkeypatch, fn) -> int:
+    count = 0
+    init = Scalar.__init__
+
+    def counting(self, value, field):
+        nonlocal count
+        count += 1
+        init(self, value, field)
+    with monkeypatch.context() as mp:
+        mp.setattr(Scalar, "__init__", counting)
+        fn()
+    return count
+
+
+def test_incidence_on_own_points_builds_no_scalars(monkeypatch):
+    """role, incident and points_of read the raw values of the
+    geometry's own points and return cached points: no Scalar is
+    built.  A power wraps its result and nothing else."""
+    g = _geometry(F3, STD, (0, 0, 0, 0, 1), (0, 0, 0, 1, 0))
+    cycles = lie_quadric_points(g)
+
+    def incidence():
+        for c in cycles:
+            role(g, c)
+            incident(g, c, cycles[0])
+            points_of(g, c)
+    assert _scalars_built(monkeypatch, incidence) == 0
+    c1, c2 = next((a, b) for a, b in itertools.combinations(cycles, 2)
+                  if role(g, a) is Role.GENERIC_CYCLE
+                  and role(g, b) is Role.GENERIC_CYCLE)
+    assert _scalars_built(
+        monkeypatch, lambda: relative_power(g, c1, c2)) == 1
+    assert _scalars_built(
+        monkeypatch, lambda: inversive_separation(g, c1, c2)) == 1
 
 
 def test_perp_space():

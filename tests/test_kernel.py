@@ -21,7 +21,14 @@ once) is checked against ``b_raw``; ``role`` runs on it and is checked
 on the rational atlas and the float model lifts, and the incidence
 outputs of the atlas-sweep class representatives are pinned.
 ``linalg.normalize_raw`` is checked against ``ProjPoint`` and
-``b_half`` against the Scalar division it replaced.
+``b_half`` against the Scalar division it replaced.  A ``Subspace``
+keeps the isotropic points of its form, taken once, as (raw
+coordinates, ambient point): ``pointspace_points_of`` and
+``line_points`` filter them and are checked against the per-call
+enumeration they replaced; ``_raw_cycle`` unwraps a cycle in one pass
+and is checked against ``ref_as_vector`` and ``raw_values``, and the
+powers and the projection through P, on its raw values, against their
+Scalar paths.
 Over Q, ``linalg.rref`` eliminates on integers, ``restrict`` works on
 integer Gram rows, and ``eval_raw``, ``b_raw`` and
 ``gram_row`` run on integer numerators (the table and the input scaled
@@ -53,11 +60,14 @@ from conformal.fields import (ApproxReal, CharTwo, ConformalError,
                               FieldMismatchError, PrimeField, Rational,
                               Scalar, SquareClass, UnsupportedFieldError)
 from conformal.geometry import (EnumerationUnsupportedError, Geometry,
-                                NotAHypercycleError, ProjPoint, Role,
-                                RoleError, _isotropic_in_span, antipodal,
-                                cayley_klein_points, has_point_search,
-                                hyperplane_through, lie_quadric_points,
-                                points_of, role)
+                                IdealDenominatorError, NotAHypercycleError,
+                                ProjPoint, Role,
+                                RoleError, _isotropic_in_span,
+                                _raw_cycle, antipodal, cayley_klein_points,
+                                has_point_search, hyperplane_through,
+                                inversive_separation, lie_quadric_points,
+                                points_of, pointspace, pointspace_points_of,
+                                project_cycle_raw, relative_power, role)
 from conformal.classify import (_pointspace_token, _scaling_options,
                                 enumerate_classes, representative_geometry)
 from conformal.metric import (DegenerateLineError, ExactChartUnavailableError,
@@ -66,25 +76,29 @@ from conformal.metric import (DegenerateLineError, ExactChartUnavailableError,
                               find_nonideal_line, invert, line_points,
                               line_space, motion_from_normal_form,
                               translation_between)
-from conformal.models import (ModelKind, exact_model_geometry, lift_cycle,
+from conformal.models import (ModelKind, cycles_at_angle,
+                              exact_model_geometry, lift_cycle,
                               lift_hypercycle, lift_line, lift_parabola,
-                              lift_paracycle, lift_point, model_geometry)
+                              lift_paracycle, lift_point, model_geometry,
+                              points_at_distance)
 from conformal.quadform import (InvalidInputError, QuadraticForm,
                                 _couples_of, _is_hyperbolic_space,
                                 _root_table, arf_invariant, bilinear_radical,
                                 generalized_orthogonal_basis, mirrors,
                                 reflection_matrix, subspaces,
                                 witt_index_bruteforce)
-from reference import (ref_antipodal, ref_arf_invariant, ref_b,
-                       ref_cayley_klein_points, ref_chart_matrix,
+from reference import (ref_antipodal, ref_arf_invariant, ref_as_vector,
+                       ref_b, ref_cayley_klein_points, ref_chart_matrix,
                        ref_complement_indices, ref_compose,
                        ref_generalized_orthogonal_basis, ref_gram,
                        ref_has_point_search, ref_hyperplane_through,
                        ref_invert, ref_is_hyperbolic_space,
                        ref_isotropic_in_span, ref_isotropic_points,
-                       ref_kernel, ref_points_of, ref_pointspace_token,
-                       ref_q, ref_restrict, ref_role, ref_rref,
-                       ref_subspaces, ref_translation,
+                       ref_kernel, ref_line_points, ref_points_of,
+                       ref_pointspace_points_of, ref_pointspace_token,
+                       ref_power_with, ref_project_cycle_raw, ref_q,
+                       ref_restrict, ref_role, ref_rref, ref_subspaces,
+                       ref_to_ambient, ref_translation,
                        ref_witt_index_bruteforce)
 
 FIELDS = [Rational(), PrimeField(3), PrimeField(5), PrimeField(7),
@@ -1472,3 +1486,192 @@ def test_antipodal_matches_the_rank_test_on_a_float_model(kind):
         assert _outcome(hyperplane_through, g, *three) == want
         outcomes.add(want if want is None else want[0])
     assert outcomes == {None, RoleError, EnumerationUnsupportedError}
+
+
+# -- one subspace quadric and one unwrap per cycle -----------------------------
+
+def _pointspace_cycles(g, ps):
+    """Pointspace coordinates: the projection of every quadric cycle of
+    g (checked against its Scalar path) or, where B(P, P) = 0 and there
+    is no projection, every projective point of the pointspace."""
+    field = g.field
+    if g.form.b_full(g.p_rep, g.p_rep).is_zero():
+        return [linalg.vector(field, x)
+                for x in linalg.projective_points(field, ps.form.dim)]
+    out = []
+    for c in lie_quadric_points(g):
+        proj = project_cycle_raw(g, c)
+        assert all(map(same, proj, ref_project_cycle_raw(g, c)))
+        out.append(ps.from_ambient(proj))
+    return out
+
+
+@pytest.mark.parametrize("field,d", [(PrimeField(3), 2), (PrimeField(5), 2),
+                                     (PrimeField(3), 3), (CharTwo(4), 3)],
+                         ids=["fp:3-d2", "fp:5-d2", "fp:3-d3", "f4-d3"])
+def test_pointspace_points_of_matches_the_scalar_path(field, d):
+    """On every class representative, ``pointspace_points_of`` equals the
+    per-call enumeration, order included, on pointspace coordinates and
+    on every seventh quadric cycle as a ``ProjPoint`` (a RoleError when
+    it is off P^perp); the kept quadric maps each point as
+    ``linalg.combine`` does, and so does ``to_ambient``."""
+    projected = set()
+    for cls in enumerate_classes(field, d):
+        g = representative_geometry(cls)
+        ps = pointspace(g)
+        projected.add(not g.form.b_full(g.p_rep, g.p_rep).is_zero())
+        for coords in _pointspace_cycles(g, ps):
+            assert pointspace_points_of(ps, coords) == \
+                ref_pointspace_points_of(ps, coords)
+        for c in lie_quadric_points(g)[::7]:
+            assert _outcome(pointspace_points_of, ps, c) == \
+                _outcome(ref_pointspace_points_of, ps, c)
+        assert len(ps._quadric) == len(list(ps.form.isotropic_points()))
+        for x, pt in ps._quadric:
+            assert ps.to_ambient(x) == ref_to_ambient(ps, x)
+            assert pt == ProjPoint(ref_to_ambient(ps, x))
+    assert projected == ({False} if field.char == 2 else {True, False})
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_line_points_matches_the_scalar_path(p):
+    """``line_points`` on every plane class with a non-ideal line equals
+    the per-call enumeration of the line space's quadric."""
+    lines = 0
+    for cls in enumerate_classes(PrimeField(p), 2):
+        g = representative_geometry(cls)
+        try:
+            l = find_nonideal_line(g)
+        except DegenerateLineError:
+            continue
+        space, pts = line_points(g, l)
+        want_space, want = ref_line_points(g, l)
+        assert space.basis == want_space.basis and pts == want
+        lines += 1
+    assert lines > 0
+
+
+RAW_CYCLE_FIELDS = [QQ, PrimeField(3), PrimeField(5), PrimeField(7),
+                    CharTwo(2), CharTwo(4), ApproxReal()]
+
+
+def _symplectic_geometry(field):
+    return Geometry(QuadraticForm.symplectic(field, 2),
+                    (1, 0, 0, 0), (0, 0, 1, 0))
+
+
+@st.composite
+def cycle_inputs(draw):
+    """(geometry, cycle): a ProjPoint, a tuple or a list of Scalars of
+    the field, ints, floats and Fractions (over Q and ApproxReal), of
+    length 4 or a wrong length, sometimes with another field's Scalar.
+    A ProjPoint of another field comes at the right length: with both
+    faults ``ref_as_vector`` reports the length and ``_raw_cycle`` the
+    field."""
+    field = draw(st.sampled_from(RAW_CYCLE_FIELDS))
+    g = _symplectic_geometry(field)
+    other = PrimeField(7) if field == PrimeField(5) else PrimeField(5)
+    n = draw(st.sampled_from([4, 4, 4, 0, 3, 5]))
+    if draw(st.integers(0, 3)) == 0:
+        on = draw(st.sampled_from([field, field, other]))
+        n = n if on is field else 4
+        v = [draw(elements(on)) for _ in range(n)]
+        assume(any(not a.is_zero() for a in v))
+        return g, ProjPoint(v)
+    entries = elements(field) | st.integers(-10, 10)
+    if not field.is_finite:
+        entries |= st.floats(-1e6, 1e6, allow_nan=False) | \
+            st.fractions(max_denominator=50)
+    v = [draw(entries) for _ in range(n)]
+    if v and draw(st.integers(0, 5)) == 0:
+        v[draw(st.integers(0, n - 1))] = draw(elements(other))
+    return g, draw(st.sampled_from([tuple, list]))(v)
+
+
+def _raw_or_error(f, g, c):
+    try:
+        return [(type(a), repr(a)) for a in f(g, c)]
+    except ConformalError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cycle_inputs())
+def test_raw_cycle_is_the_scalar_coercion_then_raw_values(case):
+    g, c = case
+    assert _raw_or_error(_raw_cycle, g, c) == _raw_or_error(
+        lambda g, c: linalg.raw_values(g.field, ref_as_vector(g, c)), g, c)
+
+
+def _value_or_error(f, *args):
+    try:
+        return f(*args)
+    except (ConformalError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def check_powers(g, c1, c2) -> set:
+    """relative_power and inversive_separation against the Scalar path,
+    bit for bit; returns the outcomes' kinds."""
+    kinds = set()
+    for f, base in ((relative_power, g.p_rep), (inversive_separation, g.l_rep)):
+        got = _value_or_error(f, g, c1, c2)
+        want = _value_or_error(ref_power_with, g, c1, c2, base)
+        if isinstance(want, Scalar):
+            assert isinstance(got, Scalar) and same(got, want), (c1, c2)
+            kinds.add(Scalar)
+        else:
+            assert got is want, (c1, c2)
+            kinds.add(want)
+    return kinds
+
+
+def test_powers_match_the_scalar_path_on_float_models():
+    """The separations suite's grid in the elliptic, hyperbolic and
+    parabolic models, every pair of lifts of ``_model_lifts`` in one
+    model, and a pair whose denominators vanish only in their product."""
+    grid = (0.1, 0.5, 1.0, 2.0)
+    kinds = set()
+    for kind in (ModelKind.ELLIPTIC, ModelKind.HYPERBOLIC,
+                 ModelKind.PARABOLIC):
+        g = model_geometry(kind)
+        for t in grid:
+            for o1, o2 in (points_at_distance(kind, t),
+                           cycles_at_angle(kind, t, 0.45, 0.35)):
+                kinds |= check_powers(g, o1.lift, o2.lift)
+    lifts = _model_lifts()
+    for o1, o2 in itertools.product(lifts, repeat=2):
+        if o1.kind is o2.kind:
+            kinds |= check_powers(model_geometry(o1.kind), o1.lift, o2.lift)
+    g = _symplectic_geometry(ApproxReal())
+    small = (0.0, 2e-5, 0.0, 2e-5)
+    assert _value_or_error(relative_power, g, small, small) is \
+        ZeroDivisionError
+    kinds |= check_powers(g, small, small)
+    assert kinds == {Scalar, IdealDenominatorError, ZeroDivisionError}
+
+
+def test_powers_match_the_scalar_path_exactly():
+    """Over Q (the rational atlas d = 1..3) and F_3/5/7 (the plane
+    classes), on pairs of cycles as Scalar vectors and as int tuples;
+    characteristic 2 raises as the Scalar path does."""
+    rng = random.Random("powers")
+    kinds = set()
+    for d in (1, 2, 3):
+        for cls in enumerate_classes(QQ, d):
+            g = representative_geometry(cls)
+            cycles = _rational_cycles(g)
+            for _ in range(12):
+                kinds |= check_powers(g, *rng.sample(cycles, 2))
+    for p in (3, 5, 7):
+        for cls in enumerate_classes(PrimeField(p), 2):
+            g = representative_geometry(cls)
+            quad = lie_quadric_points(g)
+            for _ in range(12):
+                c1, c2 = rng.sample(quad, 2)
+                kinds |= check_powers(g, c1, c2)
+                kinds |= check_powers(g, _raw(c1.coords), _raw(c2.coords))
+    assert kinds == {Scalar, IdealDenominatorError}
+    g = _symplectic_geometry(CharTwo(4))
+    assert check_powers(g, (1, 0, 0, 0), (0, 1, 0, 0)) == \
+        {UnsupportedFieldError}

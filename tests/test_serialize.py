@@ -13,7 +13,7 @@ from conformal.classify import enumerate_classes, representative_geometry
 from conformal.fields import CharTwo, PrimeField, Rational
 from conformal.metric import find_nonideal_line, line_points, \
     translation_between
-from conformal.quadform import QuadraticForm
+from conformal.quadform import InvalidInputError, QuadraticForm
 
 F3, F5 = PrimeField(3), PrimeField(5)
 
@@ -29,6 +29,13 @@ def test_form_round_trip():
     from fractions import Fraction
     qq = QuadraticForm.diagonal(rational, [Fraction(1, 2), -2])
     assert ser.form_from_json(rational, ser.form_to_json(qq)) == qq
+
+
+@pytest.mark.parametrize("dim", [True, 2.0, "2", None],
+                         ids=["bool", "float", "str", "null"])
+def test_form_dimension_must_be_an_integer(dim):
+    with pytest.raises(InvalidInputError):
+        ser.form_from_json(F5, {"dim": dim, "coeffs": [[0, 0, 1]]})
 
 
 def test_f4_scalar_round_trip():
