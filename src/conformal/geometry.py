@@ -14,7 +14,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .fields import ConformalError, Field, Scalar, UnsupportedFieldError
 from . import linalg
@@ -324,8 +324,8 @@ def lie_quadric_points(g: Geometry, max_q: int = MAX_ENUM_Q):
         # values sort like its scalars; raw value v is element v
         hits = sorted(g.form.isotropic_points())
         wrap = list(g.field.elements())
-        g._quadric = tuple(ProjPoint.from_canonical(tuple(wrap[a] for a in x))
-                           for x in hits)
+        g._quadric = tuple(ProjPoint.from_canonical(
+            tuple(map(wrap.__getitem__, x))) for x in hits)
     return g._quadric
 
 
@@ -354,17 +354,11 @@ class Subspace:
     form: QuadraticForm
     l_coords: tuple
 
-    # raw coordinates x -> the raw ambient vector sum x_i b_i, each entry
-    # added in order from zero as ``linalg.combine`` does (over F_p one
-    # int sum reduced once)
+    # raw coordinates x -> the raw ambient vector sum x_i b_i
     @cached_property
     def _to_ambient_raw(self):
-        field, p = self.form.field, self.form._p
-        cols = tuple(zip(*[[a.value for a in b] for b in self.basis]))
-        if p:
-            return lambda x: [sum(map(operator.mul, col, x)) % p
-                              for col in cols]
-        return lambda x: [linalg._dot(field, col, x) for col in cols]
+        return _combiner_raw(self.form,
+                             [[a.value for a in b] for b in self.basis])
 
     # the isotropic points of ``form`` (finite fields), each as (raw
     # coordinates, ambient ProjPoint), in the ambient points' canonical
@@ -375,13 +369,16 @@ class Subspace:
         hits = sorted((linalg.normalize_raw(field, to_ambient(x)), x)
                       for x in self.form.isotropic_points())
         wrap = list(field.elements())  # raw value v is element v
-        return tuple((x, ProjPoint.from_canonical(tuple(wrap[a] for a in y)))
-                     for y, x in hits)
+        return tuple((x, ProjPoint.from_canonical(
+            tuple(map(wrap.__getitem__, y)))) for y, x in hits)
 
     def to_ambient(self, coords) -> Vector:
-        field = self.form.field
-        return tuple(Scalar(a, field) for a in self._to_ambient_raw(
-            [field.scalar(c).value for c in coords]))
+        field, dim = self.form.field, self.form.dim
+        x = [field.scalar(c).value for c in coords]
+        if len(x) != dim:
+            raise InvalidInputError(
+                f"a subspace vector has {dim} coordinates, not {len(x)}")
+        return tuple(Scalar(a, field) for a in self._to_ambient_raw(x))
 
     def from_ambient(self, v) -> Optional[Vector]:
         return linalg.coordinates(v, self.basis, self.form.field)
@@ -506,11 +503,27 @@ def _is_actual(g: Geometry, span: Sequence[Vector]) -> Optional[bool]:
     return linalg.rank(vectors, g.field) == len(perp)
 
 
+def _combiner_raw(form: QuadraticForm, basis) -> Callable:
+    """Raw coefficients x -> the raw vector sum x_i b_i over the raw
+    vectors ``basis``, each entry added in order from zero as
+    ``linalg.combine`` does (over F_p one int sum reduced once)."""
+    cols, p, field = tuple(zip(*basis)), form._p, form.field
+    if p:
+        return lambda x: [sum(map(operator.mul, col, x)) % p
+                          for col in cols]
+    return lambda x: [linalg._dot(field, col, x) for col in cols]
+
+
 def _isotropic_in_span(g: Geometry, basis: Sequence[Vector]) -> list:
     """The vectors with Q = 0 of span(basis), one per projective point
-    (finite fields): Q(sum c_i v_i) is the restricted form at c."""
-    return [linalg.combine(linalg.vector(g.field, c), basis)
-            for c in g.form.restrict(basis).isotropic_points()]
+    (finite fields): Q(sum c_i v_i) is the restricted form at c, and
+    each vector is combined on raw values and wrapped once."""
+    field = g.field
+    raw = [linalg.raw_values(field, v) for v in basis]
+    combine = _combiner_raw(g.form, raw)
+    wrap = list(field.elements())  # raw value v is element v
+    return [tuple(map(wrap.__getitem__, combine(c)))
+            for c in g.form.restrict_raw(raw).isotropic_points()]
 
 
 def span_subcycle(g: Geometry, *points) -> Subcycle:

@@ -150,7 +150,12 @@ def _bar_metric(kind: ModelKind, n: int):
 
 
 def _bar_dot(kind, n, u, v):
-    return sum(s * a * b for s, a, b in zip(_bar_metric(kind, n), u, v))
+    metric = _bar_metric(kind, n)
+    for x in (u, v):
+        if len(x) != len(metric):
+            raise ModelError(f"{kind.value} base vectors need {len(metric)} "
+                             f"coordinates; got {len(x)}")
+    return sum(s * a * b for s, a, b in zip(metric, u, v))
 
 
 def _bar_norm(kind, n, u):

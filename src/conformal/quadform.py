@@ -251,41 +251,83 @@ class QuadraticForm:
         """Yield the raw tuples of the projective points with Q = 0, in
         ``linalg.projective_points`` order (finite fields).
 
-        For each projective point x' = (x_0, ..., x_{n-2}) of K^(n-1),
-        Q(x', t) = a + b t + c t^2 in the last coordinate t, with
-        a = Q(x', 0), b = sum c_{i,n-1} x_i and c = c_{n-1,n-1}.  The
-        roots are read off ``_root_table`` when c != 0; otherwise
-        t = -a/b, or every t when a = b = 0.  t is the fastest coordinate
-        of ``projective_points``, so the roots in elements order give its
-        order.  The point (0, ..., 0, 1) is on the quadric exactly when
-        c = 0."""
-        field, p, last = self.field, self._p, self.dim - 1
+        The last two coordinates are solved as one block.  With the
+        prefix y = (x_0, ..., x_{n-3}), s = x_{n-2} and t = x_{n-1},
+        Q = A + r s + c_{n-2,n-2} s^2 + (B + c_{n-2,n-1} s) t + c t^2,
+        where A = Q(y, 0, 0), r and B are the cross sums of y with s and
+        with t, and c = c_{n-1,n-1}.  So the (s, t) solutions depend on
+        y only through the key (A, r, B): each projective point y of
+        K^(n-2) takes its key once, and a key's pairs are solved on
+        first sight and kept for the rest of the call.  For each s the
+        roots t of a + b t + c t^2 are read off ``_root_table`` when
+        c != 0; otherwise t = -a/b, or every t when a = b = 0.  s and t
+        are the two fastest coordinates of ``projective_points``, so
+        pairs in elements order give its order; the points with lead
+        n-2 are the roots at s = 1 with y = 0, and the point
+        (0, ..., 0, 1) is on the quadric exactly when c = 0."""
+        field, p, n = self.field, self._p, self.dim
+        elems = field.raw_elements
         add, mul, is_zero = field._add, field._mul, field._is_zero
         zero = field.raw_zero
-        head = [t for t in self._terms if t[1] < last]
-        lin = [(i, c) for i, j, c in self._terms if i < j == last]
-        c = next((k for i, j, k in self._terms if i == j == last), zero)
-        roots = _root_table(field, c) if not is_zero(c) else None
-        for x in linalg.projective_points(field, last):
-            if p:
-                a = sum([k * x[i] * x[j] for i, j, k in head]) % p
-                b = sum([k * x[i] for i, k in lin]) % p
+        head, lin_s, lin_t, block = [], [], [], {}
+        for term in self._terms:
+            i, j, k = term
+            if j < n - 2:
+                head.append(term)
+            elif i >= n - 2:
+                block[i, j] = k
+            elif j == n - 2:
+                lin_s.append((i, k))
             else:
-                a = b = zero
-                for i, j, k in head:
-                    a = add(a, mul(mul(k, x[i]), x[j]))
-                for i, k in lin:
-                    b = add(b, mul(k, x[i]))
+                lin_t.append((i, k))
+        c = block.get((n - 1, n - 1), zero)
+        roots = _root_table(field, c) if not is_zero(c) else None
+
+        def leaf(a, b):
             if roots is not None:
-                for t in roots.get((b, a), ()):
-                    yield x + (t,)
-            elif not is_zero(b):
-                yield x + (mul(field._neg(a), field._inv(b)),)
-            elif is_zero(a):
-                for (t,) in linalg.all_vectors(field, 1):
-                    yield x + (t,)
+                return roots.get((b, a), ())
+            if not is_zero(b):
+                return (mul(field._neg(a), field._inv(b)),)
+            return elems if is_zero(a) else ()
+
+        ss = block.get((n - 2, n - 2), zero)
+        st = block.get((n - 2, n - 1), zero)
+        if p:
+            def solve(a, r, b):
+                return [(s, t) for s in elems
+                        for t in leaf((a + (r + ss * s) * s) % p,
+                                      (b + st * s) % p)]
+        else:
+            def solve(a, r, b):
+                return [(s, t) for s in elems
+                        for t in leaf(add(a, mul(add(r, mul(ss, s)), s)),
+                                      add(b, mul(st, s)))]
+        if n >= 2:
+            blocks = {}
+            for y in linalg.projective_points(field, n - 2):
+                if p:
+                    key = (sum([k * y[i] * y[j] for i, j, k in head]) % p,
+                           sum([k * y[i] for i, k in lin_s]) % p,
+                           sum([k * y[i] for i, k in lin_t]) % p)
+                else:
+                    a = r = b = zero
+                    for i, j, k in head:
+                        a = add(a, mul(mul(k, y[i]), y[j]))
+                    for i, k in lin_s:
+                        r = add(r, mul(k, y[i]))
+                    for i, k in lin_t:
+                        b = add(b, mul(k, y[i]))
+                    key = (a, r, b)
+                pairs = blocks.get(key)
+                if pairs is None:
+                    pairs = blocks[key] = solve(*key)
+                for pair in pairs:
+                    yield y + pair
+            lead = (zero,) * (n - 2) + (field.raw_one,)
+            for t in leaf(ss, st):
+                yield lead + (t,)
         if roots is None:
-            yield (zero,) * last + (field.raw_one,)
+            yield (zero,) * (n - 1) + (field.raw_one,)
 
     def perp_points(self, p):
         """Yield the raw tuples of the projective points x with

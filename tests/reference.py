@@ -22,7 +22,7 @@ from conformal.fields import Rational, UnsupportedFieldError, square_class
 from conformal.geometry import (MAX_ENUM_Q, EnumerationUnsupportedError,
                                 Geometry, IdealDenominatorError,
                                 NoCanonicalProjectionError, ProjPoint, Role,
-                                RoleError, _check_enum, _isotropic_in_span,
+                                RoleError, _check_enum,
                                 lie_quadric_points, pointspace)
 from conformal.metric import (IdealPointError, LineGroupClass,
                               NotOnLineError, build_chart, line_space)
@@ -562,7 +562,7 @@ def ref_hyperplane_through(g, *points):
         if not g.field.is_finite:
             raise EnumerationUnsupportedError(
                 "cannot search an isotropic solution over an infinite field")
-        isotropic = _isotropic_in_span(g, sol)
+        isotropic = ref_isotropic_in_span(g, sol)
     keys = [linalg.span_key((v, g.p_rep), g.field) for v in isotropic]
     isotropic = [v for v, key in zip(isotropic, keys) if len(key) == 2]
     if not isotropic:

@@ -218,6 +218,16 @@ def test_pointspace_points_of_rejects_a_cycle_of_the_wrong_length():
             pointspace_points_of(ps, coords)
 
 
+def test_to_ambient_rejects_coordinates_of_the_wrong_length():
+    g = _geometry(F3, STD, (0, 0, 0, 0, 1), (0, 0, 0, 1, 0))
+    ps = pointspace(g)
+    assert ps.form.dim == 4
+    assert len(ps.to_ambient((1, 0, 0, 0))) == 5
+    for coords in ((1,), (1, 0, 0, 0, 0, 0)):
+        with pytest.raises(InvalidInputError, match="4 coordinates"):
+            ps.to_ambient(coords)
+
+
 def test_the_pointspace_quadric_is_enumerated_once(monkeypatch):
     """The points of every projected cycle of an F_3 plane come from one
     enumeration of the pointspace quadric, kept on the Subspace."""

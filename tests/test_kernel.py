@@ -3,9 +3,12 @@
 ``QuadraticForm.__call__``, ``b_full`` and ``gram_row`` evaluate on raw
 field values, ``linalg.rref`` eliminates on them,
 ``QuadraticForm.isotropic_points`` yields the raw tuples of the quadric
-in ``projective_points`` order, solving for the last coordinate from a
-cached root table (``lie_quadric_points`` sorts them and
-``_isotropic_in_span`` runs it on the restricted form), ``reflect_raw``
+in ``projective_points`` order, solving the last two coordinates as a
+block: the (s, t) pairs of each key (Q(y, 0, 0), and the cross sums of
+the prefix y with s and with t) are solved once per call, each s from a
+cached root table for t (``lie_quadric_points`` sorts them and
+``_isotropic_in_span`` runs it on the restricted form and combines the
+points on raw values), ``reflect_raw``
 and ``mirrors`` build the isometries of Witt's theorem on raw tuples,
 ``points_of``, ``cayley_klein_points``, ``has_point_search`` and ``role``
 filter raw tuples, ``subspaces`` and ``_is_hyperbolic_space`` run
@@ -36,9 +39,11 @@ by the lcm of their denominators) and build one Fraction per result;
 they are checked on denominators up to 10^6, plain-int raw values and
 tables over different denominators.  ``isotropic_points`` is also
 checked against the projective-point scan it replaced on arbitrary
-tables, degenerate ones included, over F_3..F_13, F_2 and F_4, its root
-table against brute-force roots, and its point counts against the
-closed form of the quadric.  The references
+tables, degenerate ones included (the block coordinates without square
+term, without cross term or in the radical), over F_3..F_13, F_2 and
+F_4, its order is pinned by sha256 on larger forms, it walks exactly
+one prefix per block, its root table is checked against brute-force
+roots, and its point counts against the closed form of the quadric.  The references
 in ``reference.py`` are the plain ``Scalar``-arithmetic loops and
 matrices those functions replaced; every answer must agree with them,
 bit for bit over ApproxReal.
@@ -267,32 +272,104 @@ FINITE = [PrimeField(3), PrimeField(5), PrimeField(7), PrimeField(11),
           PrimeField(13), CharTwo(2), CharTwo(4)]
 
 
+def _in_radical(items, k, char):
+    """The table without the terms of coordinate k, but for its square
+    term in characteristic 2: e_k is then in the radical."""
+    return [((i, j), c) for (i, j), c in items
+            if k not in (i, j) or (i == j and char == 2)]
+
+
 @st.composite
 def last_coordinate_forms(draw):
     """Any table over a finite field in dims 1 to 6 (to 5 over F_11 and
     F_13, where one dim 6 scan takes about a second), degenerate ones
-    included, with the last coordinate's square term dropped (c = 0) or
-    e_{n-1} put in the radical (no cross term with n-1; in odd
-    characteristic no square term either) in one case in three each."""
+    included.  One case in six each drops the last coordinate's square
+    term (c = 0) or puts e_{n-1} in the radical; the other block
+    coordinate n-2 has its square term dropped, its cross term with n-1
+    dropped, or e_{n-2} put in the radical."""
     field = draw(st.sampled_from(FINITE))
     q = draw(forms(field, dims=st.integers(1, 6 if field.order < 11 else 5)))
     last = q.dim - 1
-    shape = draw(st.sampled_from(["any", "c = 0", "radical"]))
+    shape = draw(st.sampled_from(["any", "c = 0", "radical", "s^2 = 0",
+                                  "no s t", "s radical"]))
     items = q.coeff_items()
     if shape == "c = 0":
         items = [(ij, c) for ij, c in items if ij != (last, last)]
     elif shape == "radical":
-        items = [((i, j), c) for (i, j), c in items
-                 if j != last or (i == j and field.char == 2)]
+        items = _in_radical(items, last, field.char)
+    elif shape == "s^2 = 0":
+        items = [(ij, c) for ij, c in items if ij != (last - 1, last - 1)]
+    elif shape == "no s t":
+        items = [(ij, c) for ij, c in items if ij != (last - 1, last)]
+    elif shape == "s radical":
+        items = _in_radical(items, last - 1, field.char)
     return QuadraticForm(field, q.dim, items)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(last_coordinate_forms())
 def test_isotropic_points_matches_the_scan(form):
-    """Solving for the last coordinate yields the scan's tuples in the
-    scan's order, on every table."""
+    """Solving for the last two coordinates as a block yields the scan's
+    tuples in the scan's order, on every table."""
     assert list(form.isotropic_points()) == list(ref_isotropic_points(form))
+
+
+# sha256 of repr(list(isotropic_points())), recorded with the solver
+# that took one prefix of n - 1 coordinates at a time
+ISOTROPIC_ORDER_PINS = [
+    (PrimeField(11), 7, {(i, i): c for i, c in enumerate([1, 2, 1, 1, 1, 1, 1])},
+     177_156,
+     "6f2262b0dc424300883bc92fc97ae3562c99345950d9bf1f8241f8ed7bea4685"),
+    (PrimeField(13), 6, {(i, i): c for i, c in enumerate([1, 1, 1, 1, 1, 2])},
+     30_772,
+     "d7332108486ede335f87b051fe001949479039cd1eae4b985f788ace0343c25d"),
+    (CharTwo(4), 6, {(0, 1): 1, (2, 3): 1, (1, 4): 3, (4, 4): 2, (4, 5): 1,
+                     (5, 5): 2, (0, 5): 3},
+     325,
+     "5d63e360c2a6dc5894e8a77628bf5797ea2977c7c7aeb8f9fcb31088b5dc5bad"),
+    (PrimeField(7), 6, {(0, 1): 1, (0, 4): 3, (1, 5): 2, (2, 2): 1, (2, 5): 6,
+                        (3, 4): 5, (3, 3): 4, (4, 4): 2, (4, 5): 1, (5, 5): 3},
+     2752,
+     "6e960d8501cacec5ed9b1ab96a149ecc8a784150a078ea39691b21ca772586ae"),
+]
+
+
+@pytest.mark.parametrize("field,dim,table,count,digest", ISOTROPIC_ORDER_PINS,
+                         ids=["f11-dim7", "f13-dim6", "f4-dim6", "f7-dim6"])
+def test_isotropic_points_order_is_pinned(field, dim, table, count, digest):
+    points = list(QuadraticForm(field, dim, table).isotropic_points())
+    assert len(points) == count
+    assert hashlib.sha256(repr(points).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("field", FINITE, ids=str)
+def test_isotropic_points_walks_one_prefix_per_block(field, monkeypatch):
+    """One call on a dim-n form walks the (q^(n-2) - 1)/(q - 1) projective
+    points of its first n - 2 coordinates, whatever the table."""
+    walked = []
+    walk = linalg.projective_points
+
+    def counting(f, n):
+        for y in walk(f, n):
+            walked.append(y)
+            yield y
+    monkeypatch.setattr(linalg, "projective_points", counting)
+    q, rng = field.order, random.Random(str(field))
+    for n in range(3, 6 if q < 11 else 5):
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        table = {ij: rng.randrange(q) for ij in rng.sample(pairs, n)}
+        walked.clear()
+        list(QuadraticForm(field, n, table).isotropic_points())
+        assert len(walked) == (q ** (n - 2) - 1) // (q - 1), (n, table)
+
+
+@pytest.mark.parametrize("field", [Rational(), ApproxReal()], ids=str)
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_isotropic_points_refuses_an_infinite_field(field, dim):
+    form = QuadraticForm.diagonal(field, [1] * (dim - 1) + [-1])
+    points = form.isotropic_points()
+    with pytest.raises(UnsupportedFieldError):
+        next(points)
 
 
 @pytest.mark.parametrize("field", FINITE, ids=str)

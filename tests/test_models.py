@@ -62,6 +62,28 @@ def test_normalization_errors():
         lift_line(ModelKind.PARABOLIC, (2, 0), offset=1.0)
 
 
+# the number of base coordinates each model's point lift takes (n = 2)
+BASE_LENGTH = {ModelKind.ELLIPTIC: 3, ModelKind.HYPERBOLIC: 3,
+               ModelKind.PARABOLIC: 2, ModelKind.MINKOWSKI2: 2,
+               ModelKind.DE_SITTER: 3, ModelKind.ANTI_DE_SITTER: 3,
+               ModelKind.LAGUERRE_GALILEI: 2}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_lifts_reject_coordinates_of_the_wrong_length(kind):
+    """A point (or a center) of the wrong length is refused with the
+    model and the counts wanted and given, never lifted truncated."""
+    want = BASE_LENGTH[kind]
+    for got in (1, want + 1):
+        coords = (1.0,) + (0.0,) * (got - 1)
+        message = f"{kind.value} .*need {want} coordinates; got {got}"
+        with pytest.raises(ModelError, match=message):
+            lift_point(kind, coords)
+        if kind is not ModelKind.LAGUERRE_GALILEI:
+            with pytest.raises(ModelError, match=message):
+                lift_cycle(kind, coords, 0.5)
+
+
 def test_all_grid_separations():
     for kind in CURVED:
         for d in (0.1, 0.5, 1.0, 2.0):

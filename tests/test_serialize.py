@@ -252,6 +252,17 @@ def test_cli_wrong_length_vector_is_a_precondition(argv):
     assert "coordinates" in r.stderr
 
 
+@pytest.mark.parametrize("model,want", [
+    ("elliptic", 3), ("hyperbolic", 3), ("parabolic", 2), ("minkowski", 2),
+    ("de-sitter", 3), ("anti-de-sitter", 3)])
+def test_cli_model_point_of_the_wrong_length_is_a_precondition(model, want):
+    r = _cli("examples", "lift", "--model", model, "--point", "1")
+    _assert_clean_exit(r, 2, "precondition violated: ")
+    assert len(r.stderr.splitlines()) == 1
+    assert f"{model} base vectors need {want} coordinates; got 1" in r.stderr
+    assert r.stdout == ""
+
+
 @pytest.mark.parametrize("point", ["1,0,0", "1"])
 def test_cli_laguerre_point_needs_two_coordinates(point):
     r = _cli("examples", "lift", "--model", "laguerre", "--point", point)
