@@ -21,10 +21,9 @@ from .fields import (CharTwo, Field, PrimeField, Rational, Scalar,
                      SquareClass, UnsupportedFieldError, canonical_nonresidue,
                      sqrt_if_square, square_class)
 from . import linalg
-from .linalg import vec_scale
-from .quadform import (QuadraticForm, _off_radical, arf_invariant,
-                       bilinear_radical, char2_arf_rep, det_class, diagonalize,
-                       extend_isometry, isometric, signature,
+from .quadform import (QuadraticForm, _Extender, _off_radical,
+                       arf_invariant, bilinear_radical, char2_arf_rep,
+                       det_class, diagonalize, isometric, signature,
                        InvalidInputError)
 from .geometry import Geometry, pointspace
 
@@ -388,53 +387,59 @@ def second_model(g: Geometry) -> Geometry:
 # ---------------------------------------------------------------------------
 
 def _canonical_diag_basis(form: QuadraticForm):
-    """Orthogonal basis with Q values [1,...,1,delta], delta in {1,e};
-    odd finite fields, non-degenerate forms."""
+    """Orthogonal basis (raw tuples) with Q values [1,...,1,delta],
+    delta in {1,e}; odd finite fields, non-degenerate forms."""
     field = form.field
+    mul = field._mul
     e = canonical_nonresidue(field)
     diag = diagonalize(form)
     basis = []
     entries = []
     for a, b in zip(diag.entries, diag.basis):
         target = field.one() if square_class(a) is SquareClass.UNIT else e
-        s = sqrt_if_square(a / target)
-        basis.append(vec_scale(s.inverse(), b))
+        inv = field._inv(sqrt_if_square(a / target).value)
+        basis.append(tuple([mul(inv, x.value) for x in b]))
         entries.append(target)
     # convert non-residue pairs [e,e] into [1,1]
     while entries.count(e) >= 2:
         i = entries.index(e)
         j = entries.index(e, i + 1)
         pair = (basis[i], basis[j])
-        sub = form.restrict(pair)
-        w_co = next((linalg.vector(field, co)
-                     for co in linalg.all_vectors(field, 2)
+        cols = tuple(zip(*pair))
+        sub = form.restrict_raw(pair)
+        w_co = next((co for co in linalg.all_vectors(field, 2)
                      if sub.eval_raw(co) == field.raw_one), None)
         assert w_co is not None  # every value is a sum of two squares
-        w = linalg.combine(w_co, pair)
-        kern = sub.perp([w_co])
+        kern = sub.perp_raw([w_co])
         assert len(kern) == 1
-        w2 = linalg.combine(kern[0], pair)
-        s = sqrt_if_square(form(w2))
+        w2 = linalg.mat_vec_raw(cols, kern[0], field)
+        s = sqrt_if_square(Scalar(form.eval_raw(w2), field))
         assert s is not None  # Q(w2) ~ det [e,e] ~ 1
-        w2 = vec_scale(s.inverse(), w2)
-        basis[i], basis[j] = w, w2
+        inv = field._inv(s.value)
+        basis[i] = linalg.mat_vec_raw(cols, w_co, field)
+        basis[j] = tuple([mul(inv, x) for x in w2])
         entries[i] = entries[j] = field.one()
     order = sorted(range(len(entries)),
                    key=lambda k: 0 if entries[k] == field.one() else 1)
     return [basis[k] for k in order], [entries[k] for k in order]
 
 
-def isometry_between(q1: QuadraticForm, q2: QuadraticForm):
-    """An explicit matrix T with Q2(T v) = Q1(v); odd finite fields."""
+def _isometry_raw(q1: QuadraticForm, q2: QuadraticForm) -> tuple:
+    """``isometry_between`` on raw rows: T = B2 B1^-1 for the canonical
+    diagonal bases B1, B2 as columns."""
     if not isometric(q1, q2):
         raise InvalidInputError("the forms are not isometric")
     b1, e1 = _canonical_diag_basis(q1)
     b2, e2 = _canonical_diag_basis(q2)
     assert e1 == e2
-    m1 = tuple(zip(*b1))  # columns are the basis vectors
-    m2 = tuple(zip(*b2))
-    inv1 = linalg.inverse(m1, q1.field)
-    return linalg.mat_mul(m2, inv1)
+    field = q1.field
+    inv1 = linalg.inverse_raw(tuple(zip(*b1)), field)
+    return linalg.mat_mul_raw(tuple(zip(*b2)), inv1, field)
+
+
+def isometry_between(q1: QuadraticForm, q2: QuadraticForm):
+    """An explicit matrix T with Q2(T v) = Q1(v); odd finite fields."""
+    return linalg.wrap_rows(q1.field, _isometry_raw(q1, q2))
 
 
 def pointspace_isometry(g1: Geometry, g2: Geometry):
@@ -451,22 +456,23 @@ def pointspace_isometry(g1: Geometry, g2: Geometry):
     ps1, ps2 = pointspace(g1), pointspace(g2)
     field = g1.field
     l1, l2 = ps1.l_coords, ps2.l_coords
+    l1_raw, l2_raw = linalg.raw_values(field, l1), linalg.raw_values(field, l2)
     for lam in _scaling_options(field):
         f1 = ps1.form.scaled(lam)
         if not isometric(f1, ps2.form):
             continue
         if square_class(f1(l1)) is not square_class(ps2.form(l2)):
             continue
-        t = isometry_between(f1, ps2.form)
-        h0 = linalg.mat_vec(t, l1)
+        t = _isometry_raw(f1, ps2.form)
+        h0 = linalg.mat_vec_raw(t, l1_raw, field)
         ql2 = ps2.form(l2)
         if not ql2.is_zero():
-            s = sqrt_if_square(ql2 / ps2.form(h0))
+            s = sqrt_if_square(ql2 / Scalar(ps2.form.eval_raw(h0), field))
             assert s is not None
-            h0 = vec_scale(s, h0)
-        adjust = extend_isometry(ps2.form, [h0], [l2])
-        h = linalg.mat_mul(adjust, t)
-        image = linalg.mat_vec(h, l1)
-        assert linalg.in_span(image, [l2], field)
-        return lam, h
+            h0 = tuple([field._mul(s.value, x) for x in h0])
+        adjust = _Extender(ps2.form).extend([h0], [tuple(l2_raw)])
+        h = linalg.mat_mul_raw(adjust, t, field)
+        image = linalg.mat_vec_raw(h, l1_raw, field)
+        assert linalg.rank_raw([l2_raw, image], field) == 1
+        return lam, linalg.wrap_rows(field, h)
     return None

@@ -11,10 +11,9 @@ is the vanishing of the (no-1/2) bilinear form.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .fields import ConformalError, Field, Scalar, UnsupportedFieldError
 from . import linalg
@@ -354,19 +353,20 @@ class Subspace:
     form: QuadraticForm
     l_coords: tuple
 
-    # raw coordinates x -> the raw ambient vector sum x_i b_i
+    # the basis as raw columns: raw coordinates x map to the raw ambient
+    # vector sum x_i b_i = linalg.mat_vec_raw(_cols, x, field)
     @cached_property
-    def _to_ambient_raw(self):
-        return _combiner_raw(self.form,
-                             [[a.value for a in b] for b in self.basis])
+    def _cols(self) -> tuple:
+        return tuple(zip(*([a.value for a in b] for b in self.basis)))
 
     # the isotropic points of ``form`` (finite fields), each as (raw
     # coordinates, ambient ProjPoint), in the ambient points' canonical
     # order: the one enumeration of the subspace quadric, on first use
     @cached_property
     def _quadric(self) -> tuple:
-        field, to_ambient = self.form.field, self._to_ambient_raw
-        hits = sorted((linalg.normalize_raw(field, to_ambient(x)), x)
+        field, cols = self.form.field, self._cols
+        hits = sorted((linalg.normalize_raw(
+            field, linalg.mat_vec_raw(cols, x, field)), x)
                       for x in self.form.isotropic_points())
         wrap = list(field.elements())  # raw value v is element v
         return tuple((x, ProjPoint.from_canonical(
@@ -378,7 +378,8 @@ class Subspace:
         if len(x) != dim:
             raise InvalidInputError(
                 f"a subspace vector has {dim} coordinates, not {len(x)}")
-        return tuple(Scalar(a, field) for a in self._to_ambient_raw(x))
+        return tuple(Scalar(a, field)
+                     for a in linalg.mat_vec_raw(self._cols, x, field))
 
     def from_ambient(self, v) -> Optional[Vector]:
         return linalg.coordinates(v, self.basis, self.form.field)
@@ -393,8 +394,7 @@ def perp_space(g: Geometry, vectors: Sequence[Vector]) -> Subspace:
     basis = g.form.perp_raw([linalg.raw_values(field, v) for v in vectors])
     l_coords = linalg.solve_raw(tuple(zip(*basis)), g._l_raw, field)
     assert l_coords is not None  # L is orthogonal to every vector
-    return Subspace(g, tuple(tuple(Scalar(x, field) for x in b)
-                             for b in basis),
+    return Subspace(g, linalg.wrap_rows(field, basis),
                     g.form.restrict_raw(basis),
                     tuple(Scalar(x, field) for x in l_coords))
 
@@ -503,26 +503,15 @@ def _is_actual(g: Geometry, span: Sequence[Vector]) -> Optional[bool]:
     return linalg.rank(vectors, g.field) == len(perp)
 
 
-def _combiner_raw(form: QuadraticForm, basis) -> Callable:
-    """Raw coefficients x -> the raw vector sum x_i b_i over the raw
-    vectors ``basis``, each entry added in order from zero as
-    ``linalg.combine`` does (over F_p one int sum reduced once)."""
-    cols, p, field = tuple(zip(*basis)), form._p, form.field
-    if p:
-        return lambda x: [sum(map(operator.mul, col, x)) % p
-                          for col in cols]
-    return lambda x: [linalg._dot(field, col, x) for col in cols]
-
-
 def _isotropic_in_span(g: Geometry, basis: Sequence[Vector]) -> list:
     """The vectors with Q = 0 of span(basis), one per projective point
     (finite fields): Q(sum c_i v_i) is the restricted form at c, and
     each vector is combined on raw values and wrapped once."""
     field = g.field
     raw = [linalg.raw_values(field, v) for v in basis]
-    combine = _combiner_raw(g.form, raw)
+    cols = tuple(zip(*raw))
     wrap = list(field.elements())  # raw value v is element v
-    return [tuple(map(wrap.__getitem__, combine(c)))
+    return [tuple(map(wrap.__getitem__, linalg.mat_vec_raw(cols, c, field)))
             for c in g.form.restrict_raw(raw).isotropic_points()]
 
 
@@ -563,8 +552,7 @@ def hyperplane_through(g: Geometry, *points) -> Optional[ProjPoint]:
     xs = [_require_point(g, p) for p in points]
     if _antipodal_pair(g, xs):
         raise RoleError("an antipodal pair admits no unique hyperplane")
-    sol = tuple(tuple(Scalar(a, g.field) for a in x)
-                for x in g.form.perp_raw(xs + [g._l_raw]))
+    sol = linalg.wrap_rows(g.field, g.form.perp_raw(xs + [g._l_raw]))
     if not sol:
         return None
     if len(sol) == 1:

@@ -1,28 +1,28 @@
 """Small exact linear algebra over the package's scalar fields.
 
-Vectors are tuples of :class:`~conformal.fields.Scalar`, matrices are
-tuples of row tuples.  One Gauss-Jordan elimination, ``_reduce``, works
-on raw field values and serves every function here; the public ones
-unwrap their input once and wrap only what they return.  Over Q it
-eliminates on integers (each row scaled by the lcm of its denominators)
-and builds one Fraction per entry of the result; the other fields use
-their own ops and zero test, so the same loop serves F_p, F_2/F_4 and
-(tolerance-aware) floats.  ``kernel_raw`` and ``solve_raw`` take and
-return raw rows, as do the two walks of a finite space, ``all_vectors``
-and ``projective_points``.
+Inside the library a vector is a tuple of raw field values and a matrix
+a tuple of raw rows; ``Scalar`` tuples are the public form, unwrapped
+once (``raw_values``) and wrapped once (``wrap_rows``).  ``mat_vec_raw``
+is the one matrix-vector product.  One Gauss-Jordan elimination,
+``_reduce``, serves every solver.  Over Q it eliminates on integers
+(each row scaled by the lcm of its denominators) and builds one
+Fraction per entry of the result; the other fields use their own ops
+and zero test, so the same loop serves F_p, F_2/F_4 and
+(tolerance-aware) floats.  The two walks of a finite space,
+``all_vectors`` and ``projective_points``, yield raw tuples too.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .fields import Field, FieldMismatchError, Rational, Scalar
+from .fields import Field, FieldMismatchError, PrimeField, Rational, Scalar
 
 Vector = tuple
-Matrix = tuple
 
 
 def raw_values(field: Field, v: Vector) -> list:
@@ -60,10 +60,6 @@ def vector(field: Field, entries) -> Vector:
     return tuple(field.scalar(e) for e in entries)
 
 
-def zero_vector(field: Field, n: int) -> Vector:
-    return tuple(field.zero() for _ in range(n))
-
-
 def unit_vector(field: Field, n: int, i: int) -> Vector:
     return tuple(field.one() if j == i else field.zero() for j in range(n))
 
@@ -84,38 +80,34 @@ def is_zero_vector(v: Vector) -> bool:
     return all(a.is_zero() for a in v)
 
 
-def combine(coeffs: Sequence[Scalar], vectors: Sequence[Vector]) -> Vector:
-    """sum c_i v_i over non-empty ``vectors``, added in order from zero."""
-    out = zero_vector(vectors[0][0].field, len(vectors[0]))
-    for c, v in zip(coeffs, vectors):
-        out = vec_add(out, vec_scale(c, v))
-    return out
-
-
-def identity_matrix(field: Field, n: int) -> Matrix:
-    return tuple(unit_vector(field, n, i) for i in range(n))
-
-
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(sum((a * b for a, b in zip(row, v)),
-                     start=row[0].field.zero()) for row in m)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum((x * y for x, y in zip(row, col)),
-                           start=row[0].field.zero()) for col in bt)
-                 for row in a)
-
-
 def _dot(field: Field, row, x):
     """sum row_i x_i on raw values, added in order from zero with the
-    field's ops (``mat_vec``'s order)."""
+    field's ops."""
     add, mul = field._add, field._mul
     total = field.raw_zero
     for a, b in zip(row, x):
         total = add(total, mul(a, b))
     return total
+
+
+def mat_vec_raw(m: Sequence, x: Sequence, field: Field) -> tuple:
+    """M x for the matrix with raw rows m and the raw vector x: each
+    entry is ``_dot`` of its row with x, over F_p one int sum reduced
+    once."""
+    if isinstance(field, PrimeField):
+        p = field.p
+        return tuple([sum(map(operator.mul, row, x)) % p for row in m])
+    return tuple([_dot(field, row, x) for row in m])
+
+
+def mat_mul_raw(a: Sequence, b: Sequence, field: Field) -> tuple:
+    """A B on raw rows: ``mat_vec_raw`` of a with each column of b."""
+    return tuple(zip(*(mat_vec_raw(a, col, field) for col in zip(*b))))
+
+
+def wrap_rows(field: Field, rows) -> tuple:
+    """Raw rows as rows of Scalars."""
+    return tuple(tuple(Scalar(x, field) for x in row) for row in rows)
 
 
 def rref(rows: Sequence[Vector], field: Field):
@@ -125,7 +117,7 @@ def rref(rows: Sequence[Vector], field: Field):
     A row entry of another field raises FieldMismatchError."""
     m = [raw_values(field, r) for r in rows]
     pivots = _reduce(m, field)
-    return tuple(tuple(Scalar(x, field) for x in row) for row in m), pivots
+    return wrap_rows(field, m), pivots
 
 
 def _reduce(m: list, field: Field, log: Optional[list] = None) -> list:
@@ -226,7 +218,12 @@ def _raw_rows(rows: Sequence[Vector], field: Field) -> list:
 
 
 def rank(rows: Sequence[Vector], field: Field) -> int:
-    return len(_reduce(_raw_rows(rows, field), field))
+    return rank_raw(_raw_rows(rows, field), field)
+
+
+def rank_raw(rows: Sequence, field: Field) -> int:
+    """The rank of the matrix with the given rows of raw values."""
+    return len(_reduce(list(rows), field))
 
 
 def kernel_raw(rows: Sequence, field: Field, ncols: int) -> list:
@@ -250,8 +247,7 @@ def kernel_raw(rows: Sequence, field: Field, ncols: int) -> list:
 
 def kernel_basis(rows: Sequence[Vector], field: Field, ncols: int):
     """Basis of {v : M v = 0} for the matrix with the given rows."""
-    return tuple(tuple(Scalar(x, field) for x in v)
-                 for v in kernel_raw(_raw_rows(rows, field), field, ncols))
+    return wrap_rows(field, kernel_raw(_raw_rows(rows, field), field, ncols))
 
 
 def span_key(vectors: Sequence[Vector], field: Field) -> tuple:
@@ -275,19 +271,19 @@ def solve_raw(rows: Sequence, rhs: Sequence, field: Field) -> Optional[list]:
     return x
 
 
-def solve(rows: Sequence[Vector], rhs: Vector, field: Field) -> Optional[Vector]:
-    """One solution x of M x = rhs, or None."""
-    x = solve_raw(_raw_rows(rows, field), raw_values(field, rhs), field)
-    return None if x is None else tuple(Scalar(a, field) for a in x)
-
-
-def inverse(m: Matrix, field: Field) -> Optional[Matrix]:
+def inverse_raw(m: Sequence, field: Field) -> Optional[tuple]:
+    """The inverse of the square matrix with raw rows m, from one
+    elimination of [M | I]; None when M is singular.  A non-square M
+    raises ValueError."""
     n = len(m)
-    aug = [tuple(m[i]) + unit_vector(field, n, i) for i in range(n)]
-    red, pivots = rref(aug, field)
-    if pivots[:n] != list(range(n)):
+    if any(len(row) != n for row in m):
+        raise ValueError("only a square matrix has an inverse")
+    zero, one = field.raw_zero, field.raw_one
+    aug = [list(row) + [one if j == i else zero for j in range(n)]
+           for i, row in enumerate(m)]
+    if _reduce(aug, field)[:n] != list(range(n)):
         return None
-    return tuple(tuple(red[i][n:]) for i in range(n))
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 def independent(vectors: Sequence[Vector], field: Field) -> bool:
@@ -318,8 +314,9 @@ def coordinates(v: Vector, basis: Sequence[Vector], field: Field) -> Optional[Ve
     """Coefficients x with sum x_i basis_i = v, or None if v is outside."""
     # the matrix whose columns are the basis vectors, one row per
     # coordinate of v (rows with no entries when the basis is empty)
-    cols = tuple(zip(*basis)) or ((),) * len(v)
-    return solve(cols, v, field)
+    cols = tuple(zip(*_raw_rows(basis, field))) or ((),) * len(v)
+    x = solve_raw(cols, raw_values(field, v), field)
+    return None if x is None else tuple(Scalar(a, field) for a in x)
 
 
 def coordinate_map(basis: Sequence[Vector], field: Field):

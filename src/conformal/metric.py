@@ -15,7 +15,7 @@ import math
 from enum import Enum
 from typing import Optional
 
-from .fields import (ConformalError, PrimeField, Scalar, SquareClass,
+from .fields import (ConformalError, Scalar, SquareClass,
                      UnsupportedFieldError, canonical_nonresidue,
                      sqrt_if_square, square_class)
 from . import linalg
@@ -147,10 +147,11 @@ class Chart:
     pair with Q(b2) = -eps Q(b1); for the additive group an anisotropic
     u of canonical norm and the isotropic partner v of L.
 
-    The queries run on raw values: ``_to_line`` and ``_from_line`` copy
-    the two matrices, ``_p`` is the field's prime (0 unless F_p), and
-    ``_coords`` maps an ambient vector to its line coordinates (None off
-    the line space) as ``space.from_ambient`` does.
+    The queries run on raw values: ``_to_line`` (chart coordinates to
+    line coordinates: the basis as raw columns) and its inverse
+    ``_from_line`` are raw rows, and ``_coords`` maps an ambient vector
+    to its line coordinates (None off the line space) as
+    ``space.from_ambient`` does.
     """
 
     def __init__(self, kind: LineGroupClass, space: Subspace, basis,
@@ -159,15 +160,12 @@ class Chart:
         self.space = space
         self.basis = tuple(basis)
         field = space.form.field
-        cols = tuple(zip(*self.basis))
-        self.to_line = tuple(cols)  # matrix: chart coords -> line coords
-        inv = linalg.inverse(self.to_line, field)
-        assert inv is not None
-        self.from_line = inv
+        self._to_line = tuple(zip(*(linalg.raw_values(field, b)
+                                    for b in self.basis)))
+        self._from_line = linalg.inverse_raw(self._to_line, field)
+        assert self._from_line is not None
         self.norm_token = norm_token
-        self._to_line, self._from_line = _raw(self.to_line), _raw(inv)
         self._coords = linalg.coordinate_map(space.basis, field)
-        self._p = field.p if isinstance(field, PrimeField) else 0
         if kind is LineGroupClass.ADDITIVE:
             # tau = 2 Q(u) (beta1 - beta2); the matrix divides by 2Q(u), 4Q(u)
             qu = space.form(self.basis[1])
@@ -302,21 +300,6 @@ class MotionElement:
                 f"normal_form={self.normal_form})")
 
 
-def _mat_vec(chart: Chart, m, v) -> tuple:
-    """m v on raw values, each entry summed in order from zero as
-    ``linalg.mat_vec`` does (over F_p as Python ints, reduced once)."""
-    p = chart._p
-    if p:
-        return tuple(sum([x * y for x, y in zip(row, v)]) % p for row in m)
-    field = chart.space.form.field
-    return tuple(linalg._dot(field, row, v) for row in m)
-
-
-def _mat_mul(chart: Chart, a, b) -> tuple:
-    """a b on raw values, in the order of ``linalg.mat_mul``."""
-    return tuple(zip(*(_mat_vec(chart, a, col) for col in zip(*b))))
-
-
 def _line_matrix(chart: Chart, nf):
     """Line-space matrix of the raw normal form nf: the chart's matrix
     of the element conjugated by the chart, in the order of Scalar
@@ -339,16 +322,8 @@ def _line_matrix(chart: Chart, nf):
         m = ((one, zero, zero),
              (zero, a, mul(chart.norm_token[1], b)),
              (zero, b, a))
-    return _mat_mul(chart, _mat_mul(chart, chart._to_line, m),
-                    chart._from_line)
-
-
-def _scalars(field, m) -> tuple:
-    return tuple(tuple(Scalar(x, field) for x in row) for row in m)
-
-
-def _raw(m) -> tuple:
-    return tuple(tuple(x.value for x in row) for row in m)
+    return linalg.mat_mul_raw(linalg.mat_mul_raw(chart._to_line, m, field),
+                              chart._from_line, field)
 
 
 def _motion(chart: Chart, nf, matrix=None) -> MotionElement:
@@ -357,7 +332,7 @@ def _motion(chart: Chart, nf, matrix=None) -> MotionElement:
     if matrix is None:
         matrix = _line_matrix(chart, nf)
     return MotionElement(chart, tuple(Scalar(x, field) for x in nf),
-                         _scalars(field, matrix))
+                         linalg.wrap_rows(field, matrix))
 
 
 def motion_from_normal_form(chart: Chart, nf) -> MotionElement:
@@ -393,7 +368,7 @@ def _point_coords(chart: Chart, g: Geometry, p):
     lc = chart._coords(x)
     if lc is None:
         raise NotOnLineError("the point is not on the given line")
-    cc = _mat_vec(chart, chart._from_line, lc)
+    cc = linalg.mat_vec_raw(chart._from_line, lc, field)
     # Non-ideality (B(L, p) != 0) shows up in the L-coefficient for the
     # torus charts (Q(L) != 0) and in the v-coefficient for the additive
     # chart (v is the isotropic partner of L).
@@ -437,7 +412,7 @@ def translation_between(g: Geometry, l, p1, p2) -> MotionElement:
         nf = (mul(sub(mul(x2, x1), mul(mul(eps, y2), y1)), inv),
               mul(sub(mul(y2, x1), mul(x2, y1)), inv))
     matrix = _line_matrix(chart, nf)
-    moved = _mat_vec(chart, matrix, lc1)
+    moved = linalg.mat_vec_raw(matrix, lc1, field)
     assert _same_point(field, moved, lc2), "translation mismatch (internal)"
     return _motion(chart, nf, matrix)
 
@@ -523,8 +498,8 @@ def stabilizer_matrices(g: Geometry, l):
             # images of the chart basis determine the map; (lc, y, z) has
             # the chart basis's Gram matrix, so m is invertible
             m_cols = tuple(zip(lc_raw, y, z))  # chart -> line coords
-            out.append(_scalars(field, _mat_mul(chart, m_cols,
-                                                chart._from_line)))
+            out.append(linalg.wrap_rows(field, linalg.mat_mul_raw(
+                m_cols, chart._from_line, field)))
     return space, chart, out
 
 
@@ -536,8 +511,10 @@ def stabilizer_group(g: Geometry, l):
     mul, sub, one = field._mul, field._sub, field.raw_one
     out = []
     for m in mats:
-        mc = _mat_mul(chart, _mat_mul(chart, chart._from_line, _raw(m)),
-                      chart._to_line)
+        mc = linalg.mat_mul_raw(
+            linalg.mat_mul_raw(chart._from_line,
+                               [linalg.raw_values(field, r) for r in m], field),
+            chart._to_line, field)
         # mc fixes e_0 (L), so det m is the minor of its last two rows
         if not field._eq(sub(mul(mc[1][1], mc[2][2]),
                              mul(mc[1][2], mc[2][1])), one):

@@ -183,19 +183,15 @@ class QuadraticForm:
         return tuple(Scalar(t, field)
                      for t in self.gram_row_raw(raw_values(field, x)))
 
-    def gram_row_raw(self, x) -> list:
-        """``gram_row`` on raw values: the cached raw Gram matrix times x,
-        summed like ``linalg.mat_vec`` (over F_p: as Python ints reduced
-        once; over Q: on integers, term by term from the table)."""
-        if self._p:
-            p = self._p
-            return [sum(map(operator.mul, row, x)) % p
-                    for row in self._raw_gram()]
+    def gram_row_raw(self, x):
+        """``gram_row`` on raw values: the cached raw Gram matrix times x
+        by ``linalg.mat_vec_raw`` (over Q: on integers, term by term
+        from the table)."""
         if self._den:
             xs, lx = _numerators(x)
             den = self._den * lx
             return [Fraction(t, den) for t in self._int_gram_row(xs)]
-        return [linalg._dot(self.field, row, x) for row in self._raw_gram()]
+        return linalg.mat_vec_raw(self._raw_gram(), x, self.field)
 
     def pairing_raw(self, y):
         """x -> B(y, x) on raw values, with y's Gram row taken once: the
@@ -239,8 +235,8 @@ class QuadraticForm:
     def perp(self, vectors: Sequence[Vector]):
         """A basis of {x : B(v, x) = 0 for every v in vectors}."""
         field = self.field
-        return tuple(tuple(Scalar(t, field) for t in x) for x in
-                     self.perp_raw([raw_values(field, v) for v in vectors]))
+        return linalg.wrap_rows(field, self.perp_raw(
+            [raw_values(field, v) for v in vectors]))
 
     def perp_raw(self, vectors) -> list:
         """``perp`` on raw values: raw vectors in, raw tuples out."""
@@ -391,9 +387,7 @@ class QuadraticForm:
 
     def bilinear_matrix(self):
         """Gram matrix of b_full (rows of Scalars)."""
-        field = self.field
-        return tuple(tuple(Scalar(x, field) for x in row)
-                     for row in self._raw_gram())
+        return linalg.wrap_rows(self.field, self._raw_gram())
 
     def restrict(self, basis: Sequence[Vector]) -> "QuadraticForm":
         """The form in the coordinates of the given (ambient) basis."""
@@ -486,9 +480,8 @@ def bilinear_radical(q: QuadraticForm):
     """Basis of {v : B(v,u) = 0 for all u} (kernel of the Gram matrix),
     computed once per form on raw values and kept on it."""
     if q._rad is None:
-        field = q.field
-        q._rad = tuple(tuple(Scalar(x, field) for x in v) for v in
-                       linalg.kernel_raw(q._raw_gram(), field, q.dim))
+        q._rad = linalg.wrap_rows(q.field, linalg.kernel_raw(
+            q._raw_gram(), q.field, q.dim))
     return q._rad
 
 
@@ -610,24 +603,27 @@ class GenOrthoBasis:
     couples: frozenset  # of index pairs (i, j), i < j
 
 
-def _couples_of(q: QuadraticForm, vectors: Sequence[Vector]):
-    """Validate a generalized orthogonal set; return its couple index pairs."""
-    if vectors and not linalg.independent(vectors, q.field):
+def _couples_of(q: QuadraticForm, vectors: Sequence[tuple]):
+    """Validate a generalized orthogonal set of raw tuples (as
+    ``_vectors_of`` gives them); return its couple index pairs."""
+    field = q.field
+    if vectors and linalg.rank_raw(vectors, field) < len(vectors):
         raise InvalidInputError("generalized orthogonal set must be independent")
+    b, is_zero = q.b_raw, field._is_zero
     partner = {}
     couples = set()
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
-            b = q.b_full(vectors[i], vectors[j])
-            if b.is_zero():
+            bij = b(vectors[i], vectors[j])
+            if is_zero(bij):
                 continue
             if i in partner or j in partner:
                 raise InvalidInputError(
                     "a vector participates in two non-orthogonal pairs")
-            if b != q.field.one():
+            if not field._eq(bij, field.raw_one):
                 raise InvalidInputError("couple pairing must equal 1")
-            if not (q.b_full(vectors[i], vectors[i]).is_zero()
-                    and q.b_full(vectors[j], vectors[j]).is_zero()):
+            if not (is_zero(b(vectors[i], vectors[i]))
+                    and is_zero(b(vectors[j], vectors[j]))):
                 raise InvalidInputError("couple members must be symplectic")
             partner[i] = j
             partner[j] = i
@@ -638,11 +634,12 @@ def _couples_of(q: QuadraticForm, vectors: Sequence[Vector]):
 def _subspace_orthogonal_to(q: QuadraticForm, space: Sequence[tuple],
                             against: Sequence[tuple]) -> list:
     """Basis of {w in span(space) : B(w, a) = 0 for all a in against} on
-    raw tuples, each combination added in ``linalg.combine``'s order."""
+    raw tuples, each combination taken by ``linalg.mat_vec_raw``."""
     if not against:
         return list(space)
     rows = [[q.b_raw(a, w) for w in space] for a in against]
-    return [tuple([linalg._dot(q.field, combo, col) for col in zip(*space)])
+    cols = tuple(zip(*space))
+    return [linalg.mat_vec_raw(cols, combo, q.field)
             for combo in linalg.kernel_raw(rows, q.field, len(space))]
 
 
@@ -712,9 +709,9 @@ def generalized_orthogonal_basis(q: QuadraticForm,
 
     n, zero, one = q.dim, field.raw_zero, field.raw_one
     extend([(zero,) * i + (one,) + (zero,) * (n - 1 - i) for i in range(n)],
-           [tuple(x.value for x in v) for v in s], _couples_of(q, s))
-    basis = GenOrthoBasis(tuple(tuple(Scalar(x, field) for x in v)
-                                for v in out_vectors), frozenset(out_couples))
+           s, _couples_of(q, s))
+    basis = GenOrthoBasis(linalg.wrap_rows(field, out_vectors),
+                          frozenset(out_couples))
     assert len(basis.vectors) == q.dim
     return basis
 
@@ -881,9 +878,11 @@ def represents(q: QuadraticForm, lam) -> Optional[Vector]:
         raise UnsupportedFieldError(f"represents over {field}")
     diag = diagonalize(q)
     entries = diag.entries
+    cols = tuple(zip(*(raw_values(field, b) for b in diag.basis)))
 
     def witness(coeffs) -> Vector:
-        return linalg.combine([field.scalar(c) for c in coeffs], diag.basis)
+        return tuple(Scalar(x, field) for x in linalg.mat_vec_raw(
+            cols, [field.scalar(c).value for c in coeffs], field))
 
     if lam.is_zero():
         for i, a in enumerate(entries):
@@ -939,21 +938,6 @@ def represents(q: QuadraticForm, lam) -> Optional[Vector]:
 # Isometry construction: reflections and Witt extension by reflections.
 # ---------------------------------------------------------------------------
 
-def reflection_matrix(q: QuadraticForm, w: Vector):
-    """The reflection x -> x - (B(x,w)/Q(w)) w; needs Q(w) != 0."""
-    qw = q(w)
-    if qw.is_zero():
-        raise InvalidInputError("reflections need an anisotropic mirror")
-    field = q.field
-    n = q.dim
-    bw = q.gram_row(w)
-    images = []
-    for i in range(n):
-        e = linalg.unit_vector(field, n, i)
-        images.append(vec_sub(e, vec_scale(bw[i] / qw, w)))
-    return tuple(zip(*images))
-
-
 def mirrors(q: QuadraticForm, a, b, pool=(), fixed=()):
     """Mirrors w_1, ..., w_k (raw tuples) whose reflections, applied in
     turn, send the raw vector a to b; None when the pool has no r.
@@ -982,25 +966,31 @@ def mirrors(q: QuadraticForm, a, b, pool=(), fixed=()):
 
 
 def is_isometry(q: QuadraticForm, m) -> bool:
+    """The dim x dim matrix m (rows) preserves Q: on raw values, Q of
+    column i is c_ii and B of columns i < j is c_ij (B alone would miss
+    Q in characteristic 2).  Any other shape raises InvalidInputError."""
     n = q.dim
-    basis = [linalg.mat_vec(m, linalg.unit_vector(q.field, n, i))
-             for i in range(n)]
-    for i in range(n):
-        if q(basis[i]) != q(linalg.unit_vector(q.field, n, i)):
+    if len(m) != n or any(len(row) != n for row in m):
+        raise InvalidInputError(f"is_isometry needs a {n}x{n} matrix")
+    cols = list(zip(*(raw_values(q.field, row) for row in m)))
+    coeff = {(i, j): c for i, j, c in q._terms}
+    zero, eq = q.field.raw_zero, q.field._eq
+    for i, x in enumerate(cols):
+        if not eq(q.eval_raw(x), coeff.get((i, i), zero)):
             return False
         for j in range(i + 1, n):
-            expected = q.coeff(i, j)
-            if q.b_full(basis[i], basis[j]) != expected:
+            if not eq(q.b_raw(x, cols[j]), coeff.get((i, j), zero)):
                 return False
     return True
 
 
-def _vectors_of(q: QuadraticForm, vecs):
-    """The vectors as tuples of scalars; each must have length q.dim."""
+def _vectors_of(q: QuadraticForm, vecs) -> list:
+    """The vectors as tuples of raw values, each coordinate coerced by
+    the field; each must have length q.dim."""
     vecs = list(vecs)
     if any(len(v) != q.dim for v in vecs):
         raise InvalidInputError(f"vectors must have length {q.dim}")
-    return [tuple(q.field.scalar(x) for x in v) for v in vecs]
+    return [tuple([q.field.scalar(x).value for x in v]) for v in vecs]
 
 
 class _Extender:
@@ -1010,7 +1000,8 @@ class _Extender:
     which makes the span non-degenerate.  An orthogonal basis of it then
     consists of anisotropic vectors, and ``mirrors`` moves each one onto
     its target: both are orthogonal to every image already placed, so
-    the mirrors fix those images.
+    the mirrors fix those images.  On raw tuples, the matrix kept as
+    raw columns, and each mirror reflects every column.
     """
 
     def __init__(self, q: QuadraticForm):
@@ -1023,48 +1014,54 @@ class _Extender:
         self.q = q
         self.field = q.field
 
-    def extend(self, u_vecs, v_vecs):
+    def extend(self, u_vecs, v_vecs) -> tuple:
+        """The raw rows of g with g u_i = v_i, for as many raw tuples
+        v_i as u_i."""
         q = self.q
         field = self.field
-        if len(u_vecs) != len(v_vecs):
-            raise InvalidInputError("subspace bases differ in length")
-        u_vecs = _vectors_of(q, u_vecs)
-        v_vecs = _vectors_of(q, v_vecs)
-        g = linalg.identity_matrix(field, q.dim)
+        n, zero, one = q.dim, field.raw_zero, field.raw_one
+        cols = [(zero,) * i + (one,) + (zero,) * (n - 1 - i)
+                for i in range(n)]
         if not u_vecs:
-            return g
-        if not linalg.independent(u_vecs, field) or \
-           not linalg.independent(v_vecs, field):
+            return tuple(cols)  # the identity
+        k = len(u_vecs)
+        if linalg.rank_raw(u_vecs, field) < k or \
+           linalg.rank_raw(v_vecs, field) < k:
             raise InvalidInputError("subspace bases must be independent")
-        for i in range(len(u_vecs)):
-            if q(u_vecs[i]) != q(v_vecs[i]):
-                raise InvalidInputError("the given map is not an isometry")
-            for j in range(i + 1, len(u_vecs)):
-                if q.b_full(u_vecs[i], u_vecs[j]) != q.b_full(v_vecs[i], v_vecs[j]):
-                    raise InvalidInputError("the given map is not an isometry")
+        # Q and B on the u_i are Q and B on the v_i: one table for both
+        if q.restrict_raw(u_vecs)._terms != q.restrict_raw(v_vecs)._terms:
+            raise InvalidInputError("the given map is not an isometry")
         u_list, v_list = self._complete_radical(u_vecs, v_vecs)
-        for co in diagonalize(q.restrict(u_list)).basis:
-            a = linalg.mat_vec(g, linalg.combine(co, u_list))
-            b = linalg.combine(co, v_list)
-            for w in mirrors(q, raw_values(field, a), raw_values(field, b)):
-                g = linalg.mat_mul(
-                    reflection_matrix(q, linalg.vector(field, w)), g)
+        u_cols, v_cols = tuple(zip(*u_list)), tuple(zip(*v_list))
+        for co in diagonalize(q.restrict_raw(u_list)).basis:
+            co = [c.value for c in co]
+            a = linalg.mat_vec_raw(tuple(zip(*cols)),
+                                   linalg.mat_vec_raw(u_cols, co, field),
+                                   field)
+            for w in mirrors(q, a, linalg.mat_vec_raw(v_cols, co, field)):
+                cols = [q.reflect_raw(w, c) for c in cols]
+        g = tuple(zip(*cols))
         for u, v in zip(u_vecs, v_vecs):
-            assert linalg.mat_vec(g, u) == v, "extension failed (internal)"
-        assert is_isometry(q, g), "extension is not an isometry (internal)"
+            assert linalg.mat_vec_raw(g, u, field) == v, \
+                "extension failed (internal)"
+        # g preserves Q: the table of Q in the columns of g is Q's own
+        assert q.restrict_raw(cols)._terms == q._terms, \
+            "extension is not an isometry (internal)"
         return g
 
     def _complete_radical(self, u_vecs, v_vecs):
         """Hyperbolically complete the radical of B restricted to span(u)."""
         q = self.q
         field = self.field
-        gram = tuple(tuple(q.b_full(a, b) for b in u_vecs) for a in u_vecs)
-        rad = linalg.kernel_basis(gram, field, len(u_vecs))
+        gram = [[q.b_raw(a, b) for b in u_vecs] for a in u_vecs]
+        rad = linalg.kernel_raw(gram, field, len(u_vecs))
         if not rad:
             return list(u_vecs), list(v_vecs)
-        rad_u = [linalg.combine(c, u_vecs) for c in rad]
-        rad_v = [linalg.combine(c, v_vecs) for c in rad]
-        # complement of the radical inside the given span
+        u_cols, v_cols = tuple(zip(*u_vecs)), tuple(zip(*v_vecs))
+        rad_u = [linalg.mat_vec_raw(u_cols, c, field) for c in rad]
+        rad_v = [linalg.mat_vec_raw(v_cols, c, field) for c in rad]
+        # complement of the radical inside the given span (over F_p an
+        # int is its own raw value, so the raw kernel passes as it is)
         comp_idx = linalg.complement_indices(rad, field, len(u_vecs))
         u_list = rad_u + [u_vecs[i] for i in comp_idx]
         v_list = rad_v + [v_vecs[i] for i in comp_idx]
@@ -1075,20 +1072,19 @@ class _Extender:
             v_list.append(pv)
         return u_list, v_list
 
-    def _radical_mate(self, r: Vector, current):
+    def _radical_mate(self, r, current) -> tuple:
         """Isotropic w with B(r,w) = 1, orthogonal to the rest of ``current``."""
         q = self.q
         field = self.field
-        rows = []
-        rhs = []
-        for s in current:
-            rows.append(q.gram_row(s))
-            rhs.append(field.one() if s == r else field.zero())
-        sol = linalg.solve(rows, tuple(rhs), field)
+        zero, one = field.raw_zero, field.raw_one
+        sol = linalg.solve_raw([q.gram_row_raw(s) for s in current],
+                               [one if s == r else zero for s in current],
+                               field)
         if sol is None:
             raise InvalidInputError("radical completion failed (internal)")
-        w = vec_sub(sol, vec_scale(q(sol), r))
-        assert q(w).is_zero() and q.b_full(r, w) == field.one()
+        qs, sub, mul = q.eval_raw(sol), field._sub, field._mul
+        w = tuple([sub(a, mul(qs, c)) for a, c in zip(sol, r)])
+        assert q.eval_raw(w) == zero and q.b_raw(r, w) == one
         return w
 
 
@@ -1099,7 +1095,11 @@ def extend_isometry(q: QuadraticForm, u_basis, v_basis):
     reflections built after a hyperbolic completion of any radical of
     the restricted pairing; the identity for empty bases.
     """
-    return _Extender(q).extend(u_basis, v_basis)
+    ext = _Extender(q)
+    if len(u_basis) != len(v_basis):
+        raise InvalidInputError("subspace bases differ in length")
+    return linalg.wrap_rows(q.field, ext.extend(_vectors_of(q, u_basis),
+                                                _vectors_of(q, v_basis)))
 
 
 class IsometrySampler:
@@ -1114,9 +1114,9 @@ class IsometrySampler:
         self.q = q
         self.field = q.field
         self.fixed = _vectors_of(q, fixed)
-        pairs = [q.pairing_raw(raw_values(q.field, v)) for v in self.fixed]
+        pairs = [q.pairing_raw(v) for v in self.fixed]
         self.buckets = {}
-        # raw tuples; extend() wraps the draws
+        # raw tuples, as the extension takes them
         for x in linalg.all_vectors(q.field, q.dim):
             if not any(x):
                 continue
@@ -1134,6 +1134,7 @@ class IsometrySampler:
             r = pool[rng.randrange(len(pool))]
             r2 = pool[rng.randrange(len(pool))]
             try:
-                return self._ext.extend(self.fixed + [r], self.fixed + [r2])
+                return linalg.wrap_rows(self.field, self._ext.extend(
+                    self.fixed + [r], self.fixed + [r2]))
             except InvalidInputError:
                 continue

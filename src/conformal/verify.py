@@ -31,7 +31,7 @@ from .fields import (CharTwo, PrimeField, Rational, Scalar, SquareClass,
 from . import linalg
 from .linalg import vec_add, vec_scale
 from .quadform import (InvalidInputError, QuadraticForm, _couples_of,
-                       arf_invariant, bilinear_radical,
+                       _vectors_of, arf_invariant, bilinear_radical,
                        generalized_orthogonal_basis, is_nondegenerate_form,
                        IsometrySampler, mirrors, witt_index,
                        witt_index_bruteforce)
@@ -155,28 +155,30 @@ def _check_gob(form, gob, s):
     n = form.dim
     if len(gob.vectors) != n:
         return "not a basis (wrong size)"
-    if not linalg.independent(gob.vectors, form.field):
+    field = form.field
+    vectors = _vectors_of(form, gob.vectors)
+    if linalg.rank_raw(vectors, field) < n:
         return "not a basis (dependent)"
     coupled = {}
     for i, j in gob.couples:
         coupled[i] = j
         coupled[j] = i
-    one = form.field.one()
+    b, is_zero = form.b_raw, field._is_zero
     for i in range(n):
         for j in range(i + 1, n):
-            b = form.b_full(gob.vectors[i], gob.vectors[j])
+            bij = b(vectors[i], vectors[j])
             if coupled.get(i) == j:
-                if b != one:
-                    return f"couple ({i},{j}) pairing {b!r}"
-                if not form.b_full(gob.vectors[i], gob.vectors[i]).is_zero():
+                if not field._eq(bij, field.raw_one):
+                    return f"couple ({i},{j}) pairing {Scalar(bij, field)!r}"
+                if not is_zero(b(vectors[i], vectors[i])):
                     return f"couple member {i} not symplectic"
-                if not form.b_full(gob.vectors[j], gob.vectors[j]).is_zero():
+                if not is_zero(b(vectors[j], vectors[j])):
                     return f"couple member {j} not symplectic"
-            elif not b.is_zero():
+            elif not is_zero(bij):
                 return f"non-couple pair ({i},{j}) not orthogonal"
-    for v in s:
-        if tuple(v) not in {tuple(w) for w in gob.vectors}:
-            return "input set not contained in the output"
+    kept = set(vectors)
+    if any(v not in kept for v in _vectors_of(form, s)):
+        return "input set not contained in the output"
     return None
 
 
@@ -213,7 +215,7 @@ def suite_gen_ortho_basis(**_) -> Report:
                            for u, v in itertools.combinations(vectors, 2)]
         for s in candidates:
             try:
-                _couples_of(form, list(s))
+                _couples_of(form, _vectors_of(form, s))
             except InvalidInputError:
                 continue
             gob = generalized_orthogonal_basis(form, s)
@@ -615,9 +617,9 @@ def suite_distance_additivity(seed: int = 0, field=None, **_) -> Report:
             m = samplers[key].sample(rng)
             p1, p2 = pts[rng.randrange(len(pts))], pts[rng.randrange(len(pts))]
             d12 = met.translation_between(g, l, p1, p2)
-            l2 = ProjPoint(linalg.mat_vec(m, l.coords))
-            q1 = ProjPoint(linalg.mat_vec(m, p1.coords))
-            q2 = ProjPoint(linalg.mat_vec(m, p2.coords))
+            m = [[x.value for x in row] for row in m]
+            l2, q1, q2 = (linalg.mat_vec_raw(m, [x.value for x in pt.coords],
+                                             fp) for pt in (l, p1, p2))
             d12_moved = met.translation_between(g, l2, q1, q2)
             if not met.same_distance(d12, d12_moved):
                 return _fail(rep, f"p={p} {cls.label()}: invariance "
@@ -629,6 +631,24 @@ def suite_distance_additivity(seed: int = 0, field=None, **_) -> Report:
 # ---------------------------------------------------------------------------
 # cycle-equivalence
 # ---------------------------------------------------------------------------
+
+def _check_certificate(g1, g2, lam, h) -> Optional[str]:
+    """Check (lam, h) on raw F_p values: Q2^P(h v) = lam Q1^P(v) for each
+    unit vector v and each sum of two (that fixes the whole form), and
+    h L1 parallel to L2."""
+    ps1, ps2 = geo.pointspace(g1), geo.pointspace(g2)
+    field, q1, q2 = g1.field, ps1.form, ps2.form
+    h = [linalg.raw_values(field, row) for row in h]
+    for v in itertools.product((0, 1), repeat=q1.dim):
+        if 0 < sum(v) < 3 and q2.eval_raw(linalg.mat_vec_raw(h, v, field)) \
+                != field._mul(lam.value, q1.eval_raw(v)):
+            return f"Q2(h v) != lam Q1(v) at v={v}"
+    l1, l2 = (linalg.raw_values(field, ps.l_coords) for ps in (ps1, ps2))
+    if linalg.normalize_raw(field, linalg.mat_vec_raw(h, l1, field)) != \
+            linalg.normalize_raw(field, l2):
+        return "h L1 is not parallel to L2"
+    return None
+
 
 def suite_cycle_equivalence(**_) -> Report:
     """The real atlas pairs exactly as stated (dual hyperbolic with
@@ -681,6 +701,9 @@ def suite_cycle_equivalence(**_) -> Report:
             cert = cla.pointspace_isometry(g1, g2)
             if cert is None:
                 return _fail(rep, f"F{p}: no certificate for {c.label()}")
+            err = _check_certificate(g1, g2, *cert)
+            if err:
+                return _fail(rep, f"F{p}: certificate for {c.label()}: {err}")
         # equivalence must not cross the stated partner structure
         for (k1, g1), (k2, g2) in itertools.combinations(reps_p.items(), 2):
             expected = (k1[0] == k2[0] and SquareClass.ZERO not in (k1[1], k2[1])

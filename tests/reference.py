@@ -5,13 +5,18 @@ before a kernel on raw values took its place; the differential tests
 check the library against them, bit for bit over ApproxReal.  Q and B
 are summed term by term from the coefficient table (``ref_q``,
 ``ref_b``), elimination is Gauss-Jordan on Scalars (``ref_rref``), and
-the couple walk of ``generalized_orthogonal_basis``, the Arf
+the Scalar matrix algebra that ``linalg`` and ``quadform`` dropped for
+their raw rows lives here: ``ref_combine``, ``ref_mat_vec``,
+``ref_mat_mul``, ``ref_inverse``, ``ref_reflection_matrix`` and
+``ref_is_isometry``.  The couple walk of
+``generalized_orthogonal_basis`` with its validation, the Arf
 invariant's own couple loop and the rank test of antipodal points are
 kept as they were, as are the Scalar-table builds of ``scaled``,
 ``direct_sum`` and ``_off_radical`` and geometry's Scalar paths: the
 coercion of a cycle into Scalars, the point check, powers, the
 projection through P and the points of a projected cycle and of a
-line, each mapped with ``linalg.combine`` and sorted as ``ProjPoint``s.  This is a helper module, not a test module.
+line, each mapped with ``ref_combine`` and sorted as ``ProjPoint``s.
+This is a helper module, not a test module.
 """
 
 import itertools
@@ -27,7 +32,7 @@ from conformal.geometry import (MAX_ENUM_Q, EnumerationUnsupportedError,
 from conformal.metric import (IdealPointError, LineGroupClass,
                               NotOnLineError, build_chart, line_space)
 from conformal.quadform import (DegenerateFormError, InvalidInputError,
-                                QuadraticForm, _couples_of,
+                                QuadraticForm,
                                 bilinear_radical, char2_arf_rep, det_class,
                                 signature)
 
@@ -63,6 +68,78 @@ def ref_gram(q):
             rows[i][j] = rows[i][j] + c
             rows[j][i] = rows[j][i] + c
     return tuple(tuple(r) for r in rows)
+
+
+# -- Scalar matrix algebra --------------------------------------------------
+# Vectors are tuples of Scalars and matrices tuples of Scalar rows, as
+# ``linalg`` kept them before its one raw product took their place.
+
+def ref_zero_vector(field, n):
+    return tuple(field.zero() for _ in range(n))
+
+
+def ref_combine(coeffs, vectors):
+    """sum c_i v_i over non-empty ``vectors``, added in order from zero."""
+    out = ref_zero_vector(vectors[0][0].field, len(vectors[0]))
+    for c, v in zip(coeffs, vectors):
+        out = linalg.vec_add(out, linalg.vec_scale(c, v))
+    return out
+
+
+def ref_identity_matrix(field, n):
+    return tuple(linalg.unit_vector(field, n, i) for i in range(n))
+
+
+def ref_mat_vec(m, v):
+    return tuple(sum((a * b for a, b in zip(row, v)),
+                     start=row[0].field.zero()) for row in m)
+
+
+def ref_mat_mul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)),
+                           start=row[0].field.zero()) for col in bt)
+                 for row in a)
+
+
+def ref_inverse(m, field):
+    """The inverse of a square Scalar matrix read off ``ref_rref`` of
+    [M | I], or None when M is singular."""
+    n = len(m)
+    aug = [tuple(m[i]) + linalg.unit_vector(field, n, i) for i in range(n)]
+    red, pivots = ref_rref(aug, field)
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(tuple(red[i][n:]) for i in range(n))
+
+
+def ref_reflection_matrix(q, w):
+    """The reflection x -> x - (B(x,w)/Q(w)) w as a Scalar matrix, from
+    ``ref_q`` and ``ref_gram``; needs Q(w) != 0."""
+    qw = ref_q(q, w)
+    if qw.is_zero():
+        raise InvalidInputError("reflections need an anisotropic mirror")
+    field, n = q.field, q.dim
+    bw = ref_mat_vec(ref_gram(q), w)
+    images = [linalg.vec_sub(linalg.unit_vector(field, n, i),
+                             linalg.vec_scale(bw[i] / qw, w))
+              for i in range(n)]
+    return tuple(zip(*images))
+
+
+def ref_is_isometry(q, m):
+    """Q(m e_i) = Q(e_i) and B(m e_i, m e_j) = B(e_i, e_j), i < j, with
+    ``ref_q`` and ``ref_b`` on the Scalar columns of m."""
+    field, n = q.field, q.dim
+    units = [linalg.unit_vector(field, n, i) for i in range(n)]
+    cols = [ref_mat_vec(m, e) for e in units]
+    for i in range(n):
+        if ref_q(q, cols[i]) != ref_q(q, units[i]):
+            return False
+        for j in range(i + 1, n):
+            if ref_b(q, cols[i], cols[j]) != ref_b(q, units[i], units[j]):
+                return False
+    return True
 
 
 # -- row reduction, rank, kernel and restrict ------------------------------
@@ -211,7 +288,7 @@ def ref_has_point_search(g):
 
 def ref_isotropic_in_span(g, basis):
     combos = linalg.projective_points(g.field, len(basis))
-    return [v for v in (linalg.combine(linalg.vector(g.field, c), basis)
+    return [v for v in (ref_combine(linalg.vector(g.field, c), basis)
                         for c in combos)
             if ref_q(g.form, v).is_zero()]
 
@@ -253,7 +330,7 @@ def ref_is_hyperbolic_space(q, basis):
         return False
     field = q.field
     one = field.one()
-    span = (linalg.combine(linalg.vector(field, c), basis)
+    span = (ref_combine(linalg.vector(field, c), basis)
             for c in linalg.all_vectors(field, len(basis)))
     vectors = [v for v in span if not linalg.is_zero_vector(v)]
     for u in vectors:
@@ -264,7 +341,7 @@ def ref_is_hyperbolic_space(q, basis):
                 continue
             rows = tuple(tuple(ref_b(q, a, w) for w in basis) for a in (u, v))
             kern = linalg.kernel_basis(rows, field, len(basis))
-            sub = tuple(linalg.combine(c, basis) for c in kern)
+            sub = tuple(ref_combine(c, basis) for c in kern)
             if len(sub) != len(basis) - 2:
                 continue
             if ref_is_hyperbolic_space(q, sub):
@@ -304,7 +381,8 @@ def ref_chart_matrix(chart, nf):
         m = ((one, zero, zero),
              (zero, a, eps * b),
              (zero, b, a))
-    return linalg.mat_mul(linalg.mat_mul(chart.to_line, m), chart.from_line)
+    to_line = tuple(zip(*chart.basis))
+    return ref_mat_mul(ref_mat_mul(to_line, m), ref_inverse(to_line, field))
 
 
 def ref_point_chart_coords(chart, g, p):
@@ -316,7 +394,7 @@ def ref_point_chart_coords(chart, g, p):
     lc = chart.space.from_ambient(pv)
     if lc is None:
         raise NotOnLineError("the point is not on the given line")
-    cc = linalg.mat_vec(chart.from_line, lc)
+    cc = ref_mat_vec(ref_inverse(tuple(zip(*chart.basis)), g.field), lc)
     lead = cc[2] if chart.kind is LineGroupClass.ADDITIVE else cc[0]
     if lead.is_zero():
         raise IdealPointError("the point is ideal on this line")
@@ -449,13 +527,39 @@ def ref_represents(q, lam):
 
 # -- the couple walk, the Arf loop and antipodal points -----------------------
 
+def ref_couples_of(q, vectors):
+    """Validate a generalized orthogonal set of Scalar vectors with
+    ``ref_rank`` and ``ref_b``; return its couple index pairs."""
+    if vectors and ref_rank(vectors, q.field) < len(vectors):
+        raise InvalidInputError("generalized orthogonal set must be independent")
+    partner = {}
+    couples = set()
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            b = ref_b(q, vectors[i], vectors[j])
+            if b.is_zero():
+                continue
+            if i in partner or j in partner:
+                raise InvalidInputError(
+                    "a vector participates in two non-orthogonal pairs")
+            if b != q.field.one():
+                raise InvalidInputError("couple pairing must equal 1")
+            if not (ref_b(q, vectors[i], vectors[i]).is_zero()
+                    and ref_b(q, vectors[j], vectors[j]).is_zero()):
+                raise InvalidInputError("couple members must be symplectic")
+            partner[i] = j
+            partner[j] = i
+            couples.add((i, j))
+    return couples
+
+
 def ref_subspace_orthogonal_to(q, space, against):
     """Basis of {w in span(space) : B(w, a) = 0 for all a in against}."""
     if not against:
         return tuple(space)
     rows = tuple(tuple(q.b_full(a, w) for w in space) for a in against)
     kern = linalg.kernel_basis(rows, q.field, len(space))
-    return tuple(linalg.combine(combo, space) for combo in kern)
+    return tuple(ref_combine(combo, space) for combo in kern)
 
 
 def ref_generalized_orthogonal_basis(q, s=()):
@@ -464,7 +568,7 @@ def ref_generalized_orthogonal_basis(q, s=()):
         raise DegenerateFormError(
             "generalized orthogonal bases need a form without degenerate vectors")
     s = [tuple(q.field.scalar(x) for x in v) for v in s]
-    start_couples = _couples_of(q, s)
+    start_couples = ref_couples_of(q, s)
     field = q.field
     one = field.one()
 
@@ -623,12 +727,12 @@ def ref_project_cycle_raw(g, c):
 
 def ref_to_ambient(space, coords):
     field = space.form.field
-    return linalg.combine([field.scalar(c) for c in coords], space.basis)
+    return ref_combine([field.scalar(c) for c in coords], space.basis)
 
 
 def ref_pointspace_points_of(ps, c_proj):
     """The pointspace quadric enumerated for the call, each hit mapped
-    with ``linalg.combine``, normalised by ``ProjPoint`` and sorted."""
+    with ``ref_combine``, normalised by ``ProjPoint`` and sorted."""
     _check_enum(ps.geometry, MAX_ENUM_Q)
     coords = c_proj if not isinstance(c_proj, ProjPoint) else \
         ps.from_ambient(c_proj.coords)

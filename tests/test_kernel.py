@@ -19,6 +19,11 @@ values against a chart kept on the geometry.  ``kernel_basis`` wraps
 ``kernel_raw`` once, ``complement_indices`` reads the pivots of a kernel
 basis (checked against the greedy loop it replaced) and the
 cycle-equivalence tokens of every class representative are pinned.
+``linalg.mat_vec_raw``, the one matrix-vector product, ``mat_mul_raw``
+and ``inverse_raw`` are checked against the Scalar matrix algebra they
+replaced, ``is_isometry`` against the Scalar check of Q and B on the
+columns, and ``_couples_of`` on raw tuples against its Scalar
+validation.
 ``QuadraticForm.pairing_raw`` (x -> B(y, x) from y's Gram row, taken
 once) is checked against ``b_raw``; ``role`` runs on it and is checked
 on the rational atlas and the float model lifts, and the incidence
@@ -88,18 +93,22 @@ from conformal.models import (ModelKind, cycles_at_angle,
                               points_at_distance)
 from conformal.quadform import (InvalidInputError, QuadraticForm,
                                 _couples_of, _is_hyperbolic_space,
-                                _root_table, arf_invariant, bilinear_radical,
-                                generalized_orthogonal_basis, mirrors,
-                                reflection_matrix, subspaces,
-                                witt_index_bruteforce)
+                                _root_table, _vectors_of, arf_invariant,
+                                bilinear_radical,
+                                generalized_orthogonal_basis, is_isometry,
+                                mirrors, subspaces, witt_index_bruteforce)
 from reference import (ref_antipodal, ref_arf_invariant, ref_as_vector,
                        ref_b, ref_cayley_klein_points, ref_chart_matrix,
-                       ref_complement_indices, ref_compose,
-                       ref_generalized_orthogonal_basis, ref_gram,
-                       ref_has_point_search, ref_hyperplane_through,
-                       ref_invert, ref_is_hyperbolic_space,
-                       ref_isotropic_in_span, ref_isotropic_points,
-                       ref_kernel, ref_line_points, ref_points_of,
+                       ref_combine, ref_complement_indices, ref_compose,
+                       ref_couples_of, ref_generalized_orthogonal_basis,
+                       ref_gram, ref_has_point_search,
+                       ref_hyperplane_through, ref_identity_matrix,
+                       ref_inverse, ref_invert, ref_is_hyperbolic_space,
+                       ref_is_isometry, ref_isotropic_in_span,
+                       ref_isotropic_points, ref_kernel, ref_line_points,
+                       ref_mat_mul, ref_mat_vec, ref_points_of,
+                       ref_reflection_matrix,
+                       ref_zero_vector,
                        ref_pointspace_points_of, ref_pointspace_token,
                        ref_power_with, ref_project_cycle_raw, ref_q,
                        ref_restrict, ref_role, ref_rref, ref_subspaces,
@@ -247,7 +256,7 @@ def small_geometries(draw):
     perp = linalg.kernel_basis((q.gram_row(p_rep),), field, q.dim)
     coeffs = draw(st.tuples(*[elements(field)] * len(perp)).filter(
         lambda cs: any(not c.is_zero() for c in cs)))
-    l_rep = linalg.zero_vector(field, q.dim)
+    l_rep = ref_zero_vector(field, q.dim)
     for c, b in zip(coeffs, perp):
         l_rep = linalg.vec_add(l_rep, linalg.vec_scale(c, b))
     return Geometry(q, p_rep, l_rep)
@@ -478,14 +487,14 @@ def test_reflect_raw_matches_reflection_matrix(data):
     w, x = data.draw(vec), data.draw(vec)
     assume(not q(w).is_zero())
     got = q.reflect_raw([c.value for c in w], [c.value for c in x])
-    want = linalg.mat_vec(reflection_matrix(q, w), x)
+    want = ref_mat_vec(ref_reflection_matrix(q, w), x)
     assert all(same(Scalar(a, field), b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.token())
 def test_reflect_raw_refuses_an_isotropic_mirror(field):
     """Q(w) = 0 raises ZeroDivisionError on every field, as the Scalar
-    division in ``reflection_matrix`` does."""
+    division in ``ref_reflection_matrix`` does."""
     q = QuadraticForm(field, 2, {(0, 1): 1})
     zero, one = field.zero().value, field.one().value
     with pytest.raises(ZeroDivisionError):
@@ -559,7 +568,7 @@ def test_gram_row_matches_gram_matrix(data):
                for a, b in zip(row, ref))
     got = q.gram_row(x)
     assert len(got) == q.dim
-    assert all(same(a, b) for a, b in zip(got, linalg.mat_vec(gram, x)))
+    assert all(same(a, b) for a, b in zip(got, ref_mat_vec(gram, x)))
 
 
 def test_gram_row_adds_in_mat_vec_order():
@@ -569,8 +578,114 @@ def test_gram_row_adds_in_mat_vec_order():
     x = tuple(field.scalar(v) for v in (1.0, 1e16, -1e16))
     got = q.gram_row(x)
     assert all(same(a, b) for a, b in
-               zip(got, linalg.mat_vec(ref_gram(q), x)))
+               zip(got, ref_mat_vec(ref_gram(q), x)))
     assert got[0].value == 0.0
+
+
+# -- one matrix format: raw rows, one product --------------------------------
+# ``linalg.mat_vec_raw`` is the library's one matrix-vector product and
+# ``inverse_raw`` its one inverse; ``is_isometry`` checks Q and B on the
+# raw columns.  The references are the Scalar matrix algebra they
+# replaced, kept in ``reference.py``.
+
+def _matrices(data, field, nrows, ncols):
+    """A Scalar matrix whose entries are often drawn from a small pool,
+    so singular and repeated rows are likely."""
+    pool = data.draw(st.lists(elements(field), min_size=1, max_size=3))
+    entry = st.sampled_from(pool + [field.zero()]) | elements(field)
+    return tuple(data.draw(st.tuples(*[entry] * ncols)) for _ in range(nrows))
+
+
+def _raw_rows(m):
+    return tuple(_raw(row) for row in m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mat_vec_raw_matches_the_scalar_product(data):
+    """``mat_vec_raw`` and ``mat_mul_raw`` against ``ref_mat_vec`` and
+    ``ref_mat_mul`` over Q, F_3/5/7, F_2, F_4 and ApproxReal, bit for bit
+    on floats."""
+    field = data.draw(st.sampled_from(RAW_FIELDS))
+    n, k, c = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a, b = _matrices(data, field, n, k), _matrices(data, field, k, c)
+    x = data.draw(st.tuples(*[elements(field)] * k))
+    got = linalg.mat_vec_raw(_raw_rows(a), _raw(x), field)
+    assert type(got) is tuple
+    assert all(map(same, linalg.vector(field, got), ref_mat_vec(a, x)))
+    got = linalg.mat_mul_raw(_raw_rows(a), _raw_rows(b), field)
+    want = ref_mat_mul(a, b)
+    assert len(got) == len(want) == n
+    for row, ref in zip(got, want):
+        assert len(row) == len(ref) == c
+        assert all(same(Scalar(v, field), w) for v, w in zip(row, ref))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inverse_raw_matches_the_scalar_inverse(data):
+    """``inverse_raw`` against ``ref_inverse`` (Gauss-Jordan on Scalars
+    of [M | I]) over Q, F_3/5/7, F_2, F_4 and ApproxReal: None for the
+    same singular matrices, the same entries, bit for bit on floats,
+    for the others."""
+    field = data.draw(st.sampled_from(RAW_FIELDS))
+    n = data.draw(st.integers(1, 4))
+    m = _matrices(data, field, n, n)
+    got, want = linalg.inverse_raw(_raw_rows(m), field), ref_inverse(m, field)
+    assert (got is None) == (want is None)
+    if got is not None:
+        for row, ref in zip(got, want):
+            assert all(same(Scalar(v, field), w) for v, w in zip(row, ref))
+
+
+def _reflections(q, ws):
+    """The product of the reflections in the anisotropic vectors of ws,
+    as ``ref_reflection_matrix`` builds them (also an isometry in
+    characteristic 2)."""
+    m = ref_identity_matrix(q.field, q.dim)
+    for w in ws:
+        if not ref_q(q, w).is_zero():
+            m = ref_mat_mul(ref_reflection_matrix(q, w), m)
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_is_isometry_matches_the_scalar_check(data):
+    """``is_isometry`` against ``ref_is_isometry`` over Q, F_3/5/7, F_2,
+    F_4 and ApproxReal, on products of reflections (isometries over the
+    exact fields), permutation matrices and arbitrary matrices."""
+    field = data.draw(st.sampled_from(RAW_FIELDS))
+    q = data.draw(forms(field, dims=st.integers(1, 5)))
+    n = q.dim
+    kind = data.draw(st.sampled_from(["reflections", "permutation", "any"]))
+    if kind == "reflections":
+        ws = data.draw(st.lists(st.tuples(*[elements(field)] * n),
+                                max_size=3))
+        m = _reflections(q, ws)
+    elif kind == "permutation":
+        perm = data.draw(st.permutations(range(n)))
+        m = tuple(linalg.unit_vector(field, n, i) for i in perm)
+    else:
+        m = _matrices(data, field, n, n)
+    got = is_isometry(q, m)
+    assert got == ref_is_isometry(q, m)
+    if kind == "reflections" and field.is_exact:
+        assert got
+
+
+def test_is_isometry_checks_q_not_only_the_gram_matrix():
+    """Over F_2 the swap of x0 and x1 keeps B of x0 x1 + x0^2 (the x0^2
+    term adds nothing to B in characteristic 2), so it passes the Gram
+    identity M^T G M = G, but it moves Q(e0) = 1 to Q(e1) = 0."""
+    f2 = CharTwo(2)
+    q = QuadraticForm(f2, 2, {(0, 1): 1, (0, 0): 1})
+    swap = (linalg.vector(f2, (0, 1)), linalg.vector(f2, (1, 0)))
+    gram = ref_gram(q)
+    assert ref_mat_mul(ref_mat_mul(tuple(zip(*swap)), gram), swap) == gram
+    assert not is_isometry(q, swap)
+    assert not ref_is_isometry(q, swap)
+    assert is_isometry(q, ref_identity_matrix(f2, 2))
 
 
 QQ = FIELDS[0]
@@ -599,10 +714,10 @@ def test_rational_kernel_matches_fraction_arithmetic(data):
     got = [Scalar(q.eval_raw(x), QQ), Scalar(q.b_raw(x, y), QQ)]
     want = [ref_q(q, sx), ref_b(q, sx, sy)]
     got += q.gram_row(sx)
-    want += linalg.mat_vec(ref_gram(q), sx)
+    want += ref_mat_vec(ref_gram(q), sx)
     if not ref_q(q, sx).is_zero():
         got += [Scalar(a, QQ) for a in q.reflect_raw(x, y)]
-        want += linalg.mat_vec(reflection_matrix(q, sx), sy)
+        want += ref_mat_vec(ref_reflection_matrix(q, sx), sy)
     assert len(got) == len(want)
     assert all(type(a.value) is Fraction for a in got)
     assert all(same(a, b) for a, b in zip(got, want))
@@ -641,7 +756,7 @@ def test_coordinate_map_matches_coordinates(data):
     vec = st.tuples(*[entry] * n)
     basis = data.draw(st.lists(vec, min_size=k, max_size=k))
     coeffs = data.draw(st.lists(st.tuples(*[entry] * k), max_size=4))
-    vectors = [linalg.combine(c, basis) for c in coeffs]
+    vectors = [ref_combine(c, basis) for c in coeffs]
     vectors += data.draw(st.lists(vec, max_size=3))
     coords = linalg.coordinate_map(basis, field)
     for v in vectors:
@@ -678,9 +793,9 @@ def test_perp_is_the_orthogonal_space(data):
     space = [linalg.vector(field, x) for x in linalg.all_vectors(field, q.dim)]
     orthogonal = {x for x in space
                   if all(q.b_full(v, x).is_zero() for v in vectors)}
-    span = {linalg.combine(linalg.vector(field, c), basis)
+    span = {ref_combine(linalg.vector(field, c), basis)
             for c in linalg.all_vectors(field, len(basis))} if basis \
-        else {linalg.zero_vector(field, q.dim)}
+        else {ref_zero_vector(field, q.dim)}
     assert span == orthogonal
     # q^k distinct combinations: the basis is independent
     assert len(span) == field.order ** len(basis)
@@ -952,8 +1067,8 @@ def test_translation_errors_on_raw_values(ql):
         with pytest.raises(ZeroDivisionError):
             motion_from_normal_form(chart, (0,))
     c = (1, 0, 1) if split else (1, 0, 0)
-    v = space.to_ambient(linalg.mat_vec(chart.to_line,
-                                        linalg.vector(field, c)))
+    v = space.to_ambient(ref_mat_vec(tuple(zip(*chart.basis)),
+                                     linalg.vector(field, c)))
     g.form = _AnyQ(g.form)
     for args in ([(v, a), (a, v)] if split else [(v, a)]):
         with pytest.raises(IdealPointError):
@@ -985,11 +1100,11 @@ def rational_matrices(draw):
     for _ in range(nrows):
         kind = draw(st.sampled_from(["free", "zero", "combination"]))
         if kind == "zero" or (kind == "combination" and not rows):
-            rows.append(linalg.zero_vector(QQ, ncols))
+            rows.append(ref_zero_vector(QQ, ncols))
         elif kind == "combination":
             coeffs = draw(st.lists(entry, min_size=len(rows),
                                    max_size=len(rows)))
-            rows.append(linalg.combine(coeffs, rows))
+            rows.append(ref_combine(coeffs, rows))
         else:
             rows.append(draw(st.tuples(*[entry] * ncols)))
     zero_col = draw(st.integers(-1, ncols - 1))
@@ -1019,11 +1134,13 @@ def test_integer_reduction_matches_fraction_elimination(case):
     assert len(kern) == len(want_kern) == ncols - len(want_pivots)
     for v, ref in zip(kern, want_kern):
         assert all(same(a, b) for a, b in zip(v, ref))
-        assert all(linalg.mat_vec([r], v)[0].is_zero() for r in rows)
+        assert all(ref_mat_vec([r], v)[0].is_zero() for r in rows)
     if rows:
-        rhs = linalg.mat_vec(rows, linalg.vector(QQ, range(1, ncols + 1)))
-        x = linalg.solve(rows, rhs, QQ)
-        assert x is not None and linalg.mat_vec(rows, x) == rhs
+        rhs = ref_mat_vec(rows, linalg.vector(QQ, range(1, ncols + 1)))
+        x = linalg.solve_raw([linalg.raw_values(QQ, r) for r in rows],
+                             linalg.raw_values(QQ, rhs), QQ)
+        assert x is not None
+        assert ref_mat_vec(rows, linalg.vector(QQ, x)) == rhs
 
 
 def test_integer_reduction_of_no_rows_and_zero_rows():
@@ -1031,7 +1148,7 @@ def test_integer_reduction_of_no_rows_and_zero_rows():
     assert linalg.rank([], QQ) == 0
     assert linalg.kernel_basis([], QQ, 2) == (
         linalg.vector(QQ, [1, 0]), linalg.vector(QQ, [0, 1]))
-    zero = linalg.zero_vector(QQ, 3)
+    zero = ref_zero_vector(QQ, 3)
     red, pivots = linalg.rref([zero, zero], QQ)
     assert pivots == [] and red == (zero, zero)
     assert all(type(x.value) is Fraction for row in red for x in row)
@@ -1067,7 +1184,7 @@ def _complement_case(data, field):
     vectors = data.draw(st.lists(st.tuples(*[entry] * n), max_size=n + 1))
     if vectors and data.draw(st.booleans()):
         coeffs = data.draw(st.tuples(*[entry] * len(vectors)))
-        vectors.append(linalg.combine(coeffs, vectors))
+        vectors.append(ref_combine(coeffs, vectors))
     return vectors, n
 
 
@@ -1373,7 +1490,7 @@ def _gob_cases():
             candidates += list(itertools.combinations(vectors, 2))
         for s in candidates:
             try:
-                _couples_of(form, list(s))
+                ref_couples_of(form, list(s))
             except InvalidInputError:
                 continue
             yield form, s
@@ -1400,6 +1517,23 @@ def _gob_cases():
 # round-trips every bit)
 GOB_DIGEST = \
     "2b3f1265b057ff1bd893985bb8d85c6b0e1583f9fcbf023cc76b026af88fa9f0"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_couples_of_matches_the_scalar_validation(data):
+    """``_couples_of`` on the raw tuples of ``_vectors_of`` against the
+    Scalar validation ``ref_couples_of``, over Q, F_3/5/7, F_2, F_4 and
+    ApproxReal: the same couples or the same error and message.  Small
+    pools make dependent sets, pairings of 1 and symplectic vectors
+    likely."""
+    field = data.draw(st.sampled_from(RAW_FIELDS))
+    q = data.draw(forms(field, dims=st.integers(1, 4)))
+    pool = data.draw(st.lists(elements(field), min_size=1, max_size=2))
+    entry = st.sampled_from(pool + [field.zero(), field.one()])
+    s = data.draw(st.lists(st.tuples(*[entry] * q.dim), max_size=4))
+    assert _outcome(_couples_of, q, _vectors_of(q, s)) == \
+        _outcome(ref_couples_of, q, s)
 
 
 def test_generalized_orthogonal_basis_outputs_are_pinned():
@@ -1591,7 +1725,7 @@ def test_pointspace_points_of_matches_the_scalar_path(field, d):
     per-call enumeration, order included, on pointspace coordinates and
     on every seventh quadric cycle as a ``ProjPoint`` (a RoleError when
     it is off P^perp); the kept quadric maps each point as
-    ``linalg.combine`` does, and so does ``to_ambient``."""
+    ``ref_combine`` does, and so does ``to_ambient``."""
     projected = set()
     for cls in enumerate_classes(field, d):
         g = representative_geometry(cls)

@@ -8,6 +8,7 @@ import pytest
 from conformal import linalg
 from conformal.fields import ApproxReal, CharTwo, PrimeField, Rational
 from conformal.quadform import QuadraticForm, bilinear_radical
+from reference import ref_combine
 
 
 @pytest.mark.parametrize("field", [PrimeField(3), CharTwo(4)],
@@ -47,18 +48,30 @@ def test_rref_and_kernel_f5():
 
 def test_solve_and_inverse_rational():
     field = Rational()
-    m = tuple(linalg.vector(field, r) for r in ([2, 1], [1, 1]))
-    inv = linalg.inverse(m, field)
-    assert linalg.mat_mul(m, inv) == linalg.identity_matrix(field, 2)
-    x = linalg.solve(m, linalg.vector(field, [3, 2]), field)
-    assert linalg.mat_vec(m, x) == linalg.vector(field, [3, 2])
+    m = tuple(tuple(map(Fraction, r)) for r in ([2, 1], [1, 1]))
+    inv = linalg.inverse_raw(m, field)
+    assert inv == ((1, -1), (-1, 2))
+    assert all(type(x) is Fraction for row in inv for x in row)
+    assert linalg.mat_mul_raw(m, inv, field) == ((1, 0), (0, 1))
+    x = linalg.solve_raw(m, [Fraction(3), Fraction(2)], field)
+    assert linalg.mat_vec_raw(m, x, field) == (3, 2)
 
 
 def test_singular_matrix():
     f3 = PrimeField(3)
-    m = tuple(linalg.vector(f3, r) for r in ([1, 2], [2, 1]))  # det = -3 = 0
-    assert linalg.inverse(m, f3) is None
-    assert linalg.solve(m, linalg.vector(f3, [1, 0]), f3) is None
+    m = ((1, 2), (2, 1))  # det = -3 = 0
+    assert linalg.inverse_raw(m, f3) is None
+    assert linalg.solve_raw(m, [1, 0], f3) is None
+
+
+@pytest.mark.parametrize("m", [((1, 1, 0),), ((1, 0), (0, 1), (1, 1)),
+                               ((1, 0), (0, 1, 0))], ids=str)
+def test_inverse_raw_refuses_a_non_square_matrix(m):
+    """A 1x3 matrix (whose [M | I] elimination reads a 1x1 block off
+    it), a 3x2 one and a ragged one raise; singular square ones give
+    None (above)."""
+    with pytest.raises(ValueError, match="square"):
+        linalg.inverse_raw(m, PrimeField(5))
 
 
 def test_kernel_over_f4():
@@ -108,24 +121,24 @@ def test_coordinates_in_the_empty_basis(field):
 
 
 def test_combine_over_f3_and_q():
+    """``mat_vec_raw`` with vectors as columns combines them."""
     f3 = PrimeField(3)
-    vecs = [linalg.vector(f3, [1, 0, 2]), linalg.vector(f3, [0, 1, 1])]
-    assert linalg.combine(linalg.vector(f3, [1, 2]), vecs) == \
-        linalg.vector(f3, [1, 2, 1])  # (1, 0, 2) + (0, 2, 2)
-    assert linalg.combine(linalg.vector(f3, [0, 0]), vecs) == \
-        linalg.zero_vector(f3, 3)
+    cols = tuple(zip((1, 0, 2), (0, 1, 1)))
+    assert linalg.mat_vec_raw(cols, (1, 2), f3) == (1, 2, 1)
+    assert linalg.mat_vec_raw(cols, (0, 0), f3) == (0, 0, 0)
     qq = Rational()
-    vecs = [linalg.vector(qq, [2, 0, 1]), linalg.vector(qq, [1, 1, 0])]
-    assert linalg.combine(linalg.vector(qq, [Fraction(1, 2), -3]), vecs) == \
-        linalg.vector(qq, [-2, -3, Fraction(1, 2)])
+    cols = tuple(zip(*[tuple(map(Fraction, v))
+                       for v in ((2, 0, 1), (1, 1, 0))]))
+    out = linalg.mat_vec_raw(cols, (Fraction(1, 2), Fraction(-3)), qq)
+    assert out == (-2, -3, Fraction(1, 2))
+    assert all(type(x) is Fraction for x in out)
 
 
 def test_combine_adds_in_order():
     # float addition is not associative: (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
     field = ApproxReal()
-    vecs = [linalg.vector(field, [x]) for x in (0.1, 0.2, 0.3)]
-    out = linalg.combine(linalg.vector(field, [1, 1, 1]), vecs)
-    assert out[0].value == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    out = linalg.mat_vec_raw(((0.1, 0.2, 0.3),), (1.0, 1.0, 1.0), field)
+    assert out[0] == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
 
 
 def test_complement_indices():
@@ -145,7 +158,7 @@ def test_complement_indices():
 
 def _span(vectors, field):
     """Every linear combination of ``vectors`` (a finite field)."""
-    return frozenset(linalg.combine(linalg.vector(field, c), vectors)
+    return frozenset(ref_combine(linalg.vector(field, c), vectors)
                      for c in linalg.all_vectors(field, len(vectors)))
 
 

@@ -19,7 +19,7 @@ from conformal.metric import (DegenerateLineError, IdealPointError,
                               line_points, line_space, same_distance,
                               stabilizer_group, stabilizer_matrices,
                               translation_between)
-from reference import ref_nonideal_line
+from reference import ref_mat_vec, ref_nonideal_line
 
 QQ = Rational()
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
@@ -152,10 +152,10 @@ def test_free_transitivity_all_classes():
             assert len(group) == order == len(pts)
             start = pts[0]
             start_lc = space.from_ambient(start.coords)
-            images = {ProjPoint(linalg.mat_vec(el.matrix, start_lc)).sort_key()
+            images = {ProjPoint(ref_mat_vec(el.matrix, start_lc)).sort_key()
                       for el in group}
             lifted = {ProjPoint(space.to_ambient(
-                linalg.mat_vec(el.matrix, start_lc))).sort_key()
+                ref_mat_vec(el.matrix, start_lc))).sort_key()
                 for el in group}
             assert len(images) == order  # trivial stabilizers
             assert lifted == {p.sort_key() for p in pts}  # transitive
@@ -366,10 +366,10 @@ def test_distance_invariance_sampled():
         m = sampler.sample(rng)
         p1, p2 = rng.choice(pts), rng.choice(pts)
         d = translation_between(g, l, p1, p2)
-        l2 = ProjPoint(linalg.mat_vec(m, l.coords))
+        l2 = ProjPoint(ref_mat_vec(m, l.coords))
         d2 = translation_between(g, l2,
-                                 ProjPoint(linalg.mat_vec(m, p1.coords)),
-                                 ProjPoint(linalg.mat_vec(m, p2.coords)))
+                                 ProjPoint(ref_mat_vec(m, p1.coords)),
+                                 ProjPoint(ref_mat_vec(m, p2.coords)))
         assert same_distance(d, d2)
 
 
@@ -388,9 +388,9 @@ def test_additive_distance_invariance_across_lines():
         d = translation_between(g, l, p1, p2)
         assert d.group_class is LineGroupClass.ADDITIVE
         d2 = translation_between(
-            g, ProjPoint(linalg.mat_vec(m, l.coords)),
-            ProjPoint(linalg.mat_vec(m, p1.coords)),
-            ProjPoint(linalg.mat_vec(m, p2.coords)))
+            g, ProjPoint(ref_mat_vec(m, l.coords)),
+            ProjPoint(ref_mat_vec(m, p1.coords)),
+            ProjPoint(ref_mat_vec(m, p2.coords)))
         assert same_distance(d, d2)
 
 

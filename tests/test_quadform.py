@@ -17,9 +17,11 @@ from conformal.quadform import (DegenerateFormError, InvalidInputError,
                                 diagonalize, extend_isometry,
                                 generalized_orthogonal_basis, is_isometry,
                                 is_nondegenerate_form, isometric,
-                                reflection_matrix, represents, signature,
+                                represents, signature,
                                 witt_index, witt_index_bruteforce)
-from reference import ref_represents
+from reference import (ref_combine, ref_identity_matrix, ref_mat_mul,
+                       ref_mat_vec, ref_reflection_matrix, ref_represents,
+                       ref_zero_vector)
 
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
 QQ = Rational()
@@ -378,7 +380,7 @@ def test_extend_identity():
     q = QuadraticForm.diagonal(F3, [1, 1, -1, -1])
     u = [linalg.unit_vector(F3, 4, 0)]
     g = extend_isometry(q, u, u)
-    assert g == linalg.identity_matrix(F3, 4)
+    assert g == ref_identity_matrix(F3, 4)
 
 
 def test_extend_basis_swap():
@@ -386,7 +388,7 @@ def test_extend_basis_swap():
     e1 = linalg.unit_vector(F3, 4, 0)
     e2 = linalg.unit_vector(F3, 4, 1)
     g = extend_isometry(q, [e1], [e2])
-    assert linalg.mat_vec(g, e1) == e2
+    assert ref_mat_vec(g, e1) == e2
     assert is_isometry(q, g)
 
 
@@ -398,7 +400,7 @@ def test_extend_isotropic_orbit():
     for _ in range(40):
         a, b = rng.choice(iso), rng.choice(iso)
         g = extend_isometry(q, [a], [b])
-        assert linalg.mat_vec(g, a) == b
+        assert ref_mat_vec(g, a) == b
         assert is_isometry(q, g)
 
 
@@ -415,9 +417,9 @@ def _random_extension_case(rng):
         if any(i != j for (i, j), _ in q.coeff_items()) \
                 and not bilinear_radical(q):
             break
-    rand = lambda basis: linalg.combine(
+    rand = lambda basis: ref_combine(
         [field.scalar(rng.randrange(field.p)) for _ in basis], basis)
-    whole = linalg.identity_matrix(field, n)
+    whole = ref_identity_matrix(field, n)
     u = []
     for _ in range(rng.randint(1, n)):
         for _ in range(50):
@@ -434,8 +436,8 @@ def _random_extension_case(rng):
     for _ in range(rng.randint(1, 4)):
         w = rand(whole)
         if not q(w).is_zero():
-            m = linalg.mat_mul(reflection_matrix(q, w), m)
-    return q, u, [linalg.mat_vec(m, x) for x in u]
+            m = ref_mat_mul(ref_reflection_matrix(q, w), m)
+    return q, u, [ref_mat_vec(m, x) for x in u]
 
 
 def test_extend_isometry_random_pairing_radicals():
@@ -448,14 +450,26 @@ def test_extend_isometry_random_pairing_radicals():
         gram = [[q.b_full(a, b) for b in u] for a in u]
         radical_dims.add(len(linalg.kernel_basis(gram, q.field, len(u))))
         g = extend_isometry(q, u, v)
-        assert [linalg.mat_vec(g, x) for x in u] == v
+        assert [ref_mat_vec(g, x) for x in u] == v
         assert is_isometry(q, g)
     assert {0, 1, 2, 3} <= radical_dims
 
 
 def test_extend_isometry_empty_bases_give_identity():
     q = QuadraticForm.diagonal(F5, [1, 2, 1, 1])
-    assert extend_isometry(q, [], []) == linalg.identity_matrix(F5, 4)
+    assert extend_isometry(q, [], []) == ref_identity_matrix(F5, 4)
+
+
+@pytest.mark.parametrize("rows, cols", [(4, 5), (5, 4), (3, 4)])
+def test_is_isometry_rejects_a_matrix_of_the_wrong_shape(rows, cols):
+    """The identity with an extra column or row, or a missing row, is no
+    matrix of the 4-dimensional space."""
+    q = QuadraticForm.diagonal(F5, [1, 1, 1, 2])
+    m = tuple(tuple(F5.scalar(int(i == j)) for j in range(cols))
+              for i in range(rows))
+    with pytest.raises(InvalidInputError, match="4x4"):
+        is_isometry(q, m)
+    assert is_isometry(q, ref_identity_matrix(F5, 4))
 
 
 @pytest.mark.parametrize("u, v", [([(1, 0)], [(0, 1)]),
@@ -477,13 +491,11 @@ def test_norm_orbits_under_reflections():
     """Nonzero vectors of a fixed norm form a single orbit of the group
     generated by reflections (F_3, the 5-dimensional standard form)."""
     q = QuadraticForm.diagonal(F3, [1, 1, 1, -1, -1])
-    vectors = [linalg.vector(F3, x) for x in linalg.all_vectors(F3, 5)
-               if any(x)]
-    points = [linalg.vector(F3, x) for x in linalg.projective_points(F3, 5)]
-    mirrors = [reflection_matrix(q, w) for w in points if not q(w).is_zero()]
+    vectors = [x for x in linalg.all_vectors(F3, 5) if any(x)]
+    mirrors = [w for w in linalg.projective_points(F3, 5) if q.eval_raw(w)]
     by_norm = {}
     for v in vectors:
-        by_norm.setdefault(q(v).value, []).append(v)
+        by_norm.setdefault(q.eval_raw(v), []).append(v)
     for norm, members in sorted(by_norm.items()):
         start = members[0]
         seen = {start}
@@ -492,7 +504,7 @@ def test_norm_orbits_under_reflections():
             nxt = []
             for v in frontier:
                 for m in mirrors:
-                    w = linalg.mat_vec(m, v)
+                    w = q.reflect_raw(m, v)
                     if w not in seen:
                         seen.add(w)
                         nxt.append(w)
@@ -530,7 +542,7 @@ def test_nondegeneracy_matches_radical_enumeration():
             if rad:
                 for combo in linalg.all_vectors(field, len(rad)):
                     combo = linalg.vector(field, combo)
-                    v = linalg.zero_vector(field, dim)
+                    v = ref_zero_vector(field, dim)
                     for c, b in zip(combo, rad):
                         v = linalg.vec_add(v, linalg.vec_scale(c, b))
                     if linalg.is_zero_vector(v):

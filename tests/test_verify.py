@@ -18,7 +18,7 @@ import re
 
 import pytest
 
-from conformal import linalg, quadform, verify
+from conformal import geometry, linalg, quadform, verify
 from conformal.fields import PrimeField, canonical_nonresidue, square_class
 
 F3 = PrimeField(3)
@@ -199,6 +199,35 @@ def test_wrong_p_mirror_fails_the_p_step(monkeypatch):
     assert not rep.passed
     assert re.match(r"^p=3 diag=\[1, 1, 1, -1, -1\] P=\((\d, ){4}\d\) "
                     r"not normalised$", rep.counterexample), rep.counterexample
+
+
+def _identity_certificate(g1, g2):
+    n = geometry.pointspace(g1).form.dim
+    field = g1.field
+    return field.one(), tuple(linalg.unit_vector(field, n, i)
+                              for i in range(n))
+
+
+def _rescaled_certificate(g1, g2, search=verify.cla.pointspace_isometry):
+    cert = search(g1, g2)
+    return None if cert is None else (cert[0] * 2, cert[1])
+
+
+@pytest.mark.parametrize("patch, error", [
+    (_identity_certificate, "h L1 is not parallel to L2"),
+    (_rescaled_certificate, r"Q2\(h v\) != lam Q1\(v\) at v=\(.*\)")],
+    ids=["identity", "rescaled"])
+def test_cycle_equivalence_checks_its_certificates(monkeypatch, patch, error):
+    """Each certificate (lam, h) is checked, not only found: the identity
+    with lam = 1, or the search's h with 2 lam, in place of the search's
+    answer fails the suite."""
+    rep = verify.run_suite("cycle-equivalence")
+    assert rep.passed, rep.counterexample
+    monkeypatch.setattr(verify.cla, "pointspace_isometry", patch)
+    rep = verify.run_suite("cycle-equivalence")
+    assert not rep.passed
+    assert re.match(rf"^F3: certificate for .*: {error}$",
+                    rep.counterexample), rep.counterexample
 
 
 def test_gen_ortho_basis_does_not_swallow_library_errors(monkeypatch):
