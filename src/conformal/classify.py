@@ -21,10 +21,9 @@ from .fields import (CharTwo, Field, PrimeField, Rational, Scalar,
                      SquareClass, UnsupportedFieldError, canonical_nonresidue,
                      sqrt_if_square, square_class)
 from . import linalg
-from .quadform import (QuadraticForm, _Extender, _off_radical,
-                       arf_invariant, bilinear_radical, char2_arf_rep,
-                       det_class, diagonalize, isometric, signature,
-                       InvalidInputError)
+from .quadform import (QuadraticForm, _Extender, _diagonal_raw,
+                       _off_radical, _radical, arf_invariant, char2_arf_rep,
+                       det_class, isometric, signature, InvalidInputError)
 from .geometry import Geometry, pointspace
 
 QUADRATICALLY_CLOSED = "qclosed"
@@ -307,7 +306,7 @@ def _pointspace_token(g: Geometry, lam: Scalar):
         field, form = g.field, g.form
         basis = form.perp_raw([g._p_raw])
         q_p = form.restrict_raw(basis)
-        rad = bilinear_radical(q_p)
+        rad = _radical(q_p)
         core = _off_radical(q_p, rad) if rad else q_p
         l_in_rad = bool(rad) and all(
             field._is_zero(form.b_raw(g._l_raw, b)) for b in basis)
@@ -392,13 +391,13 @@ def _canonical_diag_basis(form: QuadraticForm):
     field = form.field
     mul = field._mul
     e = canonical_nonresidue(field)
-    diag = diagonalize(form)
     basis = []
     entries = []
-    for a, b in zip(diag.entries, diag.basis):
+    for a, b in zip(*_diagonal_raw(form)):
+        a = Scalar(a, field)
         target = field.one() if square_class(a) is SquareClass.UNIT else e
         inv = field._inv(sqrt_if_square(a / target).value)
-        basis.append(tuple([mul(inv, x.value) for x in b]))
+        basis.append(tuple([mul(inv, x) for x in b]))
         entries.append(target)
     # convert non-residue pairs [e,e] into [1,1]
     while entries.count(e) >= 2:

@@ -108,10 +108,7 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if o.is_zero():
-            raise ZeroDivisionError("division by field zero")
-        return Scalar(self.field._mul(self.value, self.field._inv(o.value)),
-                      self.field)
+        return Scalar(self.field._div(self.value, o.value), self.field)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -220,6 +217,13 @@ class Field:
 
     def _inv(self, a):
         raise NotImplementedError
+
+    def _div(self, a, b):
+        """a times the inverse of b; b zero (within the field's
+        tolerance) raises ZeroDivisionError."""
+        if self._is_zero(b):
+            raise ZeroDivisionError("division by field zero")
+        return self._mul(a, self._inv(b))
 
     def _eq(self, a, b) -> bool:
         return a == b

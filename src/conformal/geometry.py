@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 from .fields import ConformalError, Field, Scalar, UnsupportedFieldError
 from . import linalg
 from .linalg import Vector
-from .quadform import (InvalidInputError, QuadraticForm,
-                       bilinear_radical, witt_index)
+from .quadform import (InvalidInputError, QuadraticForm, _radical,
+                       witt_index)
 from enum import Enum
 
 
@@ -116,18 +116,18 @@ class Geometry:
             raise InvalidGeometryError("a geometry needs dimension >= 4 (n >= 1)")
         if len(p_rep) != form.dim or len(l_rep) != form.dim:
             raise InvalidGeometryError("representative length mismatch")
-        if linalg.is_zero_vector(p_rep) or linalg.is_zero_vector(l_rep):
+        self._p_raw = p_raw = tuple(x.value for x in p_rep)
+        self._l_raw = l_raw = tuple(x.value for x in l_rep)
+        if all(map(field._is_zero, p_raw)) or all(map(field._is_zero, l_raw)):
             raise InvalidGeometryError("P and L must be nonzero")
-        if field.is_exact and bilinear_radical(form):
+        if field.is_exact and _radical(form):
             raise InvalidGeometryError("the bilinear form must be non-degenerate")
-        if not form.b_full(p_rep, l_rep).is_zero():
+        if not field._is_zero(form.b_raw(p_raw, l_raw)):
             raise InvalidGeometryError("P and L must be orthogonal")
         self.form = form
         self.field = field
         self.p_rep = p_rep
         self.l_rep = l_rep
-        self._p_raw = tuple(x.value for x in p_rep)
-        self._l_raw = tuple(x.value for x in l_rep)
         self._quadric = None
         self._points = None
         self._tokens = {}  # classify._pointspace_token by the raw lambda
@@ -188,11 +188,6 @@ def _raw_cycle(g: Geometry, c) -> list:
         raise InvalidInputError(
             f"a cycle has {g.form.dim} coordinates, not {len(x)}")
     return x
-
-
-def _as_vector(g: Geometry, c) -> Vector:
-    """A cycle as Scalars of g's field."""
-    return tuple(Scalar(a, g.field) for a in _raw_cycle(g, c))
 
 
 def _require_hypercycle(g: Geometry, c) -> list:
@@ -297,10 +292,7 @@ def _power_with(g: Geometry, c1, c2, base) -> Scalar:
     if is_zero(d1) or is_zero(d2):
         raise IdealDenominatorError(
             "cycle pairs ideally with the reference vector")
-    den = mul(d1, d2)
-    if is_zero(den):
-        raise ZeroDivisionError("division by field zero")
-    return Scalar(mul(mul(half, b(x1, x2)), field._inv(den)), field)
+    return Scalar(field._div(mul(half, b(x1, x2)), mul(d1, d2)), field)
 
 
 def _check_enum(g: Geometry, max_q: int, max_dim: int = MAX_ENUM_DIM):
@@ -382,16 +374,23 @@ class Subspace:
                      for a in linalg.mat_vec_raw(self._cols, x, field))
 
     def from_ambient(self, v) -> Optional[Vector]:
-        return linalg.coordinates(v, self.basis, self.form.field)
+        """The coordinates of v in the basis, or None off the subspace."""
+        field, dim = self.form.field, len(self._cols)
+        x = linalg.raw_values(field, v)
+        if len(x) != dim:
+            raise InvalidInputError(
+                f"an ambient vector has {dim} coordinates, not {len(x)}")
+        x = linalg.solve_raw(self._cols, x, field)
+        return None if x is None else tuple(Scalar(a, field) for a in x)
 
 
-def perp_space(g: Geometry, vectors: Sequence[Vector]) -> Subspace:
-    """The orthogonal complement of ``vectors``, which must all be
-    orthogonal to L, carrying the restricted form and L's coordinates
-    (solved by ``linalg.coordinates``' elimination, so bit for bit over
-    ApproxReal).  Runs on raw values and wraps only the result."""
+def perp_space(g: Geometry, vectors: Sequence) -> Subspace:
+    """The orthogonal complement of the raw ``vectors``, which must all
+    be orthogonal to L, carrying the restricted form and L's coordinates
+    (solved by ``linalg.solve_raw``, as ``Subspace.from_ambient`` solves).
+    Runs on raw values and wraps only the result."""
     field = g.field
-    basis = g.form.perp_raw([linalg.raw_values(field, v) for v in vectors])
+    basis = g.form.perp_raw(vectors)
     l_coords = linalg.solve_raw(tuple(zip(*basis)), g._l_raw, field)
     assert l_coords is not None  # L is orthogonal to every vector
     return Subspace(g, linalg.wrap_rows(field, basis),
@@ -401,7 +400,7 @@ def perp_space(g: Geometry, vectors: Sequence[Vector]) -> Subspace:
 
 def pointspace(g: Geometry) -> Subspace:
     """The orthogonal complement of P carrying Q^P, with L's coordinates."""
-    return perp_space(g, [g.p_rep])
+    return perp_space(g, [g._p_raw])
 
 
 def project_cycle_raw(g: Geometry, c) -> Vector:
@@ -487,40 +486,45 @@ class Subcycle:
         return len(self.basis) - 2
 
 
-def _subcycle_from_span(g: Geometry, span: Sequence[Vector]) -> Subcycle:
-    is_subplane = linalg.in_span(g.l_rep, span, g.field)
-    return Subcycle(tuple(ProjPoint(v) for v in span), is_subplane,
-                    _is_actual(g, span))
+def _subcycle_from_span(g: Geometry, span: Sequence) -> Subcycle:
+    """The subcycle of the independent raw vectors ``span``, each
+    wrapped once as a normalised ``ProjPoint``."""
+    field = g.field
+    is_subplane = linalg.rank_raw([*span, g._l_raw], field) == len(span)
+    basis = tuple(ProjPoint.from_canonical(tuple(
+        [Scalar(a, field) for a in linalg.normalize_raw(field, v)]))
+        for v in span)
+    return Subcycle(basis, is_subplane, _is_actual(g, span))
 
 
-def _is_actual(g: Geometry, span: Sequence[Vector]) -> Optional[bool]:
-    """Is the span cut out by P together with isotropic vectors of its
-    orthogonal complement?  Searchable over finite fields only."""
+def _is_actual(g: Geometry, span: Sequence) -> Optional[bool]:
+    """Is the span of the raw vectors cut out by P together with
+    isotropic vectors of its orthogonal complement?  Searchable over
+    finite fields only."""
     if not g.field.is_finite or g.field.order > MAX_ENUM_Q:
         return None
-    perp = g.form.perp(span)
-    vectors = [g.p_rep] + _isotropic_in_span(g, perp)
-    return linalg.rank(vectors, g.field) == len(perp)
+    perp = g.form.perp_raw(span)
+    vectors = [g._p_raw] + _isotropic_of_span(g, perp)
+    return linalg.rank_raw(vectors, g.field) == len(perp)
 
 
-def _isotropic_in_span(g: Geometry, basis: Sequence[Vector]) -> list:
-    """The vectors with Q = 0 of span(basis), one per projective point
-    (finite fields): Q(sum c_i v_i) is the restricted form at c, and
-    each vector is combined on raw values and wrapped once."""
+def _isotropic_of_span(g: Geometry, basis: Sequence) -> list:
+    """The raw vectors with Q = 0 of the span of the raw ``basis``, one
+    per projective point (finite fields): Q(sum c_i v_i) is the
+    restricted form at c, and each vector is ``mat_vec_raw`` of the
+    basis columns with c."""
     field = g.field
-    raw = [linalg.raw_values(field, v) for v in basis]
-    cols = tuple(zip(*raw))
-    wrap = list(field.elements())  # raw value v is element v
-    return [tuple(map(wrap.__getitem__, linalg.mat_vec_raw(cols, c, field)))
-            for c in g.form.restrict_raw(raw).isotropic_points()]
+    cols = tuple(zip(*basis))
+    return [linalg.mat_vec_raw(cols, c, field)
+            for c in g.form.restrict_raw(basis).isotropic_points()]
 
 
 def span_subcycle(g: Geometry, *points) -> Subcycle:
     """The virtual subcycle spanned by k independent points (dim k-2)."""
-    vecs = [linalg.vector(g.field, _require_point(g, p)) for p in points]
-    if not linalg.independent(vecs, g.field):
+    xs = [_require_point(g, p) for p in points]
+    if linalg.rank_raw(xs, g.field) != len(xs):
         raise RankError("points must be independent")
-    return _subcycle_from_span(g, vecs)
+    return _subcycle_from_span(g, xs)
 
 
 def intersect_hyperplanes(g: Geometry, *hyperplanes) -> Subcycle:
@@ -529,16 +533,15 @@ def intersect_hyperplanes(g: Geometry, *hyperplanes) -> Subcycle:
     Accepts virtual hyperplanes: vectors in P^perp with B(L, l) = 0; an
     oriented hyperplanecycle is the special case Q(l) = 0.
     """
-    vecs = [g.p_rep]
+    xs = [g._p_raw]
     for l in hyperplanes:
-        v = _as_vector(g, l)
-        if not g.form.b_full(g.l_rep, v).is_zero():
+        x = _raw_cycle(g, l)
+        if not g.field._is_zero(g.form.b_raw(g._l_raw, x)):
             raise RoleError("hyperplane inputs must be orthogonal to L")
-        vecs.append(v)
-    if not linalg.independent(vecs, g.field):
+        xs.append(x)
+    if linalg.rank_raw(xs, g.field) != len(xs):
         raise RankError("hyperplanes must be independent (and not P)")
-    span = g.form.perp(vecs)
-    return _subcycle_from_span(g, span)
+    return _subcycle_from_span(g, g.form.perp_raw(xs))
 
 
 def hyperplane_through(g: Geometry, *points) -> Optional[ProjPoint]:
@@ -552,35 +555,35 @@ def hyperplane_through(g: Geometry, *points) -> Optional[ProjPoint]:
     xs = [_require_point(g, p) for p in points]
     if _antipodal_pair(g, xs):
         raise RoleError("an antipodal pair admits no unique hyperplane")
-    sol = linalg.wrap_rows(g.field, g.form.perp_raw(xs + [g._l_raw]))
+    field = g.field
+    sol = g.form.perp_raw(xs + [g._l_raw])
     if not sol:
         return None
     if len(sol) == 1:
-        isotropic = [sol[0]] if g.form(sol[0]).is_zero() else []
+        isotropic = sol if field._is_zero(g.form.eval_raw(sol[0])) else []
     else:
-        if not g.field.is_finite:
+        if not field.is_finite:
             raise EnumerationUnsupportedError(
                 "cannot search an isotropic solution over an infinite field")
-        isotropic = _isotropic_in_span(g, sol)
+        isotropic = _isotropic_of_span(g, sol)
     # [P] solves the constraints whenever it is isotropic, but it has no
     # image in V/P and is incident to every point: not a hyperplane.  A
     # solution is admissible exactly when it spans a plane with P.
-    keys = [linalg.span_key((v, g.p_rep), g.field) for v in isotropic]
+    keys = [linalg.span_key((v, g._p_raw), field) for v in isotropic]
     isotropic = [v for v, key in zip(isotropic, keys) if len(key) == 2]
     if not isotropic:
         return None
     # all solutions must project to a single unoriented hyperplane
     if len({key for key in keys if len(key) == 2}) > 1:
         raise RoleError("multiple distinct hyperplanes satisfy the constraints")
-    pts = sorted((ProjPoint(v) for v in isotropic), key=ProjPoint.sort_key)
-    return pts[0]
+    first = min(linalg.normalize_raw(field, v) for v in isotropic)
+    return ProjPoint.from_canonical(tuple([Scalar(a, field) for a in first]))
 
 
 def quasi_ideal(g: Geometry, s: Subcycle) -> bool:
     """Is the restriction of Q to the subcycle's span degenerate?"""
-    basis = [p.coords for p in s.basis]
-    restricted = g.form.restrict(basis)
-    return bool(bilinear_radical(restricted))
+    basis = [[a.value for a in p.coords] for p in s.basis]
+    return bool(_radical(g.form.restrict_raw(basis)))
 
 
 def cayley_klein_points(g: Geometry):

@@ -2,12 +2,14 @@
 
 Inside the library a vector is a tuple of raw field values and a matrix
 a tuple of raw rows; ``Scalar`` tuples are the public form, unwrapped
-once (``raw_values``) and wrapped once (``wrap_rows``).  ``mat_vec_raw``
-is the one matrix-vector product.  One Gauss-Jordan elimination,
-``_reduce``, serves every solver.  Over Q it eliminates on integers
-(each row scaled by the lcm of its denominators) and builds one
-Fraction per entry of the result; the other fields use their own ops
-and zero test, so the same loop serves F_p, F_2/F_4 and
+once (``raw_values``) and wrapped once (``wrap_rows``).  Every solver
+but ``rref`` and ``kernel_basis``, which take and return ``Scalar``
+rows, takes raw rows, and there is no ``Scalar`` vector arithmetic
+here.  ``mat_vec_raw`` is the one matrix-vector product.  One
+Gauss-Jordan elimination, ``_reduce``, serves every solver.  Over Q it
+eliminates on integers (each row scaled by the lcm of its denominators)
+and builds one Fraction per entry of the result; the other fields use
+their own ops and zero test, so the same loop serves F_p, F_2/F_4 and
 (tolerance-aware) floats.  The two walks of a finite space,
 ``all_vectors`` and ``projective_points``, yield raw tuples too.
 """
@@ -62,22 +64,6 @@ def vector(field: Field, entries) -> Vector:
 
 def unit_vector(field: Field, n: int, i: int) -> Vector:
     return tuple(field.one() if j == i else field.zero() for j in range(n))
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: Scalar, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
-
-
-def is_zero_vector(v: Vector) -> bool:
-    return all(a.is_zero() for a in v)
 
 
 def _dot(field: Field, row, x):
@@ -213,14 +199,6 @@ def _reduce_rational(m: list) -> list:
     return pivots
 
 
-def _raw_rows(rows: Sequence[Vector], field: Field) -> list:
-    return [raw_values(field, r) for r in rows]
-
-
-def rank(rows: Sequence[Vector], field: Field) -> int:
-    return rank_raw(_raw_rows(rows, field), field)
-
-
 def rank_raw(rows: Sequence, field: Field) -> int:
     """The rank of the matrix with the given rows of raw values."""
     return len(_reduce(list(rows), field))
@@ -247,13 +225,14 @@ def kernel_raw(rows: Sequence, field: Field, ncols: int) -> list:
 
 def kernel_basis(rows: Sequence[Vector], field: Field, ncols: int):
     """Basis of {v : M v = 0} for the matrix with the given rows."""
-    return wrap_rows(field, kernel_raw(_raw_rows(rows, field), field, ncols))
+    return wrap_rows(field, kernel_raw([raw_values(field, r) for r in rows],
+                                       field, ncols))
 
 
-def span_key(vectors: Sequence[Vector], field: Field) -> tuple:
-    """Equal for two lists of vectors exactly when they span the same
-    space: the non-zero rows of the RREF, as tuples of raw values."""
-    m = _raw_rows(vectors, field)
+def span_key(rows: Sequence, field: Field) -> tuple:
+    """Equal for two lists of raw vectors exactly when they span the
+    same space: the non-zero rows of the RREF, as tuples of raw values."""
+    m = list(rows)
     pivots = _reduce(m, field)
     return tuple(tuple(row) for row in m[:len(pivots)])
 
@@ -286,48 +265,30 @@ def inverse_raw(m: Sequence, field: Field) -> Optional[tuple]:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def independent(vectors: Sequence[Vector], field: Field) -> bool:
-    return rank(vectors, field) == len(vectors)
-
-
-def in_span(v: Vector, basis: Sequence[Vector], field: Field) -> bool:
-    m = _raw_rows(basis, field)
-    return len(_reduce(m + [raw_values(field, v)], field)) == \
-        len(_reduce(m, field))
-
-
-def complement_indices(vectors: Sequence[Vector], field: Field,
-                       n: int) -> list:
-    """The indices i, in order, whose unit vectors extend span(vectors)
-    to K^n, each e_i taken when it is outside the span of the vectors
-    and the e_j before it.
+def complement_indices(rows: Sequence, field: Field, n: int) -> list:
+    """The indices i, in order, whose unit vectors extend the span of
+    the raw rows to K^n, each e_i taken when it is outside the span of
+    the rows and the e_j before it.
 
     That holds exactly when some functional vanishing on the vectors
     and on e_0, ..., e_{i-1} is non-zero at e_i, so the indices are the
     pivot columns of the RREF of a basis of those functionals: the
-    kernel of the matrix with rows ``vectors``."""
-    kern = kernel_raw(_raw_rows(vectors, field), field, n)
-    return _reduce(kern, field)
+    kernel of the matrix with the given rows."""
+    return _reduce(kernel_raw(rows, field, n), field)
 
 
-def coordinates(v: Vector, basis: Sequence[Vector], field: Field) -> Optional[Vector]:
-    """Coefficients x with sum x_i basis_i = v, or None if v is outside."""
-    # the matrix whose columns are the basis vectors, one row per
-    # coordinate of v (rows with no entries when the basis is empty)
-    cols = tuple(zip(*_raw_rows(basis, field))) or ((),) * len(v)
-    x = solve_raw(cols, raw_values(field, v), field)
-    return None if x is None else tuple(Scalar(a, field) for a in x)
+def coordinate_map(rows: Sequence, field: Field):
+    """``solve_raw`` for one matrix of raw rows and many right-hand
+    sides: a function from a raw right-hand side to one raw solution x
+    of M x = rhs, or None (with the basis of a subspace as columns,
+    the coordinates of a vector in it).
 
-
-def coordinate_map(basis: Sequence[Vector], field: Field):
-    """``coordinates(., basis)`` on raw values: a function from the raw
-    values of a vector to the raw values of its coordinates, or None.
-
-    The basis is reduced once; each call replays on the vector the row
-    operations ``coordinates`` applies to its right-hand side, so every
-    value is the one ``coordinates`` gives, bit for bit over ApproxReal.
+    M is reduced once; each call replays on the right-hand side the row
+    operations ``solve_raw`` applies to it, so every value is the one
+    ``solve_raw`` gives, bit for bit over ApproxReal.
     """
-    m = [list(col) for col in zip(*(raw_values(field, b) for b in basis))]
+    m = [list(row) for row in rows]
+    ncols = len(m[0]) if m else 0
     log = []
     pivots = _reduce(m, field, log)
     mul, sub, is_zero = field._mul, field._sub, field._is_zero
@@ -342,7 +303,7 @@ def coordinate_map(basis: Sequence[Vector], field: Field):
                 a[i] = sub(a[i], mul(f, y))
         if not all(is_zero(t) for t in a[rank:]):
             return None
-        out = [zero] * len(basis)
+        out = [zero] * ncols
         for t, c in zip(a, pivots):
             out[c] = t
         return out

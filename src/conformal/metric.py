@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from .fields import (ConformalError, Scalar, SquareClass,
                      UnsupportedFieldError, canonical_nonresidue,
                      sqrt_if_square, square_class)
 from . import linalg
-from .linalg import vec_add, vec_scale, vec_sub
-from .geometry import (Geometry, ProjPoint, Subspace, _as_vector,
-                       _raw_cycle, non_degenerate_geometry, perp_space)
+from .geometry import (Geometry, ProjPoint, Subspace, _raw_cycle,
+                       non_degenerate_geometry, perp_space)
 from .quadform import det_class
 
 
@@ -121,21 +121,18 @@ def line_space(g: Geometry, l) -> Subspace:
     """The 3-dimensional <P,l>^perp with its restricted (non-degenerate)
     form and the coordinates of L; l must be a non-ideal hyperplane."""
     _require_plane(g)
-    lv = _as_vector(g, l)
-    if not g.form(lv).is_zero():
+    x, form, is_zero = _raw_cycle(g, l), g.form, g.field._is_zero
+    if not is_zero(form.eval_raw(x)):
         raise DegenerateLineError("l must lie on the Lie quadric")
-    if not g.form.b_full(g.l_rep, lv).is_zero():
+    if not is_zero(form.b_raw(g._l_raw, x)):
         raise DegenerateLineError("l must be a hyperplane (orthogonal to L)")
-    if g.form.b_full(g.p_rep, lv).is_zero():
+    if is_zero(form.b_raw(g._p_raw, x)):
         raise DegenerateLineError("ideal hyperplane: its line is quasi-ideal")
-    return perp_space(g, [g.p_rep, lv])
+    return perp_space(g, [g._p_raw, x])
 
 
 def _geometry_key(g: Geometry) -> tuple:
-    return (g.field.token(),
-            g.form._terms,
-            tuple(x.value for x in g.p_rep),
-            tuple(x.value for x in g.l_rep))
+    return (g.field.token(), g.form._terms, g._p_raw, g._l_raw)
 
 
 class Chart:
@@ -148,7 +145,7 @@ class Chart:
     u of canonical norm and the isotropic partner v of L.
 
     The queries run on raw values: ``_to_line`` (chart coordinates to
-    line coordinates: the basis as raw columns) and its inverse
+    line coordinates: the raw basis as columns) and its inverse
     ``_from_line`` are raw rows, and ``_coords`` maps an ambient vector
     to its line coordinates (None off the line space) as
     ``space.from_ambient`` does.
@@ -156,22 +153,22 @@ class Chart:
 
     def __init__(self, kind: LineGroupClass, space: Subspace, basis,
                  norm_token):
+        """``basis``: three raw tuples."""
         self.kind = kind
         self.space = space
-        self.basis = tuple(basis)
         field = space.form.field
-        self._to_line = tuple(zip(*(linalg.raw_values(field, b)
-                                    for b in self.basis)))
+        self.basis = linalg.wrap_rows(field, basis)
+        self._to_line = tuple(zip(*basis))
         self._from_line = linalg.inverse_raw(self._to_line, field)
         assert self._from_line is not None
         self.norm_token = norm_token
-        self._coords = linalg.coordinate_map(space.basis, field)
+        self._coords = linalg.coordinate_map(space._cols, field)
         if kind is LineGroupClass.ADDITIVE:
             # tau = 2 Q(u) (beta1 - beta2); the matrix divides by 2Q(u), 4Q(u)
-            qu = space.form(self.basis[1])
-            self._two_qu = (field.scalar(2) * qu).value
+            qu, mul = space.form.eval_raw(basis[1]), field._mul
+            self._two_qu = mul(field.scalar(2).value, qu)
             self._inv_two_qu = field._inv(self._two_qu)
-            self._inv_four_qu = field._inv((field.scalar(4) * qu).value)
+            self._inv_four_qu = field._inv(mul(field.scalar(4).value, qu))
 
     def metric_key(self):
         return ((self.kind.value,) + _geometry_key(self.space.geometry)
@@ -179,92 +176,107 @@ class Chart:
 
     def line_key(self):
         g = self.space.geometry
-        return _geometry_key(g) + (linalg.span_key(self.space.basis, g.field),)
+        return _geometry_key(g) + (
+            linalg.span_key(tuple(zip(*self.space._cols)), g.field),)
 
 
 def build_chart(space: Subspace) -> Chart:
-    """Classify the line and construct its canonical chart."""
+    """Classify the line and construct its canonical chart.
+
+    Runs on raw values in the operation order of Scalar arithmetic; a
+    value is wrapped only for ``_sign_class``, ``_sqrt_any`` and
+    ``canonical_nonresidue``."""
     form = space.form
     field = form.field
-    lc = space.l_coords
-    ql = form(lc)
-    if _sign_class(ql) is SquareClass.ZERO:
-        return _build_additive_chart(space)
-    comp = form.perp([lc])
-    assert len(comp) == 2
-    c1, c2 = comp
-    a = form(c1)
-    bb = form.b_full(c1, c2)
-    c = form(c2)
-    disc = bb * bb - field.scalar(4) * a * c
-    if _sign_class(disc) in (SquareClass.UNIT,) and not disc.is_zero():
+    add, sub, mul, neg, div = (field._add, field._sub, field._mul,
+                               field._neg, field._div)
+    is_zero, one = field._is_zero, field.raw_one
+    lc = tuple([x.value for x in space.l_coords])
+    if is_zero(form.eval_raw(lc)):
+        return _build_additive_chart(space, lc)
+    c1, c2 = form.perp_raw([lc])
+    a = form.eval_raw(c1)
+    bb = form.b_raw(c1, c2)
+    c = form.eval_raw(c2)
+    two = field.scalar(2).value
+    disc = Scalar(sub(mul(bb, bb), mul(mul(field.scalar(4).value, a), c)),
+                  field)
+    if _sign_class(disc) is SquareClass.UNIT:
         root = _sqrt_any(disc)
         if root is None:
             raise ExactChartUnavailableError(
                 "split chart needs an exact square root of the discriminant")
-        if not a.is_zero():
-            two_a = field.scalar(2) * a
-            d1 = vec_add(vec_scale((-bb + root) / two_a, c1), c2)
-            d2 = vec_add(vec_scale((-bb - root) / two_a, c1), c2)
+        if not is_zero(a):
+            two_a = mul(two, a)
+            t1 = div(add(neg(bb), root.value), two_a)
+            t2 = div(sub(neg(bb), root.value), two_a)
+            d1 = tuple([add(mul(t1, x), y) for x, y in zip(c1, c2)])
+            d2 = tuple([add(mul(t2, x), y) for x, y in zip(c1, c2)])
         else:
             d1 = c1
-            d2 = vec_add(vec_scale(-c / bb, c1), c2)
-        d1 = ProjPoint(d1)
-        d2 = ProjPoint(d2)
-        if d2.sort_key() < d1.sort_key():
-            d1, d2 = d2, d1
-        d1, d2 = d1.coords, d2.coords
-        pairing = form.b_full(d1, d2)
-        assert not pairing.is_zero()
-        d2 = vec_scale(pairing.inverse(), d2)
+            t = div(neg(c), bb)
+            d2 = tuple([add(mul(t, x), y) for x, y in zip(c1, c2)])
+        d1, d2 = sorted((linalg.normalize_raw(field, d1),
+                         linalg.normalize_raw(field, d2)))
+        pairing = form.b_raw(d1, d2)
+        assert not is_zero(pairing)
+        t = div(one, pairing)
+        d2 = tuple([mul(t, x) for x in d2])
         return Chart(LineGroupClass.SPLIT_TORUS, space, (lc, d1, d2),
                      ("split",))
     # non-split torus: orthogonal pair with Q(b2) = -eps Q(b1)
-    eps = canonical_nonresidue(field)
-    if not a.is_zero():
+    eps = canonical_nonresidue(field).value
+    if not is_zero(a):
         b1 = c1
-        b2p = vec_sub(c2, vec_scale(bb / (field.scalar(2) * a), c1))
+        t = div(bb, mul(two, a))
+        b2p = tuple([sub(y, mul(t, x)) for x, y in zip(c1, c2)])
     else:
         b1 = c2
-        b2p = vec_sub(c1, vec_scale(bb / (field.scalar(2) * c), c2))
-    target = -eps * form(b1)
-    ratio = form(b2p) / target
-    s = _sqrt_any(ratio)
+        t = div(bb, mul(two, c))
+        b2p = tuple([sub(x, mul(t, y)) for x, y in zip(c1, c2)])
+    target = mul(neg(eps), form.eval_raw(b1))
+    s = _sqrt_any(Scalar(div(form.eval_raw(b2p), target), field))
     if s is None:
         raise ExactChartUnavailableError(
             "non-split chart needs an exact square root for normalization")
-    b2 = vec_scale(s.inverse(), b2p)
-    assert form(b2) == target
+    t = div(one, s.value)
+    b2 = tuple([mul(t, x) for x in b2p])
+    assert field._eq(form.eval_raw(b2), target)
     return Chart(LineGroupClass.NON_SPLIT_TORUS, space, (lc, b1, b2),
-                 ("non-split", eps.value))
+                 ("non-split", eps))
 
 
-def _build_additive_chart(space: Subspace) -> Chart:
+def _build_additive_chart(space: Subspace, lc: tuple) -> Chart:
+    """The additive chart of a line with Q(L) = 0, L's raw coordinates
+    lc, on raw values as ``build_chart``."""
     form = space.form
-    field = space.form.field
-    lc = space.l_coords
-    perp = form.perp([lc])
-    u0 = next(w for w in perp
-              if not linalg.in_span(w, [lc], field))
-    qu = form(u0)
-    assert not qu.is_zero()
-    cls = _sign_class(qu)
-    canon = field.one() if cls is SquareClass.UNIT else \
-        canonical_nonresidue(field)
-    s = _sqrt_any(qu / canon)
+    field = form.field
+    sub, mul, div = field._sub, field._mul, field._div
+    is_zero, one = field._is_zero, field.raw_one
+    u0 = next(w for w in form.perp_raw([lc])
+              if linalg.rank_raw([lc, w], field) == 2)
+    qu = form.eval_raw(u0)
+    assert not is_zero(qu)
+    canon = one if _sign_class(Scalar(qu, field)) is SquareClass.UNIT \
+        else canonical_nonresidue(field).value
+    s = _sqrt_any(Scalar(div(qu, canon), field))
     if s is not None:
-        u = vec_scale(s.inverse(), u0)
-        norm_token = ("additive", canon.value)
+        t = div(one, s.value)
+        u = tuple([mul(t, x) for x in u0])
+        norm_token = ("additive", canon)
     else:
         u = u0
-        norm_token = ("additive-unscaled", qu.value)
-    row = form.gram_row(lc)
-    i = next(i for i in range(3) if not row[i].is_zero())
-    v0 = vec_scale(row[i].inverse(), linalg.unit_vector(field, 3, i))
-    v1 = vec_sub(v0, vec_scale(form.b_full(u, v0) / form.b_full(u, u), u))
-    v = vec_sub(v1, vec_scale(form(v1), lc))
-    assert form(v).is_zero() and form.b_full(lc, v) == field.one()
-    assert form.b_full(u, v).is_zero()
+        norm_token = ("additive-unscaled", qu)
+    row = form.gram_row_raw(lc)
+    i = next(i for i in range(3) if not is_zero(row[i]))
+    t = div(one, row[i])
+    v0 = tuple([mul(t, one if j == i else field.raw_zero) for j in range(3)])
+    t = div(form.b_raw(u, v0), form.b_raw(u, u))
+    v1 = tuple([sub(x, mul(t, y)) for x, y in zip(v0, u)])
+    t = form.eval_raw(v1)
+    v = tuple([sub(x, mul(t, y)) for x, y in zip(v1, lc)])
+    assert is_zero(form.eval_raw(v)) and field._eq(form.b_raw(lc, v), one)
+    assert is_zero(form.b_raw(u, v))
     return Chart(LineGroupClass.ADDITIVE, space, (lc, u, v), norm_token)
 
 
@@ -274,13 +286,20 @@ class MotionElement:
     ``normal_form``: (mu,) for the split torus, (tau,) for the additive
     group, (a, b) with a^2 - eps b^2 = 1 for the non-split torus.
     ``matrix`` acts on line-space coordinates, fixes L, and has
-    determinant 1.
+    determinant 1; unless given, it is built from the chart and the
+    normal form on first read.
     """
 
-    def __init__(self, chart: Chart, normal_form, matrix):
+    def __init__(self, chart: Chart, normal_form, matrix=None):
         self.chart = chart
         self.normal_form = tuple(normal_form)
-        self.matrix = matrix
+        if matrix is not None:
+            self.matrix = matrix
+
+    @cached_property
+    def matrix(self) -> tuple:
+        return linalg.wrap_rows(self.chart.space.form.field, _line_matrix(
+            self.chart, [x.value for x in self.normal_form]))
 
     @property
     def group_class(self) -> LineGroupClass:
@@ -326,13 +345,10 @@ def _line_matrix(chart: Chart, nf):
                               chart._from_line, field)
 
 
-def _motion(chart: Chart, nf, matrix=None) -> MotionElement:
-    """Wrap the raw normal form nf and its matrix in Scalars."""
+def _motion(chart: Chart, nf) -> MotionElement:
+    """The element of the raw normal form nf, wrapped in Scalars."""
     field = chart.space.form.field
-    if matrix is None:
-        matrix = _line_matrix(chart, nf)
-    return MotionElement(chart, tuple(Scalar(x, field) for x in nf),
-                         linalg.wrap_rows(field, matrix))
+    return MotionElement(chart, tuple(Scalar(x, field) for x in nf))
 
 
 def motion_from_normal_form(chart: Chart, nf) -> MotionElement:
@@ -411,10 +427,9 @@ def translation_between(g: Geometry, l, p1, p2) -> MotionElement:
         inv = field._inv(norm1)
         nf = (mul(sub(mul(x2, x1), mul(mul(eps, y2), y1)), inv),
               mul(sub(mul(y2, x1), mul(x2, y1)), inv))
-    matrix = _line_matrix(chart, nf)
-    moved = linalg.mat_vec_raw(matrix, lc1, field)
+    moved = linalg.mat_vec_raw(_line_matrix(chart, nf), lc1, field)
     assert _same_point(field, moved, lc2), "translation mismatch (internal)"
-    return _motion(chart, nf, matrix)
+    return _motion(chart, nf)
 
 
 def compose(g1: MotionElement, g2: MotionElement) -> MotionElement:
@@ -475,8 +490,7 @@ def stabilizer_matrices(g: Geometry, l):
     space = chart.space
     form = space.form
     field = form.field
-    lc_raw = linalg.raw_values(field, space.l_coords)
-    x1, x2 = (linalg.raw_values(field, b) for b in chart.basis[1:])
+    lc_raw, x1, x2 = zip(*chart._to_line)
 
     def norms(x):  # (Q(x), B(L, x)) on raw values
         return form.eval_raw(x), form.b_raw(lc_raw, x)

@@ -26,7 +26,7 @@ from .fields import (CharTwo, ConformalError, Field, PrimeField, Rational,
                      Scalar, SquareClass, UnsupportedFieldError,
                      sqrt_if_square, square_class)
 from . import linalg
-from .linalg import Vector, raw_values, vec_add, vec_scale, vec_sub
+from .linalg import Vector, raw_values
 
 
 class DegenerateFormError(ConformalError):
@@ -476,13 +476,18 @@ def _root_table(field: Field, c) -> dict:
     return table
 
 
+def _radical(q: QuadraticForm) -> list:
+    """Basis of {v : B(v,u) = 0 for all u} (kernel of the Gram matrix)
+    as raw tuples, computed once per form and kept on it."""
+    if q._rad is None:
+        q._rad = linalg.kernel_raw(q._raw_gram(), q.field, q.dim)
+    return q._rad
+
+
 def bilinear_radical(q: QuadraticForm):
     """Basis of {v : B(v,u) = 0 for all u} (kernel of the Gram matrix),
-    computed once per form on raw values and kept on it."""
-    if q._rad is None:
-        q._rad = linalg.wrap_rows(q.field, linalg.kernel_raw(
-            q._raw_gram(), q.field, q.dim))
-    return q._rad
+    as rows of Scalars."""
+    return linalg.wrap_rows(q.field, _radical(q))
 
 
 def is_nondegenerate_form(q: QuadraticForm) -> bool:
@@ -490,20 +495,14 @@ def is_nondegenerate_form(q: QuadraticForm) -> bool:
 
     For characteristic != 2 this reduces to a trivial radical.  Over a
     perfect field of characteristic 2 the square root of Q is additive
-    on the radical, so the test is the kernel of that linear functional.
+    on the radical, so the test is the kernel of that linear functional,
+    which is trivial exactly on a radical line with Q != 0.
     """
-    rad = bilinear_radical(q)
+    rad = _radical(q)
     if not rad:
         return True
-    if q.field.char != 2:
-        return False
-    row = []
-    for r in rad:
-        root = sqrt_if_square(q(r))
-        assert root is not None  # the field is perfect
-        row.append(root)
-    kern = linalg.kernel_basis((tuple(row),), q.field, len(rad))
-    return not kern
+    return q.field.char == 2 and len(rad) == 1 and \
+        not q.field._is_zero(q.eval_raw(rad[0]))
 
 
 @dataclass(frozen=True)
@@ -524,45 +523,47 @@ def diagonalize(q: QuadraticForm) -> Diagonalization:
     isotropic, polarize the first non-orthogonal pair (v, u+v); zero
     entries are emitted only for a degenerate form.
     """
-    if q.field.char == 2:
+    entries, basis = _diagonal_raw(q)
+    field = q.field
+    return Diagonalization(tuple(Scalar(a, field) for a in entries),
+                           linalg.wrap_rows(field, basis))
+
+
+def _diagonal_raw(q: QuadraticForm):
+    """``diagonalize`` on raw values: (entries, basis) as raw tuples."""
+    field = q.field
+    if field.char == 2:
         raise UnsupportedFieldError(
             "diagonalization needs characteristic != 2; "
             "use generalized_orthogonal_basis")
-    field = q.field
-    n = q.dim
-    basis = [linalg.unit_vector(field, n, i) for i in range(n)]
+    add, sub, mul, is_zero = field._add, field._sub, field._mul, field._is_zero
+    n, zero, one = q.dim, field.raw_zero, field.raw_one
+    basis = [(zero,) * i + (one,) + (zero,) * (n - 1 - i) for i in range(n)]
     entries = []
-    two = field.scalar(2)
+    two = field.scalar(2).value
     for i in range(n):
-        pivot = None
-        for j in range(i, n):
-            if not q(basis[j]).is_zero():
-                pivot = j
-                break
+        pivot = next((j for j in range(i, n)
+                      if not is_zero(q.eval_raw(basis[j]))), None)
         if pivot is None:
-            hyper = None
-            for j in range(i, n):
-                for k in range(j + 1, n):
-                    if not q.b_full(basis[j], basis[k]).is_zero():
-                        hyper = (j, k)
-                        break
-                if hyper:
-                    break
+            hyper = next(((j, k) for j in range(i, n) for k in range(j + 1, n)
+                          if not is_zero(q.b_raw(basis[j], basis[k]))), None)
             if hyper is None:
                 # remaining block is identically zero (radical part)
-                entries.extend(field.zero() for _ in range(i, n))
+                entries.extend(zero for _ in range(i, n))
                 break
             j, k = hyper
-            basis[j] = vec_add(basis[j], basis[k])
+            basis[j] = tuple(map(add, basis[j], basis[k]))
             pivot = j
         basis[i], basis[pivot] = basis[pivot], basis[i]
-        a = q(basis[i])
+        a = q.eval_raw(basis[i])
         entries.append(a)
+        two_a = mul(two, a)
         for j in range(i + 1, n):
-            c = q.b_full(basis[i], basis[j]) / (two * a)
-            if not c.is_zero():
-                basis[j] = vec_sub(basis[j], vec_scale(c, basis[i]))
-    return Diagonalization(tuple(entries), tuple(basis))
+            c = field._div(q.b_raw(basis[i], basis[j]), two_a)
+            if not is_zero(c):
+                basis[j] = tuple([sub(x, mul(c, y))
+                                  for x, y in zip(basis[j], basis[i])])
+    return tuple(entries), tuple(basis)
 
 
 def signature(q: QuadraticForm):
@@ -574,7 +575,7 @@ def signature(q: QuadraticForm):
     if all(i == j for i, j, _ in q._terms):
         entries = [q.coeff(i, i) for i in range(q.dim)]
     else:
-        entries = diagonalize(q).entries
+        entries = [Scalar(a, q.field) for a in _diagonal_raw(q)[0]]
     pos = neg = zero = 0
     for a in entries:
         cls = square_class(a)
@@ -590,8 +591,8 @@ def signature(q: QuadraticForm):
 def det_class(q: QuadraticForm) -> SquareClass:
     """Square class of det Q (product of the diagonalized entries)."""
     cls = SquareClass.UNIT
-    for a in diagonalize(q).entries:
-        cls = cls * square_class(a)
+    for a in _diagonal_raw(q)[0]:
+        cls = cls * square_class(Scalar(a, q.field))
     return cls
 
 
@@ -651,7 +652,7 @@ def generalized_orthogonal_basis(q: QuadraticForm,
     strip a symplectic couple, or complete a lone symplectic vector v by
     some u orthogonal to the rest with B(u,v) = 1, on raw tuples.
     """
-    if bilinear_radical(q):
+    if _radical(q):
         raise DegenerateFormError(
             "generalized orthogonal bases need a form without degenerate vectors")
     s = _vectors_of(q, s)
@@ -739,7 +740,7 @@ def witt_index(q: QuadraticForm) -> int:
             else SquareClass.UNIT
         return n // 2 if det_class(q) == target else n // 2 - 1
     if isinstance(field, CharTwo):
-        rad = bilinear_radical(q)
+        rad = _radical(q)
         if rad:
             return witt_index(_off_radical(q, rad))
         n = q.dim
@@ -749,8 +750,8 @@ def witt_index(q: QuadraticForm) -> int:
 
 def _off_radical(q: QuadraticForm, rad) -> QuadraticForm:
     """Q restricted to the unit vectors e_i, i in
-    ``linalg.complement_indices(rad)``, which complement the radical:
-    the table of Q on those coordinates."""
+    ``linalg.complement_indices(rad)``, which complement the radical
+    (raw tuples): the table of Q on those coordinates."""
     keep = linalg.complement_indices(rad, q.field, q.dim)
     at = {i: k for k, i in enumerate(keep)}
     return QuadraticForm._of(q.field, len(keep),
@@ -851,7 +852,7 @@ def arf_invariant(q: QuadraticForm) -> Scalar:
         raise UnsupportedFieldError("the Arf invariant lives in characteristic 2")
     if q.dim % 2 == 1:
         raise InvalidInputError("the Arf invariant needs an even dimension")
-    if bilinear_radical(q):
+    if _radical(q):
         raise DegenerateFormError(
             "the Arf invariant needs a non-degenerate bilinear form")
     gob = generalized_orthogonal_basis(q)  # all symplectic: couples only
@@ -876,9 +877,9 @@ def represents(q: QuadraticForm, lam) -> Optional[Vector]:
                      if any(x) and q.eval_raw(x) == lam.value), None)
     if not isinstance(field, Rational):
         raise UnsupportedFieldError(f"represents over {field}")
-    diag = diagonalize(q)
-    entries = diag.entries
-    cols = tuple(zip(*(raw_values(field, b) for b in diag.basis)))
+    entries, basis = _diagonal_raw(q)
+    entries = [Scalar(a, field) for a in entries]
+    cols = tuple(zip(*basis))
 
     def witness(coeffs) -> Vector:
         return tuple(Scalar(x, field) for x in linalg.mat_vec_raw(
@@ -1008,7 +1009,7 @@ class _Extender:
         if not q.field.is_finite or q.field.char == 2:
             raise UnsupportedFieldError(
                 "isometry extension is implemented for odd finite fields")
-        if bilinear_radical(q):
+        if _radical(q):
             raise DegenerateFormError("isometry extension needs a "
                                       "non-degenerate ambient form")
         self.q = q
@@ -1033,8 +1034,7 @@ class _Extender:
             raise InvalidInputError("the given map is not an isometry")
         u_list, v_list = self._complete_radical(u_vecs, v_vecs)
         u_cols, v_cols = tuple(zip(*u_list)), tuple(zip(*v_list))
-        for co in diagonalize(q.restrict_raw(u_list)).basis:
-            co = [c.value for c in co]
+        for co in _diagonal_raw(q.restrict_raw(u_list))[1]:
             a = linalg.mat_vec_raw(tuple(zip(*cols)),
                                    linalg.mat_vec_raw(u_cols, co, field),
                                    field)
@@ -1060,8 +1060,7 @@ class _Extender:
         u_cols, v_cols = tuple(zip(*u_vecs)), tuple(zip(*v_vecs))
         rad_u = [linalg.mat_vec_raw(u_cols, c, field) for c in rad]
         rad_v = [linalg.mat_vec_raw(v_cols, c, field) for c in rad]
-        # complement of the radical inside the given span (over F_p an
-        # int is its own raw value, so the raw kernel passes as it is)
+        # complement of the radical inside the given span
         comp_idx = linalg.complement_indices(rad, field, len(u_vecs))
         u_list = rad_u + [u_vecs[i] for i in comp_idx]
         v_list = rad_v + [v_vecs[i] for i in comp_idx]

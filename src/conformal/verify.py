@@ -29,9 +29,8 @@ from .fields import (CharTwo, PrimeField, Rational, Scalar, SquareClass,
                      UnsupportedFieldError, canonical_nonresidue,
                      sqrt_if_square, square_class)
 from . import linalg
-from .linalg import vec_add, vec_scale
 from .quadform import (InvalidInputError, QuadraticForm, _couples_of,
-                       _vectors_of, arf_invariant, bilinear_radical,
+                       _radical, _vectors_of, arf_invariant,
                        generalized_orthogonal_basis, is_nondegenerate_form,
                        IsometrySampler, mirrors, witt_index,
                        witt_index_bruteforce)
@@ -117,7 +116,11 @@ def _form_battery(field):
 
 
 def suite_polarization(seed: int = 0, **_) -> Report:
-    """B(u,v) = Q(u+v) - Q(u) - Q(v), homogeneity, and the half form."""
+    """B(u,v) = Q(u+v) - Q(u) - Q(v), homogeneity, and the half form.
+
+    A check of the API boundary itself: the public ``__call__``,
+    ``b_full`` and ``b_half`` on vectors of Scalars, summed and scaled
+    with Scalar arithmetic."""
     rep = Report("polarization", True)
     rng = random.Random(seed)
     fields = [Rational(), PrimeField(3), PrimeField(5), PrimeField(7),
@@ -134,11 +137,12 @@ def suite_polarization(seed: int = 0, **_) -> Report:
                 u = tuple(draw() for _ in range(form.dim))
                 v = tuple(draw() for _ in range(form.dim))
                 lhs = form.b_full(u, v)
-                rhs = form(vec_add(u, v)) - form(u) - form(v)
+                rhs = form(tuple(a + b for a, b in zip(u, v))) \
+                    - form(u) - form(v)
                 if lhs != rhs:
                     return _fail(rep, f"{field} {form!r} u={u} v={v}")
                 lam = draw()
-                if form(vec_scale(lam, u)) != lam * lam * form(u):
+                if form(tuple(lam * a for a in u)) != lam * lam * form(u):
                     return _fail(rep, f"homogeneity {field} {form!r}")
                 if field.char != 2:
                     if form.b_half(u, u) != form(u):
@@ -204,7 +208,7 @@ def suite_gen_ortho_basis(**_) -> Report:
     rep = Report("gen-ortho-basis", True)
     total = 0
     for form in _gen_ortho_forms():
-        if bilinear_radical(form):
+        if _radical(form):
             continue
         field = form.field
         vectors = [linalg.vector(field, x)
@@ -410,12 +414,11 @@ def _virtual_lines(g: Geometry):
     out = []
     seen = set()
     for x in g.form.perp_points(g._l_raw):
-        v = linalg.vector(g.field, x)
-        key = linalg.span_key((v, g.p_rep), g.field)
+        key = linalg.span_key((x, g._p_raw), g.field)
         if len(key) < 2 or key in seen:  # skip [P] itself and duplicates
             continue
         seen.add(key)
-        out.append(v)
+        out.append(x)
     return out
 
 
@@ -425,24 +428,25 @@ def suite_incidence_theorems(**_) -> Report:
     lie on at most one unoriented actual line."""
     rep = Report("incidence-theorems", True)
     f3 = PrimeField(3)
+    is_zero = f3._is_zero
     for cls in cla.enumerate_classes(f3, 2):
         g = cla.representative_geometry(cls)
-        quadric = geo.lie_quadric_points(g)
-        points = [pt for _, pt in geo._points_in_p_perp(g)]
-        lines = _virtual_lines(g)
+        pair, p_raw, l_raw = g.form.b_raw, g._p_raw, g._l_raw
+        points = geo._points_in_p_perp(g)  # (raw tuple, ProjPoint) pairs
         pair_count = 0
         quasi_ideal_meets = 0
-        for l1, l2 in itertools.combinations(lines, 2):
-            if not linalg.independent([l1, l2, g.p_rep], g.field):
+        for l1, l2 in itertools.combinations(_virtual_lines(g), 2):
+            if linalg.rank_raw([l1, l2, p_raw], f3) < 3:
                 continue
-            sub = geo.intersect_hyperplanes(g, l1, l2)
+            sub = geo.intersect_hyperplanes(g, linalg.vector(f3, l1),
+                                            linalg.vector(f3, l2))
             if sub.dim != 0:
                 return _fail(rep, f"{cls.label()}: subplane dim {sub.dim}")
-            span = [b.coords for b in sub.basis]
-            meet = [pt for pt in points
-                    if linalg.in_span(pt.coords, span, g.field)]
-            nonideal = [pt for pt in meet
-                        if not g.form.b_full(g.l_rep, pt.coords).is_zero()]
+            span = [[a.value for a in b.coords] for b in sub.basis]
+            dim = linalg.rank_raw(span, f3)
+            meet = [(x, pt) for x, pt in points
+                    if linalg.rank_raw(span + [x], f3) == dim]
+            nonideal = [pt for x, pt in meet if not is_zero(pair(l_raw, x))]
             if len(nonideal) > 2:
                 return _fail(rep, f"{cls.label()}: {len(nonideal)} non-ideal "
                                   f"meet points")
@@ -457,25 +461,25 @@ def suite_incidence_theorems(**_) -> Report:
                     return _fail(rep, f"{cls.label()}: non-ideal point on a "
                                       f"totally isotropic subplane")
                 quasi_ideal_meets += 1
-            for a, b in itertools.combinations(meet, 2):
+            for (_, a), (_, b) in itertools.combinations(meet, 2):
                 if not geo.antipodal(g, a, b):
                     return _fail(rep, f"{cls.label()}: non-antipodal meet")
             pair_count += 1
-        # oriented lines, projected to unoriented classes
-        oriented = [pt for pt in quadric
-                    if g.form.b_full(g.l_rep, pt.coords).is_zero()]
+        # oriented lines, projected to unoriented classes: (raw tuple,
+        # span key with P), skipping [P] itself, which has no image
+        oriented = []
+        for pt in geo.lie_quadric_points(g):
+            x = tuple([a.value for a in pt.coords])
+            if is_zero(pair(l_raw, x)):
+                key = linalg.span_key((x, p_raw), f3)
+                if len(key) == 2:
+                    oriented.append((x, key))
         pt_checks = 0
-        for a, b in itertools.combinations(points, 2):
+        for (xa, a), (xb, b) in itertools.combinations(points, 2):
             if geo.antipodal(g, a, b):
                 continue
-            through = set()
-            for l in oriented:
-                if linalg.rank([l.coords, g.p_rep], g.field) < 2:
-                    continue  # [P] itself: no image among unoriented lines
-                if g.form.b_full(l.coords, a.coords).is_zero() and \
-                   g.form.b_full(l.coords, b.coords).is_zero():
-                    through.add(linalg.span_key((l.coords, g.p_rep),
-                                                g.field))
+            through = {key for x, key in oriented
+                       if is_zero(pair(x, xa)) and is_zero(pair(x, xb))}
             if len(through) > 1:
                 return _fail(rep, f"{cls.label()}: {len(through)} lines "
                                   f"through {a} and {b}")
@@ -854,7 +858,7 @@ def suite_char2_lemmas(seed: int = 0, **_) -> Report:
             for form in forms:
                 if not is_nondegenerate_form(form):
                     continue
-                rad = bilinear_radical(form)
+                rad = _radical(form)
                 want = 1 if dim % 2 == 1 else 0
                 if len(rad) != want:
                     return _fail(rep, f"{field} {form!r}: radical {len(rad)}")
@@ -865,7 +869,7 @@ def suite_char2_lemmas(seed: int = 0, **_) -> Report:
         for dim in (2, 4) if field.q == 2 else (2,):
             groups = {}
             for form in _all_forms(field, dim):
-                if bilinear_radical(form):
+                if _radical(form):
                     continue
                 zeros = sum(1 for x in linalg.all_vectors(field, dim)
                             if form.eval_raw(x) == 0)

@@ -5,10 +5,14 @@ before a kernel on raw values took its place; the differential tests
 check the library against them, bit for bit over ApproxReal.  Q and B
 are summed term by term from the coefficient table (``ref_q``,
 ``ref_b``), elimination is Gauss-Jordan on Scalars (``ref_rref``), and
-the Scalar matrix algebra that ``linalg`` and ``quadform`` dropped for
-their raw rows lives here: ``ref_combine``, ``ref_mat_vec``,
-``ref_mat_mul``, ``ref_inverse``, ``ref_reflection_matrix`` and
-``ref_is_isometry``.  The couple walk of
+the Scalar vector and matrix algebra that ``linalg`` and ``quadform``
+dropped for their raw tuples and rows lives here: ``ref_vec_add``,
+``ref_vec_sub``, ``ref_vec_scale``, ``ref_is_zero_vector``,
+``ref_rank``, ``ref_independent``, ``ref_in_span``, ``ref_span_key``,
+``ref_coordinates``, ``ref_combine``, ``ref_mat_vec``, ``ref_mat_mul``,
+``ref_inverse``, ``ref_reflection_matrix`` and ``ref_is_isometry``, as
+do the Scalar paths of ``diagonalize``, ``is_nondegenerate_form``,
+``build_chart`` and the subcycle constructions.  The couple walk of
 ``generalized_orthogonal_basis`` with its validation, the Arf
 invariant's own couple loop and the rank test of antipodal points are
 kept as they were, as are the Scalar-table builds of ``scaled``,
@@ -23,16 +27,19 @@ import itertools
 
 from conformal import linalg
 from conformal.classify import canonical_form, classify
-from conformal.fields import Rational, UnsupportedFieldError, square_class
+from conformal.fields import (Rational, SquareClass, UnsupportedFieldError,
+                              canonical_nonresidue, sqrt_if_square,
+                              square_class)
 from conformal.geometry import (MAX_ENUM_Q, EnumerationUnsupportedError,
                                 Geometry, IdealDenominatorError,
-                                NoCanonicalProjectionError, ProjPoint, Role,
-                                RoleError, _check_enum,
-                                lie_quadric_points, pointspace)
-from conformal.metric import (IdealPointError, LineGroupClass,
-                              NotOnLineError, build_chart, line_space)
-from conformal.quadform import (DegenerateFormError, InvalidInputError,
-                                QuadraticForm,
+                                NoCanonicalProjectionError, ProjPoint,
+                                RankError, Role, RoleError, Subcycle,
+                                _check_enum, lie_quadric_points, pointspace)
+from conformal.metric import (ExactChartUnavailableError, IdealPointError,
+                              LineGroupClass, NotOnLineError, _sign_class,
+                              _sqrt_any, build_chart, line_space)
+from conformal.quadform import (DegenerateFormError, Diagonalization,
+                                InvalidInputError, QuadraticForm,
                                 bilinear_radical, char2_arf_rep, det_class,
                                 signature)
 
@@ -70,19 +77,36 @@ def ref_gram(q):
     return tuple(tuple(r) for r in rows)
 
 
-# -- Scalar matrix algebra --------------------------------------------------
+# -- Scalar vector and matrix algebra ---------------------------------------
 # Vectors are tuples of Scalars and matrices tuples of Scalar rows, as
-# ``linalg`` kept them before its one raw product took their place.
+# ``linalg`` kept them before its raw tuples and raw rows took their
+# place.
 
 def ref_zero_vector(field, n):
     return tuple(field.zero() for _ in range(n))
+
+
+def ref_vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def ref_vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def ref_vec_scale(c, v):
+    return tuple(c * a for a in v)
+
+
+def ref_is_zero_vector(v):
+    return all(a.is_zero() for a in v)
 
 
 def ref_combine(coeffs, vectors):
     """sum c_i v_i over non-empty ``vectors``, added in order from zero."""
     out = ref_zero_vector(vectors[0][0].field, len(vectors[0]))
     for c, v in zip(coeffs, vectors):
-        out = linalg.vec_add(out, linalg.vec_scale(c, v))
+        out = ref_vec_add(out, ref_vec_scale(c, v))
     return out
 
 
@@ -121,8 +145,8 @@ def ref_reflection_matrix(q, w):
         raise InvalidInputError("reflections need an anisotropic mirror")
     field, n = q.field, q.dim
     bw = ref_mat_vec(ref_gram(q), w)
-    images = [linalg.vec_sub(linalg.unit_vector(field, n, i),
-                             linalg.vec_scale(bw[i] / qw, w))
+    images = [ref_vec_sub(linalg.unit_vector(field, n, i),
+                          ref_vec_scale(bw[i] / qw, w))
               for i in range(n)]
     return tuple(zip(*images))
 
@@ -176,6 +200,35 @@ def ref_rref(rows, field):
 
 def ref_rank(rows, field):
     return len(ref_rref(rows, field)[1]) if rows else 0
+
+
+def ref_independent(vectors, field):
+    return ref_rank(vectors, field) == len(vectors)
+
+
+def ref_in_span(v, basis, field):
+    return ref_rank(list(basis) + [v], field) == ref_rank(basis, field)
+
+
+def ref_span_key(vectors, field):
+    """The non-zero rows of ``ref_rref``, as tuples of raw values."""
+    red, pivots = ref_rref(vectors, field)
+    return tuple(tuple(x.value for x in row) for row in red[:len(pivots)])
+
+
+def ref_coordinates(v, basis, field):
+    """Coefficients x with sum x_i basis_i = v, or None if v is outside:
+    ``ref_rref`` of [B | v] with the basis vectors as the columns of B."""
+    v = tuple(field.scalar(a) for a in v)
+    k = len(basis)
+    aug = [tuple(b[i] for b in basis) + (a,) for i, a in enumerate(v)]
+    red, pivots = ref_rref(aug, field)
+    if k in pivots:
+        return None
+    x = [field.zero()] * k
+    for row, pc in zip(red, pivots):
+        x[pc] = row[k]
+    return tuple(x)
 
 
 def ref_kernel(rows, field, ncols):
@@ -236,8 +289,9 @@ def ref_direct_sum(q, other):
 
 
 def ref_off_radical(q, rad):
-    """Q's Scalar table on the coordinates that complement the radical."""
-    keep = linalg.complement_indices(rad, q.field, q.dim)
+    """Q's Scalar table on the coordinates that complement the radical
+    (rows of Scalars)."""
+    keep = ref_complement_indices(rad, q.field, q.dim)
     at = {i: k for k, i in enumerate(keep)}
     return QuadraticForm(q.field, len(keep),
                          {(at[i], at[j]): c for (i, j), c in q.coeff_items()
@@ -267,7 +321,7 @@ def ref_cayley_klein_points(g):
     for pt in lie_quadric_points(g):
         if not ref_b(g.form, g.p_rep, pt.coords).is_zero():
             continue
-        key = linalg.span_key((pt.coords, g.l_rep), g.field)
+        key = ref_span_key((pt.coords, g.l_rep), g.field)
         groups.setdefault(key, []).append(pt)
     classes = [tuple(sorted(v, key=ProjPoint.sort_key))
                for v in groups.values()]
@@ -332,7 +386,7 @@ def ref_is_hyperbolic_space(q, basis):
     one = field.one()
     span = (ref_combine(linalg.vector(field, c), basis)
             for c in linalg.all_vectors(field, len(basis)))
-    vectors = [v for v in span if not linalg.is_zero_vector(v)]
+    vectors = [v for v in span if not ref_is_zero_vector(v)]
     for u in vectors:
         if not ref_q(q, u).is_zero():
             continue
@@ -359,6 +413,71 @@ def ref_witt_index_bruteforce(q):
 
 
 # -- metric ----------------------------------------------------------------
+
+def ref_build_chart(space):
+    """(kind, basis, norm token) of the chart, built on Scalars as
+    ``build_chart`` did: ``ProjPoint`` to order the split pair and
+    ``ref_in_span`` to pick the additive chart's u."""
+    form = space.form
+    field = form.field
+    lc = space.l_coords
+    if _sign_class(form(lc)) is SquareClass.ZERO:
+        perp = form.perp([lc])
+        u0 = next(w for w in perp if not ref_in_span(w, [lc], field))
+        qu = form(u0)
+        canon = field.one() if _sign_class(qu) is SquareClass.UNIT else \
+            canonical_nonresidue(field)
+        s = _sqrt_any(qu / canon)
+        if s is not None:
+            u = ref_vec_scale(s.inverse(), u0)
+            norm_token = ("additive", canon.value)
+        else:
+            u = u0
+            norm_token = ("additive-unscaled", qu.value)
+        row = form.gram_row(lc)
+        i = next(i for i in range(3) if not row[i].is_zero())
+        v0 = ref_vec_scale(row[i].inverse(), linalg.unit_vector(field, 3, i))
+        v1 = ref_vec_sub(v0, ref_vec_scale(
+            form.b_full(u, v0) / form.b_full(u, u), u))
+        v = ref_vec_sub(v1, ref_vec_scale(form(v1), lc))
+        return LineGroupClass.ADDITIVE, (lc, u, v), norm_token
+    c1, c2 = form.perp([lc])
+    a = form(c1)
+    bb = form.b_full(c1, c2)
+    c = form(c2)
+    disc = bb * bb - field.scalar(4) * a * c
+    if _sign_class(disc) is SquareClass.UNIT:
+        root = _sqrt_any(disc)
+        if root is None:
+            raise ExactChartUnavailableError(
+                "split chart needs an exact square root of the discriminant")
+        if not a.is_zero():
+            two_a = field.scalar(2) * a
+            d1 = ref_vec_add(ref_vec_scale((-bb + root) / two_a, c1), c2)
+            d2 = ref_vec_add(ref_vec_scale((-bb - root) / two_a, c1), c2)
+        else:
+            d1 = c1
+            d2 = ref_vec_add(ref_vec_scale(-c / bb, c1), c2)
+        d1, d2 = ProjPoint(d1), ProjPoint(d2)
+        if d2.sort_key() < d1.sort_key():
+            d1, d2 = d2, d1
+        d1, d2 = d1.coords, d2.coords
+        d2 = ref_vec_scale(form.b_full(d1, d2).inverse(), d2)
+        return LineGroupClass.SPLIT_TORUS, (lc, d1, d2), ("split",)
+    eps = canonical_nonresidue(field)
+    if not a.is_zero():
+        b1 = c1
+        b2p = ref_vec_sub(c2, ref_vec_scale(bb / (field.scalar(2) * a), c1))
+    else:
+        b1 = c2
+        b2p = ref_vec_sub(c1, ref_vec_scale(bb / (field.scalar(2) * c), c2))
+    s = _sqrt_any(form(b2p) / (-eps * form(b1)))
+    if s is None:
+        raise ExactChartUnavailableError(
+            "non-split chart needs an exact square root for normalization")
+    return (LineGroupClass.NON_SPLIT_TORUS,
+            (lc, b1, ref_vec_scale(s.inverse(), b2p)), ("non-split", eps.value))
+
 
 def ref_chart_matrix(chart, nf):
     """The line-space matrix of a normal form, on Scalars."""
@@ -483,7 +602,7 @@ def ref_representative(cls):
             continue
         if not form.b_full(p_rep, v).is_zero():
             continue
-        if not linalg.independent([p_rep, v], field):
+        if not ref_independent([p_rep, v], field):
             continue
         got = classify(Geometry(form, p_rep, v))
         if (got.qp, got.ql) == (cls.qp, cls.ql):
@@ -515,12 +634,67 @@ def ref_pointspace_token(g, lam):
 
 # -- quadform --------------------------------------------------------------
 
+def ref_diagonalize(q):
+    """The Scalar loop ``diagonalize`` ran: pivot on the first remaining
+    vector with Q != 0, else polarize the first non-orthogonal pair."""
+    if q.field.char == 2:
+        raise UnsupportedFieldError(
+            "diagonalization needs characteristic != 2; "
+            "use generalized_orthogonal_basis")
+    field = q.field
+    n = q.dim
+    basis = [linalg.unit_vector(field, n, i) for i in range(n)]
+    entries = []
+    two = field.scalar(2)
+    for i in range(n):
+        pivot = None
+        for j in range(i, n):
+            if not q(basis[j]).is_zero():
+                pivot = j
+                break
+        if pivot is None:
+            hyper = None
+            for j in range(i, n):
+                for k in range(j + 1, n):
+                    if not q.b_full(basis[j], basis[k]).is_zero():
+                        hyper = (j, k)
+                        break
+                if hyper:
+                    break
+            if hyper is None:
+                entries.extend(field.zero() for _ in range(i, n))
+                break
+            j, k = hyper
+            basis[j] = ref_vec_add(basis[j], basis[k])
+            pivot = j
+        basis[i], basis[pivot] = basis[pivot], basis[i]
+        a = q(basis[i])
+        entries.append(a)
+        for j in range(i + 1, n):
+            c = q.b_full(basis[i], basis[j]) / (two * a)
+            if not c.is_zero():
+                basis[j] = ref_vec_sub(basis[j], ref_vec_scale(c, basis[i]))
+    return Diagonalization(tuple(entries), tuple(basis))
+
+
+def ref_is_nondegenerate_form(q):
+    """The Scalar test: the wrapped radical, Q and ``sqrt_if_square`` of
+    each of its vectors, and ``ref_kernel`` of that one row."""
+    rad = bilinear_radical(q)
+    if not rad:
+        return True
+    if q.field.char != 2:
+        return False
+    row = tuple(sqrt_if_square(q(r)) for r in rad)
+    return not ref_kernel((row,), q.field, len(rad))
+
+
 def ref_represents(q, lam):
     """The Scalar scan ``represents`` ran over a finite field: the first
     nonzero vector of K^n, in sorted order, with Q(v) = lam."""
     field = q.field
     for v in itertools.product(list(field.elements()), repeat=q.dim):
-        if not linalg.is_zero_vector(v) and q(v) == lam:
+        if not ref_is_zero_vector(v) and q(v) == lam:
             return v
     return None
 
@@ -617,8 +791,8 @@ def ref_generalized_orthogonal_basis(q, s=()):
             raise InvalidInputError(
                 "no pairing partner found; not a generalized orthogonal set "
                 "of this form")
-        u = linalg.vec_scale(one / q.b_full(v, w), w)
-        u = linalg.vec_sub(u, linalg.vec_scale(q(u), v))
+        u = ref_vec_scale(one / q.b_full(v, w), w)
+        u = ref_vec_sub(u, ref_vec_scale(q(u), v))
         out_couples.add((emit(v), emit(u)))
         extend(ref_subspace_orthogonal_to(q, space, [v, u]), rest, set())
 
@@ -636,7 +810,7 @@ def ref_arf_invariant(q):
     while space:
         u = space[0]
         w = next(c for c in space if not q.b_full(u, c).is_zero())
-        v = linalg.vec_scale(q.b_full(u, w).inverse(), w)
+        v = ref_vec_scale(q.b_full(u, w).inverse(), w)
         total = total + q(u) * q(v)
         space = list(ref_subspace_orthogonal_to(q, space, [u, v]))
     image = {(t * t + t).value for t in field.elements()}
@@ -647,7 +821,7 @@ def ref_antipodal(g, p, q):
     """Antipodal by rank: p, q and L span at most a plane."""
     vp = ref_require_point(g, p)
     vq = ref_require_point(g, q)
-    return linalg.rank([vp, vq, g.l_rep], g.field) <= 2
+    return ref_rank([vp, vq, g.l_rep], g.field) <= 2
 
 
 def ref_hyperplane_through(g, *points):
@@ -655,7 +829,7 @@ def ref_hyperplane_through(g, *points):
     vecs = [ref_require_point(g, p) for p in points]
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
-            if linalg.rank([vecs[i], vecs[j], g.l_rep], g.field) <= 2:
+            if ref_rank([vecs[i], vecs[j], g.l_rep], g.field) <= 2:
                 raise RoleError("an antipodal pair admits no unique hyperplane")
     sol = g.form.perp(vecs + [g.l_rep])
     if not sol:
@@ -667,7 +841,7 @@ def ref_hyperplane_through(g, *points):
             raise EnumerationUnsupportedError(
                 "cannot search an isotropic solution over an infinite field")
         isotropic = ref_isotropic_in_span(g, sol)
-    keys = [linalg.span_key((v, g.p_rep), g.field) for v in isotropic]
+    keys = [ref_span_key((v, g.p_rep), g.field) for v in isotropic]
     isotropic = [v for v, key in zip(isotropic, keys) if len(key) == 2]
     if not isotropic:
         return None
@@ -722,7 +896,48 @@ def ref_project_cycle_raw(g, c):
             "projection through P needs B(P,P) != 0")
     v = ref_as_vector(g, c)
     coef = g.form.b_full(g.p_rep, v) / bpp
-    return linalg.vec_sub(v, linalg.vec_scale(coef, g.p_rep))
+    return ref_vec_sub(v, ref_vec_scale(coef, g.p_rep))
+
+
+def ref_subcycle_from_span(g, span):
+    """The subcycle of a span of Scalar vectors: ``ref_in_span`` for L,
+    ``ProjPoint`` per vector and the rank test of ``ref_is_actual``."""
+    return Subcycle(tuple(ProjPoint(v) for v in span),
+                    ref_in_span(g.l_rep, span, g.field),
+                    ref_is_actual(g, span))
+
+
+def ref_is_actual(g, span):
+    if not g.field.is_finite or g.field.order > MAX_ENUM_Q:
+        return None
+    perp = g.form.perp(span)
+    vectors = [g.p_rep] + ref_isotropic_in_span(g, perp)
+    return ref_rank(vectors, g.field) == len(perp)
+
+
+def ref_span_subcycle(g, *points):
+    vecs = [ref_require_point(g, p) for p in points]
+    if not ref_independent(vecs, g.field):
+        raise RankError("points must be independent")
+    return ref_subcycle_from_span(g, vecs)
+
+
+def ref_intersect_hyperplanes(g, *hyperplanes):
+    vecs = [g.p_rep]
+    for l in hyperplanes:
+        v = ref_as_vector(g, l)
+        if not g.form.b_full(g.l_rep, v).is_zero():
+            raise RoleError("hyperplane inputs must be orthogonal to L")
+        vecs.append(v)
+    if not ref_independent(vecs, g.field):
+        raise RankError("hyperplanes must be independent (and not P)")
+    return ref_subcycle_from_span(g, g.form.perp(vecs))
+
+
+def ref_quasi_ideal(g, s):
+    """The wrapped radical of Q restricted to the subcycle's span."""
+    return bool(bilinear_radical(g.form.restrict([p.coords
+                                                  for p in s.basis])))
 
 
 def ref_to_ambient(space, coords):

@@ -18,7 +18,8 @@ from conformal.classify import (QUADRATICALLY_CLOSED, GeometryClass,
 from conformal.geometry import Geometry, pointspace
 from conformal.quadform import (InvalidInputError, IsometrySampler,
                                 QuadraticForm, is_isometry)
-from reference import ref_mat_vec, ref_representative
+from reference import (ref_in_span, ref_independent, ref_mat_vec,
+                       ref_representative)
 
 QQ = Rational()
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
@@ -268,7 +269,7 @@ def test_pointspace_isometry_certificates():
         v = linalg.vector(F3, x)
         assert ps2.form(ref_mat_vec(h, v)) == lam * ps1.form(v)
     image = ref_mat_vec(h, ps1.l_coords)
-    assert linalg.in_span(image, [ps2.l_coords], F3)
+    assert ref_in_span(image, [ps2.l_coords], F3)
     g3 = representative_geometry(classes[(SquareClass.UNIT, SquareClass.ZERO)])
     assert pointspace_isometry(g1, g3) is None
 
@@ -316,7 +317,7 @@ def test_witt_extensions_are_pinned():
             v = linalg.vector(g1.field, x)
             assert ps2.form(ref_mat_vec(h, v)) == lam * ps1.form(v)
         image = ref_mat_vec(h, ps1.l_coords)
-        assert linalg.in_span(image, [ps2.l_coords], g1.field)
+        assert ref_in_span(image, [ps2.l_coords], g1.field)
     for g, draws, _ in samples:
         for m in draws:
             assert is_isometry(g.form, m)
@@ -347,7 +348,7 @@ def test_orbit_completeness_class_labels():
         l = rng.choice(pts)
         if not form.b_full(p, l).is_zero():
             continue
-        if not linalg.independent([p, l], F3):
+        if not ref_independent([p, l], F3):
             continue
         g = Geometry(form, p, l)
         cls = classify(g)

@@ -10,11 +10,12 @@ constructors build one form, that the builds on raw values
 char2-lemmas tables) match the Scalar builds in ``reference.py`` and
 make no ``Scalar``, that the forms the classification and the verify
 suites build are the pinned ones, and that the methods the benchmark's
-tracer wraps by name still exist.
+tracer wraps and the names its runner reads still exist.
 """
 
 import ast
 import hashlib
+import importlib
 import pathlib
 import random
 import struct
@@ -29,7 +30,7 @@ from conformal.classify import (canonical_form, enumerate_classes,
 from conformal.fields import (ApproxReal, CharTwo, PrimeField, Rational,
                               Scalar, SquareClass)
 from conformal.quadform import (InvalidInputError, QuadraticForm,
-                                _off_radical, bilinear_radical)
+                                _off_radical, _radical, bilinear_radical)
 from reference import ref_direct_sum, ref_off_radical, ref_scaled
 
 QQ = Rational()
@@ -128,9 +129,10 @@ def test_raw_builds_match_the_scalar_builds(data):
     c = data.draw(elements(field) | st.integers(-3, 3))
     assert same_form(q.scaled(c), ref_scaled(q, c))
     assert same_form(q.direct_sum(other), ref_direct_sum(q, other))
-    rad = bilinear_radical(q) if field.is_exact else None
+    rad = _radical(q) if field.is_exact else None
     if rad is not None and len(rad) < q.dim:
-        assert same_form(_off_radical(q, rad), ref_off_radical(q, rad))
+        assert same_form(_off_radical(q, rad),
+                         ref_off_radical(q, bilinear_radical(q)))
 
 
 def _scalars_built(fn) -> int:
@@ -163,7 +165,7 @@ def test_builds_on_raw_values_make_no_scalars():
         assert _scalars_built(lambda: q.direct_sum(q)) == 0
         assert _scalars_built(lambda: q.scaled(3)) <= 1
     degenerate = QuadraticForm(F2, 3, {(0, 0): 1, (1, 2): 1})
-    rad = bilinear_radical(degenerate)
+    rad = _radical(degenerate)
     assert rad and _scalars_built(lambda: _off_radical(degenerate, rad)) == 0
     assert _scalars_built(lambda: list(verify._all_forms(F4, 2))) == 0
     assert _scalars_built(lambda: list(verify._all_forms(F2, 3))) == 0
@@ -172,15 +174,34 @@ def test_builds_on_raw_values_make_no_scalars():
 
 
 def test_traced_quadform_methods_exist():
-    """``bench/tracer.py`` wraps these by ``cls.__dict__[name]``; read
-    its table without importing it."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    tree = ast.parse(path.read_text())
+    """``bench/tracer.py`` wraps these by ``cls.__dict__[name]``, and
+    ``bench/run.py`` reads the recorder by dotted name (``rec.calls``,
+    ``rec.self_s``): each name must be a module function or a class
+    method of ``conformal``, or its count reads 0.  Both files are
+    parsed, not imported."""
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    tree = ast.parse((bench / "tracer.py").read_text())
     table = next(ast.literal_eval(node.value) for node in tree.body
                  if isinstance(node, ast.Assign)
                  and [t.id for t in node.targets] == ["CLASS_METHODS"])
     names = table["quadform"]["QuadraticForm"]
     assert names and all(name in QuadraticForm.__dict__ for name in names)
+    read = [node.args[0] for node in ast.walk(ast.parse(
+                (bench / "run.py").read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("calls", "self_s")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "rec"]
+    assert len(read) == 14
+    for arg in read:
+        assert isinstance(arg, ast.Constant)
+        module, *path = arg.value.split(".")
+        obj = importlib.import_module(f"conformal.{module}")
+        for attr in path:
+            assert attr in vars(obj), arg.value
+            obj = vars(obj)[attr]
+        assert callable(obj), arg.value
 
 
 def _pinned_forms():

@@ -22,6 +22,7 @@ from conformal.geometry import (EnumerationUnsupportedError, Geometry,
 from conformal.fields import Scalar
 from conformal.quadform import InvalidInputError, QuadraticForm
 from conformal.classify import enumerate_classes, representative_geometry
+from reference import ref_independent, ref_rank, ref_vec_scale
 
 QQ = Rational()
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
@@ -86,8 +87,8 @@ def test_incidence_symmetric_and_scale_invariant():
     rng = random.Random(1)
     for _ in range(100):
         c1, c2 = rng.choice(pts), rng.choice(pts)
-        v1 = linalg.vec_scale(F5.scalar(rng.randrange(1, 5)), c1.coords)
-        v2 = linalg.vec_scale(F5.scalar(rng.randrange(1, 5)), c2.coords)
+        v1 = ref_vec_scale(F5.scalar(rng.randrange(1, 5)), c1.coords)
+        v2 = ref_vec_scale(F5.scalar(rng.randrange(1, 5)), c2.coords)
         assert incident(g, v1, v2) == incident(g, v2, v1)
         assert incident(g, v1, v2) == incident(g, c1, c2)
 
@@ -151,7 +152,7 @@ def test_non_empty_cross_check_finite():
             for l in pts:
                 if not form.b_full(p, l).is_zero():
                     continue
-                if not linalg.independent([p, l], F3):
+                if not ref_independent([p, l], F3):
                     continue
                 g = Geometry(form, p, l)
                 assert non_empty(g) == has_point_search(g), (form, p, l)
@@ -226,6 +227,13 @@ def test_to_ambient_rejects_coordinates_of_the_wrong_length():
     for coords in ((1,), (1, 0, 0, 0, 0, 0)):
         with pytest.raises(InvalidInputError, match="4 coordinates"):
             ps.to_ambient(coords)
+    # from_ambient solves on the ambient length: a short vector was read
+    # as the first rows and a long one cut off
+    ps = pointspace(representative_geometry(enumerate_classes(F5, 2)[0]))
+    assert ps.form.dim == 4
+    for v in ((1, 2), (1,) * 9):
+        with pytest.raises(InvalidInputError, match="has 5 coordinates"):
+            ps.from_ambient(v)
 
 
 def test_the_pointspace_quadric_is_enumerated_once(monkeypatch):
@@ -363,7 +371,7 @@ def test_intersect_hyperplanes_and_quasi_ideal():
     ideals = [l for l in lie_quadric_points(g)
               if g.form.b_full(g.l_rep, l.coords).is_zero()
               and g.form.b_full(g.p_rep, l.coords).is_zero()
-              and linalg.rank([l.coords, g.p_rep], F3) == 2]
+              and ref_rank([l.coords, g.p_rep], F3) == 2]
     if ideals:
         sub2 = intersect_hyperplanes(g, ideals[0])
         assert quasi_ideal(g, sub2)
@@ -389,7 +397,7 @@ def test_hyperplane_through_unique():
         direct = [l for l in lines
                   if g.form.b_full(l.coords, p.coords).is_zero()
                   and g.form.b_full(l.coords, q.coords).is_zero()
-                  and linalg.rank([l.coords, g.p_rep], F3) == 2]
+                  and ref_rank([l.coords, g.p_rep], F3) == 2]
         if found is None:
             assert direct == []
         else:
@@ -469,7 +477,7 @@ def test_nondegeneracy_matches_incident_pair_definition():
         quadric = [v for v in pts if form(v).is_zero()]
         pairs = ((p, l) for p in pts for l in pts
                  if form.b_full(p, l).is_zero()
-                 and linalg.independent([p, l], F3))
+                 and ref_independent([p, l], F3))
         for p, l in itertools.islice(pairs, 0, 400, 7):
             g = Geometry(form, p, l)
             points = [c for c in quadric

@@ -7,13 +7,13 @@ in ``projective_points`` order, solving the last two coordinates as a
 block: the (s, t) pairs of each key (Q(y, 0, 0), and the cross sums of
 the prefix y with s and with t) are solved once per call, each s from a
 cached root table for t (``lie_quadric_points`` sorts them and
-``_isotropic_in_span`` runs it on the restricted form and combines the
+``_isotropic_of_span`` runs it on the restricted form and combines the
 points on raw values), ``reflect_raw``
 and ``mirrors`` build the isometries of Witt's theorem on raw tuples,
 ``points_of``, ``cayley_klein_points``, ``has_point_search`` and ``role``
 filter raw tuples, ``subspaces`` and ``_is_hyperbolic_space`` run
 the Witt oracle on them, ``linalg.coordinate_map`` replays the solve of
-``linalg.coordinates``, and ``metric.translation_between``,
+``linalg.solve_raw`` (checked against the Scalar ``ref_coordinates``), and ``metric.translation_between``,
 ``motion_from_normal_form``, ``compose`` and ``invert`` run on raw
 values against a chart kept on the geometry.  ``kernel_basis`` wraps
 ``kernel_raw`` once, ``complement_indices`` reads the pivots of a kernel
@@ -72,7 +72,7 @@ from conformal.fields import (ApproxReal, CharTwo, ConformalError,
 from conformal.geometry import (EnumerationUnsupportedError, Geometry,
                                 IdealDenominatorError, NotAHypercycleError,
                                 ProjPoint, Role,
-                                RoleError, _isotropic_in_span,
+                                RoleError, _isotropic_of_span,
                                 _raw_cycle, antipodal, cayley_klein_points,
                                 has_point_search, hyperplane_through,
                                 inversive_separation, lie_quadric_points,
@@ -100,6 +100,8 @@ from conformal.quadform import (InvalidInputError, QuadraticForm,
 from reference import (ref_antipodal, ref_arf_invariant, ref_as_vector,
                        ref_b, ref_cayley_klein_points, ref_chart_matrix,
                        ref_combine, ref_complement_indices, ref_compose,
+                       ref_coordinates, ref_is_zero_vector, ref_rank,
+                       ref_span_key, ref_vec_add, ref_vec_scale, ref_vec_sub,
                        ref_couples_of, ref_generalized_orthogonal_basis,
                        ref_gram, ref_has_point_search,
                        ref_hyperplane_through, ref_identity_matrix,
@@ -252,13 +254,13 @@ def small_geometries(draw):
     q = draw(nondegenerate_forms(field))
     assert not bilinear_radical(q)
     vec = st.tuples(*[elements(field)] * q.dim)
-    p_rep = draw(vec.filter(lambda v: not linalg.is_zero_vector(v)))
+    p_rep = draw(vec.filter(lambda v: not ref_is_zero_vector(v)))
     perp = linalg.kernel_basis((q.gram_row(p_rep),), field, q.dim)
     coeffs = draw(st.tuples(*[elements(field)] * len(perp)).filter(
         lambda cs: any(not c.is_zero() for c in cs)))
     l_rep = ref_zero_vector(field, q.dim)
     for c, b in zip(coeffs, perp):
-        l_rep = linalg.vec_add(l_rep, linalg.vec_scale(c, b))
+        l_rep = ref_vec_add(l_rep, ref_vec_scale(c, b))
     return Geometry(q, p_rep, l_rep)
 
 
@@ -440,7 +442,7 @@ def test_point_filters_match_scalar_loops(g, data):
     for _ in range(3):
         pt = data.draw(st.sampled_from(quadric))
         lam = data.draw(st.sampled_from(list(field.elements())[1:]))
-        cv = linalg.vec_scale(lam, pt.coords)
+        cv = ref_vec_scale(lam, pt.coords)
         c = data.draw(st.sampled_from([pt, cv]))
         assert points_of(g, c) == ref_points_of(g, cv)
     assert cayley_klein_points(g) == ref_cayley_klein_points(g)
@@ -457,7 +459,7 @@ def test_role_matches_scalar_loop(g, data):
         assert role(g, pt) == ref_role(g, pt.coords)
     lam = data.draw(st.sampled_from(list(g.field.elements())[1:]))
     pt = data.draw(st.sampled_from(lie_quadric_points(g)))
-    assert role(g, linalg.vec_scale(lam, pt.coords)) == role(g, pt)
+    assert role(g, ref_vec_scale(lam, pt.coords)) == role(g, pt)
     off = data.draw(st.tuples(*[elements(g.field)] * g.form.dim))
     if not ref_q(g.form, off).is_zero():
         with pytest.raises(NotAHypercycleError,
@@ -471,11 +473,12 @@ def test_role_matches_scalar_loop(g, data):
 def test_isotropic_in_span_matches_scalar_loop(g, data):
     vec = st.tuples(*[elements(g.field)] * g.form.dim)
     basis = data.draw(st.lists(vec, min_size=1, max_size=3))
-    got = _isotropic_in_span(g, basis)
+    got = _isotropic_of_span(g, [linalg.raw_values(g.field, v)
+                                 for v in basis])
     want = ref_isotropic_in_span(g, basis)
     assert len(got) == len(want)
     for v, w in zip(got, want):
-        assert all(same(a, b) for a, b in zip(v, w))
+        assert all(same(Scalar(a, g.field), b) for a, b in zip(v, w))
 
 
 @settings(max_examples=300, deadline=None)
@@ -745,9 +748,10 @@ def test_rref_matches_scalar_elimination(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_coordinate_map_matches_coordinates(data):
-    """``coordinate_map`` gives the coordinates ``coordinates`` solves
-    for, bit for bit over ApproxReal, and None for the same vectors, on
-    bases with dependent vectors too."""
+    """``coordinate_map`` gives the coordinates ``solve_raw`` and the
+    Scalar elimination ``ref_coordinates`` solve for, bit for bit over
+    ApproxReal, and None for the same vectors, on bases with dependent
+    vectors too."""
     field = data.draw(st.sampled_from(RAW_FIELDS))
     n = data.draw(st.integers(1, 5))
     k = data.draw(st.integers(1, n))
@@ -758,25 +762,29 @@ def test_coordinate_map_matches_coordinates(data):
     coeffs = data.draw(st.lists(st.tuples(*[entry] * k), max_size=4))
     vectors = [ref_combine(c, basis) for c in coeffs]
     vectors += data.draw(st.lists(vec, max_size=3))
-    coords = linalg.coordinate_map(basis, field)
+    cols = tuple(zip(*(linalg.raw_values(field, b) for b in basis)))
+    coords = linalg.coordinate_map(cols, field)
     for v in vectors:
-        want = linalg.coordinates(v, basis, field)
-        got = coords(linalg.raw_values(field, v))
+        want = ref_coordinates(v, basis, field)
+        x = linalg.raw_values(field, v)
+        got, solved = coords(x), linalg.solve_raw(cols, x, field)
         if want is None:
-            assert got is None
+            assert got is None and solved is None
         else:
-            assert len(got) == len(want)
+            assert len(got) == len(solved) == len(want)
             assert all(same(Scalar(a, field), b) for a, b in zip(got, want))
+            assert all(same(Scalar(a, field), b)
+                       for a, b in zip(solved, want))
 
 
 def test_rref_rejects_rows_of_another_field():
     f3, f5 = PrimeField(3), PrimeField(5)
     rows = (linalg.vector(f5, (1, 3, 4)), linalg.vector(f5, (2, 1, 0)))
     with pytest.raises(FieldMismatchError):
-        linalg.rank(rows, f3)
+        linalg.rref(rows, f3)
     mixed = (linalg.vector(f5, (1, 3, 4)), linalg.vector(f3, (2, 1, 0)))
     with pytest.raises(FieldMismatchError):
-        linalg.rank(mixed, f5)
+        linalg.rref(mixed, f5)
     with pytest.raises(FieldMismatchError):
         linalg.kernel_basis(mixed, f3, 3)
 
@@ -973,7 +981,7 @@ def _rational_lines(g, count=3):
     out = []
     for v in itertools.product(small, repeat=g.form.dim):
         l = linalg.vector(F, v)
-        if linalg.is_zero_vector(l) or not g.form(l).is_zero() or \
+        if ref_is_zero_vector(l) or not g.form(l).is_zero() or \
                 not g.form.b_full(g.l_rep, l).is_zero() or \
                 g.form.b_full(g.p_rep, l).is_zero():
             continue
@@ -987,9 +995,8 @@ def _rational_lines(g, count=3):
         x0 = next((x for x in vecs if g.form(x).is_zero()), None)
         if x0 is None:
             continue
-        pts = {ProjPoint(linalg.vec_sub(linalg.vec_scale(g.form(w), x0),
-                                        linalg.vec_scale(
-                                            g.form.b_full(x0, w), w)))
+        pts = {ProjPoint(ref_vec_sub(ref_vec_scale(g.form(w), x0),
+                                     ref_vec_scale(g.form.b_full(x0, w), w)))
                for w in vecs if not g.form(w).is_zero()}
         pts = sorted((pt for pt in pts if not g.form.b_full(
             g.l_rep, pt.coords).is_zero()), key=ProjPoint.sort_key)
@@ -1037,7 +1044,7 @@ def test_translation_errors_on_raw_values(ql):
     l = find_nonideal_line(g)
     space, pts = line_points(g, l)
     a = pts[0]
-    off_quadric = linalg.vec_add(a.coords, g.p_rep)
+    off_quadric = ref_vec_add(a.coords, g.p_rep)
     assert not g.form(off_quadric).is_zero()
     other = next(pt for pt in lie_quadric_points(g)
                  if g.form.b_full(g.p_rep, pt.coords).is_zero()
@@ -1126,8 +1133,9 @@ def test_integer_reduction_matches_fraction_elimination(case):
     assert len(red) == len(want) == len(rows)
     for row, ref in zip(red, want):
         assert all(same(a, b) for a, b in zip(row, ref))
-    assert linalg.rank(rows, QQ) == len(want_pivots)
-    assert linalg.span_key(rows, QQ) == tuple(
+    raw_rows = [linalg.raw_values(QQ, r) for r in rows]
+    assert linalg.rank_raw(raw_rows, QQ) == len(want_pivots)
+    assert linalg.span_key(raw_rows, QQ) == ref_span_key(rows, QQ) == tuple(
         tuple(x.value for x in row) for row in want[:len(want_pivots)])
     kern = linalg.kernel_basis(rows, QQ, ncols)
     want_kern = ref_kernel(rows, QQ, ncols)
@@ -1145,7 +1153,7 @@ def test_integer_reduction_matches_fraction_elimination(case):
 
 def test_integer_reduction_of_no_rows_and_zero_rows():
     assert linalg.rref([], QQ) == ((), [])
-    assert linalg.rank([], QQ) == 0
+    assert linalg.rank_raw([], QQ) == ref_rank([], QQ) == 0
     assert linalg.kernel_basis([], QQ, 2) == (
         linalg.vector(QQ, [1, 0]), linalg.vector(QQ, [0, 1]))
     zero = ref_zero_vector(QQ, 3)
@@ -1196,7 +1204,8 @@ def test_complement_indices_matches_greedy_loop(data):
     dependent, zero and spanning sets."""
     field = data.draw(st.sampled_from(RAW_FIELDS))
     vectors, n = _complement_case(data, field)
-    assert linalg.complement_indices(vectors, field, n) == \
+    raw = [linalg.raw_values(field, v) for v in vectors]
+    assert linalg.complement_indices(raw, field, n) == \
         ref_complement_indices(vectors, field, n)
 
 
@@ -1213,7 +1222,7 @@ def test_restrict_matches_pair_loop(data):
     vec = st.tuples(*[elements(field)] * q.dim)
     basis = data.draw(st.lists(vec, min_size=1, max_size=q.dim + 1))
     if data.draw(st.booleans()):
-        basis.append(linalg.vec_add(basis[0], basis[-1]))
+        basis.append(ref_vec_add(basis[0], basis[-1]))
     got, want = q.restrict(basis), ref_restrict(q, basis)
     assert got.dim == want.dim
     assert [ij for ij, _ in got.coeff_items()] == \
@@ -1344,7 +1353,7 @@ def _rational_cycles(g):
              if next((a for a in x if a), 0) == 1 and not g.form.eval_raw(x)]
     cycles = [linalg.vector(field, x) for x in cands] + [
         v for v in (g.p_rep, g.l_rep) if g.form(v).is_zero()]
-    return cycles + [linalg.vec_scale(field.scalar(Fraction(-3, 7)), v)
+    return cycles + [ref_vec_scale(field.scalar(Fraction(-3, 7)), v)
                      for v in cycles[::3]]
 
 
@@ -1623,7 +1632,7 @@ def _antipodal_cases(g, pts, rng):
         for q in (rng.choice(pts), rng.choice(classes[p]),
                   l_pt if l_pt in classes else None):
             if q is not None:
-                yield p, (linalg.vec_scale(rng.choice(nonzero), q.coords)
+                yield p, (ref_vec_scale(rng.choice(nonzero), q.coords)
                           if rng.random() < 0.5 else q)
 
 

@@ -7,8 +7,9 @@ import pytest
 
 from conformal import linalg
 from conformal.fields import ApproxReal, CharTwo, PrimeField, Rational
-from conformal.quadform import QuadraticForm, bilinear_radical
-from reference import ref_combine
+from conformal.quadform import QuadraticForm, _radical, bilinear_radical
+from reference import (ref_combine, ref_coordinates, ref_in_span,
+                       ref_vec_add, ref_vec_scale)
 
 
 @pytest.mark.parametrize("field", [PrimeField(3), CharTwo(4)],
@@ -94,30 +95,40 @@ def test_projective_points_count():
 
 
 def test_coordinates_and_span():
+    """``solve_raw`` with the basis as columns and the Scalar oracle
+    ``ref_coordinates`` find the same coordinates, which rebuild v."""
     f5 = PrimeField(5)
     basis = [linalg.vector(f5, [1, 1, 0]), linalg.vector(f5, [0, 1, 1])]
     v = linalg.vector(f5, [2, 3, 1])
-    co = linalg.coordinates(v, basis, f5)
+    co = ref_coordinates(v, basis, f5)
     assert co is not None
-    rebuilt = linalg.vec_add(linalg.vec_scale(co[0], basis[0]),
-                             linalg.vec_scale(co[1], basis[1]))
+    rebuilt = ref_vec_add(ref_vec_scale(co[0], basis[0]),
+                          ref_vec_scale(co[1], basis[1]))
     assert rebuilt == v
-    assert linalg.in_span(v, basis, f5)
-    assert not linalg.in_span(linalg.vector(f5, [1, 0, 0]), basis, f5)
+    cols = ((1, 0), (1, 1), (0, 1))
+    assert linalg.solve_raw(cols, (2, 3, 1), f5) == [x.value for x in co]
+    assert linalg.solve_raw(cols, (1, 0, 0), f5) is None
+    assert ref_in_span(v, basis, f5)
+    assert not ref_in_span(linalg.vector(f5, [1, 0, 0]), basis, f5)
 
 
 @pytest.mark.parametrize("field", [Rational(), PrimeField(5)],
                          ids=lambda f: f.token())
 def test_coordinates_in_the_empty_basis(field):
     """Only the zero vector lies in the span of no vectors; its
-    coordinates are the empty tuple, as ``coordinate_map`` gives."""
-    coords = linalg.coordinate_map([], field)
+    coordinates are the empty tuple, as ``coordinate_map`` and
+    ``solve_raw`` give."""
+    coords = linalg.coordinate_map(((), ()), field)
     zero, v = linalg.vector(field, [0, 0]), linalg.vector(field, [1, 2])
-    assert linalg.coordinates(zero, [], field) == ()
+    assert ref_coordinates(zero, [], field) == ()
     assert coords([0, 0]) == []
-    assert linalg.coordinates(v, [], field) is None
-    assert linalg.coordinates((1, 2), [], field) is None
+    assert linalg.solve_raw(((), ()), linalg.raw_values(field, zero),
+                            field) == []
+    assert ref_coordinates(v, [], field) is None
+    assert ref_coordinates((1, 2), [], field) is None
     assert coords(linalg.raw_values(field, v)) is None
+    assert linalg.solve_raw(((), ()), linalg.raw_values(field, v),
+                            field) is None
 
 
 def test_combine_over_f3_and_q():
@@ -145,14 +156,15 @@ def test_complement_indices():
     f3 = PrimeField(3)
     assert linalg.complement_indices([], f3, 3) == [0, 1, 2]
     # e0 + e1 is spanned: e0 extends it, e1 is then dependent
-    assert linalg.complement_indices([linalg.vector(f3, [1, 1, 0])],
-                                     f3, 3) == [0, 2]
+    assert linalg.complement_indices([(1, 1, 0)], f3, 3) == [0, 2]
     # the radical of y^2 + z^2 is <e0>, so its complement starts at e1
-    rad = bilinear_radical(QuadraticForm.diagonal(f3, [0, 1, 1]))
-    assert rad == (linalg.vector(f3, [1, 0, 0]),)
+    q = QuadraticForm.diagonal(f3, [0, 1, 1])
+    assert bilinear_radical(q) == (linalg.vector(f3, [1, 0, 0]),)
+    rad = _radical(q)
+    assert rad == [(1, 0, 0)]
     assert linalg.complement_indices(rad, f3, 3) == [1, 2]
     qq = Rational()
-    span = [linalg.vector(qq, [1, 0, 0, 0]), linalg.vector(qq, [0, 1, -1, 0])]
+    span = [tuple(map(Fraction, v)) for v in ((1, 0, 0, 0), (0, 1, -1, 0))]
     assert linalg.complement_indices(span, qq, 4) == [1, 3]
 
 
@@ -168,17 +180,17 @@ def test_span_key():
     included, against the brute-force span."""
     for field in (PrimeField(3), CharTwo(4)):
         spans_of = {}
-        space = [linalg.vector(field, x) for x in linalg.all_vectors(field, 3)]
+        space = list(linalg.all_vectors(field, 3))
         for pair in itertools.product(space, repeat=2):
-            spans_of.setdefault(linalg.span_key(pair, field),
-                                set()).add(_span(pair, field))
+            spans_of.setdefault(linalg.span_key(pair, field), set()).add(
+                _span([linalg.vector(field, x) for x in pair], field))
         assert all(len(spans) == 1 for spans in spans_of.values())
         assert len({spans.pop() for spans in spans_of.values()}) == \
             len(spans_of)
         assert len(spans_of) == 1 + 2 * (field.order ** 2 + field.order + 1)
     qq = Rational()
-    key = lambda *rows: linalg.span_key([linalg.vector(qq, r) for r in rows],
-                                        qq)
+    key = lambda *rows: linalg.span_key([tuple(map(Fraction, r))
+                                         for r in rows], qq)
     assert key([1, 2, 3], [2, 4, 6]) == key([-1, -2, -3]) == \
         ((1, 2, 3),)
     assert key([1, 0, 1], [0, 1, 1]) == key([1, 1, 2], [1, -1, 0])

@@ -19,7 +19,8 @@ from conformal.metric import (DegenerateLineError, IdealPointError,
                               line_points, line_space, same_distance,
                               stabilizer_group, stabilizer_matrices,
                               translation_between)
-from reference import ref_mat_vec, ref_nonideal_line
+from reference import (ref_mat_vec, ref_nonideal_line, ref_vec_add,
+                       ref_vec_scale)
 
 QQ = Rational()
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
@@ -237,7 +238,7 @@ def test_scaled_line_gives_the_same_motion():
         _, pts = line_points(g, l)
         t = translation_between(g, l, pts[0], pts[1])
         for c in (2, 6):
-            scaled = linalg.vec_scale(F7.scalar(c), l.coords)
+            scaled = ref_vec_scale(F7.scalar(c), l.coords)
             for h in (g, _fresh(F7, SquareClass.UNIT, ql)):
                 s = translation_between(h, scaled, pts[0], pts[1])
                 assert s.normal_form == t.normal_form
@@ -255,7 +256,7 @@ def test_rejected_line_raises_every_time_and_is_not_kept():
     ideal = next(x.coords for x in lie_quadric_points(g)
                  if b(g.l_rep, x.coords).is_zero()
                  and b(g.p_rep, x.coords).is_zero())
-    off_quadric = linalg.vec_add(ideal, g.p_rep)
+    off_quadric = ref_vec_add(ideal, g.p_rep)
     assert not g.form(off_quadric).is_zero()
     not_plane = next(x.coords for x in lie_quadric_points(g)
                      if not b(g.l_rep, x.coords).is_zero())
@@ -282,7 +283,7 @@ def test_point_errors_on_a_kept_chart():
     elsewhere = line_points(other, find_nonideal_line(other))[1][0]
     for bad, error in ((ideal, IdealPointError),
                        (elsewhere, NotOnLineError),
-                       (linalg.vec_add(pts[0].coords, g.p_rep),
+                       (ref_vec_add(pts[0].coords, g.p_rep),
                         NotOnLineError)):
         for args in ((pts[0], bad), (bad, pts[0])):
             with pytest.raises(error):
