@@ -34,6 +34,12 @@ class UnsupportedFieldError(ConformalError):
     """Operation not defined for this field (e.g. square classes of floats)."""
 
 
+def coordinate_error(field: "Field", x) -> TypeError:
+    """The error for a value that is neither an int nor a Scalar where a
+    finite field expects a coordinate."""
+    return TypeError(f"not a coordinate over {field}: {x!r}")
+
+
 class SquareClass(Enum):
     """Value of x in K^x/(K^x)^2 together with 0.
 
@@ -295,7 +301,9 @@ class PrimeField(Field):
             if x.field != self:
                 raise FieldMismatchError(f"cannot coerce {x.field} into {self}")
             return x
-        return Scalar(x % self.p, self)
+        if not isinstance(x, int):
+            raise coordinate_error(self, x)
+        return Scalar(x % self.p, self)  # a bool reduces to 0 or 1
 
     @property
     def raw_elements(self) -> range:
@@ -351,9 +359,10 @@ class CharTwo(Field):
             if x.field != self:
                 raise FieldMismatchError(f"cannot coerce {x.field} into {self}")
             return x
-        if self.q == 2:
-            return Scalar(x % 2, self)
-        if isinstance(x, int) and not 0 <= x < 4:
+        if not isinstance(x, int):
+            raise coordinate_error(self, x)
+        x = int(x)  # a bool is 0 or 1
+        if self.q == 2 or not 0 <= x < 4:
             x %= 2  # integers reduce through the prime subfield
         return Scalar(x, self)
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .fields import ConformalError, Field, Scalar, UnsupportedFieldError
 from . import linalg
-from .linalg import Vector
+from .linalg import EnumerationUnsupportedError, Vector
 from .quadform import (InvalidInputError, QuadraticForm, _radical,
                        witt_index)
 from enum import Enum
@@ -41,10 +42,6 @@ class IdealDenominatorError(ConformalError):
 
 class NoCanonicalProjectionError(ConformalError):
     """Projection through P needs B(P,P) != 0."""
-
-
-class EnumerationUnsupportedError(ConformalError):
-    """Enumeration requested over an infinite field or past the size caps."""
 
 
 class RankError(ConformalError):
@@ -179,7 +176,7 @@ def _raw_cycle(g: Geometry, c) -> list:
     """The raw values of a cycle, in one pass over a ``ProjPoint``'s
     coords or a sequence: a Scalar of g's field gives its value, and
     anything else is coerced by ``field.scalar`` (another field's
-    Scalar raises FieldMismatchError)."""
+    Scalar raises FieldMismatchError).  The zero vector is no cycle."""
     field, x = g.field, []
     for a in (c.coords if isinstance(c, ProjPoint) else c):
         x.append(a.value if type(a) is Scalar and a.field is field
@@ -187,6 +184,9 @@ def _raw_cycle(g: Geometry, c) -> list:
     if len(x) != g.form.dim:
         raise InvalidInputError(
             f"a cycle has {g.form.dim} coordinates, not {len(x)}")
+    # a raw zero is falsy in an exact field; floats go by the tolerance
+    if not any(x) or not field.is_exact and all(map(field._is_zero, x)):
+        raise InvalidInputError("the zero vector is not a cycle")
     return x
 
 
@@ -263,7 +263,7 @@ def has_point_search(g: Geometry) -> bool:
     """Direct search for a point: an isotropic projective direction in
     P^perp other than [P] itself (the oracle for `non_empty`)."""
     p_proj = ProjPoint(g.p_rep) if g.form(g.p_rep).is_zero() else None
-    return any(pt != p_proj for _, pt in _points_in_p_perp(g))
+    return any(pt != p_proj for pt in _points_in_p_perp(g)[0])
 
 
 def relative_power(g: Geometry, c1, c2) -> Scalar:
@@ -321,14 +321,21 @@ def lie_quadric_points(g: Geometry, max_q: int = MAX_ENUM_Q):
 
 
 def _points_in_p_perp(g: Geometry) -> tuple:
-    """The quadric points in P^perp as (raw tuple, ProjPoint) pairs, in
-    `lie_quadric_points` order, built on first use and kept on the
-    geometry."""
+    """The quadric points in P^perp as (ProjPoints, columns), in
+    `lie_quadric_points` order: the columns hold the raw coordinates of
+    the points, one ``bytes`` per coordinate and one byte per point, for
+    ``linalg.zero_flags``.  Built on first use and kept on the geometry
+    (the quadric is within the caps, so a raw value fits a byte)."""
     if g._points is None:
-        bp = g._pair_p
-        pairs = ((tuple([c.value for c in pt.coords]), pt)
-                 for pt in lie_quadric_points(g))
-        g._points = tuple((x, pt) for x, pt in pairs if not bp(x))
+        quadric = lie_quadric_points(g)
+        value = attrgetter("value")
+        cols = [bytes(map(value, col))
+                for col in zip(*[pt.coords for pt in quadric])]
+        keep = linalg.zero_flags(g.field, cols,
+                                 g.form.gram_row_raw(g._p_raw))
+        g._points = (tuple(itertools.compress(quadric, keep)),
+                     tuple(bytes(itertools.compress(col, keep))
+                           for col in cols))
     return g._points
 
 
@@ -423,9 +430,12 @@ def project_cycle(g: Geometry, c) -> ProjPoint:
 
 
 def points_of(g: Geometry, c):
-    """[[Q]] intersected with P^perp and c^perp: the points of a cycle."""
-    bc = g.form.pairing_raw(_require_hypercycle(g, c))
-    return tuple(pt for x, pt in _points_in_p_perp(g) if not bc(x))
+    """[[Q]] intersected with P^perp and c^perp: the points of a cycle,
+    in `lie_quadric_points` order."""
+    row = g.form.gram_row_raw(_require_hypercycle(g, c))
+    points, cols = _points_in_p_perp(g)
+    return tuple(itertools.compress(points,
+                                    linalg.zero_flags(g.field, cols, row)))
 
 
 def pointspace_points_of(ps: Subspace, c_proj):
@@ -590,7 +600,8 @@ def cayley_klein_points(g: Geometry):
     """Points grouped into antipodal classes (the projective model
     P^perp/L); classes and members are canonically sorted."""
     key, groups = g._class_key, {}
-    for x, pt in _points_in_p_perp(g):
+    points, cols = _points_in_p_perp(g)
+    for x, pt in zip(zip(*cols), points):
         groups.setdefault(key(x), []).append(pt)
     # the points come in raw order, which is sort_key order (see
     # lie_quadric_points): each class is sorted, and the classes open in

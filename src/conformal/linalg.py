@@ -12,19 +12,27 @@ and builds one Fraction per entry of the result; the other fields use
 their own ops and zero test, so the same loop serves F_p, F_2/F_4 and
 (tolerance-aware) floats.  The two walks of a finite space,
 ``all_vectors`` and ``projective_points``, yield raw tuples too.
+``zero_flags`` tests one linear functional against a fixed point set
+kept as byte columns, in one-byte lanes of big-int arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .fields import Field, FieldMismatchError, PrimeField, Rational, Scalar
+from .fields import (CharTwo, ConformalError, Field, FieldMismatchError,
+                     PrimeField, Rational, Scalar, coordinate_error)
 
 Vector = tuple
+
+
+class EnumerationUnsupportedError(ConformalError):
+    """Enumeration requested over an infinite field or past the size caps."""
 
 
 def raw_values(field: Field, v: Vector) -> list:
@@ -42,7 +50,7 @@ def raw_values(field: Field, v: Vector) -> list:
         elif isinstance(x, int):
             out.append(field.scalar(x).value)
         else:
-            raise TypeError(f"not a coordinate over {field}: {x!r}")
+            raise coordinate_error(field, x)
     return out
 
 
@@ -326,3 +334,46 @@ def projective_points(field: Field, n: int) -> Iterator[tuple]:
         prefix = (zero,) * lead + (one,)
         for tail in product(elems, repeat=n - lead - 1):
             yield prefix + tail
+
+
+@functools.lru_cache(maxsize=None)
+def _lane_tables(kind: type, order: int) -> tuple:
+    """The byte tables of ``zero_flags`` over the finite field
+    ``kind(order)``, built once per field (keyed by type and order, so
+    a call formats no field token): for each raw r the table v -> r*v,
+    and the table v -> [v is zero] of a lane's sum."""
+    field = kind(order)
+    elems, mul = field.raw_elements, field._mul
+    times = tuple(bytes([mul(r, v) for v in elems] + [0] * (256 - len(elems)))
+                  for r in elems)
+    if isinstance(field, PrimeField):
+        is_zero = bytes(int(v % field.p == 0) for v in range(256))
+    else:  # an XOR lane holds a raw value
+        is_zero = bytes(int(v == 0) for v in range(256))
+    return times, is_zero
+
+
+def zero_flags(field: Field, cols: Sequence[bytes], row: Sequence) -> bytes:
+    """One byte per point of a point set kept as columns (``cols[i]``
+    holds raw coordinate i of every point, one byte each): 1 where
+    sum row_i x_i = 0, else 0.
+
+    Each column is translated through v -> row_i v and read as one
+    little-endian int, so a lane is one point.  Over F_p the ints are
+    added and a lane's sum, at most len(cols) (p - 1), is tested mod p
+    at the end; over F_2/F_4, where addition is XOR, they are XORed.
+    Lanes must not carry: raw values beyond a byte, or F_p sums past
+    255, raise EnumerationUnsupportedError."""
+    if not isinstance(field, (PrimeField, CharTwo)) or field.order > 256 \
+            or (field.char != 2 and len(cols) * (field.p - 1) > 255):
+        raise EnumerationUnsupportedError(
+            f"no byte lanes for {len(cols)} coordinates over {field}")
+    times, is_zero = _lane_tables(type(field), field.order)
+    add = operator.xor if field.char == 2 else operator.add
+    total = 0
+    for col, r in zip(cols, row):
+        if r:
+            total = add(total, int.from_bytes(col.translate(times[r]),
+                                              "little"))
+    return total.to_bytes(len(cols[0]) if cols else 0,
+                          "little").translate(is_zero)

@@ -181,7 +181,7 @@ def _check_gob(form, gob, s):
             elif not is_zero(bij):
                 return f"non-couple pair ({i},{j}) not orthogonal"
     kept = set(vectors)
-    if any(v not in kept for v in _vectors_of(form, s)):
+    if any(v not in kept for v in s):  # s holds raw tuples
         return "input set not contained in the output"
     return None
 
@@ -211,21 +211,22 @@ def suite_gen_ortho_basis(**_) -> Report:
         if _radical(form):
             continue
         field = form.field
-        vectors = [linalg.vector(field, x)
-                   for x in linalg.all_vectors(field, form.dim) if any(x)]
+        vectors = [x for x in linalg.all_vectors(field, form.dim) if any(x)]
+        # the candidates are raw tuples; each vector passes alone, so
+        # each is wrapped once, for the sets that meet the public API
+        wrapped = dict(zip(vectors, linalg.wrap_rows(field, vectors)))
         candidates = [()] + [(v,) for v in vectors]
         if len(vectors) <= 90:  # all pairs for the desk-scale spaces
-            candidates += [(u, v)
-                           for u, v in itertools.combinations(vectors, 2)]
+            candidates += itertools.combinations(vectors, 2)
         for s in candidates:
             try:
-                _couples_of(form, _vectors_of(form, s))
+                _couples_of(form, s)
             except InvalidInputError:
                 continue
-            gob = generalized_orthogonal_basis(form, s)
-            err = _check_gob(form, gob, s)
+            ws = tuple(map(wrapped.__getitem__, s))
+            err = _check_gob(form, generalized_orthogonal_basis(form, ws), s)
             if err:
-                return _fail(rep, f"{form!r} S={s}: {err}")
+                return _fail(rep, f"{form!r} S={ws}: {err}")
             total += 1
     rep.details.append(f"{total} extensions verified")
     return rep
@@ -432,7 +433,8 @@ def suite_incidence_theorems(**_) -> Report:
     for cls in cla.enumerate_classes(f3, 2):
         g = cla.representative_geometry(cls)
         pair, p_raw, l_raw = g.form.b_raw, g._p_raw, g._l_raw
-        points = geo._points_in_p_perp(g)  # (raw tuple, ProjPoint) pairs
+        pts, cols = geo._points_in_p_perp(g)
+        points = tuple(zip(zip(*cols), pts))  # (raw tuple, ProjPoint)
         pair_count = 0
         quasi_ideal_meets = 0
         for l1, l2 in itertools.combinations(_virtual_lines(g), 2):
@@ -502,7 +504,10 @@ def suite_incidence_theorems(**_) -> Report:
 def suite_projection_identity(**_) -> Report:
     """For anisotropic P over F_3: points_of(c) equals the pointspace
     computation for the projected cycle, and the projected norm obeys
-    Q(l^P) = -B(P,l)^2 / (4 Q(P)) for non-ideal hyperplanes."""
+    Q(l^P) = -B(P,l)^2 / (4 Q(P)) for non-ideal hyperplanes.  The
+    pointspace side filters its own quadric by a pairing scan, so it is
+    an independent check of the byte-lane filter (``linalg.zero_flags``)
+    under ``points_of`` on every quadric cycle."""
     rep = Report("projection-identity", True)
     f3 = PrimeField(3)
     four = f3.scalar(4)

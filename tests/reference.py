@@ -20,6 +20,9 @@ kept as they were, as are the Scalar-table builds of ``scaled``,
 coercion of a cycle into Scalars, the point check, powers, the
 projection through P and the points of a projected cycle and of a
 line, each mapped with ``ref_combine`` and sorted as ``ProjPoint``s.
+The pairing scans over the quadric that the byte-lane filter of
+``points_of`` replaced are kept too (``ref_points_in_p_perp``,
+``ref_points_of``), beside the Scalar loop before them.
 This is a helper module, not a test module.
 """
 
@@ -309,8 +312,25 @@ def ref_isotropic_points(form):
             yield x
 
 
+def ref_points_in_p_perp(g):
+    """The scan ``_points_in_p_perp`` replaced: B(P, .) by
+    ``pairing_raw`` on every quadric point, kept as (raw tuple,
+    ProjPoint) pairs."""
+    bp = g.form.pairing_raw(g._p_raw)
+    pairs = ((tuple([a.value for a in pt.coords]), pt)
+             for pt in lie_quadric_points(g))
+    return tuple((x, pt) for x, pt in pairs if not bp(x))
+
+
 def ref_points_of(g, c):
-    """The Scalar loop ``points_of`` replaced, with B as ``ref_b``."""
+    """The scan ``points_of`` replaced: B(c, .) by ``pairing_raw`` on
+    the points of ``ref_points_in_p_perp``."""
+    bc = g.form.pairing_raw(linalg.raw_values(g.field, ref_as_vector(g, c)))
+    return tuple(pt for x, pt in ref_points_in_p_perp(g) if not bc(x))
+
+
+def ref_scalar_points_of(g, c):
+    """The Scalar loop before the pairing scan, with B as ``ref_b``."""
     return tuple(pt for pt in lie_quadric_points(g)
                  if ref_b(g.form, g.p_rep, pt.coords).is_zero()
                  and ref_b(g.form, c, pt.coords).is_zero())
@@ -854,12 +874,15 @@ def ref_hyperplane_through(g, *points):
 # -- geometry's Scalar paths -----------------------------------------------
 
 def ref_as_vector(g, c):
-    """A cycle coerced into Scalars: a ProjPoint's coords as they are."""
+    """A cycle coerced into Scalars: a ProjPoint's coords as they are.
+    The zero vector is no cycle."""
     v = c.coords if isinstance(c, ProjPoint) else \
         tuple(g.field.scalar(x) for x in c)
     if len(v) != g.form.dim:
         raise InvalidInputError(
             f"a cycle has {g.form.dim} coordinates, not {len(v)}")
+    if all(a.is_zero() for a in v):
+        raise InvalidInputError("the zero vector is not a cycle")
     return v
 
 

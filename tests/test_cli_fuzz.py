@@ -234,11 +234,13 @@ def test_cli_ends_with_an_exit_code_not_a_traceback(case):
 NOT_ORTHOGONAL = json.dumps({"field": "fp:5", "form": [1, 1, 1, 1, 1],
                              "P": [1, 0, 0, 0, 0], "L": [1, 1, 0, 0, 0]})
 # one process, one parser: successes, an option before the command, a
-# usage error, a violated precondition and an unsupported field, mixed
+# usage error, violated preconditions and an unsupported field, mixed
 PARSER_REUSE_RUNS = [
     (["--out", "json", "classify", "table", "--field", "rational"], "", 0),
     (["classify", "atlas", "--field", "fp:5"], "", 64),
     (["geom", "describe", "--geom", "-"], NOT_ORTHOGONAL, 2),
+    (["geom", "incident", "--geom", os.path.join(GOLDEN, "fp5_elliptic.json"),
+      "--c1", "0,0,0,0,0", "--c2", "0,1,2,0,0"], "", 2),  # no cycle
     (["classify", "atlas", "--field", "rational", "--dim", "2"], "", 0),
     (["classify", "table", "--field", "f4"], "", 3),
     (["--seed", "3", "classify", "partners", "--class",

@@ -1,5 +1,7 @@
 """Field arithmetic, square classes, canonical roots."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +34,26 @@ def test_field_axioms(field, ints):
     assert a + (-a) == field.zero()
     if not a.is_zero():
         assert a * a.inverse() == field.one()
+
+
+@pytest.mark.parametrize("field, x", [
+    (PrimeField(5), 0.5), (PrimeField(5), 1.0), (PrimeField(5), "3"),
+    (PrimeField(5), Fraction(1, 2)), (PrimeField(5), None),
+    (CharTwo(4), "3"), (CharTwo(4), 2.0), (CharTwo(2), 1.0),
+    (CharTwo(2), Fraction(1))], ids=repr)
+def test_finite_fields_take_only_ints_and_scalars(field, x):
+    """Anything else raises the TypeError ``linalg.raw_values`` raises."""
+    with pytest.raises(TypeError) as exc:
+        field.scalar(x)
+    assert str(exc.value) == f"not a coordinate over {field}: {x!r}"
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), CharTwo(2), CharTwo(4)],
+                         ids=lambda f: f.token())
+def test_finite_fields_read_a_bool_as_0_or_1(field):
+    for flag, n in ((False, 0), (True, 1)):
+        value = field.scalar(flag).value
+        assert type(value) is int and value == n
 
 
 def test_mixed_field_arithmetic_rejected():

@@ -10,8 +10,8 @@ cached root table for t (``lie_quadric_points`` sorts them and
 ``_isotropic_of_span`` runs it on the restricted form and combines the
 points on raw values), ``reflect_raw``
 and ``mirrors`` build the isometries of Witt's theorem on raw tuples,
-``points_of``, ``cayley_klein_points``, ``has_point_search`` and ``role``
-filter raw tuples, ``subspaces`` and ``_is_hyperbolic_space`` run
+``cayley_klein_points``, ``has_point_search`` and ``role`` filter raw
+tuples, ``points_of`` filters byte columns (``test_byte_lanes.py``), ``subspaces`` and ``_is_hyperbolic_space`` run
 the Witt oracle on them, ``linalg.coordinate_map`` replays the solve of
 ``linalg.solve_raw`` (checked against the Scalar ``ref_coordinates``), and ``metric.translation_between``,
 ``motion_from_normal_form``, ``compose`` and ``invert`` run on raw
@@ -108,7 +108,7 @@ from reference import (ref_antipodal, ref_arf_invariant, ref_as_vector,
                        ref_inverse, ref_invert, ref_is_hyperbolic_space,
                        ref_is_isometry, ref_isotropic_in_span,
                        ref_isotropic_points, ref_kernel, ref_line_points,
-                       ref_mat_mul, ref_mat_vec, ref_points_of,
+                       ref_mat_mul, ref_mat_vec, ref_scalar_points_of,
                        ref_reflection_matrix,
                        ref_zero_vector,
                        ref_pointspace_points_of, ref_pointspace_token,
@@ -444,7 +444,7 @@ def test_point_filters_match_scalar_loops(g, data):
         lam = data.draw(st.sampled_from(list(field.elements())[1:]))
         cv = ref_vec_scale(lam, pt.coords)
         c = data.draw(st.sampled_from([pt, cv]))
-        assert points_of(g, c) == ref_points_of(g, cv)
+        assert points_of(g, c) == ref_scalar_points_of(g, cv)
     assert cayley_klein_points(g) == ref_cayley_klein_points(g)
     off = data.draw(st.tuples(*[elements(field)] * g.form.dim))
     if not ref_q(g.form, off).is_zero():
