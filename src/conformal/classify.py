@@ -377,8 +377,7 @@ def second_model(g: Geometry) -> Geometry:
     e = _scaling_options(g.field)[1]
     form2 = QuadraticForm.diagonal(g.field, [e * g.qp()]).direct_sum(ps.form)
     p2 = linalg.unit_vector(g.field, g.form.dim, 0)
-    l2 = (g.field.zero(),) + tuple(ps.l_coords)
-    return Geometry(form2, p2, l2)
+    return Geometry(form2, p2, (g.field.raw_zero,) + ps._l_raw)
 
 
 # ---------------------------------------------------------------------------
@@ -454,22 +453,22 @@ def pointspace_isometry(g1: Geometry, g2: Geometry):
             "the certificate search needs anisotropic P")
     ps1, ps2 = pointspace(g1), pointspace(g2)
     field = g1.field
-    l1, l2 = ps1.l_coords, ps2.l_coords
-    l1_raw, l2_raw = linalg.raw_values(field, l1), linalg.raw_values(field, l2)
+    l1_raw, l2_raw = ps1._l_raw, ps2._l_raw
+    ql2 = Scalar(ps2.form.eval_raw(l2_raw), field)
     for lam in _scaling_options(field):
         f1 = ps1.form.scaled(lam)
         if not isometric(f1, ps2.form):
             continue
-        if square_class(f1(l1)) is not square_class(ps2.form(l2)):
+        if square_class(Scalar(f1.eval_raw(l1_raw), field)) \
+                is not square_class(ql2):
             continue
         t = _isometry_raw(f1, ps2.form)
         h0 = linalg.mat_vec_raw(t, l1_raw, field)
-        ql2 = ps2.form(l2)
         if not ql2.is_zero():
             s = sqrt_if_square(ql2 / Scalar(ps2.form.eval_raw(h0), field))
             assert s is not None
             h0 = tuple([field._mul(s.value, x) for x in h0])
-        adjust = _Extender(ps2.form).extend([h0], [tuple(l2_raw)])
+        adjust = _Extender(ps2.form).extend([h0], [l2_raw])
         h = linalg.mat_mul_raw(adjust, t, field)
         image = linalg.mat_vec_raw(h, l1_raw, field)
         assert linalg.rank_raw([l2_raw, image], field) == 1

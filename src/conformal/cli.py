@@ -17,7 +17,7 @@ import sys
 
 from .fields import (ConformalError, SquareClass, UnsupportedFieldError,
                      field_from_token)
-from .quadform import InvalidInputError
+from .quadform import InvalidInputError, witt_index
 from importlib import import_module
 
 cla = import_module(__package__ + ".classify")
@@ -141,7 +141,6 @@ def cmd_geom_describe(args) -> int:
            "Q(P)": ser.scalar_to_json(g.qp()),
            "Q(L)": ser.scalar_to_json(g.ql())}
     if g.field.is_exact:
-        from .quadform import witt_index
         cls = cla.classify(g)
         out["class"] = ser.class_to_json(cls)
         out["witt_index"] = witt_index(g.form)

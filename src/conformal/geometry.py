@@ -13,14 +13,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from typing import Optional, Sequence
 
-from .fields import ConformalError, Field, Scalar, UnsupportedFieldError
+from .fields import (ConformalError, Field, FieldMismatchError, PrimeField,
+                     Rational, Scalar, SquareClass, UnsupportedFieldError,
+                     square_class)
 from . import linalg
 from .linalg import EnumerationUnsupportedError, Vector
 from .quadform import (InvalidInputError, QuadraticForm, _radical,
-                       witt_index)
+                       det_class, signature, witt_index)
 from enum import Enum
 
 
@@ -54,40 +55,51 @@ MAX_ENUM_DIM = 7
 
 
 class ProjPoint:
-    """A projective point, normalized so the first nonzero coordinate is 1."""
+    """A projective point, normalized so the first nonzero coordinate is 1.
 
-    __slots__ = ("coords",)
+    Kept as its field and the tuple of raw values ``raw``; ``coords``
+    wraps them in Scalars on each read."""
+
+    __slots__ = ("field", "raw")
 
     def __init__(self, coords: Sequence[Scalar]):
-        coords = tuple(coords)
-        lead = next((c for c in coords if not c.is_zero()), None)
-        if lead is None:
+        coords, raw = tuple(coords), None
+        if coords:
+            field = coords[0].field
+            raw = linalg.normalize_raw(field, linalg.raw_values(field, coords))
+        if raw is None:
             raise ValueError("projective points need a nonzero vector")
-        inv = lead.inverse()
-        self.coords = tuple(inv * c for c in coords)
+        self.field, self.raw = field, raw
 
     @classmethod
-    def from_canonical(cls, coords: Vector) -> "ProjPoint":
-        """Wrap coordinates whose first nonzero entry is already 1."""
+    def from_canonical(cls, field: Field, raw: tuple) -> "ProjPoint":
+        """The point of the raw tuple whose first nonzero value is
+        already 1."""
         pt = cls.__new__(cls)
-        pt.coords = coords
+        pt.field, pt.raw = field, raw
         return pt
 
     @property
-    def field(self) -> Field:
-        return self.coords[0].field
+    def coords(self) -> Vector:
+        return tuple([Scalar(a, self.field) for a in self.raw])
 
     def __eq__(self, other):
-        return isinstance(other, ProjPoint) and self.coords == other.coords
+        field = self.field
+        return (isinstance(other, ProjPoint)
+                and (other.field is field or other.field == field)
+                and len(other.raw) == len(self.raw)
+                and all(map(field._eq, self.raw, other.raw)))
 
     def __hash__(self):
-        return hash(self.coords)
+        if not self.field.is_exact:
+            raise TypeError("approximate points are not hashable")
+        return hash(self.raw)
 
     def sort_key(self):
-        return tuple(c.sort_key() for c in self.coords)
+        return self.raw
 
     def __repr__(self):
-        return "(" + " : ".join(repr(c) for c in self.coords) + ")"
+        return "(" + " : ".join(map(self.field.format_value, self.raw)) + ")"
 
 
 class Role(Enum):
@@ -107,14 +119,12 @@ class Geometry:
 
     def __init__(self, form: QuadraticForm, p_rep, l_rep):
         field = form.field
-        p_rep = tuple(field.scalar(x) for x in p_rep)
-        l_rep = tuple(field.scalar(x) for x in l_rep)
+        p_raw = tuple([field.scalar(x).value for x in p_rep])
+        l_raw = tuple([field.scalar(x).value for x in l_rep])
         if form.dim < 4:
             raise InvalidGeometryError("a geometry needs dimension >= 4 (n >= 1)")
-        if len(p_rep) != form.dim or len(l_rep) != form.dim:
+        if len(p_raw) != form.dim or len(l_raw) != form.dim:
             raise InvalidGeometryError("representative length mismatch")
-        self._p_raw = p_raw = tuple(x.value for x in p_rep)
-        self._l_raw = l_raw = tuple(x.value for x in l_rep)
         if all(map(field._is_zero, p_raw)) or all(map(field._is_zero, l_raw)):
             raise InvalidGeometryError("P and L must be nonzero")
         if field.is_exact and _radical(form):
@@ -123,8 +133,7 @@ class Geometry:
             raise InvalidGeometryError("P and L must be orthogonal")
         self.form = form
         self.field = field
-        self.p_rep = p_rep
-        self.l_rep = l_rep
+        self._p_raw, self._l_raw = p_raw, l_raw
         self._quadric = None
         self._points = None
         self._tokens = {}  # classify._pointspace_token by the raw lambda
@@ -158,29 +167,48 @@ class Geometry:
         """Dimension of the geometry (the form has dimension n+3)."""
         return self.form.dim - 3
 
+    @property
+    def p_rep(self) -> Vector:
+        return tuple([Scalar(a, self.field) for a in self._p_raw])
+
+    @property
+    def l_rep(self) -> Vector:
+        return tuple([Scalar(a, self.field) for a in self._l_raw])
+
     def qp(self) -> Scalar:
-        return self.form(self.p_rep)
+        return Scalar(self.form.eval_raw(self._p_raw), self.field)
 
     def ql(self) -> Scalar:
-        return self.form(self.l_rep)
+        return Scalar(self.form.eval_raw(self._l_raw), self.field)
 
     def dual(self) -> "Geometry":
-        return Geometry(self.form, self.l_rep, self.p_rep)
+        return Geometry(self.form, self._l_raw, self._p_raw)
 
     def __repr__(self):
         return (f"Geometry(n={self.n}, Q={self.form!r}, "
                 f"P={self.p_rep}, L={self.l_rep})")
 
 
-def _raw_cycle(g: Geometry, c) -> list:
-    """The raw values of a cycle, in one pass over a ``ProjPoint``'s
-    coords or a sequence: a Scalar of g's field gives its value, and
-    anything else is coerced by ``field.scalar`` (another field's
-    Scalar raises FieldMismatchError).  The zero vector is no cycle."""
-    field, x = g.field, []
-    for a in (c.coords if isinstance(c, ProjPoint) else c):
-        x.append(a.value if type(a) is Scalar and a.field is field
-                 else field.scalar(a).value)
+def _point_raw(field: Field, pt: ProjPoint) -> tuple:
+    """The raw values of a ``ProjPoint``; a point of another field
+    raises FieldMismatchError."""
+    if pt.field is not field and pt.field != field:
+        raise FieldMismatchError(f"cannot coerce {pt.field} into {field}")
+    return pt.raw
+
+
+def _raw_cycle(g: Geometry, c) -> Sequence:
+    """The raw values of a cycle: a ``ProjPoint`` of g's field gives
+    its raw tuple, and a sequence is read in one pass, a Scalar of g's
+    field giving its value and anything else coerced by
+    ``field.scalar`` (another field's Scalar or ProjPoint raises
+    FieldMismatchError).  The zero vector is no cycle."""
+    field = g.field
+    if isinstance(c, ProjPoint):
+        x = _point_raw(field, c)
+    else:
+        x = [a.value if type(a) is Scalar and a.field is field
+             else field.scalar(a).value for a in c]
     if len(x) != g.form.dim:
         raise InvalidInputError(
             f"a cycle has {g.form.dim} coordinates, not {len(x)}")
@@ -235,13 +263,11 @@ def non_empty(g: Geometry) -> bool:
     counting, over F_p by determinant classes.  The finite-field answer
     is cross-checked against direct search in the tests.
     """
-    from .fields import PrimeField, Rational, SquareClass, square_class
     field = g.field
     if field.char == 2:
         raise UnsupportedFieldError("the emptiness criterion needs char != 2")
     qp = g.qp()
     if isinstance(field, Rational):
-        from .quadform import signature
         k, l, _ = signature(g.form)
         cls = square_class(qp)
         if cls is SquareClass.UNIT:
@@ -250,7 +276,6 @@ def non_empty(g: Geometry) -> bool:
             return k >= 1 and l >= 2
         return k >= 2 and l >= 2
     if isinstance(field, PrimeField):
-        from .quadform import det_class
         if not qp.is_zero():
             return True  # any 3-dim form embeds once dim >= 4
         if g.form.dim >= 5:
@@ -262,8 +287,9 @@ def non_empty(g: Geometry) -> bool:
 def has_point_search(g: Geometry) -> bool:
     """Direct search for a point: an isotropic projective direction in
     P^perp other than [P] itself (the oracle for `non_empty`)."""
-    p_proj = ProjPoint(g.p_rep) if g.form(g.p_rep).is_zero() else None
-    return any(pt != p_proj for pt in _points_in_p_perp(g)[0])
+    p = linalg.normalize_raw(g.field, g._p_raw) \
+        if g.field._is_zero(g.form.eval_raw(g._p_raw)) else None
+    return any(pt.raw != p for pt in _points_in_p_perp(g)[0])
 
 
 def relative_power(g: Geometry, c1, c2) -> Scalar:
@@ -313,10 +339,9 @@ def lie_quadric_points(g: Geometry, max_q: int = MAX_ENUM_Q):
     if g._quadric is None:
         # the raw tuples already lead with 1, and a finite field's raw
         # values sort like its scalars; raw value v is element v
-        hits = sorted(g.form.isotropic_points())
-        wrap = list(g.field.elements())
-        g._quadric = tuple(ProjPoint.from_canonical(
-            tuple(map(wrap.__getitem__, x))) for x in hits)
+        field = g.field
+        g._quadric = tuple([ProjPoint.from_canonical(field, x)
+                            for x in sorted(g.form.isotropic_points())])
     return g._quadric
 
 
@@ -328,9 +353,7 @@ def _points_in_p_perp(g: Geometry) -> tuple:
     (the quadric is within the caps, so a raw value fits a byte)."""
     if g._points is None:
         quadric = lie_quadric_points(g)
-        value = attrgetter("value")
-        cols = [bytes(map(value, col))
-                for col in zip(*[pt.coords for pt in quadric])]
+        cols = [bytes(col) for col in zip(*[pt.raw for pt in quadric])]
         keep = linalg.zero_flags(g.field, cols,
                                  g.form.gram_row_raw(g._p_raw))
         g._points = (tuple(itertools.compress(quadric, keep)),
@@ -344,19 +367,24 @@ class Subspace:
     """An orthogonal complement inside a geometry, with its restricted
     form and the image of L (the pointspace P^perp, a line space).
 
-    ``basis`` spans the subspace in ambient coordinates, ``form`` is Q
-    restricted to that basis, and ``l_coords`` places L in it.
+    Kept on raw values: ``_cols`` holds the basis in ambient coordinates
+    as raw columns (raw coordinates x map to the raw ambient vector
+    sum x_i b_i = ``linalg.mat_vec_raw(_cols, x, field)``), ``form`` is
+    Q restricted to that basis, and ``_l_raw`` places L in it.
+    ``basis`` and ``l_coords`` wrap them in Scalars on each read.
     """
     geometry: Geometry
-    basis: tuple
+    _cols: tuple
     form: QuadraticForm
-    l_coords: tuple
+    _l_raw: tuple
 
-    # the basis as raw columns: raw coordinates x map to the raw ambient
-    # vector sum x_i b_i = linalg.mat_vec_raw(_cols, x, field)
-    @cached_property
-    def _cols(self) -> tuple:
-        return tuple(zip(*([a.value for a in b] for b in self.basis)))
+    @property
+    def basis(self) -> tuple:
+        return linalg.wrap_rows(self.form.field, zip(*self._cols))
+
+    @property
+    def l_coords(self) -> Vector:
+        return tuple([Scalar(a, self.form.field) for a in self._l_raw])
 
     # the isotropic points of ``form`` (finite fields), each as (raw
     # coordinates, ambient ProjPoint), in the ambient points' canonical
@@ -367,9 +395,7 @@ class Subspace:
         hits = sorted((linalg.normalize_raw(
             field, linalg.mat_vec_raw(cols, x, field)), x)
                       for x in self.form.isotropic_points())
-        wrap = list(field.elements())  # raw value v is element v
-        return tuple((x, ProjPoint.from_canonical(
-            tuple(map(wrap.__getitem__, y)))) for y, x in hits)
+        return tuple((x, ProjPoint.from_canonical(field, y)) for y, x in hits)
 
     def to_ambient(self, coords) -> Vector:
         field, dim = self.form.field, self.form.dim
@@ -382,27 +408,28 @@ class Subspace:
 
     def from_ambient(self, v) -> Optional[Vector]:
         """The coordinates of v in the basis, or None off the subspace."""
-        field, dim = self.form.field, len(self._cols)
-        x = linalg.raw_values(field, v)
+        field = self.form.field
+        x = self._from_ambient_raw(linalg.raw_values(field, v))
+        return None if x is None else tuple(Scalar(a, field) for a in x)
+
+    def _from_ambient_raw(self, x) -> Optional[list]:
+        """``from_ambient`` of the raw vector x, on raw values."""
+        dim = len(self._cols)
         if len(x) != dim:
             raise InvalidInputError(
                 f"an ambient vector has {dim} coordinates, not {len(x)}")
-        x = linalg.solve_raw(self._cols, x, field)
-        return None if x is None else tuple(Scalar(a, field) for a in x)
+        return linalg.solve_raw(self._cols, x, self.form.field)
 
 
 def perp_space(g: Geometry, vectors: Sequence) -> Subspace:
     """The orthogonal complement of the raw ``vectors``, which must all
     be orthogonal to L, carrying the restricted form and L's coordinates
-    (solved by ``linalg.solve_raw``, as ``Subspace.from_ambient`` solves).
-    Runs on raw values and wraps only the result."""
-    field = g.field
+    (solved by ``linalg.solve_raw``, as ``Subspace.from_ambient`` solves)."""
     basis = g.form.perp_raw(vectors)
-    l_coords = linalg.solve_raw(tuple(zip(*basis)), g._l_raw, field)
-    assert l_coords is not None  # L is orthogonal to every vector
-    return Subspace(g, linalg.wrap_rows(field, basis),
-                    g.form.restrict_raw(basis),
-                    tuple(Scalar(x, field) for x in l_coords))
+    cols = tuple(zip(*basis))
+    l_raw = linalg.solve_raw(cols, g._l_raw, g.field)
+    assert l_raw is not None  # L is orthogonal to every vector
+    return Subspace(g, cols, g.form.restrict_raw(basis), tuple(l_raw))
 
 
 def pointspace(g: Geometry) -> Subspace:
@@ -441,18 +468,23 @@ def points_of(g: Geometry, c):
 def pointspace_points_of(ps: Subspace, c_proj):
     """Points of a projected cycle computed inside the pointspace, mapped
     back to ambient projective points (the other side of the projection
-    identity)."""
+    identity).  ``c_proj`` is an ambient ``ProjPoint`` or a vector of
+    pointspace coordinates; the zero vector is no cycle."""
     _check_enum(ps.geometry, MAX_ENUM_Q)
-    coords = c_proj if not isinstance(c_proj, ProjPoint) else \
-        ps.from_ambient(c_proj.coords)
-    if coords is None:
-        raise RoleError("cycle does not lie in the pointspace")
     form = ps.form
-    x = linalg.raw_values(form.field, coords)
+    field = form.field
+    if isinstance(c_proj, ProjPoint):
+        x = ps._from_ambient_raw(_point_raw(field, c_proj))
+        if x is None:
+            raise RoleError("cycle does not lie in the pointspace")
+    else:
+        x = linalg.raw_values(field, c_proj)
     if len(x) != form.dim:
         raise InvalidInputError(
             f"a pointspace cycle has {form.dim} coordinates, not {len(x)}")
-    bc, is_zero = form.pairing_raw(x), form.field._is_zero
+    if not any(x):  # a finite field's raw zero is falsy
+        raise InvalidInputError("the zero vector is not a cycle")
+    bc, is_zero = form.pairing_raw(x), field._is_zero
     return tuple(pt for y, pt in ps._quadric if is_zero(bc(y)))
 
 
@@ -497,13 +529,12 @@ class Subcycle:
 
 
 def _subcycle_from_span(g: Geometry, span: Sequence) -> Subcycle:
-    """The subcycle of the independent raw vectors ``span``, each
-    wrapped once as a normalised ``ProjPoint``."""
+    """The subcycle of the independent raw vectors ``span``, each kept
+    as a normalised ``ProjPoint``."""
     field = g.field
     is_subplane = linalg.rank_raw([*span, g._l_raw], field) == len(span)
-    basis = tuple(ProjPoint.from_canonical(tuple(
-        [Scalar(a, field) for a in linalg.normalize_raw(field, v)]))
-        for v in span)
+    basis = tuple(ProjPoint.from_canonical(
+        field, linalg.normalize_raw(field, v)) for v in span)
     return Subcycle(basis, is_subplane, _is_actual(g, span))
 
 
@@ -586,23 +617,21 @@ def hyperplane_through(g: Geometry, *points) -> Optional[ProjPoint]:
     # all solutions must project to a single unoriented hyperplane
     if len({key for key in keys if len(key) == 2}) > 1:
         raise RoleError("multiple distinct hyperplanes satisfy the constraints")
-    first = min(linalg.normalize_raw(field, v) for v in isotropic)
-    return ProjPoint.from_canonical(tuple([Scalar(a, field) for a in first]))
+    return ProjPoint.from_canonical(
+        field, min(linalg.normalize_raw(field, v) for v in isotropic))
 
 
 def quasi_ideal(g: Geometry, s: Subcycle) -> bool:
     """Is the restriction of Q to the subcycle's span degenerate?"""
-    basis = [[a.value for a in p.coords] for p in s.basis]
-    return bool(_radical(g.form.restrict_raw(basis)))
+    return bool(_radical(g.form.restrict_raw([p.raw for p in s.basis])))
 
 
 def cayley_klein_points(g: Geometry):
     """Points grouped into antipodal classes (the projective model
     P^perp/L); classes and members are canonically sorted."""
     key, groups = g._class_key, {}
-    points, cols = _points_in_p_perp(g)
-    for x, pt in zip(zip(*cols), points):
-        groups.setdefault(key(x), []).append(pt)
+    for pt in _points_in_p_perp(g)[0]:
+        groups.setdefault(key(pt.raw), []).append(pt)
     # the points come in raw order, which is sort_key order (see
     # lie_quadric_points): each class is sorted, and the classes open in
     # the order of their first members

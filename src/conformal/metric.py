@@ -22,7 +22,7 @@ from .fields import (ConformalError, Scalar, SquareClass,
 from . import linalg
 from .geometry import (Geometry, ProjPoint, Subspace, _raw_cycle,
                        non_degenerate_geometry, perp_space)
-from .quadform import det_class
+from .quadform import det_class, diagonalize
 
 
 class DegenerateLineError(ConformalError):
@@ -101,7 +101,6 @@ def gamma_class(g: Geometry) -> LineGroupClass:
     if g.field.is_exact:
         combined = det_class(g.form) * cls
     else:
-        from .quadform import diagonalize
         prod = g.field.one()
         for a in diagonalize(g.form).entries:
             prod = prod * a
@@ -191,7 +190,7 @@ def build_chart(space: Subspace) -> Chart:
     add, sub, mul, neg, div = (field._add, field._sub, field._mul,
                                field._neg, field._div)
     is_zero, one = field._is_zero, field.raw_one
-    lc = tuple([x.value for x in space.l_coords])
+    lc = space._l_raw
     if is_zero(form.eval_raw(lc)):
         return _build_additive_chart(space, lc)
     c1, c2 = form.perp_raw([lc])
@@ -284,35 +283,46 @@ class MotionElement:
     """An element of a line's translation group Gamma.
 
     ``normal_form``: (mu,) for the split torus, (tau,) for the additive
-    group, (a, b) with a^2 - eps b^2 = 1 for the non-split torus.
-    ``matrix`` acts on line-space coordinates, fixes L, and has
-    determinant 1; unless given, it is built from the chart and the
-    normal form on first read.
+    group, (a, b) with a^2 - eps b^2 = 1 for the non-split torus; it is
+    kept as the raw tuple ``_nf_raw`` and wrapped in Scalars on each
+    read.  ``matrix`` acts on line-space coordinates, fixes L, and has
+    determinant 1; it is kept as raw rows, built from the chart and the
+    normal form on first read unless given, and wrapped on each read.
     """
 
-    def __init__(self, chart: Chart, normal_form, matrix=None):
+    def __init__(self, chart: Chart, nf_raw: tuple, matrix_raw=None):
+        """``nf_raw``: the normal form as raw values of the chart's
+        field (``motion_from_normal_form`` takes user values);
+        ``matrix_raw``: its raw rows, when already known."""
         self.chart = chart
-        self.normal_form = tuple(normal_form)
-        if matrix is not None:
-            self.matrix = matrix
+        self._nf_raw = nf_raw
+        if matrix_raw is not None:
+            self._matrix_raw = matrix_raw
+
+    @property
+    def normal_form(self) -> tuple:
+        field = self.chart.space.form.field
+        return tuple([Scalar(x, field) for x in self._nf_raw])
 
     @cached_property
+    def _matrix_raw(self) -> tuple:
+        return _line_matrix(self.chart, self._nf_raw)
+
+    @property
     def matrix(self) -> tuple:
-        return linalg.wrap_rows(self.chart.space.form.field, _line_matrix(
-            self.chart, [x.value for x in self.normal_form]))
+        return linalg.wrap_rows(self.chart.space.form.field, self._matrix_raw)
 
     @property
     def group_class(self) -> LineGroupClass:
         return self.chart.kind
 
     def is_identity(self) -> bool:
-        field = self.chart.space.form.field
+        field, nf = self.chart.space.form.field, self._nf_raw
         if self.chart.kind is LineGroupClass.ADDITIVE:
-            return self.normal_form[0].is_zero()
+            return field._is_zero(nf[0])
         if self.chart.kind is LineGroupClass.SPLIT_TORUS:
-            return self.normal_form[0] == field.one()
-        return (self.normal_form[0] == field.one()
-                and self.normal_form[1].is_zero())
+            return field._eq(nf[0], field.raw_one)
+        return field._eq(nf[0], field.raw_one) and field._is_zero(nf[1])
 
     def __repr__(self):
         return (f"MotionElement({self.chart.kind.value}, "
@@ -345,19 +355,13 @@ def _line_matrix(chart: Chart, nf):
                               chart._from_line, field)
 
 
-def _motion(chart: Chart, nf) -> MotionElement:
-    """The element of the raw normal form nf, wrapped in Scalars."""
-    field = chart.space.form.field
-    return MotionElement(chart, tuple(Scalar(x, field) for x in nf))
-
-
 def motion_from_normal_form(chart: Chart, nf) -> MotionElement:
     field = chart.space.form.field
     nf = tuple(field.scalar(x).value for x in nf)
     if chart.kind is LineGroupClass.SPLIT_TORUS and field._is_zero(nf[0]):
         # mu^-1; _inv raises on an exact zero, this on a float one too
         raise ZeroDivisionError("division by field zero")
-    return _motion(chart, nf)
+    return MotionElement(chart, nf)
 
 
 def _line_chart(g: Geometry, l) -> Chart:
@@ -429,7 +433,7 @@ def translation_between(g: Geometry, l, p1, p2) -> MotionElement:
               mul(sub(mul(y2, x1), mul(x2, y1)), inv))
     moved = linalg.mat_vec_raw(_line_matrix(chart, nf), lc1, field)
     assert _same_point(field, moved, lc2), "translation mismatch (internal)"
-    return _motion(chart, nf)
+    return MotionElement(chart, nf)
 
 
 def compose(g1: MotionElement, g2: MotionElement) -> MotionElement:
@@ -441,8 +445,7 @@ def compose(g1: MotionElement, g2: MotionElement) -> MotionElement:
     chart = g1.chart
     field = chart.space.form.field
     add, mul = field._add, field._mul
-    n1 = [x.value for x in g1.normal_form]
-    n2 = [x.value for x in g2.normal_form]
+    n1, n2 = g1._nf_raw, g2._nf_raw
     if chart.kind is LineGroupClass.ADDITIVE:
         nf = (add(n1[0], n2[0]),)
     elif chart.kind is LineGroupClass.SPLIT_TORUS:
@@ -452,20 +455,20 @@ def compose(g1: MotionElement, g2: MotionElement) -> MotionElement:
         (a1, b1), (a2, b2) = n1, n2
         nf = (add(mul(a1, a2), mul(mul(eps, b1), b2)),
               add(mul(a1, b2), mul(b1, a2)))
-    return _motion(chart, nf)
+    return MotionElement(chart, nf)
 
 
 def invert(m: MotionElement) -> MotionElement:
     chart = m.chart
     field = chart.space.form.field
-    nf = [x.value for x in m.normal_form]
+    nf = m._nf_raw
     if chart.kind is LineGroupClass.ADDITIVE:
         nf = (field._neg(nf[0]),)
     elif chart.kind is LineGroupClass.SPLIT_TORUS:
         nf = (field._inv(nf[0]),)
     else:
         nf = (nf[0], field._neg(nf[1]))
-    return _motion(chart, nf)
+    return MotionElement(chart, nf)
 
 
 def same_distance(g1: MotionElement, g2: MotionElement) -> bool:
@@ -474,9 +477,10 @@ def same_distance(g1: MotionElement, g2: MotionElement) -> bool:
     if g1.chart.metric_key() != g2.chart.metric_key():
         raise IncompatibleChartsError(
             "distances along non-isometric charts are not comparable")
-    if g1.normal_form == g2.normal_form:
-        return True
-    return g1.normal_form == invert(g2).normal_form
+    # one chart kind, so one length; _eq keeps the float tolerance
+    eq, nf = g1.chart.space.form.field._eq, g1._nf_raw
+    return all(map(eq, nf, g2._nf_raw)) or all(map(eq, nf,
+                                                   invert(g2)._nf_raw))
 
 
 def stabilizer_matrices(g: Geometry, l):
@@ -525,18 +529,16 @@ def stabilizer_group(g: Geometry, l):
     mul, sub, one = field._mul, field._sub, field.raw_one
     out = []
     for m in mats:
-        mc = linalg.mat_mul_raw(
-            linalg.mat_mul_raw(chart._from_line,
-                               [linalg.raw_values(field, r) for r in m], field),
-            chart._to_line, field)
+        m = [linalg.raw_values(field, r) for r in m]
+        mc = linalg.mat_mul_raw(linalg.mat_mul_raw(chart._from_line, m, field),
+                                chart._to_line, field)
         # mc fixes e_0 (L), so det m is the minor of its last two rows
         if not field._eq(sub(mul(mc[1][1], mc[2][2]),
                              mul(mc[1][2], mc[2][1])), one):
             continue
-        nf = _normal_form_of_matrix(chart, mc)
-        out.append(MotionElement(chart, tuple(Scalar(x, field) for x in nf),
-                                 m))
-    out.sort(key=lambda el: tuple(x.sort_key() for x in el.normal_form))
+        out.append(MotionElement(chart, _normal_form_of_matrix(chart, mc),
+                                 tuple(map(tuple, m))))
+    out.sort(key=lambda el: el._nf_raw)
     return tuple(out)
 
 
@@ -559,7 +561,7 @@ def find_nonideal_line(g: Geometry) -> ProjPoint:
     q, bp, is_zero = g.form.eval_raw, g._pair_p, g.field._is_zero
     for x in g.form.perp_points(g._l_raw):
         if is_zero(q(x)) and not is_zero(bp(x)):
-            return ProjPoint.from_canonical(linalg.vector(g.field, x))
+            return ProjPoint.from_canonical(g.field, x)
     raise DegenerateLineError("the geometry has no non-ideal hyperplane")
 
 
@@ -570,6 +572,6 @@ def line_points(g: Geometry, l):
     if not g.field.is_finite:
         raise UnsupportedFieldError("point enumeration needs a finite field")
     form = space.form
-    bl = form.pairing_raw(linalg.raw_values(form.field, space.l_coords))
+    bl = form.pairing_raw(space._l_raw)
     is_zero = form.field._is_zero
     return space, tuple(pt for x, pt in space._quadric if not is_zero(bl(x)))

@@ -646,16 +646,24 @@ def _subspace_orthogonal_to(q: QuadraticForm, space: Sequence[tuple],
 
 def generalized_orthogonal_basis(q: QuadraticForm,
                                  s: Sequence[Vector] = ()) -> GenOrthoBasis:
-    """Embed the generalized orthogonal set ``s`` into a full basis.
-
-    Follows the inductive construction: strip a non-symplectic vector,
-    strip a symplectic couple, or complete a lone symplectic vector v by
-    some u orthogonal to the rest with B(u,v) = 1, on raw tuples.
-    """
+    """Embed the generalized orthogonal set ``s`` into a full basis:
+    ``_gob_raw`` on the raw values of s, wrapped once."""
     if _radical(q):
         raise DegenerateFormError(
             "generalized orthogonal bases need a form without degenerate vectors")
-    s = _vectors_of(q, s)
+    vectors, couples = _gob_raw(q, _vectors_of(q, s))
+    return GenOrthoBasis(linalg.wrap_rows(q.field, vectors), couples)
+
+
+def _gob_raw(q: QuadraticForm, s: Sequence[tuple]) -> tuple:
+    """The generalized orthogonal basis extending the set of raw tuples
+    s, for a form without degenerate vectors, as (raw tuples, frozenset
+    of couple index pairs).
+
+    Follows the inductive construction: strip a non-symplectic vector,
+    strip a symplectic couple, or complete a lone symplectic vector v by
+    some u orthogonal to the rest with B(u,v) = 1.
+    """
     field = q.field
     b, is_zero, mul, sub = q.b_raw, field._is_zero, field._mul, field._sub
 
@@ -710,11 +718,9 @@ def generalized_orthogonal_basis(q: QuadraticForm,
 
     n, zero, one = q.dim, field.raw_zero, field.raw_one
     extend([(zero,) * i + (one,) + (zero,) * (n - 1 - i) for i in range(n)],
-           s, _couples_of(q, s))
-    basis = GenOrthoBasis(linalg.wrap_rows(field, out_vectors),
-                          frozenset(out_couples))
-    assert len(basis.vectors) == q.dim
-    return basis
+           list(s), _couples_of(q, s))
+    assert len(out_vectors) == n
+    return out_vectors, frozenset(out_couples)
 
 
 def witt_index(q: QuadraticForm) -> int:
@@ -843,9 +849,10 @@ def char2_arf_rep(field: CharTwo) -> Scalar:
 def arf_invariant(q: QuadraticForm) -> Scalar:
     """The Arf class, canonically 0 or the fixed representative e.
 
-    Sums Q(u_i)Q(v_i) over the couples of ``generalized_orthogonal_basis``
-    (any symplectic basis gives one class: Arf's theorem), modulo the
-    additive image of t^2 + t: {0} for F_2, {0, 1} for F_4.
+    Sums Q(u_i)Q(v_i) over the couples of a generalized orthogonal
+    basis (``_gob_raw``; any symplectic basis gives one class: Arf's
+    theorem), modulo the additive image of t^2 + t: {0} for F_2,
+    {0, 1} for F_4.
     """
     field = q.field
     if field.char != 2:
@@ -855,11 +862,13 @@ def arf_invariant(q: QuadraticForm) -> Scalar:
     if _radical(q):
         raise DegenerateFormError(
             "the Arf invariant needs a non-degenerate bilinear form")
-    gob = generalized_orthogonal_basis(q)  # all symplectic: couples only
-    total = sum((q(gob.vectors[i]) * q(gob.vectors[j])
-                 for i, j in gob.couples), field.zero())
-    image = {(t * t + t).value for t in field.elements()}
-    return field.zero() if total.value in image else char2_arf_rep(field)
+    vectors, couples = _gob_raw(q, [])  # all symplectic: couples only
+    add, mul = field._add, field._mul
+    total = field.raw_zero
+    for i, j in couples:
+        total = add(total, mul(q.eval_raw(vectors[i]), q.eval_raw(vectors[j])))
+    image = {add(mul(t, t), t) for t in field.raw_elements}
+    return field.zero() if total in image else char2_arf_rep(field)
 
 
 def represents(q: QuadraticForm, lam) -> Optional[Vector]:

@@ -21,6 +21,7 @@ P^perp onto t^perp and keeps Q; a pair (P, L) is then M^-1 of the pair
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional
@@ -30,10 +31,9 @@ from .fields import (CharTwo, PrimeField, Rational, Scalar, SquareClass,
                      sqrt_if_square, square_class)
 from . import linalg
 from .quadform import (InvalidInputError, QuadraticForm, _couples_of,
-                       _radical, _vectors_of, arf_invariant,
-                       generalized_orthogonal_basis, is_nondegenerate_form,
-                       IsometrySampler, mirrors, witt_index,
-                       witt_index_bruteforce)
+                       _gob_raw, _radical, arf_invariant,
+                       is_nondegenerate_form, IsometrySampler, mirrors,
+                       witt_index, witt_index_bruteforce)
 from importlib import import_module
 
 from . import geometry as geo
@@ -155,16 +155,17 @@ def suite_polarization(seed: int = 0, **_) -> Report:
 # gen-ortho-basis
 # ---------------------------------------------------------------------------
 
-def _check_gob(form, gob, s):
+def _check_gob(form, vectors, couples, s):
+    """Check the raw basis and couples ``quadform._gob_raw`` builds
+    from the raw set s; the error, or None."""
     n = form.dim
-    if len(gob.vectors) != n:
+    if len(vectors) != n:
         return "not a basis (wrong size)"
     field = form.field
-    vectors = _vectors_of(form, gob.vectors)
     if linalg.rank_raw(vectors, field) < n:
         return "not a basis (dependent)"
     coupled = {}
-    for i, j in gob.couples:
+    for i, j in couples:
         coupled[i] = j
         coupled[j] = i
     b, is_zero = form.b_raw, field._is_zero
@@ -204,7 +205,9 @@ def _gen_ortho_forms():
 
 def suite_gen_ortho_basis(**_) -> Report:
     """Exhaustive extension checks for all valid sets of size <= 2 in
-    dimension <= 4 over F_3, plus the F_2/F_4 couple cases."""
+    dimension <= 4 over F_3, plus the F_2/F_4 couple cases, on the raw
+    builder ``quadform._gob_raw`` (``generalized_orthogonal_basis`` is
+    its one wrap)."""
     rep = Report("gen-ortho-basis", True)
     total = 0
     for form in _gen_ortho_forms():
@@ -212,9 +215,6 @@ def suite_gen_ortho_basis(**_) -> Report:
             continue
         field = form.field
         vectors = [x for x in linalg.all_vectors(field, form.dim) if any(x)]
-        # the candidates are raw tuples; each vector passes alone, so
-        # each is wrapped once, for the sets that meet the public API
-        wrapped = dict(zip(vectors, linalg.wrap_rows(field, vectors)))
         candidates = [()] + [(v,) for v in vectors]
         if len(vectors) <= 90:  # all pairs for the desk-scale spaces
             candidates += itertools.combinations(vectors, 2)
@@ -223,10 +223,10 @@ def suite_gen_ortho_basis(**_) -> Report:
                 _couples_of(form, s)
             except InvalidInputError:
                 continue
-            ws = tuple(map(wrapped.__getitem__, s))
-            err = _check_gob(form, generalized_orthogonal_basis(form, ws), s)
+            err = _check_gob(form, *_gob_raw(form, s), s)
             if err:
-                return _fail(rep, f"{form!r} S={ws}: {err}")
+                return _fail(rep, f"{form!r} S={linalg.wrap_rows(field, s)}: "
+                                  f"{err}")
             total += 1
     rep.details.append(f"{total} extensions verified")
     return rep
@@ -433,8 +433,7 @@ def suite_incidence_theorems(**_) -> Report:
     for cls in cla.enumerate_classes(f3, 2):
         g = cla.representative_geometry(cls)
         pair, p_raw, l_raw = g.form.b_raw, g._p_raw, g._l_raw
-        pts, cols = geo._points_in_p_perp(g)
-        points = tuple(zip(zip(*cols), pts))  # (raw tuple, ProjPoint)
+        points = geo._points_in_p_perp(g)[0]
         pair_count = 0
         quasi_ideal_meets = 0
         for l1, l2 in itertools.combinations(_virtual_lines(g), 2):
@@ -444,11 +443,12 @@ def suite_incidence_theorems(**_) -> Report:
                                             linalg.vector(f3, l2))
             if sub.dim != 0:
                 return _fail(rep, f"{cls.label()}: subplane dim {sub.dim}")
-            span = [[a.value for a in b.coords] for b in sub.basis]
+            span = [b.raw for b in sub.basis]
             dim = linalg.rank_raw(span, f3)
-            meet = [(x, pt) for x, pt in points
-                    if linalg.rank_raw(span + [x], f3) == dim]
-            nonideal = [pt for x, pt in meet if not is_zero(pair(l_raw, x))]
+            meet = [pt for pt in points
+                    if linalg.rank_raw(span + [pt.raw], f3) == dim]
+            nonideal = [pt for pt in meet
+                        if not is_zero(pair(l_raw, pt.raw))]
             if len(nonideal) > 2:
                 return _fail(rep, f"{cls.label()}: {len(nonideal)} non-ideal "
                                   f"meet points")
@@ -463,7 +463,7 @@ def suite_incidence_theorems(**_) -> Report:
                     return _fail(rep, f"{cls.label()}: non-ideal point on a "
                                       f"totally isotropic subplane")
                 quasi_ideal_meets += 1
-            for (_, a), (_, b) in itertools.combinations(meet, 2):
+            for a, b in itertools.combinations(meet, 2):
                 if not geo.antipodal(g, a, b):
                     return _fail(rep, f"{cls.label()}: non-antipodal meet")
             pair_count += 1
@@ -471,15 +471,16 @@ def suite_incidence_theorems(**_) -> Report:
         # span key with P), skipping [P] itself, which has no image
         oriented = []
         for pt in geo.lie_quadric_points(g):
-            x = tuple([a.value for a in pt.coords])
+            x = pt.raw
             if is_zero(pair(l_raw, x)):
                 key = linalg.span_key((x, p_raw), f3)
                 if len(key) == 2:
                     oriented.append((x, key))
         pt_checks = 0
-        for (xa, a), (xb, b) in itertools.combinations(points, 2):
+        for a, b in itertools.combinations(points, 2):
             if geo.antipodal(g, a, b):
                 continue
+            xa, xb = a.raw, b.raw
             through = {key for x, key in oriented
                        if is_zero(pair(x, xa)) and is_zero(pair(x, xb))}
             if len(through) > 1:
@@ -519,18 +520,18 @@ def suite_projection_identity(**_) -> Report:
         cycles = geo.lie_quadric_points(g)
         for c in cycles:
             direct = geo.points_of(g, c)
-            proj_raw = geo.project_cycle_raw(g, c.coords)
+            proj_raw = geo.project_cycle_raw(g, c)
             via_ps = geo.pointspace_points_of(ps, ps.from_ambient(proj_raw))
             if tuple(sorted(direct, key=ProjPoint.sort_key)) != via_ps:
                 return _fail(rep, f"{cls.label()} c={c}: projection identity")
         checked = 0
         for l in cycles:
-            if not g.form.b_full(g.l_rep, l.coords).is_zero():
+            if not f3._is_zero(g._pair_l(l.raw)):
                 continue
-            bpl = g.form.b_full(g.p_rep, l.coords)
+            bpl = Scalar(g._pair_p(l.raw), f3)
             if bpl.is_zero():
                 continue
-            raw = geo.project_cycle_raw(g, l.coords)
+            raw = geo.project_cycle_raw(g, l)
             expected = -(bpl * bpl) / (four * g.qp())
             if g.form(raw) != expected:
                 return _fail(rep, f"{cls.label()} l={l}: projected norm")
@@ -607,7 +608,7 @@ def suite_distance_additivity(seed: int = 0, field=None, **_) -> Report:
             tab = met.translation_between(g, l, a, b)
             tbc = met.translation_between(g, l, b, c)
             tac = met.translation_between(g, l, a, c)
-            if met.compose(tbc, tab).normal_form != tac.normal_form:
+            if met.compose(tbc, tab)._nf_raw != tac._nf_raw:
                 return _fail(rep, f"p={p} {cls.label()}: additivity "
                                   f"A={a} B={b} C={c}")
             if not met.same_distance(tab, met.invert(
@@ -622,13 +623,13 @@ def suite_distance_additivity(seed: int = 0, field=None, **_) -> Report:
             cls, g, l, pts = drill[rng.randrange(len(drill))]
             key = id(g)
             if key not in samplers:
-                samplers[key] = IsometrySampler(g.form, [g.p_rep, g.l_rep])
+                samplers[key] = IsometrySampler(g.form, [g._p_raw, g._l_raw])
             m = samplers[key].sample(rng)
             p1, p2 = pts[rng.randrange(len(pts))], pts[rng.randrange(len(pts))]
             d12 = met.translation_between(g, l, p1, p2)
             m = [[x.value for x in row] for row in m]
-            l2, q1, q2 = (linalg.mat_vec_raw(m, [x.value for x in pt.coords],
-                                             fp) for pt in (l, p1, p2))
+            l2, q1, q2 = (linalg.mat_vec_raw(m, pt.raw, fp)
+                          for pt in (l, p1, p2))
             d12_moved = met.translation_between(g, l2, q1, q2)
             if not met.same_distance(d12, d12_moved):
                 return _fail(rep, f"p={p} {cls.label()}: invariance "
@@ -652,9 +653,8 @@ def _check_certificate(g1, g2, lam, h) -> Optional[str]:
         if 0 < sum(v) < 3 and q2.eval_raw(linalg.mat_vec_raw(h, v, field)) \
                 != field._mul(lam.value, q1.eval_raw(v)):
             return f"Q2(h v) != lam Q1(v) at v={v}"
-    l1, l2 = (linalg.raw_values(field, ps.l_coords) for ps in (ps1, ps2))
-    if linalg.normalize_raw(field, linalg.mat_vec_raw(h, l1, field)) != \
-            linalg.normalize_raw(field, l2):
+    if linalg.normalize_raw(field, linalg.mat_vec_raw(h, ps1._l_raw, field)) \
+            != linalg.normalize_raw(field, ps2._l_raw):
         return "h L1 is not parallel to L2"
     return None
 
@@ -792,13 +792,11 @@ def suite_separations(seed: int = 0, **_) -> Report:
 def _random_model_object(kind, rng):
     r = rng.uniform(-3.0, 3.0)
     if kind is mod.ModelKind.ELLIPTIC:
-        import math
         a, b = rng.uniform(0, 6.28), rng.uniform(0, 3.14)
         c = (math.cos(a) * math.sin(b), math.sin(a) * math.sin(b), math.cos(b))
         return mod.lift_cycle(kind, c, r) if rng.random() < 0.5 else \
             mod.lift_point(kind, c)
     if kind is mod.ModelKind.HYPERBOLIC:
-        import math
         x, y = rng.uniform(-2, 2), rng.uniform(-2, 2)
         c = (x, y, math.sqrt(1 + x * x + y * y))
         return mod.lift_cycle(kind, c, r) if rng.random() < 0.5 else \
@@ -808,7 +806,6 @@ def _random_model_object(kind, rng):
         return mod.lift_cycle(kind, c, r) if rng.random() < 0.5 else \
             mod.lift_point(kind, c)
     if kind is mod.ModelKind.DE_SITTER:
-        import math
         t = rng.uniform(-2, 2)
         a = rng.uniform(0, 6.28)
         c = (math.cosh(t) * math.cos(a), math.cosh(t) * math.sin(a),
@@ -818,7 +815,6 @@ def _random_model_object(kind, rng):
         x, y = rng.uniform(-2, 2), rng.uniform(-2, 2)
         return mod.lift_cycle(kind, (x, y, math.sqrt(1 + x * x + y * y)), r)
     if kind is mod.ModelKind.ANTI_DE_SITTER:
-        import math
         x = rng.uniform(-2, 2)
         a = rng.uniform(0, 6.28)
         c = (x, math.sqrt(1 + x * x) * math.cos(a),

@@ -591,7 +591,7 @@ def ref_nonideal_line(g):
     b, is_zero = g.form.b_raw, g.field._is_zero
     for x in g.form.isotropic_points():
         if is_zero(b(g._l_raw, x)) and not is_zero(b(g._p_raw, x)):
-            return ProjPoint.from_canonical(linalg.vector(g.field, x))
+            return ProjPoint.from_canonical(g.field, x)
     return None
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conformal import verify
+from conformal import geometry, verify
 from conformal.classify import (canonical_form, enumerate_classes,
                                 representative_geometry, second_model)
 from conformal.fields import (ApproxReal, CharTwo, PrimeField, Rational,
@@ -171,6 +171,20 @@ def test_builds_on_raw_values_make_no_scalars():
     assert _scalars_built(lambda: list(verify._all_forms(F2, 3))) == 0
     assert _scalars_built(lambda: list(verify._sampled_forms(
         F4, 4, 20, random.Random(0)))) == 0
+    # the point path: a ProjPoint keeps raw values, so the cold quadric,
+    # P^perp, the antipodal classes, the roles and one cycle's points
+    # of a representative built beforehand wrap nothing
+    for field, d in ((PrimeField(5), 2), (PrimeField(7), 3), (F4, 3)):
+        g = representative_geometry(enumerate_classes(field, d)[0])
+
+        def walk():
+            quadric = geometry.lie_quadric_points(g)
+            geometry._points_in_p_perp(g)
+            geometry.cayley_klein_points(g)
+            for pt in quadric:
+                geometry.role(g, pt)
+            geometry.points_of(g, quadric[len(quadric) // 2])
+        assert _scalars_built(walk) == 0, (field, d)
 
 
 def test_traced_quadform_methods_exist():

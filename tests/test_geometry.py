@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from conformal import linalg
-from conformal.fields import CharTwo, PrimeField, Rational, SquareClass
+from conformal.fields import (ApproxReal, CharTwo, FieldMismatchError,
+                              PrimeField, Rational, SquareClass)
 from conformal.geometry import (EnumerationUnsupportedError, Geometry,
                                 IdealDenominatorError, InvalidGeometryError,
                                 NoCanonicalProjectionError, NotAHypercycleError,
@@ -22,9 +24,11 @@ from conformal.geometry import (EnumerationUnsupportedError, Geometry,
 from conformal.fields import Scalar
 from conformal.quadform import InvalidInputError, QuadraticForm
 from conformal.classify import enumerate_classes, representative_geometry
+from conformal.metric import (DegenerateLineError, find_nonideal_line,
+                              motion_from_normal_form, stabilizer_group)
 from reference import ref_independent, ref_rank, ref_vec_scale
 
-QQ = Rational()
+QQ, AR, F4 = Rational(), ApproxReal(), CharTwo(4)
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
 
 STD = [1, 1, 1, -1, -1]
@@ -45,13 +49,102 @@ def test_new_geometry_validation():
     assert g3.form.b_full(g3.p_rep, g3.l_rep).is_zero()
 
 
+# (field, coordinates, a nonzero multiple of them, canonical raw
+# values, repr): a ProjPoint keeps its field and raw values and wraps
+# Scalars only when ``coords`` is read
+PROJPOINT_CASES = [
+    (F5, [0, 2, 4], [0, 3, 1], (0, 1, 2), "(0 : 1 : 2)"),
+    (F4, [0, 3, 1], [0, 2, 3], (0, 1, 2), "(0 : 1 : t)"),  # (0 : t+1 : 1)
+    (QQ, [0, 2, Fraction(4, 3)], [0, -3, -2], (0, 1, Fraction(2, 3)),
+     "(0 : 1 : 2/3)"),
+    (AR, [0.0, 2.0, 4.0], [0.0, -1.0, -2.0 + 1e-12], (0.0, 1.0, 2.0),
+     "(0.0 : 1.0 : 2.0)"),
+]
+
+
 def test_projpoint_normalization():
-    p = ProjPoint(linalg.vector(F5, [0, 2, 4]))
-    assert [x.value for x in p.coords] == [0, 1, 2]
-    assert ProjPoint(p.coords) == p  # idempotent
-    assert p == ProjPoint(linalg.vector(F5, [0, 3, 1]))
+    for field, values, multiple, raw, text in PROJPOINT_CASES:
+        p = ProjPoint(linalg.vector(field, values))
+        assert p.field is field and p.raw == raw
+        assert [x.value for x in p.coords] == list(raw)
+        assert all(type(x) is Scalar and x.field is field for x in p.coords)
+        assert ProjPoint(p.coords) == p  # idempotent
+        assert p == ProjPoint(linalg.vector(field, multiple))
+        assert p.sort_key() == raw and repr(p) == text
+        assert p != ProjPoint(linalg.vector(field, [1, 0, 0]))
+        assert p != ProjPoint(linalg.vector(field, [0, 1, 2, 0]))
+        assert p != raw and p != p.coords
+        other = F7 if field is not F7 else F3
+        assert p != ProjPoint(linalg.vector(other, [0, 1, 2]))
+        if field.is_exact:
+            assert hash(p) == hash(raw)
+            assert len({p, ProjPoint(linalg.vector(field, multiple))}) == 1
+        else:
+            # equality within the tolerance, and no hash
+            assert p == ProjPoint(linalg.vector(field, [0.0, 1.0, 2.0 + 1e-12]))
+            assert p != ProjPoint(linalg.vector(field, [0.0, 1.0, 2.001]))
+            with pytest.raises(TypeError):
+                hash(p)
+        with pytest.raises(ValueError):
+            ProjPoint(linalg.vector(field, [0, 0, 0]))
     with pytest.raises(ValueError):
-        ProjPoint(linalg.vector(F5, [0, 0, 0]))
+        ProjPoint(())
+    with pytest.raises(FieldMismatchError):
+        ProjPoint((F5.one(), F7.one()))
+    # a point is read in one step by the geometry of its field; another
+    # field's point, or one of the wrong length, is refused
+    g = representative_geometry(enumerate_classes(F5, 2)[0])
+    c = lie_quadric_points(g)[3]
+    for f in (role, lambda g, c: points_of(g, c)):
+        with pytest.raises(FieldMismatchError):
+            f(g, ProjPoint(linalg.vector(F7, [a.value for a in c.coords])))
+        with pytest.raises(InvalidInputError, match="5 coordinates, not 4"):
+            f(g, ProjPoint(c.coords[:4]))
+    with pytest.raises(FieldMismatchError):
+        pointspace_points_of(pointspace(g), ProjPoint(
+            linalg.vector(F7, [a.value for a in c.coords])))
+
+
+@pytest.mark.parametrize("field,d", [(F5, 2), (F7, 2), (F4, 3), (QQ, 2)],
+                         ids=lambda x: getattr(x, "token", lambda: str(x))())
+def test_public_attributes_wrap_the_raw_values(field, d):
+    """``coords``, ``p_rep``/``l_rep``, ``basis``/``l_coords`` and
+    ``normal_form`` are Scalar views of the raw values each object
+    keeps, and feeding a view back in rebuilds the same object."""
+    def wraps(view, raw):
+        return (all(type(x) is Scalar and x.field == field for x in view)
+                and tuple(x.value for x in view) == tuple(raw))
+    for cls in enumerate_classes(field, d):
+        g = representative_geometry(cls)
+        assert wraps(g.p_rep, g._p_raw) and wraps(g.l_rep, g._l_raw)
+        h = Geometry(g.form, g.p_rep, g.l_rep)
+        assert (h._p_raw, h._l_raw) == (g._p_raw, g._l_raw)
+        dual = g.dual()
+        assert (dual._p_raw, dual._l_raw) == (g._l_raw, g._p_raw)
+        assert g.qp() == g.form(g.p_rep) and g.ql() == g.form(g.l_rep)
+        ps = pointspace(g)
+        assert all(wraps(b, col) for b, col in zip(ps.basis, zip(*ps._cols)))
+        assert wraps(ps.l_coords, ps._l_raw)
+        assert ps.to_ambient(ps.l_coords) == g.l_rep
+        assert ps.from_ambient(g.l_rep) == ps.l_coords
+        if not field.is_finite:
+            continue
+        for pt in lie_quadric_points(g):
+            assert wraps(pt.coords, pt.raw) and ProjPoint(pt.coords) == pt
+    if field.char == 2 or not field.is_finite:
+        return
+    for cls in enumerate_classes(field, d):
+        g = representative_geometry(cls)
+        try:
+            line = find_nonideal_line(g)
+        except DegenerateLineError:
+            continue
+        for el in stabilizer_group(g, line):
+            assert wraps(el.normal_form, el._nf_raw)
+            again = motion_from_normal_form(el.chart, el.normal_form)
+            assert again._nf_raw == el._nf_raw
+            assert again.matrix == el.matrix
+            assert repr(again) == repr(el)
 
 
 def test_roles_in_elliptic_model():
@@ -217,6 +310,17 @@ def test_pointspace_points_of_rejects_a_cycle_of_the_wrong_length():
     for coords in ((1, 0), (1, 0, 0, 0, 0, 0, 0)):
         with pytest.raises(InvalidInputError):
             pointspace_points_of(ps, coords)
+
+
+def test_pointspace_points_of_rejects_the_zero_vector():
+    """The zero vector paired to zero with every point and returned them
+    all; it is refused as on the ambient path."""
+    for cls in enumerate_classes(F5, 2):
+        ps = pointspace(representative_geometry(cls))
+        with pytest.raises(InvalidInputError, match="zero vector"):
+            pointspace_points_of(ps, (0,) * ps.form.dim)
+        with pytest.raises(InvalidInputError, match="zero vector"):
+            pointspace_points_of(ps, [F5.zero()] * ps.form.dim)
 
 
 def test_to_ambient_rejects_coordinates_of_the_wrong_length():
