@@ -19,7 +19,7 @@ from typing import Optional
 
 from .fields import (CharTwo, Field, PrimeField, Rational, Scalar,
                      SquareClass, UnsupportedFieldError, canonical_nonresidue,
-                     sqrt_if_square, square_class)
+                     square_class)
 from . import linalg
 from .quadform import (QuadraticForm, _Extender, _diagonal_raw,
                        _off_radical, _radical, arf_invariant, char2_arf_rep,
@@ -257,8 +257,8 @@ def representative_geometry(cls: GeometryClass) -> Geometry:
             "no concrete representatives over a symbolic field")
     field = cls.field
     form = canonical_form(field, cls.geom_dim, cls.form_invariant)
-    q = form.eval_raw
-    sq = lambda v: square_class(Scalar(q(v), field))
+    q, cls_of = form.eval_raw, field._square_class
+    sq = lambda v: cls_of(q(v))
     p_rep = next((v for v in _candidates(field, form.dim)
                   if sq(v) is cls.qp), None)
     assert p_rep is not None, "no representative for Q(P)"
@@ -287,11 +287,9 @@ def representative_geometry(cls: GeometryClass) -> Geometry:
 # ---------------------------------------------------------------------------
 
 def _scaling_options(field: Field):
-    if isinstance(field, Rational):
-        return (field.one(), field.scalar(-1))
-    if isinstance(field, PrimeField):
-        return (field.one(), canonical_nonresidue(field))
-    raise UnsupportedFieldError("cycle equivalence needs char != 2")
+    if not isinstance(field, (Rational, PrimeField)):
+        raise UnsupportedFieldError("cycle equivalence needs char != 2")
+    return (field.one(), canonical_nonresidue(field))
 
 
 def _pointspace_token(g: Geometry, lam: Scalar):
@@ -310,22 +308,22 @@ def _pointspace_token(g: Geometry, lam: Scalar):
         core = _off_radical(q_p, rad) if rad else q_p
         l_in_rad = bool(rad) and all(
             field._is_zero(form.b_raw(g._l_raw, b)) for b in basis)
-        ql = Scalar(form.eval_raw(g._l_raw), field)
+        ql = form.eval_raw(g._l_raw)
         for mu in _scaling_options(field):
             scaled = core.scaled(mu)
             if isinstance(field, Rational):
                 inv = ("sig",) + signature(scaled)
             else:
                 inv = ("det", scaled.dim, det_class(scaled).name)
-            g._tokens[mu.value] = (len(rad), inv, square_class(mu * ql).name,
-                                   l_in_rad)
+            cls = field._square_class(field._mul(mu.value, ql))
+            g._tokens[mu.value] = (len(rad), inv, cls.name, l_in_rad)
     return g._tokens[lam.value]
 
 
 def cycle_equivalent(g1: Geometry, g2: Geometry) -> bool:
     """Are the pointspace tuples (P^perp, Q^P, L) isomorphic up to the
     overall scalar a geometry is defined modulo?"""
-    if g1.field != g2.field:
+    if g1.field is not g2.field:
         raise InvalidInputError("cycle equivalence needs one field")
     if g1.form.dim != g2.form.dim:
         raise InvalidInputError("cycle equivalence needs equal dimensions")
@@ -388,14 +386,13 @@ def _canonical_diag_basis(form: QuadraticForm):
     """Orthogonal basis (raw tuples) with Q values [1,...,1,delta],
     delta in {1,e}; odd finite fields, non-degenerate forms."""
     field = form.field
-    mul = field._mul
-    e = canonical_nonresidue(field)
+    mul, one = field._mul, field.raw_one
+    e = field._nonresidue()
     basis = []
     entries = []
     for a, b in zip(*_diagonal_raw(form)):
-        a = Scalar(a, field)
-        target = field.one() if square_class(a) is SquareClass.UNIT else e
-        inv = field._inv(sqrt_if_square(a / target).value)
+        target = one if field._square_class(a) is SquareClass.UNIT else e
+        inv = field._inv(field._sqrt(field._div(a, target)))
         basis.append(tuple([mul(inv, x) for x in b]))
         entries.append(target)
     # convert non-residue pairs [e,e] into [1,1]
@@ -406,19 +403,19 @@ def _canonical_diag_basis(form: QuadraticForm):
         cols = tuple(zip(*pair))
         sub = form.restrict_raw(pair)
         w_co = next((co for co in linalg.all_vectors(field, 2)
-                     if sub.eval_raw(co) == field.raw_one), None)
+                     if sub.eval_raw(co) == one), None)
         assert w_co is not None  # every value is a sum of two squares
         kern = sub.perp_raw([w_co])
         assert len(kern) == 1
         w2 = linalg.mat_vec_raw(cols, kern[0], field)
-        s = sqrt_if_square(Scalar(form.eval_raw(w2), field))
+        s = field._sqrt(form.eval_raw(w2))
         assert s is not None  # Q(w2) ~ det [e,e] ~ 1
-        inv = field._inv(s.value)
+        inv = field._inv(s)
         basis[i] = linalg.mat_vec_raw(cols, w_co, field)
         basis[j] = tuple([mul(inv, x) for x in w2])
-        entries[i] = entries[j] = field.one()
+        entries[i] = entries[j] = one
     order = sorted(range(len(entries)),
-                   key=lambda k: 0 if entries[k] == field.one() else 1)
+                   key=lambda k: 0 if entries[k] == one else 1)
     return [basis[k] for k in order], [entries[k] for k in order]
 
 
@@ -445,7 +442,7 @@ def pointspace_isometry(g1: Geometry, g2: Geometry):
     an odd finite field: a scalar lam and a matrix h with
     Q2^P(h v) = lam Q1^P(v) and h(L1) parallel to L2; None if there is
     no such pair."""
-    if not (isinstance(g1.field, PrimeField) and g1.field == g2.field):
+    if not (isinstance(g1.field, PrimeField) and g1.field is g2.field):
         raise UnsupportedFieldError(
             "the certificate search runs over odd finite fields")
     if g1.qp().is_zero() or g2.qp().is_zero():
@@ -454,20 +451,19 @@ def pointspace_isometry(g1: Geometry, g2: Geometry):
     ps1, ps2 = pointspace(g1), pointspace(g2)
     field = g1.field
     l1_raw, l2_raw = ps1._l_raw, ps2._l_raw
-    ql2 = Scalar(ps2.form.eval_raw(l2_raw), field)
+    ql2, cls_of = ps2.form.eval_raw(l2_raw), field._square_class
     for lam in _scaling_options(field):
         f1 = ps1.form.scaled(lam)
         if not isometric(f1, ps2.form):
             continue
-        if square_class(Scalar(f1.eval_raw(l1_raw), field)) \
-                is not square_class(ql2):
+        if cls_of(f1.eval_raw(l1_raw)) is not cls_of(ql2):
             continue
         t = _isometry_raw(f1, ps2.form)
         h0 = linalg.mat_vec_raw(t, l1_raw, field)
-        if not ql2.is_zero():
-            s = sqrt_if_square(ql2 / Scalar(ps2.form.eval_raw(h0), field))
+        if not field._is_zero(ql2):
+            s = field._sqrt(field._div(ql2, ps2.form.eval_raw(h0)))
             assert s is not None
-            h0 = tuple([field._mul(s.value, x) for x in h0])
+            h0 = tuple([field._mul(s, x) for x in h0])
         adjust = _Extender(ps2.form).extend([h0], [l2_raw])
         h = linalg.mat_mul_raw(adjust, t, field)
         image = linalg.mat_vec_raw(h, l1_raw, field)

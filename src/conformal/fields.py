@@ -10,6 +10,13 @@ Four coefficient domains are supported:
 * ``ApproxReal(eps)`` -- double precision with an absolute tolerance,
   used only by the floating-point model constructors.
 
+There is one object per field: each class returns the same instance for
+the same parameter, so two fields are equal exactly when they are the
+same object.  A field answers its own questions on raw values: the
+arithmetic hooks, and ``_square_class``, ``_sqrt`` and ``_nonresidue``,
+which the public ``square_class``, ``sqrt_if_square`` and
+``canonical_nonresidue`` wrap.
+
 A :class:`Scalar` is a canonical value tagged with its field; mixing
 fields in arithmetic raises :class:`FieldMismatchError`.
 """
@@ -17,6 +24,7 @@ fields in arithmetic raises :class:`FieldMismatchError`.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -74,7 +82,7 @@ class Scalar:
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.field is not self.field and other.field != self.field:
+            if other.field is not self.field:
                 raise FieldMismatchError(
                     f"mixed fields: {self.field} and {other.field}")
             return other
@@ -142,14 +150,13 @@ class Scalar:
             other = self.field.scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        if other.field is not self.field and other.field != self.field:
-            return False
-        return self.field._eq(self.value, other.value)
+        return (other.field is self.field
+                and self.field._eq(self.value, other.value))
 
     def __hash__(self):
         if not self.field.is_exact:
             raise TypeError("approximate scalars are not hashable")
-        return hash((self.field.token(), self.value))
+        return hash((self.field, self.value))
 
     def __bool__(self):
         return not self.is_zero()
@@ -167,8 +174,25 @@ class Scalar:
         return self.field.format_value(self.value)
 
 
+_FIELDS: dict = {}  # (class, parameter) -> the one field object
+
+
+def _interned(cls, param, **attrs) -> "Field":
+    """The one instance of the field class cls for the (validated)
+    parameter, built with attrs on first request."""
+    field = _FIELDS.get((cls, param))
+    if field is None:
+        field = object.__new__(cls)
+        field.__dict__.update(attrs, _param=param)
+        field = _FIELDS.setdefault((cls, param), field)
+    return field
+
+
 class Field:
-    """Abstract field; concrete subclasses provide raw-value arithmetic."""
+    """Abstract field; concrete subclasses provide raw-value arithmetic.
+
+    Fields are interned (see the module docstring), so the default
+    identity equality and hash are the field equality."""
 
     char: int = 0
     is_exact: bool = True
@@ -237,37 +261,44 @@ class Field:
     def _is_zero(self, a) -> bool:
         return a == 0
 
-    # derived ----------------------------------------------------------
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Field)
-                                 and self.token() == other.token())
+    # raw-value square classes and roots ------------------------------
+    def _square_class(self, a) -> SquareClass:
+        """The class of the raw value a in K^x/(K^x)^2 together with 0."""
+        raise UnsupportedFieldError(f"square classes over {self}")
 
-    def __hash__(self):
-        return hash(self.token())
+    def _sqrt(self, a):
+        """A canonical raw root r of the raw value a (r*r == a), or None."""
+        raise UnsupportedFieldError(f"square roots over {self}")
+
+    def _nonresidue(self):
+        """The raw value of the canonical non-square."""
+        raise UnsupportedFieldError(f"no canonical non-residue over {self}")
+
+    def __reduce__(self):  # a copy or an unpickled field is the one object
+        return type(self), () if self._param is None else (self._param,)
 
     def __repr__(self):
         return self.token()
 
 
-class Rational(Field):
-    """The rationals, used as an exact stand-in for the reals."""
+class _Real(Field):
+    """A stand-in for the reals: raw values are Python numbers of the
+    type ``_number`` under the operators, and the square classes are
+    signs (the public ``square_class`` and ``sqrt_if_square`` refuse
+    the inexact one)."""
 
     char = 0
-    raw_zero = Fraction(0)
-    raw_one = Fraction(1)
+    _number: type
 
     def scalar(self, x) -> Scalar:
         if isinstance(x, Scalar):
-            if x.field != self:
+            if x.field is not self:
                 raise FieldMismatchError(f"cannot coerce {x.field} into {self}")
             return x
-        return Scalar(Fraction(x), self)
-
-    def token(self) -> str:
-        return "rational"
+        return Scalar(self._number(x), self)
 
     def parse(self, text: str) -> Scalar:
-        return Scalar(Fraction(text), self)
+        return Scalar(self._number(text), self)
 
     def _add(self, a, b):
         return a + b
@@ -284,21 +315,52 @@ class Rational(Field):
     def _inv(self, a):
         return 1 / a
 
+    def _square_class(self, a) -> SquareClass:
+        if self._is_zero(a):
+            return SquareClass.ZERO
+        return SquareClass.UNIT if a > 0 else SquareClass.NON_RESIDUE
+
+    def _nonresidue(self):
+        return self._neg(self.raw_one)
+
+
+class Rational(_Real):
+    """The rationals, used as an exact stand-in for the reals."""
+
+    _number = Fraction
+    raw_zero = Fraction(0)
+    raw_one = Fraction(1)
+
+    def __new__(cls):
+        return _interned(cls, None)
+
+    def token(self) -> str:
+        return "rational"
+
+    def _sqrt(self, a):
+        """The positive root when it is exactly rational."""
+        if a < 0:
+            return None
+        num, den = math.isqrt(a.numerator), math.isqrt(a.denominator)
+        if num * num == a.numerator and den * den == a.denominator:
+            return Fraction(num, den)
+        return None
+
 
 class PrimeField(Field):
     """Z/pZ for an odd prime p; residues canonically in [0, p)."""
 
     is_finite = True
 
-    def __init__(self, p: int):
+    def __new__(cls, p: int):
+        p = operator.index(p)
         if p < 3 or p % 2 == 0 or not _is_prime(p):
             raise UnsupportedFieldError(f"p={p} is not an odd prime")
-        self.p = p
-        self.char = p
+        return _interned(cls, p, p=p, char=p)
 
     def scalar(self, x) -> Scalar:
         if isinstance(x, Scalar):
-            if x.field != self:
+            if x.field is not self:
                 raise FieldMismatchError(f"cannot coerce {x.field} into {self}")
             return x
         if not isinstance(x, int):
@@ -332,6 +394,24 @@ class PrimeField(Field):
             raise ZeroDivisionError("division by field zero")
         return pow(a, self.p - 2, self.p)
 
+    def _square_class(self, a) -> SquareClass:
+        """Euler's criterion."""
+        if a == 0:
+            return SquareClass.ZERO
+        p = self.p
+        return (SquareClass.UNIT if pow(a, (p - 1) // 2, p) == 1
+                else SquareClass.NON_RESIDUE)
+
+    def _sqrt(self, a):
+        """The smaller of the two roots."""
+        p = self.p
+        return next((r for r in range(p // 2 + 1) if r * r % p == a), None)
+
+    def _nonresidue(self):
+        """The smallest positive non-residue."""
+        return next(v for v in range(2, self.p)
+                    if self._square_class(v) is SquareClass.NON_RESIDUE)
+
 
 # F_4 multiplication: values encode a*t + b as 2a + b, t^2 = t + 1.
 _GF4_MUL = [[0, 0, 0, 0],
@@ -349,14 +429,15 @@ class CharTwo(Field):
     char = 2
     is_finite = True
 
-    def __init__(self, q: int):
+    def __new__(cls, q: int):
+        q = operator.index(q)
         if q not in (2, 4):
             raise UnsupportedFieldError(f"characteristic-2 field of size {q}")
-        self.q = q
+        return _interned(cls, q, q=q)
 
     def scalar(self, x) -> Scalar:
         if isinstance(x, Scalar):
-            if x.field != self:
+            if x.field is not self:
                 raise FieldMismatchError(f"cannot coerce {x.field} into {self}")
             return x
         if not isinstance(x, int):
@@ -403,55 +484,50 @@ class CharTwo(Field):
             raise ZeroDivisionError("division by field zero")
         return a if self.q == 2 else _GF4_INV[a]
 
+    # squaring is onto in a perfect field of characteristic 2
+    def _square_class(self, a) -> SquareClass:
+        return SquareClass.UNIT if a else SquareClass.ZERO
 
-class ApproxReal(Field):
+    def _sqrt(self, a):
+        """The unique root: the Frobenius x -> x^2 is inverted by
+        x -> x^(q/2), and over F_4 (x^2)^2 = x^4 = x."""
+        return a if self.q == 2 else self._mul(a, a)
+
+    def _nonresidue(self):
+        raise UnsupportedFieldError(
+            "every element of a perfect characteristic-2 field is a square")
+
+
+class ApproxReal(_Real):
     """Double precision with a single absolute comparison tolerance.
 
     Accepted only by the floating-point model constructors; the exact
     algorithms reject it.
     """
 
-    char = 0
     is_exact = False
+    _number = float
     raw_zero = 0.0
     raw_one = 1.0
 
-    def __init__(self, eps: float = 1e-9):
-        self.eps = eps
-
-    def scalar(self, x) -> Scalar:
-        if isinstance(x, Scalar):
-            if x.field != self:
-                raise FieldMismatchError(f"cannot coerce {x.field} into {self}")
-            return x
-        return Scalar(float(x), self)
+    def __new__(cls, eps: float = 1e-9):
+        eps = float(eps)
+        return _interned(cls, eps, eps=eps)
 
     def token(self) -> str:
         return "approx"
-
-    def parse(self, text: str) -> Scalar:
-        return Scalar(float(text), self)
-
-    def _add(self, a, b):
-        return a + b
-
-    def _sub(self, a, b):
-        return a - b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
-
-    def _inv(self, a):
-        return 1.0 / a
 
     def _eq(self, a, b):
         return abs(a - b) < self.eps
 
     def _is_zero(self, a):
         return abs(a) < self.eps
+
+    def _sqrt(self, a):
+        """The float root; a negative within the tolerance is zero."""
+        if a < 0 and not self._is_zero(a):
+            return None
+        return math.sqrt(max(a, 0.0))
 
 
 def square_class(x: Scalar) -> SquareClass:
@@ -461,21 +537,9 @@ def square_class(x: Scalar) -> SquareClass:
     field of characteristic 2 squaring is onto, so every nonzero element
     is UNIT.
     """
-    field = x.field
-    if not field.is_exact:
+    if not x.field.is_exact:
         raise UnsupportedFieldError("square classes need an exact field")
-    if x.is_zero():
-        return SquareClass.ZERO
-    if isinstance(field, Rational):
-        return SquareClass.UNIT if x.value > 0 else SquareClass.NON_RESIDUE
-    if isinstance(field, CharTwo):
-        return SquareClass.UNIT
-    if isinstance(field, PrimeField):
-        p = field.p
-        return (SquareClass.UNIT
-                if pow(x.value, (p - 1) // 2, p) == 1
-                else SquareClass.NON_RESIDUE)
-    raise UnsupportedFieldError(f"square classes over {field}")
+    return x.field._square_class(x.value)
 
 
 def canonical_nonresidue(field: Field) -> Scalar:
@@ -483,17 +547,7 @@ def canonical_nonresidue(field: Field) -> Scalar:
     where it plays the same role in chart normalisation), the smallest
     positive non-residue over F_p.  Unsupported in characteristic 2,
     where every element is a square."""
-    if isinstance(field, (Rational, ApproxReal)):
-        return field.scalar(-1)
-    if isinstance(field, CharTwo):
-        raise UnsupportedFieldError(
-            "every element of a perfect characteristic-2 field is a square")
-    if isinstance(field, PrimeField):
-        for v in range(2, field.p):
-            s = field.scalar(v)
-            if square_class(s) is SquareClass.NON_RESIDUE:
-                return s
-    raise UnsupportedFieldError(f"no canonical non-residue over {field}")
+    return Scalar(field._nonresidue(), field)
 
 
 def sqrt_if_square(x: Scalar) -> Optional[Scalar]:
@@ -506,29 +560,8 @@ def sqrt_if_square(x: Scalar) -> Optional[Scalar]:
     field = x.field
     if not field.is_exact:
         raise UnsupportedFieldError("exact square roots need an exact field")
-    if x.is_zero():
-        return field.zero()
-    if isinstance(field, Rational):
-        frac: Fraction = x.value
-        if frac < 0:
-            return None
-        num = math.isqrt(frac.numerator)
-        den = math.isqrt(frac.denominator)
-        if num * num == frac.numerator and den * den == frac.denominator:
-            return field.scalar(Fraction(num, den))
-        return None
-    if isinstance(field, CharTwo):
-        # Squaring is the Frobenius bijection: x -> x^(q/2) inverts it.
-        if field.q == 2:
-            return x
-        return x * x  # over F_4, (x^2)^2 = x^4 = x
-    if isinstance(field, PrimeField):
-        p = field.p
-        for r in range(0, p // 2 + 1):
-            if (r * r) % p == x.value:
-                return field.scalar(r)
-        return None
-    raise UnsupportedFieldError(f"square roots over {field}")
+    r = field._sqrt(x.value)
+    return None if r is None else Scalar(r, field)
 
 
 def field_from_token(token: str, eps: float = 1e-9) -> Field:

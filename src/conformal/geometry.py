@@ -85,8 +85,7 @@ class ProjPoint:
 
     def __eq__(self, other):
         field = self.field
-        return (isinstance(other, ProjPoint)
-                and (other.field is field or other.field == field)
+        return (isinstance(other, ProjPoint) and other.field is field
                 and len(other.raw) == len(self.raw)
                 and all(map(field._eq, self.raw, other.raw)))
 
@@ -192,7 +191,7 @@ class Geometry:
 def _point_raw(field: Field, pt: ProjPoint) -> tuple:
     """The raw values of a ``ProjPoint``; a point of another field
     raises FieldMismatchError."""
-    if pt.field is not field and pt.field != field:
+    if pt.field is not field:
         raise FieldMismatchError(f"cannot coerce {pt.field} into {field}")
     return pt.raw
 

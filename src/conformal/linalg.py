@@ -40,10 +40,8 @@ def raw_values(field: Field, v: Vector) -> list:
     and a Scalar of another field raises FieldMismatchError."""
     out = []
     for x in v:
-        if type(x) is Scalar and x.field is field:
-            out.append(x.value)
-        elif isinstance(x, Scalar):
-            if x.field is not field and x.field != field:
+        if isinstance(x, Scalar):
+            if x.field is not field:
                 raise FieldMismatchError(
                     f"mixed fields: {field} and {x.field}")
             out.append(x.value)
@@ -336,13 +334,11 @@ def projective_points(field: Field, n: int) -> Iterator[tuple]:
             yield prefix + tail
 
 
-@functools.lru_cache(maxsize=None)
-def _lane_tables(kind: type, order: int) -> tuple:
-    """The byte tables of ``zero_flags`` over the finite field
-    ``kind(order)``, built once per field (keyed by type and order, so
-    a call formats no field token): for each raw r the table v -> r*v,
-    and the table v -> [v is zero] of a lane's sum."""
-    field = kind(order)
+@functools.cache
+def _lane_tables(field: Field) -> tuple:
+    """The byte tables of ``zero_flags`` over the finite field, built
+    once per field: for each raw r the table v -> r*v, and the table
+    v -> [v is zero] of a lane's sum."""
     elems, mul = field.raw_elements, field._mul
     times = tuple(bytes([mul(r, v) for v in elems] + [0] * (256 - len(elems)))
                   for r in elems)
@@ -368,7 +364,7 @@ def zero_flags(field: Field, cols: Sequence[bytes], row: Sequence) -> bytes:
             or (field.char != 2 and len(cols) * (field.p - 1) > 255):
         raise EnumerationUnsupportedError(
             f"no byte lanes for {len(cols)} coordinates over {field}")
-    times, is_zero = _lane_tables(type(field), field.order)
+    times, is_zero = _lane_tables(field)
     add = operator.xor if field.char == 2 else operator.add
     total = 0
     for col, r in zip(cols, row):

@@ -11,18 +11,14 @@ class of Q(L).
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from functools import cached_property
-from typing import Optional
 
-from .fields import (ConformalError, Scalar, SquareClass,
-                     UnsupportedFieldError, canonical_nonresidue,
-                     sqrt_if_square, square_class)
+from .fields import ConformalError, Scalar, SquareClass, UnsupportedFieldError
 from . import linalg
 from .geometry import (Geometry, ProjPoint, Subspace, _raw_cycle,
                        non_degenerate_geometry, perp_space)
-from .quadform import det_class, diagonalize
+from .quadform import _det_raw
 
 
 class DegenerateLineError(ConformalError):
@@ -62,23 +58,6 @@ class LineGroupClass(Enum):
         return q - 1
 
 
-def _sign_class(x: Scalar) -> SquareClass:
-    """Square class with a sign fallback for ApproxReal."""
-    if x.field.is_exact:
-        return square_class(x)
-    if x.is_zero():
-        return SquareClass.ZERO
-    return SquareClass.UNIT if x.value > 0 else SquareClass.NON_RESIDUE
-
-
-def _sqrt_any(x: Scalar) -> Optional[Scalar]:
-    if x.field.is_exact:
-        return sqrt_if_square(x)
-    if x.value < 0 and not x.is_zero():
-        return None
-    return x.field.scalar(math.sqrt(max(x.value, 0.0)))
-
-
 def gamma_class(g: Geometry) -> LineGroupClass:
     """Translation-group class of a 2-dimensional geometry.
 
@@ -86,7 +65,8 @@ def gamma_class(g: Geometry) -> LineGroupClass:
     determinant class (so the answer is invariant under rescaling Q):
     zero gives the additive group, det*Q(L) square gives the split
     torus, otherwise the non-split torus.  Rotations are the same
-    computation on the dual geometry.
+    computation on the dual geometry.  The field answers the classes,
+    signs over ApproxReal.
     """
     if g.n != 2:
         raise UnsupportedFieldError("translation groups are classified for n=2")
@@ -94,17 +74,10 @@ def gamma_class(g: Geometry) -> LineGroupClass:
         raise UnsupportedFieldError("translation groups need char != 2")
     if g.field.is_exact and not non_degenerate_geometry(g):
         raise DegenerateLineError("the geometry must be non-degenerate")
-    ql = g.ql()
-    cls = _sign_class(ql)
-    if cls is SquareClass.ZERO:
+    field, ql = g.field, g.form.eval_raw(g._l_raw)
+    if field._square_class(ql) is SquareClass.ZERO:
         return LineGroupClass.ADDITIVE
-    if g.field.is_exact:
-        combined = det_class(g.form) * cls
-    else:
-        prod = g.field.one()
-        for a in diagonalize(g.form).entries:
-            prod = prod * a
-        combined = _sign_class(prod * ql)
+    combined = field._square_class(field._mul(_det_raw(g.form), ql))
     return (LineGroupClass.SPLIT_TORUS if combined is SquareClass.UNIT
             else LineGroupClass.NON_SPLIT_TORUS)
 
@@ -131,7 +104,7 @@ def line_space(g: Geometry, l) -> Subspace:
 
 
 def _geometry_key(g: Geometry) -> tuple:
-    return (g.field.token(), g.form._terms, g._p_raw, g._l_raw)
+    return (g.field, g.form._terms, g._p_raw, g._l_raw)
 
 
 class Chart:
@@ -147,7 +120,8 @@ class Chart:
     line coordinates: the raw basis as columns) and its inverse
     ``_from_line`` are raw rows, and ``_coords`` maps an ambient vector
     to its line coordinates (None off the line space) as
-    ``space.from_ambient`` does.
+    ``space.from_ambient`` does.  ``basis`` wraps the raw basis on each
+    read.
     """
 
     def __init__(self, kind: LineGroupClass, space: Subspace, basis,
@@ -156,7 +130,6 @@ class Chart:
         self.kind = kind
         self.space = space
         field = space.form.field
-        self.basis = linalg.wrap_rows(field, basis)
         self._to_line = tuple(zip(*basis))
         self._from_line = linalg.inverse_raw(self._to_line, field)
         assert self._from_line is not None
@@ -168,6 +141,10 @@ class Chart:
             self._two_qu = mul(field.scalar(2).value, qu)
             self._inv_two_qu = field._inv(self._two_qu)
             self._inv_four_qu = field._inv(mul(field.scalar(4).value, qu))
+
+    @property
+    def basis(self) -> tuple:
+        return linalg.wrap_rows(self.space.form.field, zip(*self._to_line))
 
     def metric_key(self):
         return ((self.kind.value,) + _geometry_key(self.space.geometry)
@@ -182,9 +159,9 @@ class Chart:
 def build_chart(space: Subspace) -> Chart:
     """Classify the line and construct its canonical chart.
 
-    Runs on raw values in the operation order of Scalar arithmetic; a
-    value is wrapped only for ``_sign_class``, ``_sqrt_any`` and
-    ``canonical_nonresidue``."""
+    Runs on raw values in the operation order of Scalar arithmetic; the
+    field answers square classes and roots (signs and float roots over
+    ApproxReal)."""
     form = space.form
     field = form.field
     add, sub, mul, neg, div = (field._add, field._sub, field._mul,
@@ -198,17 +175,16 @@ def build_chart(space: Subspace) -> Chart:
     bb = form.b_raw(c1, c2)
     c = form.eval_raw(c2)
     two = field.scalar(2).value
-    disc = Scalar(sub(mul(bb, bb), mul(mul(field.scalar(4).value, a), c)),
-                  field)
-    if _sign_class(disc) is SquareClass.UNIT:
-        root = _sqrt_any(disc)
+    disc = sub(mul(bb, bb), mul(mul(field.scalar(4).value, a), c))
+    if field._square_class(disc) is SquareClass.UNIT:
+        root = field._sqrt(disc)
         if root is None:
             raise ExactChartUnavailableError(
                 "split chart needs an exact square root of the discriminant")
         if not is_zero(a):
             two_a = mul(two, a)
-            t1 = div(add(neg(bb), root.value), two_a)
-            t2 = div(sub(neg(bb), root.value), two_a)
+            t1 = div(add(neg(bb), root), two_a)
+            t2 = div(sub(neg(bb), root), two_a)
             d1 = tuple([add(mul(t1, x), y) for x, y in zip(c1, c2)])
             d2 = tuple([add(mul(t2, x), y) for x, y in zip(c1, c2)])
         else:
@@ -224,7 +200,7 @@ def build_chart(space: Subspace) -> Chart:
         return Chart(LineGroupClass.SPLIT_TORUS, space, (lc, d1, d2),
                      ("split",))
     # non-split torus: orthogonal pair with Q(b2) = -eps Q(b1)
-    eps = canonical_nonresidue(field).value
+    eps = field._nonresidue()
     if not is_zero(a):
         b1 = c1
         t = div(bb, mul(two, a))
@@ -234,11 +210,11 @@ def build_chart(space: Subspace) -> Chart:
         t = div(bb, mul(two, c))
         b2p = tuple([sub(x, mul(t, y)) for x, y in zip(c1, c2)])
     target = mul(neg(eps), form.eval_raw(b1))
-    s = _sqrt_any(Scalar(div(form.eval_raw(b2p), target), field))
+    s = field._sqrt(div(form.eval_raw(b2p), target))
     if s is None:
         raise ExactChartUnavailableError(
             "non-split chart needs an exact square root for normalization")
-    t = div(one, s.value)
+    t = div(one, s)
     b2 = tuple([mul(t, x) for x in b2p])
     assert field._eq(form.eval_raw(b2), target)
     return Chart(LineGroupClass.NON_SPLIT_TORUS, space, (lc, b1, b2),
@@ -256,11 +232,11 @@ def _build_additive_chart(space: Subspace, lc: tuple) -> Chart:
               if linalg.rank_raw([lc, w], field) == 2)
     qu = form.eval_raw(u0)
     assert not is_zero(qu)
-    canon = one if _sign_class(Scalar(qu, field)) is SquareClass.UNIT \
-        else canonical_nonresidue(field).value
-    s = _sqrt_any(Scalar(div(qu, canon), field))
+    canon = one if field._square_class(qu) is SquareClass.UNIT \
+        else field._nonresidue()
+    s = field._sqrt(div(qu, canon))
     if s is not None:
-        t = div(one, s.value)
+        t = div(one, s)
         u = tuple([mul(t, x) for x in u0])
         norm_token = ("additive", canon)
     else:

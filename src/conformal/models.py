@@ -26,7 +26,6 @@ doubled basis vector.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -109,18 +108,10 @@ def _build(field, kind: ModelKind, n: int):
     raise ModelError(f"unknown model {kind}")
 
 
-@functools.lru_cache(maxsize=16)
-def _approx_real(eps: float) -> ApproxReal:
-    """One field per tolerance: the scalars of a model geometry and of
-    the objects lifted into it share it, so field checks between them
-    pass on identity."""
-    return ApproxReal(eps)
-
-
 def model_geometry(kind: ModelKind, n: int = 2,
                    eps: float = 1e-9) -> Geometry:
     """The floating-point model geometry with its fixed P and L."""
-    field = _approx_real(eps)
+    field = ApproxReal(eps)
     form, p, l = _build(field, kind, n)
     return Geometry(form, p, l)
 
@@ -169,7 +160,7 @@ _POINT_NORMS = {ModelKind.ELLIPTIC: 1.0, ModelKind.HYPERBOLIC: -1.0,
 def lift_point(kind: ModelKind, coords, n: int = 2,
                eps: float = 1e-9) -> ModelObject:
     """Lift model-space coordinates onto the quadric as a pointcycle."""
-    field = _approx_real(eps)
+    field = ApproxReal(eps)
     coords = tuple(float(x) for x in coords)
     if kind in _POINT_NORMS:
         want = _POINT_NORMS[kind]
@@ -196,7 +187,7 @@ def lift_cycle(kind: ModelKind, center, radius, n: int = 2,
                eps: float = 1e-9) -> ModelObject:
     """Lift a cycle of the given center and signed radius (the sign is
     the orientation)."""
-    field = _approx_real(eps)
+    field = ApproxReal(eps)
     r = float(radius)
     if kind is ModelKind.LAGUERRE_GALILEI:
         raise ModelError("Laguerre cycles are parabolas; use lift_parabola")
@@ -239,7 +230,7 @@ def lift_line(kind: ModelKind, normal=None, offset=0.0, orientation=1,
     cannot carry (timelike Minkowski normals, vertical Laguerre lines)
     raise ModelError.
     """
-    field = _approx_real(eps)
+    field = ApproxReal(eps)
     s = 1.0 if orientation >= 0 else -1.0
     if kind is ModelKind.LAGUERRE_GALILEI:
         if slope is None or intercept is None:
@@ -278,7 +269,7 @@ def lift_line(kind: ModelKind, normal=None, offset=0.0, orientation=1,
 
 def lift_parabola(a, b, c, eps: float = 1e-9) -> ModelObject:
     """The Laguerre cycle y = a x^2 + b x + c (vertical-axis parabola)."""
-    field = _approx_real(eps)
+    field = ApproxReal(eps)
     a, b, c = float(a), float(b), float(c)
     lift = (b / 2.0, b * b / 4.0 - a * c, -a, c, 1.0)
     return ModelObject(ModelKind.LAGUERRE_GALILEI, "cycle",
@@ -288,7 +279,7 @@ def lift_parabola(a, b, c, eps: float = 1e-9) -> ModelObject:
 
 def lift_paracycle(u, lam, n: int = 2, eps: float = 1e-9) -> ModelObject:
     """Hyperbolic paracycle (u, lam, lam) centered on the ideal point u."""
-    field = _approx_real(eps)
+    field = ApproxReal(eps)
     u = tuple(float(x) for x in u)
     if abs(_bar_norm(ModelKind.HYPERBOLIC, n, u)) > 1e-7:
         raise ModelError("paracycle centers are ideal: base norm 0")
@@ -301,7 +292,7 @@ def lift_paracycle(u, lam, n: int = 2, eps: float = 1e-9) -> ModelObject:
 def lift_hypercycle(normal, d, n: int = 2, eps: float = 1e-9) -> ModelObject:
     """Hyperbolic hypercycle at signed distance d from the line with the
     given unit normal: (l, sinh d, cosh d)."""
-    field = _approx_real(eps)
+    field = ApproxReal(eps)
     normal = tuple(float(x) for x in normal)
     _need_norm(ModelKind.HYPERBOLIC, n, normal, 1.0)
     lift = normal + (math.sinh(float(d)), math.cosh(float(d)))

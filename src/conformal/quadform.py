@@ -14,6 +14,7 @@ forms are derived from Q:
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -423,7 +424,7 @@ class QuadraticForm:
             ((i, j), mul(c, v)) for i, j, v in self._terms])
 
     def direct_sum(self, other: "QuadraticForm") -> "QuadraticForm":
-        if other.field != self.field:
+        if other.field is not self.field:
             raise InvalidInputError("direct sum over mismatched fields")
         n = self.dim
         return QuadraticForm._of(
@@ -431,15 +432,19 @@ class QuadraticForm:
             [((i, j), c) for i, j, c in self._terms]
             + [((i + n, j + n), c) for i, j, c in other._terms])
 
-    # on Scalars: ApproxReal coefficients compare within tolerance
+    # on the tables: ApproxReal coefficients compare within tolerance
     def __eq__(self, other):
+        eq = self.field._eq
         return (isinstance(other, QuadraticForm)
-                and self.field == other.field
-                and self.dim == other.dim
-                and self.coeff_items() == other.coeff_items())
+                and self.field is other.field and self.dim == other.dim
+                and len(self._terms) == len(other._terms)
+                and all(i == k and j == l and eq(c, d) for (i, j, c), (k, l, d)
+                        in zip(self._terms, other._terms)))
 
     def __hash__(self):
-        return hash((self.field.token(), self.dim, self.coeff_items()))
+        if not self.field.is_exact:
+            raise TypeError("approximate forms are not hashable")
+        return hash((self.field, self.dim, self._terms))
 
     def __repr__(self):
         if all(i == j for i, j, _ in self._terms):
@@ -570,30 +575,30 @@ def signature(q: QuadraticForm):
     """(positives, negatives, zeros) of a diagonalization; rationals only.
     A diagonal table is its own diagonalization (Sylvester's law of
     inertia makes the counts the same for every one)."""
-    if not isinstance(q.field, Rational):
+    field = q.field
+    if not isinstance(field, Rational):
         raise UnsupportedFieldError("signatures are a real-field notion")
-    if all(i == j for i, j, _ in q._terms):
-        entries = [q.coeff(i, i) for i in range(q.dim)]
+    if all(i == j for i, j, _ in q._terms):  # the zeros are not in the table
+        entries = [c for _, _, c in q._terms]
+        entries += [field.raw_zero] * (q.dim - len(entries))
     else:
-        entries = [Scalar(a, q.field) for a in _diagonal_raw(q)[0]]
-    pos = neg = zero = 0
-    for a in entries:
-        cls = square_class(a)
-        if cls is SquareClass.ZERO:
-            zero += 1
-        elif cls is SquareClass.UNIT:
-            pos += 1
-        else:
-            neg += 1
-    return pos, neg, zero
+        entries = _diagonal_raw(q)[0]
+    count = collections.Counter(map(field._square_class, entries))
+    return (count[SquareClass.UNIT], count[SquareClass.NON_RESIDUE],
+            count[SquareClass.ZERO])
+
+
+def _det_raw(q: QuadraticForm):
+    """det Q up to a square: the diagonalized entries' raw product,
+    multiplied in order from one."""
+    return functools.reduce(q.field._mul, _diagonal_raw(q)[0], q.field.raw_one)
 
 
 def det_class(q: QuadraticForm) -> SquareClass:
     """Square class of det Q (product of the diagonalized entries)."""
-    cls = SquareClass.UNIT
-    for a in _diagonal_raw(q)[0]:
-        cls = cls * square_class(Scalar(a, q.field))
-    return cls
+    if not q.field.is_exact:
+        raise UnsupportedFieldError("square classes need an exact field")
+    return q.field._square_class(_det_raw(q))
 
 
 @dataclass(frozen=True)
@@ -826,7 +831,7 @@ def witt_index_bruteforce(q: QuadraticForm) -> int:
 
 def isometric(q1: QuadraticForm, q2: QuadraticForm) -> bool:
     """Equality of signatures (rationals) or det square classes (F_p)."""
-    if q1.field != q2.field:
+    if q1.field is not q2.field:
         raise InvalidInputError("isometry comparison needs one field")
     if q1.dim != q2.dim:
         raise InvalidInputError("isometry comparison needs equal dimensions")
@@ -1136,13 +1141,17 @@ class IsometrySampler:
         self._ext = _Extender(q)
 
     def sample(self, rng):
+        """A random isometry as rows of Scalars."""
+        return linalg.wrap_rows(self.field, self._sample_raw(rng))
+
+    def _sample_raw(self, rng) -> tuple:
+        """``sample`` as raw rows: the Witt extension itself."""
         while True:
             key = self._keys[rng.randrange(len(self._keys))]
             pool = self.buckets[key]
             r = pool[rng.randrange(len(pool))]
             r2 = pool[rng.randrange(len(pool))]
             try:
-                return linalg.wrap_rows(self.field, self._ext.extend(
-                    self.fixed + [r], self.fixed + [r2]))
+                return self._ext.extend(self.fixed + [r], self.fixed + [r2])
             except InvalidInputError:
                 continue

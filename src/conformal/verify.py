@@ -27,8 +27,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional
 
 from .fields import (CharTwo, PrimeField, Rational, Scalar, SquareClass,
-                     UnsupportedFieldError, canonical_nonresidue,
-                     sqrt_if_square, square_class)
+                     UnsupportedFieldError, canonical_nonresidue)
 from . import linalg
 from .quadform import (InvalidInputError, QuadraticForm, _couples_of,
                        _gob_raw, _radical, arf_invariant,
@@ -267,19 +266,19 @@ def suite_witt_oracle(**_) -> Report:
 # orbit-atlas
 # ---------------------------------------------------------------------------
 
-def _on_line(u, t, p):
+def _on_line(u, t, field):
     """Is the raw vector u a nonzero multiple of the normalised point t?"""
-    c = u[t.index(1)]
-    return c != 0 and all(c * a % p == b for a, b in zip(t, u))
+    c, mul = u[t.index(field.raw_one)], field._mul
+    return not field._is_zero(c) and all(mul(c, a) == b
+                                         for a, b in zip(t, u))
 
 
 def _norm_match(form, v, target_q):
     """A scalar multiple of the raw vector v with the exact norm target_q."""
     field = form.field
-    s = sqrt_if_square(Scalar(
-        field._mul(target_q, field._inv(form.eval_raw(v))), field))
+    s = field._sqrt(field._mul(target_q, field._inv(form.eval_raw(v))))
     assert s is not None, "norm classes disagree (internal)"
-    return tuple(field._mul(s.value, x) for x in v)
+    return tuple(field._mul(s, x) for x in v)
 
 
 def _transport(form, moves, x):
@@ -305,7 +304,7 @@ def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
     field = PrimeField(p)
     form = QuadraticForm.diagonal(field, diag)
     q = form.eval_raw
-    qcls = [square_class(x).value for x in field.elements()]
+    qcls = [field._square_class(v).value for v in field.raw_elements]
     points = list(linalg.projective_points(field, form.dim))
     iso = list(form.isotropic_points())
     # the target of each norm class of P: its first projective point
@@ -328,7 +327,7 @@ def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
         else:
             moves = mirrors(form, pv, target_p, iso)
             assert moves is not None
-        if not _on_line(_transport(form, moves, pv), target_p, p):
+        if not _on_line(_transport(form, moves, pv), target_p, field):
             _fail(rep, f"p={p} diag={diag} P={pv} not normalised")
             return None
     # step 2: each L orthogonal to a target is reduced to the target of
@@ -363,8 +362,8 @@ def _reduce_l(form, p0v, cur, target, iso_pool) -> bool:
     non-degenerate, and its quadric holds an isotropic r that pairs with
     both cur and target.
     """
-    p = form.field.p
-    if _on_line(cur, target, p):
+    field = form.field
+    if _on_line(cur, target, field):
         return True
     anisotropic = form.eval_raw(cur) != 0
     if anisotropic:
@@ -380,7 +379,7 @@ def _reduce_l(form, p0v, cur, target, iso_pool) -> bool:
         if form.b_raw(w, p0v) != 0:
             return False
         cur = form.reflect_raw(w, cur)
-    return cur == target if anisotropic else _on_line(cur, target, p)
+    return cur == target if anisotropic else _on_line(cur, target, field)
 
 
 def suite_orbit_atlas(field=None, **_) -> Report:
@@ -389,7 +388,7 @@ def suite_orbit_atlas(field=None, **_) -> Report:
     non-residue multiple: exactly 9 classes, each one a single orbit."""
     rep = Report("orbit-atlas", True)
     for p in _primes("orbit-atlas", field):
-        e = canonical_nonresidue(PrimeField(p)).value
+        e = PrimeField(p)._nonresidue()
         for diag in ([1, 1, 1, -1, -1],
                      [e, e, e, -e, -e]):
             buckets = _orbit_atlas_for_form(p, diag, rep)
@@ -624,10 +623,9 @@ def suite_distance_additivity(seed: int = 0, field=None, **_) -> Report:
             key = id(g)
             if key not in samplers:
                 samplers[key] = IsometrySampler(g.form, [g._p_raw, g._l_raw])
-            m = samplers[key].sample(rng)
+            m = samplers[key]._sample_raw(rng)
             p1, p2 = pts[rng.randrange(len(pts))], pts[rng.randrange(len(pts))]
             d12 = met.translation_between(g, l, p1, p2)
-            m = [[x.value for x in row] for row in m]
             l2, q1, q2 = (linalg.mat_vec_raw(m, pt.raw, fp)
                           for pt in (l, p1, p2))
             d12_moved = met.translation_between(g, l2, q1, q2)

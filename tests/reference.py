@@ -12,10 +12,11 @@ dropped for their raw tuples and rows lives here: ``ref_vec_add``,
 ``ref_coordinates``, ``ref_combine``, ``ref_mat_vec``, ``ref_mat_mul``,
 ``ref_inverse``, ``ref_reflection_matrix`` and ``ref_is_isometry``, as
 do the Scalar paths of ``diagonalize``, ``is_nondegenerate_form``,
-``build_chart`` and the subcycle constructions.  The couple walk of
-``generalized_orthogonal_basis`` with its validation, the Arf
-invariant's own couple loop and the rank test of antipodal points are
-kept as they were, as are the Scalar-table builds of ``scaled``,
+``build_chart`` with the sign rules it used over ApproxReal
+(``ref_sign_class``, ``ref_sqrt_any``) and the subcycle constructions.
+The couple walk of ``generalized_orthogonal_basis`` with its validation,
+the Arf invariant's own couple loop and the rank test of antipodal
+points are kept as they were, as are the Scalar-table builds of ``scaled``,
 ``direct_sum`` and ``_off_radical`` and geometry's Scalar paths: the
 coercion of a cycle into Scalars, the point check, powers, the
 projection through P and the points of a projected cycle and of a
@@ -27,6 +28,7 @@ This is a helper module, not a test module.
 """
 
 import itertools
+import math
 
 from conformal import linalg
 from conformal.classify import canonical_form, classify
@@ -39,8 +41,8 @@ from conformal.geometry import (MAX_ENUM_Q, EnumerationUnsupportedError,
                                 RankError, Role, RoleError, Subcycle,
                                 _check_enum, lie_quadric_points, pointspace)
 from conformal.metric import (ExactChartUnavailableError, IdealPointError,
-                              LineGroupClass, NotOnLineError, _sign_class,
-                              _sqrt_any, build_chart, line_space)
+                              LineGroupClass, NotOnLineError, build_chart,
+                              line_space)
 from conformal.quadform import (DegenerateFormError, Diagonalization,
                                 InvalidInputError, QuadraticForm,
                                 bilinear_radical, char2_arf_rep, det_class,
@@ -434,6 +436,24 @@ def ref_witt_index_bruteforce(q):
 
 # -- metric ----------------------------------------------------------------
 
+def ref_sign_class(x):
+    """Square class, by sign over ApproxReal."""
+    if x.field.is_exact:
+        return square_class(x)
+    if x.is_zero():
+        return SquareClass.ZERO
+    return SquareClass.UNIT if x.value > 0 else SquareClass.NON_RESIDUE
+
+
+def ref_sqrt_any(x):
+    """The canonical exact root, or the float root over ApproxReal."""
+    if x.field.is_exact:
+        return sqrt_if_square(x)
+    if x.value < 0 and not x.is_zero():
+        return None
+    return x.field.scalar(math.sqrt(max(x.value, 0.0)))
+
+
 def ref_build_chart(space):
     """(kind, basis, norm token) of the chart, built on Scalars as
     ``build_chart`` did: ``ProjPoint`` to order the split pair and
@@ -441,13 +461,13 @@ def ref_build_chart(space):
     form = space.form
     field = form.field
     lc = space.l_coords
-    if _sign_class(form(lc)) is SquareClass.ZERO:
+    if ref_sign_class(form(lc)) is SquareClass.ZERO:
         perp = form.perp([lc])
         u0 = next(w for w in perp if not ref_in_span(w, [lc], field))
         qu = form(u0)
-        canon = field.one() if _sign_class(qu) is SquareClass.UNIT else \
+        canon = field.one() if ref_sign_class(qu) is SquareClass.UNIT else \
             canonical_nonresidue(field)
-        s = _sqrt_any(qu / canon)
+        s = ref_sqrt_any(qu / canon)
         if s is not None:
             u = ref_vec_scale(s.inverse(), u0)
             norm_token = ("additive", canon.value)
@@ -466,8 +486,8 @@ def ref_build_chart(space):
     bb = form.b_full(c1, c2)
     c = form(c2)
     disc = bb * bb - field.scalar(4) * a * c
-    if _sign_class(disc) is SquareClass.UNIT:
-        root = _sqrt_any(disc)
+    if ref_sign_class(disc) is SquareClass.UNIT:
+        root = ref_sqrt_any(disc)
         if root is None:
             raise ExactChartUnavailableError(
                 "split chart needs an exact square root of the discriminant")
@@ -491,7 +511,7 @@ def ref_build_chart(space):
     else:
         b1 = c2
         b2p = ref_vec_sub(c1, ref_vec_scale(bb / (field.scalar(2) * c), c2))
-    s = _sqrt_any(form(b2p) / (-eps * form(b1)))
+    s = ref_sqrt_any(form(b2p) / (-eps * form(b1)))
     if s is None:
         raise ExactChartUnavailableError(
             "non-split chart needs an exact square root for normalization")

@@ -15,7 +15,7 @@ from conformal.classify import (QUADRATICALLY_CLOSED, GeometryClass,
                                 cycle_equivalence_partners, cycle_equivalent,
                                 enumerate_classes, pointspace_isometry,
                                 representative_geometry, second_model)
-from conformal.geometry import Geometry, pointspace
+from conformal.geometry import Geometry, lie_quadric_points, pointspace, role
 from conformal.quadform import (InvalidInputError, IsometrySampler,
                                 QuadraticForm, is_isometry)
 from reference import (ref_in_span, ref_independent, ref_mat_vec,
@@ -143,6 +143,26 @@ def test_classes_share_their_canonical_form():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (
         "bfb7aa865531c9fd45fc5d2626e9d96ff2202f011cd961177eb333cec2909ade")
+
+
+def test_representatives_carry_the_callers_field(monkeypatch):
+    """A class built from a freshly constructed PrimeField(5) gets its
+    representative over that very object, after another PrimeField(5)
+    filled the canonical-form cache, and ``role`` of cycles given as its
+    Scalars formats no field token."""
+    first = representative_geometry(enumerate_classes(PrimeField(5), 2)[0])
+    fresh = PrimeField(5)
+    g = representative_geometry(enumerate_classes(fresh, 2)[0])
+    assert g.field is fresh and first.field is fresh
+    cycles = [[fresh.scalar(a) for a in pt.raw]
+              for pt in lie_quadric_points(g)]
+    tokens = []
+    token = PrimeField.token
+    monkeypatch.setattr(PrimeField, "token",
+                        lambda self: tokens.append(self) or token(self))
+    for c in cycles:
+        role(g, c)
+    assert not tokens
 
 
 @pytest.mark.parametrize("field,d,form_invariant,qp,ql", [

@@ -1,10 +1,13 @@
 """Field arithmetic, square classes, canonical roots."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conformal import fields
 from conformal.fields import (ApproxReal, CharTwo, FieldMismatchError,
                               PrimeField, Rational, SquareClass,
                               UnsupportedFieldError, canonical_nonresidue,
@@ -156,6 +159,31 @@ def test_approx_real_rejected_by_exact_ops():
         sqrt_if_square(approx.scalar(2.0))
     with pytest.raises(TypeError):
         hash(approx.scalar(1.0))
+
+
+def test_one_object_per_field():
+    """Each field class returns one instance per parameter value,
+    however the parameter is passed, and identity is the equality: two
+    tolerances are two fields, whose Scalars do not mix.  An invalid
+    parameter raises and is not stored; a copy is the field itself."""
+    assert PrimeField(5) is PrimeField(5) is PrimeField(p=5) \
+        is field_from_token("fp:5")
+    assert CharTwo(4) is CharTwo(q=4) and Rational() is Rational()
+    assert ApproxReal() is ApproxReal(1e-9) is ApproxReal(eps=1e-9)
+    coarse, fine = ApproxReal(1e-6), ApproxReal(1e-9)
+    assert coarse is not fine and coarse != fine
+    assert coarse.one() != fine.one()
+    with pytest.raises(FieldMismatchError):
+        coarse.one() + fine.one()
+    for p in (1, 4, 9):
+        with pytest.raises(UnsupportedFieldError):
+            PrimeField(p)
+        assert (PrimeField, p) not in fields._FIELDS
+    with pytest.raises(TypeError):  # a size is an int
+        CharTwo(4.0)
+    for field in FIELDS + [coarse, fine]:
+        assert copy.deepcopy(field) is field
+        assert pickle.loads(pickle.dumps(field)) is field
 
 
 def test_approx_real_tolerance():

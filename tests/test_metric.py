@@ -12,6 +12,7 @@ from conformal.fields import PrimeField, Rational, SquareClass
 from conformal.classify import enumerate_classes, representative_geometry
 from conformal.geometry import (Geometry, ProjPoint, RoleError, antipodal,
                                 cayley_klein_points, hyperplane_through)
+from conformal.models import ModelKind, exact_model_geometry, model_geometry
 from conformal.metric import (DegenerateLineError, IdealPointError,
                               IncompatibleChartsError, LineGroupClass,
                               NotOnLineError, build_chart, compose,
@@ -48,6 +49,15 @@ def test_gamma_class_real():
     scaled = Geometry(elliptic.form.scaled(-2), elliptic.p_rep,
                       elliptic.l_rep)
     assert gamma_class(scaled) is LineGroupClass.NON_SPLIT_TORUS
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_gamma_class_of_float_models_matches_exact(kind):
+    """Over ApproxReal the field's classes are signs: each float model
+    and its dual get the translation group of the exact model."""
+    g, exact = model_geometry(kind), exact_model_geometry(kind)
+    assert gamma_class(g) is gamma_class(exact)
+    assert gamma_class(g.dual()) is gamma_class(exact.dual())
 
 
 def test_gamma_class_f7_nonresidue():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conformal.classify import classify
+from conformal.fields import FieldMismatchError
 from conformal.geometry import Role, incident, inversive_separation, role
 from conformal.models import (ModelError, ModelKind, check_separation,
                               cycles_at_angle, exact_model_geometry,
@@ -209,7 +210,8 @@ def test_power_depends_on_fixed_representative():
 def test_lifts_share_the_field_of_the_model_geometry():
     """A model geometry and the objects lifted into it share one field
     object per tolerance, so their field checks pass on identity; another
-    tolerance gets a field of its own that still works."""
+    tolerance gets a field of its own that still works, and its lifts
+    are refused by a geometry at the first."""
     g = model_geometry(ModelKind.ELLIPTIC)
     lifts = [lift_point(ModelKind.ELLIPTIC, (0.6, 0.8, 0.0)),
              lift_line(ModelKind.ELLIPTIC, normal=(0.0, 0.0, 1.0)),
@@ -221,3 +223,5 @@ def test_lifts_share_the_field_of_the_model_geometry():
     pt = lift_point(ModelKind.ELLIPTIC, (0.6, 0.8, 0.0), eps=1e-6)
     assert pt.lift[0].field is coarse.field
     assert role(coarse, pt.lift) is Role.POINT
+    with pytest.raises(FieldMismatchError):
+        role(g, pt.lift)

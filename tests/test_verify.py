@@ -57,7 +57,7 @@ def per_pair_buckets(p, diag):
         else:
             moves = quadform.mirrors(form, pv, target_p, iso)
         if not verify._on_line(verify._transport(form, moves, pv),
-                               target_p, p):
+                               target_p, field):
             return None
         # every L in P's perp, with its image under P's mirrors
         kernel = [tuple(x.value for x in kv)
@@ -72,7 +72,7 @@ def per_pair_buckets(p, diag):
             combos += level
         for both in combos:
             lv, cur = both[:n], both[n:]
-            if cp == 0 and verify._on_line(lv, pv, p):
+            if cp == 0 and verify._on_line(lv, pv, field):
                 continue
             key = (cp, qcls[q(lv)])
             buckets[key] = buckets.get(key, 0) + 1
