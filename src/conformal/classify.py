@@ -2,11 +2,10 @@
 plane geometries, and cycle equivalence.
 
 A geometry is determined by its form up to a scalar together with the
-norm classes of P and L, so the class records a normalized form
-invariant (signature, determinant class, or Arf class) plus the pair
-(Q(P), Q(L)) canonicalized under the scalar-rescaling identifications:
-form negation over the reals when the signature is balanced, and
-multiplication by the non-residue over F_q in even vector dimension.
+norm classes of P and L, so the class records the form's invariant
+(``quadform.form_invariant``: signature, determinant class, or Arf
+class) and the pair (Q(P), Q(L)), normalized under rescaling by the
+non-residue (``quadform.rescaled``).
 """
 
 from __future__ import annotations
@@ -17,19 +16,15 @@ import operator
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .fields import (CharTwo, Field, PrimeField, Rational, Scalar,
-                     SquareClass, UnsupportedFieldError, canonical_nonresidue,
-                     square_class)
+from .fields import (Field, Scalar, SquareClass, UnsupportedFieldError,
+                     canonical_nonresidue)
 from . import linalg
 from .quadform import (QuadraticForm, _Extender, _diagonal_raw,
-                       _off_radical, _radical, arf_invariant, char2_arf_rep,
-                       det_class, isometric, signature, InvalidInputError)
+                       _off_radical, _radical, char2_arf_rep, form_invariant,
+                       invariant_kind, isometric, rescaled, InvalidInputError)
 from .geometry import Geometry, pointspace
 
 QUADRATICALLY_CLOSED = "qclosed"
-
-_CLS_ORDER = {SquareClass.ZERO: 0, SquareClass.UNIT: 1,
-              SquareClass.NON_RESIDUE: 2}
 
 _CK_NAMES = {
     (SquareClass.NON_RESIDUE, SquareClass.NON_RESIDUE): "elliptic",
@@ -43,28 +38,31 @@ _CK_NAMES = {
     (SquareClass.UNIT, SquareClass.UNIT): "anti-de Sitter",
 }
 
+# a norm class as labels, JSON and the table headers write it, by the
+# kind of the form invariant (-1 over the reals, e over F_q)
+_SYMBOLS = {kind: {SquareClass.ZERO: "0", SquareClass.UNIT: "1",
+                   SquareClass.NON_RESIDUE: "-1" if kind == "sig" else "e"}
+            for kind in ("sig", "det", "arf", "unique")}
+
 
 def _flip(c: SquareClass) -> SquareClass:
     return SquareClass.NON_RESIDUE * c
 
 
-def _pair_key(pair):
-    return tuple(_CLS_ORDER[c] for c in pair)
-
-
+@functools.cache  # classify reads it on every balanced or even-dim call
 def _canonical_pair(qp: SquareClass, ql: SquareClass) -> tuple:
     """The smaller of (Q(P), Q(L)) and its image under rescaling by a
     non-square."""
-    return min((qp, ql), (_flip(qp), _flip(ql)), key=_pair_key)
+    return min((qp, ql), (_flip(qp), _flip(ql)),
+               key=lambda pair: (pair[0].value, pair[1].value))
 
 
 @dataclass(frozen=True)
 class GeometryClass:
     """Isomorphism class of a geometry.
 
-    ``form_invariant`` is ("sig", k, l) over the rationals, ("det", cls)
-    over F_q, ("arf", 0|1) in characteristic 2, and ("unique",) for a
-    quadratically closed field.
+    ``form_invariant`` is ``quadform.form_invariant`` normalized by
+    ``classify``, or ("unique",) for a quadratically closed field.
     """
     field_token: str
     geom_dim: int
@@ -76,51 +74,37 @@ class GeometryClass:
 
     def sort_key(self):
         return (self.field_token, self.geom_dim, self.form_invariant,
-                _CLS_ORDER[self.qp], _CLS_ORDER[self.ql])
+                self.qp.value, self.ql.value)
+
+    def symbol(self, c: SquareClass) -> str:
+        """How the norm class c is written in labels and JSON."""
+        return _SYMBOLS[self.form_invariant[0]][c]
 
     def label(self) -> str:
-        sym = {SquareClass.ZERO: "0", SquareClass.UNIT: "1",
-               SquareClass.NON_RESIDUE:
-                   "-1" if self.field_token == "rational" else "e"}
-        base = (f"{self.field_token} d={self.geom_dim} "
-                f"{self.form_invariant} qP={sym[self.qp]} qL={sym[self.ql]}")
+        base = (f"{self.field_token} d={self.geom_dim} {self.form_invariant} "
+                f"qP={self.symbol(self.qp)} qL={self.symbol(self.ql)}")
         return f"{base} [{self.name}]" if self.name else base
 
 
 def classify(g: Geometry) -> GeometryClass:
-    """The invariant tuple of a geometry, canonicalized under rescaling."""
-    field = g.field
-    d = g.n
-    qp = square_class(g.qp())
-    ql = square_class(g.ql())
-    if isinstance(field, Rational):
-        k, l, zeros = signature(g.form)
-        assert zeros == 0
-        if k < l:
-            k, l = l, k
-            qp, ql = _flip(qp), _flip(ql)
-        if k == l:
-            qp, ql = _canonical_pair(qp, ql)
-        name = _CK_NAMES.get((qp, ql)) if d == 2 and (k, l) == (3, 2) else None
-        return GeometryClass("rational", d, ("sig", k, l), qp, ql, name, field)
-    if isinstance(field, PrimeField):
-        dim = g.form.dim
-        det = det_class(g.form)
-        if dim % 2 == 1:
-            if det is SquareClass.NON_RESIDUE:
-                qp, ql = _flip(qp), _flip(ql)
-                det = SquareClass.UNIT
-            inv = ("det", det.name)
-        else:
-            qp, ql = _canonical_pair(qp, ql)
-            inv = ("det", det.name)
-        name = _CK_NAMES.get((qp, ql)) if d == 2 else None
-        return GeometryClass(field.token(), d, inv, qp, ql, name, field)
-    if isinstance(field, CharTwo):
-        arf = arf_invariant(g.form)
-        inv = ("arf", 0 if arf.is_zero() else 1)
-        return GeometryClass(field.token(), d, inv, qp, ql, None, field)
-    raise UnsupportedFieldError(f"classification over {field}")
+    """The invariant tuple of a geometry, normalized under rescaling by
+    the non-residue: the larger of the form invariant and its rescaled
+    image is kept (k >= l; "UNIT" > "NON_RESIDUE"), the norm classes
+    flipping with it; when rescaling fixes the invariant the pair is
+    canonicalized (a no-op on the classes 0 and 1 of characteristic 2)."""
+    field, form = g.field, g.form
+    inv = form_invariant(form)
+    cls_of = field._square_class
+    qp, ql = cls_of(form.eval_raw(g._p_raw)), cls_of(form.eval_raw(g._l_raw))
+    alt = rescaled(inv, form.dim)
+    if alt == inv:
+        qp, ql = _canonical_pair(qp, ql)
+    elif alt > inv:
+        inv, qp, ql = alt, _flip(qp), _flip(ql)
+    # the table names the planes of signature (3, 2) and over F_q
+    name = _CK_NAMES.get((qp, ql)) \
+        if g.n == 2 and inv in (("sig", 3, 2), ("det", "UNIT")) else None
+    return GeometryClass(field.token(), g.n, inv, qp, ql, name, field)
 
 
 def enumerate_classes(field, geom_dim: int):
@@ -139,13 +123,12 @@ def enumerate_classes(field, geom_dim: int):
                for qp in (SquareClass.ZERO, SquareClass.UNIT)
                for ql in (SquareClass.ZERO, SquareClass.UNIT)]
         return tuple(sorted(out, key=GeometryClass.sort_key))
-    if isinstance(field, Rational):
-        out = []
-        classes = (SquareClass.ZERO, SquareClass.UNIT, SquareClass.NON_RESIDUE)
+    kind, token = invariant_kind(field), field.token()
+    classes = (SquareClass.ZERO, SquareClass.UNIT, SquareClass.NON_RESIDUE)
+    out = []
+    if kind == "sig":
         for l in range(2, (d + 3) // 2 + 1):
             k = d + 3 - l
-            if k < l:
-                continue
             for qp in classes:
                 for ql in classes:
                     if k == l:
@@ -155,20 +138,15 @@ def enumerate_classes(field, geom_dim: int):
                             continue
                     name = _CK_NAMES.get((qp, ql)) \
                         if d == 2 and (k, l) == (3, 2) else None
-                    out.append(GeometryClass("rational", d, ("sig", k, l),
+                    out.append(GeometryClass(token, d, ("sig", k, l),
                                              qp, ql, name, field))
-        return tuple(sorted(out, key=GeometryClass.sort_key))
-    if isinstance(field, PrimeField):
-        dim = d + 3
-        classes = (SquareClass.ZERO, SquareClass.UNIT, SquareClass.NON_RESIDUE)
-        out = []
-        if dim % 2 == 1:
+    elif kind == "det":
+        if (d + 3) % 2 == 1:
             for qp in classes:
                 for ql in classes:
                     name = _CK_NAMES.get((qp, ql)) if d == 2 else None
-                    out.append(GeometryClass(field.token(), d,
-                                             ("det", "UNIT"), qp, ql, name,
-                                             field))
+                    out.append(GeometryClass(token, d, ("det", "UNIT"),
+                                             qp, ql, name, field))
         else:
             det_opts = ["UNIT"] if d == 1 else ["UNIT", "NON_RESIDUE"]
             for det in det_opts:
@@ -176,33 +154,27 @@ def enumerate_classes(field, geom_dim: int):
                     for ql in classes:
                         if (qp, ql) != _canonical_pair(qp, ql):
                             continue
-                        out.append(GeometryClass(field.token(), d,
-                                                 ("det", det), qp, ql, None,
-                                                 field))
-        return tuple(sorted(out, key=GeometryClass.sort_key))
-    if isinstance(field, CharTwo):
+                        out.append(GeometryClass(token, d, ("det", det),
+                                                 qp, ql, None, field))
+    else:
         if d != 3:
             raise UnsupportedFieldError(
                 "characteristic-2 enumeration is implemented for geometry "
                 "dimension 3 (even vector dimension 6)")
-        out = [GeometryClass(field.token(), d, ("arf", 0), qp, ql, None, field)
-               for qp in (SquareClass.ZERO, SquareClass.UNIT)
-               for ql in (SquareClass.ZERO, SquareClass.UNIT)]
-        return tuple(sorted(out, key=GeometryClass.sort_key))
-    raise UnsupportedFieldError(f"enumeration over {field}")
+        out = [GeometryClass(token, d, ("arf", 0), qp, ql, None, field)
+               for qp in classes[:2] for ql in classes[:2]]  # 0 and 1
+    return tuple(sorted(out, key=GeometryClass.sort_key))
 
 
 def ck_table(field):
     """The 3x3 table of plane geometries; rows by Q(P), columns by Q(L),
     each in the order (-1 or e, 0, +1)."""
-    if isinstance(field, Rational):
-        headers = ("-1", "0", "1")
-    elif isinstance(field, PrimeField):
-        headers = ("e", "0", "1")
-    else:
+    kind = invariant_kind(field)
+    if kind == "arf":
         raise UnsupportedFieldError(
             "the table is stated for the reals and odd finite fields")
     order = (SquareClass.NON_RESIDUE, SquareClass.ZERO, SquareClass.UNIT)
+    headers = tuple(_SYMBOLS[kind][c] for c in order)
     rows = tuple(tuple(_CK_NAMES[(qp, ql)] for ql in order) for qp in order)
     return headers, rows
 
@@ -217,16 +189,17 @@ def canonical_form(field: Field, geom_dim: int, form_invariant) -> QuadraticForm
     form_invariant): the radical and Gram matrix kept on it serve every
     class that shares it."""
     dim = geom_dim + 3
-    if isinstance(field, Rational):
+    kind = form_invariant[0]
+    if kind == "sig":
         _, k, l = form_invariant
         return QuadraticForm.diagonal(field, [1] * k + [-1] * l)
-    if isinstance(field, PrimeField):
+    if kind == "det":
         det = form_invariant[1]
         e = canonical_nonresidue(field)
         entries = [field.one()] * (dim - 2) + [field.scalar(-1)]
         entries.append(field.scalar(-1) if det == "UNIT" else -e)
         return QuadraticForm.diagonal(field, entries)
-    if isinstance(field, CharTwo):
+    if kind == "arf":
         if form_invariant[1] == 0:
             return QuadraticForm.symplectic(field, dim // 2)
         plane = QuadraticForm(field, 2, {(0, 0): 1, (0, 1): 1,
@@ -287,7 +260,7 @@ def representative_geometry(cls: GeometryClass) -> Geometry:
 # ---------------------------------------------------------------------------
 
 def _scaling_options(field: Field):
-    if not isinstance(field, (Rational, PrimeField)):
+    if invariant_kind(field) == "arf":
         raise UnsupportedFieldError("cycle equivalence needs char != 2")
     return (field.one(), canonical_nonresidue(field))
 
@@ -309,14 +282,14 @@ def _pointspace_token(g: Geometry, lam: Scalar):
         l_in_rad = bool(rad) and all(
             field._is_zero(form.b_raw(g._l_raw, b)) for b in basis)
         ql = form.eval_raw(g._l_raw)
-        for mu in _scaling_options(field):
-            scaled = core.scaled(mu)
-            if isinstance(field, Rational):
-                inv = ("sig",) + signature(scaled)
-            else:
-                inv = ("det", scaled.dim, det_class(scaled).name)
+        inv = form_invariant(core)
+        for mu, mu_inv in zip(_scaling_options(field),
+                              (inv, rescaled(inv, core.dim))):
+            # the format the pinned token digests were recorded in
+            tok = mu_inv + (0,) if mu_inv[0] == "sig" \
+                else ("det", core.dim, mu_inv[1])
             cls = field._square_class(field._mul(mu.value, ql))
-            g._tokens[mu.value] = (len(rad), inv, cls.name, l_in_rad)
+            g._tokens[mu.value] = (len(rad), tok, cls.name, l_in_rad)
     return g._tokens[lam.value]
 
 
@@ -327,11 +300,9 @@ def cycle_equivalent(g1: Geometry, g2: Geometry) -> bool:
         raise InvalidInputError("cycle equivalence needs one field")
     if g1.form.dim != g2.form.dim:
         raise InvalidInputError("cycle equivalence needs equal dimensions")
-    if g1.field.char == 2:
-        raise UnsupportedFieldError("cycle equivalence is stated for char != 2")
+    options = _scaling_options(g1.field)
     base = _pointspace_token(g2, g2.field.one())
-    return any(_pointspace_token(g1, lam) == base
-               for lam in _scaling_options(g1.field))
+    return any(_pointspace_token(g1, lam) == base for lam in options)
 
 
 def cycle_equivalence_partners(cls: GeometryClass):
@@ -343,9 +314,10 @@ def cycle_equivalence_partners(cls: GeometryClass):
     """
     if cls.geom_dim != 2:
         raise UnsupportedFieldError("partners are computed for the plane atlas")
-    if cls.field_token == "rational":
+    kind = cls.form_invariant[0]
+    if kind == "sig":
         paired = cls.qp is SquareClass.UNIT
-    elif cls.field_token.startswith("fp:"):
+    elif kind == "det":
         paired = cls.qp is not SquareClass.ZERO
     else:
         raise UnsupportedFieldError(
@@ -442,7 +414,7 @@ def pointspace_isometry(g1: Geometry, g2: Geometry):
     an odd finite field: a scalar lam and a matrix h with
     Q2^P(h v) = lam Q1^P(v) and h(L1) parallel to L2; None if there is
     no such pair."""
-    if not (isinstance(g1.field, PrimeField) and g1.field is g2.field):
+    if not (invariant_kind(g1.field) == "det" and g1.field is g2.field):
         raise UnsupportedFieldError(
             "the certificate search runs over odd finite fields")
     if g1.qp().is_zero() or g2.qp().is_zero():

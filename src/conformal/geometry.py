@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .fields import (ConformalError, Field, FieldMismatchError, PrimeField,
-                     Rational, Scalar, SquareClass, UnsupportedFieldError,
-                     square_class)
+from .fields import (ConformalError, Field, FieldMismatchError, Scalar,
+                     SquareClass, UnsupportedFieldError)
 from . import linalg
 from .linalg import EnumerationUnsupportedError, Vector
 from .quadform import (InvalidInputError, QuadraticForm, _radical,
-                       det_class, signature, witt_index)
+                       form_invariant, invariant_kind, witt_index)
 from enum import Enum
 
 
@@ -262,25 +261,20 @@ def non_empty(g: Geometry) -> bool:
     counting, over F_p by determinant classes.  The finite-field answer
     is cross-checked against direct search in the tests.
     """
-    field = g.field
-    if field.char == 2:
+    kind = invariant_kind(g.field)
+    if kind == "arf":
         raise UnsupportedFieldError("the emptiness criterion needs char != 2")
-    qp = g.qp()
-    if isinstance(field, Rational):
-        k, l, _ = signature(g.form)
-        cls = square_class(qp)
-        if cls is SquareClass.UNIT:
-            return k >= 2 and l >= 1
-        if cls is SquareClass.NON_RESIDUE:
-            return k >= 1 and l >= 2
-        return k >= 2 and l >= 2
-    if isinstance(field, PrimeField):
-        if not qp.is_zero():
-            return True  # any 3-dim form embeds once dim >= 4
-        if g.form.dim >= 5:
-            return True
-        return det_class(g.form) is SquareClass.UNIT
-    raise UnsupportedFieldError(f"emptiness over {field}")
+    qp = g.field._square_class(g.form.eval_raw(g._p_raw))
+    if kind == "det":
+        # for anisotropic P any 3-dim form embeds once dim >= 4
+        return (qp is not SquareClass.ZERO or g.form.dim >= 5
+                or form_invariant(g.form) == ("det", "UNIT"))
+    _, k, l = form_invariant(g.form)
+    if qp is SquareClass.UNIT:
+        return k >= 2 and l >= 1
+    if qp is SquareClass.NON_RESIDUE:
+        return k >= 1 and l >= 2
+    return k >= 2 and l >= 2
 
 
 def has_point_search(g: Geometry) -> bool:

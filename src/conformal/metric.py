@@ -460,7 +460,15 @@ def same_distance(g1: MotionElement, g2: MotionElement) -> bool:
 
 
 def stabilizer_matrices(g: Geometry, l):
-    """All isometries of the line space fixing the vector L (det +-1)."""
+    """All isometries of the line space fixing the vector L (det +-1):
+    ``_stabilizer_raw`` with each matrix wrapped once."""
+    space, chart, mats = _stabilizer_raw(g, l)
+    return space, chart, [linalg.wrap_rows(space.form.field, m) for m in mats]
+
+
+def _stabilizer_raw(g: Geometry, l):
+    """(space, chart, raw rows of each isometry of the line space fixing
+    the vector L, det +-1)."""
     if not g.field.is_finite:
         raise UnsupportedFieldError("stabilizer enumeration needs a finite field")
     if g.field.order > MAX_METRIC_Q:
@@ -492,28 +500,25 @@ def stabilizer_matrices(g: Geometry, l):
             # images of the chart basis determine the map; (lc, y, z) has
             # the chart basis's Gram matrix, so m is invertible
             m_cols = tuple(zip(lc_raw, y, z))  # chart -> line coords
-            out.append(linalg.wrap_rows(field, linalg.mat_mul_raw(
-                m_cols, chart._from_line, field)))
+            out.append(linalg.mat_mul_raw(m_cols, chart._from_line, field))
     return space, chart, out
 
 
 def stabilizer_group(g: Geometry, l):
     """The determinant-1 stabilizer as MotionElements, sorted by normal
     form; its cardinality is the gamma_class order."""
-    space, chart, mats = stabilizer_matrices(g, l)
+    space, chart, mats = _stabilizer_raw(g, l)
     field = space.form.field
     mul, sub, one = field._mul, field._sub, field.raw_one
     out = []
     for m in mats:
-        m = [linalg.raw_values(field, r) for r in m]
         mc = linalg.mat_mul_raw(linalg.mat_mul_raw(chart._from_line, m, field),
                                 chart._to_line, field)
         # mc fixes e_0 (L), so det m is the minor of its last two rows
         if not field._eq(sub(mul(mc[1][1], mc[2][2]),
                              mul(mc[1][2], mc[2][1])), one):
             continue
-        out.append(MotionElement(chart, _normal_form_of_matrix(chart, mc),
-                                 tuple(map(tuple, m))))
+        out.append(MotionElement(chart, _normal_form_of_matrix(chart, mc), m))
     out.sort(key=lambda el: el._nf_raw)
     return tuple(out)
 

@@ -576,7 +576,7 @@ def signature(q: QuadraticForm):
     A diagonal table is its own diagonalization (Sylvester's law of
     inertia makes the counts the same for every one)."""
     field = q.field
-    if not isinstance(field, Rational):
+    if field.is_finite or not field.is_exact:
         raise UnsupportedFieldError("signatures are a real-field notion")
     if all(i == j for i, j, _ in q._terms):  # the zeros are not in the table
         entries = [c for _, _, c in q._terms]
@@ -599,6 +599,47 @@ def det_class(q: QuadraticForm) -> SquareClass:
     if not q.field.is_exact:
         raise UnsupportedFieldError("square classes need an exact field")
     return q.field._square_class(_det_raw(q))
+
+
+def invariant_kind(field: Field) -> str:
+    """What classifies non-degenerate forms of one dimension over the
+    field: "sig" (the signature) over Q, "det" (the determinant's square
+    class) over odd F_q, "arf" (the Arf class) in characteristic 2; an
+    inexact field, or anything else, is refused."""
+    if not (isinstance(field, Field) and field.is_exact):
+        raise UnsupportedFieldError(f"no classifying invariant over {field}")
+    if field.char == 2:
+        return "arf"
+    return "det" if field.is_finite else "sig"
+
+
+def form_invariant(q: QuadraticForm) -> tuple:
+    """The invariant of a non-degenerate form, by ``invariant_kind``:
+    ("sig", k, l), ("det", "UNIT" | "NON_RESIDUE") or ("arf", 0 | 1)."""
+    kind = invariant_kind(q.field)
+    if kind == "arf":
+        return ("arf", 0 if arf_invariant(q).is_zero() else 1)
+    if kind == "sig":
+        k, l, zeros = signature(q)
+        if not zeros:
+            return ("sig", k, l)
+    else:
+        det = det_class(q)
+        if det is not SquareClass.ZERO:
+            return ("det", det.name)
+    raise DegenerateFormError("the invariant of a degenerate form")
+
+
+def rescaled(inv: tuple, dim: int) -> tuple:
+    """``form_invariant(q.scaled(e))`` for the canonical non-residue e
+    from ``inv = form_invariant(q)`` and ``dim = q.dim``, without building
+    the scaled form: the signature swaps, det (e Q) = e^dim det Q flips
+    in odd dimension only, and every rescaling keeps the Arf class."""
+    if inv[0] == "sig":
+        return ("sig", inv[2], inv[1])
+    if inv[0] == "det" and dim % 2:
+        return ("det", "UNIT" if inv[1] == "NON_RESIDUE" else "NON_RESIDUE")
+    return inv
 
 
 @dataclass(frozen=True)
@@ -731,32 +772,28 @@ def _gob_raw(q: QuadraticForm, s: Sequence[tuple]) -> tuple:
 def witt_index(q: QuadraticForm) -> int:
     """Half the dimension of a maximal symplectic (hyperbolic) subspace.
 
-    Closed forms: min of the signature over the rationals; over F_p,
-    (n-1)/2 for odd n, and for even n, n/2 when det Q lies in the class
-    of (-1)^(n/2), else n/2 - 1.  Characteristic 2 goes through the Arf
-    invariant.  `witt_index_bruteforce` is the independent oracle these
-    formulas are tested against.
+    Closed forms on ``form_invariant``: min of the signature over Q;
+    over F_p, (n-1)/2 for odd n, and for even n, n/2 when det Q lies in
+    the class of (-1)^(n/2), else n/2 - 1; off the radical in
+    characteristic 2, n/2 minus the Arf class.  `witt_index_bruteforce`
+    is the independent oracle these formulas are tested against.
     """
     if not is_nondegenerate_form(q):
         raise DegenerateFormError("witt index of a degenerate form")
-    field = q.field
-    if isinstance(field, Rational):
-        pos, neg, _ = signature(q)
-        return min(pos, neg)
-    if isinstance(field, PrimeField):
-        n = q.dim
-        if n % 2 == 1:
-            return (n - 1) // 2
-        target = square_class(field.scalar(-1)) if (n // 2) % 2 == 1 \
-            else SquareClass.UNIT
-        return n // 2 if det_class(q) == target else n // 2 - 1
-    if isinstance(field, CharTwo):
-        rad = _radical(q)
-        if rad:
-            return witt_index(_off_radical(q, rad))
-        n = q.dim
-        return n // 2 if arf_invariant(q).is_zero() else n // 2 - 1
-    raise UnsupportedFieldError(f"witt index over {field}")
+    rad = _radical(q)  # not empty only in characteristic 2
+    if rad:
+        return witt_index(_off_radical(q, rad))
+    field, n = q.field, q.dim
+    if invariant_kind(field) == "det" and n % 2 == 1:
+        return (n - 1) // 2  # whatever the det class
+    inv = form_invariant(q)
+    if inv[0] == "sig":
+        return min(inv[1], inv[2])
+    if inv[0] == "arf":
+        return n // 2 - inv[1]
+    target = field._square_class(field._neg(field.raw_one)) \
+        if (n // 2) % 2 == 1 else SquareClass.UNIT
+    return n // 2 if inv[1] == target.name else n // 2 - 1
 
 
 def _off_radical(q: QuadraticForm, rad) -> QuadraticForm:
@@ -830,20 +867,14 @@ def witt_index_bruteforce(q: QuadraticForm) -> int:
 
 
 def isometric(q1: QuadraticForm, q2: QuadraticForm) -> bool:
-    """Equality of signatures (rationals) or det square classes (F_p)."""
+    """Equality of the two ``form_invariant``s (of non-degenerate forms)."""
     if q1.field is not q2.field:
         raise InvalidInputError("isometry comparison needs one field")
     if q1.dim != q2.dim:
         raise InvalidInputError("isometry comparison needs equal dimensions")
     if q1.field.char == 2:
         raise UnsupportedFieldError("use arf_invariant in characteristic 2")
-    if not (is_nondegenerate_form(q1) and is_nondegenerate_form(q2)):
-        raise DegenerateFormError("isometry test expects non-degenerate forms")
-    if isinstance(q1.field, Rational):
-        return signature(q1) == signature(q2)
-    if isinstance(q1.field, PrimeField):
-        return det_class(q1) == det_class(q2)
-    raise UnsupportedFieldError(f"isometry test over {q1.field}")
+    return form_invariant(q1) == form_invariant(q2)
 
 
 def char2_arf_rep(field: CharTwo) -> Scalar:
@@ -889,7 +920,7 @@ def represents(q: QuadraticForm, lam) -> Optional[Vector]:
         return next((linalg.vector(field, x)
                      for x in linalg.all_vectors(field, q.dim)
                      if any(x) and q.eval_raw(x) == lam.value), None)
-    if not isinstance(field, Rational):
+    if not field.is_exact:
         raise UnsupportedFieldError(f"represents over {field}")
     entries, basis = _diagonal_raw(q)
     entries = [Scalar(a, field) for a in entries]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .fields import CharTwo, Field, Scalar, field_from_token
+from .fields import Field, Scalar, field_from_token
 from .geometry import Geometry
 from .metric import MotionElement
 from .quadform import InvalidInputError, QuadraticForm
@@ -31,7 +31,7 @@ def scalar_to_json(s: Scalar):
     v = s.value
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(s.field, CharTwo):
+    if s.field.char == 2:
         return s.field.format_value(v)
     return v
 
@@ -114,12 +114,9 @@ def motion_to_json(m: MotionElement) -> dict:
 
 
 def class_to_json(cls) -> dict:
-    sym = {"ZERO": "0", "UNIT": "1", "NON_RESIDUE": "e"}
-    if cls.field_token == "rational":
-        sym["NON_RESIDUE"] = "-1"
     return {"field": cls.field_token,
             "dim": cls.geom_dim,
             "form": list(cls.form_invariant),
-            "qP": sym[cls.qp.name],
-            "qL": sym[cls.ql.name],
+            "qP": cls.symbol(cls.qp),
+            "qL": cls.symbol(cls.ql),
             "name": cls.name}

@@ -562,7 +562,7 @@ def suite_gamma_orders(field=None, **_) -> Report:
                 return _fail(rep, f"p={p} {cls.label()}: class order")
             l = met.find_nonideal_line(g)
             group = met.stabilizer_group(g, l)
-            _, _, full = met.stabilizer_matrices(g, l)
+            _, _, full = met._stabilizer_raw(g, l)
             if len(group) != expected:
                 return _fail(rep, f"p={p} {cls.label()}: |Gamma|={len(group)}")
             if len(full) != 2 * expected:

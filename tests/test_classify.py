@@ -75,8 +75,10 @@ def test_classify_named_cells():
 
 
 def test_classify_invariant_under_rescaling():
-    for field in (QQ, F3, F5):
-        for cls in enumerate_classes(field, 2):
+    """Odd vector dimension (d even) exercises the det flip, even
+    dimension (d odd) the pair rule."""
+    for field, d in itertools.product((QQ, F3, F5, F7), (1, 2, 3, 4)):
+        for cls in enumerate_classes(field, d):
             g = representative_geometry(cls)
             scalars = [field.scalar(-1)] if field is QQ else \
                 [canonical_nonresidue(field), field.scalar(4)]

@@ -218,6 +218,56 @@ def test_traced_quadform_methods_exist():
         assert callable(obj), arg.value
 
 
+# The raw-arithmetic fast paths that test a field class (module, function)
+# and how many such tests each makes; every other choice between fields
+# reads char, is_finite, is_exact or quadform.invariant_kind.
+FIELD_CLASS_TESTS = {("linalg", "mat_vec_raw"): 1, ("linalg", "_reduce"): 1,
+                     ("linalg", "_lane_tables"): 1,
+                     ("linalg", "zero_flags"): 1,
+                     ("quadform", "_fill"): 2, ("verify", "_primes"): 1}
+FIELD_CLASSES = {"PrimeField", "CharTwo", "Rational", "ApproxReal"}
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | \
+        {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def test_field_classes_are_tested_only_in_the_fast_paths():
+    """Outside ``fields.py`` no code branches on a concrete field class,
+    apart from the raw fast paths of FIELD_CLASS_TESTS, and none tests
+    a class's field token (``field_token ==`` or ``.startswith`` on a
+    token): the source is parsed, not imported."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "conformal"
+    found, token_tests = {}, []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        module = path.stem
+
+        def visit(node, func):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "isinstance" \
+                    and _names(node.args[1]) & FIELD_CLASSES:
+                found[module, func] = found.get((module, func), 0) + 1
+            if isinstance(node, ast.Compare) and "field_token" in _names(node):
+                token_tests.append((module, func, ast.unparse(node)))
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "startswith" \
+                    and any("token" in name
+                            for name in _names(node.func.value)):
+                token_tests.append((module, func, ast.unparse(node)))
+            for child in ast.iter_child_nodes(node):
+                visit(child, func)
+
+        visit(ast.parse(path.read_text()), None)
+    assert found == FIELD_CLASS_TESTS
+    assert token_tests == []
+
+
 def _pinned_forms():
     """The canonical forms of the atlases, the second models of the F_3
     and F_5 plane classes with Q(P) != 0, the gen-ortho-basis suite's

@@ -1,5 +1,6 @@
 """Forms, bilinear forms, diagonalization, Witt machinery."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -15,9 +16,9 @@ from conformal.quadform import (DegenerateFormError, InvalidInputError,
                                 IsometrySampler, QuadraticForm,
                                 arf_invariant, bilinear_radical, det_class,
                                 diagonalize, extend_isometry,
-                                generalized_orthogonal_basis, is_isometry,
+                                form_invariant, generalized_orthogonal_basis, is_isometry,
                                 is_nondegenerate_form, isometric,
-                                represents, signature,
+                                represents, rescaled, signature,
                                 witt_index, witt_index_bruteforce)
 from reference import (ref_combine, ref_identity_matrix, ref_in_span,
                        ref_independent, ref_is_zero_vector, ref_mat_mul,
@@ -292,6 +293,57 @@ def test_det_class_well_defined():
     q1 = QuadraticForm.diagonal(F5, [1, -1])
     q2 = QuadraticForm.diagonal(F5, [2, -2])
     assert det_class(q1) == det_class(q2) == square_class(F5.scalar(-1))
+
+
+def _random_nondegenerate_forms(rng, field, dim, count):
+    """count seeded random non-degenerate forms: every slot of the table
+    drawn from small integers (fractions over Q)."""
+    out = []
+    while len(out) < count:
+        coeffs = {}
+        for i in range(dim):
+            for j in range(i, dim):
+                c = rng.randint(-3, 3)
+                coeffs[i, j] = Fraction(c, rng.randint(1, 3)) \
+                    if field is QQ else c
+        q = QuadraticForm(field, dim, coeffs)
+        if is_nondegenerate_form(q):
+            out.append(q)
+    return out
+
+
+def test_rescale_table_matches_the_scaled_form():
+    """``rescaled`` predicts the invariant of the form times the
+    canonical non-residue without building it."""
+    rng = random.Random(40)
+    for field in (QQ, F3, F5, F7):
+        e = canonical_nonresidue(field)
+        for dim in range(1, 7):
+            for q in _random_nondegenerate_forms(rng, field, dim, 8):
+                assert form_invariant(q.scaled(e)) == \
+                    rescaled(form_invariant(q), q.dim), (field, repr(q))
+
+
+def test_isometric_matches_value_counts():
+    """Two non-degenerate forms over F_q are isometric iff they take
+    each value equally often: the classification checked against
+    enumeration of every vector."""
+    rng = random.Random(41)
+    seen = set()
+    for field in (F3, F5, F7):
+        for dim in range(1, 6):
+            if field.p ** dim > 20_000:
+                continue
+            forms = _random_nondegenerate_forms(rng, field, dim, 6)
+            counts = [collections.Counter(
+                          q.eval_raw(x)
+                          for x in linalg.all_vectors(field, dim))
+                      for q in forms]
+            for (q1, c1), (q2, c2) in itertools.combinations(
+                    zip(forms, counts), 2):
+                assert isometric(q1, q2) == (c1 == c2), (repr(q1), repr(q2))
+                seen.add(c1 == c2)
+    assert seen == {True, False}
 
 
 # -- Arf invariant ----------------------------------------------------------------
