@@ -19,6 +19,16 @@ which the public ``square_class``, ``sqrt_if_square`` and
 
 A :class:`Scalar` is a canonical value tagged with its field; mixing
 fields in arithmetic raises :class:`FieldMismatchError`.
+
+The coordinate rule, the one answer to "what is a coordinate over this
+field": ``Field.scalar``, which ``linalg.raw_values`` maps over a vector.
+A Scalar of the field is itself and one of another field raises
+FieldMismatchError.  Each class lists the plain numbers it reads in
+``_reads``: an int (a bool is 0 or 1) everywhere, reduced mod p over F_p;
+over F_4 the ints 0..3 are the raw values 0, 1, t, t+1 and any other int
+reduces mod 2, as every int does over F_2; ``Rational`` and
+``ApproxReal`` also read a Fraction or a float (exactly over Q).  Anything
+else, text included, raises TypeError: text enters only through ``parse``.
 """
 
 from __future__ import annotations
@@ -40,12 +50,6 @@ class FieldMismatchError(ConformalError):
 
 class UnsupportedFieldError(ConformalError):
     """Operation not defined for this field (e.g. square classes of floats)."""
-
-
-def coordinate_error(field: "Field", x) -> TypeError:
-    """The error for a value that is neither an int nor a Scalar where a
-    finite field expects a coordinate."""
-    return TypeError(f"not a coordinate over {field}: {x!r}")
 
 
 class SquareClass(Enum):
@@ -200,9 +204,19 @@ class Field:
     # the raw values of zero and one, for the raw-value kernels
     raw_zero = 0
     raw_one = 1
+    # the plain number types ``scalar`` reads, each converted to a raw
+    # value by ``_read`` (a method, or over the reals the number type)
+    _reads: tuple = ()
 
     def scalar(self, x) -> Scalar:
-        raise NotImplementedError
+        """x in this field, by the coordinate rule (module docstring)."""
+        if isinstance(x, Scalar):
+            if x.field is not self:
+                raise FieldMismatchError(f"mixed fields: {self} and {x.field}")
+            return x
+        if not isinstance(x, self._reads):
+            raise TypeError(f"not a coordinate over {self}: {x!r}")
+        return Scalar(self._read(x), self)
 
     def zero(self) -> Scalar:
         return Scalar(self.raw_zero, self)
@@ -283,22 +297,16 @@ class Field:
 
 class _Real(Field):
     """A stand-in for the reals: raw values are Python numbers of the
-    type ``_number`` under the operators, and the square classes are
+    type ``_read`` under the operators, and the square classes are
     signs (the public ``square_class`` and ``sqrt_if_square`` refuse
     the inexact one)."""
 
     char = 0
-    _number: type
-
-    def scalar(self, x) -> Scalar:
-        if isinstance(x, Scalar):
-            if x.field is not self:
-                raise FieldMismatchError(f"cannot coerce {x.field} into {self}")
-            return x
-        return Scalar(self._number(x), self)
+    _reads = (int, float, Fraction)
+    _read: type  # the raw number type converts each plain number
 
     def parse(self, text: str) -> Scalar:
-        return Scalar(self._number(text), self)
+        return Scalar(self._read(text), self)
 
     def _add(self, a, b):
         return a + b
@@ -327,7 +335,7 @@ class _Real(Field):
 class Rational(_Real):
     """The rationals, used as an exact stand-in for the reals."""
 
-    _number = Fraction
+    _read = Fraction
     raw_zero = Fraction(0)
     raw_one = Fraction(1)
 
@@ -358,14 +366,10 @@ class PrimeField(Field):
             raise UnsupportedFieldError(f"p={p} is not an odd prime")
         return _interned(cls, p, p=p, char=p)
 
-    def scalar(self, x) -> Scalar:
-        if isinstance(x, Scalar):
-            if x.field is not self:
-                raise FieldMismatchError(f"cannot coerce {x.field} into {self}")
-            return x
-        if not isinstance(x, int):
-            raise coordinate_error(self, x)
-        return Scalar(x % self.p, self)  # a bool reduces to 0 or 1
+    _reads = (int,)
+
+    def _read(self, x):
+        return x % self.p  # a bool reduces to 0 or 1
 
     @property
     def raw_elements(self) -> range:
@@ -435,17 +439,13 @@ class CharTwo(Field):
             raise UnsupportedFieldError(f"characteristic-2 field of size {q}")
         return _interned(cls, q, q=q)
 
-    def scalar(self, x) -> Scalar:
-        if isinstance(x, Scalar):
-            if x.field is not self:
-                raise FieldMismatchError(f"cannot coerce {x.field} into {self}")
-            return x
-        if not isinstance(x, int):
-            raise coordinate_error(self, x)
+    _reads = (int,)
+
+    def _read(self, x):
         x = int(x)  # a bool is 0 or 1
         if self.q == 2 or not 0 <= x < 4:
             x %= 2  # integers reduce through the prime subfield
-        return Scalar(x, self)
+        return x
 
     @property
     def raw_elements(self) -> range:
@@ -506,7 +506,7 @@ class ApproxReal(_Real):
     """
 
     is_exact = False
-    _number = float
+    _read = float
     raw_zero = 0.0
     raw_one = 1.0
 

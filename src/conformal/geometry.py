@@ -64,6 +64,9 @@ class ProjPoint:
     def __init__(self, coords: Sequence[Scalar]):
         coords, raw = tuple(coords), None
         if coords:
+            if not isinstance(coords[0], Scalar):
+                raise TypeError("a ProjPoint is built from Scalars "
+                                "(ProjPoint.from_canonical takes raw values)")
             field = coords[0].field
             raw = linalg.normalize_raw(field, linalg.raw_values(field, coords))
         if raw is None:
@@ -117,8 +120,8 @@ class Geometry:
 
     def __init__(self, form: QuadraticForm, p_rep, l_rep):
         field = form.field
-        p_raw = tuple([field.scalar(x).value for x in p_rep])
-        l_raw = tuple([field.scalar(x).value for x in l_rep])
+        p_raw = tuple(linalg.raw_values(field, p_rep))
+        l_raw = tuple(linalg.raw_values(field, l_rep))
         if form.dim < 4:
             raise InvalidGeometryError("a geometry needs dimension >= 4 (n >= 1)")
         if len(p_raw) != form.dim or len(l_raw) != form.dim:
@@ -191,22 +194,20 @@ def _point_raw(field: Field, pt: ProjPoint) -> tuple:
     """The raw values of a ``ProjPoint``; a point of another field
     raises FieldMismatchError."""
     if pt.field is not field:
-        raise FieldMismatchError(f"cannot coerce {pt.field} into {field}")
+        raise FieldMismatchError(f"mixed fields: {field} and {pt.field}")
     return pt.raw
 
 
 def _raw_cycle(g: Geometry, c) -> Sequence:
     """The raw values of a cycle: a ``ProjPoint`` of g's field gives
-    its raw tuple, and a sequence is read in one pass, a Scalar of g's
-    field giving its value and anything else coerced by
-    ``field.scalar`` (another field's Scalar or ProjPoint raises
-    FieldMismatchError).  The zero vector is no cycle."""
+    its raw tuple and a sequence its ``linalg.raw_values`` (another
+    field's Scalar or ProjPoint raises FieldMismatchError).  The zero
+    vector is no cycle."""
     field = g.field
     if isinstance(c, ProjPoint):
         x = _point_raw(field, c)
     else:
-        x = [a.value if type(a) is Scalar and a.field is field
-             else field.scalar(a).value for a in c]
+        x = linalg.raw_values(field, c)
     if len(x) != g.form.dim:
         raise InvalidInputError(
             f"a cycle has {g.form.dim} coordinates, not {len(x)}")
@@ -220,8 +221,8 @@ def _require_hypercycle(g: Geometry, c) -> list:
     """The raw values of a cycle on the quadric."""
     x = _raw_cycle(g, c)
     if not g.field._is_zero(g.form.eval_raw(x)):
-        raise NotAHypercycleError(
-            f"Q({linalg.vector(g.field, x)}) != 0: not on the Lie quadric")
+        v = tuple(Scalar(a, g.field) for a in x)
+        raise NotAHypercycleError(f"Q({v}) != 0: not on the Lie quadric")
     return x
 
 
@@ -392,7 +393,7 @@ class Subspace:
 
     def to_ambient(self, coords) -> Vector:
         field, dim = self.form.field, self.form.dim
-        x = [field.scalar(c).value for c in coords]
+        x = linalg.raw_values(field, coords)
         if len(x) != dim:
             raise InvalidInputError(
                 f"a subspace vector has {dim} coordinates, not {len(x)}")
@@ -489,8 +490,8 @@ def _require_point(g: Geometry, p) -> list:
     """The raw values of a point of the geometry."""
     x, is_zero = _raw_cycle(g, p), g.field._is_zero
     if not is_zero(g.form.eval_raw(x)) or not is_zero(g._pair_p(x)):
-        raise RoleError(
-            f"{linalg.vector(g.field, x)} is not a point of the geometry")
+        v = tuple(Scalar(a, g.field) for a in x)
+        raise RoleError(f"{v} is not a point of the geometry")
     return x
 
 

@@ -2,7 +2,8 @@
 
 Inside the library a vector is a tuple of raw field values and a matrix
 a tuple of raw rows; ``Scalar`` tuples are the public form, unwrapped
-once (``raw_values``) and wrapped once (``wrap_rows``).  Every solver
+once (``raw_values``, the coordinate rule of ``fields`` mapped over a
+vector) and wrapped once (``wrap_rows``).  Every solver
 but ``rref`` and ``kernel_basis``, which take and return ``Scalar``
 rows, takes raw rows, and there is no ``Scalar`` vector arithmetic
 here.  ``mat_vec_raw`` is the one matrix-vector product.  One
@@ -25,8 +26,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .fields import (CharTwo, ConformalError, Field, FieldMismatchError,
-                     PrimeField, Rational, Scalar, coordinate_error)
+from .fields import (CharTwo, ConformalError, Field, PrimeField, Rational,
+                     Scalar)
 
 Vector = tuple
 
@@ -36,19 +37,14 @@ class EnumerationUnsupportedError(ConformalError):
 
 
 def raw_values(field: Field, v: Vector) -> list:
-    """The raw values of v's coordinates; ints are coerced into the field,
-    and a Scalar of another field raises FieldMismatchError."""
+    """The raw values of v's coordinates, each read by the coordinate
+    rule of ``fields`` (``Field.scalar``): the one vector coercion."""
     out = []
-    for x in v:
-        if isinstance(x, Scalar):
-            if x.field is not field:
-                raise FieldMismatchError(
-                    f"mixed fields: {field} and {x.field}")
+    for x in v:  # a loop, not a comprehension: the short vectors are faster
+        if type(x) is Scalar and x.field is field:
             out.append(x.value)
-        elif isinstance(x, int):
-            out.append(field.scalar(x).value)
         else:
-            raise coordinate_error(field, x)
+            out.append(field.scalar(x).value)
     return out
 
 
@@ -65,7 +61,8 @@ def normalize_raw(field: Field, x) -> Optional[tuple]:
 
 
 def vector(field: Field, entries) -> Vector:
-    return tuple(field.scalar(e) for e in entries)
+    """The coordinates as Scalars, by the coordinate rule of ``fields``."""
+    return tuple(map(field.scalar, entries))
 
 
 def unit_vector(field: Field, n: int, i: int) -> Vector:

@@ -333,7 +333,7 @@ def _line_matrix(chart: Chart, nf):
 
 def motion_from_normal_form(chart: Chart, nf) -> MotionElement:
     field = chart.space.form.field
-    nf = tuple(field.scalar(x).value for x in nf)
+    nf = tuple(linalg.raw_values(field, nf))
     if chart.kind is LineGroupClass.SPLIT_TORUS and field._is_zero(nf[0]):
         # mu^-1; _inv raises on an exact zero, this on a float one too
         raise ZeroDivisionError("division by field zero")
@@ -507,8 +507,14 @@ def _stabilizer_raw(g: Geometry, l):
 def stabilizer_group(g: Geometry, l):
     """The determinant-1 stabilizer as MotionElements, sorted by normal
     form; its cardinality is the gamma_class order."""
-    space, chart, mats = _stabilizer_raw(g, l)
-    field = space.form.field
+    _, chart, mats = _stabilizer_raw(g, l)
+    return _det_one(chart, mats)
+
+
+def _det_one(chart: Chart, mats) -> tuple:
+    """The determinant-1 matrices among the raw stabilizer matrices
+    ``mats`` of chart's line, as MotionElements sorted by normal form."""
+    field = chart.space.form.field
     mul, sub, one = field._mul, field._sub, field.raw_one
     out = []
     for m in mats:

@@ -32,7 +32,7 @@ from enum import Enum
 
 from .fields import ApproxReal, ConformalError, Rational
 from .geometry import Geometry, inversive_separation, relative_power
-from .linalg import unit_vector
+from .linalg import unit_vector, vector
 from .quadform import QuadraticForm
 
 
@@ -86,14 +86,12 @@ def _build(field, kind: ModelKind, n: int):
         coeffs[(n, n + 1)] = one
         coeffs[(n + 2, n + 2)] = -one
         form = QuadraticForm(field, n + 3, coeffs)
-        l_rep = tuple(field.scalar(2) if i == n else field.zero()
-                      for i in range(n + 3))
+        l_rep = tuple(2 if i == n else 0 for i in range(n + 3))
         return form, unit_vector(field, n + 3, n + 2), l_rep
     if kind is ModelKind.MINKOWSKI2:
         coeffs = {(0, 0): one, (1, 1): -one, (2, 3): one, (4, 4): -one}
         form = QuadraticForm(field, 5, coeffs)
-        l_rep = (field.zero(), field.zero(), field.scalar(2),
-                 field.zero(), field.zero())
+        l_rep = (0, 0, 2, 0, 0)
         return form, unit_vector(field, 5, 4), l_rep
     if kind is ModelKind.DE_SITTER:
         form = QuadraticForm.diagonal(field, [1, 1, -1, -1, 1])
@@ -180,7 +178,7 @@ def lift_point(kind: ModelKind, coords, n: int = 2,
     else:
         raise ModelError(f"no point lift for {kind}")
     return ModelObject(kind, "point", {"coords": coords},
-                       tuple(field.scalar(x) for x in lift))
+                       vector(field, lift))
 
 
 def lift_cycle(kind: ModelKind, center, radius, n: int = 2,
@@ -209,7 +207,7 @@ def lift_cycle(kind: ModelKind, center, radius, n: int = 2,
     else:
         raise ModelError(f"no cycle lift for {kind}")
     return ModelObject(kind, "cycle", {"center": center, "radius": r},
-                       tuple(field.scalar(x) for x in lift))
+                       vector(field, lift))
 
 
 def _need_norm(kind, n, coords, want):
@@ -239,7 +237,7 @@ def lift_line(kind: ModelKind, normal=None, offset=0.0, orientation=1,
         lift = (s * m / 2.0, s * m * m / 4.0, 0.0, s * b, s)
         return ModelObject(kind, "line", {"slope": m, "intercept": b,
                                           "orientation": s},
-                           tuple(field.scalar(x) for x in lift))
+                           vector(field, lift))
     normal = tuple(float(x) for x in normal)
     if kind is ModelKind.ELLIPTIC:
         _need_norm(kind, n, normal, 1.0)
@@ -264,7 +262,7 @@ def lift_line(kind: ModelKind, normal=None, offset=0.0, orientation=1,
         raise ModelError(f"no line lift for {kind}")
     return ModelObject(kind, "line", {"normal": normal, "offset": float(offset),
                                       "orientation": s},
-                       tuple(field.scalar(x) for x in lift))
+                       vector(field, lift))
 
 
 def lift_parabola(a, b, c, eps: float = 1e-9) -> ModelObject:
@@ -274,7 +272,7 @@ def lift_parabola(a, b, c, eps: float = 1e-9) -> ModelObject:
     lift = (b / 2.0, b * b / 4.0 - a * c, -a, c, 1.0)
     return ModelObject(ModelKind.LAGUERRE_GALILEI, "cycle",
                        {"a": a, "b": b, "c": c},
-                       tuple(field.scalar(x) for x in lift))
+                       vector(field, lift))
 
 
 def lift_paracycle(u, lam, n: int = 2, eps: float = 1e-9) -> ModelObject:
@@ -286,7 +284,7 @@ def lift_paracycle(u, lam, n: int = 2, eps: float = 1e-9) -> ModelObject:
     lift = u + (float(lam), float(lam))
     return ModelObject(ModelKind.HYPERBOLIC, "paracycle",
                        {"ideal": u, "lam": float(lam)},
-                       tuple(field.scalar(x) for x in lift))
+                       vector(field, lift))
 
 
 def lift_hypercycle(normal, d, n: int = 2, eps: float = 1e-9) -> ModelObject:
@@ -298,7 +296,7 @@ def lift_hypercycle(normal, d, n: int = 2, eps: float = 1e-9) -> ModelObject:
     lift = normal + (math.sinh(float(d)), math.cosh(float(d)))
     return ModelObject(ModelKind.HYPERBOLIC, "hypercycle",
                        {"normal": normal, "d": float(d)},
-                       tuple(field.scalar(x) for x in lift))
+                       vector(field, lift))
 
 
 # ---------------------------------------------------------------------------

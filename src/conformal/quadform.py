@@ -90,7 +90,7 @@ class QuadraticForm:
     @classmethod
     def diagonal(cls, field: Field, entries) -> "QuadraticForm":
         """[a_1, ..., a_n]: the form sum a_i x_i^2."""
-        entries = [field.scalar(e).value for e in entries]
+        entries = raw_values(field, entries)
         return cls._of(field, len(entries),
                        [((i, i), a) for i, a in enumerate(entries)])
 
@@ -879,7 +879,7 @@ def isometric(q1: QuadraticForm, q2: QuadraticForm) -> bool:
 
 def char2_arf_rep(field: CharTwo) -> Scalar:
     """The fixed class representative e with K = {t^2+t} u {e + t^2+t}."""
-    return field.scalar(1) if field.q == 2 else field.scalar(2)  # t over F_4
+    return Scalar(1 if field.q == 2 else 2, field)  # raw 2 is t over F_4
 
 
 def arf_invariant(q: QuadraticForm) -> Scalar:
@@ -917,9 +917,9 @@ def represents(q: QuadraticForm, lam) -> Optional[Vector]:
     field = q.field
     lam = field.scalar(lam)
     if field.is_finite:
-        return next((linalg.vector(field, x)
-                     for x in linalg.all_vectors(field, q.dim)
-                     if any(x) and q.eval_raw(x) == lam.value), None)
+        x = next((x for x in linalg.all_vectors(field, q.dim)
+                  if any(x) and q.eval_raw(x) == lam.value), None)
+        return None if x is None else tuple(Scalar(a, field) for a in x)
     if not field.is_exact:
         raise UnsupportedFieldError(f"represents over {field}")
     entries, basis = _diagonal_raw(q)
@@ -928,7 +928,7 @@ def represents(q: QuadraticForm, lam) -> Optional[Vector]:
 
     def witness(coeffs) -> Vector:
         return tuple(Scalar(x, field) for x in linalg.mat_vec_raw(
-            cols, [field.scalar(c).value for c in coeffs], field))
+            cols, raw_values(field, coeffs), field))
 
     if lam.is_zero():
         for i, a in enumerate(entries):
@@ -1031,12 +1031,12 @@ def is_isometry(q: QuadraticForm, m) -> bool:
 
 
 def _vectors_of(q: QuadraticForm, vecs) -> list:
-    """The vectors as tuples of raw values, each coordinate coerced by
-    the field; each must have length q.dim."""
+    """The vectors as tuples of ``raw_values``; each must have length
+    q.dim."""
     vecs = list(vecs)
     if any(len(v) != q.dim for v in vecs):
         raise InvalidInputError(f"vectors must have length {q.dim}")
-    return [tuple([q.field.scalar(x).value for x in v]) for v in vecs]
+    return [tuple(raw_values(q.field, v)) for v in vecs]
 
 
 class _Extender:

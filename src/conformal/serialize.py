@@ -37,15 +37,12 @@ def scalar_to_json(s: Scalar):
 
 
 def scalar_from_json(field: Field, obj) -> Scalar:
+    """A string through ``field.parse``, a number by the coordinate rule."""
     try:
-        if isinstance(obj, str):
-            return field.parse(obj)
-        if isinstance(obj, int) or (isinstance(obj, float)
-                                    and not field.is_finite):
-            return field.scalar(obj)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        pass
-    raise InvalidInputError(f"not an element of {field}: {obj!r}")
+        return field.parse(obj) if isinstance(obj, str) else field.scalar(obj)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InvalidInputError(
+            f"not an element of {field}: {obj!r}") from None
 
 
 def form_to_json(q: QuadraticForm) -> dict:

@@ -438,8 +438,8 @@ def suite_incidence_theorems(**_) -> Report:
         for l1, l2 in itertools.combinations(_virtual_lines(g), 2):
             if linalg.rank_raw([l1, l2, p_raw], f3) < 3:
                 continue
-            sub = geo.intersect_hyperplanes(g, linalg.vector(f3, l1),
-                                            linalg.vector(f3, l2))
+            sub = geo.intersect_hyperplanes(
+                g, *linalg.wrap_rows(f3, (l1, l2)))
             if sub.dim != 0:
                 return _fail(rep, f"{cls.label()}: subplane dim {sub.dim}")
             span = [b.raw for b in sub.basis]
@@ -561,8 +561,8 @@ def suite_gamma_orders(field=None, **_) -> Report:
             if gc.order(p) != expected:
                 return _fail(rep, f"p={p} {cls.label()}: class order")
             l = met.find_nonideal_line(g)
-            group = met.stabilizer_group(g, l)
-            _, _, full = met._stabilizer_raw(g, l)
+            _, chart, full = met._stabilizer_raw(g, l)
+            group = met._det_one(chart, full)
             if len(group) != expected:
                 return _fail(rep, f"p={p} {cls.label()}: |Gamma|={len(group)}")
             if len(full) != 2 * expected:

@@ -1,17 +1,28 @@
-"""Field arithmetic, square classes, canonical roots."""
+"""Field arithmetic, square classes, canonical roots, and the one
+coordinate rule every public entry point reads vectors by."""
 
 import copy
+import functools
+import itertools
 import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conformal import fields
-from conformal.fields import (ApproxReal, CharTwo, FieldMismatchError,
-                              PrimeField, Rational, SquareClass,
-                              UnsupportedFieldError, canonical_nonresidue,
-                              field_from_token, sqrt_if_square, square_class)
+from conformal import fields, linalg
+from conformal.classify import enumerate_classes, representative_geometry
+from conformal.fields import (ApproxReal, CharTwo, ConformalError,
+                              FieldMismatchError, PrimeField, Rational, Scalar,
+                              SquareClass, UnsupportedFieldError,
+                              canonical_nonresidue, field_from_token,
+                              sqrt_if_square, square_class)
+from conformal.geometry import (Geometry, ProjPoint, points_of, pointspace,
+                                pointspace_points_of, role)
+from conformal.metric import (LineGroupClass, MotionElement, build_chart,
+                              line_space, motion_from_normal_form)
+from conformal.models import ModelKind, model_geometry
+from conformal.quadform import IsometrySampler, QuadraticForm
 
 FIELDS = [Rational(), PrimeField(3), PrimeField(5), PrimeField(7),
           CharTwo(2), CharTwo(4)]
@@ -49,6 +60,142 @@ def test_finite_fields_take_only_ints_and_scalars(field, x):
     with pytest.raises(TypeError) as exc:
         field.scalar(x)
     assert str(exc.value) == f"not a coordinate over {field}: {x!r}"
+
+
+# The coordinate rule, stated once: the inputs each field reads.  Every
+# input stands for the coordinate 1; the ones a field does not read
+# raise FieldMismatchError (another field's Scalar) or TypeError.
+INPUTS = ("int", "bool", "scalar", "other scalar", "Fraction", "float",
+          "str", "None")
+_EXACT_READS = {"int", "bool", "scalar"}
+RULE = [(Rational(), _EXACT_READS | {"Fraction", "float"}),
+        (PrimeField(5), _EXACT_READS),
+        (CharTwo(4), _EXACT_READS),
+        (ApproxReal(), _EXACT_READS | {"Fraction", "float"})]
+
+
+def _input(field, kind):
+    other = PrimeField(3) if field is not PrimeField(3) else PrimeField(5)
+    return {"int": 1, "bool": True, "scalar": field.one(),
+            "other scalar": other.one(), "Fraction": Fraction(1),
+            "float": 1.0, "str": "1", "None": None}[kind]
+
+
+def _small_vector(field, dim, accept):
+    """The first vector of {0, 1, -1}^dim led by 1 that ``accept`` takes,
+    as Scalars: the search runs over every field alike."""
+    for ints in itertools.product((0, 1, -1), repeat=dim):
+        if any(ints) and next(a for a in ints if a) == 1:
+            v = linalg.vector(field, ints)
+            if accept(v):
+                return v
+    raise AssertionError(f"no small vector over {field}")
+
+
+def _with_lead(v, x):
+    """v with its leading coordinate, a 1, replaced by x."""
+    i = next(i for i, a in enumerate(v) if a)
+    assert v[i] == 1
+    return v[:i] + (x,) + v[i + 1:]
+
+
+def _raw(obj):
+    """What an entry point gave, as raw values."""
+    if isinstance(obj, Scalar):
+        return obj.value
+    if isinstance(obj, ProjPoint):
+        return obj.raw
+    if isinstance(obj, QuadraticForm):
+        return obj.dim, obj._terms
+    if isinstance(obj, Geometry):
+        return obj._p_raw, obj._l_raw, obj.form._terms
+    if isinstance(obj, MotionElement):
+        return obj._nf_raw, obj._matrix_raw
+    if isinstance(obj, IsometrySampler):
+        return obj.fixed
+    if isinstance(obj, (tuple, list)):
+        return tuple(map(_raw, obj))
+    return obj
+
+
+@functools.lru_cache(maxsize=None)
+def _entry_points(field):
+    """name -> a call of one public entry point on a vector whose
+    leading coordinate is x, chosen so the call succeeds for x = 1;
+    only the entry points that run over the field."""
+    d = 3 if field.char == 2 else 2  # the char-2 classes are at d = 3
+    g = (model_geometry(ModelKind.ELLIPTIC) if not field.is_exact
+         else representative_geometry(enumerate_classes(field, d)[0]))
+    q, dim, zero = g.form, g.form.dim, field.zero()
+    e = [linalg.unit_vector(field, dim, i) for i in range(dim)]
+    cycle = _small_vector(field, dim, lambda v: q(v) == 0)
+    p_rep, l_rep = g.p_rep, g.l_rep
+    ps = pointspace(g)
+    k = ps.form.dim
+    inside = ProjPoint(ps.to_ambient(linalg.unit_vector(field, k, 0))).coords
+    calls = {
+        "form": lambda x: q(_with_lead(e[0], x)),
+        "b_full": lambda x: q.b_full(_with_lead(e[0], x), cycle),
+        "gram_row": lambda x: q.gram_row(_with_lead(cycle, x)),
+        "perp": lambda x: q.perp([_with_lead(cycle, x)]),
+        "restrict": lambda x: q.restrict([_with_lead(cycle, x), e[1]]),
+        "diagonal": lambda x: QuadraticForm.diagonal(field, [x, 1, 1]),
+        "Geometry": lambda x: Geometry(q, _with_lead(p_rep, x), l_rep),
+        "role": lambda x: role(g, _with_lead(cycle, x)),
+        "to_ambient": lambda x: ps.to_ambient((x,) + (zero,) * (k - 1)),
+        "from_ambient": lambda x: ps.from_ambient(_with_lead(inside, x)),
+    }
+    if field.is_finite:
+        calls.update({
+            "points_of": lambda x: points_of(g, _with_lead(cycle, x)),
+            "pointspace_points_of": lambda x: pointspace_points_of(
+                ps, (x,) + (zero,) * (k - 1)),
+        })
+    if field.char != 2:
+        line = _small_vector(field, dim, lambda v: q(v) == 0 and q.b_full(
+            v, l_rep) == 0 and q.b_full(v, p_rep) != 0)
+        chart = build_chart(line_space(g, line))
+        width = 2 if chart.kind is LineGroupClass.NON_SPLIT_TORUS else 1
+        calls["motion_from_normal_form"] = lambda x: motion_from_normal_form(
+            chart, (x,) + (zero,) * (width - 1))
+    if field.is_finite and field.char != 2:
+        calls["IsometrySampler"] = lambda x: IsometrySampler(
+            q, [_with_lead(cycle, x)])
+    return calls
+
+
+def _outcome(call, x):
+    """("ok", the repr of the raw result, so a value of another type
+    differs) or ("raises", the exception type)."""
+    try:
+        return "ok", repr(_raw(call(x)))
+    except (ConformalError, TypeError) as exc:
+        return "raises", type(exc)
+
+
+@pytest.mark.parametrize("kind", INPUTS)
+@pytest.mark.parametrize("field, reads", RULE,
+                         ids=[field.token() for field, _ in RULE])
+def test_one_coordinate_rule_at_every_entry_point(field, reads, kind):
+    """Field.scalar states the rule; every entry point that takes a
+    vector either reads the input as Field.scalar does, giving the same
+    raw values as the field's own 1, or raises the same exception type."""
+    x = _input(field, kind)
+    if kind in reads:
+        assert field.scalar(x) == field.one()
+        assert linalg.raw_values(field, [x]) == [field.raw_one]
+    else:
+        want = FieldMismatchError if kind == "other scalar" else TypeError
+        for coerce in (field.scalar, lambda x: linalg.raw_values(field, [x])):
+            with pytest.raises(want):
+                coerce(x)
+    for name, call in _entry_points(field).items():
+        got = _outcome(call, x)
+        if kind in reads:
+            assert got == _outcome(call, field.one()), name
+            assert got[0] == "ok", name
+        else:
+            assert got == ("raises", want), name
 
 
 @pytest.mark.parametrize("field", [PrimeField(5), CharTwo(2), CharTwo(4)],

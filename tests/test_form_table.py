@@ -268,6 +268,62 @@ def test_field_classes_are_tested_only_in_the_fast_paths():
     assert token_tests == []
 
 
+def _scalar_call(node) -> bool:
+    """Is node ``<x>.scalar(...)`` or ``<x>.scalar(...).value``, or a
+    conditional with such a branch?"""
+    if isinstance(node, ast.IfExp):
+        return _scalar_call(node.body) or _scalar_call(node.orelse)
+    if isinstance(node, ast.Attribute) and node.attr == "value":
+        node = node.value
+    return isinstance(node, ast.Call) \
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "scalar"
+
+
+# The calls of ``linalg.vector`` in the package: the float model lifts,
+# public coordinates read by the coordinate rule.
+VECTOR_CALLS = [("models", f, "lift") for f in (
+    "lift_point", "lift_cycle", "lift_line", "lift_line", "lift_parabola",
+    "lift_paracycle", "lift_hypercycle")]
+
+
+def test_vectors_cross_the_boundary_one_way():
+    """Outside ``fields.py`` and ``linalg.raw_values`` no comprehension
+    reads a vector one ``scalar`` call at a time: a public vector is
+    read by ``raw_values`` (or ``linalg.vector``, which maps
+    ``Field.scalar``).  And no raw tuple is wrapped through the
+    coordinate rule: ``linalg.vector`` is called only on the model
+    lifts, and a raw tuple is wrapped by ``Scalar(v, field)``."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "conformal"
+    loops, vector_calls = [], []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        module = path.stem
+
+        def visit(node, func):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name
+            if isinstance(node, (ast.ListComp, ast.SetComp,
+                                 ast.GeneratorExp)) \
+                    and _scalar_call(node.elt) \
+                    and (module, func) != ("linalg", "raw_values"):
+                loops.append((module, func, ast.unparse(node)))
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "vector"
+                    or isinstance(node.func, ast.Name)
+                    and node.func.id == "vector"):
+                arg = node.args[1]
+                vector_calls.append((module, func, arg.id if isinstance(
+                    arg, ast.Name) else ast.unparse(arg)))
+            for child in ast.iter_child_nodes(node):
+                visit(child, func)
+
+        visit(ast.parse(path.read_text()), None)
+    assert loops == []
+    assert vector_calls == VECTOR_CALLS
+
+
 def _pinned_forms():
     """The canonical forms of the atlases, the second models of the F_3
     and F_5 plane classes with Q(P) != 0, the gen-ortho-basis suite's

@@ -62,6 +62,16 @@ PROJPOINT_CASES = [
 ]
 
 
+def test_projpoint_is_built_from_scalars():
+    """Raw values go through ``from_canonical``; the constructor refuses
+    them with one TypeError naming both."""
+    for coords in ((1, 0, 0), (0.0, 1.0), [2, F5.one()]):
+        with pytest.raises(TypeError, match="built from Scalars .*"
+                           "from_canonical") as exc:
+            ProjPoint(coords)
+        assert "\n" not in str(exc.value)
+
+
 def test_projpoint_normalization():
     for field, values, multiple, raw, text in PROJPOINT_CASES:
         p = ProjPoint(linalg.vector(field, values))
