@@ -44,9 +44,9 @@ def _field(token: str):
     return field_from_token(token)
 
 
-def _load_geometry(path: str, eps: float = 1e-9):
+def _load_geometry(path: str):
     data = sys.stdin.read() if path == "-" else open(path).read()
-    return ser.geometry_from_json(ser.json_loads(data), eps)
+    return ser.geometry_from_json(ser.json_loads(data))
 
 
 def _finite_float(text: str) -> float:

@@ -29,6 +29,9 @@ over F_4 the ints 0..3 are the raw values 0, 1, t, t+1 and any other int
 reduces mod 2, as every int does over F_2; ``Rational`` and
 ``ApproxReal`` also read a Fraction or a float (exactly over Q).  Anything
 else, text included, raises TypeError: text enters only through ``parse``.
+Scalar arithmetic and ``==`` read a plain number by the same rule, from
+either side; one the field does not read compares unequal, and
+arithmetic with it raises TypeError.
 """
 
 from __future__ import annotations
@@ -90,9 +93,10 @@ class Scalar:
                 raise FieldMismatchError(
                     f"mixed fields: {self.field} and {other.field}")
             return other
-        if isinstance(other, int):
+        try:
             return self.field.scalar(other)
-        return NotImplemented
+        except TypeError:  # not a coordinate over the field
+            return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -150,10 +154,11 @@ class Scalar:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.scalar(other)
         if not isinstance(other, Scalar):
-            return NotImplemented
+            try:
+                other = self.field.scalar(other)
+            except TypeError:  # not a coordinate over the field
+                return NotImplemented
         return (other.field is self.field
                 and self.field._eq(self.value, other.value))
 
@@ -564,12 +569,12 @@ def sqrt_if_square(x: Scalar) -> Optional[Scalar]:
     return None if r is None else Scalar(r, field)
 
 
-def field_from_token(token: str, eps: float = 1e-9) -> Field:
+def field_from_token(token: str) -> Field:
     """Parse a field descriptor: rational | fp:<p> | f2 | f4 | approx."""
     if token == "rational":
         return Rational()
     if token == "approx":
-        return ApproxReal(eps)
+        return ApproxReal()
     if token == "f2":
         return CharTwo(2)
     if token == "f4":

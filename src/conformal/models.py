@@ -1,26 +1,32 @@
 """Floating-point constructors for the classical real plane geometries.
 
-Each model fixes a five-dimensional form (for n = 2) with marked
-representative vectors P and L and lifts points, cycles and lines onto
-the quadric in the classical coordinates:
+Every model is one row of ``_MODELS``.  Its base metric ``bar`` on the
+c-bar coordinates is n + k signs +1, then m signs -1.  A curved model's
+form is bar + [Q(L), Q(P)], with P the last and L the second-to-last
+unit vector:
 
-* elliptic:   [1,1,1,-1,-1]; points (c,1,0) with |c| = 1, cycles
-  (c, cos r, sin r), polar lines (c, 0, +-1).
-* hyperbolic: [1,1,-1,+1,-1]; points (c,1,0) on the hyperboloid
-  Q(c) = -1, cycles (c, cosh r, sinh r), lines (l,0,+-1) with Q(l) = 1,
-  distance-d hypercycles (l, sinh d, cosh d), paracycles (u,s,s).
-* parabolic:  x1^2+x2^2 + tz - w^2; points (c, -|c|^2, 1, 0), circles
-  (c, r^2-|c|^2, 1, r), lines (l, -2d, 0, +-1) with |l| = 1.
-* Minkowski:  x1^2-x2^2 + tz - w^2 (the chart with Q(P) = -1; the class
-  normalization flips it to the positive-P convention); same lift
-  formulas with the plane metric, spacelike line normals only.
-* de Sitter / anti-de Sitter: [1,1,-1,-1,1] and [1,-1,-1,1,1]; points
-  (c,1,0) with Q(c) = +1 resp. -1.
-* Laguerre/Galilei: x1^2 + tz - yw with P, L both isotropic; points
-  (x, y, 1, -x^2, 0), vertical-axis parabolas, non-vertical lines.
+* (Q(L), Q(P)) is elliptic (-1, -1), hyperbolic (+1, -1), de Sitter
+  (-1, +1) and anti-de Sitter (+1, +1);
+* a point is (c, 1, 0) with bar(c) = -Q(L) and a polar line (l, 0, +-1)
+  has bar(l) = -Q(P);
+* a cycle of center c and signed radius r is (c, a, b), where (a, b) is
+  the point of radius r on the conic Q(L) a^2 + Q(P) b^2 = -bar(c):
+  (cos r, sin r), (cosh r, sinh r), (sinh r, cosh r) and (cos r, sin r).
 
-The numeric separation and power values follow the half-bilinear
-convention, which is why the parabolic-family L representative is the
+The two flat models, parabolic and Minkowski, share bar + (tz - w^2)
+with P the last unit vector and L = 2 e_n: points (c, -bar(c), 1, 0),
+cycles (c, r^2 - bar(c), 1, r) and lines (l, -2d, 0, +-1) with
+bar(l) = 1.  The Minkowski chart has Q(P) = -1 (the class normalization
+flips it to the positive-P convention) and lifts spacelike line normals
+only.  Laguerre/Galilei keeps its own row: x1^2 + tz - yw with P = e_1
+and L = e_3 both isotropic, points (x, y, 1, -x^2, 0), vertical-axis
+parabolas and non-vertical lines.  The hyperbolic model also lifts
+distance-d hypercycles (l, sinh d, cosh d) and paracycles (u, s, s).
+Minkowski, de Sitter, anti-de Sitter and Laguerre are plane models.
+
+Every lift is wrapped once, by ``_lift``, which refuses a coordinate
+that is not finite.  The numeric separation and power values follow the
+half-bilinear convention, which is why the flat L representative is the
 doubled basis vector.
 """
 
@@ -29,10 +35,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .fields import ApproxReal, ConformalError, Rational
 from .geometry import Geometry, inversive_separation, relative_power
-from .linalg import unit_vector, vector
+from .linalg import vector
 from .quadform import QuadraticForm
 
 
@@ -51,8 +58,25 @@ class ModelKind(Enum):
     LAGUERRE_GALILEI = "laguerre"
 
 
-PLANE_ONLY = {ModelKind.MINKOWSKI2, ModelKind.DE_SITTER,
-              ModelKind.ANTI_DE_SITTER, ModelKind.LAGUERRE_GALILEI}
+class _Model(NamedTuple):
+    """A row of the model table (module docstring)."""
+    bar: tuple  # (k, m) of the base metric; None: Laguerre
+    signs: tuple = None  # (Q(L), Q(P)); None: the flat block
+    conic: tuple = None  # (a, b) of radius r, curved only
+    plane: bool = False  # n = 2 only
+
+
+_MODELS = {
+    ModelKind.ELLIPTIC: _Model((1, 0), (-1, -1), (math.cos, math.sin)),
+    ModelKind.HYPERBOLIC: _Model((0, 1), (1, -1), (math.cosh, math.sinh)),
+    ModelKind.PARABOLIC: _Model((0, 0)),
+    ModelKind.MINKOWSKI2: _Model((-1, 1), plane=True),
+    ModelKind.DE_SITTER: _Model((0, 1), (-1, 1), (math.sinh, math.cosh),
+                                plane=True),
+    ModelKind.ANTI_DE_SITTER: _Model((-1, 2), (1, 1), (math.cos, math.sin),
+                                     plane=True),
+    ModelKind.LAGUERRE_GALILEI: _Model(None, plane=True),
+}
 
 
 @dataclass(frozen=True)
@@ -66,84 +90,60 @@ class ModelObject:
         return f"ModelObject({self.kind.value} {self.role_hint} {self.params})"
 
 
-def _build(field, kind: ModelKind, n: int):
-    """(form, P_rep, L_rep) over the given field."""
-    one = field.one()
-    if kind in PLANE_ONLY and n != 2:
+def _model(kind: ModelKind, n: int) -> _Model:
+    """The table row of the model, for a dimension n it has."""
+    row = _MODELS.get(kind)
+    if row is None:
+        raise ModelError(f"unknown model {kind}")
+    if row.plane and n != 2:
         raise ModelError(f"{kind.value} is a plane model (n = 2)")
     if n < 1:
         raise ModelError("models need n >= 1")
-    if kind is ModelKind.ELLIPTIC:
-        form = QuadraticForm.diagonal(field, [1] * (n + 1) + [-1, -1])
-        return (form, unit_vector(field, n + 3, n + 2),
-                unit_vector(field, n + 3, n + 1))
-    if kind is ModelKind.HYPERBOLIC:
-        form = QuadraticForm.diagonal(field, [1] * n + [-1, 1, -1])
-        return (form, unit_vector(field, n + 3, n + 2),
-                unit_vector(field, n + 3, n + 1))
-    if kind is ModelKind.PARABOLIC:
-        coeffs = {(i, i): one for i in range(n)}
-        coeffs[(n, n + 1)] = one
-        coeffs[(n + 2, n + 2)] = -one
-        form = QuadraticForm(field, n + 3, coeffs)
-        l_rep = tuple(2 if i == n else 0 for i in range(n + 3))
-        return form, unit_vector(field, n + 3, n + 2), l_rep
-    if kind is ModelKind.MINKOWSKI2:
-        coeffs = {(0, 0): one, (1, 1): -one, (2, 3): one, (4, 4): -one}
-        form = QuadraticForm(field, 5, coeffs)
-        l_rep = (0, 0, 2, 0, 0)
-        return form, unit_vector(field, 5, 4), l_rep
-    if kind is ModelKind.DE_SITTER:
-        form = QuadraticForm.diagonal(field, [1, 1, -1, -1, 1])
-        return form, unit_vector(field, 5, 4), unit_vector(field, 5, 3)
-    if kind is ModelKind.ANTI_DE_SITTER:
-        form = QuadraticForm.diagonal(field, [1, -1, -1, 1, 1])
-        return form, unit_vector(field, 5, 4), unit_vector(field, 5, 3)
-    if kind is ModelKind.LAGUERRE_GALILEI:
-        coeffs = {(0, 0): one, (2, 3): one, (1, 4): -one}
-        form = QuadraticForm(field, 5, coeffs)
-        return form, unit_vector(field, 5, 1), unit_vector(field, 5, 3)
-    raise ModelError(f"unknown model {kind}")
+    return row
 
 
-def model_geometry(kind: ModelKind, n: int = 2,
-                   eps: float = 1e-9) -> Geometry:
+def _build(field, kind: ModelKind, n: int):
+    """(form, P_rep, L_rep) over the given field, read off the table."""
+    row = _model(kind, n)
+    if row.bar is None:  # Laguerre/Galilei: x1^2 + tz - yw
+        form = QuadraticForm(field, 5, {(0, 0): 1, (2, 3): 1, (1, 4): -1})
+        return form, (0, 1, 0, 0, 0), (0, 0, 0, 1, 0)
+    bar = _bar_metric(kind, n)
+    m = len(bar)
+    coeffs = {(i, i): s for i, s in enumerate(bar)}
+    if row.signs:  # bar + [Q(L), Q(P)], L = e_m
+        coeffs[m, m], coeffs[m + 1, m + 1] = row.signs
+        dim, l = m + 2, 1
+    else:  # bar + (tz - w^2), L = 2 e_m
+        coeffs[m, m + 1], coeffs[m + 2, m + 2] = 1, -1
+        dim, l = m + 3, 2
+    return (QuadraticForm(field, dim, coeffs), (0,) * (dim - 1) + (1,),
+            tuple(l if i == m else 0 for i in range(dim)))
+
+
+def model_geometry(kind: ModelKind, n: int = 2) -> Geometry:
     """The floating-point model geometry with its fixed P and L."""
-    field = ApproxReal(eps)
-    form, p, l = _build(field, kind, n)
-    return Geometry(form, p, l)
+    return Geometry(*_build(ApproxReal(), kind, n))
 
 
 def exact_model_geometry(kind: ModelKind, n: int = 2) -> Geometry:
     """The same model over exact rationals (for classification)."""
-    field = Rational()
-    form, p, l = _build(field, kind, n)
-    return Geometry(form, p, l)
+    return Geometry(*_build(Rational(), kind, n))
 
 
-def _bar_metric(kind: ModelKind, n: int):
-    """Signs of the model's base metric on the c-bar coordinates."""
-    if kind is ModelKind.ELLIPTIC:
-        return [1] * (n + 1)
-    if kind is ModelKind.HYPERBOLIC:
-        return [1] * n + [-1]
-    if kind is ModelKind.PARABOLIC:
-        return [1] * n
-    if kind is ModelKind.MINKOWSKI2:
-        return [1, -1]
-    if kind is ModelKind.DE_SITTER:
-        return [1, 1, -1]
-    if kind is ModelKind.ANTI_DE_SITTER:
-        return [1, -1, -1]
-    raise ModelError(f"{kind.value} has no quadratic base metric")
+def _bar_metric(kind: ModelKind, n: int, *vectors):
+    """Signs of the model's base metric on the c-bar coordinates, once
+    each of the vectors is checked to have that many coordinates."""
+    k, m = _model(kind, n).bar
+    for x in vectors:
+        if len(x) != n + k + m:
+            raise ModelError(f"{kind.value} base vectors need {n + k + m} "
+                             f"coordinates; got {len(x)}")
+    return (1,) * (n + k) + (-1,) * m
 
 
 def _bar_dot(kind, n, u, v):
-    metric = _bar_metric(kind, n)
-    for x in (u, v):
-        if len(x) != len(metric):
-            raise ModelError(f"{kind.value} base vectors need {len(metric)} "
-                             f"coordinates; got {len(x)}")
+    metric = _bar_metric(kind, n, u, v)
     return sum(s * a * b for s, a, b in zip(metric, u, v))
 
 
@@ -151,75 +151,61 @@ def _bar_norm(kind, n, u):
     return _bar_dot(kind, n, u, u)
 
 
-_POINT_NORMS = {ModelKind.ELLIPTIC: 1.0, ModelKind.HYPERBOLIC: -1.0,
-                ModelKind.DE_SITTER: 1.0, ModelKind.ANTI_DE_SITTER: -1.0}
+def _need_norm(kind, n, coords, want, what="centers/normals"):
+    got = _bar_norm(kind, n, coords)
+    if abs(got - want) > 1e-7:
+        raise ModelError(
+            f"{kind.value} {what} need base norm {want}; got {got}")
 
 
-def lift_point(kind: ModelKind, coords, n: int = 2,
-               eps: float = 1e-9) -> ModelObject:
+def _lift(kind: ModelKind, role_hint: str, params: dict,
+          lift: tuple) -> ModelObject:
+    """The model object of a lift, its coordinates wrapped over
+    ApproxReal; a lift that overflowed is refused."""
+    if not all(map(math.isfinite, lift)):
+        raise ModelError(f"the {kind.value} {role_hint} lift is not "
+                         f"finite: {lift}")
+    return ModelObject(kind, role_hint, params, vector(ApproxReal(), lift))
+
+
+def lift_point(kind: ModelKind, coords, n: int = 2) -> ModelObject:
     """Lift model-space coordinates onto the quadric as a pointcycle."""
-    field = ApproxReal(eps)
     coords = tuple(float(x) for x in coords)
-    if kind in _POINT_NORMS:
-        want = _POINT_NORMS[kind]
-        if abs(_bar_norm(kind, n, coords) - want) > 1e-7:
-            raise ModelError(
-                f"{kind.value} points need base norm {want}; got "
-                f"{_bar_norm(kind, n, coords)}")
-        lift = coords + (1.0, 0.0)
-    elif kind in (ModelKind.PARABOLIC, ModelKind.MINKOWSKI2):
-        lift = coords + (-_bar_norm(kind, n, coords), 1.0, 0.0)
-    elif kind is ModelKind.LAGUERRE_GALILEI:
+    row = _model(kind, n)
+    if row.bar is None:  # Laguerre/Galilei
         if len(coords) != 2:
             raise ModelError(f"{kind.value} points need 2 coordinates; "
                              f"got {len(coords)}")
         x, y = coords
         lift = (x, y, 1.0, -x * x, 0.0)
+    elif row.signs:
+        _need_norm(kind, n, coords, float(-row.signs[0]), "points")
+        lift = coords + (1.0, 0.0)
     else:
-        raise ModelError(f"no point lift for {kind}")
-    return ModelObject(kind, "point", {"coords": coords},
-                       vector(field, lift))
+        lift = coords + (-_bar_norm(kind, n, coords), 1.0, 0.0)
+    return _lift(kind, "point", {"coords": coords}, lift)
 
 
-def lift_cycle(kind: ModelKind, center, radius, n: int = 2,
-               eps: float = 1e-9) -> ModelObject:
+def lift_cycle(kind: ModelKind, center, radius, n: int = 2) -> ModelObject:
     """Lift a cycle of the given center and signed radius (the sign is
     the orientation)."""
-    field = ApproxReal(eps)
     r = float(radius)
-    if kind is ModelKind.LAGUERRE_GALILEI:
+    row = _model(kind, n)
+    if row.bar is None:
         raise ModelError("Laguerre cycles are parabolas; use lift_parabola")
     center = tuple(float(x) for x in center)
-    if kind is ModelKind.ELLIPTIC:
-        _need_norm(kind, n, center, 1.0)
-        lift = center + (math.cos(r), math.sin(r))
-    elif kind is ModelKind.HYPERBOLIC:
-        _need_norm(kind, n, center, -1.0)
-        lift = center + (math.cosh(r), math.sinh(r))
-    elif kind in (ModelKind.PARABOLIC, ModelKind.MINKOWSKI2):
-        lift = center + (r * r - _bar_norm(kind, n, center), 1.0, r)
-    elif kind is ModelKind.DE_SITTER:
-        _need_norm(kind, n, center, -1.0)
-        lift = center + (math.sinh(r), math.cosh(r))
-    elif kind is ModelKind.ANTI_DE_SITTER:
-        _need_norm(kind, n, center, -1.0)
-        lift = center + (math.cos(r), math.sin(r))
+    if row.signs:
+        (ql, qp), (a, b) = row.signs, row.conic
+        _need_norm(kind, n, center,
+                   -(ql * a(0.0) * a(0.0) + qp * b(0.0) * b(0.0)))
+        lift = center + (a(r), b(r))
     else:
-        raise ModelError(f"no cycle lift for {kind}")
-    return ModelObject(kind, "cycle", {"center": center, "radius": r},
-                       vector(field, lift))
-
-
-def _need_norm(kind, n, coords, want):
-    got = _bar_norm(kind, n, coords)
-    if abs(got - want) > 1e-7:
-        raise ModelError(
-            f"{kind.value} centers/normals need base norm {want}; got {got}")
+        lift = center + (r * r - _bar_norm(kind, n, center), 1.0, r)
+    return _lift(kind, "cycle", {"center": center, "radius": r}, lift)
 
 
 def lift_line(kind: ModelKind, normal=None, offset=0.0, orientation=1,
-              slope=None, intercept=None, n: int = 2,
-              eps: float = 1e-9) -> ModelObject:
+              slope=None, intercept=None, n: int = 2) -> ModelObject:
     """Lift an oriented line (hyperplane for general n).
 
     Curved models take a normal vector of the appropriate base norm and
@@ -228,75 +214,59 @@ def lift_line(kind: ModelKind, normal=None, offset=0.0, orientation=1,
     cannot carry (timelike Minkowski normals, vertical Laguerre lines)
     raise ModelError.
     """
-    field = ApproxReal(eps)
     s = 1.0 if orientation >= 0 else -1.0
-    if kind is ModelKind.LAGUERRE_GALILEI:
+    row = _model(kind, n)
+    if row.bar is None:
         if slope is None or intercept is None:
             raise ModelError("Laguerre lines take slope= and intercept=")
         m, b = float(slope), float(intercept)
         lift = (s * m / 2.0, s * m * m / 4.0, 0.0, s * b, s)
-        return ModelObject(kind, "line", {"slope": m, "intercept": b,
-                                          "orientation": s},
-                           vector(field, lift))
+        return _lift(kind, "line", {"slope": m, "intercept": b,
+                                    "orientation": s}, lift)
     normal = tuple(float(x) for x in normal)
-    if kind is ModelKind.ELLIPTIC:
-        _need_norm(kind, n, normal, 1.0)
+    if row.signs:
+        _need_norm(kind, n, normal, float(-row.signs[1]))
         lift = normal + (0.0, s)
-    elif kind is ModelKind.HYPERBOLIC:
-        _need_norm(kind, n, normal, 1.0)
-        lift = normal + (0.0, s)
-    elif kind in (ModelKind.DE_SITTER, ModelKind.ANTI_DE_SITTER):
-        _need_norm(kind, n, normal, -1.0)
-        lift = normal + (0.0, s)
-    elif kind in (ModelKind.PARABOLIC, ModelKind.MINKOWSKI2):
+    else:
         got = _bar_norm(kind, n, normal)
         if abs(got - 1.0) > 1e-7:
-            if kind is ModelKind.MINKOWSKI2 and got < 0:
+            if got < 0:  # only the Minkowski bar is indefinite
                 raise ModelError(
                     "timelike line normals are not liftable in this chart "
                     "(they belong to the second model)")
             raise ModelError(f"line normals must have base norm 1; got {got}")
         d = float(offset)
         lift = tuple(s * x for x in normal) + (-2.0 * s * d, 0.0, s)
-    else:
-        raise ModelError(f"no line lift for {kind}")
-    return ModelObject(kind, "line", {"normal": normal, "offset": float(offset),
-                                      "orientation": s},
-                       vector(field, lift))
+    return _lift(kind, "line", {"normal": normal, "offset": float(offset),
+                                "orientation": s}, lift)
 
 
-def lift_parabola(a, b, c, eps: float = 1e-9) -> ModelObject:
+def lift_parabola(a, b, c) -> ModelObject:
     """The Laguerre cycle y = a x^2 + b x + c (vertical-axis parabola)."""
-    field = ApproxReal(eps)
     a, b, c = float(a), float(b), float(c)
     lift = (b / 2.0, b * b / 4.0 - a * c, -a, c, 1.0)
-    return ModelObject(ModelKind.LAGUERRE_GALILEI, "cycle",
-                       {"a": a, "b": b, "c": c},
-                       vector(field, lift))
+    return _lift(ModelKind.LAGUERRE_GALILEI, "cycle",
+                 {"a": a, "b": b, "c": c}, lift)
 
 
-def lift_paracycle(u, lam, n: int = 2, eps: float = 1e-9) -> ModelObject:
+def lift_paracycle(u, lam, n: int = 2) -> ModelObject:
     """Hyperbolic paracycle (u, lam, lam) centered on the ideal point u."""
-    field = ApproxReal(eps)
     u = tuple(float(x) for x in u)
     if abs(_bar_norm(ModelKind.HYPERBOLIC, n, u)) > 1e-7:
         raise ModelError("paracycle centers are ideal: base norm 0")
     lift = u + (float(lam), float(lam))
-    return ModelObject(ModelKind.HYPERBOLIC, "paracycle",
-                       {"ideal": u, "lam": float(lam)},
-                       vector(field, lift))
+    return _lift(ModelKind.HYPERBOLIC, "paracycle",
+                 {"ideal": u, "lam": float(lam)}, lift)
 
 
-def lift_hypercycle(normal, d, n: int = 2, eps: float = 1e-9) -> ModelObject:
+def lift_hypercycle(normal, d, n: int = 2) -> ModelObject:
     """Hyperbolic hypercycle at signed distance d from the line with the
     given unit normal: (l, sinh d, cosh d)."""
-    field = ApproxReal(eps)
     normal = tuple(float(x) for x in normal)
     _need_norm(ModelKind.HYPERBOLIC, n, normal, 1.0)
     lift = normal + (math.sinh(float(d)), math.cosh(float(d)))
-    return ModelObject(ModelKind.HYPERBOLIC, "hypercycle",
-                       {"normal": normal, "d": float(d)},
-                       vector(field, lift))
+    return _lift(ModelKind.HYPERBOLIC, "hypercycle",
+                 {"normal": normal, "d": float(d)}, lift)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +359,10 @@ def cycles_at_angle(kind: ModelKind, theta: float, r1: float, r2: float,
 
 
 def check_separation(kind: ModelKind, o1: ModelObject, o2: ModelObject,
-                     n: int = 2, eps: float = 1e-9):
+                     n: int = 2):
     """(computed, expected): the lift-side separation or power against
     the closed form evaluated from the model parameters alone."""
-    g = model_geometry(kind, n, eps)
+    g = model_geometry(kind, n)
     if o1.role_hint == "point" and o2.role_hint == "point":
         value = inversive_separation(g, o1.lift, o2.lift)
         d = base_distance(kind, o1.params["coords"], o2.params["coords"], n)

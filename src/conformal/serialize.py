@@ -92,12 +92,12 @@ def geometry_to_json(g: Geometry) -> dict:
             "L": vector_to_json(g.l_rep)}
 
 
-def geometry_from_json(obj, eps: float = 1e-9) -> Geometry:
+def geometry_from_json(obj) -> Geometry:
     keys = ("field", "form", "P", "L")
     if not isinstance(obj, dict) or any(k not in obj for k in keys):
         raise InvalidInputError(
             "a geometry is a JSON object with keys " + ", ".join(keys))
-    field = field_from_token(obj["field"], eps)
+    field = field_from_token(obj["field"])
     form = form_from_json(field, obj["form"])
     return Geometry(form,
                     vector_from_json(field, obj["P"]),

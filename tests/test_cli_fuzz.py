@@ -294,3 +294,40 @@ def test_verify_all_with_a_field_that_is_not_an_odd_prime_is_unsupported():
         assert err.startswith("unsupported: ") and err.count("\n") == 1, err
         if field in reasons:
             assert err == f"unsupported: {reasons[field]}\n", err
+
+
+def _strict_json(text):
+    """The JSON value of text, refusing NaN and the infinities, which
+    RFC 8259 does not allow."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_lift_that_overflows_is_refused_not_printed():
+    """At d = 1e200 the parabolic point lift holds -|c|^2 = -inf: the run
+    ends with exit 2 and one stderr line instead of printing NaN and
+    -Infinity with exit 0.  An elliptic lift at d = 1e300 stays finite
+    and prints standard JSON."""
+    code, out, err = _run(["examples", "separation", "--model", "parabolic",
+                           "--d", "1e200"], "")
+    assert (code, out) == (2, ""), (code, out)
+    assert err.startswith("precondition violated: ") and "not finite" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    code, out, err = _run(["examples", "separation", "--model", "elliptic",
+                           "--d", "1e300"], "")
+    assert (code, err) == (0, "")
+    assert set(_strict_json(out)) == {"closed_form", "computed",
+                                      "difference", "model"}
+
+
+def test_a_huge_dimension_is_refused_before_anything_is_built():
+    """The coordinate count is checked against n before the base metric
+    is built, so n = 10**18 is one precondition line, not a MemoryError
+    traceback."""
+    n = 10 ** 18
+    code, out, err = _run(["examples", "lift", "--model", "elliptic",
+                           "--point", "1,0,0", "--n", str(n)], "")
+    assert (code, out) == (2, "")
+    assert err == ("precondition violated: elliptic base vectors need "
+                   f"{n + 1} coordinates; got 3\n")

@@ -372,3 +372,35 @@ def test_raw_zero_and_one_are_the_scalar_values(field):
         value = field.scalar(n).value
         assert type(raw) is type(value) and raw == value
         assert type(scalar.value) is type(value) and scalar == field.scalar(n)
+
+
+def test_scalars_read_plain_numbers_by_the_coordinate_rule():
+    """Arithmetic and ``==`` read a plain number as ``Field.scalar``
+    reads it, from either side.  A number the field does not read is
+    unequal, and arithmetic with it raises TypeError; another field's
+    Scalar is unequal and raises FieldMismatchError in arithmetic."""
+    qq, approx, f5 = Rational(), ApproxReal(), PrimeField(5)
+    assert qq.one() == Fraction(1) and Fraction(1) == qq.one()
+    assert approx.one() == 1.0 and 1.0 == approx.one()
+    assert qq.one() == 1 and approx.one() == Fraction(1, 1)
+    for value in (qq.one() + Fraction(1, 2), Fraction(1, 2) + qq.one(),
+                  Fraction(3) * qq.one() / 2, 2 - Fraction(1, 2) * qq.one()):
+        assert value.field is qq and value.value == Fraction(3, 2)
+    assert (1.5 - approx.one()).value == 0.5
+    assert (approx.one() * Fraction(1, 4)).value == 0.25
+    assert f5.one() == 6 and f5.one() != 1.0 and not f5.one() == 1.0
+    for other in (PrimeField(7).one(), "1", None, approx.one()):
+        assert not f5.one() == other and f5.one() != other
+    assert not qq.one() == approx.one() and not qq.one() == "1"
+    for other in (0.5, "1", None):
+        with pytest.raises(TypeError):
+            f5.one() + other
+        with pytest.raises(TypeError):
+            other * f5.one()
+    with pytest.raises(TypeError):
+        qq.one() + "1"
+    with pytest.raises(FieldMismatchError):
+        f5.one() + PrimeField(7).one()
+    with pytest.raises(FieldMismatchError):
+        qq.one() * approx.one()
+    assert hash(qq.one()) == hash((qq, Fraction(1)))

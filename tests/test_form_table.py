@@ -279,11 +279,9 @@ def _scalar_call(node) -> bool:
         and isinstance(node.func, ast.Attribute) and node.func.attr == "scalar"
 
 
-# The calls of ``linalg.vector`` in the package: the float model lifts,
-# public coordinates read by the coordinate rule.
-VECTOR_CALLS = [("models", f, "lift") for f in (
-    "lift_point", "lift_cycle", "lift_line", "lift_line", "lift_parabola",
-    "lift_paracycle", "lift_hypercycle")]
+# The one call of ``linalg.vector`` in the package: the wrap every float
+# model lift ends in, public coordinates read by the coordinate rule.
+VECTOR_CALLS = [("models", "_lift", "lift")]
 
 
 def test_vectors_cross_the_boundary_one_way():
@@ -322,6 +320,25 @@ def test_vectors_cross_the_boundary_one_way():
         visit(ast.parse(path.read_text()), None)
     assert loops == []
     assert vector_calls == VECTOR_CALLS
+
+
+def test_no_tolerance_parameter_outside_fields():
+    """The float tolerance is a parameter of ``ApproxReal`` alone: no
+    function of the package outside ``fields.py`` takes ``eps``."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "conformal"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args
+                         + args.kwonlyargs]
+                if "eps" in names:
+                    found.append((path.stem, getattr(node, "name", None)))
+    assert found == []
 
 
 def _pinned_forms():

@@ -1,14 +1,16 @@
 """The classical real models: lifts, roles, closed-form separations."""
 
+import hashlib
+import itertools
 import math
 import random
 
 import pytest
 
 from conformal.classify import classify
-from conformal.fields import FieldMismatchError
 from conformal.geometry import Role, incident, inversive_separation, role
-from conformal.models import (ModelError, ModelKind, check_separation,
+from conformal.models import (ModelError, ModelKind, ModelObject,
+                              check_separation,
                               cycles_at_angle, exact_model_geometry,
                               expected_point_separation, lift_cycle,
                               lift_hypercycle, lift_line, lift_parabola,
@@ -209,19 +211,131 @@ def test_power_depends_on_fixed_representative():
 
 def test_lifts_share_the_field_of_the_model_geometry():
     """A model geometry and the objects lifted into it share one field
-    object per tolerance, so their field checks pass on identity; another
-    tolerance gets a field of its own that still works, and its lifts
-    are refused by a geometry at the first."""
+    object, so their field checks pass on identity (two tolerances are
+    two fields: ``test_one_object_per_field``)."""
     g = model_geometry(ModelKind.ELLIPTIC)
     lifts = [lift_point(ModelKind.ELLIPTIC, (0.6, 0.8, 0.0)),
              lift_line(ModelKind.ELLIPTIC, normal=(0.0, 0.0, 1.0)),
              lift_cycle(ModelKind.ELLIPTIC, (0.0, 0.0, 1.0), 0.5)]
     assert all(x.field is g.field for obj in lifts for x in obj.lift)
     assert model_geometry(ModelKind.HYPERBOLIC).field is g.field
-    coarse = model_geometry(ModelKind.ELLIPTIC, eps=1e-6)
-    assert coarse.field is not g.field and coarse.field.eps == 1e-6
-    pt = lift_point(ModelKind.ELLIPTIC, (0.6, 0.8, 0.0), eps=1e-6)
-    assert pt.lift[0].field is coarse.field
-    assert role(coarse, pt.lift) is Role.POINT
-    with pytest.raises(FieldMismatchError):
-        role(g, pt.lift)
+
+
+# ---------------------------------------------------------------------------
+# Every lift and model geometry, pinned
+# ---------------------------------------------------------------------------
+
+# the base metric of each model on its c-bar coordinates, stated here
+# independently of models.py, used only to scale grid vectors onto the
+# unit norms the lifts ask for
+_PIN_BAR = {ModelKind.ELLIPTIC: lambda n: (1,) * (n + 1),
+            ModelKind.HYPERBOLIC: lambda n: (1,) * n + (-1,),
+            ModelKind.PARABOLIC: lambda n: (1,) * n,
+            ModelKind.MINKOWSKI2: lambda n: (1, -1),
+            ModelKind.DE_SITTER: lambda n: (1, 1, -1),
+            ModelKind.ANTI_DE_SITTER: lambda n: (1, -1, -1),
+            ModelKind.LAGUERRE_GALILEI: lambda n: (1, 1)}
+_PIN_PLANE = (ModelKind.MINKOWSKI2, ModelKind.DE_SITTER,
+              ModelKind.ANTI_DE_SITTER, ModelKind.LAGUERRE_GALILEI)
+
+
+def _pin_dims(kind):
+    return (2,) if kind in _PIN_PLANE else (1, 2, 3)
+
+
+def _pin_vectors(kind, n):
+    """Grid vectors of the model's base length, each as drawn and, when
+    its norm is not zero, scaled to norm +-1; and two of each length one
+    off."""
+    bar = _PIN_BAR[kind](n)
+    for length in (len(bar) - 1, len(bar) + 1):
+        yield from itertools.islice(
+            itertools.product((2, 0, -1), repeat=length), 2)
+    for v in itertools.product((-1, 0, 2), repeat=len(bar)):
+        yield v
+        norm = sum(s * x * x for s, x in zip(bar, v))
+        if norm:
+            yield tuple(x / math.sqrt(abs(norm)) for x in v)
+
+
+def _pin_text(value):
+    if isinstance(value, ModelObject):
+        return (f"{value.kind.value} {value.role_hint} "
+                f"{sorted(value.params.items())} "
+                f"{[repr(x.value) for x in value.lift]} "
+                f"{value.lift[0].field.token()}")
+    if isinstance(value, tuple):
+        return " ".join(_pin_text(v) for v in value)
+    if hasattr(value, "form"):  # a model geometry
+        return (f"{value.field.token()} {value.form.dim} "
+                f"{value.form._terms} {value._p_raw} {value._l_raw}")
+    return repr(value.value if hasattr(value, "value") else value)
+
+
+def _pin_records():
+    def record(call, *args, **kw):
+        try:
+            out = _pin_text(call(*args, **kw))
+        except ModelError as exc:
+            out = f"ModelError: {exc}"
+        return f"{call.__name__}{args}{sorted(kw.items())} -> {out}"
+
+    for kind in ALL_KINDS:
+        for n in range(0, 5):
+            yield record(model_geometry, kind, n)
+            yield record(exact_model_geometry, kind, n)
+        for n in _pin_dims(kind):
+            for v in _pin_vectors(kind, n):
+                yield record(lift_point, kind, v, n=n)
+                if kind is ModelKind.LAGUERRE_GALILEI:
+                    continue
+                for r in (-0.7, 0.0, 1.3):
+                    yield record(lift_cycle, kind, v, r, n=n)
+                for s in (1, -1):
+                    for offset in (0.0, 0.5):
+                        yield record(lift_line, kind, v, offset=offset,
+                                     orientation=s, n=n)
+                if kind is ModelKind.HYPERBOLIC:
+                    for lam in (0.7, -1.5):
+                        yield record(lift_paracycle, v, lam, n=n)
+                    for d in (0.4, -1.1, 0.0):
+                        yield record(lift_hypercycle, v, d, n=n)
+    lag = ModelKind.LAGUERRE_GALILEI
+    grid = (-1, 0, 0.5, 2)
+    for a, b, c in itertools.product(grid, repeat=3):
+        yield record(lift_parabola, a, b, c)
+    for m, b, s in itertools.product(grid, grid, (1, 0, -1)):
+        yield record(lift_line, lag, slope=m, intercept=b, orientation=s)
+    yield record(lift_line, lag)
+    yield record(lift_line, lag, slope=1.0)
+    yield record(lift_cycle, lag, (0.0, 0.0), 1.0)
+    for kind in CURVED:
+        for d in (0.3, 1.7):
+            yield record(points_at_distance, kind, d)
+            yield record(check_separation, kind,
+                         *points_at_distance(kind, d))
+        for theta in (0.4, 2.2):
+            yield record(cycles_at_angle, kind, theta, 0.45, 0.35)
+            yield record(check_separation, kind,
+                         *cycles_at_angle(kind, theta, 0.45, 0.35))
+        pair = (points_at_distance(kind, 0.3)[0],
+                cycles_at_angle(kind, 0.4, 0.45, 0.35)[0])
+        yield record(check_separation, kind, *pair)
+
+
+# recorded before the lifts were read off one table
+LIFTS_DIGEST = (6868, "c288fad90081b7197daeab6bf9cf98b049e5bab"
+                          "496919895ab9187e087141155")
+
+
+def test_every_lift_and_model_geometry_is_pinned():
+    """Every lift on a fixed grid (every model, orientation and n that
+    lifts), the params and role hints, the form terms, P and L of each
+    model geometry and each ModelError message on the grid's refused
+    inputs hash to one recorded digest."""
+    digest = hashlib.sha256()
+    count = 0
+    for line in _pin_records():
+        digest.update(line.encode() + b"\n")
+        count += 1
+    assert (count, digest.hexdigest()) == LIFTS_DIGEST
