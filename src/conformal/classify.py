@@ -5,7 +5,8 @@ A geometry is determined by its form up to a scalar together with the
 norm classes of P and L, so the class records the form's invariant
 (``quadform.form_invariant``: signature, determinant class, or Arf
 class) and the pair (Q(P), Q(L)), normalized under rescaling by the
-non-residue (``quadform.rescaled``).
+non-residue by the one rule ``_normal``.  ``classify``, the atlas, the
+partners and cycle equivalence all go through it.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ import operator
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .fields import (Field, Scalar, SquareClass, UnsupportedFieldError,
+from .fields import (Field, SquareClass, UnsupportedFieldError,
                      canonical_nonresidue)
 from . import linalg
 from .quadform import (QuadraticForm, _Extender, _diagonal_raw,
                        _off_radical, _radical, char2_arf_rep, form_invariant,
-                       invariant_kind, isometric, rescaled, InvalidInputError)
+                       invariant_kind, invariant_witt_index, isometric,
+                       rescaled, InvalidInputError)
 from .geometry import Geometry, pointspace
 
 QUADRATICALLY_CLOSED = "qclosed"
@@ -49,7 +51,7 @@ def _flip(c: SquareClass) -> SquareClass:
     return SquareClass.NON_RESIDUE * c
 
 
-@functools.cache  # classify reads it on every balanced or even-dim call
+@functools.cache  # _normal reads it for every balanced or even-dim class
 def _canonical_pair(qp: SquareClass, ql: SquareClass) -> tuple:
     """The smaller of (Q(P), Q(L)) and its image under rescaling by a
     non-square."""
@@ -86,29 +88,57 @@ class GeometryClass:
         return f"{base} [{self.name}]" if self.name else base
 
 
-def classify(g: Geometry) -> GeometryClass:
-    """The invariant tuple of a geometry, normalized under rescaling by
-    the non-residue: the larger of the form invariant and its rescaled
-    image is kept (k >= l; "UNIT" > "NON_RESIDUE"), the norm classes
-    flipping with it; when rescaling fixes the invariant the pair is
-    canonicalized (a no-op on the classes 0 and 1 of characteristic 2)."""
-    field, form = g.field, g.form
-    inv = form_invariant(form)
-    cls_of = field._square_class
-    qp, ql = cls_of(form.eval_raw(g._p_raw)), cls_of(form.eval_raw(g._l_raw))
-    alt = rescaled(inv, form.dim)
+def _normal(n: int, inv: tuple, qp: SquareClass, ql: SquareClass) -> tuple:
+    """The rescaling rule: (inv, qp, ql) of a form of dimension n
+    normalized under rescaling by the non-residue.  The larger of the
+    form invariant and its rescaled image is kept (k >= l; "UNIT" >
+    "NON_RESIDUE"), the norm classes flipping with it; when rescaling
+    fixes the invariant the pair is canonicalized (a no-op on the
+    classes 0 and 1 of characteristic 2)."""
+    alt = rescaled(inv, n)
     if alt == inv:
-        qp, ql = _canonical_pair(qp, ql)
-    elif alt > inv:
-        inv, qp, ql = alt, _flip(qp), _flip(ql)
-    # the table names the planes of signature (3, 2) and over F_q
+        return (inv,) + _canonical_pair(qp, ql)
+    if alt > inv:
+        return alt, _flip(qp), _flip(ql)
+    return inv, qp, ql
+
+
+def _class(token: str, d: int, inv: tuple, qp: SquareClass, ql: SquareClass,
+           field: Optional[Field]) -> GeometryClass:
+    """The class record; the table names the planes of signature (3, 2)
+    and over F_q."""
     name = _CK_NAMES.get((qp, ql)) \
-        if g.n == 2 and inv in (("sig", 3, 2), ("det", "UNIT")) else None
-    return GeometryClass(field.token(), g.n, inv, qp, ql, name, field)
+        if d == 2 and inv in (("sig", 3, 2), ("det", "UNIT")) else None
+    return GeometryClass(token, d, inv, qp, ql, name, field)
+
+
+def _uncounted(inv: tuple, qp: SquareClass, ql: SquareClass) -> bool:
+    """The two admissible classes the stated counts leave out: a
+    balanced signature with P and L both isotropic, and Arf class 1."""
+    if inv[0] == "sig":
+        return inv[1] == inv[2] and qp is ql is SquareClass.ZERO
+    return inv == ("arf", 1)
+
+
+def classify(g: Geometry) -> GeometryClass:
+    """The invariant tuple of a geometry: its form invariant and the
+    norm classes of P and L, normalized by the rescaling rule
+    ``_normal``.  The atlas (``enumerate_classes``) is the set of these
+    normal forms over the admissible invariants, less the two classes
+    ``_uncounted`` names, which ``classify`` can return."""
+    field, form = g.field, g.form
+    cls_of = field._square_class
+    return _class(field.token(), g.n,
+                  *_normal(form.dim, form_invariant(form),
+                           cls_of(form.eval_raw(g._p_raw)),
+                           cls_of(form.eval_raw(g._l_raw))), field)
 
 
 def enumerate_classes(field, geom_dim: int):
-    """The duplicate-free atlas of non-degenerate geometry classes.
+    """The duplicate-free atlas of non-degenerate geometry classes: the
+    (invariant, Q(P), Q(L)) that are their own normal form (``_normal``)
+    over the invariants of Witt index at least 2, less the two classes
+    ``_uncounted`` names.
 
     ``field`` is a field object or the token "qclosed".  Counts:
     4 for a quadratically closed field; 9d/2 (d even) or the stated
@@ -119,50 +149,26 @@ def enumerate_classes(field, geom_dim: int):
     if d < 1:
         raise UnsupportedFieldError("geometries need dimension >= 1")
     if field == QUADRATICALLY_CLOSED:
-        out = [GeometryClass(QUADRATICALLY_CLOSED, d, ("unique",), qp, ql)
+        out = [_class(QUADRATICALLY_CLOSED, d, ("unique",), qp, ql, None)
                for qp in (SquareClass.ZERO, SquareClass.UNIT)
                for ql in (SquareClass.ZERO, SquareClass.UNIT)]
         return tuple(sorted(out, key=GeometryClass.sort_key))
-    kind, token = invariant_kind(field), field.token()
-    classes = (SquareClass.ZERO, SquareClass.UNIT, SquareClass.NON_RESIDUE)
-    out = []
-    if kind == "sig":
-        for l in range(2, (d + 3) // 2 + 1):
-            k = d + 3 - l
-            for qp in classes:
-                for ql in classes:
-                    if k == l:
-                        if (qp, ql) == (SquareClass.ZERO, SquareClass.ZERO):
-                            continue  # identified away in the stated count
-                        if (qp, ql) != _canonical_pair(qp, ql):
-                            continue
-                    name = _CK_NAMES.get((qp, ql)) \
-                        if d == 2 and (k, l) == (3, 2) else None
-                    out.append(GeometryClass(token, d, ("sig", k, l),
-                                             qp, ql, name, field))
-    elif kind == "det":
-        if (d + 3) % 2 == 1:
-            for qp in classes:
-                for ql in classes:
-                    name = _CK_NAMES.get((qp, ql)) if d == 2 else None
-                    out.append(GeometryClass(token, d, ("det", "UNIT"),
-                                             qp, ql, name, field))
-        else:
-            det_opts = ["UNIT"] if d == 1 else ["UNIT", "NON_RESIDUE"]
-            for det in det_opts:
-                for qp in classes:
-                    for ql in classes:
-                        if (qp, ql) != _canonical_pair(qp, ql):
-                            continue
-                        out.append(GeometryClass(token, d, ("det", det),
-                                                 qp, ql, None, field))
-    else:
-        if d != 3:
-            raise UnsupportedFieldError(
-                "characteristic-2 enumeration is implemented for geometry "
-                "dimension 3 (even vector dimension 6)")
-        out = [GeometryClass(token, d, ("arf", 0), qp, ql, None, field)
-               for qp in classes[:2] for ql in classes[:2]]  # 0 and 1
+    kind, n = invariant_kind(field), d + 3
+    if kind == "arf" and d != 3:
+        raise UnsupportedFieldError(
+            "characteristic-2 enumeration is implemented for geometry "
+            "dimension 3 (even vector dimension 6)")
+    invariants = {"sig": [("sig", k, n - k) for k in range(n + 1)],
+                  "det": [("det", "UNIT"), ("det", "NON_RESIDUE")],
+                  "arf": [("arf", 0), ("arf", 1)]}[kind]
+    # the norm classes; in characteristic 2 every unit is a square
+    classes = tuple(SquareClass)[:2 if kind == "arf" else 3]
+    token = field.token()
+    out = [_class(token, d, inv, qp, ql, field)
+           for inv in invariants if invariant_witt_index(field, n, inv) >= 2
+           for qp in classes for ql in classes
+           if _normal(n, inv, qp, ql) == (inv, qp, ql)
+           and not _uncounted(inv, qp, ql)]
     return tuple(sorted(out, key=GeometryClass.sort_key))
 
 
@@ -265,15 +271,13 @@ def _scaling_options(field: Field):
     return (field.one(), canonical_nonresidue(field))
 
 
-def _pointspace_token(g: Geometry, lam: Scalar):
-    """Isomorphism invariants of (P^perp, lam Q^P, L), computed for every
-    lam of ``_scaling_options`` on the first call and kept on the
-    geometry.
-
-    Only the invariant of the core (lam Q^P off its radical) and the
-    class of lam Q^P(L) = lam Q(L) depend on lam != 0; L's coordinates
-    lie in the radical exactly when L is orthogonal to all of P^perp."""
-    if not g._tokens:
+def _pointspace_class(g: Geometry) -> tuple:
+    """The class of (P^perp, Q^P, L) up to the overall scalar, computed
+    on the first call and kept on the geometry: the dimension of the
+    radical of Q^P, whether L's coordinates lie in it (exactly when L is
+    orthogonal to all of P^perp), and the normal form (``_normal``) of
+    the core (Q^P off its radical) with the class of Q^P(L) = Q(L)."""
+    if g._ps_class is None:
         field, form = g.field, g.form
         basis = form.perp_raw([g._p_raw])
         q_p = form.restrict_raw(basis)
@@ -281,16 +285,10 @@ def _pointspace_token(g: Geometry, lam: Scalar):
         core = _off_radical(q_p, rad) if rad else q_p
         l_in_rad = bool(rad) and all(
             field._is_zero(form.b_raw(g._l_raw, b)) for b in basis)
-        ql = form.eval_raw(g._l_raw)
-        inv = form_invariant(core)
-        for mu, mu_inv in zip(_scaling_options(field),
-                              (inv, rescaled(inv, core.dim))):
-            # the format the pinned token digests were recorded in
-            tok = mu_inv + (0,) if mu_inv[0] == "sig" \
-                else ("det", core.dim, mu_inv[1])
-            cls = field._square_class(field._mul(mu.value, ql))
-            g._tokens[mu.value] = (len(rad), tok, cls.name, l_in_rad)
-    return g._tokens[lam.value]
+        ql = field._square_class(form.eval_raw(g._l_raw))
+        g._ps_class = (len(rad), l_in_rad) + _normal(
+            core.dim, form_invariant(core), SquareClass.ZERO, ql)
+    return g._ps_class
 
 
 def cycle_equivalent(g1: Geometry, g2: Geometry) -> bool:
@@ -300,9 +298,9 @@ def cycle_equivalent(g1: Geometry, g2: Geometry) -> bool:
         raise InvalidInputError("cycle equivalence needs one field")
     if g1.form.dim != g2.form.dim:
         raise InvalidInputError("cycle equivalence needs equal dimensions")
-    options = _scaling_options(g1.field)
-    base = _pointspace_token(g2, g2.field.one())
-    return any(_pointspace_token(g1, lam) == base for lam in options)
+    if invariant_kind(g1.field) == "arf":
+        raise UnsupportedFieldError("cycle equivalence needs char != 2")
+    return _pointspace_class(g1) == _pointspace_class(g2)
 
 
 def cycle_equivalence_partners(cls: GeometryClass):
@@ -326,11 +324,8 @@ def cycle_equivalence_partners(cls: GeometryClass):
         return ()
     if cls.ql is SquareClass.ZERO:
         return (cls,)
-    partner = GeometryClass(cls.field_token, cls.geom_dim,
-                            cls.form_invariant, cls.qp, _flip(cls.ql),
-                            _CK_NAMES.get((cls.qp, _flip(cls.ql))),
-                            cls.field)
-    return (partner,)
+    return (_class(cls.field_token, cls.geom_dim, cls.form_invariant,
+                   cls.qp, _flip(cls.ql), cls.field),)
 
 
 def second_model(g: Geometry) -> Geometry:

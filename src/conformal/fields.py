@@ -163,9 +163,14 @@ class Scalar:
                 and self.field._eq(self.value, other.value))
 
     def __hash__(self):
+        """The hash of the raw value, so that ``x in {n}`` agrees with
+        ``x == n`` for every number that is its own raw value (an int or
+        Fraction over Q, 0..p-1 over F_p, 0..3 over F_4).  An int that
+        reads to another raw value (6 over F_5) compares equal but
+        hashes apart."""
         if not self.field.is_exact:
             raise TypeError("approximate scalars are not hashable")
-        return hash((self.field, self.value))
+        return hash(self.value)
 
     def __bool__(self):
         return not self.is_zero()

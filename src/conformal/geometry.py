@@ -11,9 +11,9 @@ is the vanishing of the (no-1/2) bilinear form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .fields import (ConformalError, Field, FieldMismatchError, Scalar,
                      SquareClass, UnsupportedFieldError)
@@ -137,7 +137,7 @@ class Geometry:
         self._p_raw, self._l_raw = p_raw, l_raw
         self._quadric = None
         self._points = None
-        self._tokens = {}  # classify._pointspace_token by the raw lambda
+        self._ps_class = None  # classify._pointspace_class, on first use
         self._charts = {}  # metric charts by the normalised raw line
 
     # x -> B(P, x) and x -> B(L, x) on raw values, built on first use:
@@ -365,12 +365,16 @@ class Subspace:
     as raw columns (raw coordinates x map to the raw ambient vector
     sum x_i b_i = ``linalg.mat_vec_raw(_cols, x, field)``), ``form`` is
     Q restricted to that basis, and ``_l_raw`` places L in it.
-    ``basis`` and ``l_coords`` wrap them in Scalars on each read.
+    ``_coords`` is the one coordinate map of the basis
+    (``linalg.coordinate_map`` of ``_cols``): a raw ambient vector to
+    its raw coordinates, None off the subspace.  ``basis`` and
+    ``l_coords`` wrap them in Scalars on each read.
     """
     geometry: Geometry
     _cols: tuple
     form: QuadraticForm
     _l_raw: tuple
+    _coords: Callable = dc_field(compare=False, repr=False)
 
     @property
     def basis(self) -> tuple:
@@ -412,18 +416,20 @@ class Subspace:
         if len(x) != dim:
             raise InvalidInputError(
                 f"an ambient vector has {dim} coordinates, not {len(x)}")
-        return linalg.solve_raw(self._cols, x, self.form.field)
+        return self._coords(x)
 
 
 def perp_space(g: Geometry, vectors: Sequence) -> Subspace:
     """The orthogonal complement of the raw ``vectors``, which must all
     be orthogonal to L, carrying the restricted form and L's coordinates
-    (solved by ``linalg.solve_raw``, as ``Subspace.from_ambient`` solves)."""
+    (read by the coordinate map the subspace keeps)."""
     basis = g.form.perp_raw(vectors)
     cols = tuple(zip(*basis))
-    l_raw = linalg.solve_raw(cols, g._l_raw, g.field)
+    coords = linalg.coordinate_map(cols, g.field)
+    l_raw = coords(g._l_raw)
     assert l_raw is not None  # L is orthogonal to every vector
-    return Subspace(g, cols, g.form.restrict_raw(basis), tuple(l_raw))
+    return Subspace(g, cols, g.form.restrict_raw(basis), tuple(l_raw),
+                    coords)
 
 
 def pointspace(g: Geometry) -> Subspace:

@@ -240,19 +240,6 @@ def span_key(rows: Sequence, field: Field) -> tuple:
     return tuple(tuple(row) for row in m[:len(pivots)])
 
 
-def solve_raw(rows: Sequence, rhs: Sequence, field: Field) -> Optional[list]:
-    """One solution x of M x = rhs on raw values, or None."""
-    ncols = len(rows[0]) if rows else len(rhs)
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivots = _reduce(aug, field)
-    if ncols in pivots:
-        return None
-    x = [field.raw_zero] * ncols
-    for row, pc in zip(aug, pivots):
-        x[pc] = row[ncols]
-    return x
-
-
 def inverse_raw(m: Sequence, field: Field) -> Optional[tuple]:
     """The inverse of the square matrix with raw rows m, from one
     elimination of [M | I]; None when M is singular.  A non-square M
@@ -281,14 +268,14 @@ def complement_indices(rows: Sequence, field: Field, n: int) -> list:
 
 
 def coordinate_map(rows: Sequence, field: Field):
-    """``solve_raw`` for one matrix of raw rows and many right-hand
-    sides: a function from a raw right-hand side to one raw solution x
-    of M x = rhs, or None (with the basis of a subspace as columns,
-    the coordinates of a vector in it).
+    """The solver of M x = rhs for one matrix of raw rows and many
+    right-hand sides: a function from a raw right-hand side to one raw
+    solution x, or None (with the basis of a subspace as columns, the
+    coordinates of a vector in it).
 
-    M is reduced once; each call replays on the right-hand side the row
-    operations ``solve_raw`` applies to it, so every value is the one
-    ``solve_raw`` gives, bit for bit over ApproxReal.
+    M is reduced once and its row operations logged; each call replays
+    them on the right-hand side, which is the elimination of [M | rhs]
+    restricted to its last column, and reads x off the pivot columns.
     """
     m = [list(row) for row in rows]
     ncols = len(m[0]) if m else 0

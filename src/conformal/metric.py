@@ -118,10 +118,9 @@ class Chart:
 
     The queries run on raw values: ``_to_line`` (chart coordinates to
     line coordinates: the raw basis as columns) and its inverse
-    ``_from_line`` are raw rows, and ``_coords`` maps an ambient vector
-    to its line coordinates (None off the line space) as
-    ``space.from_ambient`` does.  ``basis`` wraps the raw basis on each
-    read.
+    ``_from_line`` are raw rows; an ambient vector's line coordinates
+    come from the coordinate map of the line space.  ``basis`` wraps
+    the raw basis on each read.
     """
 
     def __init__(self, kind: LineGroupClass, space: Subspace, basis,
@@ -134,7 +133,6 @@ class Chart:
         self._from_line = linalg.inverse_raw(self._to_line, field)
         assert self._from_line is not None
         self.norm_token = norm_token
-        self._coords = linalg.coordinate_map(space._cols, field)
         if kind is LineGroupClass.ADDITIVE:
             # tau = 2 Q(u) (beta1 - beta2); the matrix divides by 2Q(u), 4Q(u)
             qu, mul = space.form.eval_raw(basis[1]), field._mul
@@ -361,7 +359,7 @@ def _point_coords(chart: Chart, g: Geometry, p):
     x = _raw_cycle(g, p)
     if not is_zero(g.form.eval_raw(x)):
         raise NotOnLineError("points of a line lie on the Lie quadric")
-    lc = chart._coords(x)
+    lc = chart.space._coords(x)
     if lc is None:
         raise NotOnLineError("the point is not on the given line")
     cc = linalg.mat_vec_raw(chart._from_line, lc, field)

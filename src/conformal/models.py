@@ -22,7 +22,8 @@ only.  Laguerre/Galilei keeps its own row: x1^2 + tz - yw with P = e_1
 and L = e_3 both isotropic, points (x, y, 1, -x^2, 0), vertical-axis
 parabolas and non-vertical lines.  The hyperbolic model also lifts
 distance-d hypercycles (l, sinh d, cosh d) and paracycles (u, s, s).
-Minkowski, de Sitter, anti-de Sitter and Laguerre are plane models.
+Minkowski, de Sitter, anti-de Sitter and Laguerre are plane models;
+the others take any n from 1 to ``MAX_MODEL_N``.
 
 Every lift is wrapped once, by ``_lift``, which refuses a coordinate
 that is not finite.  The numeric separation and power values follow the
@@ -41,6 +42,11 @@ from .fields import ApproxReal, ConformalError, Rational
 from .geometry import Geometry, inversive_separation, relative_power
 from .linalg import vector
 from .quadform import QuadraticForm
+
+
+# the largest model dimension n: a model is refused above it before its
+# base metric, a tuple of n signs, is built
+MAX_MODEL_N = 64
 
 
 class ModelError(ConformalError):
@@ -99,6 +105,8 @@ def _model(kind: ModelKind, n: int) -> _Model:
         raise ModelError(f"{kind.value} is a plane model (n = 2)")
     if n < 1:
         raise ModelError("models need n >= 1")
+    if n > MAX_MODEL_N:
+        raise ModelError(f"models need n <= {MAX_MODEL_N}; got {n}")
     return row
 
 

@@ -785,12 +785,20 @@ def witt_index(q: QuadraticForm) -> int:
         return witt_index(_off_radical(q, rad))
     field, n = q.field, q.dim
     if invariant_kind(field) == "det" and n % 2 == 1:
-        return (n - 1) // 2  # whatever the det class
-    inv = form_invariant(q)
+        return (n - 1) // 2  # whatever the det class: skip diagonalizing
+    return invariant_witt_index(field, n, form_invariant(q))
+
+
+def invariant_witt_index(field: Field, n: int, inv: tuple) -> int:
+    """The closed forms of ``witt_index`` for a non-degenerate form over
+    the field of dimension n and ``form_invariant`` inv, read off inv
+    alone, so no form is built."""
     if inv[0] == "sig":
         return min(inv[1], inv[2])
     if inv[0] == "arf":
         return n // 2 - inv[1]
+    if n % 2 == 1:
+        return (n - 1) // 2
     target = field._square_class(field._neg(field.raw_one)) \
         if (n // 2) % 2 == 1 else SquareClass.UNIT
     return n // 2 if inv[1] == target.name else n // 2 - 1
@@ -1121,9 +1129,9 @@ class _Extender:
         q = self.q
         field = self.field
         zero, one = field.raw_zero, field.raw_one
-        sol = linalg.solve_raw([q.gram_row_raw(s) for s in current],
-                               [one if s == r else zero for s in current],
-                               field)
+        coords = linalg.coordinate_map([q.gram_row_raw(s) for s in current],
+                                       field)
+        sol = coords([one if s == r else zero for s in current])
         if sol is None:
             raise InvalidInputError("radical completion failed (internal)")
         qs, sub, mul = q.eval_raw(sol), field._sub, field._mul

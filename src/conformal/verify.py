@@ -26,8 +26,9 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional
 
-from .fields import (CharTwo, PrimeField, Rational, Scalar, SquareClass,
-                     UnsupportedFieldError, canonical_nonresidue)
+from .fields import (CharTwo, Field, PrimeField, Rational, Scalar,
+                     SquareClass, UnsupportedFieldError,
+                     canonical_nonresidue)
 from . import linalg
 from .quadform import (InvalidInputError, QuadraticForm, _couples_of,
                        _gob_raw, _radical, arf_invariant,
@@ -80,7 +81,8 @@ def _primes(suite, field):
     default, cap = FIELD_SUITES[suite]
     if field is None:
         return default
-    if not isinstance(field, PrimeField):
+    if not (isinstance(field, Field) and field.is_finite
+            and field.char != 2 and field.order == field.char):
         raise UnsupportedFieldError(f"{field} is not an odd prime field")
     if field.p > cap:
         raise geo.EnumerationUnsupportedError(
@@ -90,10 +92,13 @@ def _primes(suite, field):
 
 def check_field(names, field) -> None:
     """Refuse ``field`` before any of the named suites runs: raise what
-    the first of them that takes a field would raise."""
-    for name in names:
-        if name in FIELD_SUITES:
-            _primes(name, field)
+    the first of them that takes a field would raise, or, when none of
+    them takes one, that they take none."""
+    takers = [name for name in names if name in FIELD_SUITES]
+    if field is not None and not takers:
+        raise UnsupportedFieldError(f"suite {', '.join(names)} takes no field")
+    for name in takers:
+        _primes(name, field)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ from conformal.classify import (QUADRATICALLY_CLOSED, GeometryClass,
                                 cycle_equivalence_partners, cycle_equivalent,
                                 enumerate_classes, pointspace_isometry,
                                 representative_geometry, second_model)
-from conformal.geometry import Geometry, lie_quadric_points, pointspace, role
+from conformal.geometry import (Geometry, lie_quadric_points,
+                                non_degenerate_geometry, non_empty,
+                                pointspace, role)
 from conformal.quadform import (InvalidInputError, IsometrySampler,
                                 QuadraticForm, is_isometry)
 from reference import (ref_in_span, ref_independent, ref_mat_vec,
@@ -221,26 +223,52 @@ def test_cycle_equivalence_is_equivalence_relation():
 
 
 def _fresh(g):
-    """g rebuilt on a new form: no pointspace token cached yet."""
+    """g rebuilt on a new form: no pointspace class cached yet."""
     form = QuadraticForm(g.field, g.form.dim, dict(g.form.coeff_items()))
     return Geometry(form, g.p_rep, g.l_rep)
 
 
 def test_cycle_equivalent_memo_keeps_every_answer():
-    """The pointspace tokens cached on a geometry never change an answer:
-    every ordered pair of an atlas relates the same while the tokens are
-    being cached, once they all are, and on fresh geometries."""
+    """The pointspace class cached on a geometry never changes an answer:
+    every ordered pair of an atlas relates the same while the classes
+    are being cached, once they all are, and on fresh geometries."""
     atlases = [(QQ, d) for d in (1, 2, 3, 4)] + [(F3, 2), (F5, 2)]
     for field, d in atlases:
         reps = [representative_geometry(c)
                 for c in enumerate_classes(field, d)]
         pairs = list(itertools.product(reps, repeat=2))
         first = [cycle_equivalent(g1, g2) for g1, g2 in pairs]
-        assert all(len(g._tokens) == 2 for g in reps)
+        assert all(g._ps_class is not None for g in reps)
         again = [cycle_equivalent(g1, g2) for g1, g2 in pairs]
         fresh = [cycle_equivalent(_fresh(g1), _fresh(g2)) for g1, g2 in pairs]
         assert first == again == fresh, (field, d)
         assert any(first) and not all(first)
+
+
+def test_uncounted_classes_classify_but_are_not_listed():
+    """The two admissible classes the stated counts leave out: over Q a
+    balanced signature with P and L isotropic (d = 1 and d = 3), and in
+    characteristic 2 at d = 3 every class of Arf class 1.  ``classify``
+    returns each for a non-degenerate geometry and ``enumerate_classes``
+    does not list it."""
+    zero, unit = SquareClass.ZERO, SquareClass.UNIT
+    for d, p, l in [(1, (1, 0, 1, 0), (0, 1, 0, 1)),
+                    (3, (1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0))]:
+        k = (d + 3) // 2
+        g = Geometry(QuadraticForm.diagonal(QQ, [1] * k + [-1] * k), p, l)
+        assert non_degenerate_geometry(g) and non_empty(g)
+        got = classify(g)
+        assert (got.form_invariant, got.qp, got.ql) == \
+            (("sig", k, k), zero, zero)
+        assert got not in enumerate_classes(QQ, d)
+    for field in (CharTwo(2), CharTwo(4)):
+        atlas = enumerate_classes(field, 3)
+        for qp, ql in itertools.product((zero, unit), repeat=2):
+            cls = GeometryClass(field.token(), 3, ("arf", 1), qp, ql,
+                                None, field)
+            g = representative_geometry(cls)
+            assert non_degenerate_geometry(g)
+            assert classify(g) == cls and cls not in atlas
 
 
 def test_partners_real():

@@ -22,6 +22,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conformal import cli
+from conformal import verify as ver
+from conformal.models import MAX_MODEL_N
 
 EXIT_CODES = {0, 2, 3, 64}
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -282,6 +284,22 @@ def test_verify_field_past_the_suite_cap_is_unsupported(suite, field):
     assert re.fullmatch(f"unsupported: {reason}\n", err), err
 
 
+NO_FIELD_SUITES = sorted(set(ver.SUITES) - set(ver.FIELD_SUITES))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "witt-oracle", "--field", "fp:11", "--verbose"],
+    ["verify", "--suite", "incidence-theorems", "--field", "approx"]]
+    + [["verify", "--suite", suite, "--field", "fp:3"]
+       for suite in NO_FIELD_SUITES], ids=" ".join)
+def test_verify_suite_that_takes_no_field_refuses_one(argv):
+    """A suite that takes no field refuses ``--field`` instead of
+    ignoring it: exit 3, one stderr line, nothing on stdout."""
+    code, out, err = _run(argv, "")
+    assert (code, out) == (3, "")
+    assert err == f"unsupported: suite {argv[2]} takes no field\n", err
+
+
 def test_verify_all_with_a_field_that_is_not_an_odd_prime_is_unsupported():
     """``--all`` refuses a field that a field-taking suite refuses, or an
     F_p past one suite's cap, before any suite runs: exit 3, one stderr
@@ -322,12 +340,12 @@ def test_a_lift_that_overflows_is_refused_not_printed():
 
 
 def test_a_huge_dimension_is_refused_before_anything_is_built():
-    """The coordinate count is checked against n before the base metric
-    is built, so n = 10**18 is one precondition line, not a MemoryError
-    traceback."""
+    """n is checked against ``models.MAX_MODEL_N`` before the base
+    metric is built, so n = 10**18 is one precondition line, not a
+    MemoryError traceback."""
     n = 10 ** 18
     code, out, err = _run(["examples", "lift", "--model", "elliptic",
                            "--point", "1,0,0", "--n", str(n)], "")
     assert (code, out) == (2, "")
-    assert err == ("precondition violated: elliptic base vectors need "
-                   f"{n + 1} coordinates; got 3\n")
+    assert err == ("precondition violated: models need n <= "
+                   f"{MAX_MODEL_N}; got {n}\n")

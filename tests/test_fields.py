@@ -403,4 +403,23 @@ def test_scalars_read_plain_numbers_by_the_coordinate_rule():
         f5.one() + PrimeField(7).one()
     with pytest.raises(FieldMismatchError):
         qq.one() * approx.one()
-    assert hash(qq.one()) == hash((qq, Fraction(1)))
+    assert hash(qq.one()) == hash(Fraction(1)) == hash(1)
+
+
+@pytest.mark.parametrize("field", [Rational(), PrimeField(5), CharTwo(2),
+                                   CharTwo(4)], ids=lambda f: f.token())
+def test_scalars_hash_as_the_numbers_they_equal(field):
+    """``x in {n}`` agrees with ``x == n`` for every number that is its
+    own raw value: every int and Fraction over Q, the raw values of a
+    finite field; an int read to another raw value (6 over F_5) compares
+    equal but hashes apart."""
+    numbers = [0, 1, -3, Fraction(2, 3), Fraction(4, 1)] \
+        if not field.is_finite else list(field.raw_elements)
+    for n in numbers:
+        x = field.scalar(n)
+        assert x == n and hash(x) == hash(n)
+        assert x in {n} and n in {x} and {x: 1}[n] == 1
+    if field is PrimeField(5):
+        assert field.scalar(6) == 6 and field.scalar(6) not in {6}
+    with pytest.raises(TypeError):
+        {ApproxReal().one()}

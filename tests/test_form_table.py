@@ -224,7 +224,7 @@ def test_traced_quadform_methods_exist():
 FIELD_CLASS_TESTS = {("linalg", "mat_vec_raw"): 1, ("linalg", "_reduce"): 1,
                      ("linalg", "_lane_tables"): 1,
                      ("linalg", "zero_flags"): 1,
-                     ("quadform", "_fill"): 2, ("verify", "_primes"): 1}
+                     ("quadform", "_fill"): 2}
 FIELD_CLASSES = {"PrimeField", "CharTwo", "Rational", "ApproxReal"}
 
 
@@ -266,6 +266,34 @@ def test_field_classes_are_tested_only_in_the_fast_paths():
         visit(ast.parse(path.read_text()), None)
     assert found == FIELD_CLASS_TESTS
     assert token_tests == []
+
+
+RESCALING_RULE = {"rescaled", "_canonical_pair"}
+
+
+def test_the_rescaling_rule_is_stated_once():
+    """Outside ``quadform.py`` (where ``rescaled`` lives), ``rescaled``
+    and ``_canonical_pair`` are referenced only inside
+    ``classify._normal``, so no caller re-inlines the rule: imports and
+    definitions are no references.  The source is parsed, not imported."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "conformal"
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "quadform.py":
+            continue
+
+        def visit(node, func):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name
+            if (isinstance(node, ast.Name) and node.id in RESCALING_RULE
+                    or isinstance(node, ast.Attribute)
+                    and node.attr in RESCALING_RULE):
+                found.add((path.stem, func))
+            for child in ast.iter_child_nodes(node):
+                visit(child, func)
+
+        visit(ast.parse(path.read_text()), None)
+    assert found == {("classify", "_normal")}
 
 
 def _scalar_call(node) -> bool:

@@ -12,8 +12,8 @@ points on raw values), ``reflect_raw``
 and ``mirrors`` build the isometries of Witt's theorem on raw tuples,
 ``cayley_klein_points``, ``has_point_search`` and ``role`` filter raw
 tuples, ``points_of`` filters byte columns (``test_byte_lanes.py``), ``subspaces`` and ``_is_hyperbolic_space`` run
-the Witt oracle on them, ``linalg.coordinate_map`` replays the solve of
-``linalg.solve_raw`` (checked against the Scalar ``ref_coordinates``), and ``metric.translation_between``,
+the Witt oracle on them, ``linalg.coordinate_map`` solves for coordinates
+(checked against the Scalar ``ref_coordinates``), and ``metric.translation_between``,
 ``motion_from_normal_form``, ``compose`` and ``invert`` run on raw
 values against a chart kept on the geometry.  ``kernel_basis`` wraps
 ``kernel_raw`` once, ``complement_indices`` reads the pivots of a kernel
@@ -78,8 +78,9 @@ from conformal.geometry import (EnumerationUnsupportedError, Geometry,
                                 inversive_separation, lie_quadric_points,
                                 points_of, pointspace, pointspace_points_of,
                                 project_cycle_raw, relative_power, role)
-from conformal.classify import (_pointspace_token, _scaling_options,
-                                enumerate_classes, representative_geometry)
+from conformal.classify import (_pointspace_class, _scaling_options,
+                                cycle_equivalent, enumerate_classes,
+                                representative_geometry)
 from conformal.metric import (DegenerateLineError, ExactChartUnavailableError,
                               IdealPointError, LineGroupClass,
                               NotOnLineError, build_chart, compose,
@@ -224,13 +225,14 @@ def test_gram_row_is_b_against_unit_vectors():
 
 
 @st.composite
-def nondegenerate_forms(draw, field):
+def nondegenerate_forms(draw, field, dim=None):
     """A diagonal form (odd p) or a sum of planes a x^2 + xy + b y^2
     (characteristic 2), in coordinates moved by a random permuted unit
-    triangular matrix, so the form stays non-degenerate."""
+    triangular matrix, so the form stays non-degenerate; of the given
+    dimension, or of one drawn."""
     nonzero = st.sampled_from(list(field.elements())[1:])
     if field.char == 2:
-        dim = draw(st.sampled_from([4, 6]))
+        dim = dim or draw(st.sampled_from([4, 6]))
         coeffs = {}
         for k in range(0, dim, 2):
             coeffs[(k, k + 1)] = field.one()
@@ -238,7 +240,7 @@ def nondegenerate_forms(draw, field):
             coeffs[(k + 1, k + 1)] = draw(elements(field))
         base = QuadraticForm(field, dim, coeffs)
     else:
-        dim = draw(st.sampled_from([4, 5]))
+        dim = dim or draw(st.sampled_from([4, 5]))
         base = QuadraticForm.diagonal(field, [draw(nonzero)
                                               for _ in range(dim)])
     columns = [tuple(field.one() if r == c else
@@ -248,10 +250,13 @@ def nondegenerate_forms(draw, field):
 
 
 @st.composite
-def small_geometries(draw):
-    field = draw(st.sampled_from([CharTwo(2), PrimeField(3), CharTwo(4),
-                                  PrimeField(5)]))
-    q = draw(nondegenerate_forms(field))
+def small_geometries(draw, field=None, dim=None):
+    """A geometry over F_2, F_3, F_4 or F_5 (or the given field), on a
+    form of ``nondegenerate_forms``, with P any nonzero vector and L any
+    nonzero vector of P^perp."""
+    field = field or draw(st.sampled_from([CharTwo(2), PrimeField(3),
+                                           CharTwo(4), PrimeField(5)]))
+    q = draw(nondegenerate_forms(field, dim))
     assert not bilinear_radical(q)
     vec = st.tuples(*[elements(field)] * q.dim)
     p_rep = draw(vec.filter(lambda v: not ref_is_zero_vector(v)))
@@ -748,10 +753,9 @@ def test_rref_matches_scalar_elimination(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_coordinate_map_matches_coordinates(data):
-    """``coordinate_map`` gives the coordinates ``solve_raw`` and the
-    Scalar elimination ``ref_coordinates`` solve for, bit for bit over
-    ApproxReal, and None for the same vectors, on bases with dependent
-    vectors too."""
+    """``coordinate_map`` gives the coordinates the Scalar elimination
+    ``ref_coordinates`` solves for, bit for bit over ApproxReal, and
+    None for the same vectors, on bases with dependent vectors too."""
     field = data.draw(st.sampled_from(RAW_FIELDS))
     n = data.draw(st.integers(1, 5))
     k = data.draw(st.integers(1, n))
@@ -766,15 +770,12 @@ def test_coordinate_map_matches_coordinates(data):
     coords = linalg.coordinate_map(cols, field)
     for v in vectors:
         want = ref_coordinates(v, basis, field)
-        x = linalg.raw_values(field, v)
-        got, solved = coords(x), linalg.solve_raw(cols, x, field)
+        got = coords(linalg.raw_values(field, v))
         if want is None:
-            assert got is None and solved is None
+            assert got is None
         else:
-            assert len(got) == len(solved) == len(want)
+            assert len(got) == len(want)
             assert all(same(Scalar(a, field), b) for a, b in zip(got, want))
-            assert all(same(Scalar(a, field), b)
-                       for a, b in zip(solved, want))
 
 
 def test_rref_rejects_rows_of_another_field():
@@ -1145,8 +1146,8 @@ def test_integer_reduction_matches_fraction_elimination(case):
         assert all(ref_mat_vec([r], v)[0].is_zero() for r in rows)
     if rows:
         rhs = ref_mat_vec(rows, linalg.vector(QQ, range(1, ncols + 1)))
-        x = linalg.solve_raw([linalg.raw_values(QQ, r) for r in rows],
-                             linalg.raw_values(QQ, rhs), QQ)
+        x = linalg.coordinate_map([linalg.raw_values(QQ, r) for r in rows],
+                                  QQ)(linalg.raw_values(QQ, rhs))
         assert x is not None
         assert ref_mat_vec(rows, linalg.vector(QQ, x)) == rhs
 
@@ -1234,59 +1235,71 @@ def test_restrict_matches_pair_loop(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_pointspace_token_matches_scalar_path(data):
-    """The token of a geometry over F_3/F_5 with arbitrary P and L,
-    including L = P isotropic (L's coordinates then lie in the radical of
-    P^perp), is the one the Scalar path computes, for both scalings."""
-    g = data.draw(small_geometries().filter(lambda g: g.field.char != 2))
-    if data.draw(st.booleans()) and g.qp().is_zero():
-        g = Geometry(g.form, g.p_rep, g.p_rep)
-    for lam in _scaling_options(g.field):
-        assert _pointspace_token(g, lam) == ref_pointspace_token(g, lam)
+    """``cycle_equivalent`` relates two geometries over F_3/F_5 with
+    arbitrary P and L, including L = P isotropic (L's coordinates then
+    lie in the radical of P^perp), exactly when the Scalar-path token of
+    the first under some scaling is the second's; the second is drawn
+    afresh or as the first with its form rescaled."""
+    g1 = data.draw(small_geometries().filter(lambda g: g.field.char != 2))
+    field = g1.field
+    if data.draw(st.booleans()):
+        lam = data.draw(elements(field).filter(lambda x: not x.is_zero()))
+        g2 = Geometry(g1.form.scaled(lam), g1.p_rep, g1.l_rep)
+    else:
+        g2 = data.draw(small_geometries(field, g1.form.dim))
+    g1, g2 = [Geometry(g.form, g.p_rep, g.p_rep)
+              if data.draw(st.booleans()) and g.qp().is_zero() else g
+              for g in (g1, g2)]
+    base = ref_pointspace_token(g2, field.one())
+    assert cycle_equivalent(g1, g2) == any(
+        ref_pointspace_token(g1, lam) == base
+        for lam in _scaling_options(field))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5)],
                          ids=str)
 def test_pointspace_token_with_l_in_the_radical(field):
-    """L = P isotropic: L's coordinates span the radical of P^perp."""
+    """L = P isotropic: L's coordinates span the radical of P^perp, as
+    the Scalar path finds, and the geometry is cycle equivalent to
+    itself only, not to the one with L off the radical."""
     form = QuadraticForm(field, 5, {(0, 1): 1, (2, 2): 1, (3, 3): 1,
                                     (4, 4): -1})
     p = linalg.vector(field, [1, 0, 0, 0, 0])
     g = Geometry(form, p, p)
-    for lam in _scaling_options(field):
-        token = _pointspace_token(g, lam)
-        assert token == ref_pointspace_token(g, lam)
-        assert token[0] == 1 and token[3] is True
+    off = Geometry(form, p, linalg.vector(field, [0, 0, 1, 0, 0]))
+    token = ref_pointspace_token(g, field.one())
+    assert _pointspace_class(g)[:2] == (token[0], token[3]) == (1, True)
+    assert _pointspace_class(off)[:2] == (1, False)
+    assert cycle_equivalent(g, g)
+    assert not cycle_equivalent(g, off) and not cycle_equivalent(off, g)
 
 
-def _token_digest(field, dims):
+def _relation_digest(field, dims):
     digest = hashlib.sha256()
     for d in dims:
-        for k, cls in enumerate(enumerate_classes(field, d)):
-            g = representative_geometry(cls)
-            for m, lam in enumerate(_scaling_options(field)):
-                digest.update(repr((d, k, m, _pointspace_token(g, lam)))
-                              .encode())
+        reps = [representative_geometry(c) for c in enumerate_classes(field, d)]
+        for (i, g1), (j, g2) in itertools.product(enumerate(reps), repeat=2):
+            digest.update(repr((d, i, j, cycle_equivalent(g1, g2))).encode())
     return digest.hexdigest()
 
 
-# recorded with the Fraction elimination, the greedy complement and the
-# per-pair restrict
-TOKEN_DIGESTS = [
+# recorded with the pointspace tokens computed once per scaling
+RELATION_DIGESTS = [
     (QQ, range(1, 7),
-     "aba12f72a980861d7d03f6116ea88fdcdc4830c0299f0b44ee9cfd21126ee291"),
+     "d3f921dc6f56b3656767ee8f3cb11809d90923b3531bde4695c089dadf29e64b"),
     (PrimeField(3), range(1, 5),
-     "488edbc1b625638915ef929aa12f3a1d4b3d9a1f30e4368cac2cce6a31e251f6"),
+     "0e542e43823fce61cae45f0dd81c8097c6a999bc24d76f9651ce1b2f55820964"),
     (PrimeField(5), range(1, 5),
-     "7761b8e177723470f202d07e29c053375f1f6c725e37c13dff21eee4026265e7"),
+     "0e542e43823fce61cae45f0dd81c8097c6a999bc24d76f9651ce1b2f55820964"),
 ]
 
 
-@pytest.mark.parametrize("field,dims,digest", TOKEN_DIGESTS,
+@pytest.mark.parametrize("field,dims,digest", RELATION_DIGESTS,
                          ids=["rational", "fp:3", "fp:5"])
-def test_pointspace_tokens_are_pinned(field, dims, digest):
-    """The cycle-equivalence token of every class representative, for
-    both scalings, is the one the Scalar path computed."""
-    assert _token_digest(field, dims) == digest
+def test_cycle_equivalence_relation_is_pinned(field, dims, digest):
+    """``cycle_equivalent`` on every ordered pair of class
+    representatives is the relation the per-scaling tokens gave."""
+    assert _relation_digest(field, dims) == digest
 
 
 def _raw(v):

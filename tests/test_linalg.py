@@ -54,7 +54,7 @@ def test_solve_and_inverse_rational():
     assert inv == ((1, -1), (-1, 2))
     assert all(type(x) is Fraction for row in inv for x in row)
     assert linalg.mat_mul_raw(m, inv, field) == ((1, 0), (0, 1))
-    x = linalg.solve_raw(m, [Fraction(3), Fraction(2)], field)
+    x = linalg.coordinate_map(m, field)([Fraction(3), Fraction(2)])
     assert linalg.mat_vec_raw(m, x, field) == (3, 2)
 
 
@@ -62,7 +62,7 @@ def test_singular_matrix():
     f3 = PrimeField(3)
     m = ((1, 2), (2, 1))  # det = -3 = 0
     assert linalg.inverse_raw(m, f3) is None
-    assert linalg.solve_raw(m, [1, 0], f3) is None
+    assert linalg.coordinate_map(m, f3)([1, 0]) is None
 
 
 @pytest.mark.parametrize("m", [((1, 1, 0),), ((1, 0), (0, 1), (1, 1)),
@@ -95,8 +95,9 @@ def test_projective_points_count():
 
 
 def test_coordinates_and_span():
-    """``solve_raw`` with the basis as columns and the Scalar oracle
-    ``ref_coordinates`` find the same coordinates, which rebuild v."""
+    """``coordinate_map`` with the basis as columns and the Scalar
+    oracle ``ref_coordinates`` find the same coordinates, which rebuild
+    v."""
     f5 = PrimeField(5)
     basis = [linalg.vector(f5, [1, 1, 0]), linalg.vector(f5, [0, 1, 1])]
     v = linalg.vector(f5, [2, 3, 1])
@@ -106,8 +107,9 @@ def test_coordinates_and_span():
                           ref_vec_scale(co[1], basis[1]))
     assert rebuilt == v
     cols = ((1, 0), (1, 1), (0, 1))
-    assert linalg.solve_raw(cols, (2, 3, 1), f5) == [x.value for x in co]
-    assert linalg.solve_raw(cols, (1, 0, 0), f5) is None
+    coords = linalg.coordinate_map(cols, f5)
+    assert coords((2, 3, 1)) == [x.value for x in co]
+    assert coords((1, 0, 0)) is None
     assert ref_in_span(v, basis, f5)
     assert not ref_in_span(linalg.vector(f5, [1, 0, 0]), basis, f5)
 
@@ -116,19 +118,15 @@ def test_coordinates_and_span():
                          ids=lambda f: f.token())
 def test_coordinates_in_the_empty_basis(field):
     """Only the zero vector lies in the span of no vectors; its
-    coordinates are the empty tuple, as ``coordinate_map`` and
-    ``solve_raw`` give."""
+    coordinates are the empty tuple, as ``coordinate_map`` gives."""
     coords = linalg.coordinate_map(((), ()), field)
     zero, v = linalg.vector(field, [0, 0]), linalg.vector(field, [1, 2])
     assert ref_coordinates(zero, [], field) == ()
     assert coords([0, 0]) == []
-    assert linalg.solve_raw(((), ()), linalg.raw_values(field, zero),
-                            field) == []
+    assert coords(linalg.raw_values(field, zero)) == []
     assert ref_coordinates(v, [], field) is None
     assert ref_coordinates((1, 2), [], field) is None
     assert coords(linalg.raw_values(field, v)) is None
-    assert linalg.solve_raw(((), ()), linalg.raw_values(field, v),
-                            field) is None
 
 
 def test_combine_over_f3_and_q():

@@ -9,8 +9,8 @@ import pytest
 
 from conformal.classify import classify
 from conformal.geometry import Role, incident, inversive_separation, role
-from conformal.models import (ModelError, ModelKind, ModelObject,
-                              check_separation,
+from conformal.models import (MAX_MODEL_N, ModelError, ModelKind,
+                              ModelObject, check_separation,
                               cycles_at_angle, exact_model_geometry,
                               expected_point_separation, lift_cycle,
                               lift_hypercycle, lift_line, lift_parabola,
@@ -54,6 +54,19 @@ def test_point_lift_examples():
     assert [x.value for x in lg.lift] == [2.0, 3.0, 1.0, -4.0, 0.0]
     gl = model_geometry(ModelKind.LAGUERRE_GALILEI)
     assert role(gl, lg.lift) is Role.POINT
+
+
+@pytest.mark.parametrize("kind", CURVED, ids=lambda k: k.value)
+def test_model_dimension_is_capped(kind):
+    """A dimension above ``MAX_MODEL_N`` is one ModelError raised before
+    the base metric is built; the cap itself is a model."""
+    for build in (model_geometry, exact_model_geometry):
+        for n in (MAX_MODEL_N + 1, 10 ** 18):
+            with pytest.raises(ModelError, match=f"got {n}$"):
+                build(kind, n)
+    assert model_geometry(kind, MAX_MODEL_N).n == MAX_MODEL_N
+    with pytest.raises(ModelError, match="models need"):
+        lift_point(kind, (1.0,), n=10 ** 18)
 
 
 def test_normalization_errors():
