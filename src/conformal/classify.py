@@ -45,6 +45,9 @@ _CK_NAMES = {
 _SYMBOLS = {kind: {SquareClass.ZERO: "0", SquareClass.UNIT: "1",
                    SquareClass.NON_RESIDUE: "-1" if kind == "sig" else "e"}
             for kind in ("sig", "det", "arf", "unique")}
+# and read back: a written symbol to its norm class, over every kind
+CLASS_OF_SYMBOL = {s: c for symbols in _SYMBOLS.values()
+                   for c, s in symbols.items()}
 
 
 def _flip(c: SquareClass) -> SquareClass:

@@ -15,8 +15,7 @@ import json
 import math
 import sys
 
-from .fields import (ConformalError, SquareClass, UnsupportedFieldError,
-                     field_from_token)
+from .fields import ConformalError, UnsupportedFieldError, field_from_token
 from .quadform import InvalidInputError, witt_index
 from importlib import import_module
 
@@ -80,14 +79,19 @@ def _emit(rows, header, out_format):
                             for h, w in zip(header, widths)))
 
 
-def cmd_classify_atlas(args) -> int:
-    field = _field(args.field)
-    classes = cla.enumerate_classes(field, args.dim)
+def _emit_classes(classes, out_format):
+    """One row per class, as ``class_to_json`` writes it with the form
+    dumped to one JSON string."""
     rows = [ser.class_to_json(c) for c in classes]
     for row in rows:
         row["form"] = json.dumps(row["form"])
-    _emit(rows, ["field", "dim", "form", "qP", "qL", "name"], args.out)
+    _emit(rows, ["field", "dim", "form", "qP", "qL", "name"], out_format)
     return 0
+
+
+def cmd_classify_atlas(args) -> int:
+    return _emit_classes(cla.enumerate_classes(_field(args.field), args.dim),
+                         args.out)
 
 
 def cmd_classify_table(args) -> int:
@@ -109,8 +113,7 @@ def cmd_classify_table(args) -> int:
 
 def cmd_classify_partners(args) -> int:
     spec = ser.json_loads(args.cls)
-    sym = {"0": SquareClass.ZERO, "1": SquareClass.UNIT,
-           "e": SquareClass.NON_RESIDUE, "-1": SquareClass.NON_RESIDUE}
+    sym = cla.CLASS_OF_SYMBOL
     try:
         token, dim = spec["field"], int(spec.get("dim", 2))
         qp, ql = sym[str(spec["qP"])], sym[str(spec["qL"])]
@@ -127,12 +130,9 @@ def cmd_classify_partners(args) -> int:
                   or list(c.form_invariant) == spec["form"])]
     if not match:
         raise ConformalError(f"no atlas class matches {spec}")
-    rows = [ser.class_to_json(p) for c in match
-            for p in cla.cycle_equivalence_partners(c)]
-    for row in rows:
-        row["form"] = json.dumps(row["form"])
-    _emit(rows, ["field", "dim", "form", "qP", "qL", "name"], args.out)
-    return 0
+    return _emit_classes([p for c in match
+                          for p in cla.cycle_equivalence_partners(c)],
+                         args.out)
 
 
 def cmd_geom_describe(args) -> int:

@@ -150,18 +150,11 @@ class Geometry:
     def _pair_l(self):
         return self.form.pairing_raw(self._l_raw)
 
-    # x -> the antipodal class of the raw point x in P^perp/L: with L
-    # scaled so that its first nonzero value l_i is 1, x - x_i L is the
-    # one direction of span(x, L) with coordinate i zero; normalised, it
-    # names the class (None when x is [L])
+    # x -> the antipodal class of the raw point x in P^perp/L: its key
+    # modulo L (None when x is [L])
     @cached_property
     def _class_key(self):
-        field, normalize = self.field, linalg.normalize_raw
-        sub, mul = field._sub, field._mul
-        l = normalize(field, self._l_raw)
-        i = next(k for k, a in enumerate(l) if not field._is_zero(a))
-        return lambda x: normalize(field, [sub(a, mul(x[i], b))
-                                           for a, b in zip(x, l)])
+        return linalg.quotient_key(self.field, self._l_raw)
 
     @property
     def n(self) -> int:
@@ -609,13 +602,15 @@ def hyperplane_through(g: Geometry, *points) -> Optional[ProjPoint]:
         isotropic = _isotropic_of_span(g, sol)
     # [P] solves the constraints whenever it is isotropic, but it has no
     # image in V/P and is incident to every point: not a hyperplane.  A
-    # solution is admissible exactly when it spans a plane with P.
-    keys = [linalg.span_key((v, g._p_raw), field) for v in isotropic]
-    isotropic = [v for v, key in zip(isotropic, keys) if len(key) == 2]
+    # solution is admissible exactly when it spans a plane with P, that
+    # is when its key modulo P is not None.
+    key = linalg.quotient_key(field, g._p_raw)
+    keys = [key(v) for v in isotropic]
+    isotropic = [v for v, k in zip(isotropic, keys) if k is not None]
     if not isotropic:
         return None
     # all solutions must project to a single unoriented hyperplane
-    if len({key for key in keys if len(key) == 2}) > 1:
+    if len({k for k in keys if k is not None}) > 1:
         raise RoleError("multiple distinct hyperplanes satisfy the constraints")
     return ProjPoint.from_canonical(
         field, min(linalg.normalize_raw(field, v) for v in isotropic))

@@ -60,6 +60,18 @@ def normalize_raw(field: Field, x) -> Optional[tuple]:
     return tuple([mul(inv, a) for a in x])
 
 
+def quotient_key(field: Field, w):
+    """x -> the key of the raw vector x modulo the nonzero raw vector w:
+    with w scaled so that its first nonzero value w_i is 1, x - x_i w is
+    the one direction of span(x, w) with coordinate i zero; normalised,
+    it names span(x, w), and it is None when x is a multiple of w."""
+    normalize, sub, mul = normalize_raw, field._sub, field._mul
+    w = normalize(field, w)
+    i = next(k for k, a in enumerate(w) if not field._is_zero(a))
+    return lambda x: normalize(field, [sub(a, mul(x[i], b))
+                                       for a, b in zip(x, w)])
+
+
 def vector(field: Field, entries) -> Vector:
     """The coordinates as Scalars, by the coordinate rule of ``fields``."""
     return tuple(map(field.scalar, entries))

@@ -18,7 +18,7 @@ from .fields import ConformalError, Scalar, SquareClass, UnsupportedFieldError
 from . import linalg
 from .geometry import (Geometry, ProjPoint, Subspace, _raw_cycle,
                        non_degenerate_geometry, perp_space)
-from .quadform import _det_raw
+from .quadform import InvalidInputError, _det_raw
 
 
 class DegenerateLineError(ConformalError):
@@ -139,6 +139,10 @@ class Chart:
             self._two_qu = mul(field.scalar(2).value, qu)
             self._inv_two_qu = field._inv(self._two_qu)
             self._inv_four_qu = field._inv(mul(field.scalar(4).value, qu))
+        zero, one = field.raw_zero, field.raw_one
+        # the normal form read off the identity matrix
+        self._identity_nf = _normal_form_of_matrix(
+            self, ((one, zero, zero), (zero, one, zero), (zero, zero, one)))
 
     @property
     def basis(self) -> tuple:
@@ -260,18 +264,15 @@ class MotionElement:
     group, (a, b) with a^2 - eps b^2 = 1 for the non-split torus; it is
     kept as the raw tuple ``_nf_raw`` and wrapped in Scalars on each
     read.  ``matrix`` acts on line-space coordinates, fixes L, and has
-    determinant 1; it is kept as raw rows, built from the chart and the
-    normal form on first read unless given, and wrapped on each read.
+    determinant 1: the chart matrix of the normal form conjugated by
+    the chart, kept as raw rows on first read and wrapped on each read.
     """
 
-    def __init__(self, chart: Chart, nf_raw: tuple, matrix_raw=None):
+    def __init__(self, chart: Chart, nf_raw: tuple):
         """``nf_raw``: the normal form as raw values of the chart's
-        field (``motion_from_normal_form`` takes user values);
-        ``matrix_raw``: its raw rows, when already known."""
+        field (``motion_from_normal_form`` takes user values)."""
         self.chart = chart
         self._nf_raw = nf_raw
-        if matrix_raw is not None:
-            self._matrix_raw = matrix_raw
 
     @property
     def normal_form(self) -> tuple:
@@ -280,7 +281,10 @@ class MotionElement:
 
     @cached_property
     def _matrix_raw(self) -> tuple:
-        return _line_matrix(self.chart, self._nf_raw)
+        chart, field = self.chart, self.chart.space.form.field
+        m = _chart_matrix(chart, self._nf_raw)
+        return linalg.mat_mul_raw(linalg.mat_mul_raw(chart._to_line, m, field),
+                                  chart._from_line, field)
 
     @property
     def matrix(self) -> tuple:
@@ -291,50 +295,69 @@ class MotionElement:
         return self.chart.kind
 
     def is_identity(self) -> bool:
-        field, nf = self.chart.space.form.field, self._nf_raw
-        if self.chart.kind is LineGroupClass.ADDITIVE:
-            return field._is_zero(nf[0])
-        if self.chart.kind is LineGroupClass.SPLIT_TORUS:
-            return field._eq(nf[0], field.raw_one)
-        return field._eq(nf[0], field.raw_one) and field._is_zero(nf[1])
+        eq = self.chart.space.form.field._eq
+        return all(map(eq, self._nf_raw, self.chart._identity_nf))
 
     def __repr__(self):
         return (f"MotionElement({self.chart.kind.value}, "
                 f"normal_form={self.normal_form})")
 
 
-def _line_matrix(chart: Chart, nf):
-    """Line-space matrix of the raw normal form nf: the chart's matrix
-    of the element conjugated by the chart, in the order of Scalar
-    arithmetic."""
+def _chart_matrix(chart: Chart, nf):
+    """The group law: the chart-coordinate matrix of the raw normal form
+    nf, in the order of Scalar arithmetic.  It is [[1, x, y], [0, p, q],
+    [0, r, s]] with a determinant-1 block, and it fixes the chart
+    coordinate that ``_point_coords`` scales to 1."""
     field = chart.space.form.field
     zero, one = field.raw_zero, field.raw_one
     mul, neg = field._mul, field._neg
     if chart.kind is LineGroupClass.ADDITIVE:
         tau = nf[0]
-        m = ((one, tau, mul(neg(mul(tau, tau)), chart._inv_four_qu)),
-             (zero, one, mul(neg(tau), chart._inv_two_qu)),
-             (zero, zero, one))
-    elif chart.kind is LineGroupClass.SPLIT_TORUS:
+        return ((one, tau, mul(neg(mul(tau, tau)), chart._inv_four_qu)),
+                (zero, one, mul(neg(tau), chart._inv_two_qu)),
+                (zero, zero, one))
+    if chart.kind is LineGroupClass.SPLIT_TORUS:
         mu = nf[0]
-        m = ((one, zero, zero),
-             (zero, mu, zero),
-             (zero, zero, field._inv(mu)))
-    else:
-        a, b = nf
-        m = ((one, zero, zero),
-             (zero, a, mul(chart.norm_token[1], b)),
-             (zero, b, a))
-    return linalg.mat_mul_raw(linalg.mat_mul_raw(chart._to_line, m, field),
-                              chart._from_line, field)
+        return ((one, zero, zero),
+                (zero, mu, zero),
+                (zero, zero, field._inv(mu)))
+    a, b = nf
+    return ((one, zero, zero),
+            (zero, a, mul(chart.norm_token[1], b)),
+            (zero, b, a))
+
+
+def _normal_form_of_matrix(chart: Chart, mc):
+    """Read the raw normal form off a raw matrix of Gamma in chart
+    coordinates."""
+    if chart.kind is LineGroupClass.ADDITIVE:
+        assert mc[1][1] == chart.space.form.field.raw_one
+        return (mc[0][1],)
+    if chart.kind is LineGroupClass.SPLIT_TORUS:
+        return (mc[1][1],)
+    return (mc[1][1], mc[2][1])
+
+
+def _unimodular(field, mc) -> bool:
+    """Has the raw chart matrix mc determinant 1 by the field's ``_eq``?
+    It fixes e_0 (L), so that is the minor of its last two rows."""
+    mul = field._mul
+    return field._eq(field._sub(mul(mc[1][1], mc[2][2]),
+                                mul(mc[1][2], mc[2][1])), field.raw_one)
 
 
 def motion_from_normal_form(chart: Chart, nf) -> MotionElement:
+    """The element of Gamma with normal form nf (user values); refused
+    unless nf has the identity's length and a determinant-1 block."""
     field = chart.space.form.field
     nf = tuple(linalg.raw_values(field, nf))
-    if chart.kind is LineGroupClass.SPLIT_TORUS and field._is_zero(nf[0]):
+    fits = len(nf) == len(chart._identity_nf)
+    if fits and chart.kind is LineGroupClass.SPLIT_TORUS \
+            and field._is_zero(nf[0]):
         # mu^-1; _inv raises on an exact zero, this on a float one too
         raise ZeroDivisionError("division by field zero")
+    if not (fits and _unimodular(field, _chart_matrix(chart, nf))):
+        raise InvalidInputError(f"not in the {chart.kind.value} group")
     return MotionElement(chart, nf)
 
 
@@ -351,9 +374,8 @@ def _line_chart(g: Geometry, l) -> Chart:
 
 
 def _point_coords(chart: Chart, g: Geometry, p):
-    """(line coordinates, chart coordinates) of the point p on raw
-    values, the chart coordinates scaled so that the coordinate that
-    pairs with L is 1."""
+    """The chart coordinates of the point p on raw values, scaled so
+    that the coordinate that pairs with L is 1."""
     field = chart.space.form.field
     is_zero, mul = field._is_zero, field._mul
     x = _raw_cycle(g, p)
@@ -370,13 +392,7 @@ def _point_coords(chart: Chart, g: Geometry, p):
     if is_zero(lead):
         raise IdealPointError("the point is ideal on this line")
     inv = field._inv(lead)
-    return lc, tuple(mul(inv, c) for c in cc)
-
-
-def _same_point(field, x, y) -> bool:
-    """x and y are one projective point (``ProjPoint`` equality)."""
-    return all(map(field._eq, linalg.normalize_raw(field, x),
-                   linalg.normalize_raw(field, y)))
+    return tuple(mul(inv, c) for c in cc)
 
 
 def translation_between(g: Geometry, l, p1, p2) -> MotionElement:
@@ -384,8 +400,8 @@ def translation_between(g: Geometry, l, p1, p2) -> MotionElement:
     chart = _line_chart(g, l)
     field = chart.space.form.field
     mul, sub, is_zero = field._mul, field._sub, field._is_zero
-    lc1, c1 = _point_coords(chart, g, p1)
-    lc2, c2 = _point_coords(chart, g, p2)
+    c1 = _point_coords(chart, g, p1)
+    c2 = _point_coords(chart, g, p2)
     if chart.kind is LineGroupClass.ADDITIVE:
         # points (alpha, beta, 1) with alpha = -beta^2 Q(u); action
         # beta -> beta - tau/(2Q(u))
@@ -405,44 +421,39 @@ def translation_between(g: Geometry, l, p1, p2) -> MotionElement:
         inv = field._inv(norm1)
         nf = (mul(sub(mul(x2, x1), mul(mul(eps, y2), y1)), inv),
               mul(sub(mul(y2, x1), mul(x2, y1)), inv))
-    moved = linalg.mat_vec_raw(_line_matrix(chart, nf), lc1, field)
-    assert _same_point(field, moved, lc2), "translation mismatch (internal)"
+    # the chart matrix fixes the scaled coordinate, so p1 goes to p2
+    # exactly when it carries c1 to c2
+    moved = linalg.mat_vec_raw(_chart_matrix(chart, nf), c1, field)
+    assert all(map(field._eq, moved, c2)), "translation mismatch (internal)"
     return MotionElement(chart, nf)
 
 
 def compose(g1: MotionElement, g2: MotionElement) -> MotionElement:
-    """The group operation (g1 after g2) in normal form."""
+    """g1 after g2: the normal form of the product of the chart matrices."""
     if g1.chart is not g2.chart and (
             g1.chart.kind is not g2.chart.kind or
             g1.chart.line_key() != g2.chart.line_key()):
         raise IncompatibleChartsError("compose needs one line and one chart")
     chart = g1.chart
-    field = chart.space.form.field
-    add, mul = field._add, field._mul
-    n1, n2 = g1._nf_raw, g2._nf_raw
-    if chart.kind is LineGroupClass.ADDITIVE:
-        nf = (add(n1[0], n2[0]),)
-    elif chart.kind is LineGroupClass.SPLIT_TORUS:
-        nf = (mul(n1[0], n2[0]),)
-    else:
-        eps = chart.norm_token[1]
-        (a1, b1), (a2, b2) = n1, n2
-        nf = (add(mul(a1, a2), mul(mul(eps, b1), b2)),
-              add(mul(a1, b2), mul(b1, a2)))
-    return MotionElement(chart, nf)
+    m = linalg.mat_mul_raw(_chart_matrix(chart, g1._nf_raw),
+                           _chart_matrix(chart, g2._nf_raw),
+                           chart.space.form.field)
+    return MotionElement(chart, _normal_form_of_matrix(chart, m))
 
 
 def invert(m: MotionElement) -> MotionElement:
+    """The inverse, read off the adjugate of the chart matrix
+    [[1, x, y], [0, p, q], [0, r, s]]: its block has determinant 1, so
+    the inverse is [[1, -(xs - yr), xq - yp], [0, s, -q], [0, -r, p]]."""
     chart = m.chart
     field = chart.space.form.field
-    nf = m._nf_raw
-    if chart.kind is LineGroupClass.ADDITIVE:
-        nf = (field._neg(nf[0]),)
-    elif chart.kind is LineGroupClass.SPLIT_TORUS:
-        nf = (field._inv(nf[0]),)
-    else:
-        nf = (nf[0], field._neg(nf[1]))
-    return MotionElement(chart, nf)
+    mul, sub, neg = field._mul, field._sub, field._neg
+    (one, x, y), (zero, p, q), (_, r, s) = _chart_matrix(chart, m._nf_raw)
+    inverse = ((one, neg(sub(mul(x, s), mul(y, r))),
+                sub(mul(x, q), mul(y, p))),
+               (zero, s, neg(q)),
+               (zero, neg(r), p))
+    return MotionElement(chart, _normal_form_of_matrix(chart, inverse))
 
 
 def same_distance(g1: MotionElement, g2: MotionElement) -> bool:
@@ -513,29 +524,14 @@ def _det_one(chart: Chart, mats) -> tuple:
     """The determinant-1 matrices among the raw stabilizer matrices
     ``mats`` of chart's line, as MotionElements sorted by normal form."""
     field = chart.space.form.field
-    mul, sub, one = field._mul, field._sub, field.raw_one
     out = []
     for m in mats:
         mc = linalg.mat_mul_raw(linalg.mat_mul_raw(chart._from_line, m, field),
                                 chart._to_line, field)
-        # mc fixes e_0 (L), so det m is the minor of its last two rows
-        if not field._eq(sub(mul(mc[1][1], mc[2][2]),
-                             mul(mc[1][2], mc[2][1])), one):
-            continue
-        out.append(MotionElement(chart, _normal_form_of_matrix(chart, mc), m))
+        if _unimodular(field, mc):
+            out.append(MotionElement(chart, _normal_form_of_matrix(chart, mc)))
     out.sort(key=lambda el: el._nf_raw)
     return tuple(out)
-
-
-def _normal_form_of_matrix(chart: Chart, mc):
-    """Read the raw normal form off a raw stabilizer matrix in chart
-    coordinates."""
-    if chart.kind is LineGroupClass.ADDITIVE:
-        assert mc[1][1] == chart.space.form.field.raw_one
-        return (mc[0][1],)
-    if chart.kind is LineGroupClass.SPLIT_TORUS:
-        return (mc[1][1],)
-    return (mc[1][1], mc[2][1])
 
 
 def find_nonideal_line(g: Geometry) -> ProjPoint:

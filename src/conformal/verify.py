@@ -293,10 +293,10 @@ def _transport(form, moves, x):
     return x
 
 
-def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
+def _orbit_atlas_for_form(field: Field, diag, rep: Report) -> Optional[dict]:
     """{(class of Q(P), class of Q(L)): number of orthogonal pairs} for
-    one form over F_p, each class certified one orbit; None, with the
-    first failure recorded in rep, when a step fails.
+    one form over the finite field, each class certified one orbit;
+    None, with the first failure recorded in rep, when a step fails.
 
     Every P gets its own mirrors M, checked to send P onto the target t
     of its norm class.  Every mirror is an isometry (``reflect_raw`` with
@@ -306,7 +306,6 @@ def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
     target, and the bucket of (cp, cl) is |{P of class cp}| times
     |{L in t^perp of class cl}|.
     """
-    field = PrimeField(p)
     form = QuadraticForm.diagonal(field, diag)
     q = form.eval_raw
     qcls = [field._square_class(v).value for v in field.raw_elements]
@@ -333,7 +332,7 @@ def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
             moves = mirrors(form, pv, target_p, iso)
             assert moves is not None
         if not _on_line(_transport(form, moves, pv), target_p, field):
-            _fail(rep, f"p={p} diag={diag} P={pv} not normalised")
+            _fail(rep, f"p={field.order} diag={diag} P={pv} not normalised")
             return None
     # step 2: each L orthogonal to a target is reduced to the target of
     # its norm class (the first such L) by mirrors fixing that target
@@ -347,7 +346,7 @@ def _orbit_atlas_for_form(p: int, diag, rep: Report) -> Optional[dict]:
         for lv in members:
             cl = qcls[q(lv)]
             if not _reduce_l(form, t, lv, l0[cl], pool):
-                _fail(rep, f"p={p} diag={diag} pair P={t} L={lv} "
+                _fail(rep, f"p={field.order} diag={diag} pair P={t} L={lv} "
                            f"not reduced")
                 return None
             buckets[cp, cl] = buckets.get((cp, cl), 0) + p_count[cp]
@@ -393,10 +392,11 @@ def suite_orbit_atlas(field=None, **_) -> Report:
     non-residue multiple: exactly 9 classes, each one a single orbit."""
     rep = Report("orbit-atlas", True)
     for p in _primes("orbit-atlas", field):
-        e = PrimeField(p)._nonresidue()
+        fp = PrimeField(p)
+        e = fp._nonresidue()
         for diag in ([1, 1, 1, -1, -1],
                      [e, e, e, -e, -e]):
-            buckets = _orbit_atlas_for_form(p, diag, rep)
+            buckets = _orbit_atlas_for_form(fp, diag, rep)
             if buckets is None:
                 return rep
             if len(buckets) != 9:

@@ -296,6 +296,41 @@ def test_the_rescaling_rule_is_stated_once():
     assert found == {("classify", "_normal")}
 
 
+# The functions of ``metric.py`` that may name a LineGroupClass member:
+# the classification, the chart construction, the group law with its
+# reader, and the per-kind steps of a translation.  ``compose``,
+# ``invert``, ``is_identity`` and ``same_distance`` go through the chart
+# matrix.
+GROUP_LAW_READERS = {
+    "LineGroupClass.order", "gamma_class", "Chart.__init__", "build_chart",
+    "_build_additive_chart", "_chart_matrix", "_normal_form_of_matrix",
+    "_point_coords", "translation_between", "motion_from_normal_form"}
+
+
+def test_the_group_law_is_stated_once():
+    """In ``metric.py`` only ``GROUP_LAW_READERS`` name a member of
+    ``LineGroupClass``, so no group operation writes the law of each
+    kind again.  The source is parsed, not imported."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "src" / "conformal"
+    found = set()
+
+    def visit(node, scope, func):
+        if isinstance(node, ast.ClassDef):
+            scope = node.name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = f"{scope}.{node.name}" if scope else node.name
+            scope = None
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "LineGroupClass":
+            found.add(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, func)
+
+    visit(ast.parse((path / "metric.py").read_text()), None, None)
+    assert found == GROUP_LAW_READERS
+
+
 def _scalar_call(node) -> bool:
     """Is node ``<x>.scalar(...)`` or ``<x>.scalar(...).value``, or a
     conditional with such a branch?"""

@@ -86,7 +86,9 @@ from conformal.metric import (DegenerateLineError, ExactChartUnavailableError,
                               NotOnLineError, build_chart, compose,
                               find_nonideal_line, invert, line_points,
                               line_space, motion_from_normal_form,
-                              translation_between)
+                              translation_between, _chart_matrix,
+                              _normal_form_of_matrix, _stabilizer_raw,
+                              gamma_class, stabilizer_group)
 from conformal.models import (ModelKind, cycles_at_angle,
                               exact_model_geometry, lift_cycle,
                               lift_hypercycle, lift_line, lift_parabola,
@@ -1016,6 +1018,60 @@ def test_translation_matches_scalar_path_over_q(kind):
     for l, pts in lines:
         assert len(pts) >= 3
         check_translations(g, l, pts)
+
+
+def check_round_trip(chart, nf):
+    """nf -> ``_chart_matrix`` -> ``_normal_form_of_matrix`` gives nf
+    back, bit for bit."""
+    field = chart.space.form.field
+    back = _normal_form_of_matrix(chart, _chart_matrix(chart, nf))
+    assert len(back) == len(nf) and all(
+        same(Scalar(a, field), Scalar(b, field))
+        for a, b in zip(back, nf)), (chart.kind, nf, back)
+
+
+def _det3(m):
+    """The determinant of a 3x3 integer matrix, by the rule of Sarrus."""
+    return sum(m[0][i] * m[1][(i + 1) % 3] * m[2][(i + 2) % 3]
+               - m[0][i] * m[1][(i + 2) % 3] * m[2][(i + 1) % 3]
+               for i in range(3))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_chart_matrix_round_trip_on_the_stabilizer(p):
+    """Every element of ``stabilizer_group`` on every plane class of F_p
+    survives the round trip, and the matrices built from the normal
+    forms are exactly the determinant-1 stabilizer matrices."""
+    field = PrimeField(p)
+    tested = 0
+    for cls in enumerate_classes(field, 2):
+        g = representative_geometry(cls)
+        try:
+            l = find_nonideal_line(g)
+        except DegenerateLineError:
+            continue
+        group = stabilizer_group(g, l)
+        assert len(group) == gamma_class(g).order(p)
+        _, chart, mats = _stabilizer_raw(g, l)
+        for el in group:
+            check_round_trip(chart, el._nf_raw)
+        det_one = {m for m in mats if _det3(m) % p == 1}
+        assert {el._matrix_raw for el in group} == det_one
+        tested += 1
+    assert tested == 9
+
+
+def test_chart_matrix_round_trip_on_translations():
+    """The translations between the points of the ApproxReal model lines
+    and of the rational lines of the exact models."""
+    lines = list(_model_lines())
+    for kind in ("hyperbolic", "elliptic", "parabolic"):
+        g = exact_model_geometry(ModelKind(kind))
+        lines += [(g, l, pts) for l, pts in _rational_lines(g)]
+    for g, l, pts in lines:
+        for p1, p2 in itertools.product(pts, repeat=2):
+            got = translation_between(g, l, p1, p2)
+            check_round_trip(got.chart, got._nf_raw)
 
 
 class _AnyQ:

@@ -13,11 +13,13 @@ from conformal.classify import enumerate_classes, representative_geometry
 from conformal.geometry import (Geometry, ProjPoint, RoleError, antipodal,
                                 cayley_klein_points, hyperplane_through)
 from conformal.models import ModelKind, exact_model_geometry, model_geometry
+from conformal.quadform import InvalidInputError
 from conformal.metric import (DegenerateLineError, IdealPointError,
                               IncompatibleChartsError, LineGroupClass,
                               NotOnLineError, build_chart, compose,
                               find_nonideal_line, gamma_class, invert,
-                              line_points, line_space, same_distance,
+                              line_points, line_space,
+                              motion_from_normal_form, same_distance,
                               stabilizer_group, stabilizer_matrices,
                               translation_between)
 from reference import (ref_mat_vec, ref_nonideal_line, ref_vec_add,
@@ -326,6 +328,39 @@ def test_compose_requires_one_line():
     # but distances along the two lines are comparable (same chart class)
     assert same_distance(t1, t1)
     same_distance(t1, t2)  # must not raise
+
+
+# normal forms outside Gamma, by chart kind, over F_5 (eps = 2): a
+# non-split (1, 2) has a^2 - eps b^2 = 3, and (0, 0) has 0
+OUTSIDE_GAMMA_F5 = {
+    LineGroupClass.SPLIT_TORUS: [(1, 2), ()],
+    LineGroupClass.ADDITIVE: [(0, 0), ()],
+    LineGroupClass.NON_SPLIT_TORUS: [(2,), (3, 3, 3), (1, 2), (0, 0), ()],
+}
+
+
+def test_motion_from_normal_form_refuses_what_is_not_in_gamma():
+    """On the first non-ideal line of each F_5 plane class with Q(P) a
+    unit, a normal form of the wrong length or off the group raises
+    InvalidInputError, every element of Gamma is accepted as it is, and
+    a split mu = 0 still divides by zero."""
+    kinds = set()
+    for ql in (SquareClass.ZERO, SquareClass.UNIT, SquareClass.NON_RESIDUE):
+        g = _rep(F5, SquareClass.UNIT, ql)
+        group = stabilizer_group(g, find_nonideal_line(g))
+        chart = group[0].chart
+        kinds.add(chart.kind)
+        for nf in OUTSIDE_GAMMA_F5[chart.kind]:
+            with pytest.raises(InvalidInputError):
+                motion_from_normal_form(chart, nf)
+        for el in group:
+            got = motion_from_normal_form(chart, el.normal_form)
+            assert got._nf_raw == el._nf_raw
+            assert got.matrix == el.matrix
+        if chart.kind is LineGroupClass.SPLIT_TORUS:
+            with pytest.raises(ZeroDivisionError):
+                motion_from_normal_form(chart, (0,))
+    assert kinds == set(LineGroupClass)
 
 
 def test_gamma_uniqueness_across_lines_f5():

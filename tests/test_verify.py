@@ -87,10 +87,11 @@ def per_pair_buckets(p, diag):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_factored_buckets_match_the_per_pair_loop(p):
-    e = canonical_nonresidue(PrimeField(p)).value
+    field = PrimeField(p)
+    e = canonical_nonresidue(field).value
     for diag in ([1, 1, 1, -1, -1], [e, e, e, -e, -e]):
         rep = verify.Report("orbit-atlas", True)
-        buckets = verify._orbit_atlas_for_form(p, diag, rep)
+        buckets = verify._orbit_atlas_for_form(field, diag, rep)
         assert rep.passed, rep.counterexample
         oracle = per_pair_buckets(p, diag)
         assert oracle is not None
