@@ -318,20 +318,14 @@ class _Real(Field):
     def parse(self, text: str) -> Scalar:
         return Scalar(self._read(text), self)
 
-    def _add(self, a, b):
-        return a + b
+    # the operators themselves: the same values, one frame fewer an op
+    _add = staticmethod(operator.add)
+    _sub = staticmethod(operator.sub)
+    _mul = staticmethod(operator.mul)
+    _neg = staticmethod(operator.neg)
 
-    def _sub(self, a, b):
-        return a - b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
-
-    def _inv(self, a):
-        return 1 / a
+    def _inv(self, a):  # raw_one's type, so a plain int inverts exactly
+        return self.raw_one / a
 
     def _square_class(self, a) -> SquareClass:
         if self._is_zero(a):

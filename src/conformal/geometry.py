@@ -140,8 +140,8 @@ class Geometry:
         self._ps_class = None  # classify._pointspace_class, on first use
         self._charts = {}  # metric charts by the normalised raw line
 
-    # x -> B(P, x) and x -> B(L, x) on raw values, built on first use:
-    # model_geometry builds a geometry for every float-model query
+    # x -> B(P, x) and x -> B(L, x) on raw values, built on first use,
+    # so constructing a geometry does no pairing work
     @cached_property
     def _pair_p(self):
         return self.form.pairing_raw(self._p_raw)

@@ -25,14 +25,17 @@ distance-d hypercycles (l, sinh d, cosh d) and paracycles (u, s, s).
 Minkowski, de Sitter, anti-de Sitter and Laguerre are plane models;
 the others take any n from 1 to ``MAX_MODEL_N``.
 
-Every lift is wrapped once, by ``_lift``, which refuses a coordinate
-that is not finite.  The numeric separation and power values follow the
+Each model has one geometry per field, built by ``_geometry`` on first
+request and kept, so its P and L pairings are built once.  Every lift
+is wrapped once, by ``_lift``, which refuses a coordinate that is not
+finite.  The numeric separation and power values follow the
 half-bilinear convention, which is why the flat L representative is the
 doubled basis vector.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -85,6 +88,17 @@ _MODELS = {
 }
 
 
+def _center_norm(row: _Model) -> float:
+    """The base norm of a curved model's cycle centers: minus the form
+    at the conic point of radius 0."""
+    (ql, qp), (a, b) = row.signs, row.conic
+    return -(ql * a(0.0) * a(0.0) + qp * b(0.0) * b(0.0))
+
+
+_CENTER_NORMS = {kind: _center_norm(row)
+                 for kind, row in _MODELS.items() if row.signs}
+
+
 @dataclass(frozen=True)
 class ModelObject:
     kind: ModelKind
@@ -101,6 +115,8 @@ def _model(kind: ModelKind, n: int) -> _Model:
     row = _MODELS.get(kind)
     if row is None:
         raise ModelError(f"unknown model {kind}")
+    if type(n) is not int:  # a float or a bool would key an int's model
+        raise ModelError(f"model dimensions are ints; got {n!r}")
     if row.plane and n != 2:
         raise ModelError(f"{kind.value} is a plane model (n = 2)")
     if n < 1:
@@ -129,25 +145,46 @@ def _build(field, kind: ModelKind, n: int):
             tuple(l if i == m else 0 for i in range(dim)))
 
 
+_GEOMETRIES: dict = {}  # (field, kind, n) -> the one model geometry
+
+
+def _geometry(field, kind: ModelKind, n: int) -> Geometry:
+    """The one geometry of the model over the field, built on first
+    request; (kind, n) is checked before the lookup."""
+    _model(kind, n)
+    g = _GEOMETRIES.get((field, kind, n))
+    if g is None:
+        g = _GEOMETRIES[field, kind, n] = Geometry(*_build(field, kind, n))
+    return g
+
+
 def model_geometry(kind: ModelKind, n: int = 2) -> Geometry:
     """The floating-point model geometry with its fixed P and L."""
-    return Geometry(*_build(ApproxReal(), kind, n))
+    return _geometry(ApproxReal(), kind, n)
 
 
 def exact_model_geometry(kind: ModelKind, n: int = 2) -> Geometry:
     """The same model over exact rationals (for classification)."""
-    return Geometry(*_build(Rational(), kind, n))
+    return _geometry(Rational(), kind, n)
+
+
+# typed, so 2.0 and True are checked by _model, never read an int's entry
+@functools.lru_cache(maxsize=None, typed=True)
+def _signs(kind: ModelKind, n: int) -> tuple:
+    """The base metric signs of the model, built once per (kind, n)."""
+    k, m = _model(kind, n).bar
+    return (1,) * (n + k) + (-1,) * m
 
 
 def _bar_metric(kind: ModelKind, n: int, *vectors):
     """Signs of the model's base metric on the c-bar coordinates, once
     each of the vectors is checked to have that many coordinates."""
-    k, m = _model(kind, n).bar
+    metric = _signs(kind, n)
     for x in vectors:
-        if len(x) != n + k + m:
-            raise ModelError(f"{kind.value} base vectors need {n + k + m} "
+        if len(x) != len(metric):
+            raise ModelError(f"{kind.value} base vectors need {len(metric)} "
                              f"coordinates; got {len(x)}")
-    return (1,) * (n + k) + (-1,) * m
+    return metric
 
 
 def _bar_dot(kind, n, u, v):
@@ -203,9 +240,8 @@ def lift_cycle(kind: ModelKind, center, radius, n: int = 2) -> ModelObject:
         raise ModelError("Laguerre cycles are parabolas; use lift_parabola")
     center = tuple(float(x) for x in center)
     if row.signs:
-        (ql, qp), (a, b) = row.signs, row.conic
-        _need_norm(kind, n, center,
-                   -(ql * a(0.0) * a(0.0) + qp * b(0.0) * b(0.0)))
+        a, b = row.conic
+        _need_norm(kind, n, center, _CENTER_NORMS[kind])
         lift = center + (a(r), b(r))
     else:
         lift = center + (r * r - _bar_norm(kind, n, center), 1.0, r)
@@ -370,6 +406,9 @@ def check_separation(kind: ModelKind, o1: ModelObject, o2: ModelObject,
                      n: int = 2):
     """(computed, expected): the lift-side separation or power against
     the closed form evaluated from the model parameters alone."""
+    if o1.kind is not kind or o2.kind is not kind:
+        raise ModelError(f"a {kind.value} separation check got "
+                         f"{o1.kind.value} and {o2.kind.value} objects")
     g = model_geometry(kind, n)
     if o1.role_hint == "point" and o2.role_hint == "point":
         value = inversive_separation(g, o1.lift, o2.lift)

@@ -200,8 +200,8 @@ class QuadraticForm:
         Over F_p one int dot with ``gram_row_raw(y)``, reduced once; over
         Q y's integer row dotted with x's numerators, divided once.  The
         other fields take the row term by term from the table, as
-        ``_int_gram_row`` does (a geometry pairs P and L once per float
-        model query, so no dense Gram matrix is built for them), and add
+        ``_int_gram_row`` does (a geometry pairs only P and L, each once,
+        so no dense Gram matrix is built for them), and add
         its products from zero with their ops."""
         if self._p:
             p, row = self._p, self.gram_row_raw(y)

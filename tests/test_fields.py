@@ -362,6 +362,23 @@ def test_raw_inverse_of_zero_raises(field):
             assert field._eq(field._mul(field._inv(a), a), field.one().value)
 
 
+def test_rational_raw_inverse_is_a_fraction():
+    """A raw value over Q may be an int or a Fraction; its inverse, a
+    quotient by it and a vector normalised by it are Fractions either
+    way (a float would compare equal and lose exactness).  Over
+    ApproxReal the inverse is 1 / a, bit for bit."""
+    for a in (3.0, -0.7, 1e-300, 2):
+        assert ApproxReal()._inv(a).hex() == (1 / a).hex()
+    q = Rational()
+    for got, want in ((q._inv(2), Fraction(1, 2)),
+                      (q._inv(Fraction(-2, 3)), Fraction(-3, 2)),
+                      (q._div(1, 2), Fraction(1, 2))):
+        assert type(got) is Fraction and got == want
+    normed = linalg.normalize_raw(q, (2, 1))
+    assert [type(x) for x in normed] == [Fraction, Fraction]
+    assert tuple(normed) == (1, Fraction(1, 2))
+
+
 @pytest.mark.parametrize("field", FIELDS + [ApproxReal()],
                          ids=lambda f: f.token())
 def test_raw_zero_and_one_are_the_scalar_values(field):

@@ -7,15 +7,18 @@ import random
 
 import pytest
 
+from conformal import models
 from conformal.classify import classify
-from conformal.geometry import Role, incident, inversive_separation, role
+from conformal.fields import ApproxReal
+from conformal.geometry import (Geometry, Role, incident,
+                                inversive_separation, relative_power, role)
 from conformal.models import (MAX_MODEL_N, ModelError, ModelKind,
-                              ModelObject, check_separation,
+                              ModelObject, base_distance, check_separation,
                               cycles_at_angle, exact_model_geometry,
-                              expected_point_separation, lift_cycle,
-                              lift_hypercycle, lift_line, lift_parabola,
-                              lift_paracycle, lift_point, model_geometry,
-                              points_at_distance)
+                              expected_point_separation, intersection_angle,
+                              lift_cycle, lift_hypercycle, lift_line,
+                              lift_parabola, lift_paracycle, lift_point,
+                              model_geometry, points_at_distance)
 
 ALL_KINDS = list(ModelKind)
 CURVED = (ModelKind.ELLIPTIC, ModelKind.HYPERBOLIC, ModelKind.PARABOLIC)
@@ -69,6 +72,26 @@ def test_model_dimension_is_capped(kind):
         lift_point(kind, (1.0,), n=10 ** 18)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, "2", None, True],
+                         ids=repr)
+def test_model_dimension_must_be_an_int(n):
+    """A dimension that is not an int (a bool included) is one
+    ModelError, raised before any model is built or looked up: 2.0 and
+    True hash as the ints 2 and 1, so a lookup would return those
+    models."""
+    hyp = ModelKind.HYPERBOLIC
+    model_geometry(hyp, 2)  # the n = 2 geometry and signs, cached first
+    lift_paracycle((1.0, 0.0, 1.0), 1.0)
+    message = f"model dimensions are ints; got {n!r}$"
+    for call in (lambda: model_geometry(hyp, n),
+                 lambda: exact_model_geometry(hyp, n),
+                 lambda: lift_point(hyp, (0, 0, 1), n=n),
+                 lambda: lift_paracycle((1.0, 0.0, 1.0), 1.0, n=n),
+                 lambda: base_distance(hyp, (0, 0, 1), (0, 0, 1), n)):
+        with pytest.raises(ModelError, match=message):
+            call()
+
+
 def test_normalization_errors():
     with pytest.raises(ModelError):
         lift_point(ModelKind.ELLIPTIC, (1, 1, 0))  # not on the sphere
@@ -112,6 +135,26 @@ def test_all_grid_separations():
             value, expected = check_separation(kind, c1, c2)
             assert abs(value.value - expected) < 1e-9
             assert abs(expected - (math.cos(theta) - 1.0)) < 1e-12
+
+
+def test_check_separation_refuses_objects_of_another_model():
+    """The objects must be lifts of the model checked: a hyperbolic pair
+    measured in the elliptic model would give a plausible wrong pair."""
+    pairs = {ModelKind.HYPERBOLIC: points_at_distance(ModelKind.HYPERBOLIC,
+                                                      0.7),
+             ModelKind.ELLIPTIC: cycles_at_angle(ModelKind.ELLIPTIC, 0.7,
+                                                 0.45, 0.35)}
+    mixed = (pairs[ModelKind.ELLIPTIC][0],
+             lift_cycle(ModelKind.HYPERBOLIC, (0.0, 0.0, 1.0), 0.5))
+    for kind, pair in ((ModelKind.ELLIPTIC, pairs[ModelKind.HYPERBOLIC]),
+                       (ModelKind.HYPERBOLIC, pairs[ModelKind.ELLIPTIC]),
+                       (ModelKind.ELLIPTIC, mixed),
+                       (ModelKind.ELLIPTIC, mixed[::-1])):
+        with pytest.raises(ModelError, match=f"a {kind.value} separation"):
+            check_separation(kind, *pair)
+    for kind, pair in pairs.items():
+        value, expected = check_separation(kind, *pair)
+        assert abs(value.value - expected) < 1e-9
 
 
 def test_named_separation_values():
@@ -232,6 +275,75 @@ def test_lifts_share_the_field_of_the_model_geometry():
              lift_cycle(ModelKind.ELLIPTIC, (0.0, 0.0, 1.0), 0.5)]
     assert all(x.field is g.field for obj in lifts for x in obj.lift)
     assert model_geometry(ModelKind.HYPERBOLIC).field is g.field
+
+
+# ---------------------------------------------------------------------------
+# One geometry per model
+# ---------------------------------------------------------------------------
+
+def test_model_geometries_are_interned():
+    """Each model over each field is one object; the float and exact
+    geometries of a model are two."""
+    for kind in ALL_KINDS:
+        for n in _pin_dims(kind):
+            g, ge = model_geometry(kind, n), exact_model_geometry(kind, n)
+            assert g is model_geometry(kind, n)
+            assert ge is exact_model_geometry(kind, n)
+            assert g is not ge and g.field is not ge.field
+            assert g.n == ge.n == n
+
+
+def test_check_separation_builds_one_geometry_per_model(monkeypatch):
+    """1,000 checks over the three curved models build three
+    geometries, one per model, into an empty cache."""
+    built = []
+    init = Geometry.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(models, "_GEOMETRIES", {})
+    monkeypatch.setattr(Geometry, "__init__", counting)
+    pairs = [points_at_distance(kind, 0.5) for kind in CURVED] + \
+        [cycles_at_angle(kind, 1.0, 0.45, 0.35) for kind in CURVED]
+    for i in range(1000):
+        o1, o2 = pairs[i % len(pairs)]
+        check_separation(o1.kind, o1, o2)
+    assert len(built) == 3
+
+
+def _fresh_check(kind, o1, o2, n):
+    """check_separation on a geometry built for this call alone: the
+    per-call path that the interned geometry replaced."""
+    g = Geometry(*models._build(ApproxReal(), kind, n))
+    if o1.role_hint == "point":
+        d = base_distance(kind, o1.params["coords"], o2.params["coords"], n)
+        return (inversive_separation(g, o1.lift, o2.lift),
+                expected_point_separation(kind, d))
+    theta = intersection_angle(kind, o1, o2, n)
+    return relative_power(g, o1.lift, o2.lift), math.cos(theta) - 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", CURVED, ids=lambda k: k.value)
+def test_interned_checks_match_a_fresh_geometry(kind, n):
+    """On the separations grid and a seeded sample, the interned
+    geometry gives every separation and power bit for bit as a fresh
+    build does."""
+    rng = random.Random(n)
+    grid = (0.1, 0.5, 1.0, 2.0)
+    pairs = [points_at_distance(kind, d, n) for d in grid] + \
+        [cycles_at_angle(kind, t, 0.45, 0.35, n) for t in grid]
+    for _ in range(50):
+        r1, r2 = rng.uniform(0.1, 1.4), rng.uniform(0.1, 1.4)
+        pairs += [points_at_distance(kind, rng.uniform(0.0, 3.0), n),
+                  cycles_at_angle(kind, rng.uniform(0.1, 3.0), r1, r2, n)]
+    for o1, o2 in pairs:
+        value, expected = check_separation(kind, o1, o2, n)
+        want, want_expected = _fresh_check(kind, o1, o2, n)
+        assert value.value.hex() == want.value.hex()
+        assert expected.hex() == want_expected.hex()
 
 
 # ---------------------------------------------------------------------------
