@@ -414,13 +414,15 @@ class Subspace:
 
 def perp_space(g: Geometry, vectors: Sequence) -> Subspace:
     """The orthogonal complement of the raw ``vectors``, which must all
-    be orthogonal to L, carrying the restricted form and L's coordinates
-    (read by the coordinate map the subspace keeps)."""
+    be orthogonal to L (InvalidInputError otherwise), carrying the
+    restricted form and L's coordinates (read by the coordinate map the
+    subspace keeps)."""
     basis = g.form.perp_raw(vectors)
     cols = tuple(zip(*basis))
     coords = linalg.coordinate_map(cols, g.field)
     l_raw = coords(g._l_raw)
-    assert l_raw is not None  # L is orthogonal to every vector
+    if l_raw is None:
+        raise InvalidInputError("perp_space needs vectors orthogonal to L")
     return Subspace(g, cols, g.form.restrict_raw(basis), tuple(l_raw),
                     coords)
 

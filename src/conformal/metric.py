@@ -120,7 +120,9 @@ class Chart:
     line coordinates: the raw basis as columns) and its inverse
     ``_from_line`` are raw rows; an ambient vector's line coordinates
     come from the coordinate map of the line space.  ``basis`` wraps
-    the raw basis on each read.
+    the raw basis on each read.  ``_points`` keeps the scaled chart
+    coordinates of each point that passed ``_point_coords``' checks,
+    under the raw tuple it was given as.
     """
 
     def __init__(self, kind: LineGroupClass, space: Subspace, basis,
@@ -133,6 +135,7 @@ class Chart:
         self._from_line = linalg.inverse_raw(self._to_line, field)
         assert self._from_line is not None
         self.norm_token = norm_token
+        self._points = {}
         if kind is LineGroupClass.ADDITIVE:
             # tau = 2 Q(u) (beta1 - beta2); the matrix divides by 2Q(u), 4Q(u)
             qu, mul = space.form.eval_raw(basis[1]), field._mul
@@ -362,11 +365,13 @@ def motion_from_normal_form(chart: Chart, nf) -> MotionElement:
 
 
 def _line_chart(g: Geometry, l) -> Chart:
-    """The chart of l's line, kept on g under l's normalised raw tuple.
-    A miss runs ``build_chart(line_space(g, l))``, so an l that is
-    rejected raises on every call and is never stored."""
+    """The chart of l's line, kept on g under l's normalised raw tuple
+    (a ``ProjPoint``'s is already normalised).  A miss runs
+    ``build_chart(line_space(g, l))``, so an l that is rejected raises
+    on every call and is never stored."""
     _require_plane(g)
-    key = linalg.normalize_raw(g.field, _raw_cycle(g, l))
+    x = _raw_cycle(g, l)
+    key = x if isinstance(l, ProjPoint) else linalg.normalize_raw(g.field, x)
     chart = g._charts.get(key)
     if chart is None:
         chart = g._charts[key] = build_chart(line_space(g, l))
@@ -375,10 +380,15 @@ def _line_chart(g: Geometry, l) -> Chart:
 
 def _point_coords(chart: Chart, g: Geometry, p):
     """The chart coordinates of the point p on raw values, scaled so
-    that the coordinate that pairs with L is 1."""
+    that the coordinate that pairs with L is 1, kept on the chart under
+    p's raw tuple as given; a point that is rejected raises on every
+    call and is never stored."""
+    x = tuple(_raw_cycle(g, p))
+    cc = chart._points.get(x)
+    if cc is not None:
+        return cc
     field = chart.space.form.field
     is_zero, mul = field._is_zero, field._mul
-    x = _raw_cycle(g, p)
     if not is_zero(g.form.eval_raw(x)):
         raise NotOnLineError("points of a line lie on the Lie quadric")
     lc = chart.space._coords(x)
@@ -392,7 +402,8 @@ def _point_coords(chart: Chart, g: Geometry, p):
     if is_zero(lead):
         raise IdealPointError("the point is ideal on this line")
     inv = field._inv(lead)
-    return tuple(mul(inv, c) for c in cc)
+    cc = chart._points[x] = tuple([mul(inv, c) for c in cc])
+    return cc
 
 
 def translation_between(g: Geometry, l, p1, p2) -> MotionElement:

@@ -41,9 +41,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .fields import ApproxReal, ConformalError, Rational
+from .fields import ApproxReal, ConformalError, Rational, Scalar
 from .geometry import Geometry, inversive_separation, relative_power
-from .linalg import vector
 from .quadform import QuadraticForm
 
 
@@ -205,12 +204,14 @@ def _need_norm(kind, n, coords, want, what="centers/normals"):
 
 def _lift(kind: ModelKind, role_hint: str, params: dict,
           lift: tuple) -> ModelObject:
-    """The model object of a lift, its coordinates wrapped over
-    ApproxReal; a lift that overflowed is refused."""
+    """The model object of a lift, its raw float coordinates wrapped
+    over ApproxReal; a lift that overflowed is refused."""
     if not all(map(math.isfinite, lift)):
         raise ModelError(f"the {kind.value} {role_hint} lift is not "
                          f"finite: {lift}")
-    return ModelObject(kind, role_hint, params, vector(ApproxReal(), lift))
+    field = ApproxReal()
+    return ModelObject(kind, role_hint, params,
+                       tuple([Scalar(a, field) for a in lift]))
 
 
 def lift_point(kind: ModelKind, coords, n: int = 2) -> ModelObject:

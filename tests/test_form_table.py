@@ -342,18 +342,14 @@ def _scalar_call(node) -> bool:
         and isinstance(node.func, ast.Attribute) and node.func.attr == "scalar"
 
 
-# The one call of ``linalg.vector`` in the package: the wrap every float
-# model lift ends in, public coordinates read by the coordinate rule.
-VECTOR_CALLS = [("models", "_lift", "lift")]
-
-
 def test_vectors_cross_the_boundary_one_way():
     """Outside ``fields.py`` and ``linalg.raw_values`` no comprehension
     reads a vector one ``scalar`` call at a time: a public vector is
     read by ``raw_values`` (or ``linalg.vector``, which maps
     ``Field.scalar``).  And no raw tuple is wrapped through the
-    coordinate rule: ``linalg.vector`` is called only on the model
-    lifts, and a raw tuple is wrapped by ``Scalar(v, field)``."""
+    coordinate rule: the package never calls ``linalg.vector``, and a
+    raw tuple, the model lifts' floats included, is wrapped by
+    ``Scalar(v, field)``."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "conformal"
     loops, vector_calls = [], []
     for path in sorted(src.glob("*.py")):
@@ -382,7 +378,7 @@ def test_vectors_cross_the_boundary_one_way():
 
         visit(ast.parse(path.read_text()), None)
     assert loops == []
-    assert vector_calls == VECTOR_CALLS
+    assert vector_calls == []
 
 
 def test_no_tolerance_parameter_outside_fields():

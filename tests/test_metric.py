@@ -1,5 +1,6 @@
 """Line translation groups, charts, oriented distance."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -8,10 +9,12 @@ import random
 import pytest
 
 from conformal import linalg
+import conformal.metric as met
 from conformal.fields import PrimeField, Rational, SquareClass
 from conformal.classify import enumerate_classes, representative_geometry
 from conformal.geometry import (Geometry, ProjPoint, RoleError, antipodal,
-                                cayley_klein_points, hyperplane_through)
+                                cayley_klein_points, hyperplane_through,
+                                perp_space)
 from conformal.models import ModelKind, exact_model_geometry, model_geometry
 from conformal.quadform import InvalidInputError
 from conformal.metric import (DegenerateLineError, IdealPointError,
@@ -297,10 +300,118 @@ def test_point_errors_on_a_kept_chart():
                        (elsewhere, NotOnLineError),
                        (ref_vec_add(pts[0].coords, g.p_rep),
                         NotOnLineError)):
-        for args in ((pts[0], bad), (bad, pts[0])):
+        for args in ((pts[0], bad), (bad, pts[0])) * 2:
             with pytest.raises(error):
                 translation_between(g, l, *args)
     assert len(g._charts) == 1
+    # a rejected point is never kept: the table holds the good points only
+    chart = next(iter(g._charts.values()))
+    assert set(chart._points) == {pts[0].raw, pts[1].raw}
+
+
+def _nonideal_lines(g):
+    """Every non-ideal line of g: the quadric points with B(L, x) = 0
+    and B(P, x) != 0, by a scan of the whole quadric."""
+    b, is_zero = g.form.b_raw, g.field._is_zero
+    return [ProjPoint.from_canonical(g.field, x)
+            for x in g.form.isotropic_points()
+            if is_zero(b(g._l_raw, x)) and not is_zero(b(g._p_raw, x))]
+
+
+def _uncached(h, l, p1, p2):
+    """translation_between on h with l's point table emptied first, so
+    both points' chart coordinates are computed afresh."""
+    met._line_chart(h, l)._points.clear()
+    return translation_between(h, l, p1, p2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_point_table_matches_the_uncached_chart(p):
+    """On every non-ideal line of every plane class, every ordered pair
+    of the line's points gives the normal form of a fresh geometry's
+    chart with an empty point table, bit for bit."""
+    lines = 0
+    for cls in enumerate_classes(PrimeField(p), 2):
+        g = representative_geometry(cls)
+        g = Geometry(g.form, g.p_rep, g.l_rep)
+        h = Geometry(g.form, g.p_rep, g.l_rep)
+        for l in _nonideal_lines(g):
+            _, pts = line_points(g, l)
+            for p1, p2 in itertools.product(pts, repeat=2):
+                assert translation_between(g, l, p1, p2)._nf_raw \
+                    == _uncached(h, l, p1, p2)._nf_raw
+            assert set(met._line_chart(g, l)._points) == \
+                {pt.raw for pt in pts}
+            lines += 1
+    assert lines > 0
+
+
+def test_each_point_is_computed_once(monkeypatch):
+    """1,000 translations between random points of one F_13 line run
+    the line space's coordinate map once per point queried."""
+    calls = []
+
+    def counted_space(g, l):
+        space = line_space(g, l)
+        coords = space._coords
+        return dataclasses.replace(
+            space, _coords=lambda x: calls.append(x) or coords(x))
+
+    monkeypatch.setattr(met, "line_space", counted_space)
+    rng = random.Random(13)
+    for ql in (SquareClass.UNIT, SquareClass.ZERO, SquareClass.NON_RESIDUE):
+        g = _fresh(PrimeField(13), SquareClass.UNIT, ql)
+        l = find_nonideal_line(g)
+        _, pts = line_points(g, l)
+        used = set()
+        for _ in range(1000):
+            p1, p2 = rng.choice(pts), rng.choice(pts)
+            used |= {p1.raw, p2.raw}
+            translation_between(g, l, p1, p2)
+        assert sorted(calls) == sorted(used)
+        assert set(met._line_chart(g, l)._points) == used
+        calls.clear()
+
+
+def test_float_point_table_is_bit_identical():
+    """On the ApproxReal hyperbolic line the kept chart coordinates give
+    the uncached normal forms bit for bit, in either query order: for
+    each point in three scalings (whose chart coordinates differ in the
+    last bits, so the table is keyed by the tuple as given), and given
+    with -0.0 in place of 0.0 (the two are one dict key)."""
+    from conformal import models
+    from conformal.fields import ApproxReal
+    from conformal.models import lift_line, lift_point
+    kind, real = ModelKind.HYPERBOLIC, ApproxReal()
+    line = lift_line(kind, (0.0, 1.0, 0.0)).lift
+    pts = [lift_point(kind, (math.sinh(t), 0.0, math.cosh(t))).lift
+           for t in (0.0, 0.7, -0.3, 1.1)]
+    scaled = [tuple(real.scalar(c * x.value) for x in pt)
+              for c in (3.0, 0.7) for pt in pts]
+    signed = [tuple(real.scalar(-0.0) if x.value == 0.0 else x for x in pt)
+              for pt in pts + scaled]
+    assert any(math.copysign(1.0, x.value) < 0 for x in signed[0])
+    fresh = lambda: Geometry(*models._build(real, kind, 2))
+    for first, second in ((pts + scaled, signed), (signed, pts + scaled)):
+        g, h = fresh(), fresh()
+        for p1, p2 in itertools.product(first + second, repeat=2):
+            got = translation_between(g, line, p1, p2)
+            assert repr(got._nf_raw) == repr(_uncached(h, line, p1,
+                                                       p2)._nf_raw)
+        assert len(met._line_chart(g, line)._points) == 3 * len(pts)
+
+
+def test_perp_space_needs_vectors_orthogonal_to_l():
+    """perp_space(g, [P, L]) is the line space of L where Q(L) = 0; on
+    the six F_5 plane classes with Q(L) != 0, L is not orthogonal to
+    itself and the call raises InvalidInputError."""
+    for cls in enumerate_classes(F5, 2):
+        g = representative_geometry(cls)
+        if cls.ql is SquareClass.ZERO:
+            assert perp_space(g, [g._p_raw, g._l_raw]).form.dim == 3
+        else:
+            with pytest.raises(InvalidInputError, match="orthogonal to L"):
+                perp_space(g, [g._p_raw, g._l_raw])
 
 
 def test_compose_requires_one_line():

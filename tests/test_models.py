@@ -448,6 +448,33 @@ def _pin_records():
         yield record(check_separation, kind, *pair)
 
 
+def test_lifts_wrap_raw_floats(monkeypatch):
+    """Every lift of the pinned grid, of every lift kind, is its raw
+    floats wrapped as they are: each coordinate's value is a float and
+    the lift equals the coordinate rule's reading of the raw tuple, bit
+    for bit."""
+    lifts = []
+    lift = models._lift
+
+    def recorded(kind, role_hint, params, raw):
+        obj = lift(kind, role_hint, params, raw)
+        lifts.append((raw, obj))
+        return obj
+
+    monkeypatch.setattr(models, "_lift", recorded)
+    for _ in _pin_records():
+        pass
+    real = ApproxReal()
+    assert {obj.role_hint for _, obj in lifts} == {
+        "point", "cycle", "line", "paracycle", "hypercycle"}
+    for raw, obj in lifts:
+        assert all(type(x.value) is float and x.field is real
+                   for x in obj.lift)
+        want = tuple(map(real.scalar, raw))
+        assert [x.value.hex() for x in obj.lift] == \
+            [x.value.hex() for x in want]
+
+
 # recorded before the lifts were read off one table
 LIFTS_DIGEST = (6868, "c288fad90081b7197daeab6bf9cf98b049e5bab"
                           "496919895ab9187e087141155")

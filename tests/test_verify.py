@@ -19,7 +19,8 @@ import re
 import pytest
 
 from conformal import geometry, linalg, quadform, verify
-from conformal.fields import PrimeField, canonical_nonresidue, square_class
+from conformal.fields import (PrimeField, SquareClass, canonical_nonresidue,
+                              square_class)
 
 F3 = PrimeField(3)
 
@@ -229,6 +230,52 @@ def test_cycle_equivalence_checks_its_certificates(monkeypatch, patch, error):
     assert not rep.passed
     assert re.match(rf"^F3: certificate for .*: {error}$",
                     rep.counterexample), rep.counterexample
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_certificate_check_reads_the_pair_sums(p):
+    """A certificate that is right on every unit vector and on L but
+    wrong on one pair sum is refused at a v with two ones: one column of
+    the search's h is replaced by a vector of the same norm that is not
+    orthogonal to another column, at a coordinate where L1 is zero."""
+    cla = verify.cla
+    field = PrimeField(p)
+    atlas = cla.enumerate_classes(field, 2)
+    reps = {(c.qp, c.ql): cla.representative_geometry(c) for c in atlas}
+    checked = 0
+    for c in atlas:
+        if SquareClass.ZERO in (c.qp, c.ql):
+            continue
+        partner = cla.cycle_equivalence_partners(c)[0]
+        g1, g2 = reps[(c.qp, c.ql)], reps[(partner.qp, partner.ql)]
+        lam, h = cla.pointspace_isometry(g1, g2)
+        ps1, ps2 = geometry.pointspace(g1), geometry.pointspace(g2)
+        q1, q2, l1 = ps1.form, ps2.form, ps1._l_raw
+        rows = tuple(tuple(linalg.raw_values(field, row)) for row in h)
+        cols, n = [list(col) for col in zip(*rows)], len(rows)
+        j = l1.index(0)
+        w = next(w for w in linalg.all_vectors(field, n)
+                 if q2.eval_raw(w) == q2.eval_raw(cols[j])
+                 and any(q2.b_raw(w, col) != q2.b_raw(cols[j], col)
+                         for k, col in enumerate(cols) if k != j))
+        cols[j] = list(w)
+        bad = tuple(zip(*cols))
+        # right on every unit vector and on L
+        for i in range(n):
+            unit = tuple(int(k == i) for k in range(n))
+            assert q2.eval_raw(cols[i]) == field._mul(lam.value,
+                                                      q1.eval_raw(unit))
+        assert linalg.mat_vec_raw(bad, l1, field) \
+            == linalg.mat_vec_raw(rows, l1, field)
+        assert verify._check_certificate(g1, g2, lam, h) is None
+        err = verify._check_certificate(g1, g2, lam, bad)
+        found = re.match(r"^Q2\(h v\) != lam Q1\(v\) at v=(\(.*\))$",
+                         err or "")
+        assert found, err
+        v = ast.literal_eval(found.group(1))
+        assert sorted(v)[-2:] == [1, 1] and sum(v) == 2
+        checked += 1
+    assert checked == 4
 
 
 def test_gen_ortho_basis_does_not_swallow_library_errors(monkeypatch):
