@@ -18,7 +18,7 @@ from .fields import ConformalError, Scalar, SquareClass, UnsupportedFieldError
 from . import linalg
 from .geometry import (Geometry, ProjPoint, Subspace, _raw_cycle,
                        non_degenerate_geometry, perp_space)
-from .quadform import InvalidInputError, _det_raw
+from .quadform import InvalidInputError, _det_raw, _root_table
 
 
 class DegenerateLineError(ConformalError):
@@ -488,61 +488,97 @@ def stabilizer_matrices(g: Geometry, l):
 
 def _stabilizer_raw(g: Geometry, l):
     """(space, chart, raw rows of each isometry of the line space fixing
-    the vector L, det +-1)."""
+    the vector L, det +-1): the chart-coordinate matrices of
+    ``_stabilizer`` conjugated back to line coordinates."""
+    chart, found, _ = _stabilizer(g, l)
+    to_line, from_line = chart._to_line, chart._from_line
+    field = chart.space.form.field
+    return chart.space, chart, [
+        linalg.mat_mul_raw(linalg.mat_mul_raw(to_line, mc, field), from_line,
+                           field) for mc in found]
+
+
+def stabilizer_group(g: Geometry, l):
+    """The determinant-1 stabilizer as MotionElements, sorted by normal
+    form; its cardinality is the gamma_class order."""
+    return _stabilizer(g, l)[2]
+
+
+def _stabilizer(g: Geometry, l):
+    """(chart, the chart-coordinate matrix of every isometry of the line
+    space fixing the vector L, the determinant-1 ones as MotionElements
+    sorted by normal form), in O(q^2).
+
+    An isometry fixing L is fixed by the images y, z of the chart
+    vectors b1, b2: (L, y, z) must have the chart basis's Gram matrix,
+    that is (Q, B(L, .)) of b1 at y and of b2 at z (``_plane_solutions``)
+    and B(y, z) = B(b1, b2).  The chart matrix of the map is
+    F [L | y | z] with F = ``_from_line``; the matrices come in the
+    order of y, then z, each in ``linalg.all_vectors`` order."""
     if not g.field.is_finite:
         raise UnsupportedFieldError("stabilizer enumeration needs a finite field")
     if g.field.order > MAX_METRIC_Q:
         raise UnsupportedFieldError(
             f"field size {g.field.order} exceeds the cap {MAX_METRIC_Q}")
     chart = _line_chart(g, l)
-    space = chart.space
-    form = space.form
+    form = chart.space.form
     field = form.field
-    lc_raw, x1, x2 = zip(*chart._to_line)
-
-    def norms(x):  # (Q(x), B(L, x)) on raw values
-        return form.eval_raw(x), form.b_raw(lc_raw, x)
-
-    want1, want2 = norms(x1), norms(x2)
+    lc, x1, x2 = zip(*chart._to_line)
+    perp = form.perp_raw([lc])
+    cands2 = _plane_solutions(form, lc, x2, perp)
     cross = form.b_raw(x1, x2)
-    cands1, cands2 = [], []
-    for x in linalg.all_vectors(field, 3):
-        got = norms(x)
-        if got == want1:
-            cands1.append(x)
-        if got == want2:
-            cands2.append(x)
-    out = []
-    for y in cands1:
+    found, group = [], []
+    for y in _plane_solutions(form, lc, x1, perp):
+        pair_y = form.pairing_raw(y)
         for z in cands2:
-            if form.b_raw(y, z) != cross:
+            if pair_y(z) != cross:
                 continue
-            # images of the chart basis determine the map; (lc, y, z) has
-            # the chart basis's Gram matrix, so m is invertible
-            m_cols = tuple(zip(lc_raw, y, z))  # chart -> line coords
-            out.append(linalg.mat_mul_raw(m_cols, chart._from_line, field))
-    return space, chart, out
+            # (lc, y, z) has the chart basis's Gram matrix, so it is a basis
+            mc = linalg.mat_mul_raw(chart._from_line, tuple(zip(lc, y, z)),
+                                    field)
+            found.append(mc)
+            if _unimodular(field, mc):
+                group.append(MotionElement(chart,
+                                           _normal_form_of_matrix(chart, mc)))
+    group.sort(key=lambda el: el._nf_raw)
+    return chart, found, tuple(group)
 
 
-def stabilizer_group(g: Geometry, l):
-    """The determinant-1 stabilizer as MotionElements, sorted by normal
-    form; its cardinality is the gamma_class order."""
-    _, chart, mats = _stabilizer_raw(g, l)
-    return _det_one(chart, mats)
+def _plane_solutions(form, lc, x, perp) -> list:
+    """Every y with (Q(y), B(L, y)) = (Q(x), B(L, x)), L's coordinates
+    lc and perp = (e1, e2) a basis of L^perp, in ``linalg.all_vectors``
+    order (raw F_p tuples sort so).
 
-
-def _det_one(chart: Chart, mats) -> tuple:
-    """The determinant-1 matrices among the raw stabilizer matrices
-    ``mats`` of chart's line, as MotionElements sorted by normal form."""
-    field = chart.space.form.field
+    y runs over the plane x + s e1 + t e2, where Q(y) - Q(x) is
+    a + b t + c t^2 with a = s B(x, e1) + s^2 Q(e1),
+    b = B(x, e2) + s B(e1, e2) and c = Q(e2).  For each s the roots t
+    are read off ``_root_table`` when c != 0, as ``isotropic_points``
+    does; otherwise t = -a/b, or every t when a = b = 0.  Each
+    candidate is checked again against both values."""
+    field = form.field
+    add, mul, is_zero = field._add, field._mul, field._is_zero
+    e1, e2 = perp
+    c = form.eval_raw(e2)
+    roots = _root_table(field, c) if not is_zero(c) else None
+    a1, a2 = form.b_raw(x, e1), form.eval_raw(e1)
+    b0, b1 = form.b_raw(x, e2), form.b_raw(e1, e2)
+    want = (form.eval_raw(x), form.b_raw(lc, x))
     out = []
-    for m in mats:
-        mc = linalg.mat_mul_raw(linalg.mat_mul_raw(chart._from_line, m, field),
-                                chart._to_line, field)
-        if _unimodular(field, mc):
-            out.append(MotionElement(chart, _normal_form_of_matrix(chart, mc)))
-    out.sort(key=lambda el: el._nf_raw)
-    return tuple(out)
+    for s in field.raw_elements:
+        a, b = mul(add(a1, mul(a2, s)), s), add(b0, mul(b1, s))
+        if roots is not None:
+            ts = roots.get((b, a), ())
+        elif not is_zero(b):
+            ts = (field._div(field._neg(a), b),)
+        else:
+            ts = field.raw_elements if is_zero(a) else ()
+        base = [add(u, mul(s, w)) for u, w in zip(x, e1)]
+        for t in ts:
+            y = tuple([add(u, mul(t, w)) for u, w in zip(base, e2)])
+            if (form.eval_raw(y), form.b_raw(lc, y)) == want:
+                out.append(y)
+    out.sort()
+    return out
 
 
 def find_nonideal_line(g: Geometry) -> ProjPoint:

@@ -332,7 +332,7 @@ def _orbit_atlas_for_form(field: Field, diag, rep: Report) -> Optional[dict]:
             moves = mirrors(form, pv, target_p, iso)
             assert moves is not None
         if not _on_line(_transport(form, moves, pv), target_p, field):
-            _fail(rep, f"p={field.order} diag={diag} P={pv} not normalised")
+            _fail(rep, f"{field.token()} diag={diag} P={pv} not normalised")
             return None
     # step 2: each L orthogonal to a target is reduced to the target of
     # its norm class (the first such L) by mirrors fixing that target
@@ -346,7 +346,7 @@ def _orbit_atlas_for_form(field: Field, diag, rep: Report) -> Optional[dict]:
         for lv in members:
             cl = qcls[q(lv)]
             if not _reduce_l(form, t, lv, l0[cl], pool):
-                _fail(rep, f"p={field.order} diag={diag} pair P={t} L={lv} "
+                _fail(rep, f"{field.token()} diag={diag} pair P={t} L={lv} "
                            f"not reduced")
                 return None
             buckets[cp, cl] = buckets.get((cp, cl), 0) + p_count[cp]
@@ -566,8 +566,7 @@ def suite_gamma_orders(field=None, **_) -> Report:
             if gc.order(p) != expected:
                 return _fail(rep, f"p={p} {cls.label()}: class order")
             l = met.find_nonideal_line(g)
-            _, chart, full = met._stabilizer_raw(g, l)
-            group = met._det_one(chart, full)
+            _, full, group = met._stabilizer(g, l)
             if len(group) != expected:
                 return _fail(rep, f"p={p} {cls.label()}: |Gamma|={len(group)}")
             if len(full) != 2 * expected:

@@ -13,7 +13,9 @@ dropped for their raw tuples and rows lives here: ``ref_vec_add``,
 ``ref_inverse``, ``ref_reflection_matrix`` and ``ref_is_isometry``, as
 do the Scalar paths of ``diagonalize``, ``is_nondegenerate_form``,
 ``build_chart`` with the sign rules it used over ApproxReal
-(``ref_sign_class``, ``ref_sqrt_any``) and the subcycle constructions.
+(``ref_sign_class``, ``ref_sqrt_any``), the stabilizer search's walk
+of every vector of a line space (``ref_stabilizer``) and the subcycle
+constructions.
 The couple walk of ``generalized_orthogonal_basis`` with its validation,
 the Arf invariant's own couple loop and the rank test of antipodal
 points are kept as they were, as are the Scalar-table builds of ``scaled``,
@@ -603,6 +605,58 @@ def ref_invert(chart, nf):
     if chart.kind is LineGroupClass.SPLIT_TORUS:
         return (nf[0].inverse(),)
     return (nf[0], -nf[1])
+
+
+def ref_stabilizer(g, l):
+    """(full, group) by the walk of every vector of the line space, as
+    the stabilizer search ran before it solved on the planes
+    B(L, .) = b: the images y, z of the chart vectors b1, b2 are the
+    vectors with (Q, B(L, .)) of b1 and of b2 (``ref_q``, ``ref_b`` on
+    Scalars), and each pair with B(y, z) = B(b1, b2) gives the line-space
+    matrix [L | y | z] T^-1, T the chart basis of ``ref_build_chart`` as
+    columns.  full lists the matrices in the order of y, then z, each in
+    ``linalg.all_vectors`` order; group is the determinant-1 ones as
+    (normal form, matrix) sorted by normal form, the normal form read
+    off the chart-coordinate matrix T^-1 M T."""
+    space = line_space(g, l)
+    form = space.form
+    field = form.field
+    kind, basis, _ = ref_build_chart(space)
+    lc, b1, b2 = basis
+    to_line = tuple(zip(*basis))
+    from_line = ref_inverse(to_line, field)
+
+    def norms(x):
+        return ref_q(form, x), ref_b(form, lc, x)
+
+    want1, want2 = norms(b1), norms(b2)
+    cross = ref_b(form, b1, b2)
+    cands1, cands2 = [], []
+    for x in itertools.product(list(field.elements()), repeat=3):
+        got = norms(x)
+        if got == want1:
+            cands1.append(x)
+        if got == want2:
+            cands2.append(x)
+    full, group = [], []
+    for y in cands1:
+        for z in cands2:
+            if ref_b(form, y, z) != cross:
+                continue
+            m = ref_mat_mul(tuple(zip(lc, y, z)), from_line)
+            full.append(m)
+            mc = ref_mat_mul(ref_mat_mul(from_line, m), to_line)
+            if (mc[1][1] * mc[2][2] - mc[1][2] * mc[2][1]) != field.one():
+                continue
+            if kind is LineGroupClass.ADDITIVE:
+                nf = (mc[0][1],)
+            elif kind is LineGroupClass.SPLIT_TORUS:
+                nf = (mc[1][1],)
+            else:
+                nf = (mc[1][1], mc[2][1])
+            group.append((nf, m))
+    group.sort(key=lambda item: [x.value for x in item[0]])
+    return full, group
 
 
 def ref_nonideal_line(g):

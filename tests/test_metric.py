@@ -10,13 +10,14 @@ import pytest
 
 from conformal import linalg
 import conformal.metric as met
-from conformal.fields import PrimeField, Rational, SquareClass
+from conformal.fields import (PrimeField, Rational, SquareClass,
+                              UnsupportedFieldError)
 from conformal.classify import enumerate_classes, representative_geometry
 from conformal.geometry import (Geometry, ProjPoint, RoleError, antipodal,
                                 cayley_klein_points, hyperplane_through,
                                 perp_space)
 from conformal.models import ModelKind, exact_model_geometry, model_geometry
-from conformal.quadform import InvalidInputError
+from conformal.quadform import InvalidInputError, QuadraticForm
 from conformal.metric import (DegenerateLineError, IdealPointError,
                               IncompatibleChartsError, LineGroupClass,
                               NotOnLineError, build_chart, compose,
@@ -25,8 +26,8 @@ from conformal.metric import (DegenerateLineError, IdealPointError,
                               motion_from_normal_form, same_distance,
                               stabilizer_group, stabilizer_matrices,
                               translation_between)
-from reference import (ref_mat_vec, ref_nonideal_line, ref_vec_add,
-                       ref_vec_scale)
+from reference import (ref_mat_vec, ref_nonideal_line, ref_stabilizer,
+                       ref_vec_add, ref_vec_scale)
 
 QQ = Rational()
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
@@ -126,6 +127,64 @@ def test_full_stabilizer_has_index_two():
             group = stabilizer_group(g, l)
             _, _, full = stabilizer_matrices(g, l)
             assert len(full) == 2 * len(group)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_stabilizer_matches_the_vector_walk(p):
+    """On the first non-ideal line of every plane class and of its dual
+    over F_p, ``stabilizer_matrices`` is the set the walk of every vector
+    finds, and ``stabilizer_group`` its determinant-1 part, with the same
+    normal forms in the same order and the same matrices."""
+    kinds = []
+    for cls in enumerate_classes(PrimeField(p), 2):
+        base = representative_geometry(cls)
+        for g in (base, base.dual()):
+            l = find_nonideal_line(g)
+            full, group = ref_stabilizer(g, l)
+            _, chart, mats = stabilizer_matrices(g, l)
+            assert len(mats) == len(full) == 2 * gamma_class(g).order(p)
+            assert set(map(tuple, mats)) == set(full)
+            got = stabilizer_group(g, l)
+            assert [el.normal_form for el in got] == [nf for nf, _ in group]
+            assert [el._matrix_raw for el in got] == [
+                tuple(tuple(x.value for x in row) for row in m)
+                for _, m in group]
+            kinds.append(chart.kind)
+    assert len(kinds) == 18 and set(kinds) == set(LineGroupClass)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: exact_model_geometry(ModelKind.HYPERBOLIC),
+     "stabilizer enumeration needs a finite field"),
+    (lambda: _rep(PrimeField(17), SquareClass.UNIT, SquareClass.UNIT),
+     "field size 17 exceeds the cap 13"),
+    (lambda: representative_geometry(next(iter(enumerate_classes(F5, 3)))),
+     "line spaces are 3-dimensional only for n=2"),
+], ids=["rational", "f17", "f5-d3"])
+def test_stabilizer_refusals(make, message):
+    g = make()
+    # the rational model is refused before its l is read
+    l = find_nonideal_line(g) if g.field.is_finite else g.l_rep
+    for search in (stabilizer_group, stabilizer_matrices):
+        with pytest.raises(UnsupportedFieldError, match=message):
+            search(g, l)
+
+
+def test_stabilizer_search_is_quadratic(monkeypatch):
+    """One search per chart kind over F_13, its chart built in the call,
+    evaluates Q at most 3 q^2 times; a walk of all q^3 vectors of the
+    line space would take q^3 = 2197."""
+    calls = []
+    eval_raw = QuadraticForm.eval_raw
+    monkeypatch.setattr(QuadraticForm, "eval_raw",
+                        lambda form, x: calls.append(x) or eval_raw(form, x))
+    f13 = PrimeField(13)
+    for ql in (SquareClass.UNIT, SquareClass.ZERO, SquareClass.NON_RESIDUE):
+        g = _fresh(f13, SquareClass.UNIT, ql)
+        l = find_nonideal_line(g)
+        calls.clear()
+        assert len(stabilizer_group(g, l)) == gamma_class(g).order(13)
+        assert len(calls) <= 3 * 13 ** 2
 
 
 def test_translation_identity_and_swap():
@@ -281,6 +340,8 @@ def test_rejected_line_raises_every_time_and_is_not_kept():
                 translation_between(g, bad, pts[0], pts[1])
             with pytest.raises(DegenerateLineError):
                 stabilizer_matrices(g, bad)
+            with pytest.raises(DegenerateLineError):
+                stabilizer_group(g, bad)
     assert g._charts == {}
 
 

@@ -160,7 +160,7 @@ def test_failed_reduction_is_not_hidden_by_the_cache(monkeypatch):
     monkeypatch.setattr(verify, "_reduce_l", failing)
     rep = verify.run_suite("orbit-atlas", field=F3)
     assert not rep.passed
-    assert rep.counterexample == ("p=3 diag=[1, 1, 1, -1, -1] pair "
+    assert rep.counterexample == ("fp:3 diag=[1, 1, 1, -1, -1] pair "
                                   "P=(1, 0, 0, 0, 0) L=(0, 1, 1, 0, 0) "
                                   "not reduced")
 
@@ -180,7 +180,7 @@ def test_wrong_l_target_fails_the_l_step(monkeypatch):
     rep = verify.run_suite("orbit-atlas", field=F3)
     assert not rep.passed
     # the class's first L is its own target, so it fails first
-    assert rep.counterexample == ("p=3 diag=[1, 1, 1, -1, -1] pair "
+    assert rep.counterexample == ("fp:3 diag=[1, 1, 1, -1, -1] pair "
                                   "P=(1, 0, 0, 0, 0) L=(0, 1, 0, 0, 1) "
                                   "not reduced")
 
@@ -199,7 +199,7 @@ def test_wrong_p_mirror_fails_the_p_step(monkeypatch):
     monkeypatch.setattr(verify, "_reduce_l", lambda *args: True)
     rep = verify.run_suite("orbit-atlas", field=F3)
     assert not rep.passed
-    assert re.match(r"^p=3 diag=\[1, 1, 1, -1, -1\] P=\((\d, ){4}\d\) "
+    assert re.match(r"^fp:3 diag=\[1, 1, 1, -1, -1\] P=\((\d, ){4}\d\) "
                     r"not normalised$", rep.counterexample), rep.counterexample
 
 
@@ -300,7 +300,7 @@ def test_failed_mirror_search_fails_its_pair(monkeypatch):
     monkeypatch.setattr(verify, "mirrors", no_isotropic_path)
     rep = verify.run_suite("orbit-atlas", field=F3)
     assert not rep.passed
-    found = re.match(r"^p=3 diag=\[1, 1, 1, -1, -1\] pair P=(\(.*?\)) "
+    found = re.match(r"^fp:3 diag=\[1, 1, 1, -1, -1\] pair P=(\(.*?\)) "
                      r"L=(\(.*?\)) not reduced$", rep.counterexample)
     assert found, rep.counterexample
     form = quadform.QuadraticForm.diagonal(F3, [1, 1, 1, -1, -1])
